@@ -7,8 +7,7 @@
 //  * Reader scaling — aggregate EnumerateAt throughput at 1/2/4/8 reader
 //    threads under a free-running batched writer, against the serialized
 //    baseline (one thread alternating the same writer batches and
-//    enumerations — the old update_pending barrier world, where a reader
-//    and the writer could never overlap).
+//    enumerations, so a reader and the writer never overlap).
 //  * Writer overhead — batched-relabel latency with 0 and 4 concurrent
 //    readers. The readers:0 series is workload-identical to
 //    BM_Update_BatchedRelabels (bench_updates), so the cross-PR JSON
@@ -57,7 +56,7 @@ void SerializedBaseline(benchmark::State& state) {
       batch.clear();
       for (size_t j = 0; j < kBatch; ++j) batch.push_back(script.NextRelabel());
       doc.ApplyEdits(batch);
-      answers += doc.pipeline(h).EnumerateAll().size();
+      answers += doc.EnumerateAt(doc.CurrentSnapshot(), h).size();
       ++enums;
     }
     std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;

@@ -28,7 +28,8 @@ int main() {
 
   std::printf("tree: %zu nodes, initial answer count: %llu\n",
               enc.tree().size(),
-              static_cast<unsigned long long>(counter.TotalAcceptingRuns()));
+              static_cast<unsigned long long>(
+                  counter.TotalAcceptingRuns(enc.term().root())));
 
   // A stream of relabelings; after each, the count is current again after
   // touching only the changed path.
@@ -49,7 +50,8 @@ int main() {
     total_boxes += r.changed_bottom_up.size();
     std::printf("relabel node %u -> %c: count = %llu  (%zu boxes touched)\n",
                 n, static_cast<char>('a' + l),
-                static_cast<unsigned long long>(counter.TotalAcceptingRuns()),
+                static_cast<unsigned long long>(
+                    counter.TotalAcceptingRuns(enc.term().root())),
                 r.changed_bottom_up.size());
   }
   std::printf("average boxes touched per update: %.1f (tree has %zu nodes)\n",

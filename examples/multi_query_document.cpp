@@ -24,7 +24,7 @@ int main() {
   // jump index; all share the document's term.
   struct Named {
     const char* name;
-    DynamicDocument::QueryId id;
+    DynamicDocument::QueryHandle id;
   };
   std::vector<Named> queries = {
       {"//1                 (select label-1 nodes)",
@@ -41,7 +41,7 @@ int main() {
     std::printf("%s\n", when);
     for (const Named& nq : queries) {
       std::printf("  %-52s answers=%zu\n", nq.name,
-                  doc.pipeline(nq.id).EnumerateAll().size());
+                  doc.EnumerateAt(doc.CurrentSnapshot(), nq.id).size());
     }
   };
   report("initial tree:");
@@ -86,23 +86,31 @@ int main() {
       &doc.pipeline(dup) == &doc.pipeline(queries[0].id) ? "yes" : "no");
 
   // Admission/eviction: cap the registry and release the duplicate plus
-  // one query; the refcount-zero pipeline is evicted LRU-first, while
-  // re-registering re-admits (warm) or rebuilds (evicted) as needed.
+  // one query; the refcount-zero pipeline is evicted (cheapest to keep
+  // first), while the process-wide query cache keeps its compiled plan.
   doc.set_pipeline_cap(3);
   doc.Unregister(dup);              // still referenced by queries[0] - shared
   doc.Unregister(queries[3].id);    // refcount zero -> evicted by the cap
   DocumentStats reg = doc.stats();
   std::printf(
-      "cap=3 after releases: live=%zu warm=%zu evicted=%zu "
-      "(shared_hits=%zu readmissions=%zu rebuilds=%zu evictions=%zu)\n",
-      reg.live_pipelines, reg.warm_pipelines, reg.evicted_entries,
-      reg.shared_hits, reg.readmissions, reg.rebuilds, reg.evictions);
+      "cap=3 after releases: live=%zu warm=%zu "
+      "(shared_hits=%zu readmissions=%zu evictions=%zu)\n",
+      reg.live_pipelines, reg.warm_pipelines, reg.shared_hits,
+      reg.readmissions, reg.evictions);
   for (const DocumentStats::PipelineStats& ps : reg.pipelines) {
-    std::printf(
-        "  pipeline %016llx: queries=%zu width=%zu boxes_refreshed=%llu%s\n",
-        static_cast<unsigned long long>(ps.fingerprint), ps.queries, ps.width,
-        static_cast<unsigned long long>(ps.boxes_refreshed),
-        ps.built ? "" : " (evicted)");
+    std::printf("  pipeline: queries=%zu width=%zu boxes_refreshed=%llu\n",
+                ps.queries, ps.width,
+                static_cast<unsigned long long>(ps.boxes_refreshed));
   }
+
+  // Re-registering the evicted query is a cache hit: no compile work, only
+  // a fresh pipeline over the current tree.
+  const uint64_t translations = doc.query_cache().stats().translations;
+  queries[3].id = doc.Register(QueryChildOfLabel(3, 0, 2));
+  std::printf("re-registered //2/0: translations +%llu, pipelines=%zu\n",
+              static_cast<unsigned long long>(
+                  doc.query_cache().stats().translations - translations),
+              doc.num_pipelines());
+  report("after re-registration:");
   return 0;
 }

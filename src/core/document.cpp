@@ -78,62 +78,30 @@ DynamicDocument::QueryHandle DynamicDocument::RegisterPrepared(
 DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
     std::shared_ptr<const HomogenizedTva> homog, BoxEnumMode mode) {
   TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");
-  uint64_t fp = FingerprintHomogenizedTva(*homog);
-
-  size_t entry_idx = kNoEntry;
-  auto range = by_fingerprint_.equal_range(fp);
-  for (auto it = range.first; it != range.second; ++it) {
-    const QueryEntry& e = entries_[it->second];
-    // Plans served by this document's cache dedupe by pointer identity;
-    // the structural fallback covers plans from a different cache.
-    if (e.mode == mode &&
-        (e.homog == homog || HomogenizedTvaEqual(*e.homog, *homog))) {
-      entry_idx = it->second;
-      break;
-    }
-  }
-
-  if (entry_idx == kNoEntry) {
-    // Genuinely new query: a registry entry (recycling a reclaimed slot
-    // when one is free) + pipeline over the current term. The canonical
-    // automaton stays owned by the cache; entry and pipeline share the
-    // refcounted handle, so document retention pins the cache entry.
-    if (!entry_free_.empty()) {
-      entry_idx = entry_free_.back();
-      entry_free_.pop_back();
-      entries_[entry_idx] = QueryEntry{};
-    } else {
-      entry_idx = entries_.size();
-      entries_.emplace_back();
-    }
-    QueryEntry& entry = entries_[entry_idx];
-    entry.fingerprint = fp;
-    entry.homog = std::move(homog);
-    entry.mode = mode;
-    entry.pipeline =
-        std::make_unique<EnumerationPipeline>(term_, entry.homog, mode);
-    by_fingerprint_.emplace(fp, entry_idx);
-    built_entries_.push_back(entry_idx);
+  // The cache hash-conses plans, so plan identity is query identity.
+  auto it = std::find_if(entries_.begin(), entries_.end(),
+                         [&](const std::unique_ptr<QueryEntry>& e) {
+                           return e->pipeline.automaton() == homog &&
+                                  e->pipeline.mode() == mode;
+                         });
+  QueryEntry* entry;
+  if (it == entries_.end()) {
+    // New query: a pipeline over the current term. It shares the cache's
+    // refcounted plan handle, so document retention pins the cache entry.
+    entries_.push_back(
+        std::make_unique<QueryEntry>(term_, std::move(homog), mode));
+    entry = entries_.back().get();
   } else {
-    QueryEntry& e = entries_[entry_idx];
-    if (e.pipeline == nullptr) {
-      // Evicted entry: rebuild over the current term from the retained
-      // canonical automaton (no re-translation / re-homogenization).
-      e.pipeline =
-          std::make_unique<EnumerationPipeline>(term_, e.homog, e.mode);
-      built_entries_.push_back(entry_idx);
-      --retained_evicted_;
-      ++rebuilds_;
-    } else if (e.refcount == 0) {
+    entry = it->get();
+    if (entry->refcount == 0) {
       ++readmissions_;  // warm hit: the pipeline never went cold
     } else {
       ++shared_hits_;  // active hit: another registration shares it
     }
   }
 
-  QueryEntry& e = entries_[entry_idx];
-  ++e.refcount;
-  e.last_use = ++use_clock_;
+  ++entry->refcount;
+  entry->last_use = ++use_clock_;
   ++num_live_;
   uint32_t slot;
   if (!handle_free_.empty()) {
@@ -141,10 +109,10 @@ DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
     handle_free_.pop_back();
   } else {
     slot = static_cast<uint32_t>(handle_entry_.size());
-    handle_entry_.push_back(kNoEntry);
+    handle_entry_.push_back(nullptr);
     handle_gen_.push_back(0);
   }
-  handle_entry_[slot] = entry_idx;
+  handle_entry_[slot] = entry;
   EnforceCap();
   return MakeHandle(slot, handle_gen_[slot]);
 }
@@ -153,8 +121,8 @@ void DynamicDocument::Unregister(QueryHandle handle) {
   TREENUM_CHECK(!in_batch_, "cannot unregister a query mid-batch");
   TREENUM_CHECK(IsRegistered(handle), "unknown or already-unregistered query");
   const uint32_t slot = HandleSlot(handle);
-  QueryEntry& e = entries_[handle_entry_[slot]];
-  handle_entry_[slot] = kNoEntry;
+  QueryEntry& e = *handle_entry_[slot];
+  handle_entry_[slot] = nullptr;
   ++handle_gen_[slot];  // invalidate any copies of this handle
   handle_free_.push_back(slot);
   --e.refcount;
@@ -169,89 +137,18 @@ bool DynamicDocument::IsRegistered(QueryHandle handle) const {
   const uint32_t slot = HandleSlot(handle);
   return slot < handle_entry_.size() &&
          handle_gen_[slot] == HandleGen(handle) &&
-         handle_entry_[slot] != kNoEntry;
+         handle_entry_[slot] != nullptr;
 }
 
 EnumerationPipeline& DynamicDocument::pipeline(QueryHandle handle) {
   TREENUM_CHECK(IsRegistered(handle), "unknown or already-unregistered query");
-  return *entries_[handle_entry_[HandleSlot(handle)]].pipeline;
+  return handle_entry_[HandleSlot(handle)]->pipeline;
 }
 
 const EnumerationPipeline& DynamicDocument::pipeline(
     QueryHandle handle) const {
   TREENUM_CHECK(IsRegistered(handle), "unknown or already-unregistered query");
-  return *entries_[handle_entry_[HandleSlot(handle)]].pipeline;
-}
-
-// ---- Concurrent snapshot reads ----
-
-bool DynamicDocument::ReaderView::HasAnswerAt(const SnapshotRef& snap) const {
-  TREENUM_CHECK(snap && snap.epoch() >= pipeline_->min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  return pipeline_->HasAnswerAt(snap.root());
-}
-
-std::vector<Assignment> DynamicDocument::ReaderView::EnumerateAt(
-    const SnapshotRef& snap) const {
-  TREENUM_CHECK(snap && snap.epoch() >= pipeline_->min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  return pipeline_->EnumerateAllAt(snap.root());
-}
-
-std::unique_ptr<Engine::Cursor> DynamicDocument::ReaderView::MakeCursorAt(
-    SnapshotRef snap) const {
-  TREENUM_CHECK(snap && snap.epoch() >= pipeline_->min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  class PinnedCursor : public Engine::Cursor {
-   public:
-    PinnedCursor(SnapshotRef s, std::unique_ptr<Engine::Cursor> inner)
-        : snap_(std::move(s)), inner_(std::move(inner)) {}
-    bool Next(Assignment* out) override { return inner_->Next(out); }
-
-   private:
-    SnapshotRef snap_;
-    std::unique_ptr<Engine::Cursor> inner_;
-  };
-  std::unique_ptr<Engine::Cursor> inner =
-      pipeline_->MakeEngineCursorAt(snap.root());
-  return std::make_unique<PinnedCursor>(std::move(snap), std::move(inner));
-}
-
-bool DynamicDocument::HasAnswerAt(const SnapshotRef& snap,
-                                  QueryHandle handle) const {
-  const EnumerationPipeline& p = pipeline(handle);
-  TREENUM_CHECK(snap && snap.epoch() >= p.min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  return p.HasAnswerAt(snap.root());
-}
-
-std::vector<Assignment> DynamicDocument::EnumerateAt(const SnapshotRef& snap,
-                                                     QueryHandle handle) const {
-  const EnumerationPipeline& p = pipeline(handle);
-  TREENUM_CHECK(snap && snap.epoch() >= p.min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  return p.EnumerateAllAt(snap.root());
-}
-
-std::unique_ptr<Engine::Cursor> DynamicDocument::MakeCursorAt(
-    SnapshotRef snap, QueryHandle handle) const {
-  const EnumerationPipeline& p = pipeline(handle);
-  TREENUM_CHECK(snap && snap.epoch() >= p.min_snapshot_epoch(),
-                "snapshot predates this query's pipeline");
-  // The cursor co-owns the pin: the snapshot version stays frozen until
-  // the cursor is destroyed, even if the caller's ref is released first.
-  class PinnedCursor : public Engine::Cursor {
-   public:
-    PinnedCursor(SnapshotRef s, std::unique_ptr<Engine::Cursor> inner)
-        : snap_(std::move(s)), inner_(std::move(inner)) {}
-    bool Next(Assignment* out) override { return inner_->Next(out); }
-
-   private:
-    SnapshotRef snap_;
-    std::unique_ptr<Engine::Cursor> inner_;
-  };
-  std::unique_ptr<Engine::Cursor> inner = p.MakeEngineCursorAt(snap.root());
-  return std::make_unique<PinnedCursor>(std::move(snap), std::move(inner));
+  return handle_entry_[HandleSlot(handle)]->pipeline;
 }
 
 void DynamicDocument::set_pipeline_cap(size_t cap) {
@@ -261,7 +158,7 @@ void DynamicDocument::set_pipeline_cap(size_t cap) {
 }
 
 void DynamicDocument::EnforceCap() {
-  while (built_entries_.size() > pipeline_cap_) {
+  while (entries_.size() > pipeline_cap_) {
     // Cost-aware victim selection (see set_pipeline_cap): evict the warm
     // pipeline minimizing keep value = accumulated refresh cost /
     // staleness. boxes_refreshed proxies how expensive this pipeline has
@@ -270,87 +167,42 @@ void DynamicDocument::EnforceCap() {
     // use. Ties (e.g. all costs equal) fall back to LRU.
     size_t victim = kNoEntry;
     double best_keep = 0.0;
-    for (size_t idx : built_entries_) {
-      const QueryEntry& e = entries_[idx];
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const QueryEntry& e = *entries_[i];
       if (e.refcount != 0) continue;
       double staleness = static_cast<double>(use_clock_ - e.last_use);
       double keep =
           (static_cast<double>(e.boxes_refreshed) + 1.0) / (staleness + 1.0);
       if (victim == kNoEntry || keep < best_keep ||
-          (keep == best_keep && e.last_use < entries_[victim].last_use)) {
+          (keep == best_keep && e.last_use < entries_[victim]->last_use)) {
         best_keep = keep;
-        victim = idx;
-      }
-    }
-    if (victim == kNoEntry) break;  // every built pipeline is pinned
-    entries_[victim].pipeline.reset();
-    built_entries_.erase(
-        std::find(built_entries_.begin(), built_entries_.end(), victim));
-    ++retained_evicted_;
-    ++evictions_;
-  }
-  // Second-level cap: evicted entries keep only their canonical automaton,
-  // but even that must not grow with every query ever seen. Reclaim the
-  // LRU evicted entries outright — fingerprint forgotten, slot recycled.
-  while (retained_evicted_ > evicted_retention_cap_) {
-    size_t victim = kNoEntry;
-    uint64_t oldest = ~uint64_t{0};
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const QueryEntry& e = entries_[i];
-      if (e.pipeline == nullptr && e.homog != nullptr && e.last_use < oldest) {
-        oldest = e.last_use;
         victim = i;
       }
     }
-    if (victim == kNoEntry) break;  // counter out of sync; be safe
-    auto range = by_fingerprint_.equal_range(entries_[victim].fingerprint);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == victim) {
-        by_fingerprint_.erase(it);
-        break;
-      }
-    }
-    entries_[victim].homog.reset();  // marks the slot free
-    entry_free_.push_back(victim);
-    --retained_evicted_;
-    ++reclaimed_;
+    if (victim == kNoEntry) break;  // every pipeline is pinned
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+    ++evictions_;
   }
-}
-
-void DynamicDocument::set_evicted_retention_cap(size_t cap) {
-  TREENUM_CHECK(!in_batch_, "cannot change the retention cap mid-batch");
-  evicted_retention_cap_ = cap;
-  EnforceCap();
 }
 
 DocumentStats DynamicDocument::stats() const {
   DocumentStats s;
   s.live_queries = num_live_;
-  s.live_pipelines = built_entries_.size();
+  s.live_pipelines = entries_.size();
   s.shared_hits = shared_hits_;
   s.readmissions = readmissions_;
-  s.rebuilds = rebuilds_;
   s.evictions = evictions_;
   s.handle_slots = handle_entry_.size();
-  s.registry_entries = entries_.size() - entry_free_.size();
-  s.reclaimed_entries = reclaimed_;
-  for (const QueryEntry& e : entries_) {
-    if (e.homog == nullptr) continue;  // reclaimed slot awaiting reuse
-    if (e.pipeline != nullptr) {
-      if (e.refcount > 0) {
-        ++s.active_pipelines;
-      } else {
-        ++s.warm_pipelines;
-      }
+  for (const std::unique_ptr<QueryEntry>& e : entries_) {
+    if (e->refcount > 0) {
+      ++s.active_pipelines;
     } else {
-      ++s.evicted_entries;
+      ++s.warm_pipelines;
     }
     DocumentStats::PipelineStats ps;
-    ps.fingerprint = e.fingerprint;
-    ps.queries = e.refcount;
-    ps.width = e.homog->tva.num_states();
-    ps.boxes_refreshed = e.boxes_refreshed;
-    ps.built = e.pipeline != nullptr;
+    ps.queries = e->refcount;
+    ps.width = e->pipeline.width();
+    ps.boxes_refreshed = e->boxes_refreshed;
     s.pipelines.push_back(ps);
   }
   return s;
@@ -358,27 +210,21 @@ DocumentStats DynamicDocument::stats() const {
 
 template <typename Fn>
 void DynamicDocument::FanOut(const Fn& fn) {
-  if (pool_ != nullptr && pool_->size() > 1 && built_entries_.size() > 1) {
+  if (pool_ != nullptr && pool_->size() > 1 && entries_.size() > 1) {
     fan_scratch_.clear();
-    for (size_t idx : built_entries_) {
-      fan_scratch_.push_back(entries_[idx].pipeline.get());
+    for (const std::unique_ptr<QueryEntry>& e : entries_) {
+      fan_scratch_.push_back(&e->pipeline);
     }
     pool_->ParallelFor(fan_scratch_.size(),
                        [&](size_t i) { fn(*fan_scratch_[i]); });
   } else {
-    for (size_t idx : built_entries_) fn(*entries_[idx].pipeline);
-  }
-}
-
-void DynamicDocument::SetPipelinesPending(bool pending) {
-  for (size_t idx : built_entries_) {
-    entries_[idx].pipeline->set_update_pending(pending);
+    for (const std::unique_ptr<QueryEntry>& e : entries_) fn(e->pipeline);
   }
 }
 
 void DynamicDocument::ChargeRefresh(size_t boxes) {
-  for (size_t idx : built_entries_) {
-    entries_[idx].boxes_refreshed += boxes;
+  for (const std::unique_ptr<QueryEntry>& e : entries_) {
+    e->boxes_refreshed += boxes;
   }
 }
 
@@ -389,8 +235,8 @@ void DynamicDocument::PreEdit() {
   if (drained_freed_.empty()) return;
   // Inline, not FanOut: releasing spans is a few free-list pushes per box,
   // far below fork-join overhead.
-  for (size_t idx : built_entries_) {
-    entries_[idx].pipeline->ReleaseBoxes(drained_freed_);
+  for (const std::unique_ptr<QueryEntry>& e : entries_) {
+    e->pipeline.ReleaseBoxes(drained_freed_);
   }
 }
 
@@ -407,8 +253,7 @@ UpdateStats DynamicDocument::Dispatch(const UpdateResult& result) {
     return stats;  // every pipeline refreshed at CommitBatch
   }
   FanOut([&result](EnumerationPipeline& p) { p.Apply(result); });
-  stats.boxes_recomputed =
-      result.changed_bottom_up.size() * built_entries_.size();
+  stats.boxes_recomputed = result.changed_bottom_up.size() * entries_.size();
   ChargeRefresh(result.changed_bottom_up.size());
   // Every box of the new version is current — publish it for readers.
   snapshots_->Publish();
@@ -487,8 +332,7 @@ UpdateStats DynamicDocument::DispatchTransaction(const UpdateResult& result) {
   FanOut([this, &result](EnumerationPipeline& p) {
     p.ApplyCoalesced(dead_freed_, result.changed_bottom_up);
   });
-  stats.boxes_recomputed =
-      result.changed_bottom_up.size() * built_entries_.size();
+  stats.boxes_recomputed = result.changed_bottom_up.size() * entries_.size();
   ChargeRefresh(result.changed_bottom_up.size());
   snapshots_->Publish();  // one epoch per transaction
   return stats;
@@ -569,7 +413,6 @@ void DynamicDocument::BeginBatch() {
   assert(!in_batch_ && "nested batches are not supported");
   PreEdit();  // drain retired snapshots once for the whole transaction
   in_batch_ = true;
-  SetPipelinesPending(true);
 }
 
 UpdateStats DynamicDocument::CommitBatch() {
@@ -621,12 +464,11 @@ UpdateStats DynamicDocument::CommitBatch() {
   FanOut([this](EnumerationPipeline& p) {
     p.ApplyCoalesced(dead_freed_, ordered_changed_);
   });
-  stats.boxes_recomputed = ordered_changed_.size() * built_entries_.size();
+  stats.boxes_recomputed = ordered_changed_.size() * entries_.size();
   ChargeRefresh(ordered_changed_.size());
 
   batch_freed_.clear();
   batch_changed_.clear();
-  SetPipelinesPending(false);
   // One publish per transaction: readers never observe intermediate
   // versions of a batch.
   snapshots_->Publish();

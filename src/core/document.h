@@ -17,17 +17,17 @@
 //     at the document: the freed/changed term-node sets of the whole batch
 //     are merged, filtered against the term, and depth-ordered exactly
 //     once; each pipeline then consumes the same merged changed-box set.
-//   * Registered queries are *deduplicated*: each query is canonicalized
-//     (automata/homogenize.h) and looked up by fingerprint + exact
-//     equality in the document's query registry, so textually different
-//     but automaton-identical queries map to one refcounted pipeline. The
-//     registry keeps refcount-zero pipelines warm for cheap re-admission
-//     and supports a configurable cap with cost-aware eviction (see
-//     set_pipeline_cap); DocumentStats exposes the registry state. The
-//     registry's own metadata is bounded too: handle and entry slots
-//     recycle through free lists (handles carry generation tags so stale
-//     ones never validate), and evicted-entry metadata kept for the
-//     cheap-rebuild path has its own LRU cap (set_evicted_retention_cap).
+//   * Registered queries are *deduplicated* by compiled-plan identity:
+//     the shared QueryCache (automata/query_cache.h) hash-conses every
+//     plan, so textually different but automaton-identical queries arrive
+//     as the same plan pointer, and the registry maps each (plan, mode)
+//     pair to one refcounted pipeline. Refcount-zero pipelines stay warm
+//     for cheap re-admission under a configurable cap with cost-aware
+//     eviction (see set_pipeline_cap). An evicted pipeline is erased
+//     outright: re-registering its query is a cache hit that compiles
+//     nothing. Handle slots recycle through a free list under generation
+//     tags, so stale handles never validate. DocumentStats exposes the
+//     registry state.
 //   * Refresh fan-out optionally runs on a ThreadPool (util/thread_pool.h)
 //     and iterates *distinct* pipelines only — per-edit refresh cost
 //     scales with the number of distinct queries, not registrations.
@@ -38,26 +38,26 @@
 //     order: the deterministic single-thread fallback, which also keeps
 //     the single-query steady state allocation-free.
 //   * Every committed edit publishes the new term root as an immutable
-//     snapshot (core/snapshot.h) over the copy-on-write term: reader
-//     threads pin the current snapshot (CurrentSnapshot) and enumerate it
-//     (EnumerateAt / MakeCursorAt) concurrently with writer edits — the
-//     writer path-copies the O(log n) edit spine instead of mutating
-//     pinned versions in place, so readers never see a torn term or a box
-//     rebuilt under them. Old snapshots keep answering with their
-//     pre-edit results until released (time-travel). Retired snapshots
-//     are drained before the next edit, recycling their node versions and
-//     boxes through the arena free lists — steady state stays
-//     allocation-free.
+//     snapshot (core/snapshot.h) over the copy-on-write term, and every
+//     read goes through one: reader threads pin the current snapshot
+//     (CurrentSnapshot) and enumerate it (EnumerateAt / MakeCursorAt)
+//     concurrently with writer edits — the writer path-copies the
+//     O(log n) edit spine instead of mutating pinned versions in place,
+//     so readers never see a torn term or a box rebuilt under them. A read
+//     between BeginBatch and CommitBatch answers at the last committed
+//     version. Old snapshots keep answering with their pre-edit results
+//     until released (time-travel). Retired snapshots are drained before
+//     the next edit, recycling their node versions and boxes through the
+//     arena free lists — steady state stays allocation-free.
 //
 // TreeEnumerator and WordEnumerator are thin views over a private document
 // with one registered query; multi-query servers hold a DynamicDocument
-// directly and query each pipeline.
+// directly and read each registration at a pinned snapshot.
 #ifndef TREENUM_CORE_DOCUMENT_H_
 #define TREENUM_CORE_DOCUMENT_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -88,26 +88,20 @@ enum class AttachWhere {
 struct DocumentStats {
   /// Per-pipeline registry entry state.
   struct PipelineStats {
-    uint64_t fingerprint = 0;   ///< Canonical-form fingerprint (registry key).
     size_t queries = 0;         ///< Live registrations sharing this pipeline.
     size_t width = 0;           ///< Automaton width (circuit state count).
     uint64_t boxes_refreshed = 0;  ///< Lifetime box refreshes paid by it.
-    bool built = false;         ///< Pipeline currently materialized.
   };
 
   size_t live_queries = 0;     ///< Live handles (registrations).
-  size_t live_pipelines = 0;   ///< Built pipelines (active + warm).
-  size_t active_pipelines = 0; ///< Built pipelines with refcount > 0.
-  size_t warm_pipelines = 0;   ///< Built pipelines with refcount == 0.
-  size_t evicted_entries = 0;  ///< Registry entries whose pipeline was evicted.
+  size_t live_pipelines = 0;   ///< Pipelines (active + warm).
+  size_t active_pipelines = 0; ///< Pipelines with refcount > 0.
+  size_t warm_pipelines = 0;   ///< Pipelines with refcount == 0.
   size_t shared_hits = 0;      ///< Registrations served by an active pipeline.
   size_t readmissions = 0;     ///< Registrations served by a warm pipeline.
-  size_t rebuilds = 0;         ///< Registrations that rebuilt an evicted entry.
   size_t evictions = 0;        ///< Pipelines destroyed by the cap.
   size_t handle_slots = 0;     ///< Handle-table slots (recycled, ~peak live).
-  size_t registry_entries = 0; ///< Occupied registry entry slots.
-  size_t reclaimed_entries = 0;  ///< Evicted entries fully reclaimed (lifetime).
-  std::vector<PipelineStats> pipelines;  ///< One entry per retained query.
+  std::vector<PipelineStats> pipelines;  ///< One entry per pipeline.
 };
 
 /// One mutating document (tree or word) serving many registered queries
@@ -119,8 +113,6 @@ class DynamicDocument {
   /// registrations and unregistrations; several live handles may resolve
   /// to the same deduplicated pipeline.
   using QueryHandle = size_t;
-  /// Backward-compatible alias (pre-registry name).
-  using QueryId = QueryHandle;
   /// Pipeline cap value meaning "never evict".
   static constexpr size_t kNoPipelineCap = static_cast<size_t>(-1);
   /// Default pipeline cap: plenty of headroom for realistic working sets,
@@ -129,15 +121,11 @@ class DynamicDocument {
   /// long-lived documents with query churn (register, serve, unregister,
   /// repeat with new queries) can't accumulate either without bound.
   /// Raise it — or pass kNoPipelineCap — via set_pipeline_cap to retain
-  /// more. The small O(poly automaton-size) metadata of *evicted* entries
-  /// (the canonical automaton, kept for cheap rebuild) is bounded
-  /// separately by set_evicted_retention_cap, and handle slots are
-  /// recycled through a free list — so every piece of registry state is
-  /// bounded by the live working set plus the two caps, no matter how
-  /// many registrations a long-lived document churns through.
+  /// more. Evicted pipelines leave nothing behind and handle slots are
+  /// recycled through a free list, so registry state is bounded by the
+  /// live working set plus the cap, no matter how many registrations a
+  /// long-lived document churns through.
   static constexpr size_t kDefaultPipelineCap = 64;
-  /// Default cap on evicted-entry metadata retained for rebuilds.
-  static constexpr size_t kDefaultEvictedRetention = 256;
 
   /// A tree document: encodes `tree` as a balanced term (linear time).
   /// Every registered query must use exactly `num_labels` base labels.
@@ -175,10 +163,10 @@ class DynamicDocument {
   /// canonicalization) is served by the shared QueryCache: a query any
   /// document using the same cache has already compiled is admitted with
   /// zero compilation work. The per-document registry then either admits
-  /// the compiled plan to an existing pipeline (same canonical automaton
-  /// and mode — a dedupe hit) or builds a new pipeline (circuit and, in
-  /// kIndexed mode, jump index) over the current term — O(size *
-  /// poly(|Q|)). Not allowed mid-batch.
+  /// the compiled plan to an existing pipeline (same plan and mode — a
+  /// dedupe hit) or builds a new pipeline (circuit and, in kIndexed mode,
+  /// jump index) over the current term — O(size * poly(|Q|)). Not allowed
+  /// mid-batch.
   QueryHandle Register(const UnrankedTva& query,
                        BoxEnumMode mode = BoxEnumMode::kIndexed);
   /// Word-document overload of Register (queries are WVAs / spanners).
@@ -201,21 +189,21 @@ class DynamicDocument {
   bool IsRegistered(QueryHandle handle) const;
   /// Number of live registrations (handles), counting duplicates.
   size_t num_queries() const { return num_live_; }
-  /// Number of built pipelines: distinct live queries plus warm
-  /// (refcount-zero, not yet evicted) entries. This — not num_queries() —
-  /// is what per-edit refresh cost scales with.
-  size_t num_pipelines() const { return built_entries_.size(); }
+  /// Number of pipelines: distinct live queries plus warm (refcount-zero,
+  /// not yet evicted) ones. This — not num_queries() — is what per-edit
+  /// refresh cost scales with.
+  size_t num_pipelines() const { return entries_.size(); }
 
-  /// The pipeline serving a registration — the per-query surface for
-  /// enumeration (EnumerateAll / MakeEngineCursor / HasAnswer / counting).
-  /// Duplicate registrations return the same pipeline object.
+  /// The pipeline serving a registration (counting, introspection; reads
+  /// go through the snapshot surface below). Duplicate registrations
+  /// return the same pipeline object.
   EnumerationPipeline& pipeline(QueryHandle handle);
   /// Const overload of pipeline().
   const EnumerationPipeline& pipeline(QueryHandle handle) const;
 
   // ---- Admission / eviction policy ----
 
-  /// Caps the number of built pipelines. When an admission (or this call,
+  /// Caps the number of pipelines. When an admission (or this call,
   /// or an unregistration) pushes num_pipelines() above the cap, warm
   /// refcount-zero pipelines are evicted — cost-aware, not plain LRU: the
   /// victim is the one minimizing accumulated refresh cost (the
@@ -227,21 +215,14 @@ class DynamicDocument {
   /// degenerates to LRU. Eviction repeats until the cap holds or only
   /// actively referenced pipelines remain; active pipelines are never
   /// evicted, so num_pipelines() may exceed the cap while more than `cap`
-  /// distinct queries are live. An evicted entry keeps its canonical
-  /// automaton; re-registering rebuilds the pipeline over the current term
-  /// without re-homogenizing. Not allowed mid-batch.
+  /// distinct queries are live. An evicted pipeline is erased; while the
+  /// cache keeps its plan warm, re-registering the query compiles nothing
+  /// and builds a fresh pipeline over the current term. Not allowed
+  /// mid-batch.
   void set_pipeline_cap(size_t cap);
   /// Current cap (kDefaultPipelineCap unless overridden; kNoPipelineCap
   /// disables eviction entirely).
   size_t pipeline_cap() const { return pipeline_cap_; }
-  /// Caps how many *evicted* entries keep their canonical automaton for
-  /// the cheap-rebuild path. Beyond the cap the LRU evicted entries are
-  /// reclaimed outright (slot recycled, fingerprint forgotten);
-  /// re-registering such a query is indistinguishable from a first
-  /// registration. Not allowed mid-batch.
-  void set_evicted_retention_cap(size_t cap);
-  /// Current evicted-metadata retention cap.
-  size_t evicted_retention_cap() const { return evicted_retention_cap_; }
   /// Registry + refresh-cost observability snapshot.
   DocumentStats stats() const;
 
@@ -260,11 +241,11 @@ class DynamicDocument {
 
   // ---- Concurrent snapshot reads ----
   //
-  // The single-writer / multi-reader surface. Reader threads pin the
-  // current snapshot and evaluate registered queries against it while the
-  // writer thread keeps editing (including mid-batch — the update_pending
-  // barrier does not apply to pinned versions, whose boxes are complete
-  // and frozen). Handles passed here must have been registered *before*
+  // The single-writer / multi-reader surface, and the only way to read a
+  // registration. Reader threads pin the current snapshot and evaluate
+  // registered queries against it while the writer thread keeps editing
+  // (including mid-batch — pinned versions are complete and frozen).
+  // Handles passed here must have been registered *before*
   // the concurrent phase: Register/Unregister/set_pipeline_cap are
   // writer-side and not synchronized against readers, and a query's
   // pipeline can only serve snapshots published at or after its build
@@ -279,7 +260,7 @@ class DynamicDocument {
   /// concurrent phase — but a shard server interleaves registrations with
   /// reads, and the tables reallocate. A ReaderView captures the pipeline
   /// pointer once, on the writer side, and afterwards touches only the
-  /// immutable pipeline + the pinned snapshot version.
+  /// pipeline's frozen boxes at the pinned snapshot version.
   ///
   /// Contract: create the view on the writer thread (no concurrent
   /// registry mutation), and keep the underlying registration live for as
@@ -295,11 +276,19 @@ class DynamicDocument {
     /// True when bound to a registration.
     explicit operator bool() const { return pipeline_ != nullptr; }
     /// HasAnswer at `snap`. Any thread (see the class contract).
-    bool HasAnswerAt(const SnapshotRef& snap) const;
-    /// All satisfying assignments at `snap`. Any thread.
-    std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const;
-    /// Cursor at `snap`; co-owns the pin like MakeCursorAt. Any thread.
-    std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const;
+    bool HasAnswerAt(const SnapshotRef& snap) const {
+      return pipeline_->HasAnswerAt(snap);
+    }
+    /// All satisfying assignments at `snap`, sorted. Any thread.
+    std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const {
+      return pipeline_->EnumerateAt(snap);
+    }
+    /// Cursor at `snap`; the cursor co-owns the pin, so the version
+    /// outlives it even after `snap` is released. Any thread.
+    std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const {
+      return std::make_unique<SnapshotCursor>(
+          pipeline_->MakeCursorAt(std::move(snap)));
+    }
 
    private:
     friend class DynamicDocument;
@@ -316,23 +305,27 @@ class DynamicDocument {
   /// Pins the most recently published snapshot. Any thread.
   SnapshotRef CurrentSnapshot() const { return snapshots_->Current(); }
   /// HasAnswer for `handle`'s query evaluated at `snap`. Any thread.
-  bool HasAnswerAt(const SnapshotRef& snap, QueryHandle handle) const;
+  bool HasAnswerAt(const SnapshotRef& snap, QueryHandle handle) const {
+    return reader_view(handle).HasAnswerAt(snap);
+  }
   /// All satisfying assignments of `handle`'s query at `snap`. Any thread.
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap,
-                                      QueryHandle handle) const;
-  /// Cursor over `handle`'s assignments at `snap`; the cursor co-owns the
-  /// pin, so the version outlives it even after `snap` is released.
+                                      QueryHandle handle) const {
+    return reader_view(handle).EnumerateAt(snap);
+  }
+  /// Cursor over `handle`'s assignments at `snap` (see ReaderView).
   std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap,
-                                               QueryHandle handle) const;
+                                               QueryHandle handle) const {
+    return reader_view(handle).MakeCursorAt(std::move(snap));
+  }
   /// Lifetime number of published snapshots.
   uint64_t snapshots_published() const { return snapshots_->published(); }
   /// Snapshots currently pinned (current + reader-held + not yet drained).
   size_t live_snapshots() const { return snapshots_->live_snapshots(); }
 
   // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) + fan-out ----
-  // UpdateStats totals are summed across built pipelines (distinct live
-  // queries + warm entries): boxes_recomputed counts every per-pipeline
-  // box refresh.
+  // UpdateStats totals are summed across pipelines (distinct live queries
+  // + warm ones): boxes_recomputed counts every per-pipeline box refresh.
 
   /// Changes the label of node `n`.
   UpdateStats Relabel(NodeId n, Label l);
@@ -388,8 +381,8 @@ class DynamicDocument {
 
   /// Opens a transaction: edits mutate the term immediately but the
   /// freed/changed sets are only recorded (once, at the document — the
-  /// pipelines see nothing until commit). Querying any pipeline while a
-  /// batch is open is unsupported.
+  /// pipelines see nothing until commit). Reads while the batch is open
+  /// answer at the last committed snapshot.
   void BeginBatch();
   /// Merges everything recorded since BeginBatch — a node touched by many
   /// edits is refreshed once per pipeline, a node created and deleted
@@ -407,14 +400,13 @@ class DynamicDocument {
   UpdateStats ApplyEdits(const std::vector<Edit>& edits);
 
  private:
-  /// One deduplicated query: the canonical automaton (shared with the
-  /// pipeline, and retained across eviction for the rebuild path), the
-  /// refcounted pipeline, and the LRU/cost bookkeeping.
+  /// One deduplicated query: the refcounted pipeline (whose plan pointer
+  /// and mode are the registry key) and the LRU/cost bookkeeping.
   struct QueryEntry {
-    uint64_t fingerprint = 0;
-    std::shared_ptr<const HomogenizedTva> homog;
-    BoxEnumMode mode = BoxEnumMode::kIndexed;
-    std::unique_ptr<EnumerationPipeline> pipeline;  // null once evicted
+    QueryEntry(const Term* term, std::shared_ptr<const HomogenizedTva> plan,
+               BoxEnumMode mode)
+        : pipeline(term, std::move(plan), mode) {}
+    EnumerationPipeline pipeline;
     size_t refcount = 0;
     uint64_t last_use = 0;  // LRU stamp: last registration or release
     uint64_t boxes_refreshed = 0;  // lifetime refresh cost
@@ -441,8 +433,7 @@ class DynamicDocument {
     return tree_enc_ ? tree_enc_->mutable_term() : word_enc_->mutable_term();
   }
   /// Admits a cache-served compiled plan to the per-document registry:
-  /// dedupe by canonical fingerprint + pointer/structural equality, then
-  /// pipeline build/rebuild/share exactly as before the global cache —
+  /// shares the pipeline of the same (plan, mode) or builds a new one —
   /// no translation or homogenization happens here.
   QueryHandle AdmitShared(std::shared_ptr<const HomogenizedTva> homog,
                           BoxEnumMode mode);
@@ -458,16 +449,15 @@ class DynamicDocument {
   /// circuit/index spans reserved and recycled up front. Records like
   /// Dispatch when a batch is open.
   UpdateStats DispatchTransaction(const UpdateResult& result);
-  /// Runs fn(pipeline) on every built pipeline — on the pool when parallel
+  /// Runs fn(pipeline) on every pipeline — on the pool when parallel
   /// fan-out is enabled, else inline in build order.
   template <typename Fn>
   void FanOut(const Fn& fn);
-  void SetPipelinesPending(bool pending);
   UpdateStats WordInsertAt(size_t pos, Label l, NodeId* new_node);
-  /// Charges `boxes` refreshes to every built pipeline's cost counter.
+  /// Charges `boxes` refreshes to every pipeline's cost counter.
   void ChargeRefresh(size_t boxes);
-  /// Evicts warm pipelines (LRU first) until the cap holds or only active
-  /// pipelines remain.
+  /// Evicts warm pipelines (cost-aware, see set_pipeline_cap) until the
+  /// cap holds or only active pipelines remain.
   void EnforceCap();
 
   // Exactly one encoding is non-null. unique_ptr keeps the Term address
@@ -481,32 +471,21 @@ class DynamicDocument {
   // PreEdit drain scratch (clear() keeps capacity).
   std::vector<TermNodeId> drained_freed_;
 
-  // The query registry. Entry slots recycle through entry_free_ once an
-  // evicted entry's metadata is reclaimed (homog == nullptr marks a free
-  // slot); handle slots recycle through handle_free_ under generation
-  // tags, so surviving handles stay valid while the tables stay bounded
-  // by the peak working set plus the caps.
-  std::vector<QueryEntry> entries_;
-  std::unordered_multimap<uint64_t, size_t> by_fingerprint_;
-  std::vector<size_t> entry_free_;
-  std::vector<size_t> handle_entry_;  // per-slot entry idx; kNoEntry if dead
+  // The query registry: entries in build order (the fan-out order), each
+  // heap-held so handle slots can point at it across evictions of others.
+  // Handle slots recycle through handle_free_ under generation tags, so
+  // surviving handles stay valid while the tables stay bounded by the
+  // peak working set plus the cap.
+  std::vector<std::unique_ptr<QueryEntry>> entries_;
+  std::vector<QueryEntry*> handle_entry_;  // per-slot entry; null if dead
   std::vector<uint32_t> handle_gen_;
   std::vector<uint32_t> handle_free_;
-  // Indices of entries with a built pipeline, in build order — the edit
-  // path (fan-out, pending flags, cost charging) iterates this compact
-  // list, so per-edit cost is O(built pipelines), not O(entries ever
-  // registered). Maintained on build/rebuild/evict.
-  std::vector<size_t> built_entries_;
   size_t num_live_ = 0;  // live handles
   size_t pipeline_cap_ = kDefaultPipelineCap;
-  size_t evicted_retention_cap_ = kDefaultEvictedRetention;
-  size_t retained_evicted_ = 0;  // evicted entries still holding metadata
   uint64_t use_clock_ = 0;
   size_t shared_hits_ = 0;
   size_t readmissions_ = 0;
-  size_t rebuilds_ = 0;
   size_t evictions_ = 0;
-  size_t reclaimed_ = 0;
   ThreadPool* pool_ = nullptr;
   QueryCache* cache_ = nullptr;  // never null after construction
 

@@ -111,11 +111,10 @@ class Engine {
   // ---- Batched updates ----
 
   /// Opens a transaction: subsequent edits defer derived-structure
-  /// maintenance until CommitBatch(). Querying between BeginBatch and
-  /// CommitBatch is unsupported — the dynamic engines assert in debug
-  /// builds and report no answers in release builds; the recompute
-  /// baselines return pre-batch results. No-op default for engines with
-  /// nothing to defer.
+  /// maintenance until CommitBatch(). Reads between BeginBatch and
+  /// CommitBatch return the pre-batch answers: the dynamic engines read
+  /// their last committed snapshot, the recompute baselines their last
+  /// refreshed state. No-op default for engines with nothing to defer.
   virtual void BeginBatch() {}
   /// Closes the transaction, refreshing every derived structure once.
   virtual UpdateStats CommitBatch() { return UpdateStats{}; }

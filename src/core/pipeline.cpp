@@ -1,9 +1,23 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/check.h"
 
 namespace treenum {
+
+bool SnapshotCursor::Next(Assignment* out) {
+  if (emit_empty_) {
+    emit_empty_ = false;
+    *out = Assignment{};
+    return true;
+  }
+  if (!inner_) return false;
+  EnumOutput o;
+  if (!inner_->Next(&o)) return false;
+  *out = o.ToAssignment();
+  return true;
+}
 
 EnumerationPipeline::EnumerationPipeline(
     const Term* term, std::shared_ptr<const HomogenizedTva> homog,
@@ -14,9 +28,8 @@ EnumerationPipeline::EnumerationPipeline(
       index_(&circuit_),
       mode_(mode),
       // The snapshot current at build time captured epoch() - 1 (Publish
-      // captures, then bumps); it and everything newer is servable. Epoch 0
-      // means no snapshot layer is attached (bare-term pipelines in tests).
-      min_snapshot_epoch_(term->epoch() == 0 ? 0 : term->epoch() - 1) {
+      // captures, then bumps); it and everything newer is servable.
+      min_snapshot_epoch_(term->epoch() - 1) {
   circuit_.BuildAll();
   if (mode_ == BoxEnumMode::kIndexed) index_.BuildAll();
 }
@@ -27,10 +40,9 @@ void EnumerationPipeline::EnableCounting() {
   counter_->BuildAll();
 }
 
-uint64_t EnumerationPipeline::AcceptingRuns() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  if (update_pending_) return 0;
-  return counter_ ? counter_->TotalAcceptingRuns() : 0;
+uint64_t EnumerationPipeline::AcceptingRunsAt(const SnapshotRef& snap) const {
+  const TermNodeId root = RootAt(snap);
+  return counter_ ? counter_->TotalAcceptingRuns(root) : 0;
 }
 
 void EnumerationPipeline::RefreshBox(TermNodeId id) {
@@ -73,42 +85,13 @@ void EnumerationPipeline::ReleaseBoxes(const std::vector<TermNodeId>& freed) {
   for (TermNodeId id : freed) ReleaseBox(id);
 }
 
-bool EnumerationPipeline::EmptyAssignmentSatisfies() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  // Release-mode safety: boxes of term nodes created mid-batch do not
-  // exist until commit, so reading the root box would be out of bounds.
-  if (update_pending_) return false;
-  return EmptyAssignmentSatisfiesAt(term_->root());
-}
+// ---- Query surface ----
 
-std::vector<uint32_t> EnumerationPipeline::FinalGamma() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  if (update_pending_) return {};
-  return FinalGammaAt(term_->root());
+TermNodeId EnumerationPipeline::RootAt(const SnapshotRef& snap) const {
+  TREENUM_CHECK(snap && snap.epoch() >= min_snapshot_epoch_,
+                "snapshot predates this query's pipeline");
+  return snap.root();
 }
-
-bool EnumerationPipeline::HasAnswer() const {
-  if (EmptyAssignmentSatisfies()) return true;
-  return !FinalGamma().empty();
-}
-
-std::unique_ptr<AssignmentCursor> EnumerationPipeline::MakeRootCursor() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  if (update_pending_) return nullptr;
-  return MakeRootCursorAt(term_->root());
-}
-
-std::unique_ptr<Engine::Cursor> EnumerationPipeline::MakeEngineCursor() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  return MakeEngineCursorAt(term_->root());
-}
-
-std::vector<Assignment> EnumerationPipeline::EnumerateAll() const {
-  assert(!update_pending_ && "querying during an open batch is unsupported");
-  return EnumerateAllAt(term_->root());
-}
-
-// ---- Snapshot (At-) query surface ----
 
 bool EnumerationPipeline::EmptyAssignmentSatisfiesAt(TermNodeId root) const {
   const Box box = circuit_.box(root);
@@ -130,52 +113,30 @@ std::vector<uint32_t> EnumerationPipeline::FinalGammaAt(
   return gamma;
 }
 
-bool EnumerationPipeline::HasAnswerAt(TermNodeId root) const {
-  if (EmptyAssignmentSatisfiesAt(root)) return true;
-  return !FinalGammaAt(root).empty();
+bool EnumerationPipeline::HasAnswerAt(const SnapshotRef& snap) const {
+  const TermNodeId root = RootAt(snap);
+  return EmptyAssignmentSatisfiesAt(root) || !FinalGammaAt(root).empty();
 }
 
-std::unique_ptr<AssignmentCursor> EnumerationPipeline::MakeRootCursorAt(
-    TermNodeId root) const {
+SnapshotCursor EnumerationPipeline::MakeCursorAt(SnapshotRef snap) const {
+  const TermNodeId root = RootAt(snap);
+  SnapshotCursor c;
+  c.emit_empty_ = EmptyAssignmentSatisfiesAt(root);
   std::vector<uint32_t> gamma = FinalGammaAt(root);
-  if (gamma.empty()) return nullptr;
-  return std::make_unique<AssignmentCursor>(&circuit_, &index_, mode_, root,
-                                            std::move(gamma));
+  if (!gamma.empty()) {
+    c.inner_ = std::make_unique<AssignmentCursor>(&circuit_, &index_, mode_,
+                                                  root, std::move(gamma));
+  }
+  c.snap_ = std::move(snap);
+  return c;
 }
 
-std::unique_ptr<Engine::Cursor> EnumerationPipeline::MakeEngineCursorAt(
-    TermNodeId root) const {
-  class Cursor : public Engine::Cursor {
-   public:
-    Cursor(bool emit_empty, std::unique_ptr<AssignmentCursor> inner)
-        : emit_empty_(emit_empty), inner_(std::move(inner)) {}
-    bool Next(Assignment* out) override {
-      if (emit_empty_) {
-        emit_empty_ = false;
-        *out = Assignment{};
-        return true;
-      }
-      if (!inner_) return false;
-      EnumOutput o;
-      if (!inner_->Next(&o)) return false;
-      *out = o.ToAssignment();
-      return true;
-    }
-
-   private:
-    bool emit_empty_;
-    std::unique_ptr<AssignmentCursor> inner_;
-  };
-  return std::make_unique<Cursor>(EmptyAssignmentSatisfiesAt(root),
-                                  MakeRootCursorAt(root));
-}
-
-std::vector<Assignment> EnumerationPipeline::EnumerateAllAt(
-    TermNodeId root) const {
+std::vector<Assignment> EnumerationPipeline::EnumerateAt(
+    const SnapshotRef& snap) const {
   std::vector<Assignment> out;
-  std::unique_ptr<Engine::Cursor> cursor = MakeEngineCursorAt(root);
+  SnapshotCursor cursor = MakeCursorAt(snap);
   Assignment a;
-  while (cursor->Next(&a)) out.push_back(std::move(a));
+  while (cursor.Next(&a)) out.push_back(std::move(a));
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -19,6 +19,13 @@
 // *coalescing* also lives in the document (it depends only on the term,
 // so it is computed once per commit, not once per query); the pipeline
 // exposes ApplyCoalesced() to consume the merged changed-box set.
+//
+// Reads always go through a pinned snapshot (core/snapshot.h): a pinned
+// version is frozen — its node versions are never mutated or freed and its
+// boxes are never rebuilt in place — so a read is valid on any thread,
+// concurrently with writer edits and the refresh fan-out, and a read
+// between BeginBatch and CommitBatch answers at the last committed
+// version.
 #ifndef TREENUM_CORE_PIPELINE_H_
 #define TREENUM_CORE_PIPELINE_H_
 
@@ -30,11 +37,32 @@
 #include "circuit/circuit.h"
 #include "counting/run_count.h"
 #include "core/engine.h"
+#include "core/snapshot.h"
 #include "enumeration/enumerate.h"
 #include "enumeration/index.h"
 #include "falgebra/update.h"
 
 namespace treenum {
+
+/// Pull cursor over every satisfying assignment of one query at one pinned
+/// snapshot: the empty assignment first when it satisfies the query, then
+/// the non-empty ones from an AssignmentCursor (no duplicates). The cursor
+/// co-owns the pin, so the version it reads stays frozen until the cursor
+/// is destroyed, even if the caller's SnapshotRef is released first. It
+/// must not outlive the document that published the snapshot.
+class SnapshotCursor : public Engine::Cursor {
+ public:
+  /// Produces the next satisfying assignment; false when exhausted.
+  bool Next(Assignment* out) override;
+  /// Elementary steps so far (delay accounting).
+  size_t steps() const { return inner_ ? inner_->steps() : 0; }
+
+ private:
+  friend class EnumerationPipeline;
+  SnapshotRef snap_;
+  bool emit_empty_ = false;
+  std::unique_ptr<AssignmentCursor> inner_;  // null: no non-empty answer
+};
 
 /// The per-query owner of all derived enumeration state — assignment
 /// circuit, jump index, optional run counts — over a shared term it does
@@ -44,12 +72,10 @@ class EnumerationPipeline {
   /// Builds the circuit (and, in kIndexed mode, the jump index) over
   /// `term`, which must outlive the pipeline and is mutated externally by
   /// the encoding backend that produces the UpdateResults fed to Apply().
-  /// The automaton is shared, not owned: the document's query registry
-  /// keeps the canonical `HomogenizedTva` alive and hands the same object
-  /// to every pipeline built for it — including the re-admission path,
-  /// where an evicted query's pipeline is rebuilt over the current term
-  /// from the retained automaton without re-translating or re-homogenizing
-  /// the query.
+  /// The automaton is a compiled plan shared with the query cache
+  /// (automata/query_cache.h), not owned. The term must already carry a
+  /// published snapshot: the pipeline serves that snapshot and every later
+  /// one.
   EnumerationPipeline(const Term* term,
                       std::shared_ptr<const HomogenizedTva> homog,
                       BoxEnumMode mode);
@@ -67,7 +93,7 @@ class EnumerationPipeline {
   const std::vector<uint8_t>& state_kinds() const { return homog_->kind; }
   /// Width of the circuit (= trimmed, homogenized |Q'|).
   size_t width() const { return homog_->tva.num_states(); }
-  /// The canonical automaton, shared with the owning registry entry.
+  /// The compiled plan; its address identifies the query in the registry.
   const std::shared_ptr<const HomogenizedTva>& automaton() const {
     return homog_;
   }
@@ -85,8 +111,10 @@ class EnumerationPipeline {
   void EnableCounting();
   /// True once EnableCounting() has run.
   bool counting_enabled() const { return counter_ != nullptr; }
-  /// Accepting (valuation, run) pairs mod 2^64; requires EnableCounting().
-  uint64_t AcceptingRuns() const;
+  /// Accepting (valuation, run) pairs at `snap`, mod 2^64; requires
+  /// EnableCounting(). Writer thread only: the run-count rows are
+  /// overwritten in place by refreshes and are not published to readers.
+  uint64_t AcceptingRunsAt(const SnapshotRef& snap) const;
 
   // ---- Incremental maintenance ----
 
@@ -104,68 +132,35 @@ class EnumerationPipeline {
   UpdateStats ApplyCoalesced(const std::vector<TermNodeId>& dead_freed,
                              const std::vector<TermNodeId>& ordered_changed);
 
-  /// Set by the owning document while an edit transaction is open: term
-  /// nodes created mid-batch have no boxes until commit, so querying is
-  /// unsupported — the query surface asserts in debug builds and reports
-  /// no answers in release builds.
-  void set_update_pending(bool pending) { update_pending_ = pending; }
-  /// True while the owning document has an open batch.
-  bool update_pending() const { return update_pending_; }
-
-  // ---- Query surface (invalid while update_pending()) ----
-
-  /// True iff some final 0-state's root gate is ⊤ (the empty assignment
-  /// satisfies the query).
-  bool EmptyAssignmentSatisfies() const;
-  /// Dense ∪-gate indices of the final 1-states at the root box.
-  std::vector<uint32_t> FinalGamma() const;
-  /// O(w) Boolean answer.
-  bool HasAnswer() const;
-  /// Cursor over the non-empty satisfying assignments, or null when the
-  /// root boxed set is empty. (Callers handle EmptyAssignmentSatisfies.)
-  std::unique_ptr<AssignmentCursor> MakeRootCursor() const;
-  /// Type-erased cursor over *all* satisfying assignments (including the
-  /// empty one) — the shared implementation behind Engine::MakeCursor.
-  std::unique_ptr<Engine::Cursor> MakeEngineCursor() const;
-  /// All satisfying assignments (sorted), including the empty one.
-  std::vector<Assignment> EnumerateAll() const;
-
-  // ---- Snapshot query surface ----
-  //
-  // The same queries evaluated at an explicit root — the pinned root of a
-  // published Snapshot (core/snapshot.h) — instead of the term's current
-  // root. No update_pending gate: a pinned version is frozen, its node
-  // versions are never mutated or freed and its boxes are never rebuilt in
-  // place, so these run safely on reader threads *concurrently with writer
-  // edits and the refresh fan-out*. The root must be a pinned snapshot root
-  // published no earlier than this pipeline was built (the document checks
-  // the snapshot epoch against min_snapshot_epoch()).
-
-  /// EmptyAssignmentSatisfies at a pinned snapshot root.
-  bool EmptyAssignmentSatisfiesAt(TermNodeId root) const;
-  /// FinalGamma at a pinned snapshot root.
-  std::vector<uint32_t> FinalGammaAt(TermNodeId root) const;
-  /// HasAnswer at a pinned snapshot root.
-  bool HasAnswerAt(TermNodeId root) const;
-  /// MakeRootCursor at a pinned snapshot root.
-  std::unique_ptr<AssignmentCursor> MakeRootCursorAt(TermNodeId root) const;
-  /// MakeEngineCursor at a pinned snapshot root.
-  std::unique_ptr<Engine::Cursor> MakeEngineCursorAt(TermNodeId root) const;
-  /// EnumerateAll at a pinned snapshot root.
-  std::vector<Assignment> EnumerateAllAt(TermNodeId root) const;
-
-  /// Oldest snapshot epoch this pipeline can serve: the one current when it
-  /// was built (older versions contain node ids it never built boxes for).
-  uint64_t min_snapshot_epoch() const { return min_snapshot_epoch_; }
-
   /// Releases the boxes of term-node versions reclaimed when a retired
   /// snapshot was drained — the deferred counterpart of an UpdateResult's
   /// freed list, broadcast by the document before the next edit.
   void ReleaseBoxes(const std::vector<TermNodeId>& freed);
 
+  // ---- Query surface, at a pinned snapshot ----
+  //
+  // `snap` must have been published by the document owning the term, no
+  // earlier than this pipeline was built (older versions contain node ids
+  // it never built boxes for; checked). Any thread.
+
+  /// O(w) Boolean answer: is there at least one satisfying assignment?
+  bool HasAnswerAt(const SnapshotRef& snap) const;
+  /// Cursor over all satisfying assignments (the empty one included);
+  /// takes over the pin.
+  SnapshotCursor MakeCursorAt(SnapshotRef snap) const;
+  /// All satisfying assignments (sorted), the empty one included.
+  std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const;
+
  private:
   void RefreshBox(TermNodeId id);
   void ReleaseBox(TermNodeId id);
+  /// The pinned root of `snap`, after checking this pipeline can serve it.
+  TermNodeId RootAt(const SnapshotRef& snap) const;
+  /// True iff some final 0-state's gate at `root` is ⊤ (the empty
+  /// assignment satisfies the query).
+  bool EmptyAssignmentSatisfiesAt(TermNodeId root) const;
+  /// Dense ∪-gate indices of the final 1-states at `root`.
+  std::vector<uint32_t> FinalGammaAt(TermNodeId root) const;
 
   const Term* term_;
   std::shared_ptr<const HomogenizedTva> homog_;
@@ -173,8 +168,8 @@ class EnumerationPipeline {
   EnumIndex index_;
   BoxEnumMode mode_;
   std::unique_ptr<RunCounter> counter_;
+  // Oldest servable snapshot epoch: the one current at build time.
   uint64_t min_snapshot_epoch_ = 0;
-  bool update_pending_ = false;
 };
 
 }  // namespace treenum

@@ -10,38 +10,6 @@ TreeEnumerator::TreeEnumerator(UnrankedTree tree, const UnrankedTva& query,
       handle_(doc_.Register(query, mode)),
       pipe_(&doc_.pipeline(handle_)) {}
 
-TreeEnumerator::Cursor TreeEnumerator::Enumerate() const {
-  Cursor c;
-  c.emit_empty_ = pipe_->EmptyAssignmentSatisfies();
-  c.inner_ = pipe_->MakeRootCursor();
-  return c;
-}
-
-bool TreeEnumerator::Cursor::Next(Assignment* out) {
-  if (emit_empty_) {
-    emit_empty_ = false;
-    *out = Assignment{};
-    return true;
-  }
-  if (!inner_) return false;
-  EnumOutput o;
-  if (!inner_->Next(&o)) return false;
-  *out = o.ToAssignment();
-  return true;
-}
-
-size_t TreeEnumerator::Cursor::steps() const {
-  return inner_ ? inner_->steps() : 0;
-}
-
-std::vector<Assignment> TreeEnumerator::EnumerateAll() const {
-  return pipe_->EnumerateAll();
-}
-
-std::unique_ptr<Engine::Cursor> TreeEnumerator::MakeCursor() const {
-  return pipe_->MakeEngineCursor();
-}
-
 std::vector<std::vector<NodeId>> AssignmentsToTuples(
     const std::vector<Assignment>& assignments, size_t num_vars) {
   std::vector<std::vector<NodeId>> tuples;

@@ -49,29 +49,29 @@ class TreeEnumerator : public Engine {
   size_t width() const { return pipe_->width(); }
   size_t size() const override { return doc_.tree().size(); }
 
-  // ---- Enumeration ----
+  // ---- Enumeration, at the last committed version ----
+  //
+  // Every read pins CurrentSnapshot(), so between BeginBatch and
+  // CommitBatch it answers as before the batch.
 
-  /// Pull-style cursor over the satisfying assignments (no duplicates).
-  class Cursor {
-   public:
-    /// Produces the next satisfying assignment; false when exhausted.
-    bool Next(Assignment* out);
-    /// Elementary steps so far (delay accounting).
-    size_t steps() const;
+  /// Pull-style cursor over the satisfying assignments (no duplicates,
+  /// with steps() for delay accounting). It co-owns its snapshot pin, so
+  /// it keeps reading its version across later updates.
+  using Cursor = SnapshotCursor;
 
-   private:
-    friend class TreeEnumerator;
-    bool emit_empty_ = false;
-    std::unique_ptr<AssignmentCursor> inner_;
-  };
-
-  Cursor Enumerate() const;
-  std::vector<Assignment> EnumerateAll() const override;
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override;
-
+  /// Cursor at the current snapshot.
+  Cursor Enumerate() const { return pipe_->MakeCursorAt(CurrentSnapshot()); }
+  /// All satisfying assignments at the current snapshot (sorted).
+  std::vector<Assignment> EnumerateAll() const override {
+    return EnumerateAt(CurrentSnapshot());
+  }
+  /// Type-erased Enumerate().
+  std::unique_ptr<Engine::Cursor> MakeCursor() const override {
+    return MakeCursorAt(CurrentSnapshot());
+  }
   /// O(w) Boolean answer: does the query have at least one satisfying
   /// assignment on the current tree?
-  bool HasAnswer() const override { return pipe_->HasAnswer(); }
+  bool HasAnswer() const override { return HasAnswerAt(CurrentSnapshot()); }
 
   // ---- Concurrent snapshot reads (see core/document.h) ----
 
@@ -98,10 +98,13 @@ class TreeEnumerator : public Engine {
   /// afterwards each update also refreshes the counts on the changed path).
   void EnableCounting() { pipe_->EnableCounting(); }
   bool counting_enabled() const { return pipe_->counting_enabled(); }
-  /// Number of accepting (valuation, run) pairs mod 2^64. Equals the number
-  /// of satisfying assignments when the automaton is unambiguous (all
-  /// query_library queries are). Requires EnableCounting().
-  uint64_t AcceptingRuns() const { return pipe_->AcceptingRuns(); }
+  /// Number of accepting (valuation, run) pairs mod 2^64 at the current
+  /// snapshot. Equals the number of satisfying assignments when the
+  /// automaton is unambiguous (all query_library queries are). Requires
+  /// EnableCounting(); writer thread only.
+  uint64_t AcceptingRuns() const {
+    return pipe_->AcceptingRunsAt(CurrentSnapshot());
+  }
 
   // ---- Updates (Definition 7.1), O(log |T| * poly(|Q|)) each ----
 

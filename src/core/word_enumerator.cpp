@@ -10,14 +10,6 @@ WordEnumerator::WordEnumerator(const Word& w, const Wva& query,
       handle_(doc_.Register(query, mode)),
       pipe_(&doc_.pipeline(handle_)) {}
 
-std::vector<Assignment> WordEnumerator::EnumerateAll() const {
-  return pipe_->EnumerateAll();
-}
-
-std::unique_ptr<Engine::Cursor> WordEnumerator::MakeCursor() const {
-  return pipe_->MakeEngineCursor();
-}
-
 std::vector<Assignment> WordEnumerator::EnumerateAllByPosition() const {
   const WordEncoding& enc = doc_.word_encoding();
   std::vector<Assignment> out;

@@ -36,11 +36,20 @@ class WordEnumerator : public Engine {
   size_t width() const { return pipe_->width(); }
   const WordEncoding& encoding() const { return doc_.word_encoding(); }
 
+  // Reads pin CurrentSnapshot(), so between BeginBatch and CommitBatch
+  // they answer as before the batch.
+
   /// Satisfying assignments; singleton NodeIds are *stable position ids* —
   /// translate to current positions with PositionOf.
-  std::vector<Assignment> EnumerateAll() const override;
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override;
-  bool HasAnswer() const override { return pipe_->HasAnswer(); }
+  std::vector<Assignment> EnumerateAll() const override {
+    return EnumerateAt(CurrentSnapshot());
+  }
+  /// Cursor at the current snapshot (co-owns the pin).
+  std::unique_ptr<Engine::Cursor> MakeCursor() const override {
+    return MakeCursorAt(CurrentSnapshot());
+  }
+  /// Boolean answer at the current snapshot.
+  bool HasAnswer() const override { return HasAnswerAt(CurrentSnapshot()); }
   /// Current logical position of a stable position id.
   size_t PositionOf(NodeId id) const {
     return doc_.word_encoding().PositionOf(id);

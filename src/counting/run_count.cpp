@@ -78,12 +78,11 @@ uint64_t RunCounter::Count(TermNodeId id, State q) const {
   return counts_[base + q];
 }
 
-uint64_t RunCounter::TotalAcceptingRuns() const {
-  const Term& term = circuit_->term();
+uint64_t RunCounter::TotalAcceptingRuns(TermNodeId root) const {
   const BinaryTva& tva = circuit_->tva();
   uint64_t total = 0;
   for (State q : tva.final_states()) {
-    total += Count(term.root(), q);
+    total += Count(root, q);
   }
   return total;
 }

@@ -46,9 +46,9 @@ class RunCounter {
   /// runs(n, q) mod 2^64 (0 for ⊥; ⊤ counts as 1, the empty valuation).
   uint64_t Count(TermNodeId id, State q) const;
 
-  /// Total accepting (valuation, run) pairs at the root: Σ over final
-  /// states of runs(root, q).
-  uint64_t TotalAcceptingRuns() const;
+  /// Total accepting (valuation, run) pairs at `root` (the term root or a
+  /// pinned snapshot root): Σ over final states of runs(root, q).
+  uint64_t TotalAcceptingRuns(TermNodeId root) const;
 
  private:
   void EnsureSlot(TermNodeId id);

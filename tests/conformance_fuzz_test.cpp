@@ -114,8 +114,9 @@ TEST(ConformanceFuzz, TreeCacheServedMatchesFreshCompileAndOracle) {
         SCOPED_TRACE("query " + std::to_string(i));
         StaticEngine oracle(fresh.tree(), queries[i]);
         std::vector<Assignment> expected = oracle.EnumerateAll();
-        ASSERT_EQ(cached.pipeline(hc[i]).EnumerateAll(), expected);
-        ASSERT_EQ(fresh.pipeline(hf[i]).EnumerateAll(), expected);
+        ASSERT_EQ(cached.EnumerateAt(cached.CurrentSnapshot(), hc[i]),
+                  expected);
+        ASSERT_EQ(fresh.EnumerateAt(fresh.CurrentSnapshot(), hf[i]), expected);
       }
     }
   }
@@ -150,8 +151,8 @@ TEST(ConformanceFuzz, TreeBatchedScriptsMatchUnderSharedCache) {
       fresh.ApplyEdits(script);
       StaticEngine oracle(fresh.tree(), q);
       std::vector<Assignment> expected = oracle.EnumerateAll();
-      ASSERT_EQ(cached.pipeline(hc).EnumerateAll(), expected);
-      ASSERT_EQ(fresh.pipeline(hf).EnumerateAll(), expected);
+      ASSERT_EQ(cached.EnumerateAt(cached.CurrentSnapshot(), hc), expected);
+      ASSERT_EQ(fresh.EnumerateAt(fresh.CurrentSnapshot(), hf), expected);
     }
   }
 }
@@ -214,8 +215,9 @@ TEST(ConformanceFuzz, WordCacheServedMatchesFreshCompileAndOracle) {
       }
       for (size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
-        std::vector<Assignment> got = cached.pipeline(hc[i]).EnumerateAll();
-        ASSERT_EQ(got, fresh.pipeline(hf[i]).EnumerateAll());
+        std::vector<Assignment> got =
+            cached.EnumerateAt(cached.CurrentSnapshot(), hc[i]);
+        ASSERT_EQ(got, fresh.EnumerateAt(fresh.CurrentSnapshot(), hf[i]));
         WordEnumerator oracle(ref, queries[i]);
         ASSERT_EQ(got.size(), oracle.EnumerateAllByPosition().size());
       }

@@ -118,7 +118,8 @@ TEST(DocumentStructural, TreeTransactionsMatchFreshOracles) {
         ASSERT_EQ(p.circuit().ValidateStorage(), "")
             << "query " << qi << " step " << step;
         StaticEngine oracle(doc.tree(), queries[qi]);
-        ASSERT_EQ(p.EnumerateAll(), oracle.EnumerateAll())
+        ASSERT_EQ(p.EnumerateAt(doc.CurrentSnapshot()),
+                  oracle.EnumerateAll())
             << "query " << qi << " step " << step;
       }
     }
@@ -148,7 +149,7 @@ TEST(DocumentStructural, BatchedTransactionsCoalesceWithLeafEdits) {
     EXPECT_EQ(doc.CurrentSnapshot().epoch(), epoch_before + 1)
         << "a batch must publish exactly one epoch, round " << round;
     StaticEngine oracle(doc.tree(), QueryMarkedAncestor(3, 1, 2));
-    ASSERT_EQ(doc.pipeline(h).EnumerateAll(), oracle.EnumerateAll())
+    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll())
         << "round " << round;
   }
 }
@@ -175,7 +176,7 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
 
   auto by_position = [&] {
     std::vector<Assignment> out;
-    for (const Assignment& s : doc.pipeline(h).EnumerateAll()) {
+    for (const Assignment& s : doc.EnumerateAt(doc.CurrentSnapshot(), h)) {
       Assignment b;
       for (const Singleton& sg : s.singletons()) {
         b.Add(Singleton{sg.var, static_cast<NodeId>(
@@ -279,7 +280,7 @@ TEST(DocumentStructural, PinnedSnapshotSurvivesConcurrentSubtreeMove) {
   doc.set_pool(&pool);
   DynamicDocument::QueryHandle h = doc.Register(q);
 
-  std::vector<Assignment> before = doc.pipeline(h).EnumerateAll();
+  std::vector<Assignment> before = doc.EnumerateAt(doc.CurrentSnapshot(), h);
   SnapshotRef pin = doc.CurrentSnapshot();
   const uint64_t pinned_epoch = pin.epoch();
 
@@ -322,7 +323,7 @@ TEST(DocumentStructural, PinnedSnapshotSurvivesConcurrentSubtreeMove) {
   EXPECT_EQ(pin.epoch(), pinned_epoch);
   EXPECT_EQ(doc.EnumerateAt(pin, h), before);
   StaticEngine oracle(doc.tree(), q);
-  EXPECT_EQ(doc.pipeline(h).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll());
 }
 
 // ---- Allocation guarantees ----
@@ -365,7 +366,7 @@ TEST(DocumentStructural, SteadyStateSubtreeMovesAreAllocationFree) {
   EXPECT_EQ(gauge.allocs(), 0u)
       << "steady-state SubtreeMove transactions allocated";
   StaticEngine oracle(doc.tree(), QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.pipeline(h).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll());
 }
 
 }  // namespace

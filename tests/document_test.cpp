@@ -90,7 +90,7 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
   UnrankedTree tree = RandomTree(40 + rng.Index(30), 3, rng);
 
   DynamicDocument doc(tree, 3);
-  std::vector<DynamicDocument::QueryId> ids;
+  std::vector<DynamicDocument::QueryHandle> ids;
   std::vector<std::unique_ptr<StaticEngine>> oracles;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     // Mix box-enum modes across the registered queries.
@@ -115,7 +115,8 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
           ASSERT_EQ(p.index().ValidateStorage(), "")
               << "query " << qi << " step " << step;
         }
-        ASSERT_EQ(p.EnumerateAll(), oracles[qi]->EnumerateAll())
+        ASSERT_EQ(p.EnumerateAt(doc.CurrentSnapshot()),
+                  oracles[qi]->EnumerateAll())
             << "query " << qi << " step " << step;
       }
     }
@@ -135,7 +136,7 @@ TEST(DynamicDocument, BatchedCommitsMatchOraclesOnEveryPoolSize) {
   DynamicDocument doc8(tree, 3);
   doc8.set_pool(&pool8);
 
-  std::vector<DynamicDocument::QueryId> ids1, ids8;
+  std::vector<DynamicDocument::QueryHandle> ids1, ids8;
   std::vector<std::unique_ptr<StaticEngine>> oracles;
   for (const UnrankedTva& q : queries) {
     ids1.push_back(doc1.Register(q));
@@ -154,9 +155,9 @@ TEST(DynamicDocument, BatchedCommitsMatchOraclesOnEveryPoolSize) {
 
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       std::vector<Assignment> expected = oracles[qi]->EnumerateAll();
-      ASSERT_EQ(doc1.pipeline(ids1[qi]).EnumerateAll(), expected)
+      ASSERT_EQ(doc1.EnumerateAt(doc1.CurrentSnapshot(), ids1[qi]), expected)
           << "query " << qi << " round " << round;
-      ASSERT_EQ(doc8.pipeline(ids8[qi]).EnumerateAll(), expected)
+      ASSERT_EQ(doc8.EnumerateAt(doc8.CurrentSnapshot(), ids8[qi]), expected)
           << "query " << qi << " round " << round;
       ASSERT_EQ(doc8.pipeline(ids8[qi]).circuit().ValidateStorage(), "")
           << "query " << qi << " round " << round;
@@ -175,8 +176,8 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
   DynamicDocument doc(tree, 3);
   doc.set_pool(&pool);
 
-  DynamicDocument::QueryId qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  DynamicDocument::QueryId qb = doc.Register(QuerySelectLabel(3, 0));
+  DynamicDocument::QueryHandle qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 0));
   doc.pipeline(qa).EnableCounting();
 
   StaticEngine oracle_a(tree, QueryMarkedAncestor(3, 1, 2));
@@ -199,11 +200,14 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
       oracle_b.ApplyEdits(edits);
     }
     std::vector<Assignment> expected_a = oracle_a.EnumerateAll();
-    ASSERT_EQ(doc.pipeline(qa).EnumerateAll(), expected_a) << round;
-    ASSERT_EQ(doc.pipeline(qb).EnumerateAll(), oracle_b.EnumerateAll())
+    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qa), expected_a) << round;
+    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb),
+              oracle_b.EnumerateAll())
         << round;
     // Query-library automata are unambiguous: runs == assignments.
-    ASSERT_EQ(doc.pipeline(qa).AcceptingRuns(), expected_a.size()) << round;
+    ASSERT_EQ(doc.pipeline(qa).AcceptingRunsAt(doc.CurrentSnapshot()),
+              expected_a.size())
+        << round;
   }
 }
 
@@ -216,8 +220,8 @@ TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
   Rng rng(233);
   UnrankedTree tree = RandomTree(40, 3, rng);
   DynamicDocument doc(tree, 3);
-  DynamicDocument::QueryId qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  DynamicDocument::QueryId qb = doc.Register(QuerySelectLabel(3, 1));
+  DynamicDocument::QueryHandle qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 1));
   StaticEngine oracle(tree, QuerySelectLabel(3, 1));
 
   ScriptedEditor script(tree, 311, 3);
@@ -237,13 +241,13 @@ TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
     doc.ApplyEdit(e);
     oracle.ApplyEdit(e);
   }
-  EXPECT_EQ(doc.pipeline(qb).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb), oracle.EnumerateAll());
 
   // Registering after the edits serves the *current* tree (here via warm
   // re-admission of qa's pipeline, which kept refreshing at refcount 0).
-  DynamicDocument::QueryId qc = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  DynamicDocument::QueryHandle qc = doc.Register(QueryMarkedAncestor(3, 1, 2));
   StaticEngine fresh(doc.tree(), QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.pipeline(qc).EnumerateAll(), fresh.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qc), fresh.EnumerateAll());
 }
 
 // The thin engine views and a shared document must agree edit for edit.
@@ -253,7 +257,7 @@ TEST(DynamicDocument, AgreesWithSingleQueryEngines) {
   UnrankedTree tree = RandomTree(45, 3, rng);
 
   DynamicDocument doc(tree, 3);
-  std::vector<DynamicDocument::QueryId> ids;
+  std::vector<DynamicDocument::QueryHandle> ids;
   std::vector<std::unique_ptr<TreeEnumerator>> engines;
   for (const UnrankedTva& q : queries) {
     ids.push_back(doc.Register(q));
@@ -267,7 +271,7 @@ TEST(DynamicDocument, AgreesWithSingleQueryEngines) {
     for (auto& engine : engines) engine->ApplyEdit(e);
     if (step % 15 == 14) {
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ASSERT_EQ(doc.pipeline(ids[qi]).EnumerateAll(),
+        ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), ids[qi]),
                   engines[qi]->EnumerateAll())
             << "query " << qi << " step " << step;
       }
@@ -298,12 +302,12 @@ TEST(DynamicDocument, WordDocumentServesMultipleSpanners) {
   ThreadPool pool(8);
   DynamicDocument doc(ref, 2);
   doc.set_pool(&pool);
-  DynamicDocument::QueryId qb = doc.Register(select_b);
-  DynamicDocument::QueryId qa = doc.Register(select_a);
+  DynamicDocument::QueryHandle qb = doc.Register(select_b);
+  DynamicDocument::QueryHandle qa = doc.Register(select_a);
 
-  auto by_position = [&](DynamicDocument::QueryId id) {
+  auto by_position = [&](DynamicDocument::QueryHandle id) {
     std::vector<Assignment> out;
-    for (const Assignment& s : doc.pipeline(id).EnumerateAll()) {
+    for (const Assignment& s : doc.EnumerateAt(doc.CurrentSnapshot(), id)) {
       Assignment b;
       for (const Singleton& sg : s.singletons()) {
         b.Add(Singleton{sg.var, static_cast<NodeId>(
@@ -368,7 +372,7 @@ TEST(DynamicDocument, SingleQuerySteadyStateRelabelsAreAllocationFree) {
   Rng rng(251);
   UnrankedTree tree = RandomTree(150, 3, rng);
   DynamicDocument doc(tree, 3);
-  DynamicDocument::QueryId q = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  DynamicDocument::QueryHandle q = doc.Register(QueryMarkedAncestor(3, 1, 2));
   doc.pipeline(q).EnableCounting();
 
   std::vector<NodeId> targets = tree.PreorderNodes();

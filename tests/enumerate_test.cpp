@@ -6,7 +6,6 @@
 
 #include "automata/homogenize.h"
 #include "circuit/assignment_circuit.h"
-#include "enumeration/simple_enum.h"
 #include "test_util.h"
 
 namespace treenum {
@@ -139,23 +138,6 @@ TEST(Enumerate, SingletonGammaSubsets) {
       std::vector<Assignment> want(expected.begin(), expected.end());
       EXPECT_EQ(CollectAll(cursor), want);
     }
-  }
-}
-
-TEST(SimpleEnum, SameSetWithDuplicatesAllowed) {
-  Rng rng(137);
-  for (int trial = 0; trial < 25; ++trial) {
-    BinaryTva raw = RandomBinaryTvaOnHH(rng, 3, 2, 1, 4, 8);
-    HHPipeline p(raw, rng, 1 + rng.Index(6), 2);
-    std::vector<uint32_t> gamma = p.RootGamma();
-    if (gamma.empty()) continue;
-    std::vector<Assignment> dupes =
-        SimpleEnumerateAll(p.circuit, p.term.root(), gamma);
-    std::sort(dupes.begin(), dupes.end());
-    size_t with_dupes = dupes.size();
-    dupes.erase(std::unique(dupes.begin(), dupes.end()), dupes.end());
-    EXPECT_EQ(dupes, ExpectedOfGamma(p, gamma)) << "trial " << trial;
-    EXPECT_GE(with_dupes, dupes.size());
   }
 }
 

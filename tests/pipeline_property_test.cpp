@@ -10,6 +10,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "automata/query_library.h"
 #include "automata/regex_spanner.h"
@@ -367,6 +369,118 @@ TEST(BatchedUpdates, WordBatchEqualsSequentialEqualsFreshRebuild) {
     ASSERT_EQ(batched.EnumerateAllByPosition(), expected)
         << "round " << round;
     ASSERT_EQ(expected, q.BruteForceAssignments(ref)) << "round " << round;
+  }
+}
+
+// ---- Reads inside an open batch --------------------------------------------
+//
+// Between BeginBatch and CommitBatch every engine answers as before the
+// batch: the dynamic engines read their last committed snapshot, the
+// recompute baselines their last refreshed state.
+
+// `k` word edits by stable position id, valid when applied in order;
+// `mirror` holds (id, letter) per position — kNoNode for letters inserted
+// here — and advances as the ground truth.
+std::vector<Edit> RandomWordBatch(std::vector<std::pair<NodeId, Label>>& mirror,
+                                  Rng& rng, size_t k) {
+  std::vector<Edit> edits;
+  while (edits.size() < k) {
+    size_t pos = rng.Index(mirror.size());
+    NodeId id = mirror[pos].first;
+    if (id == kNoNode) continue;
+    Label l = static_cast<Label>(rng.Index(2));
+    switch (rng.Index(3)) {
+      case 0:
+        mirror[pos].second = l;
+        edits.push_back(Edit::Relabel(id, l));
+        break;
+      case 1:
+        mirror.insert(mirror.begin() + pos + 1, {kNoNode, l});
+        edits.push_back(Edit::InsertRightSibling(id, l));
+        break;
+      default:
+        if (mirror.size() <= 1) break;
+        mirror.erase(mirror.begin() + pos);
+        edits.push_back(Edit::DeleteLeaf(id));
+        break;
+    }
+  }
+  return edits;
+}
+
+// Everything the Engine read surface returns.
+struct EngineReads {
+  std::vector<Assignment> all;
+  std::vector<Assignment> via_cursor;
+  bool has_answer = false;
+
+  bool operator==(const EngineReads& o) const {
+    return all == o.all && via_cursor == o.via_cursor &&
+           has_answer == o.has_answer;
+  }
+};
+
+EngineReads ReadEngine(const Engine& e) {
+  EngineReads r;
+  r.all = e.EnumerateAll();
+  std::unique_ptr<Engine::Cursor> c = e.MakeCursor();
+  Assignment a;
+  while (c->Next(&a)) r.via_cursor.push_back(a);
+  std::sort(r.via_cursor.begin(), r.via_cursor.end());
+  r.has_answer = e.HasAnswer();
+  return r;
+}
+
+TEST(BatchedUpdates, MidBatchReadsReturnPreBatchAnswers) {
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+  const Wva wq = SelectBWva();
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(4001 + seed);
+    UnrankedTree t = RandomTree(64, 3, rng);
+    Word w;
+    for (int i = 0; i < 64; ++i) w.push_back(static_cast<Label>(rng.Index(2)));
+    TreeEnumerator dynamic(t, q);
+    dynamic.EnableCounting();
+    NaiveEngine naive(t, q);
+    StaticEngine rebuilt(t, q);
+    WordEnumerator word(w, wq);
+
+    UnrankedTree mirror = t;
+    std::vector<Edit> tree_batch = RandomTreeBatch(mirror, rng, 12, 3, 200);
+    std::vector<std::pair<NodeId, Label>> word_mirror;
+    for (size_t pos = 0; pos < w.size(); ++pos) {
+      word_mirror.emplace_back(word.encoding().PositionId(pos), w[pos]);
+    }
+    std::vector<Edit> word_batch = RandomWordBatch(word_mirror, rng, 12);
+
+    const std::pair<Engine*, const std::vector<Edit>*> runs[] = {
+        {&dynamic, &tree_batch},
+        {&naive, &tree_batch},
+        {&rebuilt, &tree_batch},
+        {&word, &word_batch}};
+    for (const auto& [engine, batch] : runs) {
+      const EngineReads before = ReadEngine(*engine);
+      const uint64_t accepting = dynamic.AcceptingRuns();
+      engine->BeginBatch();
+      for (size_t i = 0; i < batch->size(); ++i) {
+        engine->ApplyEdit((*batch)[i]);
+        ASSERT_TRUE(ReadEngine(*engine) == before) << "after edit " << i;
+        ASSERT_EQ(dynamic.AcceptingRuns(), accepting) << "after edit " << i;
+      }
+      engine->CommitBatch();
+    }
+
+    // Each batch took effect at its commit.
+    std::vector<Assignment> expected = MaterializeAssignments(mirror, q);
+    EXPECT_EQ(dynamic.EnumerateAll(), expected);
+    EXPECT_EQ(naive.EnumerateAll(), expected);
+    EXPECT_EQ(rebuilt.EnumerateAll(), expected);
+    EXPECT_EQ(dynamic.AcceptingRuns(), expected.size());
+    Word after;
+    for (const auto& letter : word_mirror) after.push_back(letter.second);
+    EXPECT_EQ(word.EnumerateAllByPosition(),
+              WordEnumerator(after, wq).EnumerateAllByPosition());
   }
 }
 

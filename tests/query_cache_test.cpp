@@ -61,8 +61,8 @@ TEST(QueryCache, SecondDocumentRegistrationCompilesNothing) {
   // And both answer correctly over their own trees.
   StaticEngine o1(doc1.tree(), QueryMarkedAncestor(3, 1, 2));
   StaticEngine o2(doc2.tree(), QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc1.pipeline(h1).EnumerateAll(), o1.EnumerateAll());
-  EXPECT_EQ(doc2.pipeline(h2).EnumerateAll(), o2.EnumerateAll());
+  EXPECT_EQ(doc1.EnumerateAt(doc1.CurrentSnapshot(), h1), o1.EnumerateAll());
+  EXPECT_EQ(doc2.EnumerateAt(doc2.CurrentSnapshot(), h2), o2.EnumerateAll());
 }
 
 // Renumbered/reordered variants miss the source map but converge in the
@@ -120,8 +120,10 @@ TEST(QueryCache, WordQueriesShareAcrossDocuments) {
   DynamicDocument ref2(w2, 3, &fresh2);
   auto r1 = ref1.Register(wva);
   auto r2 = ref2.Register(wva);
-  EXPECT_EQ(doc1.pipeline(h1).EnumerateAll(), ref1.pipeline(r1).EnumerateAll());
-  EXPECT_EQ(doc2.pipeline(h2).EnumerateAll(), ref2.pipeline(r2).EnumerateAll());
+  EXPECT_EQ(doc1.EnumerateAt(doc1.CurrentSnapshot(), h1),
+            ref1.EnumerateAt(ref1.CurrentSnapshot(), r1));
+  EXPECT_EQ(doc2.EnumerateAt(doc2.CurrentSnapshot(), h2),
+            ref2.EnumerateAt(ref2.CurrentSnapshot(), r2));
 }
 
 // RegisterPrepared routes through Intern: automaton-identical prepared
@@ -191,7 +193,7 @@ TEST(QueryCache, DropToZeroRetainsUntilCapEvicts) {
   DynamicDocument doc(RandomTree(22, 3, rng), 3, &cache);
   auto h = doc.Register(QuerySelectLabel(3, 0));
   StaticEngine oracle(doc.tree(), QuerySelectLabel(3, 0));
-  EXPECT_EQ(doc.pipeline(h).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll());
 }
 
 TEST(QueryCache, PinnedPlansAreNeverEvicted) {
@@ -240,8 +242,8 @@ TEST(QueryCache, ForcedCollisionsFallBackToExactComparison) {
   auto h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
   StaticEngine o0(doc.tree(), QuerySelectLabel(3, 0));
   StaticEngine o2(doc.tree(), QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.pipeline(h0).EnumerateAll(), o0.EnumerateAll());
-  EXPECT_EQ(doc.pipeline(h2).EnumerateAll(), o2.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h0), o0.EnumerateAll());
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h2), o2.EnumerateAll());
 }
 
 // ---- Shard-server plumbing ----

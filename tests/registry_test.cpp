@@ -1,11 +1,12 @@
 // Tests for the deduplicating query registry (core/document.h) and the
-// canonical-form / fingerprint API it is built on (automata/homogenize.h):
-// duplicate and state-renumbered queries share one refcounted pipeline,
-// unregistering keeps survivors correct, warm refcount-zero pipelines are
-// re-admitted without a rebuild, and the pipeline cap evicts cost-aware
-// (cheapest-to-rebuild / stalest first, degenerating to LRU on equal
-// costs) with eviction + re-admission round-tripping against a
-// StaticEngine oracle.
+// canonical-form / fingerprint API its query cache is built on
+// (automata/homogenize.h): duplicate and state-renumbered queries share
+// one refcounted pipeline, unregistering keeps survivors correct, warm
+// refcount-zero pipelines are re-admitted without a rebuild, and the
+// pipeline cap evicts cost-aware (cheapest-to-rebuild / stalest first,
+// degenerating to LRU on equal costs), with re-registration of an evicted
+// query compiling nothing and round-tripping against a StaticEngine
+// oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,11 @@ namespace treenum {
 namespace {
 
 using QueryHandle = DynamicDocument::QueryHandle;
+
+// Answers of `h` at the document's current snapshot.
+std::vector<Assignment> Answers(const DynamicDocument& doc, QueryHandle h) {
+  return doc.EnumerateAt(doc.CurrentSnapshot(), h);
+}
 
 // QuerySelectLabel(3, a) with the two states swapped and the relations
 // declared in a different order: textually different, automaton-identical.
@@ -188,7 +194,7 @@ TEST(QueryRegistry, RenumberedQueriesDedupeToOnePipeline) {
 
   // ... and the shared pipeline answers correctly for both.
   StaticEngine oracle(tree, QuerySelectLabel(3, 1));
-  EXPECT_EQ(doc.pipeline(h2).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
 }
 
 TEST(QueryRegistry, DistinctQueriesAndModesGetDistinctPipelines) {
@@ -251,8 +257,8 @@ TEST(QueryRegistry, UnregisterToZeroKeepsSurvivorsCorrect) {
     oracle_ma.ApplyEdit(e);
     oracle_sel.ApplyEdit(e);
   }
-  EXPECT_EQ(doc.pipeline(dup2).EnumerateAll(), oracle_ma.EnumerateAll());
-  EXPECT_EQ(doc.pipeline(other).EnumerateAll(), oracle_sel.EnumerateAll());
+  EXPECT_EQ(Answers(doc, dup2), oracle_ma.EnumerateAll());
+  EXPECT_EQ(Answers(doc, other), oracle_sel.EnumerateAll());
 }
 
 TEST(QueryRegistry, WarmReadmissionReusesThePipeline) {
@@ -282,8 +288,8 @@ TEST(QueryRegistry, WarmReadmissionReusesThePipeline) {
   EXPECT_EQ(&doc.pipeline(h2), pipe) << "re-admission must reuse the object";
   DocumentStats stats = doc.stats();
   EXPECT_EQ(stats.readmissions, 1u);
-  EXPECT_EQ(stats.rebuilds, 0u);
-  EXPECT_EQ(doc.pipeline(h2).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
 }
 
 // ---- Registry: admission / eviction ----
@@ -291,7 +297,8 @@ TEST(QueryRegistry, WarmReadmissionReusesThePipeline) {
 TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
   Rng rng(53);
   UnrankedTree tree = RandomTree(50, 3, rng);
-  DynamicDocument doc(tree, 3);
+  QueryCache cache;
+  DynamicDocument doc(tree, 3, &cache);
   doc.set_pipeline_cap(1);
 
   QueryHandle keep = doc.Register(QueryMarkedAncestor(3, 1, 2));
@@ -304,12 +311,12 @@ TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
   StaticEngine oracle_drop(tree, QuerySelectLabel(3, 1));
 
   // Releasing the second query pushes it to refcount zero; the cap evicts
-  // it immediately (pipeline destroyed, canonical automaton retained).
+  // it immediately, leaving no registry entry behind.
   doc.Unregister(drop);
   EXPECT_EQ(doc.num_pipelines(), 1u);
   DocumentStats stats = doc.stats();
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.evicted_entries, 1u);
+  EXPECT_EQ(stats.pipelines.size(), 1u);
 
   ScriptedEditor script(tree, 6007, 3);
   for (int i = 0; i < 60; ++i) {
@@ -318,14 +325,19 @@ TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
     oracle_keep.ApplyEdit(e);
     oracle_drop.ApplyEdit(e);
   }
-  EXPECT_EQ(doc.pipeline(keep).EnumerateAll(), oracle_keep.EnumerateAll());
+  EXPECT_EQ(Answers(doc, keep), oracle_keep.EnumerateAll());
 
-  // Re-admission rebuilds the evicted pipeline over the *current* tree.
+  // Re-registration builds a fresh pipeline over the *current* tree from
+  // the plan the cache kept warm: a source hit with no compile work.
+  const QueryCache::Stats before = cache.stats();
   QueryHandle again = doc.Register(QuerySelectLabel(3, 1));
+  const QueryCache::Stats after = cache.stats();
+  EXPECT_EQ(after.translations, before.translations);
+  EXPECT_EQ(after.source_hits, before.source_hits + 1);
   stats = doc.stats();
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.readmissions, 0u);
-  EXPECT_EQ(doc.pipeline(again).EnumerateAll(), oracle_drop.EnumerateAll());
+  EXPECT_EQ(stats.readmissions, 0u) << "the evicted pipeline is gone";
+  EXPECT_EQ(stats.shared_hits, 0u);
+  EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
 
   // ... and stays correct under further edits.
   for (int i = 0; i < 30; ++i) {
@@ -333,7 +345,7 @@ TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
     doc.ApplyEdit(e);
     oracle_drop.ApplyEdit(e);
   }
-  EXPECT_EQ(doc.pipeline(again).EnumerateAll(), oracle_drop.EnumerateAll());
+  EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
 }
 
 // The cost-aware policy keeps the pipeline that is expensive to lose: A
@@ -359,20 +371,18 @@ TEST(QueryRegistry, CapEvictsCheapStaleBeforeExpensiveHot) {
   EXPECT_EQ(doc.num_pipelines(), 1u);
   EXPECT_EQ(doc.stats().evictions, 1u);
 
-  // A survived (warm readmission); B was the victim (rebuild).
+  // A survived (warm readmission); B was the victim (fresh build).
   QueryHandle ha2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  DocumentStats stats = doc.stats();
-  EXPECT_EQ(stats.readmissions, 1u) << "expensive-hot A must stay warm";
-  EXPECT_EQ(stats.rebuilds, 0u);
+  EXPECT_EQ(doc.stats().readmissions, 1u) << "expensive-hot A must stay warm";
   QueryHandle hb2 = doc.Register(QuerySelectLabel(3, 1));
-  EXPECT_EQ(doc.stats().rebuilds, 1u) << "cheap-stale B must be evicted";
+  EXPECT_EQ(doc.stats().readmissions, 1u) << "cheap-stale B must be evicted";
 
   // Both answer correctly over the edited tree.
   UnrankedTree current = doc.tree();
   StaticEngine oracle_a(current, QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle_b(current, QuerySelectLabel(3, 1));
-  EXPECT_EQ(doc.pipeline(ha2).EnumerateAll(), oracle_a.EnumerateAll());
-  EXPECT_EQ(doc.pipeline(hb2).EnumerateAll(), oracle_b.EnumerateAll());
+  EXPECT_EQ(Answers(doc, ha2), oracle_a.EnumerateAll());
+  EXPECT_EQ(Answers(doc, hb2), oracle_b.EnumerateAll());
 }
 
 TEST(QueryRegistry, CapEvictsWarmPipelinesInLruOrder) {
@@ -394,7 +404,7 @@ TEST(QueryRegistry, CapEvictsWarmPipelinesInLruOrder) {
   QueryHandle hb2 = doc.Register(QuerySelectLabel(3, 1));
   EXPECT_EQ(doc.stats().readmissions, 1u) << "B must still be warm";
   QueryHandle ha2 = doc.Register(QuerySelectLabel(3, 0));
-  EXPECT_EQ(doc.stats().rebuilds, 1u) << "A must have been evicted";
+  EXPECT_EQ(doc.stats().readmissions, 1u) << "A must have been evicted";
   EXPECT_TRUE(doc.IsRegistered(hc));
   EXPECT_TRUE(doc.IsRegistered(hb2));
   EXPECT_TRUE(doc.IsRegistered(ha2));
@@ -417,19 +427,22 @@ TEST(QueryRegistry, HandlesStayStableAcrossUnregister) {
   EXPECT_NE(h4, h3);
   EXPECT_TRUE(doc.IsRegistered(h4));
   StaticEngine oracle(tree, QuerySelectLabel(3, 2));
-  EXPECT_EQ(doc.pipeline(h3).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h3), oracle.EnumerateAll());
 }
 
 // Long-lived documents with query churn (register, serve, unregister,
-// repeat) must not accumulate registry metadata: handle slots recycle and
-// reclaimed evicted entries keep the entry table bounded by the caps, not
-// by the number of registrations or distinct queries ever seen.
+// repeat) must not accumulate registry state: handle slots recycle and
+// evicted pipelines leave nothing behind, so the registry stays bounded by
+// the cap, not by the number of registrations or distinct queries ever
+// seen — and once the cache has compiled every query, churn compiles
+// nothing.
 TEST(QueryRegistry, ChurnKeepsRegistryMetadataBounded) {
   Rng rng(71);
   UnrankedTree tree = RandomTree(30, 3, rng);
-  DynamicDocument doc(tree, 3);
+  QueryCache cache;
+  DynamicDocument doc(tree, 3, &cache);
   doc.set_pipeline_cap(2);
-  doc.set_evicted_retention_cap(3);
+  uint64_t translations = 0;
 
   // 12 distinct (query, mode) combinations cycled 20 times, one live
   // registration at a time: 240 registrations total.
@@ -448,17 +461,17 @@ TEST(QueryRegistry, ChurnKeepsRegistryMetadataBounded) {
     }
     DocumentStats s = doc.stats();
     EXPECT_LE(s.handle_slots, 1u) << "one live handle -> one recycled slot";
-    EXPECT_LE(s.registry_entries, 2u + 3u)
-        << "entries bounded by pipeline cap + retention cap";
-    EXPECT_EQ(s.pipelines.size(), s.registry_entries);
+    EXPECT_LE(s.pipelines.size(), 2u) << "pipelines bounded by the cap";
+    if (round == 0) translations = cache.stats().translations;
+    EXPECT_EQ(cache.stats().translations, translations) << "round " << round;
   }
-  EXPECT_GT(doc.stats().reclaimed_entries, 0u);
+  EXPECT_GT(doc.stats().evictions, 0u);
 
-  // A reclaimed query re-registers from scratch and still answers
-  // correctly against the oracle.
+  // An evicted query re-registers and still answers correctly against the
+  // oracle.
   DynamicDocument::QueryHandle h = doc.Register(QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.pipeline(h).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h), oracle.EnumerateAll());
 }
 
 // The same 240-registration churn pattern routed through an explicitly
@@ -473,10 +486,7 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   cache.set_retention_cap(1);
   DynamicDocument doc1(tree, 3, &cache);
   DynamicDocument doc2(tree, 3, &cache);
-  for (DynamicDocument* doc : {&doc1, &doc2}) {
-    doc->set_pipeline_cap(2);
-    doc->set_evicted_retention_cap(3);
-  }
+  for (DynamicDocument* doc : {&doc1, &doc2}) doc->set_pipeline_cap(2);
 
   // 6 distinct queries cycled 20 times on both documents: 240
   // registrations, one live handle per document at a time.
@@ -495,13 +505,12 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
     for (DynamicDocument* doc : {&doc1, &doc2}) {
       DocumentStats s = doc->stats();
       EXPECT_LE(s.handle_slots, 1u);
-      EXPECT_LE(s.registry_entries, 2u + 3u)
-          << "entries bounded by pipeline cap + retention cap";
+      EXPECT_LE(s.pipelines.size(), 2u) << "pipelines bounded by the cap";
     }
     QueryCache::Stats cs = cache.stats();
-    // Each document's registry pins at most pipeline-cap + retention-cap
-    // plans; beyond those the cache keeps at most its own retention cap.
-    EXPECT_LE(cs.entries, 2 * (2u + 3u) + 1u);
+    // Each document's registry pins at most pipeline-cap plans; beyond
+    // those the cache keeps at most its own retention cap.
+    EXPECT_LE(cs.entries, 2 * 2u + 1u);
     EXPECT_LE(cs.source_entries, cs.entries)
         << "sources are erased with their entry";
   }
@@ -513,10 +522,7 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   EXPECT_LT(cs.translations, 240u);
 
   // Releasing every document-side pin shrinks the cache to its own cap.
-  for (DynamicDocument* doc : {&doc1, &doc2}) {
-    doc->set_pipeline_cap(0);
-    doc->set_evicted_retention_cap(0);
-  }
+  for (DynamicDocument* doc : {&doc1, &doc2}) doc->set_pipeline_cap(0);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.stats().entries, 1u);
 
@@ -524,7 +530,7 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   // correctly.
   DynamicDocument::QueryHandle h = doc2.Register(QueryMarkedAncestor(3, 2, 0));
   StaticEngine oracle(tree, QueryMarkedAncestor(3, 2, 0));
-  EXPECT_EQ(doc2.pipeline(h).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc2, h), oracle.EnumerateAll());
 }
 
 // The batched-commit path must refresh warm pipelines too, so a
@@ -547,7 +553,7 @@ TEST(QueryRegistry, WarmPipelinesFollowBatchedCommits) {
   }
   QueryHandle h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
   EXPECT_EQ(doc.stats().readmissions, 1u);
-  EXPECT_EQ(doc.pipeline(h2).EnumerateAll(), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
 }
 
 }  // namespace

@@ -94,7 +94,8 @@ TEST(RunCount, MatchesBruteForceOnTinyTerms) {
     AssignmentCircuit circuit(&term, &raw, &kind);
     RunCounter counter(&circuit);
     counter.BuildAll();
-    EXPECT_EQ(counter.TotalAcceptingRuns(), BruteForceRuns(raw, term))
+    EXPECT_EQ(counter.TotalAcceptingRuns(term.root()),
+              BruteForceRuns(raw, term))
         << "trial " << trial;
   }
 }
@@ -116,7 +117,7 @@ TEST(RunCount, UnambiguousQueryCountsAnswers) {
     counter.BuildAll();
     // The empty valuation reaches the final 0-state; subtract that run if
     // present (it does not correspond to an answer of this query).
-    uint64_t runs = counter.TotalAcceptingRuns();
+    uint64_t runs = counter.TotalAcceptingRuns(enc.term.root());
     EXPECT_EQ(runs, expected) << "trial " << trial;
   }
 }
@@ -162,7 +163,8 @@ TEST(RunCount, IncrementalMaintenanceMatchesFresh) {
     fresh_circuit.BuildAll();
     RunCounter fresh(&fresh_circuit);
     fresh.BuildAll();
-    ASSERT_EQ(counter.TotalAcceptingRuns(), fresh.TotalAcceptingRuns())
+    const TermNodeId root = dyn.term().root();
+    ASSERT_EQ(counter.TotalAcceptingRuns(root), fresh.TotalAcceptingRuns(root))
         << "step " << step;
   }
 }
@@ -179,7 +181,8 @@ TEST(RunCount, CountsGrowWithAnswers) {
   RunCounter counter(&circuit);
   counter.BuildAll();
   TreeEnumerator e(t, q);
-  EXPECT_EQ(counter.TotalAcceptingRuns(), e.EnumerateAll().size());
+  EXPECT_EQ(counter.TotalAcceptingRuns(enc.term.root()),
+            e.EnumerateAll().size());
 }
 
 }  // namespace

@@ -211,8 +211,9 @@ TEST(SnapshotDeathTest, RejectsSnapshotsPredatingRegistration) {
 
   DynamicDocument::QueryHandle late = doc.Register(QueryMarkedAncestor(3, 1, 2));
   // The snapshot current at registration time (and later ones) work fine.
+  StaticEngine oracle(doc.tree(), QueryMarkedAncestor(3, 1, 2));
   EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), late),
-            doc.pipeline(late).EnumerateAll());
+            oracle.EnumerateAll());
   EXPECT_DEATH(doc.EnumerateAt(old_snap, late), "predates");
 }
 
