@@ -30,12 +30,6 @@ const UnrankedTree& DynamicDocument::tree() const {
   return tree_enc_->tree();
 }
 
-const DynamicEncoding& DynamicDocument::tree_encoding() const {
-  TREENUM_CHECK(tree_enc_ != nullptr,
-                "tree_encoding() requires a tree document");
-  return *tree_enc_;
-}
-
 const WordEncoding& DynamicDocument::word_encoding() const {
   TREENUM_CHECK(word_enc_ != nullptr,
                 "word_encoding() requires a word document");

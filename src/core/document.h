@@ -150,8 +150,6 @@ class DynamicDocument {
   const Term& term() const { return *term_; }
   /// The current tree (tree documents only).
   const UnrankedTree& tree() const;
-  /// The balanced-term encoding backend (tree documents only).
-  const DynamicEncoding& tree_encoding() const;
   /// The AVL-term encoding backend (word documents only).
   const WordEncoding& word_encoding() const;
   /// Current input size (tree nodes / word letters).

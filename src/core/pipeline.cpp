@@ -22,8 +22,7 @@ bool SnapshotCursor::Next(Assignment* out) {
 EnumerationPipeline::EnumerationPipeline(
     const Term* term, std::shared_ptr<const HomogenizedTva> homog,
     BoxEnumMode mode)
-    : term_(term),
-      homog_(std::move(homog)),
+    : homog_(std::move(homog)),
       circuit_(term, &homog_->tva, &homog_->kind),
       index_(&circuit_),
       mode_(mode),

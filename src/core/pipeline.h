@@ -85,19 +85,13 @@ class EnumerationPipeline {
 
   // ---- Introspection ----
 
-  /// The shared term this pipeline's boxes are built over.
-  const Term& term() const { return *term_; }
-  /// The homogenized (canonical) binary TVA driving the circuit.
-  const BinaryTva& tva() const { return homog_->tva; }
-  /// Per-state 0-/1-state classification of tva() (see HomogenizedTva).
-  const std::vector<uint8_t>& state_kinds() const { return homog_->kind; }
   /// Width of the circuit (= trimmed, homogenized |Q'|).
   size_t width() const { return homog_->tva.num_states(); }
   /// The compiled plan; its address identifies the query in the registry.
   const std::shared_ptr<const HomogenizedTva>& automaton() const {
     return homog_;
   }
-  /// The assignment circuit (Lemma 3.7) maintained over term().
+  /// The assignment circuit (Lemma 3.7) maintained over the shared term.
   const AssignmentCircuit& circuit() const { return circuit_; }
   /// The jump index (Lemma 6.3); empty unless mode() is kIndexed.
   const EnumIndex& index() const { return index_; }
@@ -162,7 +156,6 @@ class EnumerationPipeline {
   /// Dense ∪-gate indices of the final 1-states at `root`.
   std::vector<uint32_t> FinalGammaAt(TermNodeId root) const;
 
-  const Term* term_;
   std::shared_ptr<const HomogenizedTva> homog_;
   AssignmentCircuit circuit_;
   EnumIndex index_;

@@ -134,10 +134,6 @@ class TreeEnumerator : public Engine {
   const EnumerationPipeline& pipeline() const { return *pipe_; }
   const AssignmentCircuit& circuit() const { return pipe_->circuit(); }
   const EnumIndex& index() const { return pipe_->index(); }
-  const BinaryTva& binary_tva() const { return pipe_->tva(); }
-  const std::vector<uint8_t>& state_kinds() const {
-    return pipe_->state_kinds();
-  }
 
  private:
   DynamicDocument doc_;

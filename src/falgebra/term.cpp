@@ -257,6 +257,9 @@ std::pair<TermNodeId, TermNodeId> Term::SplitChildren(TermNodeId t) {
   TermNodeId r = nodes_[t].right;
   ClearParent(l);
   ClearParent(r);
+  // A node joined earlier in this edit has no references, so no DecRef will
+  // ever queue it: hand it to the sweep here.
+  if (nodes_[t].refs == 0) zero_pending_.push_back(t);
   return {l, r};
 }
 
@@ -532,6 +535,10 @@ std::string Term::ValidateStructure(uint32_t (*max_height)(uint32_t)) const {
   for (TermNodeId id = 0; id < nodes_.size(); ++id) {
     const TermNode& t = nodes_[id];
     if (!t.alive) continue;
+    if (t.refs == 0) {
+      return "node " + std::to_string(id) +
+             ": alive with no references (leaked)";
+    }
     if (t.refs < indeg[id]) {
       return "node " + std::to_string(id) + ": refs " +
              std::to_string(t.refs) + " below in-degree " +

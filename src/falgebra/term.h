@@ -118,7 +118,8 @@ class Term {
   /// child parent pointers (pointer-only) and returns {left, right}. The
   /// dismantled node `t` keeps its child references until it is reclaimed
   /// by SweepZeros (or kept alive by a pinned snapshot), exactly like the
-  /// scaffolding nodes of the word AVL split.
+  /// scaffolding nodes of the word AVL split. A `t` with no references
+  /// (joined earlier in the same edit) is queued for that sweep here.
   std::pair<TermNodeId, TermNodeId> SplitChildren(TermNodeId t);
 
   /// Queues a detached subterm the caller no longer wants (e.g. the middle
@@ -233,12 +234,13 @@ class Term {
   /// Deep validation for the transaction tests, mirroring ValidateStorage
   /// in circuit/arena.h: everything Validate() checks, plus the balance
   /// envelope on every node reachable from the current root, a global
-  /// reference-count audit (each alive node's count covers its alive parent
-  /// edges plus the root slot, and the global surplus equals the live
-  /// snapshot pins — so no version leaks and no dangling splice scaffolding
-  /// survives an edit), and an empty zero-pending queue (every transaction
-  /// must end with a sweep). `max_height(size)` is the envelope to enforce
-  /// (pass MaxAllowedHeight for tree terms; word AVL terms satisfy it too).
+  /// reference-count audit (each alive node holds at least one reference,
+  /// its count covers its alive parent edges plus the root slot, and the
+  /// global surplus equals the live snapshot pins — so no version leaks and
+  /// no dangling splice scaffolding survives an edit), and an empty
+  /// zero-pending queue (every transaction must end with a sweep).
+  /// `max_height(size)` is the envelope to enforce (pass MaxAllowedHeight
+  /// for tree terms; word AVL terms satisfy it too).
   /// Returns "" if valid. Call only between edits, on the writer thread.
   std::string ValidateStructure(uint32_t (*max_height)(uint32_t)) const;
 

@@ -1,6 +1,7 @@
 #include "serving/shard_server.h"
 
 #include <algorithm>
+#include <deque>
 #include <iterator>
 
 #include "util/check.h"
@@ -90,24 +91,22 @@ struct DocumentShardServer::DocRef::DocState {
   size_t home = 0;
 
   /// Guards `queue` and `scheduled`. `scheduled` is the single-drainer
-  /// token: true while the document sits in some shard's run queue / inbox
-  /// or is being drained, so at most one worker ever touches `doc`.
+  /// token: true while the document sits in some shard's run queue or is
+  /// being drained, so at most one worker ever touches `doc`.
   std::mutex mu;
   std::vector<Command> queue;
   bool scheduled = false;
 };
 
-/// One shard: a worker thread, its MPSC inbox (newly scheduled documents,
-/// mutex-protected — pushes are rare, one per document wakeup, not one per
-/// command), its single-owner run deque that thieves steal from, and its
-/// slice of the serving counters.
+/// One shard: a worker thread, its run queue of scheduled documents, and
+/// its slice of the serving counters. Clients push newly scheduled
+/// documents at the back, the owner pops the newest from the back, and idle
+/// neighbours steal the oldest from the front.
 struct DocumentShardServer::Shard {
-  WorkStealingDeque<DocRef::DocState*> run_queue;
-
-  std::mutex inbox_mu;
+  std::mutex mu;
   std::condition_variable cv;
-  std::vector<DocRef::DocState*> inbox;
-  bool stop = false;  // under inbox_mu
+  std::deque<DocRef::DocState*> run_queue;  // under mu
+  bool stop = false;                        // under mu
 
   std::thread worker;
 
@@ -130,8 +129,6 @@ struct DocumentShardServer::Shard {
 DocumentShardServer::DocumentShardServer(const Options& options)
     : opts_(options) {
   TREENUM_CHECK(opts_.shards >= 1, "DocumentShardServer: need >= 1 shard");
-  if (opts_.max_group_commit == 0) opts_.max_group_commit = 1;
-  if (opts_.max_commands_per_run == 0) opts_.max_commands_per_run = 1;
   shards_.reserve(opts_.shards);
   for (size_t i = 0; i < opts_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -146,7 +143,7 @@ DocumentShardServer::~DocumentShardServer() {
   Drain();
   for (auto& s : shards_) {
     {
-      std::lock_guard<std::mutex> lock(s->inbox_mu);
+      std::lock_guard<std::mutex> lock(s->mu);
       s->stop = true;
     }
     s->cv.notify_all();
@@ -313,8 +310,8 @@ void DocumentShardServer::Enqueue(DocState* d, Command cmd) {
   pending_docs_.fetch_add(1, std::memory_order_acq_rel);
   Shard& home = *shards_[d->home];
   {
-    std::lock_guard<std::mutex> lock(home.inbox_mu);
-    home.inbox.push_back(d);
+    std::lock_guard<std::mutex> lock(home.mu);
+    home.run_queue.push_back(d);
   }
   home.cv.notify_one();
 }
@@ -332,49 +329,43 @@ void DocumentShardServer::WorkerLoop(size_t shard_index) {
   Shard& self = *shards_[shard_index];
   const size_t num_shards = shards_.size();
   std::vector<Command> scratch;
-  scratch.reserve(opts_.max_commands_per_run);
+  scratch.reserve(Options::max_commands_per_run);
 
   for (;;) {
-    // 1. Adopt newly scheduled documents from the MPSC inbox into the
-    //    single-owner run deque (only this worker pushes it).
-    {
-      std::lock_guard<std::mutex> lock(self.inbox_mu);
-      for (DocState* d : self.inbox) self.run_queue.PushBottom(d);
-      self.inbox.clear();
-    }
-
-    // 2. Own work first, newest-first (LIFO keeps the hot document hot).
+    // 1. Own work first, newest-first (LIFO keeps the hot document hot).
     DocState* d = nullptr;
-    if (self.run_queue.PopBottom(&d)) {
+    {
+      std::lock_guard<std::mutex> lock(self.mu);
+      if (!self.run_queue.empty()) {
+        d = self.run_queue.back();
+        self.run_queue.pop_back();
+      }
+    }
+    if (d != nullptr) {
       RunDoc(self, d, &scratch);
       continue;
     }
 
-    // 3. Idle: steal a whole document from a loaded neighbour — oldest
-    //    entry of their deque first (FIFO end, least contention with the
-    //    owner), falling back to their unadopted inbox.
-    if (opts_.stealing && num_shards > 1) {
-      DocState* stolen = nullptr;
-      for (size_t k = 1; k < num_shards && stolen == nullptr; ++k) {
-        Shard& victim = *shards_[(shard_index + k) % num_shards];
-        if (victim.run_queue.StealTop(&stolen)) break;
-        std::lock_guard<std::mutex> lock(victim.inbox_mu);
-        if (!victim.inbox.empty()) {
-          stolen = victim.inbox.back();
-          victim.inbox.pop_back();
-        }
-      }
-      if (stolen != nullptr) {
-        self.steals.fetch_add(1, std::memory_order_relaxed);
-        RunDoc(self, stolen, &scratch);
-        continue;
+    // 2. Idle: steal a whole document from a loaded neighbour — the oldest
+    //    entry of its queue, the end its owner does not pop.
+    for (size_t k = 1; k < num_shards && d == nullptr; ++k) {
+      Shard& victim = *shards_[(shard_index + k) % num_shards];
+      std::lock_guard<std::mutex> lock(victim.mu);
+      if (!victim.run_queue.empty()) {
+        d = victim.run_queue.front();
+        victim.run_queue.pop_front();
       }
     }
+    if (d != nullptr) {
+      self.steals.fetch_add(1, std::memory_order_relaxed);
+      RunDoc(self, d, &scratch);
+      continue;
+    }
 
-    // 4. Nothing anywhere: park briefly. The timeout doubles as the steal
+    // 3. Nothing anywhere: park briefly. The timeout doubles as the steal
     //    retry period — a neighbour's backlog has no edge to notify us on.
-    std::unique_lock<std::mutex> lock(self.inbox_mu);
-    if (!self.inbox.empty()) continue;
+    std::unique_lock<std::mutex> lock(self.mu);
+    if (!self.run_queue.empty()) continue;
     if (self.stop) return;
     self.cv.wait_for(lock, std::chrono::microseconds(200));
   }
@@ -383,7 +374,7 @@ void DocumentShardServer::WorkerLoop(size_t shard_index) {
 void DocumentShardServer::RunDoc(Shard& self, DocState* d,
                                  std::vector<Command>* scratch) {
   self.doc_runs.fetch_add(1, std::memory_order_relaxed);
-  size_t budget = opts_.max_commands_per_run;
+  size_t budget = Options::max_commands_per_run;
   for (;;) {
     scratch->clear();
     {
@@ -414,7 +405,8 @@ void DocumentShardServer::RunDoc(Shard& self, DocState* d,
         if (!more) d->scheduled = false;
       }
       if (more) {
-        self.run_queue.PushBottom(d);
+        std::lock_guard<std::mutex> lock(self.mu);
+        self.run_queue.push_front(d);
         return;
       }
       break;
@@ -439,7 +431,7 @@ void DocumentShardServer::ApplyCommands(Shard& self, DocState* d,
         // Group commit: find the run of consecutive mutation commands
         // (capped), apply them under one batch, publish one snapshot.
         size_t j = i + 1;
-        const size_t limit = std::min(n, i + opts_.max_group_commit);
+        const size_t limit = std::min(n, i + Options::max_group_commit);
         while (j < limit && (cmds[j].kind == Command::Kind::kEdit ||
                              cmds[j].kind == Command::Kind::kStructural)) {
           ++j;

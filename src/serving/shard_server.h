@@ -8,9 +8,9 @@
 //     Documents are placed on a home shard by hash (splitmix64 of the
 //     document id), and every mutating command — leaf edits, structural
 //     transactions, query register/unregister, document removal — is
-//     enqueued MPSC-style: any number of client threads append to the
-//     document's FIFO command queue and hand the document to its home
-//     shard's inbox.
+//     appended by any client thread to the document's FIFO command queue;
+//     a document that was idle is then pushed onto its home shard's run
+//     queue.
 //   * Each shard worker drains whole documents at a time: it pops a
 //     scheduled document, takes its queued commands, and applies them in
 //     FIFO order with *group commit* — consecutive edit/structural
@@ -20,15 +20,15 @@
 //     epoch is published per commit. Per-command latency (submit →
 //     commit) is recorded into a per-shard lock-free LatencyHistogram.
 //   * Idle shard workers *steal whole documents* from loaded neighbours:
-//     each shard's run queue is a Chase-Lev work-stealing deque
-//     (util/work_stealing_deque.h) — the owner schedules LIFO, thieves
-//     take the oldest entry FIFO. A document is in at most one run queue
-//     and drained by at most one worker at a time (the `scheduled` flag
-//     under the document mutex), so the single-writer contract of
-//     DynamicDocument holds no matter which worker ends up applying the
-//     commands — and because the per-document command order is FIFO
-//     regardless of the executing worker, answers are bit-identical at
-//     S=1 and S=8 (asserted in serving_test).
+//     each shard's run queue is one mutex-guarded deque — the owner pops
+//     the newest document, thieves take the oldest. The queue sees one
+//     push/pop per document drain, not per command. A document is in at
+//     most one run queue and drained by at most one worker at a time (the
+//     `scheduled` flag under the document mutex), so the single-writer
+//     contract of DynamicDocument holds no matter which worker ends up
+//     applying the commands — and because the per-document command order
+//     is FIFO regardless of the executing worker, answers are
+//     bit-identical at S=1 and S=8 (asserted in serving_test).
 //   * Enumeration never enters the command queues: readers pin a snapshot
 //     (Pin) and enumerate on their own thread through the ReaderView
 //     captured at registration (QueryRef::view), so the read path scales
@@ -66,7 +66,6 @@
 
 #include "core/document.h"
 #include "util/latency_histogram.h"
-#include "util/work_stealing_deque.h"
 
 namespace treenum {
 namespace serving {
@@ -95,20 +94,19 @@ class DocumentShardServer {
   struct Options {
     /// Shard (worker thread) count.
     size_t shards = 1;
-    /// Idle workers steal whole documents from loaded neighbours.
-    bool stealing = true;
-    /// Max consecutive edit/structural commands coalesced into one batch
-    /// commit (1 disables group commit).
-    size_t max_group_commit = 32;
-    /// Fairness bound: a worker applies at most this many commands from
-    /// one document before rescheduling it behind its other work.
-    size_t max_commands_per_run = 1024;
     /// Compiled-query cache threaded through every document on every
     /// shard (null = the process-wide QueryCache::Global()): a query
     /// registered on any document is compiled once server-wide, and
     /// registrations of it elsewhere reuse the shared plan. Must outlive
     /// the server.
     QueryCache* query_cache = nullptr;
+
+    /// Max consecutive edit/structural commands coalesced into one batch
+    /// commit.
+    static constexpr size_t max_group_commit = 32;
+    /// Fairness bound: a worker applies at most this many commands from
+    /// one document before rescheduling it behind its other work.
+    static constexpr size_t max_commands_per_run = 1024;
   };
 
   /// Aggregated (relaxed-atomic) counters across all shards.
@@ -226,7 +224,7 @@ class DocumentShardServer {
   void NoteUnscheduled();
   void WorkerLoop(size_t shard_index);
   /// Drains up to max_commands_per_run commands of `d`, then either
-  /// unschedules it or requeues it on `self`'s own deque.
+  /// unschedules it or requeues it on `self`'s own run queue.
   void RunDoc(Shard& self, DocState* d, std::vector<Command>* scratch);
   /// Applies one taken command slice in FIFO order with group commit.
   void ApplyCommands(Shard& self, DocState* d, std::vector<Command>& cmds);

@@ -7,9 +7,9 @@
 // the fan-out pattern is "run body(0..n-1), wait for all", and anything
 // fancier would put allocations and scheduling jitter on the update path.
 // (Inter-document scheduling is a different problem with a different
-// primitive: the serving layer's work-stealing deques,
-// util/work_stealing_deque.h. This pool's fork-join contract is for
-// *intra*-document fan-out and is unchanged.)
+// primitive: the serving layer's per-shard run queues that idle shards
+// steal whole documents from, serving/shard_server.h. This pool's
+// fork-join contract is for *intra*-document fan-out and is unchanged.)
 //
 // Threads are spawned once at construction and parked on a condition
 // variable between jobs. The *calling* thread always participates, so a

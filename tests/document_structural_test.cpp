@@ -17,6 +17,7 @@
 #include "baseline/static_engine.h"
 #include "core/document.h"
 #include "core/word_enumerator.h"
+#include "falgebra/builder.h"
 #include "test_util.h"
 #include "util/alloc_gauge.h"
 #include "util/thread_pool.h"
@@ -256,6 +257,10 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
       }
     }
     ASSERT_EQ(doc.word_encoding().size(), ref.size()) << "step " << step;
+    // Range transactions split nodes joined earlier in the same edit; every
+    // such scaffold must be swept, or it leaks with everything below it.
+    ASSERT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "")
+        << "step " << step;
     if (step % 10 == 9) {
       ASSERT_EQ(by_position(),
                 WordEnumerator(ref, select_b).EnumerateAllByPosition())

@@ -2,9 +2,9 @@
 // edits + structural transactions + query churn + document removal) against
 // recompute-from-scratch StaticEngine oracles, bit-identical answers across
 // shard counts (S=1 vs S=8), concurrent snapshot readers during load (run
-// under TSan in CI), work-stealing liveness, the Chase-Lev deque's
-// exactly-once delivery under racing thieves, and the allocation-free
-// templated ParallelFor contract.
+// under TSan in CI), work-stealing liveness with exactly-once delivery,
+// several client threads submitting at once, the per-document run budget,
+// and the allocation-free templated ParallelFor contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "serving/workload.h"
 #include "util/alloc_gauge.h"
 #include "util/thread_pool.h"
-#include "util/work_stealing_deque.h"
 
 namespace treenum {
 namespace {
@@ -100,6 +99,23 @@ std::vector<Assignment> Sorted(std::vector<Assignment> v) {
   return v;
 }
 
+/// After Drain(): every served tree equals its script mirror, and the
+/// persistent query's answers at a fresh pin match a StaticEngine rebuilt
+/// from scratch on that tree.
+void ExpectMatchesOracles(const DocumentShardServer& server,
+                          const std::vector<Tenant>& tenants) {
+  const UnrankedTva query = PersistentQuery();
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    const Tenant& t = tenants[i];
+    const UnrankedTree& tree = server.document(t.doc).tree();
+    ASSERT_TRUE(tree == t.script.mirror()) << "doc " << i;
+    StaticEngine oracle(tree, query);
+    EXPECT_EQ(Sorted(t.query.view.EnumerateAt(server.Pin(t.doc))),
+              Sorted(oracle.EnumerateAll()))
+        << "doc " << i;
+  }
+}
+
 // ---- Mixed scripts vs fresh oracles ----
 
 // Randomized mixed scripts across 4 shards; after draining, every served
@@ -131,17 +147,7 @@ TEST(ShardServer, MixedScriptsMatchFreshOracles) {
     }
   }
   server.Drain();
-
-  const UnrankedTva query = PersistentQuery();
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    Tenant& t = tenants[i];
-    const UnrankedTree& tree = server.document(t.doc).tree();
-    ASSERT_TRUE(tree == t.script.mirror()) << "doc " << i;
-    StaticEngine oracle(tree, query);
-    EXPECT_EQ(Sorted(t.query.view.EnumerateAt(server.Pin(t.doc))),
-              Sorted(oracle.EnumerateAll()))
-        << "doc " << i;
-  }
+  ExpectMatchesOracles(server, tenants);
 
   const DocumentShardServer::Stats stats = server.stats();
   // Every scripted command plus the initial registrations flowed through
@@ -275,14 +281,19 @@ TEST(ShardServer, IdleShardsStealFromLoadedNeighbours) {
 
   const UnrankedTva churn_query = ChurnQuery();
   uint64_t steals = 0;
+  uint64_t submitted = 0;
   for (int wave = 0; wave < 200 && steals == 0; ++wave) {
     for (size_t k = 0; k < 600; ++k) {
       SubmitNext(server, tenants[k % tenants.size()], churn_query);
     }
+    submitted += 600;
     server.Drain();
     steals = server.stats().steals;
   }
   EXPECT_GT(steals, 0u) << "no steal in 200 waves of single-shard backlog";
+  // Exactly-once delivery while workers steal: every submitted edit plus
+  // the initial registrations was consumed, none lost or duplicated.
+  EXPECT_EQ(server.stats().commands, submitted + tenants.size());
 
   // Stolen work must not have corrupted anything.
   for (size_t i = 0; i < tenants.size(); ++i) {
@@ -290,6 +301,86 @@ TEST(ShardServer, IdleShardsStealFromLoadedNeighbours) {
                 tenants[i].script.mirror())
         << "doc " << i;
   }
+}
+
+// ---- Concurrent submitters ----
+
+// Four client threads drive their own tenants at once, so every run queue
+// takes pushes from several producers while its owner pops and idle
+// neighbours steal. Each tenant still has a single writer, so its commands
+// must apply in submission order, each exactly once.
+TEST(ShardServer, ConcurrentSubmittersMatchMirrors) {
+  constexpr size_t kClients = 4, kDocsPerClient = 3, kDocSize = 40;
+  constexpr size_t kCommandsPerClient = 600;
+  DocumentShardServer::Options o;
+  o.shards = 4;
+  DocumentShardServer server(o);
+  std::vector<Tenant> tenants = MakeTenants(
+      server, kClients * kDocsPerClient, kDocSize, 0xC11E, MixedWorkload());
+  const UnrankedTva churn_query = ChurnQuery();
+
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t k = 0; k < kCommandsPerClient; ++k) {
+        SubmitNext(server, tenants[c * kDocsPerClient + k % kDocsPerClient],
+                   churn_query);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  server.Drain();
+  ExpectMatchesOracles(server, tenants);
+  EXPECT_EQ(server.stats().commands,
+            kClients * kCommandsPerClient + tenants.size());
+}
+
+// ---- Fairness ----
+
+// One worker. While it builds a registration on a large `hot` document, the
+// test queues two run budgets (Options::max_commands_per_run) of edits
+// behind that registration and one edit on `cold`. After its first slice
+// `hot` must be rescheduled behind `cold`, so `cold` commits while hot's
+// second slice is still queued.
+TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
+  constexpr size_t kBacklog =
+      2 * DocumentShardServer::Options::max_commands_per_run;
+  DocumentShardServer::Options o;
+  o.shards = 1;
+  DocumentShardServer server(o);
+  WorkloadOptions wo;  // pure leaf edits
+  wo.num_labels = 3;
+  Rng rng(21);
+  UnrankedTree tree = RandomTree(4096, 3, rng);
+  const auto hot = server.AddDocument(tree, 3);
+  CommandScript script(std::move(tree), 21, wo);
+  UnrankedTree cold_tree = RandomTree(32, 3, rng);
+  const auto cold = server.AddDocument(cold_tree, 3);
+  CommandScript cold_script(std::move(cold_tree), 22, wo);
+  std::vector<Edit> backlog;
+  for (size_t k = 0; k < kBacklog; ++k) backlog.push_back(script.Next().edit);
+
+  std::thread registrar(
+      [&] { server.RegisterQuery(hot, PersistentQuery()); });
+  while (server.stats().doc_runs == 0) std::this_thread::yield();
+  // The worker is inside hot's run: these edits join hot's command queue
+  // without rescheduling it, and cold goes onto the run queue.
+  for (const Edit& e : backlog) server.SubmitEdit(hot, e);
+  const uint64_t cold_epoch = server.Pin(cold).epoch();
+  server.SubmitEdit(cold, cold_script.Next().edit);
+  // No registration applied yet: the worker was busy the whole time, so it
+  // found all of hot's edits queued when it reached them.
+  const bool queued_while_busy = server.stats().registers == 0;
+  while (server.Pin(cold).epoch() == cold_epoch) std::this_thread::yield();
+  const uint64_t applied_at_cold = server.stats().edits_applied;
+  registrar.join();
+  ASSERT_TRUE(queued_while_busy)
+      << "the registration finished before the backlog was queued";
+  EXPECT_LT(applied_at_cold, kBacklog) << "cold waited for hot's whole backlog";
+
+  server.Drain();
+  EXPECT_EQ(server.stats().edits_applied, kBacklog + 1);
+  ASSERT_TRUE(server.document(hot).tree() == script.mirror());
 }
 
 // ---- Document lifecycle ----
@@ -321,89 +412,6 @@ TEST(ShardServer, RemoveDocumentCompletesPendingWork) {
     ASSERT_TRUE(server.document(tenants[i].doc).tree() ==
                 tenants[i].script.mirror())
         << "doc " << i;
-  }
-}
-
-// ---- Chase-Lev deque ----
-
-TEST(WorkStealingDeque, OwnerIsLifoThievesAreFifo) {
-  WorkStealingDeque<uint64_t> dq;
-  for (uint64_t v = 1; v <= 4; ++v) dq.PushBottom(v);
-  uint64_t v = 0;
-  ASSERT_TRUE(dq.StealTop(&v));
-  EXPECT_EQ(v, 1u);  // thief takes the oldest
-  ASSERT_TRUE(dq.PopBottom(&v));
-  EXPECT_EQ(v, 4u);  // owner takes the newest
-  ASSERT_TRUE(dq.PopBottom(&v));
-  EXPECT_EQ(v, 3u);
-  ASSERT_TRUE(dq.StealTop(&v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(dq.PopBottom(&v));
-  EXPECT_FALSE(dq.StealTop(&v));
-}
-
-TEST(WorkStealingDeque, GrowsPastInitialCapacity) {
-  WorkStealingDeque<uint64_t> dq;
-  constexpr uint64_t kN = 10000;  // forces several buffer growths
-  for (uint64_t i = 0; i < kN; ++i) dq.PushBottom(i);
-  for (uint64_t i = kN; i-- > 0;) {
-    uint64_t v = 0;
-    ASSERT_TRUE(dq.PopBottom(&v));
-    ASSERT_EQ(v, i);
-  }
-  uint64_t v = 0;
-  EXPECT_FALSE(dq.PopBottom(&v));
-}
-
-// Exactly-once delivery under racing thieves: one owner pushes (and
-// sometimes pops) a known sequence while three thieves steal concurrently;
-// afterwards the union of everything popped and stolen must be exactly the
-// pushed sequence — nothing lost, nothing duplicated.
-TEST(WorkStealingDeque, StressDeliversEachItemExactlyOnce) {
-  constexpr uint64_t kItems = 100000;
-  constexpr size_t kThieves = 3;
-  WorkStealingDeque<uint64_t> dq;
-  std::atomic<bool> done{false};
-  std::vector<std::vector<uint64_t>> stolen(kThieves);
-  std::vector<std::thread> thieves;
-  for (size_t t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&, t] {
-      uint64_t v = 0;
-      while (true) {
-        if (dq.StealTop(&v)) {
-          stolen[t].push_back(v);
-        } else if (done.load(std::memory_order_acquire)) {
-          // A failed steal after `done` means truly empty (the owner has
-          // stopped pushing), not a lost race.
-          if (!dq.StealTop(&v)) return;
-          stolen[t].push_back(v);
-        } else {
-          std::this_thread::yield();  // don't starve the owner on 1 core
-        }
-      }
-    });
-  }
-
-  std::vector<uint64_t> popped;
-  Rng rng(5);
-  for (uint64_t i = 0; i < kItems; ++i) {
-    dq.PushBottom(i);
-    if (rng.Flip(0.3)) {
-      uint64_t v = 0;
-      if (dq.PopBottom(&v)) popped.push_back(v);
-    }
-  }
-  uint64_t v = 0;
-  while (dq.PopBottom(&v)) popped.push_back(v);
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-
-  std::vector<uint64_t> all = std::move(popped);
-  for (const auto& s : stolen) all.insert(all.end(), s.begin(), s.end());
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), kItems);
-  for (uint64_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(all[i], i) << "item lost or duplicated near " << i;
   }
 }
 
