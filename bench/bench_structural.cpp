@@ -2,10 +2,11 @@
 // word split/join MoveRange) versus replaying the same move as individual
 // leaf edits, at n = 131072 and subtree/range sizes m in {16, 256, 4096}.
 // The transaction re-encodes the covering region once and rebuilds each
-// surviving box once (ApplyCoalesced), so it must beat the 2m-edit replay —
-// the acceptance bar is a >= 5x speedup at m = 4096, pinned in
-// BENCH_structural.json together with the steady-state allocs_per_txn
-// gauge (0 once warm; this binary links treenum_alloc_gauge).
+// surviving box once (one EnumerationPipeline::Apply), so it must beat the
+// 2m-edit replay — the acceptance bar is a >= 5x speedup at m = 4096,
+// pinned in BENCH_structural.json together with the steady-state
+// allocs_per_txn gauge (0 once warm; this binary links
+// treenum_alloc_gauge).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -50,14 +50,14 @@ void BM_Words_Update(benchmark::State& state) {
   for (auto _ : state) {
     switch (rng.Index(3)) {
       case 0:
-        e.Insert(rng.Index(e.word_size() + 1),
+        e.Insert(rng.Index(e.size() + 1),
                  static_cast<Label>(rng.Index(3)));
         break;
       case 1:
-        if (e.word_size() > 1) e.Erase(rng.Index(e.word_size()));
+        if (e.size() > 1) e.Erase(rng.Index(e.size()));
         break;
       default:
-        e.Replace(rng.Index(e.word_size()),
+        e.Replace(rng.Index(e.size()),
                   static_cast<Label>(rng.Index(3)));
         break;
     }
@@ -72,7 +72,7 @@ void BM_Words_BulkMove(benchmark::State& state) {
   WordEnumerator e(RandomText(n, 3), Spanner());
   Rng rng(kSeed);
   for (auto _ : state) {
-    size_t sz = e.word_size();
+    size_t sz = e.size();
     size_t begin = rng.Index(sz - 1);
     size_t end = begin + 1 + rng.Index(sz - begin - 1);
     size_t dst = rng.Index(sz - (end - begin) + 1);

@@ -13,7 +13,7 @@ namespace {
 
 std::string Render(const WordEnumerator& e) {
   std::string s;
-  for (size_t i = 0; i < e.word_size(); ++i) {
+  for (size_t i = 0; i < e.size(); ++i) {
     s += static_cast<char>('a' + e.encoding().LetterAt(i));
   }
   return s;

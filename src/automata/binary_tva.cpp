@@ -7,7 +7,6 @@ namespace treenum {
 
 const std::vector<std::pair<VarMask, State>> BinaryTva::kEmptyLeafInits;
 const std::vector<State> BinaryTva::kEmptyStates;
-const std::vector<Transition> BinaryTva::kEmptyTransitions;
 const std::vector<DeltaGroup> BinaryTva::kEmptyGroups;
 
 void BinaryTva::AddLeafInit(Label l, VarMask vars, State q) {
@@ -74,11 +73,6 @@ const std::vector<State>& BinaryTva::TransitionsFor(Label l, State q1,
   auto it = delta_lookup_.find(key);
   if (it == delta_lookup_.end()) return kEmptyStates;
   return it->second;
-}
-
-const std::vector<Transition>& BinaryTva::TransitionsForLabel(Label l) const {
-  if (l >= transitions_by_label_.size()) return kEmptyTransitions;
-  return transitions_by_label_[l];
 }
 
 const std::vector<DeltaGroup>& BinaryTva::DeltaGroupsFor(Label l) const {

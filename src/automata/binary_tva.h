@@ -93,9 +93,6 @@ class BinaryTva {
   /// All result states q with (l, q1, q2, q) ∈ δ.
   const std::vector<State>& TransitionsFor(Label l, State q1, State q2) const;
 
-  /// All transitions with label l, grouped arbitrarily (for full scans).
-  const std::vector<Transition>& TransitionsForLabel(Label l) const;
-
   /// Grouped-CSR view of δ restricted to label l: one DeltaGroup per live
   /// (left, right) pair, sorted by (left, right), with result states flat in
   /// delta_results(). Iterating groups in order and results within each group
@@ -138,7 +135,6 @@ class BinaryTva {
 
   static const std::vector<std::pair<VarMask, State>> kEmptyLeafInits;
   static const std::vector<State> kEmptyStates;
-  static const std::vector<Transition> kEmptyTransitions;
   static const std::vector<DeltaGroup> kEmptyGroups;
 };
 

@@ -54,18 +54,21 @@ HomogenizedTva HomogenizeBinaryTva(const BinaryTva& a);
 
 // ---- Canonical form and fingerprints (query dedupe) ----
 //
-// The shared-document query registry (core/document.h) maps every
-// registered query to a canonical homogenized automaton: textually
-// different queries that homogenize to the same automaton share one
-// pipeline. Canonicalization renumbers states deterministically (iterated
-// signature refinement over iota/delta/F/kind — a 1-dimensional
-// Weisfeiler-Leman pass) and sorts the relation vectors, so automata that
-// differ only in state numbering or declaration order produce identical
-// canonical forms. Residual refinement ties fall back to the incoming
-// numbering, which makes the scheme *sound* (equal canonical forms are
-// literally equal automata) but not *complete* (isomorphic automata with
-// nontrivial automorphisms may keep distinct forms — they are then served
-// by distinct pipelines, costing memory but never correctness).
+// The process-wide QueryCache (automata/query_cache.h) hash-conses every
+// compiled plan by its canonical homogenized automaton: textually
+// different queries that homogenize to the same automaton share one plan,
+// and so one pipeline per document. Canonicalization renumbers states
+// deterministically — iterated signature refinement over iota/delta/F/kind
+// (a 1-dimensional Weisfeiler-Leman pass), then an
+// individualization-refinement search (homogenize.cpp) that breaks the
+// remaining ties without looking at the incoming numbering — and sorts the
+// relation vectors, so automata that differ only in state numbering or
+// declaration order produce identical canonical forms. Equal canonical
+// forms are always literally equal automata. Only past the search's caps
+// (more than 512 states, or 4096 explored orderings) can the order depend
+// on the incoming numbering, so isomorphic automata there may keep
+// distinct forms — served by distinct plans, costing memory but never
+// correctness.
 
 /// splitmix64 finalizer — the hash primitive behind every automaton
 /// fingerprint in this layer (homogenized, unranked, word).
@@ -89,8 +92,8 @@ void CanonicalizeHomogenizedTva(HomogenizedTva* a);
 
 /// 64-bit structural fingerprint of `a` exactly as given (sizes, kinds and
 /// every relation entry in order). Canonicalize first to make it invariant
-/// under state renumbering and declaration order. Used as the registry
-/// hash key; equality is always confirmed with HomogenizedTvaEqual.
+/// under state renumbering and declaration order. Used as the QueryCache's
+/// canonical-map key; equality is always confirmed with HomogenizedTvaEqual.
 uint64_t FingerprintHomogenizedTva(const HomogenizedTva& a);
 
 /// Exact structural equality (sizes, kind vector, and the leaf-init /

@@ -35,10 +35,6 @@ void Wva::AddFinal(State q) {
   }
 }
 
-bool Wva::IsInitial(State q) const {
-  return q < is_initial_.size() && is_initial_[q];
-}
-
 bool Wva::IsFinal(State q) const {
   return q < is_final_.size() && is_final_[q];
 }

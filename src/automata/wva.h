@@ -52,7 +52,6 @@ class Wva {
   }
   const std::vector<State>& initial_states() const { return initial_states_; }
   const std::vector<State>& final_states() const { return final_states_; }
-  bool IsInitial(State q) const;
   bool IsFinal(State q) const;
 
   /// All (Y, q') reachable from q reading letter l.

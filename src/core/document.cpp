@@ -216,12 +216,6 @@ void DynamicDocument::FanOut(const Fn& fn) {
   }
 }
 
-void DynamicDocument::ChargeRefresh(size_t boxes) {
-  for (const std::unique_ptr<QueryEntry>& e : entries_) {
-    e->boxes_refreshed += boxes;
-  }
-}
-
 void DynamicDocument::PreEdit() {
   if (in_batch_) return;  // drained once, at BeginBatch
   drained_freed_.clear();
@@ -244,42 +238,58 @@ UpdateStats DynamicDocument::Dispatch(const UpdateResult& result) {
     batch_changed_.insert(batch_changed_.end(),
                           result.changed_bottom_up.begin(),
                           result.changed_bottom_up.end());
-    return stats;  // every pipeline refreshed at CommitBatch
+    return stats;  // coalesced with the rest of the batch at CommitBatch
   }
-  FanOut([&result](EnumerationPipeline& p) { p.Apply(result); });
-  stats.boxes_recomputed = result.changed_bottom_up.size() * entries_.size();
-  ChargeRefresh(result.changed_bottom_up.size());
-  // Every box of the new version is current — publish it for readers.
-  snapshots_->Publish();
+  stats.boxes_recomputed = Refresh(result.freed, result.changed_bottom_up);
   return stats;
+}
+
+size_t DynamicDocument::Refresh(const std::vector<TermNodeId>& freed,
+                                const std::vector<TermNodeId>& ordered) {
+  // Only ids dead now release their spans: a slot freed mid-batch and
+  // re-allocated by a later edit is alive and is rebuilt from `ordered`.
+  dead_freed_.clear();
+  for (TermNodeId id : freed) {
+    if (!term_->IsAlive(id)) dead_freed_.push_back(id);
+  }
+  FanOut([this, &ordered](EnumerationPipeline& p) {
+    p.Apply(dead_freed_, ordered);
+  });
+  for (const std::unique_ptr<QueryEntry>& e : entries_) {
+    e->boxes_refreshed += ordered.size();
+  }
+  // Every box of the new version is current — publish it for readers, one
+  // epoch per edit, transaction or batch.
+  snapshots_->Publish();
+  return ordered.size() * entries_.size();
 }
 
 // ---- Tree edits ----
 
 UpdateStats DynamicDocument::Relabel(NodeId n, Label l) {
-  if (word_enc_) return Replace(word_enc_->PositionOf(n), l);
+  TREENUM_CHECK(tree_enc_ != nullptr, "Relabel requires a tree document");
   PreEdit();
   return Dispatch(tree_enc_->Relabel(n, l));
 }
 
 UpdateStats DynamicDocument::InsertFirstChild(NodeId n, Label l,
                                               NodeId* new_node) {
-  if (word_enc_) return WordInsertAt(word_enc_->PositionOf(n), l, new_node);
+  TREENUM_CHECK(tree_enc_ != nullptr,
+                "InsertFirstChild requires a tree document");
   PreEdit();
   return Dispatch(tree_enc_->InsertFirstChild(n, l, new_node));
 }
 
 UpdateStats DynamicDocument::InsertRightSibling(NodeId n, Label l,
                                                 NodeId* new_node) {
-  if (word_enc_) {
-    return WordInsertAt(word_enc_->PositionOf(n) + 1, l, new_node);
-  }
+  TREENUM_CHECK(tree_enc_ != nullptr,
+                "InsertRightSibling requires a tree document");
   PreEdit();
   return Dispatch(tree_enc_->InsertRightSibling(n, l, new_node));
 }
 
 UpdateStats DynamicDocument::DeleteLeaf(NodeId n) {
-  if (word_enc_) return Erase(word_enc_->PositionOf(n));
+  TREENUM_CHECK(tree_enc_ != nullptr, "DeleteLeaf requires a tree document");
   PreEdit();
   return Dispatch(tree_enc_->DeleteLeaf(n));
 }
@@ -304,48 +314,20 @@ UpdateStats DynamicDocument::Erase(size_t pos) {
   return Dispatch(word_enc_->Erase(pos));
 }
 
-UpdateStats DynamicDocument::DispatchTransaction(const UpdateResult& result) {
-  UpdateStats stats;
-  stats.edits_applied = 1;
-  stats.rebuilt_size = result.rebuilt_size;
-  if (in_batch_) {
-    batch_freed_.insert(batch_freed_.end(), result.freed.begin(),
-                        result.freed.end());
-    batch_changed_.insert(batch_changed_.end(),
-                          result.changed_bottom_up.begin(),
-                          result.changed_bottom_up.end());
-    return stats;  // coalesced with the rest of the batch at CommitBatch
-  }
-  // A transaction's freed list may still hold ids pinned by live snapshots;
-  // only the dead ones release their spans now (the rest drain at PreEdit
-  // once the last pinning snapshot retires).
-  dead_freed_.clear();
-  for (TermNodeId id : result.freed) {
-    if (!term_->IsAlive(id)) dead_freed_.push_back(id);
-  }
-  FanOut([this, &result](EnumerationPipeline& p) {
-    p.ApplyCoalesced(dead_freed_, result.changed_bottom_up);
-  });
-  stats.boxes_recomputed = result.changed_bottom_up.size() * entries_.size();
-  ChargeRefresh(result.changed_bottom_up.size());
-  snapshots_->Publish();  // one epoch per transaction
-  return stats;
-}
-
 // ---- Tree structural transactions ----
 
 UpdateStats DynamicDocument::SubtreeMove(NodeId v, NodeId dst,
                                          AttachWhere where) {
   TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeMove requires a tree document");
   PreEdit();
-  return DispatchTransaction(
+  return Dispatch(
       tree_enc_->SubtreeMove(v, dst, where == AttachWhere::kFirstChild));
 }
 
 UpdateStats DynamicDocument::SubtreeDelete(NodeId v) {
   TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeDelete requires a tree document");
   PreEdit();
-  return DispatchTransaction(tree_enc_->SubtreeDelete(v));
+  return Dispatch(tree_enc_->SubtreeDelete(v));
 }
 
 UpdateStats DynamicDocument::SubtreeExtract(NodeId v,
@@ -353,7 +335,7 @@ UpdateStats DynamicDocument::SubtreeExtract(NodeId v,
   TREENUM_CHECK(tree_enc_ != nullptr,
                 "SubtreeExtract requires a tree document");
   PreEdit();
-  return DispatchTransaction(tree_enc_->SubtreeExtract(v, extracted));
+  return Dispatch(tree_enc_->SubtreeExtract(v, extracted));
 }
 
 UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
@@ -362,7 +344,7 @@ UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
                                           NodeId* new_root) {
   TREENUM_CHECK(tree_enc_ != nullptr, "GraftSubtree requires a tree document");
   PreEdit();
-  return DispatchTransaction(tree_enc_->GraftSubtree(
+  return Dispatch(tree_enc_->GraftSubtree(
       src, src_root, dst, where == AttachWhere::kFirstChild, new_root));
 }
 
@@ -371,34 +353,26 @@ UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
 UpdateStats DynamicDocument::MoveRange(size_t begin, size_t end, size_t dst) {
   TREENUM_CHECK(word_enc_ != nullptr, "MoveRange requires a word document");
   PreEdit();
-  return DispatchTransaction(word_enc_->MoveRange(begin, end, dst));
+  return Dispatch(word_enc_->MoveRange(begin, end, dst));
 }
 
 UpdateStats DynamicDocument::EraseRange(size_t begin, size_t end) {
   TREENUM_CHECK(word_enc_ != nullptr, "EraseRange requires a word document");
   PreEdit();
-  return DispatchTransaction(word_enc_->EraseRange(begin, end));
+  return Dispatch(word_enc_->EraseRange(begin, end));
 }
 
 UpdateStats DynamicDocument::ExtractRange(size_t begin, size_t end,
                                           Word* extracted) {
   TREENUM_CHECK(word_enc_ != nullptr, "ExtractRange requires a word document");
   PreEdit();
-  return DispatchTransaction(word_enc_->ExtractRange(begin, end, extracted));
+  return Dispatch(word_enc_->ExtractRange(begin, end, extracted));
 }
 
 UpdateStats DynamicDocument::Concat(const Word& w) {
   TREENUM_CHECK(word_enc_ != nullptr, "Concat requires a word document");
   PreEdit();
-  return DispatchTransaction(word_enc_->Concat(w));
-}
-
-UpdateStats DynamicDocument::WordInsertAt(size_t pos, Label l,
-                                          NodeId* new_node) {
-  PreEdit();
-  UpdateStats stats = Dispatch(word_enc_->Insert(pos, l));
-  if (new_node) *new_node = word_enc_->PositionId(pos);
-  return stats;
+  return Dispatch(word_enc_->Concat(w));
 }
 
 // ---- Batched updates ----
@@ -415,15 +389,10 @@ UpdateStats DynamicDocument::CommitBatch() {
 
   UpdateStats stats;
 
-  // Free each slot that is dead *now*; a slot freed mid-batch and then
-  // re-allocated by a later edit is alive and will be rebuilt below.
+  // Each freed slot once (Refresh keeps the ones that are dead now).
   std::sort(batch_freed_.begin(), batch_freed_.end());
   batch_freed_.erase(std::unique(batch_freed_.begin(), batch_freed_.end()),
                      batch_freed_.end());
-  dead_freed_.clear();
-  for (TermNodeId id : batch_freed_) {
-    if (!term_->IsAlive(id)) dead_freed_.push_back(id);
-  }
 
   // Coalesce: every alive changed node once, deepest first. Each edit's
   // changed_bottom_up conservatively includes the full path to the root,
@@ -455,43 +424,10 @@ UpdateStats DynamicDocument::CommitBatch() {
     ordered_changed_.push_back(id);
   }
 
-  FanOut([this](EnumerationPipeline& p) {
-    p.ApplyCoalesced(dead_freed_, ordered_changed_);
-  });
-  stats.boxes_recomputed = ordered_changed_.size() * entries_.size();
-  ChargeRefresh(ordered_changed_.size());
-
+  // One publish per batch: readers never observe intermediate versions.
+  stats.boxes_recomputed = Refresh(batch_freed_, ordered_changed_);
   batch_freed_.clear();
   batch_changed_.clear();
-  // One publish per transaction: readers never observe intermediate
-  // versions of a batch.
-  snapshots_->Publish();
-  return stats;
-}
-
-UpdateStats DynamicDocument::ApplyEdit(const Edit& e, NodeId* new_node) {
-  switch (e.kind) {
-    case Edit::Kind::kRelabel:
-      return Relabel(e.node, e.label);
-    case Edit::Kind::kInsertFirstChild:
-      return InsertFirstChild(e.node, e.label, new_node);
-    case Edit::Kind::kInsertRightSibling:
-      return InsertRightSibling(e.node, e.label, new_node);
-    case Edit::Kind::kDeleteLeaf:
-      return DeleteLeaf(e.node);
-  }
-  return UpdateStats{};
-}
-
-UpdateStats DynamicDocument::ApplyEdits(const std::vector<Edit>& edits) {
-  UpdateStats stats;
-  if (in_batch_) {
-    for (const Edit& e : edits) stats += ApplyEdit(e);
-    return stats;
-  }
-  BeginBatch();
-  for (const Edit& e : edits) stats += ApplyEdit(e);
-  stats += CommitBatch();
   return stats;
 }
 

@@ -8,15 +8,18 @@
 //
 //   * The document owns exactly one encoding — the balanced tree term
 //     (`DynamicEncoding`) or the word AVL term (`WordEncoding`). Each edit
-//     mutates the term once and produces one `UpdateResult`.
+//     or structural transaction mutates the term once and produces one
+//     `UpdateResult` whose changed list is already children-first.
 //   * Every registered query owns one `EnumerationPipeline` (circuit, jump
-//     index, optional counts) over the shared term. The per-edit
-//     UpdateResult is broadcast to all of them, so the encoding half of
-//     update maintenance is paid once regardless of Q.
+//     index, optional counts) over the shared term. Every UpdateResult goes
+//     through one dispatch: outside a batch it is broadcast to all
+//     pipelines (EnumerationPipeline::Apply) and published at once, so the
+//     encoding half of update maintenance is paid once regardless of Q.
 //   * Batch transactions (BeginBatch/CommitBatch/ApplyEdits) are coalesced
 //     at the document: the freed/changed term-node sets of the whole batch
 //     are merged, filtered against the term, and depth-ordered exactly
-//     once; each pipeline then consumes the same merged changed-box set.
+//     once; each pipeline then consumes the same merged changed-box set
+//     through the same Apply.
 //   * Registered queries are *deduplicated* by compiled-plan identity:
 //     the shared QueryCache (automata/query_cache.h) hash-conses every
 //     plan, so textually different but automaton-identical queries arrive
@@ -218,9 +221,6 @@ class DynamicDocument {
   /// and builds a fresh pipeline over the current term. Not allowed
   /// mid-batch.
   void set_pipeline_cap(size_t cap);
-  /// Current cap (kDefaultPipelineCap unless overridden; kNoPipelineCap
-  /// disables eviction entirely).
-  size_t pipeline_cap() const { return pipeline_cap_; }
   /// Registry + refresh-cost observability snapshot.
   DocumentStats stats() const;
 
@@ -322,6 +322,7 @@ class DynamicDocument {
   size_t live_snapshots() const { return snapshots_->live_snapshots(); }
 
   // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) + fan-out ----
+  // Tree documents only; word documents edit by position (below).
   // UpdateStats totals are summed across pipelines (distinct live queries
   // + warm ones): boxes_recomputed counts every per-pipeline box refresh.
 
@@ -338,9 +339,9 @@ class DynamicDocument {
   // ---- Tree structural transactions ----
   // Each call is ONE transaction: the term region covering the subtree is
   // re-encoded once, every surviving box is rebuilt once per pipeline
-  // (ApplyCoalesced — arena spans recycle instead of free/realloc), and
-  // one snapshot epoch is published. Inside a batch the transaction
-  // coalesces with the other recorded edits as usual.
+  // (arena spans recycle instead of free/realloc), and one snapshot epoch
+  // is published. Inside a batch the transaction coalesces with the other
+  // recorded edits as usual.
 
   /// Moves the subtree at `v` to `dst` (which must be outside the subtree).
   UpdateStats SubtreeMove(NodeId v, NodeId dst,
@@ -390,12 +391,15 @@ class DynamicDocument {
   /// True while a transaction is open.
   bool in_batch() const { return in_batch_; }
 
-  /// Applies one Edit (tree vocabulary; on word documents Edit::node is a
-  /// stable position id, exactly as in WordEnumerator's Engine surface).
-  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr);
+  /// Applies one tree Edit (tree documents only).
+  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr) {
+    return ApplyEditTo(*this, e, new_node);
+  }
   /// Applies a whole edit script in one transaction; if a batch is already
   /// open the edits join it and the commit stays with the caller.
-  UpdateStats ApplyEdits(const std::vector<Edit>& edits);
+  UpdateStats ApplyEdits(const std::vector<Edit>& edits) {
+    return ApplyEditsTo(*this, edits);
+  }
 
  private:
   /// One deduplicated query: the refcounted pipeline (whose plan pointer
@@ -439,21 +443,21 @@ class DynamicDocument {
   /// reclaiming their node versions, and releases the freed boxes in every
   /// pipeline — so the edit's path copies can recycle those ids and spans.
   void PreEdit();
-  /// Broadcasts one UpdateResult (outside a batch) or records it (inside).
+  /// The one dispatch of every edit and transaction: inside a batch it
+  /// records the result for CommitBatch; outside, it refreshes the
+  /// result's changed list as is — the encoding already ordered it
+  /// children-first and deduplicated it.
   UpdateStats Dispatch(const UpdateResult& result);
-  /// Dispatch for structural transactions: the result's changed set is
-  /// already coalesced (children-first, deduplicated), so every pipeline
-  /// consumes it through ApplyCoalesced — each surviving box rebuilt once,
-  /// circuit/index spans reserved and recycled up front. Records like
-  /// Dispatch when a batch is open.
-  UpdateStats DispatchTransaction(const UpdateResult& result);
+  /// The shared tail of Dispatch and CommitBatch: fans the ids of `freed`
+  /// that are dead now and `ordered` (children-first) out to every
+  /// pipeline, charges the refresh cost and publishes the new version.
+  /// Returns the box refreshes summed over pipelines.
+  size_t Refresh(const std::vector<TermNodeId>& freed,
+                 const std::vector<TermNodeId>& ordered);
   /// Runs fn(pipeline) on every pipeline — on the pool when parallel
   /// fan-out is enabled, else inline in build order.
   template <typename Fn>
   void FanOut(const Fn& fn);
-  UpdateStats WordInsertAt(size_t pos, Label l, NodeId* new_node);
-  /// Charges `boxes` refreshes to every pipeline's cost counter.
-  void ChargeRefresh(size_t boxes);
   /// Evicts warm pipelines (cost-aware, see set_pipeline_cap) until the
   /// cap holds or only active pipelines remain.
   void EnforceCap();

@@ -1,14 +1,12 @@
-// The shared engine surface: every enumeration backend (the paper's
-// dynamic tree engine, the AVL word engine of Corollary 8.4, and the two
-// Table-1 baselines) implements this interface, so tests and benchmarks
-// drive all of them through one API.
+// The shared surface of the tree engines: the paper's dynamic tree engine
+// (TreeEnumerator) and the two Table-1 baselines implement this interface,
+// so tests and benchmarks drive all of them through one API. The word
+// engine (WordEnumerator, Corollary 8.4) edits by position instead and is
+// not an Engine.
 //
-// The update vocabulary is the edit set of Definition 7.1. For word
-// engines, nodes are *stable position ids* (a word is a forest of
-// single-node trees): Relabel replaces the letter, InsertRightSibling
-// inserts immediately after, InsertFirstChild inserts immediately before
-// (positions have no children, so the slot is reused for the only
-// remaining adjacency), and DeleteLeaf erases the position.
+// The update vocabulary is the edit set of Definition 7.1, also available
+// as Edit values; ApplyEditTo/ApplyEditsTo are the one dispatch of an Edit,
+// shared by Engine and DynamicDocument (core/document.h).
 //
 // Batched updates: BeginBatch()/CommitBatch() bracket a transaction in
 // which edits mutate the input immediately but derived structures
@@ -52,7 +50,7 @@ struct Edit {
   };
 
   Kind kind = Kind::kRelabel;      ///< Which of the four edit ops.
-  NodeId node = kNoNode;           ///< Target node (or word position id).
+  NodeId node = kNoNode;           ///< Target node.
   Label label = 0;                 ///< Unused by kDeleteLeaf.
 
   /// Value form of Engine::Relabel.
@@ -69,9 +67,42 @@ struct Edit {
   static Edit DeleteLeaf(NodeId n) { return {Kind::kDeleteLeaf, n, 0}; }
 };
 
-/// The shared surface of every enumeration backend (dynamic tree engine,
-/// AVL word engine, Table-1 baselines): enumeration, Definition 7.1
-/// updates, and transactional batching.
+/// Applies one Edit to `target` (an Engine or a DynamicDocument) by
+/// calling the matching edit operation.
+template <typename Target>
+UpdateStats ApplyEditTo(Target& target, const Edit& e,
+                        NodeId* new_node = nullptr) {
+  switch (e.kind) {
+    case Edit::Kind::kRelabel:
+      return target.Relabel(e.node, e.label);
+    case Edit::Kind::kInsertFirstChild:
+      return target.InsertFirstChild(e.node, e.label, new_node);
+    case Edit::Kind::kInsertRightSibling:
+      return target.InsertRightSibling(e.node, e.label, new_node);
+    case Edit::Kind::kDeleteLeaf:
+      return target.DeleteLeaf(e.node);
+  }
+  return UpdateStats{};
+}
+
+/// Applies a whole edit script to `target` in one transaction (BeginBatch,
+/// the edits, CommitBatch) and returns the combined stats. When `target`
+/// already has an open batch, the edits join it and the commit stays with
+/// the caller.
+template <typename Target>
+UpdateStats ApplyEditsTo(Target& target, const std::vector<Edit>& edits) {
+  const bool own_batch = !target.in_batch();
+  if (own_batch) target.BeginBatch();
+  UpdateStats total;
+  for (const Edit& e : edits) total += ApplyEditTo(target, e);
+  if (own_batch) total += target.CommitBatch();
+  total.edits_applied = edits.size();
+  return total;
+}
+
+/// The shared surface of the tree engines (dynamic tree engine, Table-1
+/// baselines): enumeration, Definition 7.1 updates, and transactional
+/// batching.
 class Engine {
  public:
   /// Type-erased pull cursor over satisfying assignments. Invalidated by
@@ -92,7 +123,7 @@ class Engine {
   virtual std::unique_ptr<Cursor> MakeCursor() const = 0;
   /// Boolean answer: is there at least one satisfying assignment?
   virtual bool HasAnswer() const = 0;
-  /// Current input size (tree nodes / word letters).
+  /// Current input size (tree nodes).
   virtual size_t size() const = 0;
 
   // ---- Updates ----
@@ -123,12 +154,13 @@ class Engine {
   virtual bool in_batch() const { return false; }
 
   /// Applies one Edit by dispatching to the virtual ops above.
-  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr);
-  /// Applies a whole edit script in one transaction (BeginBatch, the
-  /// edits, CommitBatch); returns the combined stats. When the caller
-  /// already holds an open batch, the edits join that batch instead and
-  /// the commit stays with the caller.
-  virtual UpdateStats ApplyEdits(const std::vector<Edit>& edits);
+  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr) {
+    return ApplyEditTo(*this, e, new_node);
+  }
+  /// Applies a whole edit script in one transaction (see ApplyEditsTo).
+  UpdateStats ApplyEdits(const std::vector<Edit>& edits) {
+    return ApplyEditsTo(*this, edits);
+  }
 };
 
 }  // namespace treenum

@@ -56,28 +56,15 @@ void EnumerationPipeline::ReleaseBox(TermNodeId id) {
   if (counter_) counter_->FreeBoxCounts(id);
 }
 
-UpdateStats EnumerationPipeline::Apply(const UpdateResult& result) {
-  UpdateStats stats;
-  stats.edits_applied = 1;
-  stats.rebuilt_size = result.rebuilt_size;
-  for (TermNodeId id : result.freed) ReleaseBox(id);
-  for (TermNodeId id : result.changed_bottom_up) RefreshBox(id);
-  stats.boxes_recomputed = result.changed_bottom_up.size();
-  return stats;
-}
-
-UpdateStats EnumerationPipeline::ApplyCoalesced(
+void EnumerationPipeline::Apply(
     const std::vector<TermNodeId>& dead_freed,
     const std::vector<TermNodeId>& ordered_changed) {
-  UpdateStats stats;
   for (TermNodeId id : dead_freed) ReleaseBox(id);
   circuit_.ReserveForRebuild(ordered_changed.size());
   if (mode_ == BoxEnumMode::kIndexed) {
     index_.ReserveForRebuild(ordered_changed.size());
   }
   for (TermNodeId id : ordered_changed) RefreshBox(id);
-  stats.boxes_recomputed = ordered_changed.size();
-  return stats;
 }
 
 void EnumerationPipeline::ReleaseBoxes(const std::vector<TermNodeId>& freed) {

@@ -5,20 +5,18 @@
 // instantiated over different encodings: a balanced forest-algebra term
 // (tree `DynamicEncoding` or word AVL `WordEncoding`) feeds an assignment
 // circuit (Lemma 3.7), a jump index (Lemma 6.3), and optionally dynamic
-// run counts. This class concentrates the maintenance logic that
-// TreeEnumerator and WordEnumerator previously duplicated: consuming the
-// `UpdateResult` of any encoding backend and refreshing circuit boxes,
-// index entries, and count vectors along the changed path (Lemma 7.3).
+// run counts. Its one maintenance entry point, Apply(), releases the boxes
+// of freed term nodes and refreshes circuit boxes, index entries, and
+// count vectors along a children-first changed list (Lemma 7.3).
 //
 // A pipeline does not own its term: the `DynamicDocument` layer
-// (core/document.h) owns one encoding and fans each edit's UpdateResult
-// out to every pipeline registered on it — possibly from worker threads,
-// which is safe because during a refresh the pipelines share only the
-// already-mutated, now-immutable term, and everything a refresh writes
-// (circuit arena, index pools, counts) is pipeline-private. Batch
-// *coalescing* also lives in the document (it depends only on the term,
-// so it is computed once per commit, not once per query); the pipeline
-// exposes ApplyCoalesced() to consume the merged changed-box set.
+// (core/document.h) owns one encoding and fans every edit, transaction or
+// committed batch out to each pipeline registered on it — possibly from
+// worker threads, which is safe because during a refresh the pipelines
+// share only the already-mutated, now-immutable term, and everything a
+// refresh writes (circuit arena, index pools, counts) is pipeline-private.
+// Batch *coalescing* also lives in the document (it depends only on the
+// term, so it is computed once per commit, not once per query).
 //
 // Reads always go through a pinned snapshot (core/snapshot.h): a pinned
 // version is frozen — its node versions are never mutated or freed and its
@@ -40,7 +38,6 @@
 #include "core/snapshot.h"
 #include "enumeration/enumerate.h"
 #include "enumeration/index.h"
-#include "falgebra/update.h"
 
 namespace treenum {
 
@@ -71,7 +68,7 @@ class EnumerationPipeline {
  public:
   /// Builds the circuit (and, in kIndexed mode, the jump index) over
   /// `term`, which must outlive the pipeline and is mutated externally by
-  /// the encoding backend that produces the UpdateResults fed to Apply().
+  /// the encoding backend whose changes are fed to Apply().
   /// The automaton is a compiled plan shared with the query cache
   /// (automata/query_cache.h), not owned. The term must already carry a
   /// published snapshot: the pipeline serves that snapshot and every later
@@ -112,23 +109,19 @@ class EnumerationPipeline {
 
   // ---- Incremental maintenance ----
 
-  /// Consumes one encoding UpdateResult immediately: releases the freed
-  /// boxes and refreshes the changed ones in the given (children-first)
-  /// order.
-  UpdateStats Apply(const UpdateResult& result);
-
-  /// Consumes a document-coalesced transaction: `dead_freed` are the term
-  /// ids dead at commit (a slot freed mid-batch and re-allocated by a
-  /// later edit is alive and appears in `ordered_changed` instead);
-  /// `ordered_changed` are the surviving changed ids, deepest first, each
-  /// refreshed exactly once. Pre-grows the circuit/index pools for the
-  /// whole transaction so the refresh loop never re-grows a pool tail.
-  UpdateStats ApplyCoalesced(const std::vector<TermNodeId>& dead_freed,
-                             const std::vector<TermNodeId>& ordered_changed);
+  /// Consumes one edit, transaction or committed batch: releases the boxes
+  /// of `dead_freed` (term ids dead now — a slot freed mid-batch and
+  /// re-allocated by a later edit is alive and appears in
+  /// `ordered_changed` instead), then refreshes every id of
+  /// `ordered_changed` once, children first. Pre-grows the circuit/index
+  /// pools for the whole list so the refresh loop never re-grows a pool
+  /// tail.
+  void Apply(const std::vector<TermNodeId>& dead_freed,
+             const std::vector<TermNodeId>& ordered_changed);
 
   /// Releases the boxes of term-node versions reclaimed when a retired
-  /// snapshot was drained — the deferred counterpart of an UpdateResult's
-  /// freed list, broadcast by the document before the next edit.
+  /// snapshot was drained — the deferred counterpart of Apply's freed
+  /// list, broadcast by the document before the next edit.
   void ReleaseBoxes(const std::vector<TermNodeId>& freed);
 
   // ---- Query surface, at a pinned snapshot ----

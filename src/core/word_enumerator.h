@@ -6,10 +6,11 @@
 // Like TreeEnumerator, a thin view over a private single-query
 // DynamicDocument (the word-backed variant); all derived-state maintenance
 // is shared with the tree engine through the document layer and
-// EnumerationPipeline. As an Engine, its NodeIds are the stable position
-// ids: Relabel = replace the letter, InsertRightSibling = insert after,
-// InsertFirstChild = insert before, DeleteLeaf = erase. Multi-spanner
-// serving over one shared word goes through DynamicDocument directly.
+// EnumerationPipeline. It edits by logical position (Replace / Insert /
+// Erase / MoveRange), so it is not a tree Engine; it offers the same read
+// and batching members. Answers name stable position ids (PositionOf maps
+// them back). Multi-spanner serving over one shared word goes through
+// DynamicDocument directly.
 #ifndef TREENUM_CORE_WORD_ENUMERATOR_H_
 #define TREENUM_CORE_WORD_ENUMERATOR_H_
 
@@ -26,13 +27,13 @@
 
 namespace treenum {
 
-class WordEnumerator : public Engine {
+class WordEnumerator {
  public:
   WordEnumerator(const Word& w, const Wva& query,
                  BoxEnumMode mode = BoxEnumMode::kIndexed);
 
-  size_t word_size() const { return doc_.word_encoding().size(); }
-  size_t size() const override { return doc_.word_encoding().size(); }
+  /// Current number of letters.
+  size_t size() const { return doc_.word_encoding().size(); }
   size_t width() const { return pipe_->width(); }
   const WordEncoding& encoding() const { return doc_.word_encoding(); }
 
@@ -41,15 +42,15 @@ class WordEnumerator : public Engine {
 
   /// Satisfying assignments; singleton NodeIds are *stable position ids* —
   /// translate to current positions with PositionOf.
-  std::vector<Assignment> EnumerateAll() const override {
+  std::vector<Assignment> EnumerateAll() const {
     return EnumerateAt(CurrentSnapshot());
   }
   /// Cursor at the current snapshot (co-owns the pin).
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override {
+  std::unique_ptr<Engine::Cursor> MakeCursor() const {
     return MakeCursorAt(CurrentSnapshot());
   }
   /// Boolean answer at the current snapshot.
-  bool HasAnswer() const override { return HasAnswerAt(CurrentSnapshot()); }
+  bool HasAnswer() const { return HasAnswerAt(CurrentSnapshot()); }
   /// Current logical position of a stable position id.
   size_t PositionOf(NodeId id) const {
     return doc_.word_encoding().PositionOf(id);
@@ -87,23 +88,10 @@ class WordEnumerator : public Engine {
     return doc_.MoveRange(begin, end, dst);
   }
 
-  // ---- Engine edit surface, by stable position id ----
-  UpdateStats Relabel(NodeId n, Label l) override {
-    return doc_.Relabel(n, l);
-  }
-  UpdateStats InsertFirstChild(NodeId n, Label l,
-                               NodeId* new_node = nullptr) override {
-    return doc_.InsertFirstChild(n, l, new_node);
-  }
-  UpdateStats InsertRightSibling(NodeId n, Label l,
-                                 NodeId* new_node = nullptr) override {
-    return doc_.InsertRightSibling(n, l, new_node);
-  }
-  UpdateStats DeleteLeaf(NodeId n) override { return doc_.DeleteLeaf(n); }
-
-  void BeginBatch() override { doc_.BeginBatch(); }
-  UpdateStats CommitBatch() override { return doc_.CommitBatch(); }
-  bool in_batch() const override { return doc_.in_batch(); }
+  // ---- Batched updates (see core/document.h) ----
+  void BeginBatch() { doc_.BeginBatch(); }
+  UpdateStats CommitBatch() { return doc_.CommitBatch(); }
+  bool in_batch() const { return doc_.in_batch(); }
 
   DynamicDocument& document() { return doc_; }
   const DynamicDocument& document() const { return doc_; }

@@ -10,13 +10,6 @@ void InitialRelationInto(size_t num_unions, const std::vector<uint32_t>& gamma,
   for (size_t i = 0; i < gamma.size(); ++i) out->Set(gamma[i], i);
 }
 
-BitMatrix InitialRelation(size_t num_unions,
-                          const std::vector<uint32_t>& gamma) {
-  BitMatrix r;
-  InitialRelationInto(num_unions, gamma, &r);
-  return r;
-}
-
 void WireRelationInto(const AssignmentCircuit& circuit, TermNodeId box,
                       int side, BitMatrix* out) {
   const Term& term = circuit.term();
@@ -33,13 +26,6 @@ void WireRelationInto(const AssignmentCircuit& circuit, TermNodeId box,
       out->Set(static_cast<size_t>(d), u);
     }
   }
-}
-
-BitMatrix WireRelation(const AssignmentCircuit& circuit, TermNodeId box,
-                       int side) {
-  BitMatrix r;
-  WireRelationInto(circuit, box, side, &r);
-  return r;
 }
 
 // ---------------------------------------------------------------- Indexed

@@ -106,19 +106,13 @@ class NaiveBoxEnum : public BoxEnumCursor {
   std::vector<uint32_t> gates_;
 };
 
-/// Builds the initial relation {(g, g) | g ∈ Γ} (rows = box ∪-gates, cols =
-/// Γ positions).
-BitMatrix InitialRelation(size_t num_unions,
-                          const std::vector<uint32_t>& gamma);
-/// Reuse variant of InitialRelation.
+/// Writes the initial relation {(g, g) | g ∈ Γ} (rows = box ∪-gates, cols =
+/// Γ positions) into `out`.
 void InitialRelationInto(size_t num_unions, const std::vector<uint32_t>& gamma,
                          BitMatrix* out);
 
-/// Wire relation R(child, box) computed from the circuit (for NaiveBoxEnum
-/// and tests); side 0 = left.
-BitMatrix WireRelation(const AssignmentCircuit& circuit, TermNodeId box,
-                       int side);
-/// Reuse variant of WireRelation.
+/// Writes the wire relation R(child, box) computed from the circuit (for
+/// NaiveBoxEnum) into `out`; side 0 = left.
 void WireRelationInto(const AssignmentCircuit& circuit, TermNodeId box,
                       int side, BitMatrix* out);
 

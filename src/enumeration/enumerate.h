@@ -89,7 +89,7 @@ class AssignmentCursor {
 };
 
 /// Convenience: run a cursor to completion and return all assignments
-/// (sorted). Used by tests and the recompute baselines.
+/// (sorted). Used by tests.
 std::vector<Assignment> CollectAll(AssignmentCursor& cursor);
 
 }  // namespace treenum

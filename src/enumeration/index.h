@@ -60,8 +60,6 @@ class BoxIndex {
   size_t num_cands() const { return num_cands_; }
 
   TermNodeId cand_box(int32_t c) const { return cands_[c].box; }
-  uint8_t cand_source(int32_t c) const { return cands_[c].source; }
-  int32_t cand_child(int32_t c) const { return cands_[c].child_cand; }
   /// R(cand box, B) of candidate c.
   BitMatrixView cand_rel(int32_t c) const {
     const BitsRef& r = cands_[c].rel;
@@ -151,11 +149,6 @@ class EnumIndex {
   /// relations have the dimensions Definition 6.1 dictates. Returns an
   /// empty string if consistent. (Test hook.)
   std::string ValidateStorage() const;
-
-  /// fib(Γ) as a candidate index at `box`; see BoxIndex::FibLocal.
-  int32_t FibOfSet(TermNodeId box, const std::vector<uint32_t>& gates) const {
-    return at(box).FibLocal(gates);
-  }
 
   /// lca{span(g)} as a candidate index; see BoxIndex::SpanLocal.
   int32_t SpanOfSet(TermNodeId box, const std::vector<uint32_t>& gates) const {

@@ -1,5 +1,6 @@
 #include "falgebra/term.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <stdexcept>
@@ -26,8 +27,8 @@ TermNodeId Term::Alloc() {
 
 void Term::DecRef(TermNodeId id) {
   TermNode& t = nodes_[id];
-  // Raw frees (FreeNode/FreeSubterm) zero the count of dead nodes; a stale
-  // parent slot pointing at one is tolerated outside snapshot mode.
+  // An alive node holds at least one counted reference; only a dead node
+  // can be at zero here, and releasing it again is a no-op.
   assert(t.refs > 0 || !t.alive);
   if (t.refs > 0 && --t.refs == 0) zero_pending_.push_back(id);
 }
@@ -109,12 +110,36 @@ void Term::SweepZeros(std::vector<TermNodeId>* freed) {
     --num_alive_;
     if (freed) freed->push_back(id);
     if (t.left != kNoTerm) {
-      // Push left then right so the right subtree is reclaimed first —
-      // same DFS order as the historical FreeSubterm.
+      // Push left then right so the right subtree is reclaimed first.
       DecRef(t.left);
       DecRef(t.right);
     }
   }
+}
+
+void Term::EndEdit(std::vector<TermNodeId>& freed,
+                   std::vector<TermNodeId>& leaf_of,
+                   std::vector<TermNodeId>& changed) {
+  SweepZeros(&freed);
+  for (const auto& [old_id, new_id] : remap_log_) {
+    if (!IsAlive(new_id) || !IsLeaf(new_id)) continue;
+    NodeId n = nodes_[new_id].tree_node;
+    if (n < leaf_of.size() && leaf_of[n] == old_id) leaf_of[n] = new_id;
+  }
+  // Keep the last occurrence of each id and drop dead ones (e.g. splice-path
+  // nodes freed by a later rebuild or split in the same edit).
+  if (seen_stamp_.size() < nodes_.size()) seen_stamp_.resize(nodes_.size(), 0);
+  if (++seen_epoch_ == 0) {
+    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
+    seen_epoch_ = 1;
+  }
+  filter_out_.clear();
+  for (auto it = changed.rbegin(); it != changed.rend(); ++it) {
+    if (seen_stamp_[*it] == seen_epoch_) continue;
+    seen_stamp_[*it] = seen_epoch_;
+    if (IsAlive(*it)) filter_out_.push_back(*it);
+  }
+  changed.assign(filter_out_.rbegin(), filter_out_.rend());
 }
 
 void Term::PinRoot(TermNodeId r) {
@@ -272,10 +297,6 @@ void Term::SetLabel(TermNodeId id, Label label) {
   assert(!frozen(id));
   nodes_[id].label = label;
 }
-void Term::SetTreeNode(TermNodeId id, NodeId n) {
-  assert(!frozen(id));
-  nodes_[id].tree_node = n;
-}
 void Term::SetContext(TermNodeId id, bool is_context) {
   assert(!frozen(id));
   nodes_[id].is_context = is_context;
@@ -299,29 +320,6 @@ void Term::RecomputeUp(TermNodeId id, std::vector<TermNodeId>* path) {
     RecomputeNode(id);
     if (path) path->push_back(id);
     id = nodes_[id].parent;
-  }
-}
-
-void Term::FreeNode(TermNodeId id) {
-  assert(IsAlive(id));
-  assert(live_pins_ == 0 && "raw free while snapshots are pinned");
-  nodes_[id].alive = false;
-  nodes_[id].refs = 0;
-  free_list_.push_back(id);
-  --num_alive_;
-}
-
-void Term::FreeSubterm(TermNodeId id, std::vector<TermNodeId>* freed) {
-  std::vector<TermNodeId> stack{id};
-  while (!stack.empty()) {
-    TermNodeId n = stack.back();
-    stack.pop_back();
-    if (nodes_[n].left != kNoTerm) {
-      stack.push_back(nodes_[n].left);
-      stack.push_back(nodes_[n].right);
-    }
-    if (freed) freed->push_back(n);
-    FreeNode(n);
   }
 }
 

@@ -148,19 +148,11 @@ class Term {
   /// Changes the label of a node in place (used by relabelings and by the
   /// context→forest retyping walk of leaf deletion). `id` must be mutable.
   void SetLabel(TermNodeId id, Label label);
-  void SetTreeNode(TermNodeId id, NodeId n);
   void SetContext(TermNodeId id, bool is_context);
 
   /// Recomputes size/height from `id` upward to the root; appends the
   /// visited ids (bottom-up, starting at id) to `path` if non-null.
   void RecomputeUp(TermNodeId id, std::vector<TermNodeId>* path = nullptr);
-
-  /// Frees the node `id` only (not its subtree). Raw primitive that bypasses
-  /// reference counts — must not be used while snapshots are pinned.
-  void FreeNode(TermNodeId id);
-  /// Frees the whole subtree rooted at `id`; appends freed ids if non-null.
-  /// Raw primitive bypassing reference counts (see FreeNode).
-  void FreeSubterm(TermNodeId id, std::vector<TermNodeId>* freed = nullptr);
 
   // ---- Copy-on-write snapshot support ----
 
@@ -175,22 +167,27 @@ class Term {
 
   /// Returns a mutable version of `id`: `id` itself when not frozen, else a
   /// path-copy (the copy's ancestors are copied too, up to the root / first
-  /// already-mutable ancestor). Records (old, new) pairs in remap_log().
+  /// already-mutable ancestor). Records (old, new) pairs for EndEdit's remap.
   TermNodeId EnsureMutable(TermNodeId id);
 
   /// Starts an edit: clears the remap log. Each public edit operation of the
   /// encodings calls this once on entry.
   void BeginEdit() { remap_log_.clear(); }
 
-  /// (old, new) id pairs produced by EnsureMutable since BeginEdit — used by
-  /// the encodings to fix their leaf/position maps.
-  const std::vector<std::pair<TermNodeId, TermNodeId>>& remap_log() const {
-    return remap_log_;
-  }
+  /// Ends an edit — the step every update shares (Lemma 7.3): sweeps the
+  /// zero-reference nodes into `freed`, re-points `leaf_of` (indexed by the
+  /// tree node or word position a leaf carries) at the leaves path-copied
+  /// since BeginEdit, and reduces `changed` to the last alive occurrence of
+  /// each id, order preserved — so a children-first list stays
+  /// children-first. Each public edit operation of the encodings calls this
+  /// once on exit.
+  void EndEdit(std::vector<TermNodeId>& freed,
+               std::vector<TermNodeId>& leaf_of,
+               std::vector<TermNodeId>& changed);
 
   /// Reclaims every queued zero-reference node, cascading into children
-  /// whose counts drop to zero; appends freed ids if non-null. Called at the
-  /// end of each edit operation and after UnpinRoot.
+  /// whose counts drop to zero; appends freed ids if non-null. Called by
+  /// EndEdit and after UnpinRoot.
   void SweepZeros(std::vector<TermNodeId>* freed = nullptr);
 
   /// Pins `r` as a snapshot root: readers may traverse the version rooted at
@@ -264,6 +261,10 @@ class Term {
   size_t live_pins_ = 0;
   std::vector<TermNodeId> zero_pending_;
   std::vector<std::pair<TermNodeId, TermNodeId>> remap_log_;
+  // EndEdit's dedupe marks and filter output (reused across edits).
+  std::vector<uint32_t> seen_stamp_;
+  uint32_t seen_epoch_ = 0;
+  std::vector<TermNodeId> filter_out_;
   uint64_t path_copies_ = 0;
   uint64_t nodes_recycled_ = 0;
 };

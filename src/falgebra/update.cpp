@@ -18,42 +18,11 @@ bool AttachedToRoot(const Term& term, TermNodeId id) {
 
 }  // namespace
 
-// Keeps the last occurrence of each id, preserving relative order, and drops
-// ids that are not alive (e.g. splice-path nodes freed by a later rebuild in
-// the same update).
-void DynamicEncoding::FilterChanged(std::vector<TermNodeId>& v) {
-  const Term& term = enc_.term;
-  if (seen_stamp_.size() < term.id_bound()) {
-    seen_stamp_.resize(term.id_bound(), 0);
-  }
-  if (++seen_epoch_ == 0) {
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    seen_epoch_ = 1;
-  }
-  filter_out_.clear();
-  for (auto it = v.rbegin(); it != v.rend(); ++it) {
-    if (seen_stamp_[*it] == seen_epoch_) continue;
-    seen_stamp_[*it] = seen_epoch_;
-    if (term.IsAlive(*it)) filter_out_.push_back(*it);
-  }
-  v.assign(filter_out_.rbegin(), filter_out_.rend());
-}
-
 DynamicEncoding::DynamicEncoding(UnrankedTree tree, size_t num_base_labels)
     : enc_(EncodeTree(std::move(tree), num_base_labels)) {}
 
 void DynamicEncoding::EnsureLeafSlot(NodeId n) {
   if (enc_.leaf_of.size() <= n) enc_.leaf_of.resize(n + 1, kNoTerm);
-}
-
-void DynamicEncoding::ApplyRemap() {
-  const Term& term = enc_.term;
-  for (const auto& [old_id, new_id] : term.remap_log()) {
-    if (!term.IsAlive(new_id) || !term.IsLeaf(new_id)) continue;
-    NodeId n = term.node(new_id).tree_node;
-    if (n == kNoNode || n >= enc_.leaf_of.size()) continue;
-    if (enc_.leaf_of[n] == old_id) enc_.leaf_of[n] = new_id;
-  }
 }
 
 void DynamicEncoding::FinishStructural(TermNodeId from, UpdateResult& result) {
@@ -105,9 +74,7 @@ void DynamicEncoding::RebalanceLoop(UpdateResult& result) {
 
 void DynamicEncoding::FinishTransaction(UpdateResult& result) {
   RebalanceLoop(result);
-  enc_.term.SweepZeros(&result.freed);
-  ApplyRemap();
-  FilterChanged(result.changed_bottom_up);
+  enc_.term.EndEdit(result.freed, enc_.leaf_of, result.changed_bottom_up);
 }
 
 UpdateResult& DynamicEncoding::ResetResult() {
@@ -132,66 +99,26 @@ const UpdateResult& DynamicEncoding::Relabel(NodeId n, Label l) {
   for (TermNodeId x = leaf; x != kNoTerm; x = term.node(x).parent) {
     result.changed_bottom_up.push_back(x);
   }
-  term.SweepZeros(&result.freed);
-  ApplyRemap();
+  term.EndEdit(result.freed, enc_.leaf_of, result.changed_bottom_up);
   return result;
 }
 
-const UpdateResult& DynamicEncoding::InsertRightSibling(NodeId n, Label l,
-                                                        NodeId* new_node) {
+const UpdateResult& DynamicEncoding::InsertLeaf(NodeId n, Label l,
+                                                bool as_first_child,
+                                                NodeId* new_node) {
   UpdateResult& result = ResetResult();
-  NodeId u = enc_.tree.InsertRightSibling(n, l);
+  UnrankedTree& tree = enc_.tree;
+  bool was_leaf = tree.IsLeaf(n);
+  NodeId u = as_first_child ? tree.InsertFirstChild(n, l)
+                            : tree.InsertRightSibling(n, l);
   if (new_node) *new_node = u;
   EnsureLeafSlot(u);
   Term& term = enc_.term;
   term.BeginEdit();
-  const TermAlphabet& alphabet = term.alphabet();
-
-  TermNodeId leaf_n = enc_.leaf_of[n];
-  TermNodeId leaf_u = term.NewLeaf(alphabet.TreeLeaf(l), u);
+  TermNodeId leaf_u = term.NewLeaf(term.alphabet().TreeLeaf(l), u);
   enc_.leaf_of[u] = leaf_u;
   result.changed_bottom_up.push_back(leaf_u);
-
-  TermOp op = term.node(leaf_n).is_context ? TermOp::kConcatVH
-                                           : TermOp::kConcatHH;
-  TermNodeId nn = term.SpliceOp(op, leaf_n, leaf_u, /*fresh_on_left=*/false);
-  FinishStructural(nn, result);
-  return result;
-}
-
-const UpdateResult& DynamicEncoding::InsertFirstChild(NodeId n, Label l,
-                                                      NodeId* new_node) {
-  UpdateResult& result = ResetResult();
-  bool was_leaf = enc_.tree.IsLeaf(n);
-  NodeId u = enc_.tree.InsertFirstChild(n, l);
-  if (new_node) *new_node = u;
-  EnsureLeafSlot(u);
-  Term& term = enc_.term;
-  term.BeginEdit();
-  const TermAlphabet& alphabet = term.alphabet();
-
-  TermNodeId leaf_u = term.NewLeaf(alphabet.TreeLeaf(l), u);
-  enc_.leaf_of[u] = leaf_u;
-  result.changed_bottom_up.push_back(leaf_u);
-
-  TermNodeId nn;
-  if (was_leaf) {
-    // a_t(n) becomes a context over the new single-child forest.
-    TermNodeId leaf_n = term.EnsureMutable(enc_.leaf_of[n]);
-    enc_.leaf_of[n] = leaf_n;
-    term.SetLabel(leaf_n, alphabet.ContextLeaf(enc_.tree.label(n)));
-    term.SetContext(leaf_n, true);
-    result.changed_bottom_up.push_back(leaf_n);
-    nn = term.SpliceOp(TermOp::kApplyVH, leaf_n, leaf_u,
-                       /*fresh_on_left=*/false);
-  } else {
-    // Insert immediately left of the old first child c.
-    NodeId c = enc_.tree.children(n)[1];
-    TermNodeId leaf_c = enc_.leaf_of[c];
-    TermOp op = term.node(leaf_c).is_context ? TermOp::kConcatHV
-                                             : TermOp::kConcatHH;
-    nn = term.SpliceOp(op, leaf_c, leaf_u, /*fresh_on_left=*/true);
-  }
+  TermNodeId nn = SpliceDetached(leaf_u, n, as_first_child, was_leaf, result);
   FinishStructural(nn, result);
   return result;
 }
@@ -253,20 +180,8 @@ const UpdateResult& DynamicEncoding::DeleteLeaf(NodeId n) {
   // Detach p (and with it leaf); the end-of-edit sweep reclaims both unless
   // a pinned snapshot still reaches them.
   term.ReplaceChild(p, sib);
-  TermNodeId above = term.node(sib).parent;
-
-  if (above != kNoTerm) {
-    FinishStructural(above, result);
-  } else {
-    term.SweepZeros(&result.freed);
-    ApplyRemap();
-    FilterChangedPublic(result);
-  }
+  FinishStructural(term.node(sib).parent, result);
   return result;
-}
-
-void DynamicEncoding::FilterChangedPublic(UpdateResult& result) {
-  FilterChanged(result.changed_bottom_up);
 }
 
 void DynamicEncoding::MarkSubtree(NodeId v) {

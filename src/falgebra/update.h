@@ -35,7 +35,9 @@ struct UpdateResult {
   /// Term ids that are no longer alive.
   std::vector<TermNodeId> freed;
   /// New or structurally/label-modified ids together with all their
-  /// ancestors up to the root, in an order where children precede parents.
+  /// ancestors up to the root, in an order where children precede parents;
+  /// each alive id appears once (Term::EndEdit), so a consumer refreshes
+  /// the list as is.
   std::vector<TermNodeId> changed_bottom_up;
   /// Number of term nodes rebuilt by rebalancing (0 if none) — exposed for
   /// benchmarks measuring amortized update cost.
@@ -59,9 +61,13 @@ class DynamicEncoding {
   /// must outlive the next call.
   const UpdateResult& Relabel(NodeId n, Label l);
   const UpdateResult& InsertFirstChild(NodeId n, Label l,
-                                       NodeId* new_node = nullptr);
+                                       NodeId* new_node = nullptr) {
+    return InsertLeaf(n, l, /*as_first_child=*/true, new_node);
+  }
   const UpdateResult& InsertRightSibling(NodeId n, Label l,
-                                         NodeId* new_node = nullptr);
+                                         NodeId* new_node = nullptr) {
+    return InsertLeaf(n, l, /*as_first_child=*/false, new_node);
+  }
   const UpdateResult& DeleteLeaf(NodeId n);
 
   // ---- Structural transactions ----
@@ -103,13 +109,14 @@ class DynamicEncoding {
 
  private:
   void EnsureLeafSlot(NodeId n);
-  /// Re-points leaf_of at path-copied leaves (term remap log of this edit).
-  void ApplyRemap();
-  /// Recomputes counters from `from` to the root, rebalances if needed, and
-  /// fills result.changed_bottom_up / freed / rebuilt_size.
+  /// Inserts a new leaf as the first child / right sibling of `n` and
+  /// splices its symbol in with SpliceDetached.
+  const UpdateResult& InsertLeaf(NodeId n, Label l, bool as_first_child,
+                                 NodeId* new_node);
+  /// Recomputes counters from `from` to the root (none for kNoTerm),
+  /// rebalances if needed, and fills result.changed_bottom_up / freed /
+  /// rebuilt_size.
   void FinishStructural(TermNodeId from, UpdateResult& result);
-  /// Deduplicates / drops dead ids from result.changed_bottom_up.
-  void FilterChangedPublic(UpdateResult& result);
   /// Clears and returns the scratch result (capacity preserved).
   UpdateResult& ResetResult();
 
@@ -134,10 +141,8 @@ class DynamicEncoding {
   /// Rebuilds envelope-violating changed subterms (root-most first) until
   /// the current version is balanced again.
   void RebalanceLoop(UpdateResult& result);
-  /// RebalanceLoop + sweep + leaf remap + changed-list filtering.
+  /// RebalanceLoop + Term::EndEdit.
   void FinishTransaction(UpdateResult& result);
-  /// Keeps the last occurrence of each id, preserving order, drops dead ids.
-  void FilterChanged(std::vector<TermNodeId>& v);
 
   Encoding enc_;
   UpdateResult result_;
@@ -153,9 +158,6 @@ class DynamicEncoding {
   std::vector<uint32_t> term_stamp_;  ///< marks nodes with known meet point
   std::vector<uint32_t> term_reach_;  ///< index into lca_path_ of that meet
   uint32_t term_epoch_ = 0;
-  std::vector<uint32_t> seen_stamp_;  ///< FilterChanged dedupe marks
-  uint32_t seen_epoch_ = 0;
-  std::vector<TermNodeId> filter_out_;
   std::vector<TermNodeId> path_scratch_;
 };
 

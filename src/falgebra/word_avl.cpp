@@ -1,6 +1,5 @@
 #include "falgebra/word_avl.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -42,15 +41,6 @@ NodeId WordEncoding::AllocPosition(Label l) {
     pos_leaf_.push_back(kNoTerm);
   }
   return id;
-}
-
-void WordEncoding::ApplyRemap() {
-  for (const auto& [old_id, new_id] : term_.remap_log()) {
-    if (!term_.IsAlive(new_id) || !term_.IsLeaf(new_id)) continue;
-    NodeId n = term_.node(new_id).tree_node;
-    if (n == kNoNode || n >= pos_leaf_.size()) continue;
-    if (pos_leaf_[n] == old_id) pos_leaf_[n] = new_id;
-  }
 }
 
 TermNodeId WordEncoding::LeafAt(size_t pos) const {
@@ -110,23 +100,6 @@ UpdateResult& WordEncoding::ResetResult() {
   return result_;
 }
 
-void WordEncoding::FilterChanged(std::vector<TermNodeId>& v) {
-  if (seen_stamp_.size() < term_.id_bound()) {
-    seen_stamp_.resize(term_.id_bound(), 0);
-  }
-  if (++seen_epoch_ == 0) {
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    seen_epoch_ = 1;
-  }
-  filter_out_.clear();
-  for (auto it = v.rbegin(); it != v.rend(); ++it) {
-    if (seen_stamp_[*it] == seen_epoch_) continue;
-    seen_stamp_[*it] = seen_epoch_;
-    if (term_.IsAlive(*it)) filter_out_.push_back(*it);
-  }
-  v.assign(filter_out_.rbegin(), filter_out_.rend());
-}
-
 const UpdateResult& WordEncoding::Replace(size_t pos, Label l) {
   UpdateResult& result = ResetResult();
   term_.BeginEdit();
@@ -138,8 +111,7 @@ const UpdateResult& WordEncoding::Replace(size_t pos, Label l) {
   for (TermNodeId x = leaf; x != kNoTerm; x = term_.node(x).parent) {
     result.changed_bottom_up.push_back(x);
   }
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
 }
 
@@ -158,8 +130,7 @@ const UpdateResult& WordEncoding::Insert(size_t pos, Label l) {
                                  /*fresh_on_left=*/!at_end);
   ++size_;
   RebalanceUp(nn, result);
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
 }
 
@@ -177,18 +148,12 @@ const UpdateResult& WordEncoding::Erase(size_t pos) {
   // Detaching p drops its last current-version reference; the end-of-edit
   // sweep reclaims p and leaf unless a pinned snapshot still reaches them.
   term_.ReplaceChild(p, sib);
-  TermNodeId above = term_.node(sib).parent;
   pos_leaf_[id] = kNoTerm;
   free_ids_.push_back(id);
   --size_;
-  if (above != kNoTerm) RebalanceUp(above, result);
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
+  RebalanceUp(term_.node(sib).parent, result);
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
-}
-
-uint32_t WordEncoding::HeightOf(TermNodeId x) const {
-  return term_.node(x).height;
 }
 
 int WordEncoding::BalanceFactor(TermNodeId x) const {
@@ -333,10 +298,7 @@ const UpdateResult& WordEncoding::MoveRange(size_t begin, size_t end,
     root = JoinTerms(JoinTerms(r1, s.factor, result), r2, result);
   }
   term_.set_root(root);
-  // Reclaim dismantled split/join scaffolding before filtering on liveness.
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
-  FilterChanged(result.changed_bottom_up);
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
 }
 
@@ -381,9 +343,7 @@ const UpdateResult& WordEncoding::ExtractRange(size_t begin, size_t end,
   // The factor's root may be a join node created this edit (refs == 0, so
   // no DecRef will ever queue it); hand it to the sweep explicitly.
   term_.ReleaseDetached(s.factor);
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
-  FilterChanged(result.changed_bottom_up);
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
 }
 
@@ -415,31 +375,16 @@ const UpdateResult& WordEncoding::Concat(const Word& w) {
   term_.set_root(kNoTerm);
   term_.set_root(JoinTerms(whole, fresh, result));
   size_ += w.size();
-  term_.SweepZeros(&result.freed);
-  ApplyRemap();
-  FilterChanged(result.changed_bottom_up);
+  term_.EndEdit(result.freed, pos_leaf_, result.changed_bottom_up);
   return result;
 }
 
 void WordEncoding::RebalanceUp(TermNodeId from, UpdateResult& result) {
-  TermNodeId x = from;
-  while (x != kNoTerm) {
-    x = term_.EnsureMutable(x);
-    if (!term_.IsLeaf(x)) {
-      term_.SetChildrenRaw(x, term_.node(x).left, term_.node(x).right);
-      int bf = BalanceFactor(x);
-      if (bf > 1) {
-        TermNodeId l = term_.node(x).left;
-        if (BalanceFactor(l) < 0) RotateLeft(l, result);
-        x = RotateRight(x, result);
-      } else if (bf < -1) {
-        TermNodeId r = term_.node(x).right;
-        if (BalanceFactor(r) > 0) RotateRight(r, result);
-        x = RotateLeft(x, result);
-      }
-    }
+  // Every node on the walk is an operator, as RebalanceNode needs: Insert
+  // starts at its splice node, Erase at the removed node's parent.
+  for (TermNodeId x = from; x != kNoTerm; x = term_.node(x).parent) {
+    x = RebalanceNode(x, result);
     result.changed_bottom_up.push_back(x);
-    x = term_.node(x).parent;
   }
 }
 

@@ -76,9 +76,6 @@ class WordEncoding {
 
  private:
   TermNodeId LeafAt(size_t pos) const;
-  /// Re-points pos_leaf_ at path-copied leaves (term remap log of this edit).
-  void ApplyRemap();
-  uint32_t HeightOf(TermNodeId x) const;
   int BalanceFactor(TermNodeId x) const;
   /// AVL rebalancing walk from `from` to the root; records changed nodes.
   void RebalanceUp(TermNodeId from, UpdateResult& result);
@@ -88,15 +85,15 @@ class WordEncoding {
   /// (either side may come back as kNoTerm). Frees dismantled op nodes.
   std::pair<TermNodeId, TermNodeId> SplitAt(TermNodeId t, size_t k,
                                             UpdateResult& result);
-  /// Local rebalance of a detached node after a join step.
+  /// Local rebalance of operator node `x` (after a join step, or on the
+  /// RebalanceUp walk): recomputes its counters, rotates at most twice and
+  /// returns the node now in x's place.
   TermNodeId RebalanceNode(TermNodeId x, UpdateResult& result);
   TermNodeId RotateLeft(TermNodeId x, UpdateResult& result);
   TermNodeId RotateRight(TermNodeId x, UpdateResult& result);
   NodeId AllocPosition(Label l);
   /// Clears and returns the scratch result (capacity preserved).
   UpdateResult& ResetResult();
-  /// Keeps the last occurrence of each id, preserving order, drops dead ids.
-  void FilterChanged(std::vector<TermNodeId>& v);
   /// Builds a balanced detached subterm over fresh positions for `w`
   /// (records created ids in `result.changed_bottom_up`).
   TermNodeId BuildDetached(const Word& w, size_t lo, size_t hi,
@@ -117,9 +114,6 @@ class WordEncoding {
   std::vector<NodeId> free_ids_;
   size_t size_ = 0;
   UpdateResult result_;
-  std::vector<uint32_t> seen_stamp_;  ///< FilterChanged dedupe marks
-  uint32_t seen_epoch_ = 0;
-  std::vector<TermNodeId> filter_out_;
   std::vector<TermNodeId> walk_scratch_;
 };
 

@@ -4,24 +4,11 @@
 #include <deque>
 #include <iterator>
 
+#include "automata/homogenize.h"
 #include "util/check.h"
 
 namespace treenum {
 namespace serving {
-
-namespace {
-
-/// splitmix64 finalizer — the document-placement hash. Sequential ids map
-/// to well-scattered shards, so tenants added in order don't all land on
-/// shard 0.
-uint64_t Splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Internal structures
@@ -165,7 +152,9 @@ DocumentShardServer::DocRef DocumentShardServer::AddDocument(
     d->id = docs_.size();
     docs_.push_back(std::move(state));
   }
-  d->home = static_cast<size_t>(Splitmix64(d->id) % shards_.size());
+  // splitmix64 scatters sequential ids, so tenants added in order don't all
+  // land on shard 0.
+  d->home = static_cast<size_t>(FingerprintMix(d->id) % shards_.size());
   return DocRef(d);
 }
 

@@ -107,19 +107,6 @@ bool BitMatrix::RowAny(size_t r) const {
   return K().any(Row(r), words_per_row_);
 }
 
-bool BitMatrix::ColAny(size_t c) const {
-  // Stride the column's word with a fixed mask — one word probe per row
-  // instead of a bit test through Get (the analog of RowAny's word scan).
-  // Strided single-word probes have nothing to vectorize, so this stays
-  // outside the kernel table.
-  const size_t cw = c / 64;
-  const uint64_t mask = uint64_t{1} << (c % 64);
-  for (size_t r = 0; r < rows_; ++r) {
-    if (bits_[r * words_per_row_ + cw] & mask) return true;
-  }
-  return false;
-}
-
 bool BitMatrix::Any() const { return K().any(bits_.data(), bits_.size()); }
 
 size_t BitMatrix::Count() const {
@@ -138,19 +125,6 @@ void BitMatrix::ComposeInto(const BitMatrixView& other,
   BitMatrixView(*this).ComposeInto(other, result);
 }
 
-void BitMatrix::UnionWith(const BitMatrixView& other) {
-  assert(rows_ == other.rows() && cols_ == other.cols());
-  if (bits_.empty()) return;
-  K().or_into(bits_.data(), other.Row(0), bits_.size());
-}
-
-void BitMatrix::ZeroRowsNotIn(const std::vector<uint64_t>& keep) {
-  for (size_t r = 0; r < rows_; ++r) {
-    bool kept = r / 64 < keep.size() && ((keep[r / 64] >> (r % 64)) & 1u);
-    if (!kept) K().zero(MutableRow(r), words_per_row_);
-  }
-}
-
 std::vector<uint32_t> BitMatrix::NonEmptyRows() const {
   std::vector<uint32_t> out;
   for (size_t r = 0; r < rows_; ++r) {
@@ -161,18 +135,6 @@ std::vector<uint32_t> BitMatrix::NonEmptyRows() const {
 
 void BitMatrix::NonEmptyRowsInto(std::vector<uint32_t>* out) const {
   BitMatrixView(*this).NonEmptyRowsInto(out);
-}
-
-std::vector<uint32_t> BitMatrix::NonEmptyCols() const {
-  std::vector<uint32_t> out;
-  std::vector<uint64_t> acc(words_per_row_, 0);
-  for (size_t r = 0; r < rows_; ++r) {
-    K().or_into(acc.data(), Row(r), words_per_row_);
-  }
-  for (size_t c = 0; c < cols_; ++c) {
-    if ((acc[c / 64] >> (c % 64)) & 1u) out.push_back(static_cast<uint32_t>(c));
-  }
-  return out;
 }
 
 std::string BitMatrix::ToString() const {

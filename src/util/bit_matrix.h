@@ -129,8 +129,6 @@ class BitMatrix {
 
   /// True iff some entry in row r is set.
   bool RowAny(size_t r) const;
-  /// True iff some entry in column c is set.
-  bool ColAny(size_t c) const;
   /// True iff any entry is set.
   bool Any() const;
   /// Number of set entries.
@@ -142,21 +140,11 @@ class BitMatrix {
   /// Allocation-reusing variant; see BitMatrixView::ComposeInto.
   void ComposeInto(const BitMatrixView& other, BitMatrix* result) const;
 
-  /// Entrywise union. Requires identical dimensions.
-  void UnionWith(const BitMatrixView& other);
-
-  /// Restrict rows: keep only rows whose index bit is set in `keep`
-  /// (represented as a bitset over row indices packed into uint64 words);
-  /// other rows are zeroed.
-  void ZeroRowsNotIn(const std::vector<uint64_t>& keep);
-
   /// The set of row indices with at least one set entry ("π1" of the
   /// relation, as used in Algorithms 2 and 3).
   std::vector<uint32_t> NonEmptyRows() const;
   /// Reuse variant: clears `out` and fills it with the non-empty rows.
   void NonEmptyRowsInto(std::vector<uint32_t>* out) const;
-  /// The set of column indices with at least one set entry.
-  std::vector<uint32_t> NonEmptyCols() const;
 
   /// Row r as a bitset over column indices (words_per_row() words).
   const uint64_t* Row(size_t r) const { return &bits_[r * words_per_row_]; }

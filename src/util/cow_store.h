@@ -79,8 +79,6 @@ class CowStore {
   size_t size() const { return size_.load(std::memory_order_relaxed); }
   bool empty() const { return size() == 0; }
   size_t capacity() const { return cap_; }
-  /// Number of retired (still-retained) buffers — introspection for tests.
-  size_t retired_buffers() const { return retired_.size(); }
 
   /// Writer-side fast access (no atomics; the writer owns buf_).
   T* data() { return buf_; }

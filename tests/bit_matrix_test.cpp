@@ -29,15 +29,12 @@ TEST(BitMatrix, Identity) {
   }
 }
 
-TEST(BitMatrix, RowColAny) {
+TEST(BitMatrix, RowAny) {
   BitMatrix m(4, 4);
   m.Set(1, 3);
   EXPECT_TRUE(m.RowAny(1));
   EXPECT_FALSE(m.RowAny(0));
-  EXPECT_TRUE(m.ColAny(3));
-  EXPECT_FALSE(m.ColAny(1));
   EXPECT_EQ(m.NonEmptyRows(), std::vector<uint32_t>{1});
-  EXPECT_EQ(m.NonEmptyCols(), std::vector<uint32_t>{3});
 }
 
 TEST(BitMatrix, ComposeSmall) {
@@ -88,56 +85,6 @@ TEST(BitMatrix, ComposeIsAssociative) {
     }
     EXPECT_EQ(a.Compose(b).Compose(c), a.Compose(b.Compose(c)));
   }
-}
-
-TEST(BitMatrix, UnionWith) {
-  BitMatrix a(2, 2), b(2, 2);
-  a.Set(0, 0);
-  b.Set(1, 1);
-  a.UnionWith(b);
-  EXPECT_TRUE(a.Get(0, 0));
-  EXPECT_TRUE(a.Get(1, 1));
-  EXPECT_EQ(a.Count(), 2u);
-}
-
-TEST(BitMatrix, ZeroRowsNotIn) {
-  BitMatrix a(3, 3);
-  a.Set(0, 1);
-  a.Set(1, 1);
-  a.Set(2, 1);
-  std::vector<uint64_t> keep{0b101};  // keep rows 0 and 2
-  a.ZeroRowsNotIn(keep);
-  EXPECT_TRUE(a.Get(0, 1));
-  EXPECT_FALSE(a.Get(1, 1));
-  EXPECT_TRUE(a.Get(2, 1));
-}
-
-// The word-strided ColAny must agree with a per-entry scan, in particular
-// for columns past the first 64-bit word (the old implementation probed
-// bit-by-bit through Get; the regression risk of the word version is a
-// wrong word index / mask for c >= 64).
-TEST(BitMatrix, ColAnyWideMatrix) {
-  Rng rng(11);
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t rows = 1 + rng.Index(20);
-    size_t cols = 65 + rng.Index(150);  // always spans >= 2 words
-    BitMatrix m(rows, cols);
-    for (size_t i = 0; i < rows * cols / 7 + 1; ++i) {
-      m.Set(rng.Index(rows), rng.Index(cols));
-    }
-    for (size_t c = 0; c < cols; ++c) {
-      bool expected = false;
-      for (size_t r = 0; r < rows; ++r) expected |= m.Get(r, c);
-      EXPECT_EQ(m.ColAny(c), expected) << "col " << c << " trial " << trial;
-    }
-  }
-  // Exact boundary columns of an empty-but-one matrix.
-  BitMatrix m(2, 130);
-  m.Set(1, 64);
-  EXPECT_FALSE(m.ColAny(63));
-  EXPECT_TRUE(m.ColAny(64));
-  EXPECT_FALSE(m.ColAny(65));
-  EXPECT_FALSE(m.ColAny(129));
 }
 
 TEST(BitMatrix, ComposeIntoMatchesComposeAndReusesBuffer) {

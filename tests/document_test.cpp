@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "automata/query_library.h"
+#include "automata/regex_spanner.h"
 #include "baseline/static_engine.h"
 #include "core/document.h"
 #include "core/engine.h"
@@ -281,19 +282,21 @@ TEST(DynamicDocument, AgreesWithSingleQueryEngines) {
 
 // ---- Word documents ----
 
+// A spanner over {a, b} selecting every position holding `which`.
+Wva SelectLetter(Label which) {
+  Wva a(2, 2, 1);
+  a.AddInitial(0);
+  for (Label l = 0; l < 2; ++l) a.AddTransition(0, l, 0, 0);
+  a.AddTransition(0, which, 1, 1);
+  for (Label l = 0; l < 2; ++l) a.AddTransition(1, l, 0, 1);
+  a.AddFinal(1);
+  return a;
+}
+
 TEST(DynamicDocument, WordDocumentServesMultipleSpanners) {
   // Two spanners over {a, b}: every b position, and every a position.
-  auto select_letter = [](Label which) {
-    Wva a(2, 2, 1);
-    a.AddInitial(0);
-    for (Label l = 0; l < 2; ++l) a.AddTransition(0, l, 0, 0);
-    a.AddTransition(0, which, 1, 1);
-    for (Label l = 0; l < 2; ++l) a.AddTransition(1, l, 0, 1);
-    a.AddFinal(1);
-    return a;
-  };
-  Wva select_b = select_letter(1);
-  Wva select_a = select_letter(0);
+  Wva select_b = SelectLetter(1);
+  Wva select_a = SelectLetter(0);
 
   Rng rng(241);
   Word ref;
@@ -436,6 +439,56 @@ TEST(DynamicDocument, DeduplicatedSteadyStateRelabelsAreAllocationFree) {
   run_pass();
   EXPECT_EQ(gauge.allocs(), 0u)
       << "steady-state relabels through the registry allocated";
+}
+
+// Word point edits end in Term::EndEdit and reach the pipelines through
+// the same dispatch as every other edit: with a reader pin held across
+// each round of Replace / Insert / Erase, the steady state must still
+// allocate nothing (position ids and node versions recycle).
+TEST(DynamicDocument, WordPointEditsWithPinsAreAllocationFree) {
+  ASSERT_TRUE(AllocGaugeActive())
+      << "document_test must link treenum_alloc_gauge";
+
+  Rng rng(263);
+  Word w;
+  for (int i = 0; i < 150; ++i) w.push_back(static_cast<Label>(rng.Index(2)));
+  DynamicDocument doc(w, 2);
+  doc.Register(SelectLetter(1));
+
+  // Every round keeps the length: each insert is paired with an erase.
+  auto run_pass = [&] {
+    for (size_t pos = 0; pos < w.size(); ++pos) {
+      SnapshotRef pin = doc.CurrentSnapshot();
+      doc.Replace(pos, static_cast<Label>(pos % 2));
+      doc.Insert(pos, 1);
+      doc.Erase(pos + 1);
+      pin.Reset();
+    }
+  };
+  int pass = 0;
+  for (; pass < 8; ++pass) {
+    AllocGaugeScope warm;
+    run_pass();
+    if (warm.allocs() == 0) break;
+  }
+  ASSERT_LT(pass, 8) << "word edit passes failed to reach a steady state";
+  AllocGaugeScope gauge;
+  run_pass();
+  EXPECT_EQ(gauge.allocs(), 0u)
+      << "steady-state word point edits with snapshot pins allocated";
+  EXPECT_EQ(doc.size(), w.size());
+}
+
+// Word documents edit by position only: the tree edit surface, Edit values
+// included, trips its check instead of reading a position as a tree node.
+TEST(DocumentDeathTest, WordDocumentRejectsTreeEdits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DynamicDocument doc(ToWord("abab"), 2);
+  doc.Register(SelectLetter(1));
+  EXPECT_DEATH(doc.Relabel(0, 1), "requires a tree document");
+  EXPECT_DEATH(doc.InsertRightSibling(0, 1), "requires a tree document");
+  EXPECT_DEATH(doc.ApplyEdit(Edit::Relabel(0, 1)),
+               "requires a tree document");
 }
 
 // The alloc gauge counters are relaxed atomics: hammering them from pool

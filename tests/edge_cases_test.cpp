@@ -94,7 +94,7 @@ TEST(EdgeCases, WordShrinkToOneLetterAndBack) {
   EXPECT_EQ(e.EnumerateAllByPosition().size(), 2u);
   e.Erase(0);
   e.Erase(0);
-  EXPECT_EQ(e.word_size(), 1u);
+  EXPECT_EQ(e.size(), 1u);
   EXPECT_EQ(e.EnumerateAllByPosition().size(), 1u);
   e.Insert(0, 0);
   e.Insert(2, 1);

@@ -60,7 +60,6 @@ std::vector<TermNodeId> NaiveInteresting(const AssignmentCircuit& c,
     if (bx.HasNonUnionInput(g)) out.push_back(b);
     for (const auto& [side, state] : bx.child_union_inputs(g)) {
       TermNodeId child = side == 0 ? term.node(b).left : term.node(b).right;
-      out.size();  // no-op
       stack.push_back(
           {child,
            static_cast<uint32_t>(c.box(child).union_idx(state))});

@@ -378,37 +378,7 @@ TEST(BatchedUpdates, WordBatchEqualsSequentialEqualsFreshRebuild) {
 // batch: the dynamic engines read their last committed snapshot, the
 // recompute baselines their last refreshed state.
 
-// `k` word edits by stable position id, valid when applied in order;
-// `mirror` holds (id, letter) per position — kNoNode for letters inserted
-// here — and advances as the ground truth.
-std::vector<Edit> RandomWordBatch(std::vector<std::pair<NodeId, Label>>& mirror,
-                                  Rng& rng, size_t k) {
-  std::vector<Edit> edits;
-  while (edits.size() < k) {
-    size_t pos = rng.Index(mirror.size());
-    NodeId id = mirror[pos].first;
-    if (id == kNoNode) continue;
-    Label l = static_cast<Label>(rng.Index(2));
-    switch (rng.Index(3)) {
-      case 0:
-        mirror[pos].second = l;
-        edits.push_back(Edit::Relabel(id, l));
-        break;
-      case 1:
-        mirror.insert(mirror.begin() + pos + 1, {kNoNode, l});
-        edits.push_back(Edit::InsertRightSibling(id, l));
-        break;
-      default:
-        if (mirror.size() <= 1) break;
-        mirror.erase(mirror.begin() + pos);
-        edits.push_back(Edit::DeleteLeaf(id));
-        break;
-    }
-  }
-  return edits;
-}
-
-// Everything the Engine read surface returns.
+// Everything the read surface of an Engine (or a WordEnumerator) returns.
 struct EngineReads {
   std::vector<Assignment> all;
   std::vector<Assignment> via_cursor;
@@ -420,7 +390,8 @@ struct EngineReads {
   }
 };
 
-EngineReads ReadEngine(const Engine& e) {
+template <typename E>
+EngineReads ReadEngine(const E& e) {
   EngineReads r;
   r.all = e.EnumerateAll();
   std::unique_ptr<Engine::Cursor> c = e.MakeCursor();
@@ -448,28 +419,43 @@ TEST(BatchedUpdates, MidBatchReadsReturnPreBatchAnswers) {
 
     UnrankedTree mirror = t;
     std::vector<Edit> tree_batch = RandomTreeBatch(mirror, rng, 12, 3, 200);
-    std::vector<std::pair<NodeId, Label>> word_mirror;
-    for (size_t pos = 0; pos < w.size(); ++pos) {
-      word_mirror.emplace_back(word.encoding().PositionId(pos), w[pos]);
-    }
-    std::vector<Edit> word_batch = RandomWordBatch(word_mirror, rng, 12);
-
-    const std::pair<Engine*, const std::vector<Edit>*> runs[] = {
-        {&dynamic, &tree_batch},
-        {&naive, &tree_batch},
-        {&rebuilt, &tree_batch},
-        {&word, &word_batch}};
-    for (const auto& [engine, batch] : runs) {
+    Engine* const engines[] = {&dynamic, &naive, &rebuilt};
+    for (Engine* engine : engines) {
       const EngineReads before = ReadEngine(*engine);
       const uint64_t accepting = dynamic.AcceptingRuns();
       engine->BeginBatch();
-      for (size_t i = 0; i < batch->size(); ++i) {
-        engine->ApplyEdit((*batch)[i]);
+      for (size_t i = 0; i < tree_batch.size(); ++i) {
+        engine->ApplyEdit(tree_batch[i]);
         ASSERT_TRUE(ReadEngine(*engine) == before) << "after edit " << i;
         ASSERT_EQ(dynamic.AcceptingRuns(), accepting) << "after edit " << i;
       }
       engine->CommitBatch();
     }
+
+    // The word engine, edited by position; `after` is the ground truth.
+    Word after = w;
+    const EngineReads word_before = ReadEngine(word);
+    word.BeginBatch();
+    for (int i = 0; i < 12; ++i) {
+      size_t pos = rng.Index(after.size());
+      Label l = static_cast<Label>(rng.Index(2));
+      switch (rng.Index(3)) {
+        case 0:
+          after[pos] = l;
+          word.Replace(pos, l);
+          break;
+        case 1:
+          after.insert(after.begin() + pos + 1, l);
+          word.Insert(pos + 1, l);
+          break;
+        default:
+          after.erase(after.begin() + pos);
+          word.Erase(pos);
+          break;
+      }
+      ASSERT_TRUE(ReadEngine(word) == word_before) << "after word edit " << i;
+    }
+    word.CommitBatch();
 
     // Each batch took effect at its commit.
     std::vector<Assignment> expected = MaterializeAssignments(mirror, q);
@@ -477,16 +463,13 @@ TEST(BatchedUpdates, MidBatchReadsReturnPreBatchAnswers) {
     EXPECT_EQ(naive.EnumerateAll(), expected);
     EXPECT_EQ(rebuilt.EnumerateAll(), expected);
     EXPECT_EQ(dynamic.AcceptingRuns(), expected.size());
-    Word after;
-    for (const auto& letter : word_mirror) after.push_back(letter.second);
     EXPECT_EQ(word.EnumerateAllByPosition(),
               WordEnumerator(after, wq).EnumerateAllByPosition());
   }
 }
 
 TEST(BatchedUpdates, EngineInterfaceDrivesAllFourBackends) {
-  // The same polymorphic loop exercises every backend, including the word
-  // engine via stable position ids.
+  // The same polymorphic loop exercises every tree backend.
   Rng rng(449);
   UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
   UnrankedTree t = RandomTree(15, 3, rng);
@@ -516,21 +499,6 @@ TEST(BatchedUpdates, EngineInterfaceDrivesAllFourBackends) {
       ASSERT_EQ(all[i], all[0]) << "engine " << i << " round " << round;
     }
   }
-
-  // Word engine through the same interface: edits by stable position id.
-  Wva wq = SelectBWva();
-  Word w = ToWord("abba");
-  WordEnumerator we(w, wq);
-  Engine& engine = we;
-  // Positions 0..3 have stable ids 0..3 at construction.
-  engine.Relabel(0, 1);  // "bbba"
-  NodeId fresh = kNoNode;
-  engine.InsertRightSibling(3, 1, &fresh);  // "bbbab"
-  ASSERT_NE(fresh, kNoNode);
-  engine.DeleteLeaf(1);  // "bbab"
-  EXPECT_EQ(engine.size(), 4u);
-  EXPECT_EQ(we.EnumerateAllByPosition(),
-            wq.BruteForceAssignments(ToWord("bbab")));
 }
 
 }  // namespace

@@ -123,13 +123,49 @@ TEST(Term, ValidateCatchesTypeErrors) {
   EXPECT_NE(term.Validate(), "");
 }
 
-TEST(Term, FreeSubtermReclaimsIds) {
+// EndEdit is the one tail of every encoding edit: it sweeps, re-points the
+// leaf map at leaves path-copied under a pin, and keeps the last alive
+// occurrence of each changed id, in order.
+TEST(Term, EndEditKeepsLastAliveOccurrence) {
   Term term = SmallTerm();
-  size_t before = term.num_alive();
+  const TermNodeId root = term.root();
+  const TermNodeId l1 = term.node(term.node(root).right).left;
+  const TermNodeId l2 = term.node(term.node(root).right).right;
+  // Indexed by tree node: 0, 1, 2 carry a_□(0), a_t(1), a_t(2).
+  std::vector<TermNodeId> leaf_of = {term.node(root).left, l1, l2};
+  const std::vector<TermNodeId> untouched = leaf_of;
+
+  term.PinRoot(root);  // a published snapshot: the edit must path-copy
+  term.BumpEpoch();
+  term.BeginEdit();
+  const TermNodeId l1_copy = term.EnsureMutable(l1);
+  ASSERT_NE(l1_copy, l1);
+  const TermNodeId root_copy = term.root();
+  const TermNodeId f_copy = term.node(root_copy).right;
+  ASSERT_NE(root_copy, root);
+  // A subterm built and dropped within the edit dies at the sweep.
+  const TermNodeId scratch =
+      term.NewLeaf(term.alphabet().TreeLeaf(0), /*n=*/3);
+  term.ReleaseDetached(scratch);
+
   std::vector<TermNodeId> freed;
-  term.FreeSubterm(term.node(term.root()).right, &freed);
-  EXPECT_EQ(freed.size(), 3u);
-  EXPECT_EQ(term.num_alive(), before - 3);
+  std::vector<TermNodeId> changed = {l1_copy, f_copy, scratch,
+                                     l1_copy, f_copy, root_copy};
+  term.EndEdit(freed, leaf_of, changed);
+
+  EXPECT_EQ(freed, std::vector<TermNodeId>{scratch});
+  EXPECT_FALSE(term.IsAlive(scratch));
+  EXPECT_EQ(changed, (std::vector<TermNodeId>{l1_copy, f_copy, root_copy}));
+  EXPECT_EQ(leaf_of[1], l1_copy);  // re-pointed at the copy
+  EXPECT_EQ(leaf_of[0], untouched[0]);
+  EXPECT_EQ(leaf_of[2], untouched[2]);
+  // The pinned version still holds the original leaf.
+  EXPECT_TRUE(term.IsAlive(l1));
+  EXPECT_EQ(term.node(term.node(root).right).left, l1);
+
+  term.UnpinRoot(root, &freed);
+  EXPECT_FALSE(term.IsAlive(l1));
+  EXPECT_EQ(term.ValidateStructure(nullptr), "");
 }
 
 }  // namespace
