@@ -101,8 +101,9 @@ struct Tenant {
 };
 
 /// Maps one generated command onto the server. Register/unregister churn
-/// markers register a second, distinct query (deduplication makes repeats
-/// cheap re-admissions, which is the churn pattern being modeled).
+/// markers register a second, distinct query: each registration is a
+/// query-cache hit that builds a fresh pipeline, and each release destroys
+/// it, which is the churn pattern being modeled.
 void SubmitCommand(DocumentShardServer& server, Tenant& t,
                    const UnrankedTva& churn_query, const DocCommand& c) {
   switch (c.kind) {

@@ -85,25 +85,19 @@ int main() {
       doc.num_queries(), doc.num_pipelines(),
       &doc.pipeline(dup) == &doc.pipeline(queries[0].id) ? "yes" : "no");
 
-  // Admission/eviction: cap the registry and release the duplicate plus
-  // one query; the refcount-zero pipeline is evicted (cheapest to keep
-  // first), while the process-wide query cache keeps its compiled plan.
-  doc.set_pipeline_cap(3);
+  // Releasing the duplicate leaves the shared pipeline to queries[0];
+  // releasing the last registration of //2/0 destroys its pipeline, while
+  // the process-wide query cache keeps its compiled plan.
   doc.Unregister(dup);              // still referenced by queries[0] - shared
-  doc.Unregister(queries[3].id);    // refcount zero -> evicted by the cap
+  doc.Unregister(queries[3].id);    // last registration -> pipeline destroyed
   DocumentStats reg = doc.stats();
-  std::printf(
-      "cap=3 after releases: live=%zu warm=%zu "
-      "(shared_hits=%zu readmissions=%zu evictions=%zu)\n",
-      reg.live_pipelines, reg.warm_pipelines, reg.shared_hits,
-      reg.readmissions, reg.evictions);
+  std::printf("after releases: pipelines=%zu (shared_hits=%zu)\n",
+              reg.live_pipelines, reg.shared_hits);
   for (const DocumentStats::PipelineStats& ps : reg.pipelines) {
-    std::printf("  pipeline: queries=%zu width=%zu boxes_refreshed=%llu\n",
-                ps.queries, ps.width,
-                static_cast<unsigned long long>(ps.boxes_refreshed));
+    std::printf("  pipeline: queries=%zu width=%zu\n", ps.queries, ps.width);
   }
 
-  // Re-registering the evicted query is a cache hit: no compile work, only
+  // Re-registering the released query is a cache hit: no compile work, only
   // a fresh pipeline over the current tree.
   const uint64_t translations = doc.query_cache().stats().translations;
   queries[3].id = doc.Register(QueryChildOfLabel(3, 0, 2));

@@ -238,11 +238,6 @@ void QueryCache::set_retention_cap(size_t cap) {
   EnforceCapLocked();
 }
 
-size_t QueryCache::retention_cap() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retention_cap_;
-}
-
 void QueryCache::EnforceCapLocked() {
   while (unreferenced_ > retention_cap_) {
     size_t victim = kNoSlot;
@@ -276,18 +271,6 @@ void QueryCache::EvictLocked(size_t slot) {
   free_slots_.push_back(slot);
   --unreferenced_;
   ++evictions_;
-}
-
-size_t QueryCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].automaton != nullptr && entries_[i].external_refs == 0) {
-      EvictLocked(i);
-      ++dropped;
-    }
-  }
-  return dropped;
 }
 
 QueryCache::Stats QueryCache::stats() const {

@@ -119,11 +119,6 @@ class QueryCache {
   /// entries (and their source links) are evicted. Pinned plans are
   /// unaffected.
   void set_retention_cap(size_t cap);
-  /// Current warm-retention cap.
-  size_t retention_cap() const;
-  /// Drops every unreferenced plan and its source links regardless of the
-  /// cap; returns how many were dropped. Pinned plans survive.
-  size_t Clear();
   /// Counter/gauge snapshot.
   Stats stats() const;
 

@@ -81,21 +81,16 @@ DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
   QueryEntry* entry;
   if (it == entries_.end()) {
     // New query: a pipeline over the current term. It shares the cache's
-    // refcounted plan handle, so document retention pins the cache entry.
+    // refcounted plan handle, so a live registration pins the cache entry.
     entries_.push_back(
         std::make_unique<QueryEntry>(term_, std::move(homog), mode));
     entry = entries_.back().get();
   } else {
     entry = it->get();
-    if (entry->refcount == 0) {
-      ++readmissions_;  // warm hit: the pipeline never went cold
-    } else {
-      ++shared_hits_;  // active hit: another registration shares it
-    }
+    ++shared_hits_;  // another registration shares the pipeline
   }
 
   ++entry->refcount;
-  entry->last_use = ++use_clock_;
   ++num_live_;
   uint32_t slot;
   if (!handle_free_.empty()) {
@@ -107,7 +102,6 @@ DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
     handle_gen_.push_back(0);
   }
   handle_entry_[slot] = entry;
-  EnforceCap();
   return MakeHandle(slot, handle_gen_[slot]);
 }
 
@@ -122,8 +116,12 @@ void DynamicDocument::Unregister(QueryHandle handle) {
   --e.refcount;
   --num_live_;
   if (e.refcount == 0) {
-    e.last_use = ++use_clock_;
-    EnforceCap();
+    // The last registration takes the pipeline with it; its plan handle
+    // goes back to the cache, which alone decides how long to keep it.
+    entries_.erase(std::find_if(entries_.begin(), entries_.end(),
+                                [&](const std::unique_ptr<QueryEntry>& p) {
+                                  return p.get() == &e;
+                                }));
   }
 }
 
@@ -145,58 +143,16 @@ const EnumerationPipeline& DynamicDocument::pipeline(
   return handle_entry_[HandleSlot(handle)]->pipeline;
 }
 
-void DynamicDocument::set_pipeline_cap(size_t cap) {
-  TREENUM_CHECK(!in_batch_, "cannot change the pipeline cap mid-batch");
-  pipeline_cap_ = cap;
-  EnforceCap();
-}
-
-void DynamicDocument::EnforceCap() {
-  while (entries_.size() > pipeline_cap_) {
-    // Cost-aware victim selection (see set_pipeline_cap): evict the warm
-    // pipeline minimizing keep value = accumulated refresh cost /
-    // staleness. boxes_refreshed proxies how expensive this pipeline has
-    // been to keep current (and thus what a rebuild-after-eviction would
-    // cost); staleness is measured in registry clock ticks since its last
-    // use. Ties (e.g. all costs equal) fall back to LRU.
-    size_t victim = kNoEntry;
-    double best_keep = 0.0;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const QueryEntry& e = *entries_[i];
-      if (e.refcount != 0) continue;
-      double staleness = static_cast<double>(use_clock_ - e.last_use);
-      double keep =
-          (static_cast<double>(e.boxes_refreshed) + 1.0) / (staleness + 1.0);
-      if (victim == kNoEntry || keep < best_keep ||
-          (keep == best_keep && e.last_use < entries_[victim]->last_use)) {
-        best_keep = keep;
-        victim = i;
-      }
-    }
-    if (victim == kNoEntry) break;  // every pipeline is pinned
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++evictions_;
-  }
-}
-
 DocumentStats DynamicDocument::stats() const {
   DocumentStats s;
   s.live_queries = num_live_;
   s.live_pipelines = entries_.size();
   s.shared_hits = shared_hits_;
-  s.readmissions = readmissions_;
-  s.evictions = evictions_;
   s.handle_slots = handle_entry_.size();
   for (const std::unique_ptr<QueryEntry>& e : entries_) {
-    if (e->refcount > 0) {
-      ++s.active_pipelines;
-    } else {
-      ++s.warm_pipelines;
-    }
     DocumentStats::PipelineStats ps;
     ps.queries = e->refcount;
     ps.width = e->pipeline.width();
-    ps.boxes_refreshed = e->boxes_refreshed;
     s.pipelines.push_back(ps);
   }
   return s;
@@ -255,9 +211,6 @@ size_t DynamicDocument::Refresh(const std::vector<TermNodeId>& freed,
   FanOut([this, &ordered](EnumerationPipeline& p) {
     p.Apply(dead_freed_, ordered);
   });
-  for (const std::unique_ptr<QueryEntry>& e : entries_) {
-    e->boxes_refreshed += ordered.size();
-  }
   // Every box of the new version is current — publish it for readers, one
   // epoch per edit, transaction or batch.
   snapshots_->Publish();

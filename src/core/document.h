@@ -24,16 +24,17 @@
 //     the shared QueryCache (automata/query_cache.h) hash-conses every
 //     plan, so textually different but automaton-identical queries arrive
 //     as the same plan pointer, and the registry maps each (plan, mode)
-//     pair to one refcounted pipeline. Refcount-zero pipelines stay warm
-//     for cheap re-admission under a configurable cap with cost-aware
-//     eviction (see set_pipeline_cap). An evicted pipeline is erased
-//     outright: re-registering its query is a cache hit that compiles
-//     nothing. Handle slots recycle through a free list under generation
-//     tags, so stale handles never validate. DocumentStats exposes the
-//     registry state.
+//     pair to one refcounted pipeline. A pipeline lives exactly as long
+//     as its registrations: the last Unregister destroys it, so the
+//     cache's LRU of compiled plans is the only thing kept between
+//     registrations. Re-registering a released query is a cache hit that
+//     compiles nothing and builds a fresh pipeline over the current term.
+//     Handle slots recycle through a free list under generation tags, so
+//     stale handles never validate. DocumentStats exposes the registry
+//     state.
 //   * Refresh fan-out optionally runs on a ThreadPool (util/thread_pool.h)
 //     and iterates *distinct* pipelines only — per-edit refresh cost
-//     scales with the number of distinct queries, not registrations.
+//     scales with the number of distinct live queries, not registrations.
 //     Pipelines share only the immutable term during a refresh — all
 //     written state (circuit arena, index pools, counts) is pipeline-
 //     private — so per-query refreshes are embarrassingly parallel. With
@@ -86,23 +87,17 @@ enum class AttachWhere {
 };
 
 /// Registry observability snapshot (see DynamicDocument::stats()): how many
-/// queries and pipelines are live, how registrations were served, and the
-/// accumulated per-pipeline refresh cost.
+/// queries and pipelines are live and how registrations were served.
 struct DocumentStats {
   /// Per-pipeline registry entry state.
   struct PipelineStats {
     size_t queries = 0;         ///< Live registrations sharing this pipeline.
     size_t width = 0;           ///< Automaton width (circuit state count).
-    uint64_t boxes_refreshed = 0;  ///< Lifetime box refreshes paid by it.
   };
 
   size_t live_queries = 0;     ///< Live handles (registrations).
-  size_t live_pipelines = 0;   ///< Pipelines (active + warm).
-  size_t active_pipelines = 0; ///< Pipelines with refcount > 0.
-  size_t warm_pipelines = 0;   ///< Pipelines with refcount == 0.
-  size_t shared_hits = 0;      ///< Registrations served by an active pipeline.
-  size_t readmissions = 0;     ///< Registrations served by a warm pipeline.
-  size_t evictions = 0;        ///< Pipelines destroyed by the cap.
+  size_t live_pipelines = 0;   ///< Pipelines (distinct live queries).
+  size_t shared_hits = 0;      ///< Registrations served by a live pipeline.
   size_t handle_slots = 0;     ///< Handle-table slots (recycled, ~peak live).
   std::vector<PipelineStats> pipelines;  ///< One entry per pipeline.
 };
@@ -116,19 +111,6 @@ class DynamicDocument {
   /// registrations and unregistrations; several live handles may resolve
   /// to the same deduplicated pipeline.
   using QueryHandle = size_t;
-  /// Pipeline cap value meaning "never evict".
-  static constexpr size_t kNoPipelineCap = static_cast<size_t>(-1);
-  /// Default pipeline cap: plenty of headroom for realistic working sets,
-  /// while bounding what dominates memory and per-edit cost — built
-  /// pipelines, each O(document size) and refreshed on every edit — so
-  /// long-lived documents with query churn (register, serve, unregister,
-  /// repeat with new queries) can't accumulate either without bound.
-  /// Raise it — or pass kNoPipelineCap — via set_pipeline_cap to retain
-  /// more. Evicted pipelines leave nothing behind and handle slots are
-  /// recycled through a free list, so registry state is bounded by the
-  /// live working set plus the cap, no matter how many registrations a
-  /// long-lived document churns through.
-  static constexpr size_t kDefaultPipelineCap = 64;
 
   /// A tree document: encodes `tree` as a balanced term (linear time).
   /// Every registered query must use exactly `num_labels` base labels.
@@ -147,8 +129,6 @@ class DynamicDocument {
 
   // ---- Introspection ----
 
-  /// True for word documents, false for tree documents.
-  bool is_word() const { return word_enc_ != nullptr; }
   /// The shared balanced term every pipeline is built over.
   const Term& term() const { return *term_; }
   /// The current tree (tree documents only).
@@ -180,19 +160,18 @@ class DynamicDocument {
   /// The compiled-query cache this document's registrations go through.
   QueryCache& query_cache() const { return *cache_; }
   /// Releases one registration; the handle becomes invalid. The shared
-  /// pipeline lives on while other handles reference it; at refcount zero
-  /// it is kept *warm* — still refreshed on every edit, so re-registering
-  /// the same query is a cheap re-admission instead of an O(size) rebuild
-  /// — until the pipeline cap evicts it (cheapest-to-rebuild / stalest
-  /// first; see set_pipeline_cap).
+  /// pipeline lives on while other handles reference it; the last release
+  /// destroys it, so every ReaderView and cursor resolved through the
+  /// handle must be released first. Re-registering the query later
+  /// compiles nothing (a cache hit) and builds a fresh pipeline over the
+  /// current term.
   void Unregister(QueryHandle handle);
   /// True iff `handle` was returned by Register and not yet unregistered.
   bool IsRegistered(QueryHandle handle) const;
   /// Number of live registrations (handles), counting duplicates.
   size_t num_queries() const { return num_live_; }
-  /// Number of pipelines: distinct live queries plus warm (refcount-zero,
-  /// not yet evicted) ones. This — not num_queries() — is what per-edit
-  /// refresh cost scales with.
+  /// Number of pipelines, one per distinct live (plan, mode). This — not
+  /// num_queries() — is what per-edit refresh cost scales with.
   size_t num_pipelines() const { return entries_.size(); }
 
   /// The pipeline serving a registration (counting, introspection; reads
@@ -201,27 +180,7 @@ class DynamicDocument {
   EnumerationPipeline& pipeline(QueryHandle handle);
   /// Const overload of pipeline().
   const EnumerationPipeline& pipeline(QueryHandle handle) const;
-
-  // ---- Admission / eviction policy ----
-
-  /// Caps the number of pipelines. When an admission (or this call,
-  /// or an unregistration) pushes num_pipelines() above the cap, warm
-  /// refcount-zero pipelines are evicted — cost-aware, not plain LRU: the
-  /// victim is the one minimizing accumulated refresh cost (the
-  /// DocumentStats boxes_refreshed counter, a proxy for how expensive the
-  /// pipeline is to keep rebuilt) divided by staleness (registrations/
-  /// releases since it was last used). A cheap-and-stale pipeline is
-  /// evicted before an expensive-and-recently-hot one, minimizing the
-  /// expected rebuild cost of keeping the cap — with equal costs this
-  /// degenerates to LRU. Eviction repeats until the cap holds or only
-  /// actively referenced pipelines remain; active pipelines are never
-  /// evicted, so num_pipelines() may exceed the cap while more than `cap`
-  /// distinct queries are live. An evicted pipeline is erased; while the
-  /// cache keeps its plan warm, re-registering the query compiles nothing
-  /// and builds a fresh pipeline over the current term. Not allowed
-  /// mid-batch.
-  void set_pipeline_cap(size_t cap);
-  /// Registry + refresh-cost observability snapshot.
+  /// Registry observability snapshot.
   DocumentStats stats() const;
 
   // ---- Refresh fan-out ----
@@ -234,8 +193,6 @@ class DynamicDocument {
   /// default) or a 1-lane pool means inline, deterministic,
   /// allocation-free fan-out.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
-  /// The attached pool (null = inline, deterministic fan-out).
-  ThreadPool* pool() const { return pool_; }
 
   // ---- Concurrent snapshot reads ----
   //
@@ -243,16 +200,15 @@ class DynamicDocument {
   // registration. Reader threads pin the current snapshot and evaluate
   // registered queries against it while the writer thread keeps editing
   // (including mid-batch — pinned versions are complete and frozen).
-  // Handles passed here must have been registered *before*
-  // the concurrent phase: Register/Unregister/set_pipeline_cap are
-  // writer-side and not synchronized against readers, and a query's
-  // pipeline can only serve snapshots published at or after its build
-  // (checked against the snapshot epoch). A SnapshotRef must be released
-  // before the document is destroyed.
+  // Handles passed here must have been registered *before* the concurrent
+  // phase: Register/Unregister are writer-side and not synchronized against
+  // readers, and a query's pipeline can only serve snapshots published at
+  // or after its build (checked against the snapshot epoch). A SnapshotRef
+  // must be released before the document is destroyed.
 
   /// Pre-resolved read surface for one registration, safe to use from
   /// reader threads *even while the writer thread mutates the query
-  /// registry* (Register/Unregister/set_pipeline_cap). EnumerateAt &
+  /// registry* (Register/Unregister). EnumerateAt &
   /// friends resolve handle → pipeline through the registry tables on
   /// every call, which is fine when registrations are quiesced during the
   /// concurrent phase — but a shard server interleaves registrations with
@@ -261,13 +217,13 @@ class DynamicDocument {
   /// pipeline's frozen boxes at the pinned snapshot version.
   ///
   /// Contract: create the view on the writer thread (no concurrent
-  /// registry mutation), and keep the underlying registration live for as
-  /// long as any thread uses the view — the pipeline is never evicted
-  /// while its refcount is non-zero, so a live handle is exactly what
-  /// keeps the view's pointer valid. The serving layer (serving/
-  /// shard_server.h) enforces this by resolving views on the shard worker
-  /// at registration time and invalidating them before the unregister
-  /// command commits.
+  /// registry mutation), and release the view and every cursor made from
+  /// it before the underlying registration is unregistered — the last
+  /// Unregister of a (plan, mode) destroys its pipeline, so a live handle
+  /// is exactly what keeps the view's pointer valid. The serving layer
+  /// (serving/shard_server.h) resolves views on the shard worker at
+  /// registration time; its callers stop using a view before submitting
+  /// the unregister command.
   class ReaderView {
    public:
     ReaderView() = default;
@@ -323,8 +279,8 @@ class DynamicDocument {
 
   // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) + fan-out ----
   // Tree documents only; word documents edit by position (below).
-  // UpdateStats totals are summed across pipelines (distinct live queries
-  // + warm ones): boxes_recomputed counts every per-pipeline box refresh.
+  // UpdateStats totals are summed across pipelines (one per distinct live
+  // query): boxes_recomputed counts every per-pipeline box refresh.
 
   /// Changes the label of node `n`.
   UpdateStats Relabel(NodeId n, Label l);
@@ -402,18 +358,15 @@ class DynamicDocument {
   }
 
  private:
-  /// One deduplicated query: the refcounted pipeline (whose plan pointer
-  /// and mode are the registry key) and the LRU/cost bookkeeping.
+  /// One deduplicated query: the refcounted pipeline, whose plan pointer
+  /// and mode are the registry key.
   struct QueryEntry {
     QueryEntry(const Term* term, std::shared_ptr<const HomogenizedTva> plan,
                BoxEnumMode mode)
         : pipeline(term, std::move(plan), mode) {}
     EnumerationPipeline pipeline;
     size_t refcount = 0;
-    uint64_t last_use = 0;  // LRU stamp: last registration or release
-    uint64_t boxes_refreshed = 0;  // lifetime refresh cost
   };
-  static constexpr size_t kNoEntry = static_cast<size_t>(-1);
 
   // Handles pack a recycled slot index (low 32 bits) with that slot's
   // generation (high 32 bits): unregistering bumps the generation, so a
@@ -450,7 +403,7 @@ class DynamicDocument {
   UpdateStats Dispatch(const UpdateResult& result);
   /// The shared tail of Dispatch and CommitBatch: fans the ids of `freed`
   /// that are dead now and `ordered` (children-first) out to every
-  /// pipeline, charges the refresh cost and publishes the new version.
+  /// pipeline and publishes the new version.
   /// Returns the box refreshes summed over pipelines.
   size_t Refresh(const std::vector<TermNodeId>& freed,
                  const std::vector<TermNodeId>& ordered);
@@ -458,9 +411,6 @@ class DynamicDocument {
   /// fan-out is enabled, else inline in build order.
   template <typename Fn>
   void FanOut(const Fn& fn);
-  /// Evicts warm pipelines (cost-aware, see set_pipeline_cap) until the
-  /// cap holds or only active pipelines remain.
-  void EnforceCap();
 
   // Exactly one encoding is non-null. unique_ptr keeps the Term address
   // stable for the pipelines.
@@ -474,20 +424,16 @@ class DynamicDocument {
   std::vector<TermNodeId> drained_freed_;
 
   // The query registry: entries in build order (the fan-out order), each
-  // heap-held so handle slots can point at it across evictions of others.
+  // heap-held so handle slots can point at it across erasures of others.
   // Handle slots recycle through handle_free_ under generation tags, so
   // surviving handles stay valid while the tables stay bounded by the
-  // peak working set plus the cap.
+  // peak working set.
   std::vector<std::unique_ptr<QueryEntry>> entries_;
   std::vector<QueryEntry*> handle_entry_;  // per-slot entry; null if dead
   std::vector<uint32_t> handle_gen_;
   std::vector<uint32_t> handle_free_;
   size_t num_live_ = 0;  // live handles
-  size_t pipeline_cap_ = kDefaultPipelineCap;
-  uint64_t use_clock_ = 0;
   size_t shared_hits_ = 0;
-  size_t readmissions_ = 0;
-  size_t evictions_ = 0;
   ThreadPool* pool_ = nullptr;
   QueryCache* cache_ = nullptr;  // never null after construction
 

@@ -212,11 +212,10 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
   }
 }
 
-// With no pipeline cap, an unregistered query's pipeline stays *warm*
-// (still refreshed, ready for re-admission); survivors must be unaffected
-// and registration after edits must build over the current tree. The
-// eviction path (where maintenance really stops) is covered in
-// registry_test.cpp.
+// Unregistering a query destroys its pipeline; survivors must be
+// unaffected and registration after edits must build over the current
+// tree. registry_test.cpp checks that later edits refresh only the live
+// pipelines.
 TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
   Rng rng(233);
   UnrankedTree tree = RandomTree(40, 3, rng);
@@ -244,8 +243,8 @@ TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
   }
   EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb), oracle.EnumerateAll());
 
-  // Registering after the edits serves the *current* tree (here via warm
-  // re-admission of qa's pipeline, which kept refreshing at refcount 0).
+  // Registering after the edits serves the *current* tree: a fresh
+  // pipeline built from the plan the query cache kept.
   DynamicDocument::QueryHandle qc = doc.Register(QueryMarkedAncestor(3, 1, 2));
   StaticEngine fresh(doc.tree(), QueryMarkedAncestor(3, 1, 2));
   EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qc), fresh.EnumerateAll());
@@ -408,8 +407,8 @@ TEST(DynamicDocument, SingleQuerySteadyStateRelabelsAreAllocationFree) {
 // The registry must not cost the steady state anything: duplicate
 // registrations collapse onto one pipeline, so relabels with Q duplicate
 // handles do exactly the single-query work — and stay allocation-free
-// (the registry's hash map and LRU stamps are touched only at
-// Register/Unregister time, never on the edit path).
+// (the registry is touched only at Register/Unregister time, never on the
+// edit path).
 TEST(DynamicDocument, DeduplicatedSteadyStateRelabelsAreAllocationFree) {
   ASSERT_TRUE(AllocGaugeActive())
       << "document_test must link treenum_alloc_gauge";

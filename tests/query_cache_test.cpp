@@ -208,8 +208,6 @@ TEST(QueryCache, PinnedPlansAreNeverEvicted) {
   EXPECT_EQ(s.unreferenced_entries, 0u);
   EXPECT_EQ(s.evictions, 3u);
   EXPECT_EQ(pinned->tva.num_states(), pinned->kind.size());
-  EXPECT_EQ(cache.Clear(), 0u) << "Clear drops only unreferenced plans";
-  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 // ---- Fingerprint-collision fallback ----

@@ -1,12 +1,10 @@
 // Tests for the deduplicating query registry (core/document.h) and the
 // canonical-form / fingerprint API its query cache is built on
 // (automata/homogenize.h): duplicate and state-renumbered queries share
-// one refcounted pipeline, unregistering keeps survivors correct, warm
-// refcount-zero pipelines are re-admitted without a rebuild, and the
-// pipeline cap evicts cost-aware (cheapest-to-rebuild / stalest first,
-// degenerating to LRU on equal costs), with re-registration of an evicted
-// query compiling nothing and round-tripping against a StaticEngine
-// oracle.
+// one refcounted pipeline, unregistering keeps survivors correct, the last
+// unregistration destroys the pipeline so later edits refresh only live
+// ones, and re-registering a released query compiles nothing and
+// round-trips against a StaticEngine oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,7 +175,6 @@ TEST(QueryRegistry, DuplicateRegistrationsShareOnePipeline) {
   DocumentStats stats = doc.stats();
   EXPECT_EQ(stats.live_queries, 3u);
   EXPECT_EQ(stats.live_pipelines, 1u);
-  EXPECT_EQ(stats.active_pipelines, 1u);
   EXPECT_EQ(stats.shared_hits, 2u);
   ASSERT_EQ(stats.pipelines.size(), 1u);
   EXPECT_EQ(stats.pipelines[0].queries, 3u);
@@ -261,62 +258,51 @@ TEST(QueryRegistry, UnregisterToZeroKeepsSurvivorsCorrect) {
   EXPECT_EQ(Answers(doc, other), oracle_sel.EnumerateAll());
 }
 
-TEST(QueryRegistry, WarmReadmissionReusesThePipeline) {
-  Rng rng(47);
+// The last Unregister destroys the pipeline at once: later edits refresh
+// only the live pipelines, exactly what a document serving only them pays.
+TEST(QueryRegistry, UnregisterToZeroDestroysThePipeline) {
+  Rng rng(79);
   UnrankedTree tree = RandomTree(50, 3, rng);
   DynamicDocument doc(tree, 3);
+  DynamicDocument only_a(tree, 3);
+  QueryHandle ha = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  QueryHandle hb = doc.Register(QuerySelectLabel(3, 1));
+  only_a.Register(QueryMarkedAncestor(3, 1, 2));
+  EXPECT_EQ(doc.num_pipelines(), 2u);
 
-  QueryHandle h1 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  const EnumerationPipeline* pipe = &doc.pipeline(h1);
-  StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
-
-  doc.Unregister(h1);
-  EXPECT_EQ(doc.num_queries(), 0u);
-  // Below the (default) cap: the refcount-zero pipeline stays warm and
-  // keeps refreshing.
+  doc.Unregister(hb);
   EXPECT_EQ(doc.num_pipelines(), 1u);
-  EXPECT_EQ(doc.stats().warm_pipelines, 1u);
+  EXPECT_EQ(doc.stats().pipelines.size(), 1u);
 
-  ScriptedEditor script(tree, 271, 3);
-  for (int i = 0; i < 40; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle.ApplyEdit(e);
-  }
-
-  QueryHandle h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(&doc.pipeline(h2), pipe) << "re-admission must reuse the object";
-  DocumentStats stats = doc.stats();
-  EXPECT_EQ(stats.readmissions, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
+  const NodeId n = tree.PreorderNodes()[tree.size() / 2];
+  const Label l = static_cast<Label>((tree.label(n) + 1) % 3);
+  const UpdateStats want = only_a.Relabel(n, l);
+  ASSERT_GT(want.boxes_recomputed, 0u);
+  EXPECT_EQ(doc.Relabel(n, l).boxes_recomputed, want.boxes_recomputed);
+  StaticEngine oracle(doc.tree(), QueryMarkedAncestor(3, 1, 2));
+  EXPECT_EQ(Answers(doc, ha), oracle.EnumerateAll());
 }
 
-// ---- Registry: admission / eviction ----
+// ---- Registry: re-registration ----
 
-TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
+TEST(QueryRegistry, ReRegistrationAfterUnregisterMatchesOracle) {
   Rng rng(53);
   UnrankedTree tree = RandomTree(50, 3, rng);
   QueryCache cache;
   DynamicDocument doc(tree, 3, &cache);
-  doc.set_pipeline_cap(1);
 
   QueryHandle keep = doc.Register(QueryMarkedAncestor(3, 1, 2));
   QueryHandle drop = doc.Register(QuerySelectLabel(3, 1));
-  // Both active: the cap never evicts referenced pipelines.
   EXPECT_EQ(doc.num_pipelines(), 2u);
-  EXPECT_EQ(doc.stats().evictions, 0u);
 
   StaticEngine oracle_keep(tree, QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle_drop(tree, QuerySelectLabel(3, 1));
 
-  // Releasing the second query pushes it to refcount zero; the cap evicts
-  // it immediately, leaving no registry entry behind.
+  // Releasing the second query destroys its pipeline, leaving no registry
+  // entry behind.
   doc.Unregister(drop);
   EXPECT_EQ(doc.num_pipelines(), 1u);
-  DocumentStats stats = doc.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.pipelines.size(), 1u);
+  EXPECT_EQ(doc.stats().pipelines.size(), 1u);
 
   ScriptedEditor script(tree, 6007, 3);
   for (int i = 0; i < 60; ++i) {
@@ -328,15 +314,13 @@ TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
   EXPECT_EQ(Answers(doc, keep), oracle_keep.EnumerateAll());
 
   // Re-registration builds a fresh pipeline over the *current* tree from
-  // the plan the cache kept warm: a source hit with no compile work.
+  // the plan the cache kept: a source hit with no compile work.
   const QueryCache::Stats before = cache.stats();
   QueryHandle again = doc.Register(QuerySelectLabel(3, 1));
   const QueryCache::Stats after = cache.stats();
   EXPECT_EQ(after.translations, before.translations);
   EXPECT_EQ(after.source_hits, before.source_hits + 1);
-  stats = doc.stats();
-  EXPECT_EQ(stats.readmissions, 0u) << "the evicted pipeline is gone";
-  EXPECT_EQ(stats.shared_hits, 0u);
+  EXPECT_EQ(doc.stats().shared_hits, 0u);
   EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
 
   // ... and stays correct under further edits.
@@ -348,66 +332,30 @@ TEST(QueryRegistry, EvictionAndReadmissionRoundTripAgainstOracle) {
   EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
 }
 
-// The cost-aware policy keeps the pipeline that is expensive to lose: A
-// accumulated refresh cost over many edits, B was registered afterwards
-// and never refreshed a box. A is released *before* B, so pure LRU would
-// evict A — the policy must evict cheap-stale B and keep expensive A warm.
-TEST(QueryRegistry, CapEvictsCheapStaleBeforeExpensiveHot) {
-  Rng rng(73);
-  UnrankedTree tree = RandomTree(40, 3, rng);
+// A query released before batched commits and registered again after them
+// is built over the committed tree, and its fresh pipeline follows the
+// next commit.
+TEST(QueryRegistry, ReRegistrationAfterBatchedCommitsMatchesOracle) {
+  Rng rng(67);
+  UnrankedTree tree = RandomTree(50, 3, rng);
   DynamicDocument doc(tree, 3);
+  QueryHandle h = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
+  doc.Unregister(h);
+  EXPECT_EQ(doc.num_pipelines(), 0u);
 
-  QueryHandle ha = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  ScriptedEditor script(tree, 911, 3);
-  for (int i = 0; i < 60; ++i) doc.ApplyEdit(script.NextEdit());
-  ASSERT_GT(doc.stats().pipelines[0].boxes_refreshed, 0u);
-
-  QueryHandle hb = doc.Register(QuerySelectLabel(3, 1));
-  doc.Unregister(ha);  // older LRU stamp than B
-  doc.Unregister(hb);
-  EXPECT_EQ(doc.num_pipelines(), 2u);
-
-  doc.set_pipeline_cap(1);
-  EXPECT_EQ(doc.num_pipelines(), 1u);
-  EXPECT_EQ(doc.stats().evictions, 1u);
-
-  // A survived (warm readmission); B was the victim (fresh build).
-  QueryHandle ha2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.stats().readmissions, 1u) << "expensive-hot A must stay warm";
-  QueryHandle hb2 = doc.Register(QuerySelectLabel(3, 1));
-  EXPECT_EQ(doc.stats().readmissions, 1u) << "cheap-stale B must be evicted";
-
-  // Both answer correctly over the edited tree.
-  UnrankedTree current = doc.tree();
-  StaticEngine oracle_a(current, QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle_b(current, QuerySelectLabel(3, 1));
-  EXPECT_EQ(Answers(doc, ha2), oracle_a.EnumerateAll());
-  EXPECT_EQ(Answers(doc, hb2), oracle_b.EnumerateAll());
-}
-
-TEST(QueryRegistry, CapEvictsWarmPipelinesInLruOrder) {
-  Rng rng(59);
-  UnrankedTree tree = RandomTree(40, 3, rng);
-  DynamicDocument doc(tree, 3);
-
-  QueryHandle ha = doc.Register(QuerySelectLabel(3, 0));
-  QueryHandle hb = doc.Register(QuerySelectLabel(3, 1));
-  QueryHandle hc = doc.Register(QuerySelectLabel(3, 2));
-  doc.Unregister(ha);  // A released first -> least recently used
-  doc.Unregister(hb);
-  EXPECT_EQ(doc.num_pipelines(), 3u);  // below the default cap: all warm
-
-  // Cap 2 evicts exactly one warm pipeline: A (LRU), not B.
-  doc.set_pipeline_cap(2);
-  EXPECT_EQ(doc.num_pipelines(), 2u);
-  EXPECT_EQ(doc.stats().evictions, 1u);
-  QueryHandle hb2 = doc.Register(QuerySelectLabel(3, 1));
-  EXPECT_EQ(doc.stats().readmissions, 1u) << "B must still be warm";
-  QueryHandle ha2 = doc.Register(QuerySelectLabel(3, 0));
-  EXPECT_EQ(doc.stats().readmissions, 1u) << "A must have been evicted";
-  EXPECT_TRUE(doc.IsRegistered(hc));
-  EXPECT_TRUE(doc.IsRegistered(hb2));
-  EXPECT_TRUE(doc.IsRegistered(ha2));
+  ScriptedEditor script(tree, 6389, 3);
+  auto commit_round = [&] {
+    std::vector<Edit> edits;
+    for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
+    doc.ApplyEdits(edits);
+    oracle.ApplyEdits(edits);
+  };
+  for (int round = 0; round < 6; ++round) commit_round();
+  QueryHandle h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
+  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
+  commit_round();
+  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
 }
 
 TEST(QueryRegistry, HandlesStayStableAcrossUnregister) {
@@ -432,16 +380,15 @@ TEST(QueryRegistry, HandlesStayStableAcrossUnregister) {
 
 // Long-lived documents with query churn (register, serve, unregister,
 // repeat) must not accumulate registry state: handle slots recycle and
-// evicted pipelines leave nothing behind, so the registry stays bounded by
-// the cap, not by the number of registrations or distinct queries ever
-// seen — and once the cache has compiled every query, churn compiles
-// nothing.
+// released pipelines leave nothing behind, so the registry stays bounded
+// by the live working set, not by the number of registrations or distinct
+// queries ever seen — and once the cache has compiled every query, churn
+// compiles nothing.
 TEST(QueryRegistry, ChurnKeepsRegistryMetadataBounded) {
   Rng rng(71);
   UnrankedTree tree = RandomTree(30, 3, rng);
   QueryCache cache;
   DynamicDocument doc(tree, 3, &cache);
-  doc.set_pipeline_cap(2);
   uint64_t translations = 0;
 
   // 12 distinct (query, mode) combinations cycled 20 times, one live
@@ -461,13 +408,16 @@ TEST(QueryRegistry, ChurnKeepsRegistryMetadataBounded) {
     }
     DocumentStats s = doc.stats();
     EXPECT_LE(s.handle_slots, 1u) << "one live handle -> one recycled slot";
-    EXPECT_LE(s.pipelines.size(), 2u) << "pipelines bounded by the cap";
-    if (round == 0) translations = cache.stats().translations;
-    EXPECT_EQ(cache.stats().translations, translations) << "round " << round;
+    EXPECT_EQ(s.pipelines.size(), 0u) << "no registration, no pipeline";
+    const QueryCache::Stats cs = cache.stats();
+    EXPECT_EQ(cs.unreferenced_entries, cs.entries)
+        << "no pipeline pins a plan between rounds";
+    EXPECT_LE(cs.entries, QueryCache::kDefaultRetentionCap);
+    if (round == 0) translations = cs.translations;
+    EXPECT_EQ(cs.translations, translations) << "round " << round;
   }
-  EXPECT_GT(doc.stats().evictions, 0u);
 
-  // An evicted query re-registers and still answers correctly against the
+  // A released query re-registers and still answers correctly against the
   // oracle.
   DynamicDocument::QueryHandle h = doc.Register(QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
@@ -477,8 +427,8 @@ TEST(QueryRegistry, ChurnKeepsRegistryMetadataBounded) {
 // The same 240-registration churn pattern routed through an explicitly
 // shared QueryCache across two documents: the per-document registry
 // metadata stays bounded exactly as above, and the process-wide cache's
-// entry and source tables stay bounded by pins + its retention cap — not
-// by the number of registrations ever made.
+// entry and source tables stay bounded by its retention cap — not by the
+// number of registrations ever made.
 TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   Rng rng(73);
   UnrankedTree tree = RandomTree(30, 3, rng);
@@ -486,7 +436,6 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   cache.set_retention_cap(1);
   DynamicDocument doc1(tree, 3, &cache);
   DynamicDocument doc2(tree, 3, &cache);
-  for (DynamicDocument* doc : {&doc1, &doc2}) doc->set_pipeline_cap(2);
 
   // 6 distinct queries cycled 20 times on both documents: 240
   // registrations, one live handle per document at a time.
@@ -505,12 +454,12 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
     for (DynamicDocument* doc : {&doc1, &doc2}) {
       DocumentStats s = doc->stats();
       EXPECT_LE(s.handle_slots, 1u);
-      EXPECT_LE(s.pipelines.size(), 2u) << "pipelines bounded by the cap";
+      EXPECT_EQ(s.pipelines.size(), 0u) << "no registration, no pipeline";
     }
     QueryCache::Stats cs = cache.stats();
-    // Each document's registry pins at most pipeline-cap plans; beyond
-    // those the cache keeps at most its own retention cap.
-    EXPECT_LE(cs.entries, 2 * 2u + 1u);
+    // No document pins a plan between rounds, so the cache keeps at most
+    // its own retention cap.
+    EXPECT_LE(cs.entries, 1u);
     EXPECT_LE(cs.source_entries, cs.entries)
         << "sources are erased with their entry";
   }
@@ -520,40 +469,13 @@ TEST(QueryRegistry, ChurnThroughSharedCacheStaysBounded) {
   QueryCache::Stats cs = cache.stats();
   EXPECT_GE(cs.source_hits, 120u);
   EXPECT_LT(cs.translations, 240u);
-
-  // Releasing every document-side pin shrinks the cache to its own cap.
-  for (DynamicDocument* doc : {&doc1, &doc2}) doc->set_pipeline_cap(0);
-  EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_LE(cache.stats().entries, 1u);
+  EXPECT_GT(cs.evictions, 0u);
 
   // A fully evicted query recompiles through the cache and still answers
   // correctly.
   DynamicDocument::QueryHandle h = doc2.Register(QueryMarkedAncestor(3, 2, 0));
   StaticEngine oracle(tree, QueryMarkedAncestor(3, 2, 0));
   EXPECT_EQ(Answers(doc2, h), oracle.EnumerateAll());
-}
-
-// The batched-commit path must refresh warm pipelines too, so a
-// re-admitted query is correct after commits that happened while it had
-// refcount zero.
-TEST(QueryRegistry, WarmPipelinesFollowBatchedCommits) {
-  Rng rng(67);
-  UnrankedTree tree = RandomTree(50, 3, rng);
-  DynamicDocument doc(tree, 3);
-  QueryHandle h = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
-  doc.Unregister(h);
-
-  ScriptedEditor script(tree, 6389, 3);
-  for (int round = 0; round < 6; ++round) {
-    std::vector<Edit> edits;
-    for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
-    doc.ApplyEdits(edits);
-    oracle.ApplyEdits(edits);
-  }
-  QueryHandle h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.stats().readmissions, 1u);
-  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
 }
 
 }  // namespace

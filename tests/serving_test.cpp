@@ -1,10 +1,11 @@
 // DocumentShardServer correctness: randomized mixed command scripts (leaf
 // edits + structural transactions + query churn + document removal) against
 // recompute-from-scratch StaticEngine oracles, bit-identical answers across
-// shard counts (S=1 vs S=8), concurrent snapshot readers during load (run
-// under TSan in CI), work-stealing liveness with exactly-once delivery,
-// several client threads submitting at once, the per-document run budget,
-// and the allocation-free templated ParallelFor contract.
+// shard counts (S=1 vs S=8), concurrent snapshot readers during load and
+// during query churn (run under TSan in CI), work-stealing liveness with
+// exactly-once delivery, several client threads submitting at once, the
+// per-document run budget, and the allocation-free templated ParallelFor
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,19 +199,20 @@ TEST(ShardServer, AnswersAreIdenticalAcrossShardCounts) {
 
 // ---- Concurrent snapshot readers during load ----
 
-// Reader threads continuously pin snapshots and enumerate through their
-// ReaderViews while the shard workers commit edits and structural
-// transactions. Readers assert internal consistency (existence check vs
-// cursor) and count mismatches; the writer side is verified against the
-// mirror after draining. This is the serving-layer TSan workload.
-TEST(ShardServer, SnapshotReadersConcurrentWithServing) {
+// Reader threads continuously pin snapshots and enumerate the persistent
+// query through their ReaderViews while the shard workers commit edits,
+// structural transactions and `churn_fraction` register/unregister churn.
+// Readers assert internal consistency (existence check vs cursor) and
+// count mismatches; after draining, every document is checked against
+// fresh oracles. This is the serving-layer TSan workload.
+void RunSnapshotReadersDuringServing(double churn_fraction) {
   constexpr size_t kDocs = 4, kDocSize = 40, kCommands = 1200;
   constexpr size_t kReaders = 3;
   DocumentShardServer::Options o;
   o.shards = 2;
   DocumentShardServer server(o);
   WorkloadOptions wo = MixedWorkload();
-  wo.churn_fraction = 0;  // keep every ReaderView trivially live
+  wo.churn_fraction = churn_fraction;
   std::vector<Tenant> tenants = MakeTenants(server, kDocs, kDocSize, 7, wo);
   const UnrankedTva churn_query = ChurnQuery();
 
@@ -244,11 +246,18 @@ TEST(ShardServer, SnapshotReadersConcurrentWithServing) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    ASSERT_TRUE(server.document(tenants[i].doc).tree() ==
-                tenants[i].script.mirror())
-        << "doc " << i;
-  }
+  ExpectMatchesOracles(server, tenants);
+}
+
+TEST(ShardServer, SnapshotReadersConcurrentWithServing) {
+  RunSnapshotReadersDuringServing(/*churn_fraction=*/0);
+}
+
+// The same readers while the workers register and unregister a second
+// query on the documents being read: each churn registration builds a
+// pipeline next to the persistent one and each release destroys it.
+TEST(ShardServer, SnapshotReadersConcurrentWithQueryChurn) {
+  RunSnapshotReadersDuringServing(/*churn_fraction=*/0.2);
 }
 
 // ---- Work stealing ----
