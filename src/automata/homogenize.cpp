@@ -120,7 +120,7 @@ HomogenizedTva HomogenizeBinaryTva(const BinaryTva& a) {
   return out;
 }
 
-// ---- Canonical form and fingerprints ----
+// ---- Canonical form ----
 
 namespace {
 
@@ -336,33 +336,6 @@ void CanonicalizeHomogenizedTva(HomogenizedTva* a) {
 
   a->tva = std::move(out);
   a->kind = std::move(kind);
-}
-
-uint64_t FingerprintHomogenizedTva(const HomogenizedTva& a) {
-  const BinaryTva& tva = a.tva;
-  uint64_t h = Mix64(0x7265656e756dULL);  // arbitrary seed
-  h = Combine(h, tva.num_states());
-  h = Combine(h, tva.num_labels());
-  h = Combine(h, tva.num_vars());
-  for (uint8_t k : a.kind) h = Combine(h, k);
-  for (const LeafInit& li : tva.leaf_inits()) {
-    h = Combine(Combine(Combine(h, li.label), li.vars), li.state);
-  }
-  for (const Transition& t : tva.transitions()) {
-    h = Combine(Combine(Combine(Combine(h, t.label), t.left), t.right),
-                t.state);
-  }
-  for (State q : tva.final_states()) h = Combine(h, q);
-  return h;
-}
-
-bool HomogenizedTvaEqual(const HomogenizedTva& a, const HomogenizedTva& b) {
-  return a.tva.num_states() == b.tva.num_states() &&
-         a.tva.num_labels() == b.tva.num_labels() &&
-         a.tva.num_vars() == b.tva.num_vars() && a.kind == b.kind &&
-         a.tva.leaf_inits() == b.tva.leaf_inits() &&
-         a.tva.transitions() == b.tva.transitions() &&
-         a.tva.final_states() == b.tva.final_states();
 }
 
 }  // namespace treenum

@@ -52,26 +52,28 @@ struct HomogenizedTva {
 /// Equivalent to `a` (same satisfying valuations on every tree).
 HomogenizedTva HomogenizeBinaryTva(const BinaryTva& a);
 
-// ---- Canonical form and fingerprints (query dedupe) ----
+// ---- Canonical form (query dedupe) ----
 //
-// The process-wide QueryCache (automata/query_cache.h) hash-conses every
-// compiled plan by its canonical homogenized automaton: textually
-// different queries that homogenize to the same automaton share one plan,
-// and so one pipeline per document. Canonicalization renumbers states
-// deterministically — iterated signature refinement over iota/delta/F/kind
-// (a 1-dimensional Weisfeiler-Leman pass), then an
-// individualization-refinement search (homogenize.cpp) that breaks the
-// remaining ties without looking at the incoming numbering — and sorts the
-// relation vectors, so automata that differ only in state numbering or
-// declaration order produce identical canonical forms. Equal canonical
+// The process-wide QueryCache (automata/query_cache.h) keys every compiled
+// plan by the serialized bytes of its canonical homogenized automaton
+// (automata/serialize.h): textually different queries that homogenize to
+// the same automaton share one plan, and so one pipeline per document.
+// Canonicalization renumbers states deterministically — iterated signature
+// refinement over iota/delta/F/kind (a 1-dimensional Weisfeiler-Leman
+// pass), then an individualization-refinement search (homogenize.cpp)
+// that breaks the remaining ties without looking at the incoming
+// numbering — and sorts the relation vectors, so automata that differ
+// only in state numbering or declaration order produce identical
+// canonical forms. Equal canonical
 // forms are always literally equal automata. Only past the search's caps
 // (more than 512 states, or 4096 explored orderings) can the order depend
 // on the incoming numbering, so isomorphic automata there may keep
 // distinct forms — served by distinct plans, costing memory but never
 // correctness.
 
-/// splitmix64 finalizer — the hash primitive behind every automaton
-/// fingerprint in this layer (homogenized, unranked, word).
+/// splitmix64 finalizer — the hash primitive behind canonical refinement's
+/// state colors (homogenize.cpp) and shard placement
+/// (serving/shard_server.cpp).
 inline uint64_t FingerprintMix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -79,7 +81,7 @@ inline uint64_t FingerprintMix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Order-dependent fold of `v` into the running fingerprint `h`.
+/// Order-dependent fold of `v` into the running hash `h`.
 inline uint64_t FingerprintCombine(uint64_t h, uint64_t v) {
   return FingerprintMix(h ^ FingerprintMix(v));
 }
@@ -89,17 +91,6 @@ inline uint64_t FingerprintCombine(uint64_t h, uint64_t v) {
 /// Preserves semantics exactly (same runs, same satisfying valuations,
 /// same run multiplicities — duplicate relation entries are kept).
 void CanonicalizeHomogenizedTva(HomogenizedTva* a);
-
-/// 64-bit structural fingerprint of `a` exactly as given (sizes, kinds and
-/// every relation entry in order). Canonicalize first to make it invariant
-/// under state renumbering and declaration order. Used as the QueryCache's
-/// canonical-map key; equality is always confirmed with HomogenizedTvaEqual.
-uint64_t FingerprintHomogenizedTva(const HomogenizedTva& a);
-
-/// Exact structural equality (sizes, kind vector, and the leaf-init /
-/// transition / final-state vectors element for element). Meaningful as an
-/// automaton-identity test only on canonical forms.
-bool HomogenizedTvaEqual(const HomogenizedTva& a, const HomogenizedTva& b);
 
 }  // namespace treenum
 

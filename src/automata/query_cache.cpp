@@ -1,7 +1,6 @@
 #include "automata/query_cache.h"
 
-#include <algorithm>
-#include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "automata/serialize.h"
@@ -11,33 +10,36 @@
 namespace treenum {
 namespace {
 
-// Structural equality of source automata, order-sensitive over the
-// relation vectors (the retained copy preserves declaration order, so an
-// equal construction compares equal; a merely renumbered or reordered
-// variant misses here, recompiles, and converges in the canonical map).
-bool UnrankedTvaEqual(const UnrankedTva& a, const UnrankedTva& b) {
-  return a.num_states() == b.num_states() &&
-         a.num_labels() == b.num_labels() && a.num_vars() == b.num_vars() &&
-         a.inits() == b.inits() && a.transitions() == b.transitions() &&
-         a.final_states() == b.final_states();
+// The kind byte that opens every source key (and precedes every source in
+// a cache image), so a tree query and a word query never share a key.
+constexpr uint8_t kTreeSource = 0;
+constexpr uint8_t kWordSource = 1;
+
+std::string SourceKey(const UnrankedTva& query) {
+  serialize::ByteWriter w;
+  w.PutU8(kTreeSource);
+  serialize::AppendUnrankedTva(query, &w);
+  return w.bytes();
 }
 
-bool WvaEqual(const Wva& a, const Wva& b) {
-  return a.num_states() == b.num_states() &&
-         a.num_labels() == b.num_labels() && a.num_vars() == b.num_vars() &&
-         a.transitions() == b.transitions() &&
-         a.initial_states() == b.initial_states() &&
-         a.final_states() == b.final_states();
+std::string SourceKey(const Wva& query) {
+  serialize::ByteWriter w;
+  w.PutU8(kWordSource);
+  serialize::AppendWva(query, &w);
+  return w.bytes();
 }
 
-// Domain separators mixed into the source-map key so a tree query and a
-// word query can never alias even on equal raw fingerprints.
-constexpr uint64_t kTreeSourceTag = 0x7472656571756572ULL;
-constexpr uint64_t kWordSourceTag = 0x776f726471756572ULL;
+std::string PlanKey(const HomogenizedTva& plan) {
+  serialize::ByteWriter w;
+  serialize::AppendHomogenizedTva(plan, &w);
+  return w.bytes();
+}
 
-// The constant every fingerprint collapses to under the collision test
-// hook (set_test_force_fingerprint_collisions).
-constexpr uint64_t kForcedFingerprint = 0x636f6c6c69646521ULL;
+TranslatedTva Translate(const UnrankedTva& query) {
+  return TranslateUnrankedTva(query);
+}
+
+TranslatedTva Translate(const Wva& query) { return TranslateWva(query); }
 
 }  // namespace
 
@@ -56,60 +58,12 @@ QueryCache& QueryCache::Global() {
 // Lookup / compilation
 // ---------------------------------------------------------------------------
 
-uint64_t QueryCache::CanonicalFingerprintLocked(
-    const HomogenizedTva& a) const {
-  return test_collide_ ? kForcedFingerprint : FingerprintHomogenizedTva(a);
-}
-
-uint64_t QueryCache::SourceKeyLocked(bool is_word,
-                                     uint64_t raw_fingerprint) const {
-  if (test_collide_) return kForcedFingerprint;
-  return FingerprintCombine(is_word ? kWordSourceTag : kTreeSourceTag,
-                            raw_fingerprint);
-}
-
-size_t QueryCache::FindSourceLocked(uint64_t key, bool is_word,
-                                    const UnrankedTva* tq, const Wva* wq) {
-  auto range = sources_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    const SourceEntry& s = it->second;
-    if (s.is_word != is_word) {
-      ++collisions_;
-      continue;
-    }
-    const bool equal = is_word ? WvaEqual(*s.word_src, *wq)
-                               : UnrankedTvaEqual(*s.tree_src, *tq);
-    if (equal) return s.slot;
-    ++collisions_;
-  }
-  return kNoSlot;
-}
-
-void QueryCache::AddSourceLocked(uint64_t key, bool is_word,
-                                 const UnrankedTva* tq, const Wva* wq,
-                                 size_t slot) {
-  if (FindSourceLocked(key, is_word, tq, wq) != kNoSlot) return;
-  SourceEntry s;
-  s.is_word = is_word;
-  if (is_word) {
-    s.word_src = std::make_unique<Wva>(*wq);
-  } else {
-    s.tree_src = std::make_unique<UnrankedTva>(*tq);
-  }
-  s.slot = slot;
-  sources_.emplace(key, std::move(s));
-}
-
-size_t QueryCache::InternCanonicalLocked(HomogenizedTva&& homog) {
-  const uint64_t fp = CanonicalFingerprintLocked(homog);
-  auto range = by_fingerprint_.equal_range(fp);
-  for (auto it = range.first; it != range.second; ++it) {
-    const Entry& e = entries_[it->second];
-    if (HomogenizedTvaEqual(*e.automaton, homog)) {
-      ++canonical_hits_;
-      return it->second;
-    }
-    ++collisions_;
+size_t QueryCache::InternCanonicalLocked(std::string plan_key,
+                                         HomogenizedTva&& homog) {
+  auto [it, inserted] = by_plan_.try_emplace(std::move(plan_key), kNoSlot);
+  if (!inserted) {
+    ++canonical_hits_;
+    return it->second;
   }
   size_t slot;
   if (!free_slots_.empty()) {
@@ -119,8 +73,9 @@ size_t QueryCache::InternCanonicalLocked(HomogenizedTva&& homog) {
     slot = entries_.size();
     entries_.emplace_back();
   }
+  it->second = slot;
   Entry& e = entries_[slot];
-  e.fingerprint = fp;
+  e.plan_key = &it->first;  // map nodes are stable across rehashes
   e.automaton = std::make_shared<const HomogenizedTva>(std::move(homog));
   // Build the grouped-CSR delta cache before any handle escapes: shard
   // workers build pipelines over this shared plan concurrently, and the
@@ -129,7 +84,6 @@ size_t QueryCache::InternCanonicalLocked(HomogenizedTva&& homog) {
   e.external_refs = 0;
   e.last_use = ++clock_;
   ++unreferenced_;
-  by_fingerprint_.emplace(fp, slot);
   ++insertions_;
   return slot;
 }
@@ -160,72 +114,42 @@ void QueryCache::Release(size_t slot) {
   }
 }
 
-QueryCache::Handle QueryCache::CompileTree(const UnrankedTva& query) {
-  const uint64_t raw_fp = FingerprintUnrankedTva(query);
+template <typename Query>
+QueryCache::Handle QueryCache::Compile(const Query& query) {
+  std::string source_key = SourceKey(query);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++lookups_;
-    const uint64_t key = SourceKeyLocked(false, raw_fp);
-    size_t slot = FindSourceLocked(key, false, &query, nullptr);
-    if (slot != kNoSlot) {
+    auto it = sources_.find(source_key);
+    if (it != sources_.end()) {
       ++source_hits_;
-      return AcquireLocked(slot);
+      return AcquireLocked(it->second);
     }
   }
   // Cold: compile outside the lock. Two threads racing on the same new
   // query both compile; the loser's intern lands on the winner's entry.
-  TranslatedTva translated = TranslateUnrankedTva(query);
-  HomogenizedTva homog = HomogenizeBinaryTva(translated.tva);
+  HomogenizedTva homog = HomogenizeBinaryTva(Translate(query).tva);
   CanonicalizeHomogenizedTva(&homog);
+  std::string plan_key = PlanKey(homog);
 
   std::lock_guard<std::mutex> lock(mu_);
   ++translations_;
   ++homogenizations_;
   ++canonicalizations_;
-  const size_t slot = InternCanonicalLocked(std::move(homog));
-  AddSourceLocked(SourceKeyLocked(false, raw_fp), false, &query, nullptr,
-                  slot);
+  const size_t slot =
+      InternCanonicalLocked(std::move(plan_key), std::move(homog));
+  sources_.emplace(std::move(source_key), slot);
   Handle h = AcquireLocked(slot);
   EnforceCapLocked();
   return h;
+}
+
+QueryCache::Handle QueryCache::CompileTree(const UnrankedTva& query) {
+  return Compile(query);
 }
 
 QueryCache::Handle QueryCache::CompileWord(const Wva& query) {
-  const uint64_t raw_fp = FingerprintWva(query);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++lookups_;
-    const uint64_t key = SourceKeyLocked(true, raw_fp);
-    size_t slot = FindSourceLocked(key, true, nullptr, &query);
-    if (slot != kNoSlot) {
-      ++source_hits_;
-      return AcquireLocked(slot);
-    }
-  }
-  TranslatedTva translated = TranslateWva(query);
-  HomogenizedTva homog = HomogenizeBinaryTva(translated.tva);
-  CanonicalizeHomogenizedTva(&homog);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ++translations_;
-  ++homogenizations_;
-  ++canonicalizations_;
-  const size_t slot = InternCanonicalLocked(std::move(homog));
-  AddSourceLocked(SourceKeyLocked(true, raw_fp), true, nullptr, &query, slot);
-  Handle h = AcquireLocked(slot);
-  EnforceCapLocked();
-  return h;
-}
-
-QueryCache::Handle QueryCache::Intern(HomogenizedTva homog) {
-  CanonicalizeHomogenizedTva(&homog);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++lookups_;
-  ++canonicalizations_;
-  const size_t slot = InternCanonicalLocked(std::move(homog));
-  Handle h = AcquireLocked(slot);
-  EnforceCapLocked();
-  return h;
+  return Compile(query);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,15 +181,11 @@ void QueryCache::EnforceCapLocked() {
 
 void QueryCache::EvictLocked(size_t slot) {
   Entry& e = entries_[slot];
-  auto range = by_fingerprint_.equal_range(e.fingerprint);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == slot) {
-      by_fingerprint_.erase(it);
-      break;
-    }
-  }
+  // Erase through an iterator: the key argument lives in the erased node.
+  by_plan_.erase(by_plan_.find(*e.plan_key));
+  e.plan_key = nullptr;
   for (auto it = sources_.begin(); it != sources_.end();) {
-    it = it->second.slot == slot ? sources_.erase(it) : std::next(it);
+    it = it->second == slot ? sources_.erase(it) : std::next(it);
   }
   e.automaton.reset();  // marks the slot free
   free_slots_.push_back(slot);
@@ -283,19 +203,11 @@ QueryCache::Stats QueryCache::stats() const {
   s.homogenizations = homogenizations_;
   s.canonicalizations = canonicalizations_;
   s.insertions = insertions_;
-  s.collisions = collisions_;
   s.evictions = evictions_;
   s.entries = entries_.size() - free_slots_.size();
   s.unreferenced_entries = unreferenced_;
   s.source_entries = sources_.size();
   return s;
-}
-
-void QueryCache::set_test_force_fingerprint_collisions(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TREENUM_CHECK(entries_.empty() || !on,
-                "collision hook must be set before the first insertion");
-  test_collide_ = on;
 }
 
 // ---------------------------------------------------------------------------
@@ -306,42 +218,28 @@ void QueryCache::set_test_force_fingerprint_collisions(bool on) {
 //   u64 entry count
 //   per entry: HomogenizedTva body | u32 source count |
 //              per source: u8 is_word | UnrankedTva or Wva body
+// The plan body is the entry's canonical-map key and each source is its
+// source-map key, so SaveCache writes the stored keys verbatim.
 
 bool QueryCache::SaveCache(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   serialize::ByteWriter w;
-  uint64_t count = 0;
-  for (const Entry& e : entries_) {
-    if (e.automaton != nullptr) ++count;
-  }
-  w.PutU64(count);
+  w.PutU64(entries_.size() - free_slots_.size());
   for (size_t slot = 0; slot < entries_.size(); ++slot) {
     const Entry& e = entries_[slot];
     if (e.automaton == nullptr) continue;
-    serialize::AppendHomogenizedTva(*e.automaton, &w);
+    w.PutBytes(*e.plan_key);
     uint32_t num_sources = 0;
     for (const auto& kv : sources_) {
-      if (kv.second.slot == slot) ++num_sources;
+      if (kv.second == slot) ++num_sources;
     }
     w.PutU32(num_sources);
     for (const auto& kv : sources_) {
-      const SourceEntry& s = kv.second;
-      if (s.slot != slot) continue;
-      w.PutU8(s.is_word ? 1 : 0);
-      if (s.is_word) {
-        serialize::AppendWva(*s.word_src, &w);
-      } else {
-        serialize::AppendUnrankedTva(*s.tree_src, &w);
-      }
+      if (kv.second == slot) w.PutBytes(kv.first);
     }
   }
   return serialize::WriteRecord(serialize::RecordKind::kCacheImage, w.bytes(),
                                 out);
-}
-
-bool QueryCache::SaveCache(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  return out && SaveCache(out);
 }
 
 size_t QueryCache::WarmStart(std::istream& in, std::string* error) {
@@ -354,15 +252,11 @@ size_t QueryCache::WarmStart(std::istream& in, std::string* error) {
   }
 
   // Stage the whole image before admitting anything, so a record that
-  // goes bad halfway through restores nothing.
-  struct StagedSource {
-    bool is_word = false;
-    std::unique_ptr<UnrankedTva> tree_src;
-    std::unique_ptr<Wva> word_src;
-  };
+  // goes bad halfway through restores nothing. Each parsed source is keyed
+  // by re-encoding it.
   struct StagedEntry {
     HomogenizedTva homog;
-    std::vector<StagedSource> sources;
+    std::vector<std::string> source_keys;
   };
   std::vector<StagedEntry> staged;
 
@@ -381,23 +275,20 @@ size_t QueryCache::WarmStart(std::istream& in, std::string* error) {
       return 0;
     }
     for (uint32_t j = 0; j < num_sources; ++j) {
-      uint8_t is_word;
-      if (!r.GetU8(&is_word) || is_word > 1) {
+      uint8_t source_kind;
+      if (!r.GetU8(&source_kind) || source_kind > kWordSource) {
         if (error != nullptr) *error = "bad source mode";
         return 0;
       }
-      StagedSource src;
-      src.is_word = is_word == 1;
-      if (src.is_word) {
+      if (source_kind == kWordSource) {
         Wva wva(0, 0, 0);
         if (!serialize::ParseWva(&r, &wva, error)) return 0;
-        src.word_src = std::make_unique<Wva>(std::move(wva));
+        entry.source_keys.push_back(SourceKey(wva));
       } else {
         UnrankedTva tva(0, 0, 0);
         if (!serialize::ParseUnrankedTva(&r, &tva, error)) return 0;
-        src.tree_src = std::make_unique<UnrankedTva>(std::move(tva));
+        entry.source_keys.push_back(SourceKey(tva));
       }
-      entry.sources.push_back(std::move(src));
     }
     staged.push_back(std::move(entry));
   }
@@ -412,28 +303,17 @@ size_t QueryCache::WarmStart(std::istream& in, std::string* error) {
     // already canonical (idempotent), and hand-crafted ones converge to
     // the same interned plan a live compile would produce.
     CanonicalizeHomogenizedTva(&entry.homog);
+    std::string plan_key = PlanKey(entry.homog);
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t slot = InternCanonicalLocked(std::move(entry.homog));
-    for (StagedSource& src : entry.sources) {
-      const uint64_t raw_fp = src.is_word
-                                  ? FingerprintWva(*src.word_src)
-                                  : FingerprintUnrankedTva(*src.tree_src);
-      AddSourceLocked(SourceKeyLocked(src.is_word, raw_fp), src.is_word,
-                      src.tree_src.get(), src.word_src.get(), slot);
+    const size_t slot =
+        InternCanonicalLocked(std::move(plan_key), std::move(entry.homog));
+    for (std::string& key : entry.source_keys) {
+      sources_.emplace(std::move(key), slot);
     }
     ++admitted;
     EnforceCapLocked();
   }
   return admitted;
-}
-
-size_t QueryCache::WarmStart(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open cache image";
-    return 0;
-  }
-  return WarmStart(in, error);
 }
 
 }  // namespace treenum

@@ -11,18 +11,19 @@
 // cache, and automaton-identical queries — across all documents — share a
 // single immutable `HomogenizedTva`.
 //
-// Two lookup levels, both exact:
+// An automaton's identity is its serialized body (automata/serialize.h):
+// the codecs write every field, so equal bytes are equal automata. Both
+// lookup levels are exact maps keyed by those bytes:
 //
-//   * Source map: pre-translation fingerprint (FingerprintUnrankedTva /
-//     FingerprintWva) confirmed by structural equality with a retained
-//     copy of the source automaton. A source hit returns the compiled
-//     plan with ZERO translation/homogenization/canonicalization work —
-//     the common case once any document has seen the query.
-//   * Canonical map: the PR 5 canonical fingerprint confirmed by exact
-//     HomogenizedTvaEqual, so fingerprint collisions fall back to
-//     structural comparison and distinct queries never alias. Queries
-//     whose sources differ (or were renumbered) but whose canonical forms
-//     coincide converge here to one plan.
+//   * Source map: a kind byte (0 = tree query, 1 = word query) followed by
+//     the AppendUnrankedTva / AppendWva body. A source hit returns the
+//     compiled plan with ZERO translation/homogenization/canonicalization
+//     work — the common case once any document has seen the query. The
+//     key keeps declaration order, so a reordered or renumbered variant
+//     misses here, compiles, and converges in the canonical map.
+//   * Canonical map: the AppendHomogenizedTva body of the canonical plan.
+//     Queries whose sources differ but whose canonical forms coincide
+//     converge here to one plan; distinct plans never alias.
 //
 // Handles are `shared_ptr<const HomogenizedTva>` whose deleter notifies
 // the cache (libfive's Cache::del idiom): while any document, pipeline or
@@ -32,15 +33,16 @@
 // exactly that reason.
 //
 // Thread safety: every public member is safe from any thread. Compilation
-// runs outside the lock (concurrent cold compiles of the same query are
-// benign — the second interns into the first's entry); the grouped-CSR
-// delta cache of each plan is built eagerly before the first handle is
-// published, so shard workers can build pipelines over one shared plan
-// concurrently without racing its lazy initialization.
+// and key encoding run outside the lock (concurrent cold compiles of the
+// same query are benign — the second interns into the first's entry); the
+// grouped-CSR delta cache of each plan is built eagerly before the first
+// handle is published, so shard workers can build pipelines over one
+// shared plan concurrently without racing its lazy initialization.
 //
 // Whole-cache images (SaveCache / WarmStart, automata/serialize.h) make
 // restarts warm: a warm-started process re-registers its query library
-// through the source map without compiling anything.
+// through the source map without compiling anything. An image stores the
+// map keys themselves: each plan's canonical body, then its source keys.
 #ifndef TREENUM_AUTOMATA_QUERY_CACHE_H_
 #define TREENUM_AUTOMATA_QUERY_CACHE_H_
 
@@ -75,15 +77,13 @@ class QueryCache {
   /// lifetime totals; `entries` / `unreferenced_entries` /
   /// `source_entries` are current gauges.
   struct Stats {
-    uint64_t lookups = 0;          ///< CompileTree/CompileWord/Intern calls.
+    uint64_t lookups = 0;          ///< CompileTree/CompileWord calls.
     uint64_t source_hits = 0;      ///< Served by the pre-translation map.
     uint64_t canonical_hits = 0;   ///< Served by the canonical map.
     uint64_t translations = 0;     ///< Source-to-binary translations paid.
     uint64_t homogenizations = 0;  ///< Homogenization passes paid.
     uint64_t canonicalizations = 0;  ///< Canonicalization passes paid.
     uint64_t insertions = 0;       ///< New canonical entries created.
-    uint64_t collisions = 0;       ///< Fingerprint matches refuted by
-                                   ///< exact comparison (either map).
     uint64_t evictions = 0;        ///< Warm entries dropped by the cap.
     size_t entries = 0;            ///< Live compiled plans.
     size_t unreferenced_entries = 0;  ///< Warm (refcount-zero) plans.
@@ -104,14 +104,11 @@ class QueryCache {
   // ---- Lookup / compilation ----
 
   /// Returns the compiled plan for a tree query, compiling it only if no
-  /// structurally equal source (and no canonically equal plan) is cached.
+  /// byte-identical source is cached; a compiled plan equal to a cached
+  /// one is shared.
   Handle CompileTree(const UnrankedTva& query);
   /// Returns the compiled plan for a word query (WVA / spanner).
   Handle CompileWord(const Wva& query);
-  /// Hash-conses an already-homogenized automaton: canonicalizes it, then
-  /// returns the cached plan if one is canonically equal, else interns
-  /// `homog` as a new plan.
-  Handle Intern(HomogenizedTva homog);
 
   // ---- Retention policy ----
 
@@ -127,53 +124,28 @@ class QueryCache {
   /// Writes every cached plan plus its source links as one checksummed
   /// record (automata/serialize.h). Returns false iff the write fails.
   bool SaveCache(std::ostream& out) const;
-  /// SaveCache to a file path.
-  bool SaveCache(const std::string& path) const;
   /// Restores plans saved by SaveCache into this cache (merging with its
   /// current contents) and returns how many records were admitted. On
   /// malformed input restores nothing, returns 0 and fills `*error`.
   size_t WarmStart(std::istream& in, std::string* error = nullptr);
-  /// WarmStart from a file path.
-  size_t WarmStart(const std::string& path, std::string* error = nullptr);
-
-  // ---- Test hooks ----
-
-  /// Forces every fingerprint (source and canonical) to one constant so
-  /// tests can drive the exact-comparison collision fallback; never set
-  /// in production.
-  void set_test_force_fingerprint_collisions(bool on);
 
  private:
-  /// One cached plan: the owning pointer, the canonical fingerprint it is
-  /// indexed under, and the pin/LRU bookkeeping. `automaton == nullptr`
-  /// marks a free slot.
+  /// One cached plan: the owning pointer, its canonical-map key, and the
+  /// pin/LRU bookkeeping. `automaton == nullptr` marks a free slot.
   struct Entry {
-    uint64_t fingerprint = 0;
+    const std::string* plan_key = nullptr;  ///< Key of its by_plan_ node.
     std::shared_ptr<const HomogenizedTva> automaton;
     size_t external_refs = 0;
     uint64_t last_use = 0;
   };
 
-  /// One pre-translation source link: a retained copy of the source
-  /// automaton (for exact confirmation) and the plan it compiled to.
-  struct SourceEntry {
-    bool is_word = false;
-    std::unique_ptr<UnrankedTva> tree_src;
-    std::unique_ptr<Wva> word_src;
-    size_t slot = 0;
-  };
-
-  uint64_t CanonicalFingerprintLocked(const HomogenizedTva& a) const;
-  uint64_t SourceKeyLocked(bool is_word, uint64_t raw_fingerprint) const;
-  /// Finds the plan slot a structurally equal source maps to; kNoSlot if
-  /// none.
-  size_t FindSourceLocked(uint64_t key, bool is_word, const UnrankedTva* tq,
-                          const Wva* wq);
-  /// Links a source automaton to `slot` unless an equal source exists.
-  void AddSourceLocked(uint64_t key, bool is_word, const UnrankedTva* tq,
-                       const Wva* wq, size_t slot);
-  /// Canonical-map lookup/insert of an already-canonical automaton.
-  size_t InternCanonicalLocked(HomogenizedTva&& homog);
+  /// The one compile path behind CompileTree and CompileWord: source-map
+  /// lookup, else compile outside the lock and intern.
+  template <typename Query>
+  Handle Compile(const Query& query);
+  /// Canonical-map lookup/insert of an already-canonical automaton whose
+  /// serialized body is `plan_key`.
+  size_t InternCanonicalLocked(std::string plan_key, HomogenizedTva&& homog);
   /// Pins `slot` and wraps it in a deleter-notifying Handle.
   Handle AcquireLocked(size_t slot);
   /// Deleter notification: unpins `slot`, possibly triggering eviction.
@@ -188,12 +160,11 @@ class QueryCache {
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   std::vector<size_t> free_slots_;
-  std::unordered_multimap<uint64_t, size_t> by_fingerprint_;
-  std::unordered_multimap<uint64_t, SourceEntry> sources_;
+  std::unordered_map<std::string, size_t> by_plan_;   ///< Plan body -> slot.
+  std::unordered_map<std::string, size_t> sources_;   ///< Source key -> slot.
   size_t retention_cap_ = kDefaultRetentionCap;
   size_t unreferenced_ = 0;
   uint64_t clock_ = 0;
-  bool test_collide_ = false;
 
   // Lifetime counters (under mu_; see Stats).
   uint64_t lookups_ = 0;
@@ -203,7 +174,6 @@ class QueryCache {
   uint64_t homogenizations_ = 0;
   uint64_t canonicalizations_ = 0;
   uint64_t insertions_ = 0;
-  uint64_t collisions_ = 0;
   uint64_t evictions_ = 0;
 };
 

@@ -57,6 +57,8 @@ class ByteWriter {
   void PutU32(uint32_t v);
   /// Appends `v` as 8 little-endian bytes.
   void PutU64(uint64_t v);
+  /// Appends `bytes` verbatim.
+  void PutBytes(const std::string& bytes) { buf_ += bytes; }
   /// The bytes written so far.
   const std::string& bytes() const { return buf_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "automata/homogenize.h"
-
 namespace treenum {
 
 const std::vector<State> UnrankedTva::kEmptyStates;
@@ -140,28 +138,6 @@ std::string UnrankedTva::ToString() const {
   return "UnrankedTva(Q=" + std::to_string(num_states_) +
          ", iota=" + std::to_string(inits_.size()) +
          ", delta=" + std::to_string(transitions_.size()) + ")";
-}
-
-uint64_t FingerprintUnrankedTva(const UnrankedTva& a) {
-  uint64_t h = FingerprintMix(0x756e72616e6bULL);
-  h = FingerprintCombine(h, a.num_states());
-  h = FingerprintCombine(h, a.num_labels());
-  h = FingerprintCombine(h, a.num_vars());
-  // Commutative per-relation sums: declaration order does not matter.
-  uint64_t inits = 0, trans = 0, finals = 0;
-  for (const LeafInit& li : a.inits()) {
-    inits += FingerprintMix(FingerprintCombine(
-        FingerprintCombine(uint64_t{li.label}, li.vars), li.state));
-  }
-  for (const StepTransition& t : a.transitions()) {
-    trans += FingerprintMix(FingerprintCombine(
-        FingerprintCombine(uint64_t{t.from}, t.child), t.to));
-  }
-  for (State q : a.final_states()) finals += FingerprintMix(q);
-  h = FingerprintCombine(h, inits);
-  h = FingerprintCombine(h, trans);
-  h = FingerprintCombine(h, finals);
-  return h;
 }
 
 }  // namespace treenum

@@ -99,15 +99,6 @@ class UnrankedTva {
   static const std::vector<std::pair<VarMask, State>> kEmptyInits;
 };
 
-/// 64-bit structural fingerprint of `a`, invariant under the *declaration
-/// order* of its inits/transitions/finals (commutative fold) but not under
-/// state renumbering. A fast pre-translation cache key: queries with equal
-/// fingerprints are usually the same construction. The shared-document
-/// registry does not rely on it — dedupe is decided on the canonical
-/// homogenized form (see automata/homogenize.h), which also merges
-/// renumbered variants.
-uint64_t FingerprintUnrankedTva(const UnrankedTva& a);
-
 }  // namespace treenum
 
 #endif  // TREENUM_AUTOMATA_UNRANKED_TVA_H_

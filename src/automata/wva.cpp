@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "automata/homogenize.h"
-
 namespace treenum {
 
 const std::vector<std::pair<VarMask, State>> Wva::kEmptySteps;
@@ -96,27 +94,6 @@ std::vector<Assignment> Wva::BruteForceAssignments(const Word& w) const {
 std::string Wva::ToString() const {
   return "Wva(Q=" + std::to_string(num_states_) +
          ", delta=" + std::to_string(transitions_.size()) + ")";
-}
-
-uint64_t FingerprintWva(const Wva& a) {
-  uint64_t h = FingerprintMix(0x777661ULL);
-  h = FingerprintCombine(h, a.num_states());
-  h = FingerprintCombine(h, a.num_labels());
-  h = FingerprintCombine(h, a.num_vars());
-  // Commutative per-relation sums: declaration order does not matter.
-  uint64_t trans = 0, inits = 0, finals = 0;
-  for (const WvaTransition& t : a.transitions()) {
-    trans += FingerprintMix(FingerprintCombine(
-        FingerprintCombine(FingerprintCombine(uint64_t{t.from}, t.label),
-                           t.vars),
-        t.to));
-  }
-  for (State q : a.initial_states()) inits += FingerprintMix(q);
-  for (State q : a.final_states()) finals += FingerprintMix(q);
-  h = FingerprintCombine(h, trans);
-  h = FingerprintCombine(h, inits);
-  h = FingerprintCombine(h, finals);
-  return h;
 }
 
 }  // namespace treenum

@@ -83,13 +83,6 @@ class Wva {
   static const std::vector<std::pair<VarMask, State>> kEmptySteps;
 };
 
-/// 64-bit structural fingerprint of `a`, invariant under the *declaration
-/// order* of its transitions and initial/final sets (commutative fold) but
-/// not under state renumbering. A fast pre-translation cache key; the
-/// shared-document registry dedupes on the canonical homogenized form
-/// instead (see automata/homogenize.h).
-uint64_t FingerprintWva(const Wva& a);
-
 }  // namespace treenum
 
 #endif  // TREENUM_AUTOMATA_WVA_H_

@@ -63,12 +63,6 @@ DynamicDocument::QueryHandle DynamicDocument::Register(const Wva& query,
   return AdmitShared(cache_->CompileWord(query), mode);
 }
 
-DynamicDocument::QueryHandle DynamicDocument::RegisterPrepared(
-    HomogenizedTva homog, BoxEnumMode mode) {
-  TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");
-  return AdmitShared(cache_->Intern(std::move(homog)), mode);
-}
-
 DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
     std::shared_ptr<const HomogenizedTva> homog, BoxEnumMode mode) {
   TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");

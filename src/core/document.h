@@ -21,10 +21,11 @@
 //     once; each pipeline then consumes the same merged changed-box set
 //     through the same Apply.
 //   * Registered queries are *deduplicated* by compiled-plan identity:
-//     the shared QueryCache (automata/query_cache.h) hash-conses every
-//     plan, so textually different but automaton-identical queries arrive
-//     as the same plan pointer, and the registry maps each (plan, mode)
-//     pair to one refcounted pipeline. A pipeline lives exactly as long
+//     the shared QueryCache (automata/query_cache.h) keys every plan by
+//     the serialized bytes of its canonical form, so textually different
+//     but automaton-identical queries arrive as the same plan pointer,
+//     and the registry maps each (plan, mode) pair to one refcounted
+//     pipeline. A pipeline lives exactly as long
 //     as its registrations: the last Unregister destroys it, so the
 //     cache's LRU of compiled plans is the only thing kept between
 //     registrations. Re-registering a released query is a cache hit that
@@ -153,10 +154,6 @@ class DynamicDocument {
   /// Word-document overload of Register (queries are WVAs / spanners).
   QueryHandle Register(const Wva& query,
                        BoxEnumMode mode = BoxEnumMode::kIndexed);
-  /// Registers an already-prepared automaton (must be over this document's
-  /// term alphabet). Canonicalized (by the shared cache) and deduplicated
-  /// like Register.
-  QueryHandle RegisterPrepared(HomogenizedTva homog, BoxEnumMode mode);
   /// The compiled-query cache this document's registrations go through.
   QueryCache& query_cache() const { return *cache_; }
   /// Releases one registration; the handle becomes invalid. The shared

@@ -1,19 +1,18 @@
 // Tests for the process-wide compiled-query cache (automata/query_cache.h):
 // cross-document dedupe down to pointer identity with zero recompilation,
-// refcount-driven retention and LRU eviction of warm plans, the exact-
-// comparison fallback under forced fingerprint collisions, shard-server
-// plumbing, and an 8-thread concurrent Acquire/Release stress run (in the
-// CI TSan filter).
+// reordered and renumbered sources converging on one plan, refcount-driven
+// retention and LRU eviction of warm plans, shard-server plumbing, and an
+// 8-thread concurrent Acquire/Release stress run (in the CI TSan filter).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "automata/query_cache.h"
 #include "automata/query_library.h"
-#include "automata/translate.h"
 #include "baseline/static_engine.h"
 #include "core/document.h"
 #include "serving/shard_server.h"
@@ -65,8 +64,9 @@ TEST(QueryCache, SecondDocumentRegistrationCompilesNothing) {
   EXPECT_EQ(doc2.EnumerateAt(doc2.CurrentSnapshot(), h2), o2.EnumerateAll());
 }
 
-// Renumbered/reordered variants miss the source map but converge in the
-// canonical map: still exactly one compiled plan.
+// Renumbered/reordered variants miss the source map (its keys keep
+// declaration order) but converge in the canonical map: each compiles
+// once and lands on its original's plan.
 TEST(QueryCache, RenumberedVariantConvergesCanonically) {
   // QuerySelectLabel(3, 1) with states swapped and declarations reordered.
   UnrankedTva permuted(2, 3, 1);
@@ -76,16 +76,40 @@ TEST(QueryCache, RenumberedVariantConvergesCanonically) {
   permuted.AddTransition(1, 1, 1);
   permuted.AddInit(1, 1, 0);
   for (Label l = 3; l-- > 0;) permuted.AddInit(l, 0, 1);
+  // QuerySelectLabel(3, 1) with every relation declared backwards.
+  UnrankedTva reordered(2, 3, 1);
+  reordered.AddFinal(1);
+  reordered.AddTransition(1, 0, 1);
+  reordered.AddTransition(0, 1, 1);
+  reordered.AddTransition(0, 0, 0);
+  reordered.AddInit(1, 1, 1);
+  for (Label l = 3; l-- > 0;) reordered.AddInit(l, 0, 0);
+  // A word query, and the same query declared backwards.
+  Wva w1(2, 2, 1), w2(2, 2, 1);
+  w1.AddInitial(0);
+  w1.AddTransition(0, 0, 0, 0);
+  w1.AddTransition(0, 1, 1, 1);
+  w1.AddFinal(1);
+  w2.AddFinal(1);
+  w2.AddTransition(0, 1, 1, 1);
+  w2.AddTransition(0, 0, 0, 0);
+  w2.AddInitial(0);
 
   QueryCache cache;
   Handle a = cache.CompileTree(QuerySelectLabel(3, 1));
+  Handle w = cache.CompileWord(w1);
   Handle b = cache.CompileTree(permuted);
+  Handle c = cache.CompileTree(reordered);
+  Handle v = cache.CompileWord(w2);
   EXPECT_EQ(a.get(), b.get()) << "canonically equal plans must be shared";
+  EXPECT_EQ(a.get(), c.get()) << "declaration order must not split plans";
+  EXPECT_EQ(w.get(), v.get()) << "word sources converge the same way";
   QueryCache::Stats s = cache.stats();
-  EXPECT_EQ(s.translations, 2u) << "source miss still compiles";
-  EXPECT_EQ(s.insertions, 1u) << "but interns into one entry";
-  EXPECT_EQ(s.canonical_hits, 1u);
-  EXPECT_EQ(s.source_entries, 2u) << "both sources link to the plan";
+  EXPECT_EQ(s.translations, 5u) << "each source miss compiles once";
+  EXPECT_EQ(s.insertions, 2u) << "but interns into its original's entry";
+  EXPECT_EQ(s.canonical_hits, 3u);
+  EXPECT_EQ(s.source_hits, 0u);
+  EXPECT_EQ(s.source_entries, 5u) << "every source links to its plan";
 }
 
 // Word queries go through the same cache under a separate source domain.
@@ -124,25 +148,6 @@ TEST(QueryCache, WordQueriesShareAcrossDocuments) {
             ref1.EnumerateAt(ref1.CurrentSnapshot(), r1));
   EXPECT_EQ(doc2.EnumerateAt(doc2.CurrentSnapshot(), h2),
             ref2.EnumerateAt(ref2.CurrentSnapshot(), r2));
-}
-
-// RegisterPrepared routes through Intern: automaton-identical prepared
-// registrations across documents share the plan too.
-TEST(QueryCache, PreparedRegistrationsIntern) {
-  Rng rng(12);
-  QueryCache cache;
-  DynamicDocument doc1(RandomTree(20, 3, rng), 3, &cache);
-  DynamicDocument doc2(RandomTree(20, 3, rng), 3, &cache);
-  auto prepare = [] {
-    return HomogenizeBinaryTva(
-        TranslateUnrankedTva(QuerySelectLabel(3, 0)).tva);
-  };
-  auto h1 = doc1.RegisterPrepared(prepare(), BoxEnumMode::kIndexed);
-  auto h2 = doc2.RegisterPrepared(prepare(), BoxEnumMode::kIndexed);
-  EXPECT_EQ(doc1.pipeline(h1).automaton().get(),
-            doc2.pipeline(h2).automaton().get());
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().canonical_hits, 1u);
 }
 
 // ---- Refcounting, retention, eviction ----
@@ -210,40 +215,6 @@ TEST(QueryCache, PinnedPlansAreNeverEvicted) {
   EXPECT_EQ(pinned->tva.num_states(), pinned->kind.size());
 }
 
-// ---- Fingerprint-collision fallback ----
-
-// With every fingerprint forced to one constant, correctness rests
-// entirely on the exact-comparison fallbacks in both maps: distinct
-// queries must stay distinct, identical ones must still dedupe.
-TEST(QueryCache, ForcedCollisionsFallBackToExactComparison) {
-  QueryCache cache;
-  cache.set_test_force_fingerprint_collisions(true);
-
-  Handle a0 = cache.CompileTree(QuerySelectLabel(3, 0));
-  Handle a1 = cache.CompileTree(QuerySelectLabel(3, 1));
-  Handle a2 = cache.CompileTree(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_NE(a0.get(), a1.get());
-  EXPECT_NE(a1.get(), a2.get());
-
-  Handle b0 = cache.CompileTree(QuerySelectLabel(3, 0));
-  EXPECT_EQ(a0.get(), b0.get()) << "identical query still dedupes";
-
-  QueryCache::Stats s = cache.stats();
-  EXPECT_EQ(s.insertions, 3u);
-  EXPECT_GT(s.collisions, 0u) << "the fallback actually ran";
-  EXPECT_EQ(s.source_hits, 1u);
-
-  // Collided-but-distinct plans answer their own queries correctly.
-  Rng rng(14);
-  DynamicDocument doc(RandomTree(35, 3, rng), 3, &cache);
-  auto h0 = doc.Register(QuerySelectLabel(3, 0));
-  auto h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  StaticEngine o0(doc.tree(), QuerySelectLabel(3, 0));
-  StaticEngine o2(doc.tree(), QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h0), o0.EnumerateAll());
-  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h2), o2.EnumerateAll());
-}
-
 // ---- Shard-server plumbing ----
 
 // One cache threaded through all shard workers: the same query registered
@@ -286,10 +257,29 @@ TEST(QueryCache, ShardServerSharesOneCacheAcrossShards) {
 
 // ---- Concurrent stress (CI TSan filter) ----
 
+// `q` with every relation declared in reverse order: the same automaton
+// under a different source key, so it misses the source map and reaches
+// the plan through the canonical map.
+UnrankedTva Reversed(const UnrankedTva& q) {
+  UnrankedTva r(q.num_states(), q.num_labels(), q.num_vars());
+  const auto& inits = q.inits();
+  for (auto it = inits.rbegin(); it != inits.rend(); ++it) {
+    r.AddInit(it->label, it->vars, it->state);
+  }
+  const auto& trans = q.transitions();
+  for (auto it = trans.rbegin(); it != trans.rend(); ++it) {
+    r.AddTransition(it->from, it->child, it->to);
+  }
+  const auto& finals = q.final_states();
+  for (auto it = finals.rbegin(); it != finals.rend(); ++it) r.AddFinal(*it);
+  return r;
+}
+
 // 8 threads hammer one cache with a small query set: compile (acquire),
-// hold, release, plus occasional Intern of prepared automata. Exercises
-// concurrent source hits, racing cold compiles of the same query, the
-// deleter notification path, and eviction under a small retention cap.
+// hold, release, plus occasional compiles of reversed declarations.
+// Exercises concurrent source hits, concurrent canonical hits, racing cold
+// compiles of the same query, the deleter notification path, and eviction
+// under a small retention cap.
 TEST(QueryCache, ConcurrentAcquireReleaseStress) {
   QueryCache cache;
   cache.set_retention_cap(3);
@@ -301,13 +291,15 @@ TEST(QueryCache, ConcurrentAcquireReleaseStress) {
   queries.push_back(QueryMarkedAncestor(3, 1, 2));
   queries.push_back(QueryMarkedAncestor(3, 2, 0));
   queries.push_back(QuerySelectLeaves(3));
+  std::vector<UnrankedTva> reversed;
+  for (const UnrankedTva& q : queries) reversed.push_back(Reversed(q));
 
   // Reference plans, compiled single-threaded in a private cache.
-  std::vector<HomogenizedTva> reference;
+  std::vector<std::string> reference;
   {
     QueryCache ref_cache;
     for (const UnrankedTva& q : queries) {
-      reference.push_back(*ref_cache.CompileTree(q));
+      reference.push_back(PlanBytes(*ref_cache.CompileTree(q)));
     }
   }
 
@@ -319,14 +311,8 @@ TEST(QueryCache, ConcurrentAcquireReleaseStress) {
       std::vector<Handle> held;
       for (int i = 0; i < kIters; ++i) {
         size_t qi = rng.Index(queries.size());
-        Handle h;
-        if (i % 5 == 4) {
-          h = cache.Intern(HomogenizeBinaryTva(
-              TranslateUnrankedTva(queries[qi]).tva));
-        } else {
-          h = cache.CompileTree(queries[qi]);
-        }
-        if (!HomogenizedTvaEqual(*h, reference[qi])) failed = true;
+        Handle h = cache.CompileTree(i % 5 == 4 ? reversed[qi] : queries[qi]);
+        if (PlanBytes(*h) != reference[qi]) failed = true;
         if (rng.Flip(0.5)) {
           held.push_back(std::move(h));  // pin across iterations
         }

@@ -1,6 +1,5 @@
 // Tests for the deduplicating query registry (core/document.h) and the
-// canonical-form / fingerprint API its query cache is built on
-// (automata/homogenize.h): duplicate and state-renumbered queries share
+// canonical form its query cache keys plans by (automata/homogenize.h): duplicate and state-renumbered queries share
 // one refcounted pipeline, unregistering keeps survivors correct, the last
 // unregistration destroys the pipeline so later edits refresh only live
 // ones, and re-registering a released query compiles nothing and
@@ -46,19 +45,17 @@ HomogenizedTva Prepare(const UnrankedTva& q) {
   return HomogenizeBinaryTva(TranslateUnrankedTva(q).tva);
 }
 
-// ---- Canonical form and fingerprints ----
+// ---- Canonical form ----
 
 TEST(CanonicalForm, InvariantUnderRenumberingAndDeclarationOrder) {
   for (Label a = 0; a < 3; ++a) {
     HomogenizedTva h1 = Prepare(QuerySelectLabel(3, a));
     HomogenizedTva h2 = Prepare(SelectLabelPermuted(a));
-    EXPECT_FALSE(HomogenizedTvaEqual(h1, h2))
+    EXPECT_NE(PlanBytes(h1), PlanBytes(h2))
         << "permuted variants should differ before canonicalization";
     CanonicalizeHomogenizedTva(&h1);
     CanonicalizeHomogenizedTva(&h2);
-    EXPECT_TRUE(HomogenizedTvaEqual(h1, h2)) << "label " << a;
-    EXPECT_EQ(FingerprintHomogenizedTva(h1), FingerprintHomogenizedTva(h2))
-        << "label " << a;
+    EXPECT_EQ(PlanBytes(h1), PlanBytes(h2)) << "label " << a;
   }
 }
 
@@ -84,7 +81,7 @@ TEST(CanonicalForm, BreaksTiesOfVertexTransitiveAutomaton) {
   // Idempotent on the symmetric automaton too.
   HomogenizedTva again = h1;
   CanonicalizeHomogenizedTva(&again);
-  EXPECT_TRUE(HomogenizedTvaEqual(h1, again));
+  EXPECT_EQ(PlanBytes(h1), PlanBytes(again));
   const std::vector<std::vector<State>> perms = {
       {1, 2, 3, 4, 5, 0},  // rotation (an automorphism of the cycle)
       {2, 4, 0, 5, 1, 3},  // arbitrary renumbering
@@ -93,8 +90,7 @@ TEST(CanonicalForm, BreaksTiesOfVertexTransitiveAutomaton) {
   for (const std::vector<State>& perm : perms) {
     HomogenizedTva h2 = CyclicTva(perm);
     CanonicalizeHomogenizedTva(&h2);
-    EXPECT_TRUE(HomogenizedTvaEqual(h1, h2));
-    EXPECT_EQ(FingerprintHomogenizedTva(h1), FingerprintHomogenizedTva(h2));
+    EXPECT_EQ(PlanBytes(h1), PlanBytes(h2));
   }
 }
 
@@ -103,8 +99,7 @@ TEST(CanonicalForm, IsIdempotent) {
   CanonicalizeHomogenizedTva(&h);
   HomogenizedTva again = h;
   CanonicalizeHomogenizedTva(&again);
-  EXPECT_TRUE(HomogenizedTvaEqual(h, again));
-  EXPECT_EQ(FingerprintHomogenizedTva(h), FingerprintHomogenizedTva(again));
+  EXPECT_EQ(PlanBytes(h), PlanBytes(again));
 }
 
 TEST(CanonicalForm, DistinguishesDifferentQueries) {
@@ -122,37 +117,10 @@ TEST(CanonicalForm, DistinguishesDifferentQueries) {
   }
   for (size_t i = 0; i < canon.size(); ++i) {
     for (size_t j = i + 1; j < canon.size(); ++j) {
-      EXPECT_FALSE(HomogenizedTvaEqual(canon[i], canon[j]))
+      EXPECT_NE(PlanBytes(canon[i]), PlanBytes(canon[j]))
           << "queries " << i << " and " << j;
     }
   }
-}
-
-TEST(CanonicalForm, SourceFingerprintsIgnoreDeclarationOrder) {
-  // The pre-translation fingerprints are declaration-order-insensitive
-  // (commutative folds) but state-numbering-sensitive.
-  UnrankedTva a = QuerySelectLabel(3, 1);
-  UnrankedTva b(2, 3, 1);  // same query, relations declared backwards
-  b.AddFinal(1);
-  b.AddTransition(1, 0, 1);
-  b.AddTransition(0, 1, 1);
-  b.AddTransition(0, 0, 0);
-  b.AddInit(1, 1, 1);
-  for (Label l = 3; l-- > 0;) b.AddInit(l, 0, 0);
-  EXPECT_EQ(FingerprintUnrankedTva(a), FingerprintUnrankedTva(b));
-  EXPECT_NE(FingerprintUnrankedTva(a),
-            FingerprintUnrankedTva(QuerySelectLabel(3, 2)));
-
-  Wva w1(2, 2, 1), w2(2, 2, 1);
-  w1.AddInitial(0);
-  w1.AddTransition(0, 0, 0, 0);
-  w1.AddTransition(0, 1, 1, 1);
-  w1.AddFinal(1);
-  w2.AddFinal(1);
-  w2.AddTransition(0, 1, 1, 1);
-  w2.AddTransition(0, 0, 0, 0);
-  w2.AddInitial(0);
-  EXPECT_EQ(FingerprintWva(w1), FingerprintWva(w2));
 }
 
 // ---- Registry: dedupe ----

@@ -3,15 +3,17 @@
 // modes), header rejection (magic / version / endianness), truncated and
 // corrupted input rejected cleanly (the suite runs under ASan in CI, so
 // any out-of-bounds read on malformed input fails loudly), whole-cache
-// SaveCache/WarmStart round-trips, and a golden fixture in tests/data/
-// pinning the byte format across revisions.
+// SaveCache/WarmStart round-trips (into empty and non-empty caches), and
+// golden fixtures in tests/data/ pinning the byte format of a compiled
+// plan and of a whole-cache image across revisions.
 //
-// Regenerate the golden fixture (after a deliberate format bump) with:
+// Regenerate the golden fixtures (after a deliberate format bump) with:
 //   TREENUM_REGEN_GOLDEN=1 ./serialize_test
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "automata/regex_spanner.h"
 #include "automata/serialize.h"
 #include "automata/translate.h"
+#include "test_util.h"
 
 namespace treenum {
 namespace {
@@ -92,9 +95,7 @@ TEST(Serialize, CompiledPlanRoundTripsForEveryLibraryQuery) {
     HomogenizedTva loaded;
     std::string error;
     ASSERT_TRUE(LoadCompiled(in, &loaded, &error)) << error;
-    EXPECT_TRUE(HomogenizedTvaEqual(plans[i], loaded));
-    EXPECT_EQ(FingerprintHomogenizedTva(plans[i]),
-              FingerprintHomogenizedTva(loaded));
+    EXPECT_EQ(PlanBytes(plans[i]), PlanBytes(loaded));
     // Bit-equivalence: re-serializing the loaded plan reproduces the
     // exact bytes (the format has one encoding per automaton).
     EXPECT_EQ(Serialized(loaded), bytes);
@@ -111,7 +112,10 @@ TEST(Serialize, SourceAutomataRoundTrip) {
     std::string error;
     ASSERT_TRUE(ParseUnrankedTva(&r, &loaded, &error)) << error;
     EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_EQ(FingerprintUnrankedTva(q), FingerprintUnrankedTva(loaded));
+    // Re-encoding reproduces the bytes: WarmStart keys parsed sources so.
+    ByteWriter again;
+    AppendUnrankedTva(loaded, &again);
+    EXPECT_EQ(again.bytes(), w.bytes());
     EXPECT_EQ(q.inits(), loaded.inits());
     EXPECT_EQ(q.transitions(), loaded.transitions());
     EXPECT_EQ(q.final_states(), loaded.final_states());
@@ -124,7 +128,9 @@ TEST(Serialize, SourceAutomataRoundTrip) {
     std::string error;
     ASSERT_TRUE(ParseWva(&r, &loaded, &error)) << error;
     EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_EQ(FingerprintWva(q), FingerprintWva(loaded));
+    ByteWriter again;
+    AppendWva(loaded, &again);
+    EXPECT_EQ(again.bytes(), w.bytes());
     EXPECT_EQ(q.transitions(), loaded.transitions());
     EXPECT_EQ(q.initial_states(), loaded.initial_states());
     EXPECT_EQ(q.final_states(), loaded.final_states());
@@ -240,7 +246,7 @@ TEST(Serialize, CacheImageRoundTripsAndWarmStartsWithoutCompiling) {
   // Warm plans are the same automata the cold cache compiled.
   QueryCache::Handle a = cache.CompileTree(QueryMarkedAncestor(3, 1, 2));
   QueryCache::Handle b = warmed.CompileTree(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_TRUE(HomogenizedTvaEqual(*a, *b));
+  EXPECT_EQ(PlanBytes(*a), PlanBytes(*b));
 
   // A truncated image restores nothing.
   std::string bytes = out.str();
@@ -249,6 +255,33 @@ TEST(Serialize, CacheImageRoundTripsAndWarmStartsWithoutCompiling) {
   QueryCache empty;
   EXPECT_EQ(empty.WarmStart(cut, &error), 0u);
   EXPECT_EQ(empty.stats().entries, 0u);
+}
+
+// An image plan equal to a live one lands on the live entry (a canonical
+// hit, same plan pointer), and the image's other plans serve later
+// lookups from the source map.
+TEST(Serialize, WarmStartMergesIntoANonEmptyCache) {
+  QueryCache saved;
+  saved.CompileTree(QueryMarkedAncestor(3, 1, 2));
+  saved.CompileTree(QuerySelectLabel(3, 1));
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(saved.SaveCache(out));
+
+  QueryCache cache;
+  QueryCache::Handle live = cache.CompileTree(QueryMarkedAncestor(3, 1, 2));
+  std::istringstream in(out.str(), std::ios::binary);
+  std::string error;
+  EXPECT_EQ(cache.WarmStart(in, &error), 2u) << error;
+  QueryCache::Stats s = cache.stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.canonical_hits, 1u);
+
+  EXPECT_EQ(cache.CompileTree(QueryMarkedAncestor(3, 1, 2)).get(), live.get());
+  const uint64_t source_hits = cache.stats().source_hits;
+  cache.CompileTree(QuerySelectLabel(3, 1));
+  s = cache.stats();
+  EXPECT_EQ(s.source_hits, source_hits + 1);
+  EXPECT_EQ(s.translations, 1u) << "only the live query was ever compiled";
 }
 
 // ---- Golden fixture ----
@@ -269,10 +302,51 @@ TEST(Serialize, GoldenFixtureStaysLoadable) {
   HomogenizedTva loaded;
   std::string error;
   ASSERT_TRUE(LoadCompiled(in, &loaded, &error)) << error;
-  EXPECT_TRUE(HomogenizedTvaEqual(expected, loaded))
+  EXPECT_EQ(PlanBytes(expected), PlanBytes(loaded))
       << "byte format or canonical form drifted from the checked-in fixture";
   EXPECT_EQ(Serialized(expected),
             Serialized(loaded));
+}
+
+// Pins the whole-cache image format: a cache holding one tree and one word
+// query (one source each, so the order of sources in the image is fixed)
+// saves exactly the checked-in bytes, and warm-starting them serves both
+// queries without compiling.
+TEST(Serialize, GoldenCacheImageStaysByteIdentical) {
+  const std::string path =
+      std::string(TREENUM_TEST_DATA_DIR) + "/cache_image_v1.bin";
+  const UnrankedTva tree_query = QuerySelectLabel(3, 1);
+  const Wva word_query = CompileRegexSpanner("a*<0:b>.*", 3, 1);
+  QueryCache cache;
+  cache.CompileTree(tree_query);
+  cache.CompileWord(word_query);
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(cache.SaveCache(out));
+  const std::string image = out.str();
+
+  if (std::getenv("TREENUM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(file.write(image.data(),
+                           static_cast<std::streamsize>(image.size())));
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file) << "missing golden fixture " << path;
+  const std::string golden((std::istreambuf_iterator<char>(file)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(image, golden)
+      << "cache image bytes drifted from the checked-in fixture";
+
+  QueryCache warmed;
+  std::istringstream in(golden, std::ios::binary);
+  std::string error;
+  EXPECT_EQ(warmed.WarmStart(in, &error), 2u) << error;
+  warmed.CompileTree(tree_query);
+  warmed.CompileWord(word_query);
+  const QueryCache::Stats s = warmed.stats();
+  EXPECT_EQ(s.translations, 0u);
+  EXPECT_EQ(s.source_hits, 2u);
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 #define TREENUM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "automata/binary_tva.h"
+#include "automata/homogenize.h"
+#include "automata/serialize.h"
 #include "automata/unranked_tva.h"
 #include "core/engine.h"
 #include "falgebra/term.h"
@@ -75,6 +78,15 @@ class ScriptedEditor {
   size_t num_labels_;
   std::vector<NodeId> pool_;
 };
+
+/// The serialized body of a compiled plan — the QueryCache's identity for
+/// it: equal bytes iff equal automata (sizes, kinds and every relation
+/// entry in order).
+inline std::string PlanBytes(const HomogenizedTva& a) {
+  serialize::ByteWriter w;
+  serialize::AppendHomogenizedTva(a, &w);
+  return w.bytes();
+}
 
 /// Random nondeterministic unranked stepwise TVA. Densities control how
 /// many ι entries / δ triples are created.
