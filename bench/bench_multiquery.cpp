@@ -58,8 +58,6 @@ UnrankedTva QueryAt(size_t i) {
   }
 }
 
-using bench::EditScript;
-
 // ---- 1. Per-edit maintenance vs. Q ----
 
 void BM_MultiQuery_IndependentEngines(benchmark::State& state) {
@@ -70,11 +68,11 @@ void BM_MultiQuery_IndependentEngines(benchmark::State& state) {
   for (size_t i = 0; i < q; ++i) {
     engines.push_back(std::make_unique<TreeEnumerator>(tree, QueryAt(i)));
   }
-  EditScript script(tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   double total_us = 0;
   size_t edits = 0;
   for (auto _ : state) {
-    Edit e = script.Next();
+    Edit e = script.NextEdit();
     auto t0 = std::chrono::steady_clock::now();
     for (auto& engine : engines) engine->ApplyEdit(e);
     total_us += std::chrono::duration<double, std::micro>(
@@ -102,11 +100,11 @@ void BM_MultiQuery_SharedDocument(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(n);
   DynamicDocument doc(tree, 3);
   for (size_t i = 0; i < q; ++i) doc.Register(QueryAt(i));
-  EditScript script(tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   double total_us = 0;
   size_t edits = 0;
   for (auto _ : state) {
-    Edit e = script.Next();
+    Edit e = script.NextEdit();
     auto t0 = std::chrono::steady_clock::now();
     doc.ApplyEdit(e);
     total_us += std::chrono::duration<double, std::micro>(
@@ -143,11 +141,11 @@ void BM_MultiQuery_DuplicateQueries(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(n);
   DynamicDocument doc(tree, 3);
   for (size_t i = 0; i < q; ++i) doc.Register(bench::StandardQuery());
-  EditScript script(tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   double total_us = 0;
   size_t edits = 0;
   for (auto _ : state) {
-    Edit e = script.Next();
+    Edit e = script.NextEdit();
     auto t0 = std::chrono::steady_clock::now();
     doc.ApplyEdit(e);
     total_us += std::chrono::duration<double, std::micro>(
@@ -184,7 +182,7 @@ void BM_MultiQuery_BatchedCommit(benchmark::State& state) {
   DynamicDocument doc(tree, 3);
   doc.set_pool(&pool);
   for (size_t i = 0; i < q; ++i) doc.Register(QueryAt(i));
-  EditScript script(tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   // Warm the arena spans so the measured commits are refresh-dominated.
   doc.BeginBatch();
   for (size_t i = 0; i < kBatch; ++i) doc.ApplyEdit(script.NextRelabel());

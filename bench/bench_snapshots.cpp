@@ -44,7 +44,7 @@ void SerializedBaseline(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(n);
   DynamicDocument doc(tree, 3);
   DynamicDocument::QueryHandle h = doc.Register(bench::StandardQuery());
-  bench::EditScript script(tree, kSeed, 3);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
 
   size_t enums = 0;
   size_t answers = 0;
@@ -84,7 +84,7 @@ void ReaderThroughput(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(n);
   DynamicDocument doc(tree, 3);
   DynamicDocument::QueryHandle h = doc.Register(bench::StandardQuery());
-  bench::EditScript script(tree, kSeed, 3);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
 
   size_t enums = 0;
   double seconds = 0.0;
@@ -150,7 +150,7 @@ void WriterUnderReaders(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(n);
   DynamicDocument doc(tree, 3);
   DynamicDocument::QueryHandle h = doc.Register(bench::StandardQuery());
-  bench::EditScript script(tree, kSeed, 3);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
 
   // Untimed warmup, as in bench_updates: size the arena spans.
   {
@@ -219,7 +219,7 @@ void BM_Snapshot_PublishRetireCycle(benchmark::State& state) {
   UnrankedTree tree = bench::MakeTree(1024);
   DynamicDocument doc(tree, 3);
   doc.Register(bench::StandardQuery());
-  bench::EditScript script(tree, kSeed, 3);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   for (auto _ : state) {
     doc.ApplyEdit(script.NextRelabel());
   }

@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "core/document.h"
+#include "util/alloc_gauge.h"
 
 namespace treenum {
 namespace {
@@ -72,17 +73,19 @@ void BM_Structural_SubtreeMove(benchmark::State& state) {
   MoveSetup s(m);
   int parity = 0;
   for (int i = 0; i < 8; ++i) s.MoveOnce(parity ^= 1);  // warm scratch/pools
-  bench::AllocGauge gauge;
+  AllocGaugeScope gauge;
   for (auto _ : state) {
     s.MoveOnce(parity ^= 1);
   }
   size_t txns = state.iterations();
-  state.counters["allocs_per_txn"] = gauge.per(txns);
+  double allocs_per_txn =
+      static_cast<double>(gauge.allocs()) / static_cast<double>(txns);
+  state.counters["allocs_per_txn"] = allocs_per_txn;
   state.SetItemsProcessed(static_cast<int64_t>(txns));
   bench::EmitJson("structural_subtree_move",
                   {{"n", static_cast<double>(kDocSize)},
                    {"m", static_cast<double>(m)},
-                   {"allocs_per_txn", gauge.per(txns)},
+                   {"allocs_per_txn", allocs_per_txn},
                    {"iterations", static_cast<double>(txns)}});
 }
 BENCHMARK(BM_Structural_SubtreeMove)

@@ -45,14 +45,11 @@ template <BoxEnumMode mode>
 void UpdateBench(benchmark::State& state, bool relabel_only,
                  const char* label) {
   size_t n = static_cast<size_t>(state.range(0));
-  TreeEnumerator engine(bench::MakeTree(n), bench::StandardQuery(), mode);
-  bench::EditDriver driver(engine, kSeed);
+  UnrankedTree tree = bench::MakeTree(n);
+  TreeEnumerator engine(tree, bench::StandardQuery(), mode);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   for (auto _ : state) {
-    if (relabel_only) {
-      driver.RelabelStep();
-    } else {
-      driver.Step();
-    }
+    engine.ApplyEdit(relabel_only ? script.NextRelabel() : script.NextEdit());
   }
   state.SetLabel(label);
 }

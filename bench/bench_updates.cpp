@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "util/alloc_gauge.h"
 
 namespace treenum {
 namespace {
@@ -70,11 +71,12 @@ BENCHMARK(BM_Update_InsertDeleteCycle)
 
 void BM_Update_MixedStream(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  TreeEnumerator e(bench::MakeTree(n), bench::StandardQuery());
-  bench::EditDriver driver(e, kSeed);
+  UnrankedTree tree = bench::MakeTree(n);
+  TreeEnumerator e(tree, bench::StandardQuery());
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   size_t boxes = 0;
   for (auto _ : state) {
-    UpdateStats s = driver.Step();
+    UpdateStats s = e.ApplyEdit(script.NextEdit());
     boxes += s.boxes_recomputed;
   }
   state.counters["boxes_per_update"] =
@@ -94,11 +96,13 @@ void UpdateScriptBench(benchmark::State& state) {
   size_t k = static_cast<size_t>(state.range(1));
   UnrankedTree tree = bench::MakeTree(n);
   TreeEnumerator e(tree, bench::StandardQuery());
-  bench::EngineEditDriver driver(e, tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   size_t boxes = 0;
   for (auto _ : state) {
     if (kBatched) e.BeginBatch();
-    for (size_t i = 0; i < k; ++i) boxes += driver.Step().boxes_recomputed;
+    for (size_t i = 0; i < k; ++i) {
+      boxes += e.ApplyEdit(script.NextEdit()).boxes_recomputed;
+    }
     if (kBatched) boxes += e.CommitBatch().boxes_recomputed;
   }
   double per_edit_boxes = static_cast<double>(boxes) /
@@ -145,11 +149,11 @@ void RelabelScriptBench(benchmark::State& state, BoxEnumMode mode) {
   size_t k = static_cast<size_t>(state.range(1));
   UnrankedTree tree = bench::MakeTree(n);
   TreeEnumerator e(tree, bench::StandardQuery(), mode);
-  bench::EngineEditDriver driver(e, tree, kSeed);
+  serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   // Untimed warmup pass: sizes the arena spans touched by the script.
-  for (size_t i = 0; i < k; ++i) driver.RelabelStep();
+  for (size_t i = 0; i < k; ++i) e.ApplyEdit(script.NextRelabel());
   size_t boxes = 0;
-  bench::AllocGauge gauge;
+  AllocGaugeScope gauge;
   // Snapshot-layer cost: spine nodes path-copied per edit (the published
   // snapshot pins the root, so every edit copies its O(log n) spine) and
   // node versions recycled through the term's free list.
@@ -158,20 +162,22 @@ void RelabelScriptBench(benchmark::State& state, BoxEnumMode mode) {
   for (auto _ : state) {
     if (kBatched) e.BeginBatch();
     for (size_t i = 0; i < k; ++i) {
-      boxes += driver.RelabelStep().boxes_recomputed;
+      boxes += e.ApplyEdit(script.NextRelabel()).boxes_recomputed;
     }
     if (kBatched) boxes += e.CommitBatch().boxes_recomputed;
   }
   size_t edits = state.iterations() * k;
   double per_edit_boxes =
       static_cast<double>(boxes) / static_cast<double>(edits);
+  double allocs_per_edit =
+      static_cast<double>(gauge.allocs()) / static_cast<double>(edits);
   double copies_per_edit =
       static_cast<double>(e.term().path_copies() - copies0) /
       static_cast<double>(edits);
   double nodes_recycled =
       static_cast<double>(e.term().nodes_recycled() - recycled0);
   state.counters["boxes_per_edit"] = per_edit_boxes;
-  state.counters["allocs_per_edit"] = gauge.per(edits);
+  state.counters["allocs_per_edit"] = allocs_per_edit;
   state.counters["path_copies_per_edit"] = copies_per_edit;
   state.counters["nodes_recycled"] = nodes_recycled;
   state.SetItemsProcessed(static_cast<int64_t>(edits));
@@ -185,7 +191,7 @@ void RelabelScriptBench(benchmark::State& state, BoxEnumMode mode) {
                    {"k", static_cast<double>(k)},
                    {"indexed", indexed ? 1.0 : 0.0},
                    {"boxes_per_edit", per_edit_boxes},
-                   {"allocs_per_edit", gauge.per(edits)},
+                   {"allocs_per_edit", allocs_per_edit},
                    {"path_copies_per_edit", copies_per_edit},
                    {"nodes_recycled", nodes_recycled},
                    {"iterations", static_cast<double>(state.iterations())}});

@@ -1,5 +1,6 @@
-// Shared workload generators and helpers for the benchmark suite. Each
-// bench binary regenerates one experiment of EXPERIMENTS.md.
+// Shared workloads and helpers for the benchmark suite. Edit scripts come
+// from serving::CommandScript, included from serving/workload.h. Each bench
+// binary regenerates one experiment of EXPERIMENTS.md.
 #ifndef TREENUM_BENCH_BENCH_UTIL_H_
 #define TREENUM_BENCH_BENCH_UTIL_H_
 
@@ -7,36 +8,15 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <utility>
-#include <vector>
 
 #include "automata/query_library.h"
-#include "core/engine.h"
 #include "core/tree_enumerator.h"
+#include "serving/workload.h"
 #include "trees/unranked_tree.h"
-#include "util/alloc_gauge.h"
 #include "util/random.h"
 
 namespace treenum {
 namespace bench {
-
-/// Allocation-count gauge (util/alloc_gauge.h) for proving hot paths are
-/// allocation-free: wrap a timed region in an AllocGauge and report
-/// `per(items)` as a counter (e.g. allocs_per_edit). Counts are nonzero
-/// only in binaries linked against treenum_alloc_gauge (bench_updates is);
-/// elsewhere the gauge reads 0 and `active()` says so.
-class AllocGauge {
- public:
-  bool active() const { return AllocGaugeActive(); }
-  uint64_t allocs() const { return scope_.allocs(); }
-  double per(size_t items) const {
-    return items == 0 ? 0.0
-                      : static_cast<double>(scope_.allocs()) /
-                            static_cast<double>(items);
-  }
-
- private:
-  AllocGaugeScope scope_;
-};
 
 inline constexpr uint64_t kSeed = 0xBADC0FFEE;
 
@@ -55,196 +35,6 @@ inline UnrankedTree MakePath(size_t n) {
 /// The standard benchmark query: marked-ancestor (4 states, nontrivial
 /// vertical information flow, answers sparse).
 inline UnrankedTva StandardQuery() { return QueryMarkedAncestor(3, 1, 2); }
-
-/// Random-edit driver with an incrementally maintained pool of candidate
-/// node ids, so picking an edit target is O(1) — a full PreorderNodes()
-/// scan per edit would add an O(n) term inside the timed region and mask
-/// the logarithmic update shapes the experiments measure.
-class EditDriver {
- public:
-  EditDriver(TreeEnumerator& e, uint64_t seed) : e_(e), rng_(seed) {
-    pool_ = e.tree().PreorderNodes();
-  }
-
-  UpdateStats Step() {
-    NodeId n = Pick();
-    switch (rng_.Index(4)) {
-      case 0:
-        return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
-      case 1: {
-        NodeId u;
-        UpdateStats s =
-            e_.InsertFirstChild(n, static_cast<Label>(rng_.Index(3)), &u);
-        pool_.push_back(u);
-        return s;
-      }
-      case 2: {
-        if (n == e_.tree().root()) {
-          return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
-        }
-        NodeId u;
-        UpdateStats s =
-            e_.InsertRightSibling(n, static_cast<Label>(rng_.Index(3)), &u);
-        pool_.push_back(u);
-        return s;
-      }
-      default:
-        if (n != e_.tree().root() && e_.tree().IsLeaf(n)) {
-          return e_.DeleteLeaf(n);
-        }
-        return e_.Relabel(n, static_cast<Label>(rng_.Index(3)));
-    }
-  }
-
-  UpdateStats RelabelStep() {
-    return e_.Relabel(Pick(), static_cast<Label>(rng_.Index(3)));
-  }
-
- private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (e_.tree().IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
-
-  TreeEnumerator& e_;
-  Rng rng_;
-  std::vector<NodeId> pool_;
-};
-
-/// Random-edit driver for any Engine backend: the candidate pool is kept in
-/// sync with a mirror tree (same edits => same NodeIds on every backend),
-/// so one driver instance can feed engines that expose no tree() accessor.
-/// Emits through Engine::ApplyEdit, i.e. the shared update surface.
-class EngineEditDriver {
- public:
-  EngineEditDriver(Engine& e, UnrankedTree mirror, uint64_t seed)
-      : e_(e), mirror_(std::move(mirror)), rng_(seed) {
-    pool_ = mirror_.PreorderNodes();
-  }
-
-  UpdateStats Step() {
-    NodeId n = Pick();
-    Label l = static_cast<Label>(rng_.Index(3));
-    switch (rng_.Index(4)) {
-      case 1: {
-        mirror_.InsertFirstChild(n, l);
-        NodeId u;
-        UpdateStats s = e_.ApplyEdit(Edit::InsertFirstChild(n, l), &u);
-        pool_.push_back(u);
-        return s;
-      }
-      case 2: {
-        if (n == mirror_.root()) break;
-        mirror_.InsertRightSibling(n, l);
-        NodeId u;
-        UpdateStats s = e_.ApplyEdit(Edit::InsertRightSibling(n, l), &u);
-        pool_.push_back(u);
-        return s;
-      }
-      case 3: {
-        if (n == mirror_.root() || !mirror_.IsLeaf(n)) break;
-        mirror_.DeleteLeaf(n);
-        return e_.ApplyEdit(Edit::DeleteLeaf(n));
-      }
-      default:
-        break;
-    }
-    mirror_.Relabel(n, l);
-    return e_.ApplyEdit(Edit::Relabel(n, l));
-  }
-
-  /// Relabel-only variant: the paper's cheapest update (pure path
-  /// recomputation, never a rebalance) — the steady-state workload for the
-  /// arena storage's allocation-free refresh path.
-  UpdateStats RelabelStep() {
-    NodeId n = Pick();
-    Label l = static_cast<Label>(rng_.Index(3));
-    mirror_.Relabel(n, l);
-    return e_.ApplyEdit(Edit::Relabel(n, l));
-  }
-
- private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (mirror_.IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
-
-  Engine& e_;
-  UnrankedTree mirror_;
-  Rng rng_;
-  std::vector<NodeId> pool_;
-};
-
-/// Mirror-driven edit scripter emitting Edit values (instead of applying
-/// them like EngineEditDriver), so one script can drive a DynamicDocument
-/// and a fleet of independent engines identically.
-class EditScript {
- public:
-  EditScript(UnrankedTree mirror, uint64_t seed, size_t num_labels = 3)
-      : mirror_(std::move(mirror)), rng_(seed), num_labels_(num_labels) {
-    pool_ = mirror_.PreorderNodes();
-  }
-
-  Edit Next() {
-    NodeId n = Pick();
-    Label l = static_cast<Label>(rng_.Index(num_labels_));
-    switch (rng_.Index(4)) {
-      case 1: {
-        pool_.push_back(mirror_.InsertFirstChild(n, l));
-        return Edit::InsertFirstChild(n, l);
-      }
-      case 2:
-        if (n != mirror_.root()) {
-          pool_.push_back(mirror_.InsertRightSibling(n, l));
-          return Edit::InsertRightSibling(n, l);
-        }
-        break;
-      case 3:
-        if (n != mirror_.root() && mirror_.IsLeaf(n)) {
-          mirror_.DeleteLeaf(n);
-          return Edit::DeleteLeaf(n);
-        }
-        break;
-      default:
-        break;
-    }
-    mirror_.Relabel(n, l);
-    return Edit::Relabel(n, l);
-  }
-
-  Edit NextRelabel() {
-    NodeId n = Pick();
-    Label l = static_cast<Label>(rng_.Index(num_labels_));
-    mirror_.Relabel(n, l);
-    return Edit::Relabel(n, l);
-  }
-
- private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (mirror_.IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
-
-  UnrankedTree mirror_;
-  Rng rng_;
-  size_t num_labels_;
-  std::vector<NodeId> pool_;
-};
 
 /// Machine-readable benchmark output: appends one JSON object per call to
 /// the file named by $TREENUM_BENCH_JSON (no-op when unset), so CI can

@@ -134,8 +134,6 @@ QueryCache::Handle QueryCache::Compile(const Query& query) {
 
   std::lock_guard<std::mutex> lock(mu_);
   ++translations_;
-  ++homogenizations_;
-  ++canonicalizations_;
   const size_t slot =
       InternCanonicalLocked(std::move(plan_key), std::move(homog));
   sources_.emplace(std::move(source_key), slot);
@@ -200,8 +198,6 @@ QueryCache::Stats QueryCache::stats() const {
   s.source_hits = source_hits_;
   s.canonical_hits = canonical_hits_;
   s.translations = translations_;
-  s.homogenizations = homogenizations_;
-  s.canonicalizations = canonicalizations_;
   s.insertions = insertions_;
   s.evictions = evictions_;
   s.entries = entries_.size() - free_slots_.size();

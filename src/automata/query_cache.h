@@ -80,9 +80,8 @@ class QueryCache {
     uint64_t lookups = 0;          ///< CompileTree/CompileWord calls.
     uint64_t source_hits = 0;      ///< Served by the pre-translation map.
     uint64_t canonical_hits = 0;   ///< Served by the canonical map.
-    uint64_t translations = 0;     ///< Source-to-binary translations paid.
-    uint64_t homogenizations = 0;  ///< Homogenization passes paid.
-    uint64_t canonicalizations = 0;  ///< Canonicalization passes paid.
+    /// Cold compiles paid: each translates, homogenizes and canonicalizes.
+    uint64_t translations = 0;
     uint64_t insertions = 0;       ///< New canonical entries created.
     uint64_t evictions = 0;        ///< Warm entries dropped by the cap.
     size_t entries = 0;            ///< Live compiled plans.
@@ -171,8 +170,6 @@ class QueryCache {
   uint64_t source_hits_ = 0;
   uint64_t canonical_hits_ = 0;
   uint64_t translations_ = 0;
-  uint64_t homogenizations_ = 0;
-  uint64_t canonicalizations_ = 0;
   uint64_t insertions_ = 0;
   uint64_t evictions_ = 0;
 };

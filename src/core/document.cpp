@@ -215,6 +215,8 @@ size_t DynamicDocument::Refresh(const std::vector<TermNodeId>& freed,
 
 UpdateStats DynamicDocument::Relabel(NodeId n, Label l) {
   TREENUM_CHECK(tree_enc_ != nullptr, "Relabel requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
+  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
   PreEdit();
   return Dispatch(tree_enc_->Relabel(n, l));
 }
@@ -223,6 +225,8 @@ UpdateStats DynamicDocument::InsertFirstChild(NodeId n, Label l,
                                               NodeId* new_node) {
   TREENUM_CHECK(tree_enc_ != nullptr,
                 "InsertFirstChild requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
+  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
   PreEdit();
   return Dispatch(tree_enc_->InsertFirstChild(n, l, new_node));
 }
@@ -231,12 +235,15 @@ UpdateStats DynamicDocument::InsertRightSibling(NodeId n, Label l,
                                                 NodeId* new_node) {
   TREENUM_CHECK(tree_enc_ != nullptr,
                 "InsertRightSibling requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
+  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
   PreEdit();
   return Dispatch(tree_enc_->InsertRightSibling(n, l, new_node));
 }
 
 UpdateStats DynamicDocument::DeleteLeaf(NodeId n) {
   TREENUM_CHECK(tree_enc_ != nullptr, "DeleteLeaf requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
   PreEdit();
   return Dispatch(tree_enc_->DeleteLeaf(n));
 }
@@ -245,18 +252,23 @@ UpdateStats DynamicDocument::DeleteLeaf(NodeId n) {
 
 UpdateStats DynamicDocument::Replace(size_t pos, Label l) {
   TREENUM_CHECK(word_enc_ != nullptr, "Replace requires a word document");
+  TREENUM_CHECK(pos < word_enc_->size(), "position out of range");
+  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
   PreEdit();
   return Dispatch(word_enc_->Replace(pos, l));
 }
 
 UpdateStats DynamicDocument::Insert(size_t pos, Label l) {
   TREENUM_CHECK(word_enc_ != nullptr, "Insert requires a word document");
+  TREENUM_CHECK(pos <= word_enc_->size(), "position out of range");
+  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
   PreEdit();
   return Dispatch(word_enc_->Insert(pos, l));
 }
 
 UpdateStats DynamicDocument::Erase(size_t pos) {
   TREENUM_CHECK(word_enc_ != nullptr, "Erase requires a word document");
+  TREENUM_CHECK(pos < word_enc_->size(), "position out of range");
   PreEdit();
   return Dispatch(word_enc_->Erase(pos));
 }

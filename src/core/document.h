@@ -275,7 +275,8 @@ class DynamicDocument {
   size_t live_snapshots() const { return snapshots_->live_snapshots(); }
 
   // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) + fan-out ----
-  // Tree documents only; word documents edit by position (below).
+  // Tree documents only; word documents edit by position (below). An
+  // unknown node or label aborts before anything changes.
   // UpdateStats totals are summed across pipelines (one per distinct live
   // query): boxes_recomputed counts every per-pipeline box refresh.
 
@@ -310,6 +311,8 @@ class DynamicDocument {
                            NodeId* new_root = nullptr);
 
   // ---- Word edits by logical position, worst-case O(log |w|) ----
+  // A position out of range or an unknown label aborts before anything
+  // changes.
 
   /// Replaces the letter at position `pos`.
   UpdateStats Replace(size_t pos, Label l);

@@ -28,8 +28,8 @@ DocCommand CommandScript::Next() {
 }
 
 Edit CommandScript::NextEdit() {
-  // Same mix as the test suite's ScriptedEditor: relabel-biased with
-  // balanced inserts/deletes so the document size stays roughly stable.
+  // A delete aimed at an inner node falls back to a relabel, so inserts
+  // outnumber deletes and the document slowly grows.
   NodeId n = Pick();
   Label l = static_cast<Label>(rng_.Index(opts_.num_labels));
   switch (rng_.Index(4)) {
@@ -54,6 +54,13 @@ Edit CommandScript::NextEdit() {
     default:
       break;
   }
+  mirror_.Relabel(n, l);
+  return Edit::Relabel(n, l);
+}
+
+Edit CommandScript::NextRelabel() {
+  NodeId n = Pick();
+  Label l = static_cast<Label>(rng_.Index(opts_.num_labels));
   mirror_.Relabel(n, l);
   return Edit::Relabel(n, l);
 }

@@ -1,12 +1,12 @@
-// Serving-layer workload generation, shared by bench_serving and
-// serving_test.
+// Workload generation, shared by the test suite and the benches.
 //
-// CommandScript is the multi-tenant cousin of the test suite's mirror-tree
-// ScriptedEditor: it owns a mirror UnrankedTree per document and emits a
-// reproducible mixed stream of serving commands — leaf edits, structural
-// subtree moves/deletes, and query register/unregister churn markers — each
-// already validated against the mirror, so the same seed drives any number
-// of replica documents (S=1 vs S=8 determinism) or a document plus an
+// CommandScript is the one mirror-tree edit generator: it owns a mirror
+// UnrankedTree per document and emits a reproducible stream of Definition
+// 7.1 edits (NextEdit, NextRelabel) or of mixed serving commands (Next):
+// leaf edits, structural subtree moves/deletes, and query
+// register/unregister churn markers. Each command is already validated
+// against the mirror, so the same seed drives any number of replica
+// documents or engines (S=1 vs S=8 determinism) or a document plus an
 // oracle in lockstep with identical NodeIds.
 //
 // PoissonArrivals is the open-loop clock: exponential inter-arrival gaps at
@@ -62,11 +62,17 @@ class CommandScript {
   /// NodeIds are valid on every document fed the same command sequence.
   DocCommand Next();
 
+  /// Like Next(), but one Definition 7.1 edit of a random alive node: a
+  /// relabel, first-child insert, right-sibling insert or leaf delete (the
+  /// last two fall back to a relabel where the mirror does not allow them).
+  Edit NextEdit();
+  /// Like NextEdit(), but always a relabel.
+  Edit NextRelabel();
+
   /// The mirror after all emitted commands (reference state for oracles).
   const UnrankedTree& mirror() const { return mirror_; }
 
  private:
-  Edit NextEdit();
   bool NextStructural(StructuralOp* op);
   NodeId Pick();
   /// True iff `u` lies in the subtree rooted at `v` (parent walk).

@@ -104,7 +104,6 @@ TEST(ConformanceFuzz, TreeCacheServedMatchesFreshCompileAndOracle) {
     }
     // Cache-served means served: registration did zero new compile work.
     EXPECT_EQ(shared.stats().translations, warm.translations);
-    EXPECT_EQ(shared.stats().homogenizations, warm.homogenizations);
     EXPECT_EQ(shared.stats().source_hits, warm.source_hits + queries.size());
 
     for (int epoch = 0; epoch < 6; ++epoch) {
@@ -142,7 +141,8 @@ TEST(ConformanceFuzz, TreeBatchedScriptsMatchUnderSharedCache) {
     DynamicDocument::QueryHandle hf = fresh.Register(q);
     EXPECT_EQ(shared.stats().translations, 1u);
 
-    ScriptedEditor editor(std::move(mirror), seed ^ 0x5eed, kLabels);
+    serving::CommandScript editor(std::move(mirror), seed ^ 0x5eed,
+                                  serving::WorkloadOptions{kLabels});
     for (int epoch = 0; epoch < 5; ++epoch) {
       SCOPED_TRACE("epoch " + std::to_string(epoch));
       std::vector<Edit> script;

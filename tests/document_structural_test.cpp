@@ -113,11 +113,17 @@ TEST(DocumentStructural, TreeTransactionsMatchFreshOracles) {
         break;
       }
     }
+    ASSERT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "")
+        << "step " << step;
     if (step % 8 == 7) {
       for (size_t qi = 0; qi < ids.size(); ++qi) {
         const EnumerationPipeline& p = doc.pipeline(ids[qi]);
         ASSERT_EQ(p.circuit().ValidateStorage(), "")
             << "query " << qi << " step " << step;
+        if (p.mode() == BoxEnumMode::kIndexed) {
+          ASSERT_EQ(p.index().ValidateStorage(), "")
+              << "query " << qi << " step " << step;
+        }
         StaticEngine oracle(doc.tree(), queries[qi]);
         ASSERT_EQ(p.EnumerateAt(doc.CurrentSnapshot()),
                   oracle.EnumerateAll())

@@ -26,7 +26,7 @@
 namespace treenum {
 namespace {
 
-// Edit scripts come from test_util's ScriptedEditor (mirror-tree scripter).
+// Edit scripts come from serving::CommandScript (mirror-tree scripter).
 
 std::vector<UnrankedTva> TestQueries() {
   std::vector<UnrankedTva> queries;
@@ -102,7 +102,7 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
   }
   ASSERT_EQ(doc.num_queries(), queries.size());
 
-  ScriptedEditor script(tree, 733, 3);
+  serving::CommandScript script(tree, 733, serving::WorkloadOptions{3});
   for (int step = 0; step < 200; ++step) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
@@ -145,7 +145,7 @@ TEST(DynamicDocument, BatchedCommitsMatchOraclesOnEveryPoolSize) {
     oracles.push_back(std::make_unique<StaticEngine>(tree, q));
   }
 
-  ScriptedEditor script(tree, 4242, 3);
+  serving::CommandScript script(tree, 4242, serving::WorkloadOptions{3});
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;
     for (int i = 0; i < 24; ++i) edits.push_back(script.NextEdit());
@@ -184,7 +184,7 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
   StaticEngine oracle_a(tree, QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle_b(tree, QuerySelectLabel(3, 0));
 
-  ScriptedEditor script(tree, 929, 3);
+  serving::CommandScript script(tree, 929, serving::WorkloadOptions{3});
   for (int round = 0; round < 10; ++round) {
     if (round % 2 == 0) {
       for (int i = 0; i < 8; ++i) {
@@ -224,7 +224,7 @@ TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
   DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 1));
   StaticEngine oracle(tree, QuerySelectLabel(3, 1));
 
-  ScriptedEditor script(tree, 311, 3);
+  serving::CommandScript script(tree, 311, serving::WorkloadOptions{3});
   for (int i = 0; i < 20; ++i) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
@@ -264,7 +264,7 @@ TEST(DynamicDocument, AgreesWithSingleQueryEngines) {
     engines.push_back(std::make_unique<TreeEnumerator>(tree, q));
   }
 
-  ScriptedEditor script(tree, 541, 3);
+  serving::CommandScript script(tree, 541, serving::WorkloadOptions{3});
   for (int step = 0; step < 120; ++step) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
@@ -488,6 +488,37 @@ TEST(DocumentDeathTest, WordDocumentRejectsTreeEdits) {
   EXPECT_DEATH(doc.InsertRightSibling(0, 1), "requires a tree document");
   EXPECT_DEATH(doc.ApplyEdit(Edit::Relabel(0, 1)),
                "requires a tree document");
+}
+
+// Point edits are checked before anything changes: a node that is not
+// alive (never allocated, or deleted), a label outside the document
+// alphabet, or a word position out of range trips its check.
+TEST(DocumentDeathTest, EditsRejectUnknownNodesLabelsAndPositions) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(12345);
+  DynamicDocument doc(RandomTree(10, 3, rng), 3);
+  doc.Register(QuerySelectLabel(3, 1));
+  const NodeId root = doc.tree().root();
+  const NodeId child = doc.tree().children(root).front();
+  NodeId deleted = kNoNode;
+  doc.InsertFirstChild(root, 0, &deleted);
+  doc.DeleteLeaf(deleted);
+  EXPECT_DEATH(doc.Relabel(12345, 1), "unknown node");
+  EXPECT_DEATH(doc.Relabel(deleted, 1), "unknown node");
+  EXPECT_DEATH(doc.InsertFirstChild(deleted, 1), "unknown node");
+  EXPECT_DEATH(doc.InsertRightSibling(12345, 1), "unknown node");
+  EXPECT_DEATH(doc.DeleteLeaf(deleted), "unknown node");
+  EXPECT_DEATH(doc.Relabel(root, 77), "unknown label");
+  EXPECT_DEATH(doc.InsertFirstChild(root, 3), "unknown label");
+  EXPECT_DEATH(doc.ApplyEdit(Edit::InsertRightSibling(child, 3)),
+               "unknown label");
+
+  DynamicDocument word(ToWord("abc"), 3);
+  EXPECT_DEATH(word.Replace(3, 1), "position out of range");
+  EXPECT_DEATH(word.Insert(4, 1), "position out of range");
+  EXPECT_DEATH(word.Erase(3), "position out of range");
+  EXPECT_DEATH(word.Replace(0, 3), "unknown label");
+  EXPECT_DEATH(word.Insert(3, 77), "unknown label");
 }
 
 // The alloc gauge counters are relaxed atomics: hammering them from pool

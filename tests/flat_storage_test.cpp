@@ -18,7 +18,7 @@
 namespace treenum {
 namespace {
 
-// Edit scripts come from test_util's ScriptedEditor (mirror-tree scripter).
+// Edit scripts come from serving::CommandScript (mirror-tree scripter).
 
 TEST(FlatStorage, LongMixedScriptMatchesRecomputeOracle) {
   Rng rng(131);
@@ -29,7 +29,8 @@ TEST(FlatStorage, LongMixedScriptMatchesRecomputeOracle) {
     TreeEnumerator indexed(tree, q, BoxEnumMode::kIndexed);
     TreeEnumerator naive(tree, q, BoxEnumMode::kNaive);
     StaticEngine oracle(tree, q);
-    ScriptedEditor script(tree, 997 + rng.Index(1000), 3);
+    serving::CommandScript script(tree, 997 + rng.Index(1000),
+                                  serving::WorkloadOptions{3});
 
     for (int step = 0; step < 220; ++step) {
       Edit e = script.NextEdit();
@@ -53,7 +54,7 @@ TEST(FlatStorage, BatchedScriptMatchesRecomputeOracle) {
   UnrankedTree tree = RandomTree(60, 3, rng);
   TreeEnumerator indexed(tree, q, BoxEnumMode::kIndexed);
   StaticEngine oracle(tree, q);
-  ScriptedEditor script(tree, 4242, 3);
+  serving::CommandScript script(tree, 4242, serving::WorkloadOptions{3});
 
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;

@@ -38,18 +38,12 @@ TEST(QueryCache, SecondDocumentRegistrationCompilesNothing) {
   auto h1 = doc1.Register(QueryMarkedAncestor(3, 1, 2));
   QueryCache::Stats after_first = cache.stats();
   EXPECT_EQ(after_first.translations, 1u);
-  EXPECT_EQ(after_first.homogenizations, 1u);
-  EXPECT_EQ(after_first.canonicalizations, 1u);
   EXPECT_EQ(after_first.insertions, 1u);
 
   auto h2 = doc2.Register(QueryMarkedAncestor(3, 1, 2));
   QueryCache::Stats after_second = cache.stats();
   EXPECT_EQ(after_second.translations, after_first.translations)
       << "second-document registration must not translate";
-  EXPECT_EQ(after_second.homogenizations, after_first.homogenizations)
-      << "second-document registration must not homogenize";
-  EXPECT_EQ(after_second.canonicalizations, after_first.canonicalizations)
-      << "second-document registration must not canonicalize";
   EXPECT_EQ(after_second.source_hits, 1u);
   EXPECT_EQ(after_second.entries, 1u);
 

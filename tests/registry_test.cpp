@@ -215,7 +215,7 @@ TEST(QueryRegistry, UnregisterToZeroKeepsSurvivorsCorrect) {
   EXPECT_EQ(doc.num_queries(), 2u);
   EXPECT_EQ(doc.num_pipelines(), 2u);
 
-  ScriptedEditor script(tree, 4711, 3);
+  serving::CommandScript script(tree, 4711, serving::WorkloadOptions{3});
   for (int i = 0; i < 60; ++i) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
@@ -272,7 +272,7 @@ TEST(QueryRegistry, ReRegistrationAfterUnregisterMatchesOracle) {
   EXPECT_EQ(doc.num_pipelines(), 1u);
   EXPECT_EQ(doc.stats().pipelines.size(), 1u);
 
-  ScriptedEditor script(tree, 6007, 3);
+  serving::CommandScript script(tree, 6007, serving::WorkloadOptions{3});
   for (int i = 0; i < 60; ++i) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
@@ -312,7 +312,7 @@ TEST(QueryRegistry, ReRegistrationAfterBatchedCommitsMatchesOracle) {
   doc.Unregister(h);
   EXPECT_EQ(doc.num_pipelines(), 0u);
 
-  ScriptedEditor script(tree, 6389, 3);
+  serving::CommandScript script(tree, 6389, serving::WorkloadOptions{3});
   auto commit_round = [&] {
     std::vector<Edit> edits;
     for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());

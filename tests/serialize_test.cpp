@@ -239,7 +239,6 @@ TEST(Serialize, CacheImageRoundTripsAndWarmStartsWithoutCompiling) {
   for (const Wva& q : LibraryWordQueries()) warmed.CompileWord(q);
   QueryCache::Stats warm = warmed.stats();
   EXPECT_EQ(warm.translations, 0u);
-  EXPECT_EQ(warm.homogenizations, 0u);
   EXPECT_EQ(warm.source_hits,
             LibraryTreeQueries().size() + LibraryWordQueries().size());
 

@@ -62,7 +62,7 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
   // Precompute the edit script and the per-version answer tables.
   constexpr int kBatches = 60;
   constexpr int kBatchSize = 4;
-  ScriptedEditor script(tree, 3001, 3);
+  serving::CommandScript script(tree, 3001, serving::WorkloadOptions{3});
   std::vector<std::vector<Edit>> batches;
   std::vector<std::vector<Assignment>> expected1, expected2;
   {

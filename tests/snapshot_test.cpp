@@ -54,7 +54,7 @@ TEST(Snapshot, TreeTimeTravelKeepsPreEditAnswers) {
   EXPECT_EQ(e.HasAnswerAt(s0), !before.empty());
 
   StaticEngine oracle(tree, QuerySelectLabel(3, 1));
-  ScriptedEditor script(tree, 7, 3);
+  serving::CommandScript script(tree, 7, serving::WorkloadOptions{3});
   for (int i = 0; i < 60; ++i) {
     Edit ed = script.NextEdit();
     e.document().ApplyEdit(ed);
@@ -97,7 +97,7 @@ TEST(Snapshot, EveryVersionRemainsReadableAgainstOracle) {
   UnrankedTree tree = RandomTree(40, 3, rng);
   TreeEnumerator e(tree, QueryMarkedAncestor(3, 1, 2));
   StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
-  ScriptedEditor script(tree, 17, 3);
+  serving::CommandScript script(tree, 17, serving::WorkloadOptions{3});
 
   std::vector<SnapshotRef> pins;
   std::vector<std::vector<Assignment>> expected;
@@ -139,7 +139,7 @@ TEST(Snapshot, CursorCoOwnsThePin) {
     ASSERT_TRUE(cur->Next(&a));
     got.push_back(a);
   }
-  ScriptedEditor script(tree, 23, 3);
+  serving::CommandScript script(tree, 23, serving::WorkloadOptions{3});
   for (int i = 0; i < 30; ++i) e.document().ApplyEdit(script.NextEdit());
   while (cur->Next(&a)) got.push_back(a);
   // Cursor emission order differs from EnumerateAll's; compare as sets.

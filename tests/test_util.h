@@ -1,6 +1,6 @@
 // Shared helpers for the treenum test suite: random automata/tree/term
-// generators, the mirror-tree edit scripter, and independent brute-force
-// oracles.
+// generators and independent brute-force oracles. Mirror-tree edit scripts
+// come from serving::CommandScript, included from serving/workload.h.
 #ifndef TREENUM_TESTS_TEST_UTIL_H_
 #define TREENUM_TESTS_TEST_UTIL_H_
 
@@ -13,71 +13,13 @@
 #include "automata/homogenize.h"
 #include "automata/serialize.h"
 #include "automata/unranked_tva.h"
-#include "core/engine.h"
 #include "falgebra/term.h"
+#include "serving/workload.h"
 #include "trees/assignment.h"
 #include "trees/unranked_tree.h"
 #include "util/random.h"
 
 namespace treenum {
-
-/// Mirror-tree edit scripter: generates random Definition 7.1 edits that
-/// are valid on every engine/document seeded with the same tree (identical
-/// edits produce identical NodeIds everywhere), so one script can drive
-/// several engines, documents, and oracles in lockstep. Like bench_util's
-/// EngineEditDriver, but emitting Edit values instead of applying them.
-class ScriptedEditor {
- public:
-  ScriptedEditor(UnrankedTree mirror, uint64_t seed, size_t num_labels)
-      : mirror_(std::move(mirror)), rng_(seed), num_labels_(num_labels) {
-    pool_ = mirror_.PreorderNodes();
-  }
-
-  Edit NextEdit() {
-    NodeId n = Pick();
-    Label l = static_cast<Label>(rng_.Index(num_labels_));
-    switch (rng_.Index(4)) {
-      case 1: {
-        NodeId u = mirror_.InsertFirstChild(n, l);
-        pool_.push_back(u);
-        return Edit::InsertFirstChild(n, l);
-      }
-      case 2:
-        if (n != mirror_.root()) {
-          NodeId u = mirror_.InsertRightSibling(n, l);
-          pool_.push_back(u);
-          return Edit::InsertRightSibling(n, l);
-        }
-        break;
-      case 3:
-        if (n != mirror_.root() && mirror_.IsLeaf(n)) {
-          mirror_.DeleteLeaf(n);
-          return Edit::DeleteLeaf(n);
-        }
-        break;
-      default:
-        break;
-    }
-    mirror_.Relabel(n, l);
-    return Edit::Relabel(n, l);
-  }
-
- private:
-  NodeId Pick() {
-    while (true) {
-      size_t i = rng_.Index(pool_.size());
-      NodeId n = pool_[i];
-      if (mirror_.IsAlive(n)) return n;
-      pool_[i] = pool_.back();  // drop stale (deleted) entries lazily
-      pool_.pop_back();
-    }
-  }
-
-  UnrankedTree mirror_;
-  Rng rng_;
-  size_t num_labels_;
-  std::vector<NodeId> pool_;
-};
 
 /// The serialized body of a compiled plan — the QueryCache's identity for
 /// it: equal bytes iff equal automata (sizes, kinds and every relation
@@ -237,10 +179,6 @@ inline std::vector<Assignment> TermBruteForceAssignments(const BinaryTva& a,
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
-
-/// Random edit script driver: applies `steps` random edits to a tree-like
-/// interface via callbacks. (Used by update/pipeline tests.)
-enum class EditKind { kRelabel, kInsertFirst, kInsertRight, kDeleteLeaf };
 
 }  // namespace treenum
 
