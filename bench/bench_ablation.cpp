@@ -1,4 +1,4 @@
-// Experiment E8 — ablations for the design choices called out in DESIGN.md:
+// Experiment E8 — ablations for the design choices in docs/ARCHITECTURE.md:
 //  (a) bit-packed vs. naive relation composition (the O(w^ω) kernel of §6);
 //  (b) ∪-chain jumping on adversarial path-shaped inputs (what the §6 index
 //      buys over plain descent);

@@ -10,11 +10,9 @@
 //   2. Registry dedupe: the same query registered Q times collapses onto
 //      one refcounted pipeline, so per-edit cost tracks *distinct* queries
 //      — the `multiquery_dedupe` series (flat in Q).
-//   3. Batched-commit wall time with parallel refresh fan-out: the merged
-//      changed-box set is computed once and each query's pipeline is
-//      refreshed on a ThreadPool lane; pool sizes 1/4/8 give the
-//      `multiquery_commit` series (pool=1 is the deterministic inline
-//      fallback, i.e. the serial baseline).
+//   3. Batched-commit wall time: the merged changed-box set is computed
+//      once and each query's pipeline refreshes it in turn — the
+//      `multiquery_commit` series at Q = 8 and Q = 4.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,7 +21,6 @@
 
 #include "bench_util.h"
 #include "core/document.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 namespace {
@@ -31,8 +28,7 @@ namespace {
 using bench::kSeed;
 
 // A mix of library queries over the shared 3-label alphabet, so registered
-// pipelines have different widths (uneven per-lane work, the realistic
-// case for the dynamic index hand-out of ThreadPool). All 8 are pairwise
+// pipelines have different widths. All 8 are pairwise
 // distinct automata: the document's registry dedupes identical queries to
 // one pipeline, so repeating a query here would silently shrink the
 // shared-document workload and skew the shared-vs-independent comparison
@@ -169,18 +165,15 @@ BENCHMARK(BM_MultiQuery_DuplicateQueries)
     ->Args({131072, 8})
     ->Unit(benchmark::kMicrosecond);
 
-// ---- 3. Batched commits with parallel refresh fan-out ----
+// ---- 3. Batched commits ----
 
 void BM_MultiQuery_BatchedCommit(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   size_t q = static_cast<size_t>(state.range(1));
-  size_t lanes = static_cast<size_t>(state.range(2));
   constexpr size_t kBatch = 256;
 
   UnrankedTree tree = bench::MakeTree(n);
-  ThreadPool pool(lanes);
   DynamicDocument doc(tree, 3);
-  doc.set_pool(&pool);
   for (size_t i = 0; i < q; ++i) doc.Register(QueryAt(i));
   serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   // Warm the arena spans so the measured commits are refresh-dominated.
@@ -201,22 +194,18 @@ void BM_MultiQuery_BatchedCommit(benchmark::State& state) {
     ++commits;
   }
   state.counters["queries"] = static_cast<double>(q);
-  state.counters["pool"] = static_cast<double>(lanes);
   state.counters["us_per_commit"] = commits ? commit_us / commits : 0.0;
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
   bench::EmitJson("multiquery_commit",
                   {{"n", static_cast<double>(n)},
                    {"q", static_cast<double>(q)},
                    {"k", static_cast<double>(kBatch)},
-                   {"pool", static_cast<double>(lanes)},
                    {"us_per_commit", commits ? commit_us / commits : 0.0},
                    {"iterations", static_cast<double>(state.iterations())}});
 }
 BENCHMARK(BM_MultiQuery_BatchedCommit)
-    ->Args({131072, 8, 1})
-    ->Args({131072, 8, 4})
-    ->Args({131072, 8, 8})
-    ->Args({131072, 4, 4})
+    ->Args({131072, 8})
+    ->Args({131072, 4})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

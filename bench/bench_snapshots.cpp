@@ -1,4 +1,4 @@
-// Experiment E7 — copy-on-write snapshots: concurrent reader enumeration
+// Experiment E9 — copy-on-write snapshots: concurrent reader enumeration
 // while the writer edits.
 //
 // Three questions, three benchmark families (JSON key BENCH_snapshots.json

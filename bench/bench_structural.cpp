@@ -1,4 +1,4 @@
-// Experiment E8 — structural transactions: one join-based SubtreeMove (or
+// Experiment E10 — structural transactions: one join-based SubtreeMove (or
 // word split/join MoveRange) versus replaying the same move as individual
 // leaf edits, at n = 131072 and subtree/range sizes m in {16, 256, 4096}.
 // The transaction re-encodes the covering region once and rebuilds each

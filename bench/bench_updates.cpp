@@ -1,7 +1,7 @@
 // Experiment E4 — Theorem 8.1, updates: O(log n) per edit. Separate series
 // per edit kind; the relabel series is worst-case logarithmic (pure path
 // recomputation), the structural series are amortized (partial rebuilds,
-// see DESIGN.md §2.1) — the reported averages grow logarithmically.
+// see docs/ARCHITECTURE.md §1) — the reported averages grow logarithmically.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"

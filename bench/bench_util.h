@@ -1,6 +1,7 @@
 // Shared workloads and helpers for the benchmark suite. Edit scripts come
 // from serving::CommandScript, included from serving/workload.h. Each bench
-// binary regenerates one experiment of EXPERIMENTS.md.
+// binary regenerates one experiment; docs/BENCHMARKS.md documents the
+// series and their JSON schema.
 #ifndef TREENUM_BENCH_BENCH_UTIL_H_
 #define TREENUM_BENCH_BENCH_UTIL_H_
 

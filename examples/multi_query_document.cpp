@@ -2,14 +2,13 @@
 // tree through a shared DynamicDocument. The document owns the balanced
 // term encoding — each edit maintains it once, regardless of how many
 // queries are registered — and fans the changed path out to every query's
-// pipeline, optionally on a worker pool.
+// pipeline.
 #include <cstdio>
 #include <vector>
 
 #include "automata/query_library.h"
 #include "core/document.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 using namespace treenum;
 
@@ -59,11 +58,8 @@ int main() {
       stats.boxes_recomputed, doc.num_queries());
   report("after relabels:");
 
-  // Batched transaction with parallel refresh fan-out: the changed-box set
-  // is merged once at the document, then each query's pipeline refreshes
-  // on its own worker-pool lane.
-  ThreadPool pool(4);
-  doc.set_pool(&pool);
+  // Batched transaction: the changed-box set is merged once at the
+  // document, then each query's pipeline refreshes it once.
   doc.BeginBatch();
   for (int i = 0; i < 256; ++i) {
     NodeId n = nodes[rng.Index(nodes.size())];
@@ -71,7 +67,7 @@ int main() {
   }
   UpdateStats commit = doc.CommitBatch();
   std::printf(
-      "batched 256 inserts, 4-lane commit: boxes_recomputed=%zu\n",
+      "batched 256 inserts, one commit: boxes_recomputed=%zu\n",
       commit.boxes_recomputed);
   report("after batched inserts:");
 

@@ -20,8 +20,8 @@ AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
   child_in_scratch_.resize(w_);
   has_top_scratch_.resize(w_, 0);
   // Build the grouped-CSR δ cache now, while this thread owns the automaton:
-  // box rebuilds may later run from parallel refresh workers, and the cache
-  // mutates on first access.
+  // circuits on other threads may share it, and the cache mutates on first
+  // access.
   tva->EnsureDeltaGroups();
 }
 

@@ -152,27 +152,11 @@ DocumentStats DynamicDocument::stats() const {
   return s;
 }
 
-template <typename Fn>
-void DynamicDocument::FanOut(const Fn& fn) {
-  if (pool_ != nullptr && pool_->size() > 1 && entries_.size() > 1) {
-    fan_scratch_.clear();
-    for (const std::unique_ptr<QueryEntry>& e : entries_) {
-      fan_scratch_.push_back(&e->pipeline);
-    }
-    pool_->ParallelFor(fan_scratch_.size(),
-                       [&](size_t i) { fn(*fan_scratch_[i]); });
-  } else {
-    for (const std::unique_ptr<QueryEntry>& e : entries_) fn(e->pipeline);
-  }
-}
-
 void DynamicDocument::PreEdit() {
   if (in_batch_) return;  // drained once, at BeginBatch
   drained_freed_.clear();
   snapshots_->DrainRetired(&drained_freed_);
   if (drained_freed_.empty()) return;
-  // Inline, not FanOut: releasing spans is a few free-list pushes per box,
-  // far below fork-join overhead.
   for (const std::unique_ptr<QueryEntry>& e : entries_) {
     e->pipeline.ReleaseBoxes(drained_freed_);
   }
@@ -202,9 +186,9 @@ size_t DynamicDocument::Refresh(const std::vector<TermNodeId>& freed,
   for (TermNodeId id : freed) {
     if (!term_->IsAlive(id)) dead_freed_.push_back(id);
   }
-  FanOut([this, &ordered](EnumerationPipeline& p) {
-    p.Apply(dead_freed_, ordered);
-  });
+  for (const std::unique_ptr<QueryEntry>& e : entries_) {
+    e->pipeline.Apply(dead_freed_, ordered);
+  }
   // Every box of the new version is current — publish it for readers, one
   // epoch per edit, transaction or batch.
   snapshots_->Publish();
@@ -278,6 +262,8 @@ UpdateStats DynamicDocument::Erase(size_t pos) {
 UpdateStats DynamicDocument::SubtreeMove(NodeId v, NodeId dst,
                                          AttachWhere where) {
   TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeMove requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(dst), "unknown node");
   PreEdit();
   return Dispatch(
       tree_enc_->SubtreeMove(v, dst, where == AttachWhere::kFirstChild));
@@ -285,6 +271,7 @@ UpdateStats DynamicDocument::SubtreeMove(NodeId v, NodeId dst,
 
 UpdateStats DynamicDocument::SubtreeDelete(NodeId v) {
   TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeDelete requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
   PreEdit();
   return Dispatch(tree_enc_->SubtreeDelete(v));
 }
@@ -293,6 +280,7 @@ UpdateStats DynamicDocument::SubtreeExtract(NodeId v,
                                             UnrankedTree* extracted) {
   TREENUM_CHECK(tree_enc_ != nullptr,
                 "SubtreeExtract requires a tree document");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
   PreEdit();
   return Dispatch(tree_enc_->SubtreeExtract(v, extracted));
 }
@@ -302,6 +290,16 @@ UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
                                           AttachWhere where,
                                           NodeId* new_root) {
   TREENUM_CHECK(tree_enc_ != nullptr, "GraftSubtree requires a tree document");
+  TREENUM_CHECK(src.IsAlive(src_root), "unknown node");
+  TREENUM_CHECK(tree_enc_->tree().IsAlive(dst), "unknown node");
+  std::vector<NodeId> todo{src_root};  // the grafted subtree, walked in O(m)
+  while (!todo.empty()) {
+    const NodeId n = todo.back();
+    todo.pop_back();
+    TREENUM_CHECK(src.label(n) < term_->alphabet().num_base_labels(),
+                  "unknown label");
+    todo.insert(todo.end(), src.children(n).begin(), src.children(n).end());
+  }
   PreEdit();
   return Dispatch(tree_enc_->GraftSubtree(
       src, src_root, dst, where == AttachWhere::kFirstChild, new_root));
@@ -311,12 +309,17 @@ UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
 
 UpdateStats DynamicDocument::MoveRange(size_t begin, size_t end, size_t dst) {
   TREENUM_CHECK(word_enc_ != nullptr, "MoveRange requires a word document");
+  TREENUM_CHECK(begin <= end && end <= word_enc_->size() &&
+                    dst <= word_enc_->size() - (end - begin),
+                "range out of bounds");
   PreEdit();
   return Dispatch(word_enc_->MoveRange(begin, end, dst));
 }
 
 UpdateStats DynamicDocument::EraseRange(size_t begin, size_t end) {
   TREENUM_CHECK(word_enc_ != nullptr, "EraseRange requires a word document");
+  TREENUM_CHECK(begin <= end && end <= word_enc_->size(),
+                "range out of bounds");
   PreEdit();
   return Dispatch(word_enc_->EraseRange(begin, end));
 }
@@ -324,12 +327,17 @@ UpdateStats DynamicDocument::EraseRange(size_t begin, size_t end) {
 UpdateStats DynamicDocument::ExtractRange(size_t begin, size_t end,
                                           Word* extracted) {
   TREENUM_CHECK(word_enc_ != nullptr, "ExtractRange requires a word document");
+  TREENUM_CHECK(begin <= end && end <= word_enc_->size(),
+                "range out of bounds");
   PreEdit();
   return Dispatch(word_enc_->ExtractRange(begin, end, extracted));
 }
 
 UpdateStats DynamicDocument::Concat(const Word& w) {
   TREENUM_CHECK(word_enc_ != nullptr, "Concat requires a word document");
+  for (Label l : w) {
+    TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
+  }
   PreEdit();
   return Dispatch(word_enc_->Concat(w));
 }

@@ -33,15 +33,10 @@
 //     Handle slots recycle through a free list under generation tags, so
 //     stale handles never validate. DocumentStats exposes the registry
 //     state.
-//   * Refresh fan-out optionally runs on a ThreadPool (util/thread_pool.h)
-//     and iterates *distinct* pipelines only — per-edit refresh cost
-//     scales with the number of distinct live queries, not registrations.
-//     Pipelines share only the immutable term during a refresh — all
-//     written state (circuit arena, index pools, counts) is pipeline-
-//     private — so per-query refreshes are embarrassingly parallel. With
-//     no pool, or a pool of size 1, the fan-out runs inline in build
-//     order: the deterministic single-thread fallback, which also keeps
-//     the single-query steady state allocation-free.
+//   * A refresh is one loop over the *distinct* pipelines, in build order,
+//     on the writer's thread — per-edit refresh cost scales with the
+//     number of distinct live queries, not registrations, and the steady
+//     state stays allocation-free.
 //   * Every committed edit publishes the new term root as an immutable
 //     snapshot (core/snapshot.h) over the copy-on-write term, and every
 //     read goes through one: reader threads pin the current snapshot
@@ -76,7 +71,6 @@
 #include "falgebra/update.h"
 #include "falgebra/word_avl.h"
 #include "trees/unranked_tree.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 
@@ -180,17 +174,6 @@ class DynamicDocument {
   /// Registry observability snapshot.
   DocumentStats stats() const;
 
-  // ---- Refresh fan-out ----
-
-  /// Attaches a worker pool (not owned; must outlive its use here). The
-  /// pool runs one fork-join job at a time, so sharing it across
-  /// documents requires external serialization: only one document may be
-  /// inside an edit/commit at any moment. Pipelines refresh in parallel
-  /// when the pool has > 1 lane and > 1 query is registered; null (the
-  /// default) or a 1-lane pool means inline, deterministic,
-  /// allocation-free fan-out.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
   // ---- Concurrent snapshot reads ----
   //
   // The single-writer / multi-reader surface, and the only way to read a
@@ -274,7 +257,7 @@ class DynamicDocument {
   /// Snapshots currently pinned (current + reader-held + not yet drained).
   size_t live_snapshots() const { return snapshots_->live_snapshots(); }
 
-  // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) + fan-out ----
+  // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) per pipeline ----
   // Tree documents only; word documents edit by position (below). An
   // unknown node or label aborts before anything changes.
   // UpdateStats totals are summed across pipelines (one per distinct live
@@ -295,7 +278,8 @@ class DynamicDocument {
   // re-encoded once, every surviving box is rebuilt once per pipeline
   // (arena spans recycle instead of free/realloc), and one snapshot epoch
   // is published. Inside a batch the transaction coalesces with the other
-  // recorded edits as usual.
+  // recorded edits as usual. An unknown node, or a grafted label outside
+  // the document alphabet, aborts before anything changes.
 
   /// Moves the subtree at `v` to `dst` (which must be outside the subtree).
   UpdateStats SubtreeMove(NodeId v, NodeId dst,
@@ -321,6 +305,8 @@ class DynamicDocument {
   /// Erases the letter at position `pos`.
   UpdateStats Erase(size_t pos);
   // ---- Word structural transactions (AVL split/join) ----
+  // A range out of bounds or an unknown concatenated letter aborts before
+  // anything changes.
 
   /// Moves the factor [begin, end) so it starts at `dst` of the remaining
   /// word (AVL split/join; position ids are preserved).
@@ -342,7 +328,7 @@ class DynamicDocument {
   /// Merges everything recorded since BeginBatch — a node touched by many
   /// edits is refreshed once per pipeline, a node created and deleted
   /// within the batch never — and fans the merged set out to every
-  /// pipeline (in parallel when a pool is attached).
+  /// pipeline.
   UpdateStats CommitBatch();
   /// True while a transaction is open.
   bool in_batch() const { return in_batch_; }
@@ -407,10 +393,6 @@ class DynamicDocument {
   /// Returns the box refreshes summed over pipelines.
   size_t Refresh(const std::vector<TermNodeId>& freed,
                  const std::vector<TermNodeId>& ordered);
-  /// Runs fn(pipeline) on every pipeline — on the pool when parallel
-  /// fan-out is enabled, else inline in build order.
-  template <typename Fn>
-  void FanOut(const Fn& fn);
 
   // Exactly one encoding is non-null. unique_ptr keeps the Term address
   // stable for the pipelines.
@@ -423,7 +405,7 @@ class DynamicDocument {
   // PreEdit drain scratch (clear() keeps capacity).
   std::vector<TermNodeId> drained_freed_;
 
-  // The query registry: entries in build order (the fan-out order), each
+  // The query registry: entries in build order (the refresh order), each
   // heap-held so handle slots can point at it across erasures of others.
   // Handle slots recycle through handle_free_ under generation tags, so
   // surviving handles stay valid while the tables stay bounded by the
@@ -434,7 +416,6 @@ class DynamicDocument {
   std::vector<uint32_t> handle_free_;
   size_t num_live_ = 0;  // live handles
   size_t shared_hits_ = 0;
-  ThreadPool* pool_ = nullptr;
   QueryCache* cache_ = nullptr;  // never null after construction
 
   bool in_batch_ = false;
@@ -445,7 +426,6 @@ class DynamicDocument {
   std::vector<TermNodeId> dead_freed_;
   std::vector<TermNodeId> ordered_changed_;
   std::vector<std::pair<uint32_t, TermNodeId>> order_scratch_;
-  std::vector<EnumerationPipeline*> fan_scratch_;
 };
 
 }  // namespace treenum

@@ -10,18 +10,17 @@
 // count vectors along a children-first changed list (Lemma 7.3).
 //
 // A pipeline does not own its term: the `DynamicDocument` layer
-// (core/document.h) owns one encoding and fans every edit, transaction or
-// committed batch out to each pipeline registered on it — possibly from
-// worker threads, which is safe because during a refresh the pipelines
-// share only the already-mutated, now-immutable term, and everything a
-// refresh writes (circuit arena, index pools, counts) is pipeline-private.
-// Batch *coalescing* also lives in the document (it depends only on the
-// term, so it is computed once per commit, not once per query).
+// (core/document.h) owns one encoding and applies every edit, transaction
+// or committed batch to each pipeline registered on it, one after the
+// other on the writer's thread; everything a refresh writes (circuit
+// arena, index pools, counts) is pipeline-private. Batch *coalescing* also
+// lives in the document (it depends only on the term, so it is computed
+// once per commit, not once per query).
 //
 // Reads always go through a pinned snapshot (core/snapshot.h): a pinned
 // version is frozen — its node versions are never mutated or freed and its
 // boxes are never rebuilt in place — so a read is valid on any thread,
-// concurrently with writer edits and the refresh fan-out, and a read
+// concurrently with writer edits and refreshes, and a read
 // between BeginBatch and CommitBatch answers at the last committed
 // version.
 #ifndef TREENUM_CORE_PIPELINE_H_

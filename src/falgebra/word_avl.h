@@ -2,7 +2,7 @@
 // trees, its term uses only a_t leaves and ⊕HH, and — since ⊕HH is
 // associative — the term can be kept balanced by ordinary AVL rotations.
 // This gives genuinely worst-case O(log n) structural changes per edit
-// (unlike the tree case, where we rebuild subterms; see DESIGN.md).
+// (unlike the tree case, where we rebuild subterms; see ARCHITECTURE.md §1).
 #ifndef TREENUM_FALGEBRA_WORD_AVL_H_
 #define TREENUM_FALGEBRA_WORD_AVL_H_
 

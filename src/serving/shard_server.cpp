@@ -59,7 +59,6 @@ struct DocumentShardServer::Command {
   StructuralOp structural{};
   /// kRegister payload; shared_ptr so Command stays cheaply movable.
   std::shared_ptr<const UnrankedTva> query;
-  BoxEnumMode mode = BoxEnumMode::kIndexed;
   DynamicDocument::QueryHandle handle = 0;  ///< kUnregister target.
   uint64_t submit_ns = 0;                   ///< NowNs() at submission.
   Ticket* ticket = nullptr;                 ///< Sync completion, if any.
@@ -179,13 +178,12 @@ void DocumentShardServer::RemoveDocument(DocRef doc) {
 // ---------------------------------------------------------------------------
 
 DocumentShardServer::QueryRef DocumentShardServer::RegisterQuery(
-    DocRef doc, const UnrankedTva& query, BoxEnumMode mode) {
+    DocRef doc, const UnrankedTva& query) {
   TREENUM_CHECK(doc, "RegisterQuery: null DocRef");
   Ticket ticket;
   Command c;
   c.kind = Command::Kind::kRegister;
   c.query = std::make_shared<const UnrankedTva>(query);
-  c.mode = mode;
   c.submit_ns = NowNs();
   c.ticket = &ticket;
   Enqueue(doc.doc_, std::move(c));
@@ -456,7 +454,7 @@ void DocumentShardServer::ApplyCommands(Shard& self, DocState* d,
         break;
       }
       case Command::Kind::kRegister: {
-        c.ticket->handle = doc->Register(*c.query, c.mode);
+        c.ticket->handle = doc->Register(*c.query);
         // Resolve the any-thread read surface here, on the worker: the
         // submitter must never touch registry internals itself (they may
         // reallocate under a later Register on this shard).

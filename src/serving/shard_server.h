@@ -167,9 +167,9 @@ class DocumentShardServer {
   // ---- Queries ----
 
   /// Enqueues a registration and waits for the shard worker to apply it
-  /// (FIFO with the commands ahead of it). Any thread.
-  QueryRef RegisterQuery(DocRef doc, const UnrankedTva& query,
-                         BoxEnumMode mode = BoxEnumMode::kIndexed);
+  /// (FIFO with the commands ahead of it). Served registrations are
+  /// always indexed (BoxEnumMode::kIndexed). Any thread.
+  QueryRef RegisterQuery(DocRef doc, const UnrankedTva& query);
   /// Enqueues an unregistration (asynchronous). The caller must stop
   /// using the handle's views/pipelines before submitting this.
   void UnregisterQuery(DocRef doc, DynamicDocument::QueryHandle handle);

@@ -9,11 +9,10 @@
 // is false and every counter stays 0.
 //
 // Thread safety: the counters are relaxed atomics, so the hooks may fire
-// concurrently from any thread — in particular from the ThreadPool lanes
-// of DynamicDocument's parallel refresh fan-out — without invalidating the
-// zero-allocation steady-state assertions read on the main thread. Relaxed
-// ordering is sufficient because the assertions only compare before/after
-// deltas across a joined fork-join region (the join publishes the
+// concurrently from any thread — shard workers and snapshot readers
+// allocate while a test or bench reads the gauge — without losing counts.
+// Relaxed ordering is sufficient because the assertions only compare
+// before/after deltas across joined threads (the join publishes the
 // increments); no cross-counter consistency is implied mid-flight.
 #ifndef TREENUM_UTIL_ALLOC_GAUGE_H_
 #define TREENUM_UTIL_ALLOC_GAUGE_H_

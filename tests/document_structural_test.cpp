@@ -20,7 +20,6 @@
 #include "falgebra/builder.h"
 #include "test_util.h"
 #include "util/alloc_gauge.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 namespace {
@@ -39,9 +38,7 @@ TEST(DocumentStructural, TreeTransactionsMatchFreshOracles) {
   queries.push_back(QueryMarkedAncestor(3, 1, 2));
   queries.push_back(QueryChildOfLabel(3, 0, 2));
 
-  ThreadPool pool(4);
   DynamicDocument doc(tree, 3);
-  doc.set_pool(&pool);
   std::vector<DynamicDocument::QueryHandle> ids;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     BoxEnumMode mode =
@@ -286,9 +283,7 @@ TEST(DocumentStructural, PinnedSnapshotSurvivesConcurrentSubtreeMove) {
   UnrankedTree tree = RandomTree(90, 3, rng);
   const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
 
-  ThreadPool pool(2);
   DynamicDocument doc(tree, 3);
-  doc.set_pool(&pool);
   DynamicDocument::QueryHandle h = doc.Register(q);
 
   std::vector<Assignment> before = doc.EnumerateAt(doc.CurrentSnapshot(), h);

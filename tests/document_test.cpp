@@ -1,13 +1,11 @@
 // Tests for the shared-document multi-query layer: N queries registered on
 // one DynamicDocument, driven by mixed edit scripts (relabels + structural
 // inserts/deletes, sequential and batched), every pipeline cross-checked
-// against a per-query recompute-from-scratch oracle; pool-size invariance
-// (1 lane vs 8 lanes produce identical answers); the ThreadPool itself;
-// and the allocation/threading guarantees the fan-out relies on.
+// against a per-query recompute-from-scratch oracle; and the allocation
+// and threading guarantees the refresh loop relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "core/word_enumerator.h"
 #include "test_util.h"
 #include "util/alloc_gauge.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 namespace {
@@ -35,52 +32,6 @@ std::vector<UnrankedTva> TestQueries() {
   queries.push_back(QueryDescendantPairs(3, 0, 1));
   queries.push_back(QueryChildOfLabel(3, 0, 2));
   return queries;
-}
-
-// ---- ThreadPool ----
-
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(hits.size(), [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-  // The pool is reusable: a second job sees fresh indices.
-  pool.ParallelFor(hits.size(), [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 2) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, SingleLanePoolRunsInlineInOrder) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  std::vector<size_t> order;
-  std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(8, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(ThreadPool, EmptyAndSingletonJobs) {
-  ThreadPool pool(3);
-  size_t calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
 }
 
 // ---- Multi-query documents vs per-query oracles ----
@@ -124,24 +75,17 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
   }
 }
 
-// Batched commits, cross-checked after every commit, and run twice — once
-// with no pool (inline fan-out) and once with an 8-lane pool — to assert
-// that parallel refresh produces bit-identical answers.
-TEST(DynamicDocument, BatchedCommitsMatchOraclesOnEveryPoolSize) {
+// Batched commits, cross-checked after every commit.
+TEST(DynamicDocument, BatchedCommitsMatchOracles) {
   Rng rng(223);
   std::vector<UnrankedTva> queries = TestQueries();
   UnrankedTree tree = RandomTree(60, 3, rng);
 
-  ThreadPool pool8(8);
-  DynamicDocument doc1(tree, 3);   // inline fan-out (no pool)
-  DynamicDocument doc8(tree, 3);
-  doc8.set_pool(&pool8);
-
-  std::vector<DynamicDocument::QueryHandle> ids1, ids8;
+  DynamicDocument doc(tree, 3);
+  std::vector<DynamicDocument::QueryHandle> ids;
   std::vector<std::unique_ptr<StaticEngine>> oracles;
   for (const UnrankedTva& q : queries) {
-    ids1.push_back(doc1.Register(q));
-    ids8.push_back(doc8.Register(q));
+    ids.push_back(doc.Register(q));
     oracles.push_back(std::make_unique<StaticEngine>(tree, q));
   }
 
@@ -149,33 +93,27 @@ TEST(DynamicDocument, BatchedCommitsMatchOraclesOnEveryPoolSize) {
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;
     for (int i = 0; i < 24; ++i) edits.push_back(script.NextEdit());
-    UpdateStats s1 = doc1.ApplyEdits(edits);
-    UpdateStats s8 = doc8.ApplyEdits(edits);
-    EXPECT_EQ(s1.boxes_recomputed, s8.boxes_recomputed) << "round " << round;
+    doc.ApplyEdits(edits);
     for (auto& oracle : oracles) oracle->ApplyEdits(edits);
 
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      std::vector<Assignment> expected = oracles[qi]->EnumerateAll();
-      ASSERT_EQ(doc1.EnumerateAt(doc1.CurrentSnapshot(), ids1[qi]), expected)
+      ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), ids[qi]),
+                oracles[qi]->EnumerateAll())
           << "query " << qi << " round " << round;
-      ASSERT_EQ(doc8.EnumerateAt(doc8.CurrentSnapshot(), ids8[qi]), expected)
+      ASSERT_EQ(doc.pipeline(ids[qi]).circuit().ValidateStorage(), "")
           << "query " << qi << " round " << round;
-      ASSERT_EQ(doc8.pipeline(ids8[qi]).circuit().ValidateStorage(), "")
-          << "query " << qi << " round " << round;
-      ASSERT_EQ(doc8.pipeline(ids8[qi]).index().ValidateStorage(), "")
+      ASSERT_EQ(doc.pipeline(ids[qi]).index().ValidateStorage(), "")
           << "query " << qi << " round " << round;
     }
   }
 }
 
-// Interleaves sequential edits and batches on a pooled document, with
-// counting enabled on one pipeline — the fan-out must refresh counts too.
+// Interleaves sequential edits and batches, with counting enabled on one
+// pipeline — the refresh must update counts too.
 TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
   Rng rng(227);
   UnrankedTree tree = RandomTree(50, 3, rng);
-  ThreadPool pool(4);
   DynamicDocument doc(tree, 3);
-  doc.set_pool(&pool);
 
   DynamicDocument::QueryHandle qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
   DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 0));
@@ -301,9 +239,7 @@ TEST(DynamicDocument, WordDocumentServesMultipleSpanners) {
   Word ref;
   for (int i = 0; i < 24; ++i) ref.push_back(static_cast<Label>(rng.Index(2)));
 
-  ThreadPool pool(8);
   DynamicDocument doc(ref, 2);
-  doc.set_pool(&pool);
   DynamicDocument::QueryHandle qb = doc.Register(select_b);
   DynamicDocument::QueryHandle qa = doc.Register(select_a);
 
@@ -363,44 +299,50 @@ TEST(DynamicDocument, WordDocumentServesMultipleSpanners) {
   }
 }
 
-// ---- Allocation / threading guarantees behind the fan-out ----
+// ---- Allocation / threading guarantees behind the refresh loop ----
 
-// The single-query inline path through the document layer must preserve the
-// zero-allocation steady state the engines had before the refactor.
-TEST(DynamicDocument, SingleQuerySteadyStateRelabelsAreAllocationFree) {
+// Steady-state relabels through the document layer allocate nothing, with
+// one pipeline and with a second, distinct pipeline refreshed beside it
+// (the multi-query shape: each edit runs the refresh loop twice).
+TEST(DynamicDocument, SteadyStateRelabelsAreAllocationFree) {
   ASSERT_TRUE(AllocGaugeActive())
       << "document_test must link treenum_alloc_gauge";
 
-  Rng rng(251);
-  UnrankedTree tree = RandomTree(150, 3, rng);
-  DynamicDocument doc(tree, 3);
-  DynamicDocument::QueryHandle q = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  doc.pipeline(q).EnableCounting();
+  for (size_t pipelines : {1, 2}) {
+    Rng rng(251);
+    UnrankedTree tree = RandomTree(150, 3, rng);
+    DynamicDocument doc(tree, 3);
+    DynamicDocument::QueryHandle q =
+        doc.Register(QueryMarkedAncestor(3, 1, 2));
+    doc.pipeline(q).EnableCounting();
+    if (pipelines == 2) doc.Register(QueryChildOfLabel(3, 0, 2));
+    ASSERT_EQ(doc.num_pipelines(), pipelines);
 
-  std::vector<NodeId> targets = tree.PreorderNodes();
-  auto run_pass = [&](bool batched) {
-    for (NodeId n : targets) {
-      if (batched) doc.BeginBatch();
-      for (Label l = 0; l < 3; ++l) doc.Relabel(n, l);
-      if (batched) doc.CommitBatch();
-    }
-  };
-  for (bool batched : {false, true}) {
-    // Warm until the pool spans and scratch capacities reach their fixed
-    // point (buffer recycling can circulate spans for a few passes; see
-    // the box-enum steady-state note in flat_storage_test).
-    int pass = 0;
-    for (; pass < 8; ++pass) {
-      AllocGaugeScope warm;
+    std::vector<NodeId> targets = tree.PreorderNodes();
+    auto run_pass = [&](bool batched) {
+      for (NodeId n : targets) {
+        if (batched) doc.BeginBatch();
+        for (Label l = 0; l < 3; ++l) doc.Relabel(n, l);
+        if (batched) doc.CommitBatch();
+      }
+    };
+    for (bool batched : {false, true}) {
+      // Warm until the pool spans and scratch capacities reach their fixed
+      // point (buffer recycling can circulate spans for a few passes; see
+      // the box-enum steady-state note in flat_storage_test).
+      int pass = 0;
+      for (; pass < 8; ++pass) {
+        AllocGaugeScope warm;
+        run_pass(batched);
+        if (warm.allocs() == 0) break;
+      }
+      ASSERT_LT(pass, 8) << "relabel passes failed to reach a steady state";
+      AllocGaugeScope gauge;
       run_pass(batched);
-      if (warm.allocs() == 0) break;
+      EXPECT_EQ(gauge.allocs(), 0u)
+          << (batched ? "batched" : "sequential") << " steady-state relabels "
+          << "through the document layer allocated, pipelines=" << pipelines;
     }
-    ASSERT_LT(pass, 8) << "relabel passes failed to reach a steady state";
-    AllocGaugeScope gauge;
-    run_pass(batched);
-    EXPECT_EQ(gauge.allocs(), 0u)
-        << (batched ? "batched" : "sequential")
-        << " steady-state relabels through the document layer allocated";
   }
 }
 
@@ -521,21 +463,66 @@ TEST(DocumentDeathTest, EditsRejectUnknownNodesLabelsAndPositions) {
   EXPECT_DEATH(word.Insert(3, 77), "unknown label");
 }
 
-// The alloc gauge counters are relaxed atomics: hammering them from pool
-// workers while the main thread reads deltas must be race-free (this is
-// what keeps the zero-allocation assertions valid once refresh fan-out
-// runs on worker threads; run under TSan in CI).
-TEST(DynamicDocument, AllocGaugeIsThreadSafeUnderParallelFanOut) {
+// Structural transactions are checked before anything changes too: the
+// moved, deleted or extracted node and the destination must be alive, the
+// grafted subtree must exist in its source tree and use only document
+// labels, and a word range must lie inside the word (a move's destination
+// inside what remains once the range is cut out).
+TEST(DocumentDeathTest, TransactionsRejectUnknownNodesLabelsAndRanges) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(12345);
+  DynamicDocument doc(RandomTree(10, 3, rng), 3);
+  doc.Register(QuerySelectLabel(3, 1));
+  const NodeId root = doc.tree().root();
+  const NodeId child = doc.tree().children(root).front();
+  NodeId deleted = kNoNode;
+  doc.InsertFirstChild(root, 0, &deleted);
+  doc.DeleteLeaf(deleted);
+  UnrankedTree src(0);
+  src.AppendChild(src.root(), 1);
+  UnrankedTree foreign(0);
+  foreign.AppendChild(foreign.root(), 77);
+  UnrankedTree extracted(0);
+  EXPECT_DEATH(doc.SubtreeMove(12345, root), "unknown node");
+  EXPECT_DEATH(doc.SubtreeMove(deleted, root), "unknown node");
+  EXPECT_DEATH(doc.SubtreeMove(child, 12345), "unknown node");
+  EXPECT_DEATH(doc.SubtreeDelete(12345), "unknown node");
+  EXPECT_DEATH(doc.SubtreeExtract(12345, &extracted), "unknown node");
+  EXPECT_DEATH(doc.GraftSubtree(src, 12345, root), "unknown node");
+  EXPECT_DEATH(doc.GraftSubtree(src, src.root(), 12345), "unknown node");
+  EXPECT_DEATH(doc.GraftSubtree(foreign, foreign.root(), root),
+               "unknown label");
+
+  DynamicDocument word(ToWord("ababa"), 2);
+  word.Register(SelectLetter(1));
+  Word cut;
+  EXPECT_DEATH(word.MoveRange(3, 1, 0), "range out of bounds");
+  EXPECT_DEATH(word.MoveRange(1, 3, 9), "range out of bounds");
+  EXPECT_DEATH(word.MoveRange(0, 2, 4), "range out of bounds");
+  EXPECT_DEATH(word.EraseRange(4, 8), "range out of bounds");
+  EXPECT_DEATH(word.ExtractRange(4, 8, &cut), "range out of bounds");
+  EXPECT_DEATH(word.Concat(Word{7}), "unknown label");
+}
+
+// The alloc gauge counters are relaxed atomics: hammering them from several
+// threads while the main thread reads deltas must be race-free (shard
+// workers and snapshot readers allocate concurrently; run under TSan in CI).
+TEST(DynamicDocument, AllocGaugeIsThreadSafeAcrossThreads) {
   ASSERT_TRUE(AllocGaugeActive());
-  ThreadPool pool(4);
   AllocGaugeScope gauge;
   uint64_t before_frees = FreeCount();
-  pool.ParallelFor(64, [](size_t i) {
-    std::vector<std::unique_ptr<int>> v;
-    for (size_t k = 0; k < 100; ++k) {
-      v.push_back(std::make_unique<int>(static_cast<int>(i + k)));
-    }
-  });
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([t] {
+      for (size_t i = t; i < 64; i += 4) {
+        std::vector<std::unique_ptr<int>> v;
+        for (size_t k = 0; k < 100; ++k) {
+          v.push_back(std::make_unique<int>(static_cast<int>(i + k)));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   // 64 tasks x 100 boxed ints, plus vector growth: at least 6400 of each.
   EXPECT_GE(gauge.allocs(), 6400u);
   EXPECT_GE(FreeCount() - before_frees, 6400u);

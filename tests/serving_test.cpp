@@ -3,9 +3,8 @@
 // recompute-from-scratch StaticEngine oracles, bit-identical answers across
 // shard counts (S=1 vs S=8), concurrent snapshot readers during load and
 // during query churn (run under TSan in CI), work-stealing liveness with
-// exactly-once delivery, several client threads submitting at once, the
-// per-document run budget, and the allocation-free templated ParallelFor
-// contract.
+// exactly-once delivery, several client threads submitting at once, and
+// the per-document run budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +16,6 @@
 #include "baseline/static_engine.h"
 #include "serving/shard_server.h"
 #include "serving/workload.h"
-#include "util/alloc_gauge.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 namespace {
@@ -422,30 +419,6 @@ TEST(ShardServer, RemoveDocumentCompletesPendingWork) {
                 tenants[i].script.mirror())
         << "doc " << i;
   }
-}
-
-// ---- Allocation-free templated ParallelFor ----
-
-// The templated ParallelFor passes the body as a (function pointer,
-// context) pair — no std::function, no heap. The gauge must read zero
-// across many fork-join rounds once the pool is warm.
-TEST(ThreadPoolServing, ParallelForIsAllocationFree) {
-  ThreadPool pool(4);
-  std::atomic<uint64_t> sum{0};
-  const auto body = [&sum](size_t i) {
-    sum.fetch_add(i + 1, std::memory_order_relaxed);
-  };
-  pool.ParallelFor(64, body);  // warm-up round
-  sum.store(0);
-
-  AllocGaugeScope scope;
-  constexpr size_t kRounds = 50;
-  for (size_t r = 0; r < kRounds; ++r) pool.ParallelFor(64, body);
-  if (AllocGaugeActive()) {
-    EXPECT_EQ(scope.allocs(), 0u)
-        << "fork-join dispatch must not allocate per round";
-  }
-  EXPECT_EQ(sum.load(), kRounds * (64 * 65) / 2);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "core/document.h"
 #include "core/word_enumerator.h"
 #include "test_util.h"
-#include "util/thread_pool.h"
 
 namespace treenum {
 namespace {
@@ -81,8 +80,6 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
   }
 
   DynamicDocument doc(tree, 3);
-  ThreadPool pool(2);  // refresh fan-out races the readers too
-  doc.set_pool(&pool);
   DynamicDocument::QueryHandle h1 = doc.Register(q1);
   DynamicDocument::QueryHandle h2 = doc.Register(q2);
 
