@@ -78,8 +78,9 @@ std::vector<Assignment> MaterializeSatisfying(
   Materializer m(circuit);
   AssignmentSet all;
   TermNodeId root = circuit.term().root();
+  const Box root_box = circuit.box(root);
   for (State q : circuit.tva().final_states()) {
-    GateKind k = circuit.GammaKind(root, q);
+    GateKind k = root_box.gamma(q);
     if (k == GateKind::kBot) continue;
     if (kind[q] == 0) {
       assert(k == GateKind::kTop);

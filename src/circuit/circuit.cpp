@@ -8,17 +8,34 @@
 
 namespace treenum {
 
+namespace {
+
+/// Calls f(q) for every state q set in a `words`-word state mask, in
+/// ascending order.
+template <typename F>
+void ForEachState(const uint64_t* mask, uint32_t words, F f) {
+  for (uint32_t wi = 0; wi < words; ++wi) {
+    for (uint64_t m = mask[wi]; m != 0; m &= m - 1) {
+      f(static_cast<State>(wi * 64 + __builtin_ctzll(m)));
+    }
+  }
+}
+
+}  // namespace
+
 AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
                                      const std::vector<uint8_t>* kind)
     : term_(term),
       tva_(tva),
       kind_(kind),
-      w_(static_cast<uint32_t>(tva->num_states())) {
+      w_(static_cast<uint32_t>(tva->num_states())),
+      mask_words_((w_ + 63) / 64) {
   TREENUM_CHECK(tva->num_states() <= kMaxCircuitWidth,
                 "automaton too wide for 32-bit gate ids (w^2 must fit)");
   local_in_scratch_.resize(w_);
   child_in_scratch_.resize(w_);
-  has_top_scratch_.resize(w_, 0);
+  top_scratch_.resize(mask_words_, 0);
+  union_scratch_.resize(mask_words_, 0);
   // Build the grouped-CSR δ cache now, while this thread owns the automaton:
   // circuits on other threads may share it, and the cache mutates on first
   // access.
@@ -29,27 +46,23 @@ void AssignmentCircuit::EnsureSlot(TermNodeId id) {
   if (spans_.size() > id) return;
   size_t n = static_cast<size_t>(id) + 1;
   spans_.resize(n);
-  gamma_.resize(n * w_, GateKind::kBot);
-  union_idx_.resize(n * w_, kNoGate);
-  union_states_.resize(n * w_);
-  gate_ends_.resize(n * w_);
+  masks_.resize(n * 2 * mask_words_, 0);
 }
 
 Box AssignmentCircuit::box(TermNodeId id) const {
   assert(id < spans_.size());
   Box b;
-  size_t base = static_cast<size_t>(id) * w_;
-  b.gamma_ = gamma_.data() + base;
-  b.union_idx_ = union_idx_.data() + base;
-  b.union_states_ = union_states_.data() + base;
-  b.ends_ = gate_ends_.data() + base;
+  b.top_mask_ = MaskRow(id);
+  b.union_mask_ = b.top_mask_ + mask_words_;
   const BoxSpans& s = spans_[id];
+  b.union_states_ = union_state_pool_.at(s.union_states.off);
+  b.ends_ = ends_pool_.at(s.ends.off);
   b.cross_gates_ = cross_gate_pool_.at(s.cross_gates.off);
   b.cross_in_ = cross_in_pool_.at(s.cross_in.off);
   b.child_in_ = child_in_pool_.at(s.child_in.off);
   b.var_in_ = var_in_pool_.at(s.var_in.off);
   b.var_masks_ = var_mask_pool_.at(s.var_masks.off);
-  b.num_unions_ = s.num_unions;
+  b.num_unions_ = s.union_states.len;
   b.num_cross_gates_ = s.cross_gates.len;
   b.num_var_masks_ = s.var_masks.len;
   return b;
@@ -88,21 +101,23 @@ void AssignmentCircuit::RebuildBox(TermNodeId id) {
 void AssignmentCircuit::FreeBox(TermNodeId id) {
   if (id >= spans_.size()) return;
   BoxSpans& s = spans_[id];
+  union_state_pool_.Release(s.union_states);
+  ends_pool_.Release(s.ends);
   cross_gate_pool_.Release(s.cross_gates);
   cross_in_pool_.Release(s.cross_in);
   child_in_pool_.Release(s.child_in);
   var_in_pool_.Release(s.var_in);
   var_mask_pool_.Release(s.var_masks);
-  s.num_unions = 0;
-  size_t base = static_cast<size_t>(id) * w_;
-  std::fill_n(gamma_.data() + base, w_, GateKind::kBot);
-  std::fill_n(union_idx_.data() + base, w_, kNoGate);
+  std::fill_n(MaskRow(id), 2 * mask_words_, uint64_t{0});
 }
 
 void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
   size_t alive = term_->num_alive();
   if (alive == 0 || boxes == 0) return;
   // Per-box running averages (rounded up) scale the tail headroom.
+  union_state_pool_.ReserveAdditional(boxes *
+                                      (union_state_pool_.size() / alive + 1));
+  ends_pool_.ReserveAdditional(boxes * (ends_pool_.size() / alive + 1));
   cross_gate_pool_.ReserveAdditional(boxes *
                                      (cross_gate_pool_.size() / alive + 1));
   cross_in_pool_.ReserveAdditional(boxes * (cross_in_pool_.size() / alive + 1));
@@ -112,20 +127,17 @@ void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
 }
 
 void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
-  const uint32_t w = w_;
-  for (State q = 0; q < w; ++q) {
-    local_in_scratch_[q].clear();
-    child_in_scratch_[q].clear();
-  }
-  has_top_scratch_.assign(w, 0);
+  std::fill(top_scratch_.begin(), top_scratch_.end(), uint64_t{0});
+  std::fill(union_scratch_.begin(), union_scratch_.end(), uint64_t{0});
   var_masks_scratch_.clear();
   cross_gates_scratch_.clear();
 
   Label l = term_->node(id).label;
   for (const auto& [vars, q] : tva_->LeafInitsFor(l)) {
+    const uint64_t bit = uint64_t{1} << (q & 63);
     if (vars == 0) {
       assert((*kind_)[q] == 0);
-      has_top_scratch_[q] = 1;
+      top_scratch_[q >> 6] |= bit;
     } else {
       assert((*kind_)[q] == 1);
       // Dedup masks by first appearance; leaf alphabets keep this list tiny,
@@ -135,6 +147,7 @@ void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
         ++vi;
       }
       if (vi == var_masks_scratch_.size()) var_masks_scratch_.push_back(vars);
+      union_scratch_[q >> 6] |= bit;
       local_in_scratch_[q].push_back(vi);
     }
   }
@@ -142,19 +155,21 @@ void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
 }
 
 void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
-  const uint32_t w = w_;
+  const uint32_t mw = mask_words_;
   const TermNode& t = term_->node(id);
-  // γ kinds live in the fixed-stride array, which cannot move during this
-  // rebuild (EnsureSlot ran already), so raw child rows are safe to hold.
-  const GateKind* lg = gamma_.data() + static_cast<size_t>(t.left) * w;
-  const GateKind* rg = gamma_.data() + static_cast<size_t>(t.right) * w;
+  // The children's masks live in masks_, which cannot move during this
+  // rebuild (EnsureSlot ran already and CommitUnions grows only the pools),
+  // so raw child pointers are safe to hold.
+  const uint64_t* lt = MaskRow(t.left);
+  const uint64_t* lu = lt + mw;
+  const uint64_t* rt = MaskRow(t.right);
+  const uint64_t* ru = rt + mw;
   Label l = t.label;
 
-  for (State q = 0; q < w; ++q) {
-    local_in_scratch_[q].clear();
-    child_in_scratch_[q].clear();
-  }
-  has_top_scratch_.assign(w, 0);
+  std::fill(top_scratch_.begin(), top_scratch_.end(), uint64_t{0});
+  std::fill(union_scratch_.begin(), union_scratch_.end(), uint64_t{0});
+  uint64_t* top = top_scratch_.data();
+  uint64_t* uni = union_scratch_.data();
   cross_gates_scratch_.clear();
   var_masks_scratch_.clear();
 
@@ -165,22 +180,28 @@ void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
   const std::vector<DeltaGroup>& groups = tva_->DeltaGroupsFor(l);
   const State* results = tva_->delta_results().data();
   for (const DeltaGroup& g : groups) {
-    GateKind k1 = lg[g.left];
-    if (k1 == GateKind::kBot) continue;
-    GateKind k2 = rg[g.right];
-    if (k2 == GateKind::kBot) continue;
+    const uint64_t lbit = uint64_t{1} << (g.left & 63);
+    const bool l_top = (lt[g.left >> 6] & lbit) != 0;
+    if (!l_top && !(lu[g.left >> 6] & lbit)) continue;  // γ(left, q1) = ⊥
+    const uint64_t rbit = uint64_t{1} << (g.right & 63);
+    const bool r_top = (rt[g.right >> 6] & rbit) != 0;
+    if (!r_top && !(ru[g.right >> 6] & rbit)) continue;  // γ(right, q2) = ⊥
     // Each (q1, q2) pair owns exactly one group, so the shared ×-gate
     // д^{q1,q2} is created lazily on its first live result state.
     int32_t cross_id = -1;
     for (uint32_t i = g.begin; i < g.end; ++i) {
       State q = results[i];
-      if (k1 == GateKind::kTop && k2 == GateKind::kTop) {
+      const uint64_t bit = uint64_t{1} << (q & 63);
+      if (l_top && r_top) {
         assert((*kind_)[q] == 0 && "homogenization violated");
-        has_top_scratch_[q] = 1;
-      } else if (k1 == GateKind::kTop) {
+        top[q >> 6] |= bit;
+        continue;
+      }
+      uni[q >> 6] |= bit;
+      if (l_top) {
         // д^{q1,q2} collapses to γ(right, q2).
         child_in_scratch_[q].push_back(ChildUnionInput{uint8_t{1}, g.right});
-      } else if (k2 == GateKind::kTop) {
+      } else if (r_top) {
         child_in_scratch_[q].push_back(ChildUnionInput{uint8_t{0}, g.left});
       } else {
         if (cross_id < 0) {
@@ -195,12 +216,9 @@ void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
 }
 
 void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
-  const uint32_t w = w_;
-  size_t base = static_cast<size_t>(id) * w;
-  GateKind* gamma = gamma_.data() + base;
-  int32_t* uidx = union_idx_.data() + base;
-  State* ustates = union_states_.data() + base;
-  GateEnds* ends = gate_ends_.data() + base;
+  const uint32_t mw = mask_words_;
+  const uint64_t* top = top_scratch_.data();
+  const uint64_t* uni = union_scratch_.data();
   BoxSpans& s = spans_[id];
 
   uint32_t nu = 0;
@@ -209,33 +227,20 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
   // kMaxCircuitWidth bound does — check loudly instead of wrapping.
   uint64_t nlocal = 0;
   uint64_t nchild = 0;
-  for (State q = 0; q < w; ++q) {
-    bool has =
-        !local_in_scratch_[q].empty() || !child_in_scratch_[q].empty();
-    if (has_top_scratch_[q]) {
-      assert(!has && "homogenization violated");
-      gamma[q] = GateKind::kTop;
-      uidx[q] = kNoGate;
-      continue;
-    }
-    if (!has) {
-      gamma[q] = GateKind::kBot;
-      uidx[q] = kNoGate;
-      continue;
-    }
-    gamma[q] = GateKind::kUnion;
-    uidx[q] = static_cast<int32_t>(nu);
-    ustates[nu] = q;
+  ForEachState(uni, mw, [&](State q) {
+    assert(!(top[q >> 6] & (uint64_t{1} << (q & 63))) &&
+           "homogenization violated");
     nlocal += local_in_scratch_[q].size();
     nchild += child_in_scratch_[q].size();
     ++nu;
-  }
-  s.num_unions = nu;
+  });
   TREENUM_CHECK(nlocal <= (uint64_t{1} << 31) && nchild <= (uint64_t{1} << 31),
                 "box wire lists exceed 32-bit CSR offsets");
 
   // Span turnover: each pool span is reused in place when its capacity
   // suffices (Ensure), so steady-state refreshes stay allocation-free.
+  union_state_pool_.Ensure(s.union_states, nu);
+  ends_pool_.Ensure(s.ends, nu);
   cross_gate_pool_.Ensure(s.cross_gates,
                           static_cast<uint32_t>(cross_gates_scratch_.size()));
   var_mask_pool_.Ensure(s.var_masks,
@@ -245,26 +250,38 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
   var_in_pool_.Ensure(s.var_in, is_leaf ? nlocal32 : 0);
   child_in_pool_.Ensure(s.child_in, static_cast<uint32_t>(nchild));
 
+  std::copy_n(top, mw, MaskRow(id));
+  std::copy_n(uni, mw, MaskRow(id) + mw);
   std::copy(cross_gates_scratch_.begin(), cross_gates_scratch_.end(),
             cross_gate_pool_.at(s.cross_gates.off));
   std::copy(var_masks_scratch_.begin(), var_masks_scratch_.end(),
             var_mask_pool_.at(s.var_masks.off));
 
+  // ∪-gates in ascending state order, so a gate's dense index is the rank
+  // of its state in the ∪ mask (Box::union_idx).
+  State* ustates = union_state_pool_.at(s.union_states.off);
+  GateEnds* ends = ends_pool_.at(s.ends.off);
   uint32_t* local_dst = is_leaf ? var_in_pool_.at(s.var_in.off)
                                 : cross_in_pool_.at(s.cross_in.off);
   ChildUnionInput* child_dst = child_in_pool_.at(s.child_in.off);
+  uint32_t u = 0;
   uint32_t lo = 0;
   uint32_t ch = 0;
-  for (uint32_t u = 0; u < nu; ++u) {
-    State q = ustates[u];
-    for (uint32_t v : local_in_scratch_[q]) local_dst[lo++] = v;
-    for (const ChildUnionInput& ci : child_in_scratch_[q]) {
-      child_dst[ch++] = ci;
-    }
+  ForEachState(uni, mw, [&](State q) {
+    ustates[u] = q;
+    std::vector<uint32_t>& local = local_in_scratch_[q];
+    std::vector<ChildUnionInput>& child = child_in_scratch_[q];
+    std::copy(local.begin(), local.end(), local_dst + lo);
+    std::copy(child.begin(), child.end(), child_dst + ch);
+    lo += static_cast<uint32_t>(local.size());
+    ch += static_cast<uint32_t>(child.size());
+    local.clear();
+    child.clear();
     ends[u].cross_end = is_leaf ? 0 : lo;
     ends[u].var_end = is_leaf ? lo : 0;
     ends[u].child_end = ch;
-  }
+    ++u;
+  });
 }
 
 size_t AssignmentCircuit::CountGates() const {
@@ -281,12 +298,16 @@ size_t AssignmentCircuit::CountGates() const {
 
 std::string AssignmentCircuit::ValidateStorage() const {
   std::ostringstream err;
-  std::vector<LiveSpan> cg, ci, ch, vi, vm;
+  std::vector<LiveSpan> us, en, cg, ci, ch, vi, vm;
+  // Bits at or above w in the last mask word must stay clear.
+  const uint64_t tail_mask =
+      w_ % 64 == 0 ? 0 : ~((uint64_t{1} << (w_ % 64)) - 1);
   for (TermNodeId id = 0; id < spans_.size(); ++id) {
     if (!term_->IsAlive(id)) continue;
     const BoxSpans& s = spans_[id];
-    if (s.num_unions > w_) {
-      err << "box " << id << " has more unions than states";
+    const uint32_t nu = s.union_states.len;
+    if (s.ends.len != nu) {
+      err << "box " << id << " CSR end table does not match its union count";
       return err.str();
     }
     if (term_->IsLeaf(id)) {
@@ -300,7 +321,8 @@ std::string AssignmentCircuit::ValidateStorage() const {
       return err.str();
     }
     for (const auto& [ref, out] :
-         {std::make_pair(&s.cross_gates, &cg), std::make_pair(&s.cross_in, &ci),
+         {std::make_pair(&s.union_states, &us), std::make_pair(&s.ends, &en),
+          std::make_pair(&s.cross_gates, &cg), std::make_pair(&s.cross_in, &ci),
           std::make_pair(&s.child_in, &ch), std::make_pair(&s.var_in, &vi),
           std::make_pair(&s.var_masks, &vm)}) {
       if (ref->len > ref->cap) {
@@ -309,30 +331,36 @@ std::string AssignmentCircuit::ValidateStorage() const {
       }
       if (ref->cap != 0) out->push_back(LiveSpan{ref->off, ref->cap, id});
     }
-    size_t base = static_cast<size_t>(id) * w_;
-    uint32_t seen = 0;
-    for (State q = 0; q < w_; ++q) {
-      int32_t d = union_idx_[base + q];
-      if (gamma_[base + q] == GateKind::kUnion) {
-        if (d < 0 || static_cast<uint32_t>(d) >= s.num_unions ||
-            union_states_[base + d] != q) {
-          err << "box " << id << " dense index broken for state " << q;
-          return err.str();
-        }
-        ++seen;
-      } else if (d != kNoGate) {
-        err << "box " << id << " stale union_idx for state " << q;
+    // The ⊤ and ∪ masks are disjoint, clear at and above w, and the ∪-state
+    // table lists exactly the ∪ mask's set bits in ascending order.
+    const uint64_t* top = MaskRow(id);
+    const uint64_t* uni = top + mask_words_;
+    for (uint32_t wi = 0; wi < mask_words_; ++wi) {
+      if ((top[wi] & uni[wi]) != 0) {
+        err << "box " << id << " has a state that is both top and union";
+        return err.str();
+      }
+      if (wi + 1 == mask_words_ && ((top[wi] | uni[wi]) & tail_mask) != 0) {
+        err << "box " << id << " has a mask bit at or above the width";
         return err.str();
       }
     }
-    if (seen != s.num_unions) {
-      err << "box " << id << " union count mismatch";
+    const State* ustates = union_state_pool_.at(s.union_states.off);
+    uint32_t seen = 0;
+    bool table_ok = true;
+    ForEachState(uni, mask_words_, [&](State q) {
+      table_ok = table_ok && seen < nu && ustates[seen] == q;
+      ++seen;
+    });
+    if (!table_ok || seen != nu) {
+      err << "box " << id << " union state table does not list its union mask";
       return err.str();
     }
     // CSR ends must be monotone and bounded by the span lengths.
+    const GateEnds* ends = ends_pool_.at(s.ends.off);
     uint32_t pc = 0, ph = 0, pv = 0;
-    for (uint32_t u = 0; u < s.num_unions; ++u) {
-      const GateEnds& e = gate_ends_[base + u];
+    for (uint32_t u = 0; u < nu; ++u) {
+      const GateEnds& e = ends[u];
       if (e.cross_end < pc || e.child_end < ph || e.var_end < pv ||
           e.cross_end > s.cross_in.len || e.child_end > s.child_in.len ||
           e.var_end > s.var_in.len) {
@@ -343,13 +371,17 @@ std::string AssignmentCircuit::ValidateStorage() const {
       ph = e.child_end;
       pv = e.var_end;
     }
-    if (s.num_unions > 0 &&
+    if (nu > 0 &&
         (pc != s.cross_in.len || ph != s.child_in.len || pv != s.var_in.len)) {
       err << "box " << id << " CSR tail does not cover its span";
       return err.str();
     }
   }
   std::string e;
+  if (!(e = CheckPoolSpans("union_state", union_state_pool_.size(), us))
+           .empty())
+    return e;
+  if (!(e = CheckPoolSpans("ends", ends_pool_.size(), en)).empty()) return e;
   if (!(e = CheckPoolSpans("cross_gate", cross_gate_pool_.size(), cg)).empty())
     return e;
   if (!(e = CheckPoolSpans("cross_in", cross_in_pool_.size(), ci)).empty())

@@ -13,11 +13,15 @@
 // inputs — child-box ∪-gate → ∪-gate. The last kind forms the long ∪-chains
 // that the jump index of §6 exists to skip.
 //
-// Storage layout (arena/CSR): boxes own no heap memory. Per-state data
-// (γ kinds, dense ∪-gate indices) and per-∪-gate data (states, CSR end
-// offsets) live in fixed-stride arrays indexed by box id; the variable-
-// length wire lists live in flat SpanPools with per-box (offset, len)
-// spans that are recycled across box refreshes (see circuit/arena.h).
+// Storage layout (arena/CSR): boxes own no heap memory. The per-state data
+// is two bitmasks over Q, ⊤ and ∪, of ⌈w/64⌉ words each, in one fixed-stride
+// array indexed by box id: γ(n, q) is two bit tests, and the dense index of
+// γ(n, q) among the box's ∪-gates is the rank of q in the ∪ mask, so dense
+// indices follow ascending state order. Everything sized by the box's gates
+// rather than by w — the ∪-gate → state table, the CSR end offsets and the
+// wire lists — lives in flat SpanPools with per-box (offset, len) spans that
+// are recycled across box refreshes (see circuit/arena.h). A refresh thus
+// costs O(|δ_l| + ∪-gates + w/64), not Θ(w).
 // `box(id)` returns a cheap Box *view* — invalidated by the next rebuild.
 #ifndef TREENUM_CIRCUIT_CIRCUIT_H_
 #define TREENUM_CIRCUIT_CIRCUIT_H_
@@ -66,9 +70,23 @@ struct GateEnds {
 class Box {
  public:
   /// γ(n, q) kind (size of the state axis = automaton state count).
-  GateKind gamma(State q) const { return gamma_[q]; }
-  /// Dense index of γ(n, q) among this box's ∪-gates, or kNoGate.
-  int32_t union_idx(State q) const { return union_idx_[q]; }
+  GateKind gamma(State q) const {
+    const uint64_t bit = uint64_t{1} << (q & 63);
+    if (union_mask_[q >> 6] & bit) return GateKind::kUnion;
+    return (top_mask_[q >> 6] & bit) ? GateKind::kTop : GateKind::kBot;
+  }
+  /// Dense index of γ(n, q) among this box's ∪-gates, or kNoGate: the
+  /// number of ∪-states below q.
+  int32_t union_idx(State q) const {
+    const uint32_t word = q >> 6;
+    const uint64_t bit = uint64_t{1} << (q & 63);
+    if (!(union_mask_[word] & bit)) return kNoGate;
+    int32_t rank = __builtin_popcountll(union_mask_[word] & (bit - 1));
+    for (uint32_t i = 0; i < word; ++i) {
+      rank += __builtin_popcountll(union_mask_[i]);
+    }
+    return rank;
+  }
   /// Dense ∪-gate index -> state.
   State union_state(size_t u) const { return union_states_[u]; }
   size_t num_unions() const { return num_unions_; }
@@ -110,8 +128,8 @@ class Box {
  private:
   friend class AssignmentCircuit;
 
-  const GateKind* gamma_ = nullptr;
-  const int32_t* union_idx_ = nullptr;
+  const uint64_t* top_mask_ = nullptr;
+  const uint64_t* union_mask_ = nullptr;
   const State* union_states_ = nullptr;
   const GateEnds* ends_ = nullptr;
   const CrossGate* cross_gates_ = nullptr;
@@ -156,9 +174,6 @@ class AssignmentCircuit {
 
   /// Cheap view of a box; invalidated by the next RebuildBox/FreeBox.
   Box box(TermNodeId id) const;
-  GateKind GammaKind(TermNodeId id, State q) const {
-    return gamma_[static_cast<size_t>(id) * w_ + q];
-  }
 
   /// Total number of gates (for accounting tests/benches).
   size_t CountGates() const;
@@ -169,15 +184,25 @@ class AssignmentCircuit {
   std::string ValidateStorage() const;
 
  private:
-  /// Per-box span directory into the pools.
+  /// Per-box span directory into the pools. `union_states` and `ends`
+  /// both hold one entry per ∪-gate, so their length is the ∪-gate count.
   struct BoxSpans {
     SpanRef cross_gates;
     SpanRef cross_in;
     SpanRef child_in;
     SpanRef var_in;
     SpanRef var_masks;
-    uint32_t num_unions = 0;
+    SpanRef union_states;
+    SpanRef ends;
   };
+
+  /// Box id's ⊤ mask; its ∪ mask follows `mask_words_` words later.
+  uint64_t* MaskRow(TermNodeId id) {
+    return masks_.data() + static_cast<size_t>(id) * 2 * mask_words_;
+  }
+  const uint64_t* MaskRow(TermNodeId id) const {
+    return masks_.data() + static_cast<size_t>(id) * 2 * mask_words_;
+  }
 
   void BuildLeafBox(TermNodeId id);
   void BuildInternalBox(TermNodeId id);
@@ -191,16 +216,17 @@ class AssignmentCircuit {
   const BinaryTva* tva_;
   const std::vector<uint8_t>* kind_;
   uint32_t w_;
+  uint32_t mask_words_;  ///< ⌈w/64⌉: words per state bitmask.
 
-  // Fixed-stride per-box state (index = id * w_ + q / + u). CowStore-backed
-  // so concurrent snapshot readers survive writer growth (util/cow_store.h).
-  CowStore<GateKind> gamma_;
-  CowStore<int32_t> union_idx_;
-  CowStore<State> union_states_;
-  CowStore<GateEnds> gate_ends_;
+  // Fixed-stride per-box state: box id's ⊤ mask at masks_[id * 2 *
+  // mask_words_], its ∪ mask right after. CowStore-backed so concurrent
+  // snapshot readers survive writer growth (util/cow_store.h).
+  CowStore<uint64_t> masks_;
   CowStore<BoxSpans> spans_;
 
-  // Flat pools, one per wire kind.
+  // Flat pools: the per-∪-gate tables, then one pool per wire kind.
+  SpanPool<State> union_state_pool_;
+  SpanPool<GateEnds> ends_pool_;
   SpanPool<CrossGate> cross_gate_pool_;
   SpanPool<uint32_t> cross_in_pool_;
   SpanPool<ChildUnionInput> child_in_pool_;
@@ -210,9 +236,12 @@ class AssignmentCircuit {
   // Pooled build scratch, reused across rebuilds (clear() keeps capacity),
   // so steady-state refreshes never touch the heap. local_in holds ×-gate
   // ids (internal boxes) or var-mask indices (leaf boxes) per result state.
+  // A state's lists are non-empty only while its bit is set in
+  // union_scratch_, and CommitUnions empties exactly those lists.
   std::vector<std::vector<uint32_t>> local_in_scratch_;         // per state
   std::vector<std::vector<ChildUnionInput>> child_in_scratch_;  // per state
-  std::vector<uint8_t> has_top_scratch_;
+  std::vector<uint64_t> top_scratch_;    // ⊤ mask being built
+  std::vector<uint64_t> union_scratch_;  // ∪ mask being built
   std::vector<CrossGate> cross_gates_scratch_;
   std::vector<VarMask> var_masks_scratch_;
 };

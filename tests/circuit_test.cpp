@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "automata/combinators.h"
 #include "automata/homogenize.h"
 #include "automata/query_library.h"
 #include "automata/translate.h"
 #include "circuit/assignment_circuit.h"
+#include "core/document.h"
 #include "falgebra/builder.h"
 #include "falgebra/update.h"
 #include "test_util.h"
@@ -152,6 +154,110 @@ TEST(Circuit, IncrementalRebuildMatchesFreshBuild) {
     std::vector<Assignment> a = MaterializeSatisfying(circuit, h.kind);
     std::vector<Assignment> b = MaterializeSatisfying(fresh, h.kind);
     ASSERT_EQ(a, b) << "step " << step;
+  }
+}
+
+// Applies one scripted command to the encoding and refreshes the circuit the
+// way EnumerationPipeline::Apply does: release the boxes of ids that are dead
+// now, then rebuild the changed ids bottom-up.
+void ApplyAndRefresh(const serving::DocCommand& c, DynamicEncoding& dyn,
+                     AssignmentCircuit& circuit) {
+  const UpdateResult* r = nullptr;
+  if (c.kind == serving::DocCommand::Kind::kStructural) {
+    const serving::StructuralOp& op = c.structural;
+    r = op.kind == serving::StructuralOp::Kind::kSubtreeDelete
+            ? &dyn.SubtreeDelete(op.v)
+            : &dyn.SubtreeMove(op.v, op.dst,
+                               op.where == AttachWhere::kFirstChild);
+  } else {
+    const Edit& e = c.edit;
+    switch (e.kind) {
+      case Edit::Kind::kRelabel:
+        r = &dyn.Relabel(e.node, e.label);
+        break;
+      case Edit::Kind::kInsertFirstChild:
+        r = &dyn.InsertFirstChild(e.node, e.label);
+        break;
+      case Edit::Kind::kInsertRightSibling:
+        r = &dyn.InsertRightSibling(e.node, e.label);
+        break;
+      case Edit::Kind::kDeleteLeaf:
+        r = &dyn.DeleteLeaf(e.node);
+        break;
+    }
+  }
+  for (TermNodeId id : r->freed) {
+    if (!dyn.term().IsAlive(id)) circuit.FreeBox(id);
+  }
+  circuit.ReserveForRebuild(r->changed_bottom_up.size());
+  for (TermNodeId id : r->changed_bottom_up) circuit.RebuildBox(id);
+}
+
+TEST(Circuit, PerStateViewsAcrossMaskWords) {
+  // γ and the dense ∪-indices are read from per-box state bitmasks of
+  // ⌈w/64⌉ words; these automata span 1, 2, 3 and 5 words, so states on
+  // both sides of every word boundary go through relabels, inserts, leaf
+  // deletes and subtree moves/deletes with incremental box refreshes.
+  struct Case {
+    UnrankedTva query;
+    size_t words;
+  };
+  Case cases[] = {
+      {QuerySelectLabel(3, 1), 1},
+      {QueryMarkedAncestor(3, 1, 2), 2},
+      {QueryAncestorAtDistance(3, 0, 6), 3},
+      {UnionTva(QueryMarkedAncestor(3, 1, 2), QueryChildOfLabel(3, 0, 2)), 5},
+  };
+  Rng rng(83);
+  for (const Case& tc : cases) {
+    TranslatedTva tr = TranslateUnrankedTva(tc.query);
+    HomogenizedTva h = HomogenizeBinaryTva(tr.tva);
+    const size_t w = h.tva.num_states();
+    ASSERT_EQ((w + 63) / 64, tc.words) << "w = " << w;
+
+    UnrankedTree tree = RandomTree(40, 3, rng);
+    DynamicEncoding dyn(tree, 3);
+    AssignmentCircuit circuit(&dyn.term(), &h.tva, &h.kind);
+    circuit.BuildAll();
+    serving::WorkloadOptions opts{3};
+    opts.structural_fraction = 0.2;
+    serving::CommandScript script(tree, 1000 + w, opts);
+
+    for (int step = 0; step < 120; ++step) {
+      ApplyAndRefresh(script.Next(), dyn, circuit);
+      ASSERT_EQ(circuit.ValidateStorage(), "") << "w " << w << " step " << step;
+
+      AssignmentCircuit fresh(&dyn.term(), &h.tva, &h.kind);
+      fresh.BuildAll();
+      const Term& term = dyn.term();
+      for (TermNodeId id = 0; id < term.id_bound(); ++id) {
+        if (!term.IsAlive(id)) continue;
+        const Box b = circuit.box(id);
+        const Box f = fresh.box(id);
+        int32_t below = 0;  // ∪-states below q
+        for (State q = 0; q < w; ++q) {
+          ASSERT_EQ(b.gamma(q), f.gamma(q))
+              << "w " << w << " step " << step << " box " << id << " q " << q;
+          int32_t d = b.union_idx(q);
+          if (b.gamma(q) != GateKind::kUnion) {
+            ASSERT_EQ(d, kNoGate) << "w " << w << " box " << id << " q " << q;
+            continue;
+          }
+          ASSERT_EQ(d, below) << "w " << w << " box " << id << " q " << q;
+          ASSERT_EQ(b.union_state(static_cast<size_t>(d)), q)
+              << "w " << w << " box " << id << " q " << q;
+          ++below;
+        }
+        ASSERT_EQ(static_cast<size_t>(below), b.num_unions())
+            << "w " << w << " box " << id;
+      }
+    }
+    CheckStructure(circuit);
+    AssignmentCircuit fresh(&dyn.term(), &h.tva, &h.kind);
+    fresh.BuildAll();
+    EXPECT_EQ(MaterializeSatisfying(circuit, h.kind),
+              MaterializeSatisfying(fresh, h.kind))
+        << "w " << w;
   }
 }
 

@@ -75,13 +75,14 @@ TEST(FlatStorage, BatchedScriptMatchesRecomputeOracle) {
 // scratch capacities, pass two must be allocation-free. Covers both modes:
 // kNaive maintains circuit + counts, kIndexed additionally the pooled
 // jump index.
-void CheckRelabelSteadyState(BoxEnumMode mode, bool batched) {
+void CheckRelabelSteadyState(const UnrankedTva& query, BoxEnumMode mode,
+                             bool batched) {
   ASSERT_TRUE(AllocGaugeActive())
       << "flat_storage_test must link treenum_alloc_gauge";
 
   Rng rng(139);
   UnrankedTree tree = RandomTree(200, 3, rng);
-  TreeEnumerator e(tree, QueryMarkedAncestor(3, 1, 2), mode);
+  TreeEnumerator e(tree, query, mode);
   e.EnableCounting();
 
   std::vector<NodeId> targets = tree.PreorderNodes();
@@ -117,20 +118,32 @@ void CheckRelabelSteadyState(BoxEnumMode mode, bool batched) {
     ASSERT_EQ(e.index().ValidateStorage(), "");
   }
   // The circuit still answers correctly after all passes.
-  StaticEngine oracle(e.tree(), QueryMarkedAncestor(3, 1, 2));
+  StaticEngine oracle(e.tree(), query);
   EXPECT_EQ(e.EnumerateAll(), oracle.EnumerateAll());
 }
 
+// The circuit's per-box state masks take ⌈w/64⌉ words: 2 words at w = 77
+// (marked ancestor), 3 at w = 173 (ancestor at distance 6).
+std::vector<UnrankedTva> SteadyStateQueries() {
+  return {QueryMarkedAncestor(3, 1, 2), QueryAncestorAtDistance(3, 0, 6)};
+}
+
 TEST(FlatStorage, RelabelSteadyStateIsAllocationFree) {
-  CheckRelabelSteadyState(BoxEnumMode::kNaive, /*batched=*/false);
+  for (const UnrankedTva& q : SteadyStateQueries()) {
+    CheckRelabelSteadyState(q, BoxEnumMode::kNaive, /*batched=*/false);
+  }
 }
 
 TEST(FlatStorage, IndexedRelabelSteadyStateIsAllocationFree) {
-  CheckRelabelSteadyState(BoxEnumMode::kIndexed, /*batched=*/false);
+  for (const UnrankedTva& q : SteadyStateQueries()) {
+    CheckRelabelSteadyState(q, BoxEnumMode::kIndexed, /*batched=*/false);
+  }
 }
 
 TEST(FlatStorage, IndexedBatchedRelabelSteadyStateIsAllocationFree) {
-  CheckRelabelSteadyState(BoxEnumMode::kIndexed, /*batched=*/true);
+  for (const UnrankedTva& q : SteadyStateQueries()) {
+    CheckRelabelSteadyState(q, BoxEnumMode::kIndexed, /*batched=*/true);
+  }
 }
 
 // Enumeration-delay counterpart: after one warm traversal, re-running a
