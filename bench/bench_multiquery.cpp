@@ -13,12 +13,18 @@
 //   3. Batched-commit wall time: the merged changed-box set is computed
 //      once and each query's pipeline refreshes it in turn — the
 //      `multiquery_commit` series at Q = 8 and Q = 4.
+//   4. Warm-start registration: a 10-query library registered through a
+//      fresh compiled-plan cache vs. through one restored from a cache
+//      image — the `serving_warmstart` series.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "automata/query_cache.h"
 #include "bench_util.h"
 #include "core/document.h"
 
@@ -207,6 +213,101 @@ BENCHMARK(BM_MultiQuery_BatchedCommit)
     ->Args({131072, 8})
     ->Args({131072, 4})
     ->Unit(benchmark::kMillisecond);
+
+// ---- 4. Warm-start registration ----
+//
+// Cold: the whole library registered on a fresh document through a fresh
+// QueryCache — each registration pays translation, determinization,
+// homogenization and canonicalization before the pipeline is built. The
+// cache image is then serialized (SaveCache) and restored into a second
+// cache (WarmStart); re-registering the same library on a new document pays
+// only the pipeline build. The cold/warm ratio is the restart-time win a
+// server gets from shipping its compiled-plan cache. The row fails when the
+// restore admits fewer plans than the library holds or a warm registration
+// still translates a query.
+std::vector<UnrankedTva> WarmStartLibrary() {
+  std::vector<UnrankedTva> library;
+  library.push_back(QuerySelectLabel(3, 1));
+  library.push_back(QuerySelectAll(3));
+  library.push_back(QueryMarkedAncestor(3, 1, 2));
+  library.push_back(QueryDescendantPairs(3, 0, 1));
+  library.push_back(QueryContainsLabel(3, 2));
+  library.push_back(QueryAnySubsetOfLabel(3, 0));
+  // Compile cost grows exponentially with the distance k while the
+  // per-document pipeline cost only tracks the final automaton, so this
+  // query dominates the cold leg — exactly the plan a warm start saves.
+  library.push_back(QueryAncestorAtDistance(3, 1, 6));
+  library.push_back(QueryChildOfLabel(3, 0, 2));
+  library.push_back(QuerySelectLeaves(3));
+  library.push_back(QueryNextSibling(3, 1, 0));
+  return library;
+}
+
+/// Registers every query of `library` on a fresh document over `tree`
+/// through `cache`; returns the registration time in microseconds.
+double RegisterAllUs(const UnrankedTree& tree,
+                     const std::vector<UnrankedTva>& library,
+                     QueryCache* cache) {
+  DynamicDocument doc(tree, 3, cache);
+  auto t0 = std::chrono::steady_clock::now();
+  for (const UnrankedTva& q : library) doc.Register(q);
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+void BM_MultiQuery_WarmStart(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<UnrankedTva> library = WarmStartLibrary();
+  Rng rng(kSeed + 31);
+  const UnrankedTree tree = RandomTree(n, 3, rng);
+  double cold_us = 0;
+  double warm_us = 0;
+  size_t image_bytes = 0;
+  size_t rounds = 0;
+  for (auto _ : state) {
+    QueryCache cold_cache;
+    cold_us += RegisterAllUs(tree, library, &cold_cache);
+    std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+    if (!cold_cache.SaveCache(image)) {
+      state.SkipWithError("SaveCache failed");
+      break;
+    }
+    image_bytes = image.str().size();
+    QueryCache warm_cache;
+    std::string error;
+    const size_t admitted = warm_cache.WarmStart(image, &error);
+    if (admitted != library.size()) {
+      state.SkipWithError(("WarmStart admitted " + std::to_string(admitted) +
+                           " of " + std::to_string(library.size()) +
+                           " plans: " + error)
+                              .c_str());
+      break;
+    }
+    warm_us += RegisterAllUs(tree, library, &warm_cache);
+    if (warm_cache.stats().translations != 0) {
+      state.SkipWithError("a warm registration translated its query");
+      break;
+    }
+    ++rounds;
+  }
+  if (rounds == 0) return;
+  const double speedup = warm_us > 0 ? cold_us / warm_us : 0.0;
+  state.counters["queries"] = static_cast<double>(library.size());
+  state.counters["cold_register_us"] = cold_us / rounds;
+  state.counters["warm_register_us"] = warm_us / rounds;
+  state.counters["speedup"] = speedup;
+  state.counters["image_bytes"] = static_cast<double>(image_bytes);
+  bench::EmitJson("serving_warmstart",
+                  {{"doc_size", static_cast<double>(n)},
+                   {"queries", static_cast<double>(library.size())},
+                   {"cold_register_us", cold_us / rounds},
+                   {"warm_register_us", warm_us / rounds},
+                   {"speedup", speedup},
+                   {"image_bytes", static_cast<double>(image_bytes)},
+                   {"iterations", static_cast<double>(state.iterations())}});
+}
+BENCHMARK(BM_MultiQuery_WarmStart)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace treenum

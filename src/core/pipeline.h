@@ -13,7 +13,7 @@
 // (core/document.h) owns one encoding and applies every edit, transaction
 // or committed batch to each pipeline registered on it, one after the
 // other on the writer's thread; everything a refresh writes (circuit
-// arena, index pools, counts) is pipeline-private. Batch *coalescing* also
+// arena, index pool, counts) is pipeline-private. Batch *coalescing* also
 // lives in the document (it depends only on the term, so it is computed
 // once per commit, not once per query).
 //

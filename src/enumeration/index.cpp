@@ -8,11 +8,18 @@ namespace treenum {
 
 namespace {
 
-/// Sets the diagonal of a zeroed n x n pooled matrix.
+constexpr int32_t kNoCand = -1;
+
+/// Writes 32-bit lane i of a block (see BoxIndex::Lane).
+void SetLane(uint64_t* block, size_t i, uint32_t v) {
+  std::memcpy(reinterpret_cast<char*>(block) + 4 * i, &v, sizeof v);
+}
+
+/// Sets the diagonal of a zeroed n x n matrix of packed rows.
 void FillIdentityWords(uint64_t* words, uint32_t n) {
-  const uint32_t wpr = BitMatrixPool::WordsPerRow(n);
+  const size_t wpr = (n + 63) / 64;
   for (uint32_t i = 0; i < n; ++i) {
-    words[static_cast<size_t>(i) * wpr + i / 64] |= uint64_t{1} << (i % 64);
+    words[i * wpr + i / 64] |= uint64_t{1} << (i % 64);
   }
 }
 
@@ -39,6 +46,11 @@ void LcaClose(const BoxIndex& child, std::vector<int32_t>& items) {
 }
 
 }  // namespace
+
+uint32_t EnumIndex::BlockWords(size_t words) {
+  TREENUM_CHECK(words <= (size_t{1} << 31), "index block exceeds 2^31 words");
+  return static_cast<uint32_t>(std::max<size_t>(words, 8));
+}
 
 void EnumIndex::EnsureSlot(TermNodeId id) {
   if (spans_.size() <= id) spans_.resize(id + 1);
@@ -68,89 +80,46 @@ void EnumIndex::BuildAll() {
 BoxIndex EnumIndex::at(TermNodeId id) const {
   BoxIndex v;
   if (id >= spans_.size()) return v;
-  const BoxIndexSpans& s = spans_[id];
-  v.cands_ = cand_pool_.at(s.cands.off);
-  v.fib_ = i32_pool_.at(s.fib.off);
-  v.span_ = i32_pool_.at(s.span.off);
-  v.cand_lca_ = i32_pool_.at(s.cand_lca.off);
-  v.bits_ = bits_pool_.base();
-  v.wl_ = s.wire_left;
-  v.wr_ = s.wire_right;
-  v.num_cands_ = s.cands.len;
-  v.nu_ = s.fib.len;
+  const Entry& e = spans_[id];
+  v.block_ = pool_.at(e.block.off);
+  v.shape_ = e.shape;
   return v;
 }
 
-void EnumIndex::ReleaseCandRels(BoxIndexSpans& s) {
-  CandRec* recs = cand_pool_.at(s.cands.off);
-  for (uint32_t i = 0; i < s.cands.len; ++i) bits_pool_.Release(recs[i].rel);
-}
-
-void EnumIndex::FreeSpans(BoxIndexSpans& s) {
-  ReleaseCandRels(s);
-  cand_pool_.Release(s.cands);
-  i32_pool_.Release(s.fib);
-  i32_pool_.Release(s.span);
-  i32_pool_.Release(s.cand_lca);
-  bits_pool_.Release(s.wire_left);
-  bits_pool_.Release(s.wire_right);
-}
-
 void EnumIndex::FreeBoxIndex(TermNodeId id) {
-  if (id < spans_.size()) FreeSpans(spans_[id]);
+  if (id >= spans_.size()) return;
+  pool_.Release(spans_[id].block);
+  spans_[id].shape = BoxIndex::Layout{};
 }
 
 void EnumIndex::ReserveForRebuild(size_t boxes) {
   size_t alive = circuit_->term().num_alive();
   if (alive == 0 || boxes == 0) return;
-  // Per-box running averages (rounded up) scale the tail headroom, exactly
+  // Per-box running average (rounded up) scales the tail headroom, exactly
   // like AssignmentCircuit::ReserveForRebuild.
-  cand_pool_.ReserveAdditional(boxes * (cand_pool_.size() / alive + 1));
-  i32_pool_.ReserveAdditional(boxes * (i32_pool_.size() / alive + 1));
-  bits_pool_.ReserveAdditional(boxes * (bits_pool_.size() / alive + 1));
+  pool_.ReserveAdditional(boxes * (pool_.size() / alive + 1));
 }
 
 void EnumIndex::RebuildBoxIndex(TermNodeId id) {
   EnsureSlot(id);
-  const Term& term = circuit_->term();
   const Box box = circuit_->box(id);
   const uint32_t nu = static_cast<uint32_t>(box.num_unions());
-  BoxIndexSpans& s = spans_[id];
-
   if (nu == 0) {
-    FreeSpans(s);
+    FreeBoxIndex(id);
     return;
   }
 
-  if (term.IsLeaf(id)) {
-    // Every ∪-gate of a leaf box has var-gate inputs, so fib = span = self.
-    ReleaseCandRels(s);
-    cand_pool_.Ensure(s.cands, 1);
-    i32_pool_.Ensure(s.fib, nu);
-    i32_pool_.Ensure(s.span, nu);
-    i32_pool_.Ensure(s.cand_lca, 1);
-    bits_pool_.Release(s.wire_left);
-    bits_pool_.Release(s.wire_right);
+  // A leaf box has no children: every ∪-gate has var-gate inputs, so the
+  // phases below give fib = span = self and no wire relations.
+  const Term& term = circuit_->term();
+  const bool leaf = term.IsLeaf(id);
+  const TermNodeId lid = leaf ? kNoTerm : term.node(id).left;
+  const TermNodeId rid = leaf ? kNoTerm : term.node(id).right;
+  const Box lbox = leaf ? Box() : circuit_->box(lid);
+  const Box rbox = leaf ? Box() : circuit_->box(rid);
 
-    BitsRef rel{};
-    bits_pool_.Ensure(rel, nu, nu);
-    FillIdentityWords(bits_pool_.words(rel), nu);
-    *cand_pool_.at(s.cands.off) = CandRec{id, 0, kNoCand, rel};
-    std::fill_n(i32_pool_.at(s.fib.off), nu, 0);
-    std::fill_n(i32_pool_.at(s.span.off), nu, 0);
-    *i32_pool_.at(s.cand_lca.off) = 0;
-    return;
-  }
-
-  const TermNodeId lid = term.node(id).left;
-  const TermNodeId rid = term.node(id).right;
-  const Box lbox = circuit_->box(lid);
-  const Box rbox = circuit_->box(rid);
-  const uint32_t lnu = static_cast<uint32_t>(lbox.num_unions());
-  const uint32_t rnu = static_cast<uint32_t>(rbox.num_unions());
-
-  // ---- Phase 1: read the children into scratch. No pool mutation here, so
-  // the child views stay valid throughout.
+  // ---- Phase 1: read the children into scratch and stage the candidates.
+  // No pool mutation here, so the child views stay valid throughout.
   {
     const BoxIndex lidx = at(lid);
     const BoxIndex ridx = at(rid);
@@ -192,13 +161,9 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
       if (local) {
         fib_pre_scratch_[u] = {0, kNoCand};
       } else if (has_l) {
-        int32_t best = lidx.fib(inl[0]);
-        for (uint32_t g : inl) best = std::min(best, lidx.fib(g));
-        fib_pre_scratch_[u] = {1, best};
+        fib_pre_scratch_[u] = {1, lidx.FibLocal(inl)};
       } else {
-        int32_t best = ridx.fib(inr[0]);
-        for (uint32_t g : inr) best = std::min(best, ridx.fib(g));
-        fib_pre_scratch_[u] = {2, best};
+        fib_pre_scratch_[u] = {2, ridx.FibLocal(inr)};
       }
       // span: lca of the gate's interesting boxes.
       if (local || (has_l && has_r)) {
@@ -253,100 +218,91 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
   const int32_t self_idx =
       cand_meta_scratch_[0].source == 0 ? 0 : kNoCand;
 
-  // ---- Phase 2: (re)allocate this box's spans. Child raw views from phase
-  // 1 are dead past this point; phase 3 re-resolves them.
-  ReleaseCandRels(s);
-  cand_pool_.Ensure(s.cands, nc);
-  i32_pool_.Ensure(s.fib, nu);
-  i32_pool_.Ensure(s.span, nu);
-  i32_pool_.Ensure(s.cand_lca, nc * nc);
-  bits_pool_.Ensure(s.wire_left, lnu, nu);
-  bits_pool_.Ensure(s.wire_right, rnu, nu);
-  // The CandRec pool is disjoint from the bit pool, so these records stay
-  // put while the relation blocks are acquired.
-  CandRec* recs = cand_pool_.at(s.cands.off);
-  for (uint32_t c = 0; c < nc; ++c) {
-    const CandMeta& m = cand_meta_scratch_[c];
-    recs[c] = CandRec{m.box, m.source, m.cc, BitsRef{}};
-    // Inherited candidates (source != 0) are compose targets, which the
-    // kernel fully overwrites — skip the zero-fill for them. Only the
-    // identity block (diagonal scatter) needs pre-zeroed words.
-    if (m.source == 0) {
-      bits_pool_.Ensure(recs[c].rel, m.rows, nu);
-    } else {
-      bits_pool_.EnsureUninit(recs[c].rel, m.rows, nu);
-    }
-  }
+  // ---- Phase 2: size this box's block from the staged shapes and
+  // (re)acquire it. Child views from phase 1 are dead past this point;
+  // phase 3 re-resolves them.
+  Entry& e = spans_[id];
+  e.shape = BoxIndex::Layout{
+      nc, nu, static_cast<uint32_t>(lbox.num_unions()),
+      static_cast<uint32_t>(rbox.num_unions())};
+  const BoxIndex::Layout& shape = e.shape;
+  const size_t wpr = shape.wpr();
+  size_t words = shape.rels_word();
+  for (const CandMeta& m : cand_meta_scratch_) words += m.rows * wpr;
+  pool_.Ensure(e.block, BlockWords(words));
 
-  // ---- Phase 3: fill. Reads child spans, writes this box's spans; no pool
+  // ---- Phase 3: fill. Reads child blocks, writes this box's block; no pool
   // mutation, so every view resolved below stays valid.
   const BoxIndex lidx = at(lid);
   const BoxIndex ridx = at(rid);
+  uint64_t* block = pool_.at(e.block.off);
 
   // Wire relations R(child, B) over the ∪→∪ (⊤-collapse) wires.
-  const uint32_t wpr = BitMatrixPool::WordsPerRow(nu);
-  uint64_t* wl = bits_pool_.words(s.wire_left);
-  uint64_t* wr = bits_pool_.words(s.wire_right);
+  uint64_t* wl = block + shape.wire_left_word();
+  uint64_t* wr = block + shape.wire_right_word();
+  std::fill(wl, block + shape.rels_word(), uint64_t{0});
   for (uint32_t u = 0; u < nu; ++u) {
     const uint64_t bit = uint64_t{1} << (u % 64);
-    for (uint32_t d : in_left_scratch_[u]) {
-      wl[static_cast<size_t>(d) * wpr + u / 64] |= bit;
-    }
-    for (uint32_t d : in_right_scratch_[u]) {
-      wr[static_cast<size_t>(d) * wpr + u / 64] |= bit;
-    }
+    for (uint32_t d : in_left_scratch_[u]) wl[d * wpr + u / 64] |= bit;
+    for (uint32_t d : in_right_scratch_[u]) wr[d * wpr + u / 64] |= bit;
   }
 
-  // Candidate relations: self = identity (block pre-zeroed by Ensure),
-  // inherited = child rel composed with the wire relation of that side
-  // (blocks written wholesale by the overwrite-semantics compose kernel).
-  const BitMatrixView wlv = bits_pool_.view(s.wire_left);
-  const BitMatrixView wrv = bits_pool_.view(s.wire_right);
+  // Candidate records and relations: self = identity, inherited = child rel
+  // composed with the wire relation of that side (written wholesale by the
+  // overwrite-semantics compose kernel, so only the identity is zeroed).
+  const BitMatrixView wlv(wl, shape.lnu, nu);
+  const BitMatrixView wrv(wr, shape.rnu, nu);
+  size_t rel_word = shape.rels_word();
   for (uint32_t c = 0; c < nc; ++c) {
-    uint64_t* dst = bits_pool_.words(recs[c].rel);
-    if (recs[c].source == 0) {
+    const CandMeta& m = cand_meta_scratch_[c];
+    const size_t lane = BoxIndex::Layout::cand_lane(c);
+    SetLane(block, lane, m.box);
+    SetLane(block, lane + 1, static_cast<uint32_t>(rel_word));
+    SetLane(block, lane + 2, m.rows);
+    uint64_t* dst = block + rel_word;
+    if (m.source == 0) {
+      std::fill(dst, dst + m.rows * wpr, uint64_t{0});
       FillIdentityWords(dst, nu);
-    } else if (recs[c].source == 1) {
-      BitMatrixView::ComposeIntoWords(lidx.cand_rel(recs[c].child_cand), wlv,
-                                      dst);
+    } else if (m.source == 1) {
+      BitMatrixView::ComposeIntoWords(lidx.cand_rel(m.cc), wlv, dst);
     } else {
-      BitMatrixView::ComposeIntoWords(ridx.cand_rel(recs[c].child_cand), wrv,
-                                      dst);
+      BitMatrixView::ComposeIntoWords(ridx.cand_rel(m.cc), wrv, dst);
     }
+    rel_word += m.rows * wpr;
   }
 
   // fib/span per gate, resolved to the new candidate indices.
-  auto resolve = [&](const Pre& p) -> int32_t {
-    if (p.source == 0) return self_idx;
-    if (p.source == 1) return map_l_scratch_[p.cc];
-    return map_r_scratch_[p.cc];
+  auto resolve = [&](const Pre& p) -> uint32_t {
+    int32_t c = p.source == 0   ? self_idx
+                : p.source == 1 ? map_l_scratch_[p.cc]
+                                : map_r_scratch_[p.cc];
+    assert(c != kNoCand);
+    return static_cast<uint32_t>(c);
   };
-  int32_t* fib = i32_pool_.at(s.fib.off);
-  int32_t* span = i32_pool_.at(s.span.off);
   for (uint32_t u = 0; u < nu; ++u) {
-    fib[u] = resolve(fib_pre_scratch_[u]);
-    span[u] = resolve(span_pre_scratch_[u]);
-    assert(fib[u] != kNoCand && span[u] != kNoCand);
+    SetLane(block, shape.fib_lane() + u, resolve(fib_pre_scratch_[u]));
+    SetLane(block, shape.span_lane() + u, resolve(span_pre_scratch_[u]));
   }
 
   // Pairwise candidate lca table.
-  int32_t* lca = i32_pool_.at(s.cand_lca.off);
   for (uint32_t a = 0; a < nc; ++a) {
+    const CandMeta& ma = cand_meta_scratch_[a];
     for (uint32_t b = 0; b < nc; ++b) {
-      int32_t v;
+      const CandMeta& mb = cand_meta_scratch_[b];
+      int32_t v = kNoCand;
       if (a == b) {
         v = static_cast<int32_t>(a);
-      } else if (recs[a].source == 0 || recs[b].source == 0 ||
-                 recs[a].source != recs[b].source) {
+      } else if (ma.source == 0 || mb.source == 0 || ma.source != mb.source) {
         assert(self_idx != kNoCand);
         v = self_idx;
-      } else if (recs[a].source == 1) {
-        v = map_l_scratch_[lidx.Lca(recs[a].child_cand, recs[b].child_cand)];
+      } else if (ma.source == 1) {
+        v = map_l_scratch_[lidx.Lca(ma.cc, mb.cc)];
       } else {
-        v = map_r_scratch_[ridx.Lca(recs[a].child_cand, recs[b].child_cand)];
+        v = map_r_scratch_[ridx.Lca(ma.cc, mb.cc)];
       }
       assert(v != kNoCand);
-      lca[static_cast<size_t>(a) * nc + b] = v;
+      SetLane(block, shape.lca_lane() + static_cast<size_t>(a) * nc + b,
+              static_cast<uint32_t>(v));
     }
   }
 }
@@ -354,111 +310,84 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
 std::string EnumIndex::ValidateStorage() const {
   const Term& term = circuit_->term();
   std::ostringstream err;
-  std::vector<LiveSpan> cands, i32s, bits;
+  std::vector<LiveSpan> live;
   for (TermNodeId id = 0; id < spans_.size(); ++id) {
+    const Entry& e = spans_[id];
+    if (e.block.len > e.block.cap) {
+      err << "box " << id << " block length exceeds capacity";
+      return err.str();
+    }
+    // Blocks of dead boxes not yet released still own their words.
+    if (e.block.cap != 0) {
+      live.push_back(LiveSpan{e.block.off, e.block.cap, id});
+    }
     if (!term.IsAlive(id)) continue;
-    const BoxIndexSpans& s = spans_[id];
-    const Box box = circuit_->box(id);
-    const uint32_t nu = static_cast<uint32_t>(box.num_unions());
+    const uint32_t nu =
+        static_cast<uint32_t>(circuit_->box(id).num_unions());
+    const BoxIndex::Layout& s = e.shape;
     if (nu == 0) {
-      if (s.cands.len != 0 || s.fib.len != 0 || s.span.len != 0 ||
-          s.cand_lca.len != 0 || s.wire_left.rows != 0 ||
-          s.wire_right.rows != 0) {
-        err << "gate-free box " << id << " owns index spans";
+      if (e.block.cap != 0 || s.nc != 0) {
+        err << "gate-free box " << id << " owns an index block";
         return err.str();
       }
       continue;
     }
-    const uint32_t nc = s.cands.len;
-    if (nc == 0) {
-      err << "box " << id << " has gates but no candidates";
+    if (e.block.off % 8 != 0) {
+      err << "box " << id << " block is not cache-line-aligned";
       return err.str();
     }
-    if (s.fib.len != nu || s.span.len != nu) {
-      err << "box " << id << " fib/span length mismatch";
+    if (s.nu != nu || s.nc == 0 || s.rels_word() > e.block.len) {
+      err << "box " << id << " has gates but a wrong gate or candidate count";
       return err.str();
     }
-    if (s.cand_lca.len != nc * nc) {
-      err << "box " << id << " lca table is not candidates squared";
+    const bool leaf = term.IsLeaf(id);
+    if (s.lnu != (leaf ? 0 : circuit_->box(term.node(id).left).num_unions()) ||
+        s.rnu != (leaf ? 0 : circuit_->box(term.node(id).right).num_unions())) {
+      err << "box " << id << " wire shape mismatch";
       return err.str();
     }
-    const CandRec* recs = cand_pool_.at(s.cands.off);
-    for (uint32_t c = 0; c < nc; ++c) {
-      const CandRec& rec = recs[c];
-      if (!term.IsAlive(rec.box)) {
+    const BoxIndex bi = at(id);
+    size_t words = s.rels_word();
+    for (uint32_t c = 0; c < s.nc; ++c) {
+      const int32_t ci = static_cast<int32_t>(c);
+      const TermNodeId cbox = bi.cand_box(ci);
+      if (!term.IsAlive(cbox)) {
         err << "box " << id << " candidate " << c << " names a dead box";
         return err.str();
       }
-      if (rec.rel.cols != nu ||
-          rec.rel.rows !=
-              static_cast<uint32_t>(circuit_->box(rec.box).num_unions())) {
-        err << "box " << id << " candidate " << c << " rel shape mismatch";
+      // Relations tile the section after the wires in candidate order.
+      const BitMatrixView rel = bi.cand_rel(ci);
+      if (rel.rows() != circuit_->box(cbox).num_unions() ||
+          rel.Row(0) != bi.block_ + words) {
+        err << "box " << id << " candidate " << c
+            << " rel shape or offset mismatch";
         return err.str();
       }
-      if (rec.rel.words.cap != 0) {
-        bits.push_back(LiveSpan{rec.rel.words.off, rec.rel.words.cap, id});
-      }
+      words += rel.rows() * s.wpr();
     }
-    const int32_t* fib = i32_pool_.at(s.fib.off);
-    const int32_t* span = i32_pool_.at(s.span.off);
+    if (e.block.len != BlockWords(words)) {
+      err << "box " << id << " block length does not match its layout";
+      return err.str();
+    }
     for (uint32_t u = 0; u < nu; ++u) {
-      if (fib[u] < 0 || static_cast<uint32_t>(fib[u]) >= nc || span[u] < 0 ||
-          static_cast<uint32_t>(span[u]) >= nc) {
+      if (static_cast<uint32_t>(bi.fib(u)) >= s.nc ||
+          static_cast<uint32_t>(bi.span(u)) >= s.nc) {
         err << "box " << id << " fib/span out of candidate range at gate "
             << u;
         return err.str();
       }
     }
-    const int32_t* lca = i32_pool_.at(s.cand_lca.off);
-    for (uint32_t i = 0; i < nc * nc; ++i) {
-      if (lca[i] < 0 || static_cast<uint32_t>(lca[i]) >= nc) {
-        err << "box " << id << " lca table out of candidate range";
-        return err.str();
-      }
-    }
-    if (!term.IsLeaf(id)) {
-      if (s.wire_left.cols != nu || s.wire_right.cols != nu ||
-          s.wire_left.rows != static_cast<uint32_t>(
-                                  circuit_->box(term.node(id).left)
-                                      .num_unions()) ||
-          s.wire_right.rows != static_cast<uint32_t>(
-                                   circuit_->box(term.node(id).right)
-                                       .num_unions())) {
-        err << "internal box " << id << " wire shape mismatch";
-        return err.str();
-      }
-    } else if (s.wire_left.rows != 0 || s.wire_right.rows != 0) {
-      err << "leaf box " << id << " owns wire relations";
-      return err.str();
-    }
-    if (s.cands.len > s.cands.cap) {
-      err << "box " << id << " candidate span length exceeds capacity";
-      return err.str();
-    }
-    if (s.cands.cap != 0) {
-      cands.push_back(LiveSpan{s.cands.off, s.cands.cap, id});
-    }
-    for (const SpanRef* ref : {&s.fib, &s.span, &s.cand_lca}) {
-      if (ref->len > ref->cap) {
-        err << "box " << id << " int32 span length exceeds capacity";
-        return err.str();
-      }
-      if (ref->cap != 0) i32s.push_back(LiveSpan{ref->off, ref->cap, id});
-    }
-    for (const BitsRef* ref : {&s.wire_left, &s.wire_right}) {
-      if (ref->words.cap != 0) {
-        bits.push_back(LiveSpan{ref->words.off, ref->words.cap, id});
+    for (uint32_t a = 0; a < s.nc; ++a) {
+      for (uint32_t b = 0; b < s.nc; ++b) {
+        if (static_cast<uint32_t>(bi.Lca(static_cast<int32_t>(a),
+                                         static_cast<int32_t>(b))) >= s.nc) {
+          err << "box " << id << " lca table out of candidate range";
+          return err.str();
+        }
       }
     }
   }
-  std::string e;
-  if (!(e = CheckPoolSpans("cand", cand_pool_.size(), cands)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("index_i32", i32_pool_.size(), i32s)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("index_bits", bits_pool_.size(), bits)).empty())
-    return e;
-  return std::string();
+  return CheckPoolSpans("index", pool_.size(), live);
 }
 
 }  // namespace treenum

@@ -2,10 +2,10 @@
 //
 // The SIMD kernels (util/simd_kernels.h) use unaligned loads, so alignment
 // is a performance contract, not a correctness one: 64-byte-aligned rows
-// keep the AVX2/AVX-512 paths off split cache lines. BitMatrix and
-// BitMatrixPool allocate their word storage through this allocator so every
-// backing buffer starts on a cache-line boundary (block offsets inside the
-// pool are then kept 64-byte-aligned by rounding, see index_arena.h).
+// keep the AVX2/AVX-512 paths off split cache lines. BitMatrix allocates its
+// word storage through this allocator so every backing buffer starts on a
+// cache-line boundary. (The jump index's word pool gets the same alignment
+// from its CowStore, see enumeration/index.h.)
 #ifndef TREENUM_UTIL_ALIGNED_ALLOC_H_
 #define TREENUM_UTIL_ALIGNED_ALLOC_H_
 
@@ -52,8 +52,7 @@ struct AlignedAllocator {
   }
 };
 
-/// Cache-line-aligned uint64 buffer: the storage type shared by BitMatrix
-/// and BitMatrixPool.
+/// Cache-line-aligned uint64 buffer: BitMatrix's storage type.
 using AlignedWordVector =
     std::vector<uint64_t, AlignedAllocator<uint64_t, 64>>;
 

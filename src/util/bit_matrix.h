@@ -7,8 +7,9 @@
 //  * BitMatrix — owning (vector-backed, 64-byte-aligned), used for the
 //    relations that cursors thread through their stacks;
 //  * BitMatrixView — a borrowed (words, rows, cols) view over word-aligned
-//    storage, used for the pooled index relations (enumeration/index_arena.h)
-//    and to run the kernels without copying. A BitMatrix converts implicitly.
+//    storage, used for the relations inside the jump index's pooled blocks
+//    (enumeration/index.h) and to run the kernels without copying. A
+//    BitMatrix converts implicitly.
 //
 // Every scan/union/zero/compose below bottoms out in the runtime-dispatched
 // word-block kernels of util/simd_kernels.h (scalar / AVX2 / AVX-512, picked
@@ -72,7 +73,7 @@ class BitMatrixView {
   /// the precondition is TREENUM_CHECKed in debug builds).
   /// OVERWRITE semantics: every word of `out` is written — accumulators
   /// start at zero inside the kernel — so callers need not pre-zero the
-  /// block. Used by the index arena to compose directly into pooled storage.
+  /// block. Used by the jump index to compose directly into its blocks.
   static void ComposeIntoWords(const BitMatrixView& a, const BitMatrixView& b,
                                uint64_t* out);
 

@@ -162,35 +162,12 @@ TEST(Circuit, IncrementalRebuildMatchesFreshBuild) {
 // now, then rebuild the changed ids bottom-up.
 void ApplyAndRefresh(const serving::DocCommand& c, DynamicEncoding& dyn,
                      AssignmentCircuit& circuit) {
-  const UpdateResult* r = nullptr;
-  if (c.kind == serving::DocCommand::Kind::kStructural) {
-    const serving::StructuralOp& op = c.structural;
-    r = op.kind == serving::StructuralOp::Kind::kSubtreeDelete
-            ? &dyn.SubtreeDelete(op.v)
-            : &dyn.SubtreeMove(op.v, op.dst,
-                               op.where == AttachWhere::kFirstChild);
-  } else {
-    const Edit& e = c.edit;
-    switch (e.kind) {
-      case Edit::Kind::kRelabel:
-        r = &dyn.Relabel(e.node, e.label);
-        break;
-      case Edit::Kind::kInsertFirstChild:
-        r = &dyn.InsertFirstChild(e.node, e.label);
-        break;
-      case Edit::Kind::kInsertRightSibling:
-        r = &dyn.InsertRightSibling(e.node, e.label);
-        break;
-      case Edit::Kind::kDeleteLeaf:
-        r = &dyn.DeleteLeaf(e.node);
-        break;
-    }
-  }
-  for (TermNodeId id : r->freed) {
+  const UpdateResult& r = ApplyToEncoding(c, dyn);
+  for (TermNodeId id : r.freed) {
     if (!dyn.term().IsAlive(id)) circuit.FreeBox(id);
   }
-  circuit.ReserveForRebuild(r->changed_bottom_up.size());
-  for (TermNodeId id : r->changed_bottom_up) circuit.RebuildBox(id);
+  circuit.ReserveForRebuild(r.changed_bottom_up.size());
+  for (TermNodeId id : r.changed_bottom_up) circuit.RebuildBox(id);
 }
 
 TEST(Circuit, PerStateViewsAcrossMaskWords) {

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,103 +173,129 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
   select_b.AddTransition(1, 1, 0, 1);
   select_b.AddFinal(1);
 
-  Rng rng(20260809);
-  Word ref;
-  for (int i = 0; i < 40; ++i) ref.push_back(static_cast<Label>(rng.Index(2)));
-
-  DynamicDocument doc(ref, 2);
-  DynamicDocument::QueryHandle h = doc.Register(select_b);
-
-  auto by_position = [&] {
-    std::vector<Assignment> out;
-    for (const Assignment& s : doc.EnumerateAt(doc.CurrentSnapshot(), h)) {
-      Assignment b;
-      for (const Singleton& sg : s.singletons()) {
-        b.Add(Singleton{sg.var, static_cast<NodeId>(
-                                    doc.word_encoding().PositionOf(sg.node))});
-      }
-      b.Normalize();
-      out.push_back(std::move(b));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+  // The second run starts from a 2048-letter word and pins a snapshot
+  // across each 16-step window, so the boxes a window's transactions free
+  // reach ReleaseBoxes only when the pin drops, as they do under a reader.
+  // Its erased and extracted factors are at most 16 letters long, so the
+  // word stays long (MoveRange factors stay unbounded). Both runs audit the
+  // circuit and index storage after every step.
+  struct Run {
+    size_t letters;
+    int pin_window;  // 0: no pin
+    size_t max_cut;  // longest EraseRange/ExtractRange factor
   };
-
-  for (int step = 0; step < 200; ++step) {
-    switch (rng.Index(7)) {
-      case 0: {
-        size_t pos = rng.Index(ref.size() + 1);
-        Label l = static_cast<Label>(rng.Index(2));
-        ref.insert(ref.begin() + pos, l);
-        doc.Insert(pos, l);
-        break;
-      }
-      case 1: {
-        if (ref.size() <= 1) break;
-        size_t pos = rng.Index(ref.size());
-        ref.erase(ref.begin() + pos);
-        doc.Erase(pos);
-        break;
-      }
-      case 2: {
-        size_t pos = rng.Index(ref.size());
-        Label l = static_cast<Label>(rng.Index(2));
-        ref[pos] = l;
-        doc.Replace(pos, l);
-        break;
-      }
-      case 3: {  // MoveRange
-        if (ref.size() < 2) break;
-        size_t begin = rng.Index(ref.size());
-        size_t end = begin + 1 + rng.Index(ref.size() - begin);
-        if (end - begin == ref.size()) break;
-        Word factor(ref.begin() + begin, ref.begin() + end);
-        ref.erase(ref.begin() + begin, ref.begin() + end);
-        size_t dst = rng.Index(ref.size() + 1);
-        ref.insert(ref.begin() + dst, factor.begin(), factor.end());
-        doc.MoveRange(begin, end, dst);
-        break;
-      }
-      case 4: {  // EraseRange
-        if (ref.size() < 2) break;
-        size_t begin = rng.Index(ref.size());
-        size_t end = begin + 1 + rng.Index(ref.size() - begin);
-        if (end - begin >= ref.size()) break;
-        ref.erase(ref.begin() + begin, ref.begin() + end);
-        doc.EraseRange(begin, end);
-        break;
-      }
-      case 5: {  // ExtractRange: the extracted factor must match the mirror
-        if (ref.size() < 2) break;
-        size_t begin = rng.Index(ref.size());
-        size_t end = begin + 1 + rng.Index(ref.size() - begin);
-        if (end - begin >= ref.size()) break;
-        Word expect_factor(ref.begin() + begin, ref.begin() + end);
-        ref.erase(ref.begin() + begin, ref.begin() + end);
-        Word got;
-        doc.ExtractRange(begin, end, &got);
-        ASSERT_EQ(got, expect_factor) << "step " << step;
-        break;
-      }
-      case 6: {  // Concat
-        Word tail;
-        for (size_t i = 0; i < 1 + rng.Index(6); ++i) {
-          tail.push_back(static_cast<Label>(rng.Index(2)));
-        }
-        ref.insert(ref.end(), tail.begin(), tail.end());
-        doc.Concat(tail);
-        break;
-      }
+  Rng rng(20260809);
+  for (const Run& run : {Run{40, 0, SIZE_MAX}, Run{2048, 16, 16}}) {
+    SCOPED_TRACE("letters " + std::to_string(run.letters));
+    Word ref;
+    for (size_t i = 0; i < run.letters; ++i) {
+      ref.push_back(static_cast<Label>(rng.Index(2)));
     }
-    ASSERT_EQ(doc.word_encoding().size(), ref.size()) << "step " << step;
-    // Range transactions split nodes joined earlier in the same edit; every
-    // such scaffold must be swept, or it leaks with everything below it.
-    ASSERT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "")
-        << "step " << step;
-    if (step % 10 == 9) {
-      ASSERT_EQ(by_position(),
-                WordEnumerator(ref, select_b).EnumerateAllByPosition())
+
+    DynamicDocument doc(ref, 2);
+    DynamicDocument::QueryHandle h = doc.Register(select_b);
+    const EnumerationPipeline& pipeline = doc.pipeline(h);
+    SnapshotRef pin;
+
+    auto by_position = [&] {
+      std::vector<Assignment> out;
+      for (const Assignment& s : doc.EnumerateAt(doc.CurrentSnapshot(), h)) {
+        Assignment b;
+        for (const Singleton& sg : s.singletons()) {
+          b.Add(Singleton{sg.var,
+                          static_cast<NodeId>(
+                              doc.word_encoding().PositionOf(sg.node))});
+        }
+        b.Normalize();
+        out.push_back(std::move(b));
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+
+    for (int step = 0; step < 200; ++step) {
+      if (run.pin_window > 0 && step % run.pin_window == 0) {
+        pin = doc.CurrentSnapshot();
+      }
+      switch (rng.Index(7)) {
+        case 0: {
+          size_t pos = rng.Index(ref.size() + 1);
+          Label l = static_cast<Label>(rng.Index(2));
+          ref.insert(ref.begin() + pos, l);
+          doc.Insert(pos, l);
+          break;
+        }
+        case 1: {
+          if (ref.size() <= 1) break;
+          size_t pos = rng.Index(ref.size());
+          ref.erase(ref.begin() + pos);
+          doc.Erase(pos);
+          break;
+        }
+        case 2: {
+          size_t pos = rng.Index(ref.size());
+          Label l = static_cast<Label>(rng.Index(2));
+          ref[pos] = l;
+          doc.Replace(pos, l);
+          break;
+        }
+        case 3: {  // MoveRange
+          if (ref.size() < 2) break;
+          size_t begin = rng.Index(ref.size());
+          size_t end = begin + 1 + rng.Index(ref.size() - begin);
+          if (end - begin == ref.size()) break;
+          Word factor(ref.begin() + begin, ref.begin() + end);
+          ref.erase(ref.begin() + begin, ref.begin() + end);
+          size_t dst = rng.Index(ref.size() + 1);
+          ref.insert(ref.begin() + dst, factor.begin(), factor.end());
+          doc.MoveRange(begin, end, dst);
+          break;
+        }
+        case 4: {  // EraseRange
+          if (ref.size() < 2) break;
+          size_t begin = rng.Index(ref.size());
+          size_t end =
+              begin + 1 + rng.Index(std::min(ref.size() - begin, run.max_cut));
+          if (end - begin >= ref.size()) break;
+          ref.erase(ref.begin() + begin, ref.begin() + end);
+          doc.EraseRange(begin, end);
+          break;
+        }
+        case 5: {  // ExtractRange: the extracted factor must match the mirror
+          if (ref.size() < 2) break;
+          size_t begin = rng.Index(ref.size());
+          size_t end =
+              begin + 1 + rng.Index(std::min(ref.size() - begin, run.max_cut));
+          if (end - begin >= ref.size()) break;
+          Word expect_factor(ref.begin() + begin, ref.begin() + end);
+          ref.erase(ref.begin() + begin, ref.begin() + end);
+          Word got;
+          doc.ExtractRange(begin, end, &got);
+          ASSERT_EQ(got, expect_factor) << "step " << step;
+          break;
+        }
+        case 6: {  // Concat
+          Word tail;
+          for (size_t i = 0; i < 1 + rng.Index(6); ++i) {
+            tail.push_back(static_cast<Label>(rng.Index(2)));
+          }
+          ref.insert(ref.end(), tail.begin(), tail.end());
+          doc.Concat(tail);
+          break;
+        }
+      }
+      ASSERT_EQ(doc.word_encoding().size(), ref.size()) << "step " << step;
+      // Range transactions split nodes joined earlier in the same edit; every
+      // such scaffold must be swept, or it leaks with everything below it.
+      ASSERT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "")
           << "step " << step;
+      ASSERT_EQ(pipeline.circuit().ValidateStorage(), "") << "step " << step;
+      ASSERT_EQ(pipeline.index().ValidateStorage(), "") << "step " << step;
+      if (step % 10 == 9) {
+        ASSERT_EQ(by_position(),
+                  WordEnumerator(ref, select_b).EnumerateAllByPosition())
+            << "step " << step;
+      }
     }
   }
 }

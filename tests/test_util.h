@@ -1,6 +1,7 @@
 // Shared helpers for the treenum test suite: random automata/tree/term
 // generators and independent brute-force oracles. Mirror-tree edit scripts
-// come from serving::CommandScript, included from serving/workload.h.
+// come from serving::CommandScript, included from serving/workload.h, and
+// ApplyToEncoding replays them on a bare DynamicEncoding.
 #ifndef TREENUM_TESTS_TEST_UTIL_H_
 #define TREENUM_TESTS_TEST_UTIL_H_
 
@@ -14,6 +15,7 @@
 #include "automata/serialize.h"
 #include "automata/unranked_tva.h"
 #include "falgebra/term.h"
+#include "falgebra/update.h"
 #include "serving/workload.h"
 #include "trees/assignment.h"
 #include "trees/unranked_tree.h"
@@ -178,6 +180,31 @@ inline std::vector<Assignment> TermBruteForceAssignments(const BinaryTva& a,
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// Applies one scripted leaf edit or structural transaction to the encoding
+/// and returns its result; the caller refreshes the boxes it names.
+inline const UpdateResult& ApplyToEncoding(const serving::DocCommand& c,
+                                           DynamicEncoding& dyn) {
+  if (c.kind == serving::DocCommand::Kind::kStructural) {
+    const serving::StructuralOp& op = c.structural;
+    return op.kind == serving::StructuralOp::Kind::kSubtreeDelete
+               ? dyn.SubtreeDelete(op.v)
+               : dyn.SubtreeMove(op.v, op.dst,
+                                 op.where == AttachWhere::kFirstChild);
+  }
+  const Edit& e = c.edit;
+  switch (e.kind) {
+    case Edit::Kind::kRelabel:
+      return dyn.Relabel(e.node, e.label);
+    case Edit::Kind::kInsertFirstChild:
+      return dyn.InsertFirstChild(e.node, e.label);
+    case Edit::Kind::kInsertRightSibling:
+      return dyn.InsertRightSibling(e.node, e.label);
+    case Edit::Kind::kDeleteLeaf:
+      break;
+  }
+  return dyn.DeleteLeaf(e.node);
 }
 
 }  // namespace treenum
