@@ -1,18 +1,19 @@
-// Arena-backed flat storage for circuit boxes.
+// Arena-backed flat storage for circuit boxes and jump-index entries.
 //
-// Every variable-length piece of a box (its ×-gates and the CSR input lists
-// of its ∪-gates) lives in one contiguous pool per wire kind, owned by a
-// SpanPool. A box holds only (offset, length, capacity) triples; a box
+// AssignmentCircuit and EnumIndex each keep one contiguous word pool, owned
+// by a SpanPool, and give a box one span of it (a gate-free index entry
+// has none): the box's whole content, its sections placed by a per-box
+// layout. A box holds only an (offset, length, capacity) triple; a box
 // refresh during updates (Lemma 7.3) reuses its old span in place whenever
 // the capacity suffices, and otherwise recycles it through a power-of-two
 // free list. In steady state — e.g. a stream of relabel edits — a refresh
-// therefore performs zero heap allocations; the pools only grow while the
-// circuit discovers new worst-case box shapes.
+// therefore performs zero heap allocations; the pools only grow while they
+// discover new worst-case box shapes.
 //
 // Pointers into a pool are invalidated whenever some span in that pool is
-// (re)allocated: consumers must re-fetch Box views (AssignmentCircuit::box)
-// after any rebuild, and builders must finish reading child spans before
-// committing writes. Offsets are stable.
+// (re)allocated: consumers must re-fetch views (AssignmentCircuit::box,
+// EnumIndex::at) after any rebuild, and builders must finish reading child
+// spans before committing writes. Offsets are stable.
 //
 // The backing store is a CowStore (util/cow_store.h): growth retires the old
 // buffer instead of freeing it, so snapshot readers resolving spans of
@@ -61,8 +62,8 @@ struct SpanRef {
 };
 
 /// One flat pool of `T` with size-class span recycling. `Align` customizes
-/// the backing store's alignment (the bit-matrix pool passes 64 so SIMD
-/// kernels see cache-line-aligned blocks).
+/// the backing store's alignment (the index pool passes 64 so SIMD kernels
+/// see cache-line-aligned blocks).
 template <typename T, size_t Align = alignof(T)>
 class SpanPool {
  public:
@@ -78,7 +79,7 @@ class SpanPool {
     // Keeps RoundUpPow2 from wrapping (1u << 32 == hang) and SizeClass
     // within free_'s 32 buckets.
     TREENUM_CHECK(n <= (uint32_t{1} << 31),
-                  "circuit arena span exceeds 2^31 entries");
+                  "SpanPool span exceeds 2^31 entries");
     Release(ref);
     uint32_t cap = RoundUpPow2(n < kMinCap ? kMinCap : n);
     size_t cls = SizeClass(cap);
@@ -88,7 +89,7 @@ class SpanPool {
     } else {
       size_t off = store_.size();
       TREENUM_CHECK(off + cap <= UINT32_MAX,
-                    "circuit arena pool exceeds 2^32 entries");
+                    "SpanPool exceeds 2^32 entries");
       store_.resize(off + cap);
       ref.off = static_cast<uint32_t>(off);
     }
@@ -104,9 +105,6 @@ class SpanPool {
 
   T* at(uint32_t off) { return store_.data() + off; }
   const T* at(uint32_t off) const { return store_.data() + off; }
-  Span<T> span(const SpanRef& ref) const {
-    return Span<T>(store_.data() + ref.off, ref.len);
-  }
 
   /// Pre-grows the pool tail by `extra` slots' worth of capacity so a batch
   /// of refreshes does not re-grow the backing vector mid-transaction.

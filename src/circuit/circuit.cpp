@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 
 #include "util/check.h"
@@ -19,6 +20,24 @@ void ForEachState(const uint64_t* mask, uint32_t words, F f) {
       f(static_cast<State>(wi * 64 + __builtin_ctzll(m)));
     }
   }
+}
+
+// A box's lane sections hold 32-bit values and pairs of them.
+static_assert(sizeof(State) == 4 && sizeof(VarMask) == 4 &&
+                  sizeof(GateEnds) == 8 && sizeof(CrossGate) == 8 &&
+                  sizeof(ChildUnionInput) == 8,
+              "Layout counts 32-bit lanes");
+
+/// Copies n values of T to `lane` of a block's lane section. memcpy
+/// creates the T objects that Box then reads as T.
+template <typename T>
+void PutLanes(char* lanes, size_t lane, const T* src, size_t n) {
+  if (n != 0) std::memcpy(lanes + 4 * lane, src, n * sizeof(T));
+}
+
+template <typename T>
+const T* LanesAs(const char* lanes, size_t lane) {
+  return reinterpret_cast<const T*>(lanes + 4 * lane);
 }
 
 }  // namespace
@@ -43,28 +62,27 @@ AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
 }
 
 void AssignmentCircuit::EnsureSlot(TermNodeId id) {
-  if (spans_.size() > id) return;
-  size_t n = static_cast<size_t>(id) + 1;
-  spans_.resize(n);
-  masks_.resize(n * 2 * mask_words_, 0);
+  if (spans_.size() <= id) spans_.resize(static_cast<size_t>(id) + 1);
 }
 
 Box AssignmentCircuit::box(TermNodeId id) const {
   assert(id < spans_.size());
+  const Entry& e = spans_[id];
+  const Layout& s = e.shape;
+  const uint64_t* block = pool_.at(e.block.off);
+  const char* lanes = reinterpret_cast<const char*>(block + 2 * mask_words_);
   Box b;
-  b.top_mask_ = MaskRow(id);
-  b.union_mask_ = b.top_mask_ + mask_words_;
-  const BoxSpans& s = spans_[id];
-  b.union_states_ = union_state_pool_.at(s.union_states.off);
-  b.ends_ = ends_pool_.at(s.ends.off);
-  b.cross_gates_ = cross_gate_pool_.at(s.cross_gates.off);
-  b.cross_in_ = cross_in_pool_.at(s.cross_in.off);
-  b.child_in_ = child_in_pool_.at(s.child_in.off);
-  b.var_in_ = var_in_pool_.at(s.var_in.off);
-  b.var_masks_ = var_mask_pool_.at(s.var_masks.off);
-  b.num_unions_ = s.union_states.len;
-  b.num_cross_gates_ = s.cross_gates.len;
-  b.num_var_masks_ = s.var_masks.len;
+  b.top_mask_ = block;
+  b.union_mask_ = block + mask_words_;
+  b.union_states_ = LanesAs<State>(lanes, Layout::states_lane());
+  b.ends_ = LanesAs<GateEnds>(lanes, s.ends_lane());
+  b.cross_gates_ = LanesAs<CrossGate>(lanes, s.cross_lane());
+  b.var_masks_ = LanesAs<VarMask>(lanes, s.var_lane());
+  b.local_in_ = LanesAs<uint32_t>(lanes, s.local_lane());
+  b.child_in_ = LanesAs<ChildUnionInput>(lanes, s.child_lane());
+  b.num_unions_ = s.nu;
+  b.num_cross_gates_ = s.ncross;
+  b.num_var_masks_ = s.nvar;
   return b;
 }
 
@@ -96,34 +114,20 @@ void AssignmentCircuit::RebuildBox(TermNodeId id) {
   } else {
     BuildInternalBox(id);
   }
+  CommitBox(id);
 }
 
 void AssignmentCircuit::FreeBox(TermNodeId id) {
   if (id >= spans_.size()) return;
-  BoxSpans& s = spans_[id];
-  union_state_pool_.Release(s.union_states);
-  ends_pool_.Release(s.ends);
-  cross_gate_pool_.Release(s.cross_gates);
-  cross_in_pool_.Release(s.cross_in);
-  child_in_pool_.Release(s.child_in);
-  var_in_pool_.Release(s.var_in);
-  var_mask_pool_.Release(s.var_masks);
-  std::fill_n(MaskRow(id), 2 * mask_words_, uint64_t{0});
+  pool_.Release(spans_[id].block);
+  spans_[id].shape = Layout{};
 }
 
 void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
   size_t alive = term_->num_alive();
   if (alive == 0 || boxes == 0) return;
-  // Per-box running averages (rounded up) scale the tail headroom.
-  union_state_pool_.ReserveAdditional(boxes *
-                                      (union_state_pool_.size() / alive + 1));
-  ends_pool_.ReserveAdditional(boxes * (ends_pool_.size() / alive + 1));
-  cross_gate_pool_.ReserveAdditional(boxes *
-                                     (cross_gate_pool_.size() / alive + 1));
-  cross_in_pool_.ReserveAdditional(boxes * (cross_in_pool_.size() / alive + 1));
-  child_in_pool_.ReserveAdditional(boxes * (child_in_pool_.size() / alive + 1));
-  var_in_pool_.ReserveAdditional(boxes * (var_in_pool_.size() / alive + 1));
-  var_mask_pool_.ReserveAdditional(boxes * (var_mask_pool_.size() / alive + 1));
+  // The per-box running average (rounded up) scales the tail headroom.
+  pool_.ReserveAdditional(boxes * (pool_.size() / alive + 1));
 }
 
 void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
@@ -151,18 +155,17 @@ void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
       local_in_scratch_[q].push_back(vi);
     }
   }
-  CommitUnions(id, /*is_leaf=*/true);
 }
 
 void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
   const uint32_t mw = mask_words_;
   const TermNode& t = term_->node(id);
-  // The children's masks live in masks_, which cannot move during this
-  // rebuild (EnsureSlot ran already and CommitUnions grows only the pools),
-  // so raw child pointers are safe to hold.
-  const uint64_t* lt = MaskRow(t.left);
+  // The children's masks open their blocks. Staging writes only scratch;
+  // the pool moves no earlier than CommitBox's Ensure, so raw child
+  // pointers are safe to hold until then.
+  const uint64_t* lt = pool_.at(spans_[t.left].block.off);
   const uint64_t* lu = lt + mw;
-  const uint64_t* rt = MaskRow(t.right);
+  const uint64_t* rt = pool_.at(spans_[t.right].block.off);
   const uint64_t* ru = rt + mw;
   Label l = t.label;
 
@@ -212,16 +215,16 @@ void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
       }
     }
   }
-  CommitUnions(id, /*is_leaf=*/false);
 }
 
-void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
+void AssignmentCircuit::CommitBox(TermNodeId id) {
   const uint32_t mw = mask_words_;
   const uint64_t* top = top_scratch_.data();
   const uint64_t* uni = union_scratch_.data();
-  BoxSpans& s = spans_[id];
 
-  uint32_t nu = 0;
+  Layout s;
+  s.ncross = static_cast<uint32_t>(cross_gates_scratch_.size());
+  s.nvar = static_cast<uint32_t>(var_masks_scratch_.size());
   // 64-bit accumulators: a box can hold up to w^3 input entries (one per
   // (q1, q2, result) triple), which overflows uint32_t long before the
   // kMaxCircuitWidth bound does — check loudly instead of wrapping.
@@ -232,54 +235,44 @@ void AssignmentCircuit::CommitUnions(TermNodeId id, bool is_leaf) {
            "homogenization violated");
     nlocal += local_in_scratch_[q].size();
     nchild += child_in_scratch_[q].size();
-    ++nu;
+    ++s.nu;
   });
   TREENUM_CHECK(nlocal <= (uint64_t{1} << 31) && nchild <= (uint64_t{1} << 31),
                 "box wire lists exceed 32-bit CSR offsets");
+  s.nlocal = static_cast<uint32_t>(nlocal);
+  s.nchild = static_cast<uint32_t>(nchild);
+  const size_t words = s.words(mw);
+  TREENUM_CHECK(words <= (size_t{1} << 31), "circuit box exceeds 2^31 words");
 
-  // Span turnover: each pool span is reused in place when its capacity
-  // suffices (Ensure), so steady-state refreshes stay allocation-free.
-  union_state_pool_.Ensure(s.union_states, nu);
-  ends_pool_.Ensure(s.ends, nu);
-  cross_gate_pool_.Ensure(s.cross_gates,
-                          static_cast<uint32_t>(cross_gates_scratch_.size()));
-  var_mask_pool_.Ensure(s.var_masks,
-                        static_cast<uint32_t>(var_masks_scratch_.size()));
-  uint32_t nlocal32 = static_cast<uint32_t>(nlocal);
-  cross_in_pool_.Ensure(s.cross_in, is_leaf ? 0 : nlocal32);
-  var_in_pool_.Ensure(s.var_in, is_leaf ? nlocal32 : 0);
-  child_in_pool_.Ensure(s.child_in, static_cast<uint32_t>(nchild));
-
-  std::copy_n(top, mw, MaskRow(id));
-  std::copy_n(uni, mw, MaskRow(id) + mw);
-  std::copy(cross_gates_scratch_.begin(), cross_gates_scratch_.end(),
-            cross_gate_pool_.at(s.cross_gates.off));
-  std::copy(var_masks_scratch_.begin(), var_masks_scratch_.end(),
-            var_mask_pool_.at(s.var_masks.off));
+  // The block is reused in place when its capacity suffices (Ensure), so
+  // steady-state refreshes stay allocation-free.
+  Entry& e = spans_[id];
+  e.shape = s;
+  pool_.Ensure(e.block, static_cast<uint32_t>(words));
+  uint64_t* block = pool_.at(e.block.off);
+  std::copy_n(top, mw, block);
+  std::copy_n(uni, mw, block + mw);
+  char* lanes = reinterpret_cast<char*>(block + 2 * mw);
+  PutLanes(lanes, s.cross_lane(), cross_gates_scratch_.data(), s.ncross);
+  PutLanes(lanes, s.var_lane(), var_masks_scratch_.data(), s.nvar);
 
   // ∪-gates in ascending state order, so a gate's dense index is the rank
   // of its state in the ∪ mask (Box::union_idx).
-  State* ustates = union_state_pool_.at(s.union_states.off);
-  GateEnds* ends = ends_pool_.at(s.ends.off);
-  uint32_t* local_dst = is_leaf ? var_in_pool_.at(s.var_in.off)
-                                : cross_in_pool_.at(s.cross_in.off);
-  ChildUnionInput* child_dst = child_in_pool_.at(s.child_in.off);
   uint32_t u = 0;
-  uint32_t lo = 0;
-  uint32_t ch = 0;
+  GateEnds end{0, 0};
   ForEachState(uni, mw, [&](State q) {
-    ustates[u] = q;
     std::vector<uint32_t>& local = local_in_scratch_[q];
     std::vector<ChildUnionInput>& child = child_in_scratch_[q];
-    std::copy(local.begin(), local.end(), local_dst + lo);
-    std::copy(child.begin(), child.end(), child_dst + ch);
-    lo += static_cast<uint32_t>(local.size());
-    ch += static_cast<uint32_t>(child.size());
+    PutLanes(lanes, Layout::states_lane() + u, &q, 1);
+    PutLanes(lanes, s.local_lane() + end.local_end, local.data(),
+             local.size());
+    PutLanes(lanes, s.child_lane() + 2 * size_t{end.child_end}, child.data(),
+             child.size());
+    end.local_end += static_cast<uint32_t>(local.size());
+    end.child_end += static_cast<uint32_t>(child.size());
+    PutLanes(lanes, s.ends_lane() + 2 * size_t{u}, &end, 1);
     local.clear();
     child.clear();
-    ends[u].cross_end = is_leaf ? 0 : lo;
-    ends[u].var_end = is_leaf ? lo : 0;
-    ends[u].child_end = ch;
     ++u;
   });
 }
@@ -288,111 +281,82 @@ size_t AssignmentCircuit::CountGates() const {
   size_t n = 0;
   for (TermNodeId id = 0; id < spans_.size(); ++id) {
     if (!term_->IsAlive(id)) continue;
-    const BoxSpans& s = spans_[id];
+    const Layout& s = spans_[id].shape;
     n += w_;  // γ gates (⊤/⊥/∪)
-    n += s.cross_gates.len;
-    n += s.var_masks.len;
+    n += s.ncross;
+    n += s.nvar;
   }
   return n;
 }
 
 std::string AssignmentCircuit::ValidateStorage() const {
   std::ostringstream err;
-  std::vector<LiveSpan> us, en, cg, ci, ch, vi, vm;
+  std::vector<LiveSpan> live;
   // Bits at or above w in the last mask word must stay clear.
   const uint64_t tail_mask =
       w_ % 64 == 0 ? 0 : ~((uint64_t{1} << (w_ % 64)) - 1);
   for (TermNodeId id = 0; id < spans_.size(); ++id) {
+    const Entry& e = spans_[id];
+    if (e.block.len > e.block.cap) {
+      err << "box " << id << " block length exceeds capacity";
+      return err.str();
+    }
+    // Blocks of dead boxes not yet released still own their words.
+    if (e.block.cap != 0) {
+      live.push_back(LiveSpan{e.block.off, e.block.cap, id});
+    }
     if (!term_->IsAlive(id)) continue;
-    const BoxSpans& s = spans_[id];
-    const uint32_t nu = s.union_states.len;
-    if (s.ends.len != nu) {
-      err << "box " << id << " CSR end table does not match its union count";
+    const Layout& s = e.shape;
+    if (e.block.cap == 0 || e.block.len != s.words(mask_words_)) {
+      err << "box " << id << " block length does not match its layout";
       return err.str();
     }
-    if (term_->IsLeaf(id)) {
-      if (s.cross_gates.len != 0 || s.cross_in.len != 0 ||
-          s.child_in.len != 0) {
-        err << "leaf box " << id << " owns internal-box wires";
-        return err.str();
-      }
-    } else if (s.var_in.len != 0 || s.var_masks.len != 0) {
-      err << "internal box " << id << " owns var gates";
+    if (term_->IsLeaf(id) ? s.ncross != 0 || s.nchild != 0 : s.nvar != 0) {
+      err << "box " << id << " owns gates of the other box kind";
       return err.str();
     }
-    for (const auto& [ref, out] :
-         {std::make_pair(&s.union_states, &us), std::make_pair(&s.ends, &en),
-          std::make_pair(&s.cross_gates, &cg), std::make_pair(&s.cross_in, &ci),
-          std::make_pair(&s.child_in, &ch), std::make_pair(&s.var_in, &vi),
-          std::make_pair(&s.var_masks, &vm)}) {
-      if (ref->len > ref->cap) {
-        err << "box " << id << " span length exceeds capacity";
-        return err.str();
-      }
-      if (ref->cap != 0) out->push_back(LiveSpan{ref->off, ref->cap, id});
-    }
+    const Box b = box(id);
     // The ⊤ and ∪ masks are disjoint, clear at and above w, and the ∪-state
     // table lists exactly the ∪ mask's set bits in ascending order.
-    const uint64_t* top = MaskRow(id);
-    const uint64_t* uni = top + mask_words_;
     for (uint32_t wi = 0; wi < mask_words_; ++wi) {
-      if ((top[wi] & uni[wi]) != 0) {
+      const uint64_t top = b.top_mask_[wi];
+      const uint64_t uni = b.union_mask_[wi];
+      if ((top & uni) != 0) {
         err << "box " << id << " has a state that is both top and union";
         return err.str();
       }
-      if (wi + 1 == mask_words_ && ((top[wi] | uni[wi]) & tail_mask) != 0) {
+      if (wi + 1 == mask_words_ && ((top | uni) & tail_mask) != 0) {
         err << "box " << id << " has a mask bit at or above the width";
         return err.str();
       }
     }
-    const State* ustates = union_state_pool_.at(s.union_states.off);
     uint32_t seen = 0;
     bool table_ok = true;
-    ForEachState(uni, mask_words_, [&](State q) {
-      table_ok = table_ok && seen < nu && ustates[seen] == q;
+    ForEachState(b.union_mask_, mask_words_, [&](State q) {
+      table_ok = table_ok && seen < s.nu && b.union_state(seen) == q;
       ++seen;
     });
-    if (!table_ok || seen != nu) {
+    if (!table_ok || seen != s.nu) {
       err << "box " << id << " union state table does not list its union mask";
       return err.str();
     }
-    // CSR ends must be monotone and bounded by the span lengths.
-    const GateEnds* ends = ends_pool_.at(s.ends.off);
-    uint32_t pc = 0, ph = 0, pv = 0;
-    for (uint32_t u = 0; u < nu; ++u) {
-      const GateEnds& e = ends[u];
-      if (e.cross_end < pc || e.child_end < ph || e.var_end < pv ||
-          e.cross_end > s.cross_in.len || e.child_end > s.child_in.len ||
-          e.var_end > s.var_in.len) {
+    // CSR ends are monotone and end exactly at their sections' ends.
+    GateEnds prev{0, 0};
+    for (uint32_t u = 0; u < s.nu; ++u) {
+      const GateEnds& end = b.ends_[u];
+      if (end.local_end < prev.local_end || end.child_end < prev.child_end ||
+          end.local_end > s.nlocal || end.child_end > s.nchild) {
         err << "box " << id << " CSR offsets broken at gate " << u;
         return err.str();
       }
-      pc = e.cross_end;
-      ph = e.child_end;
-      pv = e.var_end;
+      prev = end;
     }
-    if (nu > 0 &&
-        (pc != s.cross_in.len || ph != s.child_in.len || pv != s.var_in.len)) {
-      err << "box " << id << " CSR tail does not cover its span";
+    if (prev.local_end != s.nlocal || prev.child_end != s.nchild) {
+      err << "box " << id << " CSR tail does not cover its sections";
       return err.str();
     }
   }
-  std::string e;
-  if (!(e = CheckPoolSpans("union_state", union_state_pool_.size(), us))
-           .empty())
-    return e;
-  if (!(e = CheckPoolSpans("ends", ends_pool_.size(), en)).empty()) return e;
-  if (!(e = CheckPoolSpans("cross_gate", cross_gate_pool_.size(), cg)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("cross_in", cross_in_pool_.size(), ci)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("child_in", child_in_pool_.size(), ch)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("var_in", var_in_pool_.size(), vi)).empty())
-    return e;
-  if (!(e = CheckPoolSpans("var_mask", var_mask_pool_.size(), vm)).empty())
-    return e;
-  return std::string();
+  return CheckPoolSpans("circuit", pool_.size(), live);
 }
 
 }  // namespace treenum

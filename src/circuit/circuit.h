@@ -13,15 +13,20 @@
 // inputs — child-box ∪-gate → ∪-gate. The last kind forms the long ∪-chains
 // that the jump index of §6 exists to skip.
 //
-// Storage layout (arena/CSR): boxes own no heap memory. The per-state data
-// is two bitmasks over Q, ⊤ and ∪, of ⌈w/64⌉ words each, in one fixed-stride
-// array indexed by box id: γ(n, q) is two bit tests, and the dense index of
-// γ(n, q) among the box's ∪-gates is the rank of q in the ∪ mask, so dense
-// indices follow ascending state order. Everything sized by the box's gates
-// rather than by w — the ∪-gate → state table, the CSR end offsets and the
-// wire lists — lives in flat SpanPools with per-box (offset, len) spans that
-// are recycled across box refreshes (see circuit/arena.h). A refresh thus
-// costs O(|δ_l| + ∪-gates + w/64), not Θ(w).
+// Storage layout: boxes own no heap memory. A box's whole content is one
+// span of one uint64 SpanPool (circuit/arena.h), so a refresh makes one
+// Ensure and a free one Release. The block holds, back to back:
+//   * the ⊤ and ∪ state bitmasks, ⌈w/64⌉ words each: γ(n, q) is two bit
+//     tests, and the dense index of γ(n, q) among the box's ∪-gates is the
+//     rank of q in the ∪ mask, so dense indices follow ascending state order;
+//   * 32-bit lanes sized by the box's gates rather than by w: the ∪-gate →
+//     state table, two CSR end offsets per ∪-gate, the ×-gates, the var
+//     masks, the local inputs (×-gate ids in an internal box, var-mask
+//     indices in a leaf — never both) and the child-∪ inputs.
+// A per-box directory entry keeps the block's span and the five counts that
+// fix the section offsets (AssignmentCircuit::Layout). The lane sections are
+// written with memcpy and read as the types they were written as. A refresh
+// thus costs O(|δ_l| + ∪-gates + w/64), not Θ(w).
 // `box(id)` returns a cheap Box *view* — invalidated by the next rebuild.
 #ifndef TREENUM_CIRCUIT_CIRCUIT_H_
 #define TREENUM_CIRCUIT_CIRCUIT_H_
@@ -57,16 +62,16 @@ inline constexpr int32_t kNoGate = -1;
 /// (the old int16_t/uint16_t layout overflowed silently long before this).
 inline constexpr size_t kMaxCircuitWidth = 65535;
 
-/// Per-∪-gate CSR end offsets into the owning box's pool spans; gate u's
-/// inputs occupy [ends[u-1].x_end, ends[u].x_end) with gate -1 ending at 0.
+/// Per-∪-gate CSR end offsets into the owning box's local-input and child-∪
+/// input sections; gate u's inputs occupy [ends[u-1].x_end, ends[u].x_end)
+/// with gate -1 ending at 0.
 struct GateEnds {
-  uint32_t cross_end;
+  uint32_t local_end;
   uint32_t child_end;
-  uint32_t var_end;
 };
 
-/// A read-only view of one box (= one term node), resolving the arena
-/// spans to raw pointers once. Invalidated by the next RebuildBox/FreeBox.
+/// A read-only view of one box (= one term node), resolving its block's
+/// sections to raw pointers once. Invalidated by the next RebuildBox/FreeBox.
 class Box {
  public:
   /// γ(n, q) kind (size of the state axis = automaton state count).
@@ -100,8 +105,7 @@ class Box {
 
   /// Per ∪-gate: local ×-gate ids feeding it.
   Span<uint32_t> cross_inputs(size_t u) const {
-    uint32_t b = u == 0 ? 0 : ends_[u - 1].cross_end;
-    return Span<uint32_t>(cross_in_ + b, ends_[u].cross_end - b);
+    return num_var_masks_ == 0 ? LocalInputs(u) : Span<uint32_t>();
   }
   /// Per ∪-gate: child-box ∪-gate inputs created by ⊤-collapse.
   Span<ChildUnionInput> child_union_inputs(size_t u) const {
@@ -110,8 +114,7 @@ class Box {
   }
   /// Per ∪-gate: indices into var_masks().
   Span<uint32_t> var_inputs(size_t u) const {
-    uint32_t b = u == 0 ? 0 : ends_[u - 1].var_end;
-    return Span<uint32_t>(var_in_ + b, ends_[u].var_end - b);
+    return num_var_masks_ != 0 ? LocalInputs(u) : Span<uint32_t>();
   }
 
   /// Distinct variable masks of this (leaf) box's var-gates.
@@ -121,22 +124,26 @@ class Box {
   VarMask var_mask(size_t v) const { return var_masks_[v]; }
   size_t num_var_masks() const { return num_var_masks_; }
 
-  bool HasNonUnionInput(size_t u) const {
-    return !cross_inputs(u).empty() || !var_inputs(u).empty();
-  }
+  bool HasNonUnionInput(size_t u) const { return !LocalInputs(u).empty(); }
 
  private:
   friend class AssignmentCircuit;
+
+  /// Gate u's local inputs. They are var-mask indices exactly when the box
+  /// has var masks (a leaf whose ∪-gates have inputs), else ×-gate ids.
+  Span<uint32_t> LocalInputs(size_t u) const {
+    uint32_t b = u == 0 ? 0 : ends_[u - 1].local_end;
+    return Span<uint32_t>(local_in_ + b, ends_[u].local_end - b);
+  }
 
   const uint64_t* top_mask_ = nullptr;
   const uint64_t* union_mask_ = nullptr;
   const State* union_states_ = nullptr;
   const GateEnds* ends_ = nullptr;
   const CrossGate* cross_gates_ = nullptr;
-  const uint32_t* cross_in_ = nullptr;
-  const ChildUnionInput* child_in_ = nullptr;
-  const uint32_t* var_in_ = nullptr;
   const VarMask* var_masks_ = nullptr;
+  const uint32_t* local_in_ = nullptr;
+  const ChildUnionInput* child_in_ = nullptr;
   uint32_t num_unions_ = 0;
   uint32_t num_cross_gates_ = 0;
   uint32_t num_var_masks_ = 0;
@@ -161,15 +168,15 @@ class AssignmentCircuit {
   void BuildAll();
 
   /// Recomputes the box of `id` from its children's boxes (Lemma 7.3 step).
-  /// Steady-state refreshes reuse the box's arena spans in place.
+  /// Steady-state refreshes reuse the box's block in place.
   void RebuildBox(TermNodeId id);
 
-  /// Drops the box of a freed term node, recycling its spans.
+  /// Drops the box of a freed term node, recycling its block.
   void FreeBox(TermNodeId id);
 
-  /// Batch hint: pre-grows the arena pools for ~`boxes` upcoming rebuilds
-  /// (sized from the running per-box averages), so one transaction's
-  /// refresh loop does not re-grow pool tails repeatedly.
+  /// Batch hint: pre-grows the pool for ~`boxes` upcoming rebuilds (sized
+  /// from the running per-box average), so one transaction's refresh loop
+  /// does not re-grow the pool tail repeatedly.
   void ReserveForRebuild(size_t boxes);
 
   /// Cheap view of a box; invalidated by the next RebuildBox/FreeBox.
@@ -178,39 +185,51 @@ class AssignmentCircuit {
   /// Total number of gates (for accounting tests/benches).
   size_t CountGates() const;
 
-  /// Validates the arena invariants: span bounds, CSR monotonicity, and
-  /// that live spans never overlap within a pool. Returns an empty string
-  /// if consistent, else a description of the first violation. (Test hook.)
+  /// Validates the block invariants: every alive box owns one block whose
+  /// length matches its layout, the ⊤ and ∪ masks are disjoint and clear at
+  /// and above w, the ∪-state table lists exactly the ∪ mask's bits, the
+  /// CSR ends are monotone and cover their sections, and no two held
+  /// blocks overlap (dead boxes not yet released included). Returns an
+  /// empty string if consistent, else a description of the first
+  /// violation. (Test hook.)
   std::string ValidateStorage() const;
 
  private:
-  /// Per-box span directory into the pools. `union_states` and `ends`
-  /// both hold one entry per ∪-gate, so their length is the ∪-gate count.
-  struct BoxSpans {
-    SpanRef cross_gates;
-    SpanRef cross_in;
-    SpanRef child_in;
-    SpanRef var_in;
-    SpanRef var_masks;
-    SpanRef union_states;
-    SpanRef ends;
+  /// Counts that fix the section offsets of one box's block. Lane offsets
+  /// count 32-bit lanes from the end of the two masks.
+  struct Layout {
+    uint32_t nu = 0;      ///< ∪-gates
+    uint32_t ncross = 0;  ///< ×-gates (internal boxes)
+    uint32_t nvar = 0;    ///< var masks (leaf boxes)
+    uint32_t nlocal = 0;  ///< local inputs over all ∪-gates
+    uint32_t nchild = 0;  ///< child-∪ inputs over all ∪-gates
+
+    static size_t states_lane() { return 0; }
+    size_t ends_lane() const { return nu; }
+    size_t cross_lane() const { return 3 * size_t{nu}; }
+    size_t var_lane() const { return cross_lane() + 2 * size_t{ncross}; }
+    size_t local_lane() const { return var_lane() + nvar; }
+    size_t child_lane() const { return local_lane() + nlocal; }
+    /// Block length: the two masks, then the lanes rounded up to words.
+    size_t words(uint32_t mask_words) const {
+      const size_t lanes = child_lane() + 2 * size_t{nchild};
+      return 2 * size_t{mask_words} + (lanes + 1) / 2;
+    }
   };
 
-  /// Box id's ⊤ mask; its ∪ mask follows `mask_words_` words later.
-  uint64_t* MaskRow(TermNodeId id) {
-    return masks_.data() + static_cast<size_t>(id) * 2 * mask_words_;
-  }
-  const uint64_t* MaskRow(TermNodeId id) const {
-    return masks_.data() + static_cast<size_t>(id) * 2 * mask_words_;
-  }
+  /// Per-box directory entry: the block's span and the counts that fix its
+  /// layout.
+  struct Entry {
+    SpanRef block;
+    Layout shape;
+  };
 
   void BuildLeafBox(TermNodeId id);
   void BuildInternalBox(TermNodeId id);
   void EnsureSlot(TermNodeId id);
-  /// Writes the per-∪-gate scratch accumulators of `id` into the arena.
-  /// For leaves the local inputs are var-mask indices, for internal boxes
-  /// ×-gate ids; the two kinds route to different pools.
-  void CommitUnions(TermNodeId id, bool is_leaf);
+  /// Sizes the box's block from the staged scratch, (re)acquires it with
+  /// one Ensure, and fills it, emptying the scratch lists it consumed.
+  void CommitBox(TermNodeId id);
 
   const Term* term_;
   const BinaryTva* tva_;
@@ -218,26 +237,16 @@ class AssignmentCircuit {
   uint32_t w_;
   uint32_t mask_words_;  ///< ⌈w/64⌉: words per state bitmask.
 
-  // Fixed-stride per-box state: box id's ⊤ mask at masks_[id * 2 *
-  // mask_words_], its ∪ mask right after. CowStore-backed so concurrent
-  // snapshot readers survive writer growth (util/cow_store.h).
-  CowStore<uint64_t> masks_;
-  CowStore<BoxSpans> spans_;
-
-  // Flat pools: the per-∪-gate tables, then one pool per wire kind.
-  SpanPool<State> union_state_pool_;
-  SpanPool<GateEnds> ends_pool_;
-  SpanPool<CrossGate> cross_gate_pool_;
-  SpanPool<uint32_t> cross_in_pool_;
-  SpanPool<ChildUnionInput> child_in_pool_;
-  SpanPool<uint32_t> var_in_pool_;
-  SpanPool<VarMask> var_mask_pool_;
+  // CowStore-backed so concurrent snapshot readers survive writer growth
+  // (util/cow_store.h).
+  CowStore<Entry> spans_;
+  SpanPool<uint64_t> pool_;
 
   // Pooled build scratch, reused across rebuilds (clear() keeps capacity),
   // so steady-state refreshes never touch the heap. local_in holds ×-gate
   // ids (internal boxes) or var-mask indices (leaf boxes) per result state.
   // A state's lists are non-empty only while its bit is set in
-  // union_scratch_, and CommitUnions empties exactly those lists.
+  // union_scratch_, and CommitBox empties exactly those lists.
   std::vector<std::vector<uint32_t>> local_in_scratch_;         // per state
   std::vector<std::vector<ChildUnionInput>> child_in_scratch_;  // per state
   std::vector<uint64_t> top_scratch_;    // ⊤ mask being built

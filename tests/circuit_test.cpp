@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "automata/combinators.h"
 #include "automata/homogenize.h"
 #include "automata/query_library.h"
@@ -170,11 +174,49 @@ void ApplyAndRefresh(const serving::DocCommand& c, DynamicEncoding& dyn,
   for (TermNodeId id : r.changed_bottom_up) circuit.RebuildBox(id);
 }
 
+template <typename T, typename Eq>
+bool SameSpan(Span<T> a, Span<T> b, Eq eq) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), eq);
+}
+
+// Names the first gate list on which two boxes differ, or returns an empty
+// string when their ×-gates, var masks and every ∪-gate's inputs agree.
+std::string DiffBoxContents(const Box& a, const Box& b) {
+  auto same_cross = [](const CrossGate& x, const CrossGate& y) {
+    return x.left_state == y.left_state && x.right_state == y.right_state;
+  };
+  auto same_child = [](const ChildUnionInput& x, const ChildUnionInput& y) {
+    return x.side == y.side && x.state == y.state;
+  };
+  const std::equal_to<uint32_t> same;
+  if (!SameSpan(a.cross_gates(), b.cross_gates(), same_cross)) {
+    return "cross gates";
+  }
+  if (!SameSpan(a.var_masks(), b.var_masks(), same)) return "var masks";
+  if (a.num_unions() != b.num_unions()) return "union count";
+  for (size_t u = 0; u < a.num_unions(); ++u) {
+    const std::string gate = " of union gate " + std::to_string(u);
+    if (!SameSpan(a.cross_inputs(u), b.cross_inputs(u), same)) {
+      return "cross inputs" + gate;
+    }
+    if (!SameSpan(a.var_inputs(u), b.var_inputs(u), same)) {
+      return "var inputs" + gate;
+    }
+    if (!SameSpan(a.child_union_inputs(u), b.child_union_inputs(u),
+                  same_child)) {
+      return "child union inputs" + gate;
+    }
+  }
+  return "";
+}
+
 TEST(Circuit, PerStateViewsAcrossMaskWords) {
   // γ and the dense ∪-indices are read from per-box state bitmasks of
   // ⌈w/64⌉ words; these automata span 1, 2, 3 and 5 words, so states on
   // both sides of every word boundary go through relabels, inserts, leaf
-  // deletes and subtree moves/deletes with incremental box refreshes.
+  // deletes and subtree moves/deletes with incremental box refreshes. Each
+  // alive box's whole block — masks, ×-gates, var masks and every ∪-gate's
+  // inputs — must match a fresh build's after every step.
   struct Case {
     UnrankedTva query;
     size_t words;
@@ -227,6 +269,8 @@ TEST(Circuit, PerStateViewsAcrossMaskWords) {
         }
         ASSERT_EQ(static_cast<size_t>(below), b.num_unions())
             << "w " << w << " box " << id;
+        ASSERT_EQ(DiffBoxContents(b, f), "")
+            << "w " << w << " step " << step << " box " << id;
       }
     }
     CheckStructure(circuit);
