@@ -2,14 +2,30 @@
 // linear in the produced assignment size |S|.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <string>
+
 #include "bench_util.h"
+#include "util/latency_histogram.h"
 
 namespace treenum {
 namespace {
 
 using bench::kSeed;
 
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 // (a) n sweep with a fixed number of answers: per-answer time flat in n.
+// ns_per_answer comes from the timed drains; delay_p99_ns from 256 more
+// drains afterwards that time each answer (the gap between consecutive
+// Next calls), so the clock reads do not enter ns_per_answer.
 void BM_Delay_FixedAnswers_SizeSweep(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Rng rng(kSeed);
@@ -21,10 +37,28 @@ void BM_Delay_FixedAnswers_SizeSweep(benchmark::State& state) {
   for (auto _ : state) {
     answers = bench::Drain(e);
   }
+  LatencyHistogram delay;
+  Assignment a;
+  for (int pass = 0; pass < 256; ++pass) {
+    TreeEnumerator::Cursor c = e.Enumerate();
+    uint64_t prev = NowNs();
+    while (c.Next(&a)) {
+      const uint64_t now = NowNs();
+      delay.Record(now - prev);
+      prev = now;
+    }
+  }
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["ns_per_answer"] = benchmark::Counter(
       static_cast<double>(answers) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  const double delay_p99 = static_cast<double>(delay.Quantile(0.99));
+  state.counters["delay_p99_ns"] = delay_p99;
+  bench::EmitJson("BM_Delay_FixedAnswers_SizeSweep",
+                  {{"n", static_cast<double>(n)},
+                   {"iterations", static_cast<double>(state.iterations())},
+                   {"answers", static_cast<double>(answers)},
+                   {"delay_p99_ns", delay_p99}});
 }
 BENCHMARK(BM_Delay_FixedAnswers_SizeSweep)
     ->Range(1024, 262144)
@@ -109,6 +143,67 @@ void BM_Delay_DeepProbe_NoIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_Delay_DeepProbe_NoIndex)
     ->Range(1024, 131072)
+    ->Unit(benchmark::kMicrosecond);
+
+// (e) restart probe, the read perfbench's tree_edits workload times: one
+// relabel, then a fresh cursor from the public DynamicDocument::MakeCursorAt
+// (through the engine) and up to 8 answers. restart = cursor request to
+// first answer; delay = the gap before each later answer.
+void BM_Delay_RestartProbe(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const UnrankedTree t = bench::MakeTree(n);
+  TreeEnumerator e(t, bench::StandardQuery());
+  serving::CommandScript script(t, kSeed, serving::WorkloadOptions{3});
+  LatencyHistogram restart;
+  LatencyHistogram delay;
+  Assignment a;
+  size_t reads = 0;
+  for (auto _ : state) {
+    e.ApplyEdit(script.NextRelabel());
+    const uint64_t t0 = NowNs();
+    std::unique_ptr<Engine::Cursor> cursor = e.MakeCursor();
+    uint64_t prev = t0;
+    size_t got = 0;
+    while (got < 8 && cursor->Next(&a)) {
+      const uint64_t now = NowNs();
+      (got == 0 ? restart : delay).Record(now - prev);
+      prev = now;
+      ++got;
+    }
+    // A short read must have drained the document (checked untimed).
+    if (got < 8) {
+      state.PauseTiming();
+      const size_t all = e.EnumerateAll().size();
+      state.ResumeTiming();
+      if (got < all) {
+        state.SkipWithError(("probe read " + std::to_string(got) + " of " +
+                             std::to_string(all) + " answers")
+                                .c_str());
+        break;
+      }
+    }
+    ++reads;
+  }
+  const double restart_p50 = static_cast<double>(restart.Quantile(0.5));
+  const double restart_p99 = static_cast<double>(restart.Quantile(0.99));
+  const double delay_p50 = static_cast<double>(delay.Quantile(0.5));
+  const double delay_p99 = static_cast<double>(delay.Quantile(0.99));
+  state.counters["restart_p50_ns"] = restart_p50;
+  state.counters["restart_p99_ns"] = restart_p99;
+  state.counters["delay_p50_ns"] = delay_p50;
+  state.counters["delay_p99_ns"] = delay_p99;
+  bench::EmitJson("BM_Delay_RestartProbe",
+                  {{"n", static_cast<double>(n)},
+                   {"iterations", static_cast<double>(reads)},
+                   {"restart_p50_ns", restart_p50},
+                   {"restart_p99_ns", restart_p99},
+                   {"delay_p50_ns", delay_p50},
+                   {"delay_p99_ns", delay_p99}});
+}
+BENCHMARK(BM_Delay_RestartProbe)
+    ->Arg(4096)
+    ->Arg(32768)
+    ->Arg(131072)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -92,6 +92,9 @@ class Box {
     }
     return rank;
   }
+  /// The ⊤ and ∪ state bitmasks: ⌈w/64⌉ words each, bit q = state q.
+  const uint64_t* top_mask() const { return top_mask_; }
+  const uint64_t* union_mask() const { return union_mask_; }
   /// Dense ∪-gate index -> state.
   State union_state(size_t u) const { return union_states_[u]; }
   size_t num_unions() const { return num_unions_; }

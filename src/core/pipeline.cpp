@@ -9,13 +9,11 @@ namespace treenum {
 bool SnapshotCursor::Next(Assignment* out) {
   if (emit_empty_) {
     emit_empty_ = false;
-    *out = Assignment{};
+    out->Clear();
     return true;
   }
-  if (!inner_) return false;
-  EnumOutput o;
-  if (!inner_->Next(&o)) return false;
-  *out = o.ToAssignment();
+  if (!inner_.Next()) return false;
+  inner_.ReadInto(out);
   return true;
 }
 
@@ -29,6 +27,13 @@ EnumerationPipeline::EnumerationPipeline(
       // The snapshot current at build time captured epoch() - 1 (Publish
       // captures, then bumps); it and everything newer is servable.
       min_snapshot_epoch_(term->epoch() - 1) {
+  const size_t mask_words = (width() + 63) / 64;
+  final_empty_.assign(mask_words, 0);
+  final_nonempty_.assign(mask_words, 0);
+  for (State q : homog_->tva.final_states()) {
+    auto& mask = homog_->kind[q] == 1 ? final_nonempty_ : final_empty_;
+    mask[q / 64] |= uint64_t{1} << (q % 64);
+  }
   circuit_.BuildAll();
   if (mode_ == BoxEnumMode::kIndexed) index_.BuildAll();
 }
@@ -79,39 +84,36 @@ TermNodeId EnumerationPipeline::RootAt(const SnapshotRef& snap) const {
   return snap.root();
 }
 
-bool EnumerationPipeline::EmptyAssignmentSatisfiesAt(TermNodeId root) const {
-  const Box box = circuit_.box(root);
-  for (State q : homog_->tva.final_states()) {
-    if (homog_->kind[q] == 0 && box.gamma(q) == GateKind::kTop) return true;
+namespace {
+
+bool MasksIntersect(const uint64_t* a, const std::vector<uint64_t>& b) {
+  for (size_t k = 0; k < b.size(); ++k) {
+    if (a[k] & b[k]) return true;
   }
   return false;
 }
 
-std::vector<uint32_t> EnumerationPipeline::FinalGammaAt(
-    TermNodeId root) const {
-  std::vector<uint32_t> gamma;
-  const Box box = circuit_.box(root);
-  for (State q : homog_->tva.final_states()) {
-    if (homog_->kind[q] == 1 && box.gamma(q) == GateKind::kUnion) {
-      gamma.push_back(static_cast<uint32_t>(box.union_idx(q)));
-    }
-  }
-  return gamma;
+}  // namespace
+
+bool EnumerationPipeline::EmptyAssignmentSatisfiesAt(TermNodeId root) const {
+  return MasksIntersect(circuit_.box(root).top_mask(), final_empty_);
+}
+
+bool EnumerationPipeline::NonEmptyAssignmentAt(TermNodeId root) const {
+  return MasksIntersect(circuit_.box(root).union_mask(), final_nonempty_);
 }
 
 bool EnumerationPipeline::HasAnswerAt(const SnapshotRef& snap) const {
   const TermNodeId root = RootAt(snap);
-  return EmptyAssignmentSatisfiesAt(root) || !FinalGammaAt(root).empty();
+  return EmptyAssignmentSatisfiesAt(root) || NonEmptyAssignmentAt(root);
 }
 
 SnapshotCursor EnumerationPipeline::MakeCursorAt(SnapshotRef snap) const {
   const TermNodeId root = RootAt(snap);
-  SnapshotCursor c;
+  SnapshotCursor c(&circuit_, &index_, mode_);
   c.emit_empty_ = EmptyAssignmentSatisfiesAt(root);
-  std::vector<uint32_t> gamma = FinalGammaAt(root);
-  if (!gamma.empty()) {
-    c.inner_ = std::make_unique<AssignmentCursor>(&circuit_, &index_, mode_,
-                                                  root, std::move(gamma));
+  if (NonEmptyAssignmentAt(root)) {
+    c.inner_.ResetToStates(root, final_nonempty_.data());
   }
   c.snap_ = std::move(snap);
   return c;

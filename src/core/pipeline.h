@@ -42,22 +42,34 @@ namespace treenum {
 
 /// Pull cursor over every satisfying assignment of one query at one pinned
 /// snapshot: the empty assignment first when it satisfies the query, then
-/// the non-empty ones from an AssignmentCursor (no duplicates). The cursor
-/// co-owns the pin, so the version it reads stays frozen until the cursor
-/// is destroyed, even if the caller's SnapshotRef is released first. It
-/// must not outlive the document that published the snapshot.
+/// the non-empty ones from an AssignmentCursor (no duplicates), held by
+/// value. The cursor co-owns the pin, so the version it reads stays frozen
+/// until the cursor is destroyed, even if the caller's SnapshotRef is
+/// released first. It must not outlive the document that published the
+/// snapshot.
+///
+/// A read allocates the AssignmentCursor's first storage block when the
+/// cursor is made (the public DynamicDocument::MakeCursorAt adds the
+/// unique_ptr that holds the cursor), and Next refills the caller's
+/// Assignment in place; past the first answer, a read allocates only if
+/// its enumeration outgrows that block (enumeration/enumerate.h).
 class SnapshotCursor : public Engine::Cursor {
  public:
-  /// Produces the next satisfying assignment; false when exhausted.
+  /// Produces the next satisfying assignment into `out`, reusing its
+  /// capacity; false when exhausted.
   bool Next(Assignment* out) override;
   /// Elementary steps so far (delay accounting).
-  size_t steps() const { return inner_ ? inner_->steps() : 0; }
+  size_t steps() const { return inner_.steps(); }
 
  private:
   friend class EnumerationPipeline;
+  SnapshotCursor(const AssignmentCircuit* circuit, const EnumIndex* index,
+                 BoxEnumMode mode)
+      : inner_(circuit, index, mode) {}
+
   SnapshotRef snap_;
   bool emit_empty_ = false;
-  std::unique_ptr<AssignmentCursor> inner_;  // null: no non-empty answer
+  AssignmentCursor inner_;  // exhausted when no non-empty answer exists
 };
 
 /// The per-query owner of all derived enumeration state — assignment
@@ -129,10 +141,11 @@ class EnumerationPipeline {
   // earlier than this pipeline was built (older versions contain node ids
   // it never built boxes for; checked). Any thread.
 
-  /// O(w) Boolean answer: is there at least one satisfying assignment?
+  /// O(w/64) Boolean answer: is there at least one satisfying assignment?
+  /// Tests the root box's state masks; allocates nothing.
   bool HasAnswerAt(const SnapshotRef& snap) const;
   /// Cursor over all satisfying assignments (the empty one included);
-  /// takes over the pin.
+  /// takes over the pin. Γ is written straight into the cursor's storage.
   SnapshotCursor MakeCursorAt(SnapshotRef snap) const;
   /// All satisfying assignments (sorted), the empty one included.
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const;
@@ -145,10 +158,15 @@ class EnumerationPipeline {
   /// True iff some final 0-state's gate at `root` is ⊤ (the empty
   /// assignment satisfies the query).
   bool EmptyAssignmentSatisfiesAt(TermNodeId root) const;
-  /// Dense ∪-gate indices of the final 1-states at `root`.
-  std::vector<uint32_t> FinalGammaAt(TermNodeId root) const;
+  /// True iff some final 1-state's gate at `root` is a ∪-gate (a non-empty
+  /// assignment satisfies the query).
+  bool NonEmptyAssignmentAt(TermNodeId root) const;
 
   std::shared_ptr<const HomogenizedTva> homog_;
+  // Final 0-states and final 1-states as state bitmasks (⌈w/64⌉ words
+  // each), tested against a root box's ⊤ and ∪ masks.
+  std::vector<uint64_t> final_empty_;
+  std::vector<uint64_t> final_nonempty_;
   AssignmentCircuit circuit_;
   EnumIndex index_;
   BoxEnumMode mode_;

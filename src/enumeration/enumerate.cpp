@@ -7,24 +7,17 @@ namespace treenum {
 
 namespace {
 
-void OrInto(std::vector<uint64_t>& dst, const uint64_t* src, size_t words) {
-  if (dst.size() < words) dst.resize(words, 0);
-  for (size_t i = 0; i < words; ++i) dst[i] |= src[i];
-}
-
-bool BitAt(const std::vector<uint64_t>& bits, size_t pos) {
-  return pos / 64 < bits.size() && ((bits[pos / 64] >> (pos % 64)) & 1u);
+void AddSingletons(VarMask mask, NodeId node, Assignment* a) {
+  for (VarId v = 0; mask >> v; ++v) {
+    if (mask & (VarMask{1} << v)) a->Add(Singleton{v, node});
+  }
 }
 
 }  // namespace
 
 Assignment EnumOutput::ToAssignment() const {
   Assignment a;
-  for (const auto& [mask, node] : contributions) {
-    for (VarId v = 0; mask >> v; ++v) {
-      if (mask & (VarMask{1} << v)) a.Add(Singleton{v, node});
-    }
-  }
+  for (const auto& [mask, node] : contributions) AddSingletons(mask, node, &a);
   a.Normalize();
   return a;
 }
@@ -32,206 +25,262 @@ Assignment EnumOutput::ToAssignment() const {
 AssignmentCursor::AssignmentCursor(const AssignmentCircuit* circuit,
                                    const EnumIndex* index, BoxEnumMode mode,
                                    TermNodeId box,
-                                   std::vector<uint32_t> gamma)
-    : circuit_(circuit),
-      index_(index),
-      mode_(mode),
-      box_(box),
-      gamma_(std::move(gamma)),
-      prov_words_((gamma_.size() + 63) / 64) {
-  assert(!gamma_.empty());
-  box_enum_ = MakeBoxEnum(box_, gamma_);
+                                   const std::vector<uint32_t>& gamma)
+    : stack_(circuit, index, mode) {
+  Reset(box, gamma);
 }
 
-std::unique_ptr<BoxEnumCursor> AssignmentCursor::MakeBoxEnum(
-    TermNodeId box, const std::vector<uint32_t>& g) {
-  if (mode_ == BoxEnumMode::kIndexed) {
-    assert(index_ != nullptr);
-    return std::make_unique<IndexedBoxEnum>(index_, box, g);
-  }
-  return std::make_unique<NaiveBoxEnum>(circuit_, box, g);
+uint32_t AssignmentCursor::Clear(TermNodeId box) {
+  stack_.Rewind(0);
+  stack_.ClearSteps();
+  last_ = kNoLevel;
+  const size_t rows = stack_.circuit().box(box).num_unions();
+  const uint32_t pos = stack_.Push(rows);
+  std::fill_n(stack_.at(pos), rows, kNoPosition);
+  return pos;
 }
 
-void AssignmentCursor::PrepareBox() {
-  const Box b = circuit_->box(cur_.box);
-  var_agenda_.clear();
-  var_pos_ = 0;
-  crosses_.clear();
-  cross_prov_.clear();
+void AssignmentCursor::Reset(TermNodeId box,
+                             const std::vector<uint32_t>& gamma) {
+  const uint32_t pos = Clear(box);
+  for (size_t i = 0; i < gamma.size(); ++i) stack_.at(pos)[gamma[i]] = i;
+  if (!gamma.empty()) PushLevel(kNoLevel, box, pos, gamma.size());
+}
 
-  std::vector<std::vector<uint64_t>> vacc(b.num_var_masks());
-  std::vector<std::vector<uint64_t>> cacc(b.num_cross_gates());
-  cur_.rel.NonEmptyRowsInto(&rows_scratch_);
-  for (uint32_t g : rows_scratch_) {
-    const uint64_t* row = cur_.rel.Row(g);
-    size_t words = cur_.rel.words_per_row();
-    for (uint32_t vi : b.var_inputs(g)) OrInto(vacc[vi], row, words);
-    for (uint32_t ci : b.cross_inputs(g)) OrInto(cacc[ci], row, words);
-    ++local_steps_;
-  }
-  for (uint32_t vi = 0; vi < vacc.size(); ++vi) {
-    if (!vacc[vi].empty()) var_agenda_.emplace_back(vi, std::move(vacc[vi]));
-  }
-  for (uint32_t ci = 0; ci < cacc.size(); ++ci) {
-    if (!cacc[ci].empty()) {
-      crosses_.push_back(ci);
-      cross_prov_.push_back(std::move(cacc[ci]));
+void AssignmentCursor::ResetToStates(TermNodeId box, const uint64_t* states) {
+  const uint32_t pos = Clear(box);
+  // Dense ∪-gate indices follow ascending state order (circuit/circuit.h).
+  const Box b = stack_.circuit().box(box);
+  uint64_t cols = 0;
+  size_t d = 0;
+  for (size_t k = 0; d < b.num_unions(); ++k) {
+    for (uint64_t u = b.union_mask()[k]; u != 0; u &= u - 1, ++d) {
+      if ((states[k] >> __builtin_ctzll(u)) & 1) stack_.at(pos)[d] = cols++;
     }
   }
+  if (cols > 0) PushLevel(kNoLevel, box, pos, cols);
 }
 
-void AssignmentCursor::SetupLeft() {
-  if (crosses_.empty()) {
-    stage_ = Stage::kNextBox;
-    return;
-  }
-  const Box b = circuit_->box(cur_.box);
-  const Term& term = circuit_->term();
-  TermNodeId lchild = term.node(cur_.box).left;
-  const Box lb = circuit_->box(lchild);
-
-  gamma_left_.clear();
-  left_pos_.assign(lb.num_unions(), -1);
-  for (uint32_t p : crosses_) {
-    const CrossGate& cg = b.cross_gate(p);
-    int32_t d = lb.union_idx(cg.left_state);
+void AssignmentCursor::PushFactor(uint32_t at, Level* lv, int side,
+                                  uint32_t ids, uint32_t n) {
+  const AssignmentCircuit& circuit = stack_.circuit();
+  const TermNode& node = circuit.term().node(lv->boxes.box());
+  const TermNodeId child = side == 0 ? node.left : node.right;
+  const Box b = circuit.box(lv->boxes.box());
+  const Box cb = circuit.box(child);
+  const uint32_t pos = stack_.Push(cb.num_unions());
+  uint64_t* p = stack_.at(pos);
+  std::fill_n(p, cb.num_unions(), kNoPosition);
+  uint64_t cols = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const CrossGate& cg = b.cross_gate(stack_.at(ids)[i]);
+    const int32_t d = cb.union_idx(side == 0 ? cg.left_state : cg.right_state);
     assert(d != kNoGate);
-    if (left_pos_[d] < 0) {
-      left_pos_[d] = static_cast<int32_t>(gamma_left_.size());
-      gamma_left_.push_back(static_cast<uint32_t>(d));
-    }
+    if (p[d] == kNoPosition) p[d] = cols++;
   }
-  if (left_cursor_) local_steps_ += left_cursor_->steps();
-  left_cursor_ = std::make_unique<AssignmentCursor>(circuit_, index_, mode_,
-                                                    lchild, gamma_left_);
-  stage_ = Stage::kPullLeft;
+  lv->stage = side == 0 ? kPullLeft : kPullRight;
+  StoreLevel(at, *lv);
+  PushLevel(at, child, pos, cols);
 }
 
-bool AssignmentCursor::SetupRight() {
-  const Box b = circuit_->box(cur_.box);
-  const Term& term = circuit_->term();
-  TermNodeId lchild = term.node(cur_.box).left;
-  TermNodeId rchild = term.node(cur_.box).right;
-  const Box lb = circuit_->box(lchild);
-  const Box rb = circuit_->box(rchild);
+void AssignmentCursor::PushLevel(uint32_t parent, TermNodeId box,
+                                 uint32_t pos, size_t cols) {
+  Level lv{};
+  lv.prev = last_;
+  lv.parent = parent;
+  lv.stage = kNextBox;
+  lv.pw = static_cast<uint32_t>((cols + 63) / 64);
+  const uint32_t at = stack_.Push(kLevelWords + lv.pw);
+  if (parent == kNoLevel) root_ = at;
+  lv.boxes.Start(&stack_, box, pos, cols);
+  StoreLevel(at, lv);
+  last_ = at;
+}
 
-  // G×': crosses whose left input captures the current left assignment.
-  crosses_left_.clear();
-  for (uint32_t i = 0; i < crosses_.size(); ++i) {
-    const CrossGate& cg = b.cross_gate(crosses_[i]);
-    int32_t pos = left_pos_[lb.union_idx(cg.left_state)];
-    if (BitAt(left_out_.provenance, static_cast<size_t>(pos))) {
-      crosses_left_.push_back(i);
+void AssignmentCursor::PrepareBox(Level* lv) {
+  const Box b = stack_.circuit().box(lv->boxes.box());
+  const size_t pw = lv->pw;
+  lv->nvar = b.num_var_masks();
+  lv->ncross = b.num_cross_gates();
+  lv->var_pos = 0;
+  const size_t acc_words = (lv->nvar + lv->ncross) * pw;
+  const uint32_t acc = stack_.Push(acc_words + lv->ncross);
+  uint64_t* vacc = stack_.at(acc);
+  uint64_t* cacc = vacc + lv->nvar * pw;
+  std::fill_n(vacc, acc_words, uint64_t{0});
+  const BitMatrixView rel = lv->boxes.rel(stack_);
+  for (size_t g = 0; g < rel.rows(); ++g) {
+    const uint64_t* row = rel.Row(g);
+    if (!AnyWord(row, pw)) continue;
+    for (uint32_t vi : b.var_inputs(g)) {
+      for (size_t k = 0; k < pw; ++k) vacc[vi * pw + k] |= row[k];
+    }
+    for (uint32_t ci : b.cross_inputs(g)) {
+      for (size_t k = 0; k < pw; ++k) cacc[ci * pw + k] |= row[k];
+    }
+    stack_.Step();
+  }
+  uint64_t* crosses = cacc + lv->ncross * pw;
+  uint32_t n = 0;
+  for (uint32_t ci = 0; ci < lv->ncross; ++ci) {
+    if (AnyWord(cacc + ci * pw, pw)) crosses[n++] = ci;
+  }
+  lv->ncrosses = n;
+  stack_.Rewind(static_cast<uint32_t>(acc + acc_words + n));
+}
+
+bool AssignmentCursor::EmitVar(uint32_t at, Level* lv) {
+  const size_t pw = lv->pw;
+  const uint64_t* vacc = stack_.at(lv->boxes.end());
+  while (lv->var_pos < lv->nvar) {
+    const uint32_t vi = lv->var_pos++;
+    if (!AnyWord(vacc + vi * pw, pw)) continue;
+    std::copy_n(vacc + vi * pw, pw, stack_.at(at + kLevelWords));
+    stack_.Step();
+    return true;
+  }
+  return false;
+}
+
+void AssignmentCursor::PushRight(uint32_t at, Level* lv, uint32_t child) {
+  const AssignmentCircuit& circuit = stack_.circuit();
+  const Box b = circuit.box(lv->boxes.box());
+  const Box lb = circuit.box(circuit.term().node(lv->boxes.box()).left);
+  // G×': the related ×-gates whose left input captures the left output.
+  lv->right = stack_.Push(lv->ncrosses);
+  const uint64_t* crosses = stack_.at(Crosses(*lv));
+  const uint64_t* left_pos = crosses + lv->ncrosses;
+  const uint64_t* left_prov = stack_.at(child + kLevelWords);
+  uint64_t* right = stack_.at(lv->right);
+  uint32_t n = 0;
+  for (uint32_t i = 0; i < lv->ncrosses; ++i) {
+    const CrossGate& cg = b.cross_gate(crosses[i]);
+    const uint64_t p = left_pos[lb.union_idx(cg.left_state)];
+    if ((left_prov[p / 64] >> (p % 64)) & 1) right[n++] = crosses[i];
+  }
+  assert(n > 0);
+  lv->nright = n;
+  stack_.Rewind(lv->right + n);
+  PushFactor(at, lv, 1, lv->right, n);
+}
+
+void AssignmentCursor::CombineRight(uint32_t at, const Level& lv,
+                                    uint32_t child) {
+  const AssignmentCircuit& circuit = stack_.circuit();
+  const Box b = circuit.box(lv.boxes.box());
+  const Box rb = circuit.box(circuit.term().node(lv.boxes.box()).right);
+  const size_t pw = lv.pw;
+  const uint64_t* right = stack_.at(lv.right);
+  const uint64_t* right_pos = right + lv.nright;
+  const uint64_t* right_prov = stack_.at(child + kLevelWords);
+  const uint64_t* cacc = stack_.at(lv.boxes.end()) + lv.nvar * pw;
+  uint64_t* prov = stack_.at(at + kLevelWords);
+  std::fill_n(prov, pw, uint64_t{0});
+  for (uint32_t i = 0; i < lv.nright; ++i) {
+    const uint64_t p =
+        right_pos[rb.union_idx(b.cross_gate(right[i]).right_state)];
+    if ((right_prov[p / 64] >> (p % 64)) & 1) {
+      for (size_t k = 0; k < pw; ++k) prov[k] |= cacc[right[i] * pw + k];
     }
   }
-  assert(!crosses_left_.empty());
+  stack_.Step();
+}
 
-  gamma_right_.clear();
-  right_pos_.assign(rb.num_unions(), -1);
-  for (uint32_t i : crosses_left_) {
-    const CrossGate& cg = b.cross_gate(crosses_[i]);
-    int32_t d = rb.union_idx(cg.right_state);
-    assert(d != kNoGate);
-    if (right_pos_[d] < 0) {
-      right_pos_[d] = static_cast<int32_t>(gamma_right_.size());
-      gamma_right_.push_back(static_cast<uint32_t>(d));
+bool AssignmentCursor::Next() {
+  if (last_ == kNoLevel) return false;
+  uint32_t at = last_;
+  Level lv = LoadLevel(at);
+  for (;;) {
+    if (lv.stage == kNextBox) {
+      if (lv.boxes.Next(&stack_)) {
+        PrepareBox(&lv);
+        lv.stage = kEmitVars;
+        continue;
+      }
+      // Exhausted: the root ends the enumeration, a right factor hands
+      // control back to the left factor's last level, a left factor to its
+      // parent's next box.
+      if (lv.parent == kNoLevel) {
+        last_ = kNoLevel;
+        return false;
+      }
+      const uint32_t parent = lv.parent;
+      Level p = LoadLevel(parent);
+      if (p.stage == kPullRight) {
+        stack_.Rewind(p.right);
+        p.stage = kPullLeft;
+        StoreLevel(parent, p);
+        at = lv.prev;
+        lv = LoadLevel(at);
+      } else {
+        stack_.Rewind(at);
+        p.stage = kNextBox;
+        at = parent;
+        lv = p;
+      }
+      last_ = at;
+      continue;
+    }
+    // kEmitVars: the var-gates first, then the ×-gates' left factor.
+    if (!EmitVar(at, &lv)) {
+      if (lv.ncrosses == 0) {
+        lv.stage = kNextBox;
+        continue;
+      }
+      PushFactor(at, &lv, 0, Crosses(lv), lv.ncrosses);
+      at = last_;
+      lv = LoadLevel(at);
+      continue;
+    }
+    // `at` produced an output: hand it up until a left factor starts its
+    // right partner or the root completes the answer.
+    StoreLevel(at, lv);
+    for (uint32_t child = at;;) {
+      const uint32_t parent = LoadLevel(child).parent;
+      if (parent == kNoLevel) return true;
+      Level p = LoadLevel(parent);
+      if (p.stage == kPullLeft) {
+        PushRight(parent, &p, child);
+        at = last_;
+        lv = LoadLevel(at);
+        break;
+      }
+      CombineRight(parent, p, child);
+      child = parent;
     }
   }
-  if (right_cursor_) local_steps_ += right_cursor_->steps();
-  right_cursor_ = std::make_unique<AssignmentCursor>(circuit_, index_, mode_,
-                                                     rchild, gamma_right_);
-  return true;
+}
+
+template <typename F>
+void AssignmentCursor::ForEachContribution(F f) const {
+  for (uint32_t at = last_; at != kNoLevel;) {
+    const Level lv = LoadLevel(at);
+    if (lv.stage == kEmitVars) {  // a leaf: its last var mask was emitted
+      const TermNodeId box = lv.boxes.box();
+      f(stack_.circuit().box(box).var_mask(lv.var_pos - 1),
+        stack_.circuit().term().node(box).tree_node);
+    }
+    at = lv.prev;
+  }
 }
 
 bool AssignmentCursor::Next(EnumOutput* out) {
-  const Term& term = circuit_->term();
-  while (true) {
-    switch (stage_) {
-      case Stage::kDone:
-        return false;
-
-      case Stage::kNextBox: {
-        if (!box_enum_->Next(&cur_)) {
-          stage_ = Stage::kDone;
-          return false;
-        }
-        PrepareBox();
-        stage_ = Stage::kEmitVars;
-        break;
-      }
-
-      case Stage::kEmitVars: {
-        if (var_pos_ < var_agenda_.size()) {
-          const auto& [vi, prov] = var_agenda_[var_pos_];
-          ++var_pos_;
-          const Box b = circuit_->box(cur_.box);
-          out->contributions.clear();
-          out->contributions.emplace_back(b.var_mask(vi),
-                                          term.node(cur_.box).tree_node);
-          out->provenance = prov;
-          ++local_steps_;
-          return true;
-        }
-        SetupLeft();
-        break;
-      }
-
-      case Stage::kPullLeft: {
-        if (!left_cursor_->Next(&left_out_)) {
-          stage_ = Stage::kNextBox;
-          break;
-        }
-        SetupRight();
-        stage_ = Stage::kPullRight;
-        break;
-      }
-
-      case Stage::kPullRight: {
-        EnumOutput rout;
-        if (!right_cursor_->Next(&rout)) {
-          stage_ = Stage::kPullLeft;
-          break;
-        }
-        const Box b = circuit_->box(cur_.box);
-        const Box rb =
-            circuit_->box(term.node(cur_.box).right);
-        out->contributions = left_out_.contributions;
-        out->contributions.insert(out->contributions.end(),
-                                  rout.contributions.begin(),
-                                  rout.contributions.end());
-        out->provenance.assign(prov_words_, 0);
-        bool any = false;
-        for (uint32_t i : crosses_left_) {
-          const CrossGate& cg = b.cross_gate(crosses_[i]);
-          int32_t pos = right_pos_[rb.union_idx(cg.right_state)];
-          if (BitAt(rout.provenance, static_cast<size_t>(pos))) {
-            OrInto(out->provenance, cross_prov_[i].data(),
-                   cross_prov_[i].size());
-            any = true;
-          }
-        }
-        assert(any);
-        (void)any;
-        ++local_steps_;
-        return true;
-      }
-    }
-  }
+  if (!Next()) return false;
+  out->contributions.clear();
+  ForEachContribution([&](VarMask mask, NodeId node) {
+    out->contributions.emplace_back(mask, node);
+  });
+  std::reverse(out->contributions.begin(), out->contributions.end());
+  const uint64_t* prov = stack_.at(root_ + kLevelWords);
+  out->provenance.assign(prov, prov + LoadLevel(root_).pw);
+  return true;
 }
 
-size_t AssignmentCursor::steps() const {
-  size_t s = local_steps_ + box_enum_->steps();
-  if (left_cursor_) s += left_cursor_->steps();
-  if (right_cursor_) s += right_cursor_->steps();
-  return s;
-}
-
-std::vector<Assignment> CollectAll(AssignmentCursor& cursor) {
-  std::vector<Assignment> out;
-  EnumOutput o;
-  while (cursor.Next(&o)) out.push_back(o.ToAssignment());
-  std::sort(out.begin(), out.end());
-  return out;
+void AssignmentCursor::ReadInto(Assignment* out) const {
+  out->Clear();
+  ForEachContribution(
+      [&](VarMask mask, NodeId node) { AddSingletons(mask, node, out); });
+  out->Normalize();
 }
 
 }  // namespace treenum

@@ -52,6 +52,10 @@ class Assignment {
   /// insertion or use the sorted constructor).
   void Add(Singleton s) { singletons_.push_back(s); }
 
+  /// Empties the assignment, keeping its capacity, so a reader can refill
+  /// one Assignment per answer without allocating.
+  void Clear() { singletons_.clear(); }
+
   /// Sorts and deduplicates, producing the canonical representation.
   void Normalize();
 

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "automata/homogenize.h"
+#include "automata/query_library.h"
+#include "automata/regex_spanner.h"
 #include "circuit/assignment_circuit.h"
+#include "core/tree_enumerator.h"
+#include "core/word_enumerator.h"
 #include "test_util.h"
 
 namespace treenum {
@@ -39,6 +47,15 @@ struct HHPipeline {
     return g;
   }
 };
+
+// Runs a cursor to completion; all assignments, sorted.
+std::vector<Assignment> CollectAll(AssignmentCursor& cursor) {
+  std::vector<Assignment> out;
+  EnumOutput o;
+  while (cursor.Next(&o)) out.push_back(o.ToAssignment());
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 // Expected S(Γ) via circuit materialization.
 std::vector<Assignment> ExpectedOfGamma(const HHPipeline& p,
@@ -91,7 +108,7 @@ TEST(Enumerate, NaiveModeProducesSameSet) {
 }
 
 TEST(Enumerate, ProvenanceIsCorrect) {
-  // Prov(S, Γ) = {g ∈ Γ | S ∈ S(g)} (Theorem 5.3).
+  // Prov(S, Γ) = {g ∈ Γ | S ∈ S(g)} (Theorem 5.3), in both box-enum modes.
   Rng rng(127);
   for (int trial = 0; trial < 25; ++trial) {
     BinaryTva raw = RandomBinaryTvaOnHH(rng, 3, 2, 1, 4, 8);
@@ -105,17 +122,125 @@ TEST(Enumerate, ProvenanceIsCorrect) {
       per_gate.push_back(
           MaterializeGamma(p.circuit, p.term.root(), b.union_state(u)));
     }
-    AssignmentCursor cursor(&p.circuit, &p.index, BoxEnumMode::kIndexed,
-                            p.term.root(), gamma);
-    EnumOutput o;
-    while (cursor.Next(&o)) {
-      Assignment a = o.ToAssignment();
-      for (size_t i = 0; i < gamma.size(); ++i) {
-        bool in_prov =
-            (o.provenance[i / 64] >> (i % 64)) & 1u;
-        bool in_set = per_gate[i].count(a) > 0;
-        EXPECT_EQ(in_prov, in_set)
-            << "trial " << trial << " gate " << i << " a " << a.ToString();
+    for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+      AssignmentCursor cursor(&p.circuit, &p.index, mode, p.term.root(),
+                              gamma);
+      EnumOutput o;
+      while (cursor.Next(&o)) {
+        Assignment a = o.ToAssignment();
+        for (size_t i = 0; i < gamma.size(); ++i) {
+          bool in_prov = (o.provenance[i / 64] >> (i % 64)) & 1u;
+          bool in_set = per_gate[i].count(a) > 0;
+          EXPECT_EQ(in_prov, in_set) << "trial " << trial << " gate " << i
+                                     << " a " << a.ToString();
+        }
+      }
+    }
+  }
+}
+
+// Γ of a pipeline's root: the ∪-gates of its final 1-states.
+std::vector<uint32_t> FinalGamma(const EnumerationPipeline& p) {
+  const Box b = p.circuit().box(p.circuit().term().root());
+  std::vector<uint32_t> gamma;
+  for (State q : p.automaton()->tva.final_states()) {
+    if (p.automaton()->kind[q] == 1 && b.union_idx(q) != kNoGate) {
+      gamma.push_back(static_cast<uint32_t>(b.union_idx(q)));
+    }
+  }
+  return gamma;
+}
+
+// Two- and three-variable queries on documents of at least 64 leaves, so
+// the ×-recursion keeps several levels on the cursor's stack at once.
+struct DeepCase {
+  std::string name;
+  std::unique_ptr<TreeEnumerator> tree;  // exactly one of tree, word
+  std::unique_ptr<WordEnumerator> word;
+
+  const EnumerationPipeline& pipeline() const {
+    return tree ? tree->pipeline() : word->pipeline();
+  }
+};
+
+std::vector<DeepCase> DeepCases() {
+  Rng rng(173);
+  std::string letters;
+  for (int i = 0; i < 96; ++i) {
+    letters += static_cast<char>('a' + rng.Index(3));
+  }
+  std::vector<DeepCase> cases;
+  cases.push_back({"descendant pairs",
+                   std::make_unique<TreeEnumerator>(
+                       RandomTree(160, 3, rng), QueryDescendantPairs(3, 0, 1)),
+                   nullptr});
+  cases.push_back(
+      {"a..b..c spanner", nullptr,
+       std::make_unique<WordEnumerator>(
+           ToWord(letters),
+           CompileRegexSpanner(".*<0:a>.*<1:b>.*<2:c>.*", 3, 3))});
+  cases.push_back({"a..c spanner", nullptr,
+                   std::make_unique<WordEnumerator>(
+                       ToWord(letters),
+                       CompileRegexSpanner(".*<0:a>.*<1:c>.*", 3, 2))});
+  return cases;
+}
+
+TEST(Enumerate, DeepLevelStacksMatchMaterialization) {
+  for (const DeepCase& c : DeepCases()) {
+    const EnumerationPipeline& p = c.pipeline();
+    const TermNodeId root = p.circuit().term().root();
+    const std::vector<uint32_t> gamma = FinalGamma(p);
+    ASSERT_FALSE(gamma.empty()) << c.name;
+    std::set<Assignment> expected;
+    const Box b = p.circuit().box(root);
+    for (uint32_t u : gamma) {
+      std::set<Assignment> s =
+          MaterializeGamma(p.circuit(), root, b.union_state(u));
+      expected.insert(s.begin(), s.end());
+    }
+    ASSERT_GT(expected.size(), 16u) << c.name;
+    for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+      AssignmentCursor cursor(&p.circuit(), &p.index(), mode, root, gamma);
+      std::vector<Assignment> got = CollectAll(cursor);
+      EXPECT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
+          << c.name << ": duplicate produced";
+      EXPECT_EQ(got, std::vector<Assignment>(expected.begin(), expected.end()))
+          << c.name;
+    }
+  }
+}
+
+// A cursor abandoned after k answers and then Reset yields the same
+// sequence — answers and provenance, in order — as a fresh cursor.
+TEST(Enumerate, ResetAfterAbandonedEnumerationRestartsTheSequence) {
+  using Answer = std::pair<std::vector<std::pair<VarMask, NodeId>>,
+                           std::vector<uint64_t>>;
+  for (const DeepCase& c : DeepCases()) {
+    const EnumerationPipeline& p = c.pipeline();
+    const TermNodeId root = p.circuit().term().root();
+    const std::vector<uint32_t> gamma = FinalGamma(p);
+    for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+      auto drain = [](AssignmentCursor& cursor, size_t limit) {
+        std::vector<Answer> seq;
+        EnumOutput o;
+        while (seq.size() < limit && cursor.Next(&o)) {
+          seq.emplace_back(o.contributions, o.provenance);
+        }
+        return seq;
+      };
+      AssignmentCursor fresh(&p.circuit(), &p.index(), mode, root, gamma);
+      const std::vector<Answer> want = drain(fresh, SIZE_MAX);
+      const size_t fresh_steps = fresh.steps();
+      AssignmentCursor reused(&p.circuit(), &p.index(), mode, root, gamma);
+      for (size_t k : {size_t{0}, size_t{1}, size_t{7}, want.size() / 2,
+                       want.size()}) {
+        drain(reused, k);
+        reused.Reset(root, gamma);
+        EXPECT_EQ(drain(reused, SIZE_MAX), want)
+            << c.name << " mode " << static_cast<int>(mode) << " k " << k;
+        EXPECT_EQ(reused.steps(), fresh_steps) << c.name << " k " << k;
+        reused.Reset(root, gamma);
       }
     }
   }

@@ -5,12 +5,17 @@
 // TREENUM_CHECK width limit.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/query_library.h"
+#include "automata/regex_spanner.h"
 #include "baseline/static_engine.h"
 #include "core/engine.h"
 #include "core/tree_enumerator.h"
+#include "core/word_enumerator.h"
 #include "enumeration/box_enum.h"
 #include "test_util.h"
 #include "util/alloc_gauge.h"
@@ -146,10 +151,10 @@ TEST(FlatStorage, IndexedBatchedRelabelSteadyStateIsAllocationFree) {
   }
 }
 
-// Enumeration-delay counterpart: after one warm traversal, re-running a
-// box-enum cursor over the same circuit (Reset keeps the warm frame slots
-// and scratch) performs zero heap allocations per produced relation —
-// the cursors compose into recycled buffers instead of fresh matrices.
+// Enumeration-delay counterpart: a box-enum pushes and pops its frames in
+// place on the cursor's word stack, so once one traversal has grown the
+// stack to its high-water mark, the next traversal from the same start
+// performs zero heap allocations per produced relation.
 TEST(FlatStorage, BoxEnumDelayIsAllocationFreeAfterWarmup) {
   ASSERT_TRUE(AllocGaugeActive());
 
@@ -159,41 +164,125 @@ TEST(FlatStorage, BoxEnumDelayIsAllocationFreeAfterWarmup) {
   TermNodeId root = e.term().root();
   size_t nu = e.circuit().box(root).num_unions();
   ASSERT_GT(nu, 0u);
-  std::vector<uint32_t> gamma;
-  for (uint32_t u = 0; u < nu; ++u) gamma.push_back(u);
 
-  IndexedBoxEnum indexed(&e.index(), root, gamma);
-  NaiveBoxEnum naive(&e.circuit(), root, gamma);
-  for (BoxEnumCursor* cursor :
-       {static_cast<BoxEnumCursor*>(&indexed),
-        static_cast<BoxEnumCursor*>(&naive)}) {
-    BoxRelation out;
+  for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+    EnumStack stack(&e.circuit(), &e.index(), mode);
+    auto traverse = [&](std::vector<TermNodeId>* boxes) {
+      stack.Rewind(0);
+      // Γ = every ∪-gate at the root, position u for gate u.
+      const uint32_t pos = stack.Push(nu);
+      for (size_t u = 0; u < nu; ++u) stack.at(pos)[u] = u;
+      BoxEnum boxes_enum;
+      boxes_enum.Start(&stack, root, pos, nu);
+      while (boxes_enum.Next(&stack)) boxes->push_back(boxes_enum.box());
+    };
     std::vector<TermNodeId> warm_boxes;
-    while (cursor->Next(&out)) warm_boxes.push_back(out.box);
+    traverse(&warm_boxes);
     ASSERT_FALSE(warm_boxes.empty());
 
-    // The relation buffers circulate between the stack slots and the output,
-    // so a buffer may land in a spot that needs more capacity than it saw
-    // last pass; each such event grows one buffer monotonically, so the
-    // capacities reach a fixed point after a few passes.
-    int pass = 0;
-    for (; pass < 10; ++pass) {
-      cursor->Reset(root, gamma);
-      AllocGaugeScope warm;
-      while (cursor->Next(&out)) {
-      }
-      if (warm.allocs() == 0) break;
-    }
-    ASSERT_LT(pass, 10) << "cursor buffers failed to reach a steady state";
-
-    cursor->Reset(root, gamma);
     std::vector<TermNodeId> measured_boxes;
-    measured_boxes.reserve(warm_boxes.size());  // keep the gauge on the cursor
+    measured_boxes.reserve(warm_boxes.size());  // keep the gauge on the stack
     AllocGaugeScope gauge;
-    while (cursor->Next(&out)) measured_boxes.push_back(out.box);
+    traverse(&measured_boxes);
     EXPECT_EQ(gauge.allocs(), 0u)
-        << "warm box-enum traversal must not touch the heap";
+        << "a warm box-enum traversal must not touch the heap";
     EXPECT_EQ(measured_boxes, warm_boxes);
+  }
+}
+
+// Reads through the public snapshot cursor: the cursor's levels, frames and
+// agendas live on its own word stack and SnapshotCursor::Next refills the
+// caller's Assignment in place, so past the first answer no answer touches
+// the heap. `make` opens a fresh public read.
+template <typename MakeCursor>
+void ExpectReadAllocationFree(MakeCursor make, size_t expected_answers,
+                              const std::string& what) {
+  std::unique_ptr<Engine::Cursor> cursor = make();
+  Assignment a;
+  ASSERT_TRUE(cursor->Next(&a)) << what;
+  size_t answers = 1;
+  AllocGaugeScope gauge;
+  while (cursor->Next(&a)) ++answers;
+  EXPECT_EQ(gauge.allocs(), 0u)
+      << what << ": allocations after the first of " << answers << " answers";
+  EXPECT_EQ(answers, expected_answers) << what;
+}
+
+TEST(FlatStorage, TreeReadsAreAllocationFreeAfterFirstAnswer) {
+  ASSERT_TRUE(AllocGaugeActive());
+  Rng rng(151);
+  UnrankedTree tree = RandomTree(300, 3, rng);
+  const std::pair<const char*, UnrankedTva> queries[] = {
+      {"marked-ancestor", QueryMarkedAncestor(3, 1, 2)},
+      {"descendant-pairs", QueryDescendantPairs(3, 0, 1)}};
+  for (const auto& [name, q] : queries) {
+    for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+      TreeEnumerator e(tree, q, mode);
+      const size_t answers = e.EnumerateAll().size();
+      ASSERT_GT(answers, 1u) << name;
+      ExpectReadAllocationFree([&] { return e.MakeCursor(); }, answers,
+                               std::string(name) + (mode == BoxEnumMode::kNaive
+                                                        ? " naive"
+                                                        : " indexed"));
+    }
+  }
+}
+
+TEST(FlatStorage, WordReadsAreAllocationFreeAfterFirstAnswer) {
+  ASSERT_TRUE(AllocGaugeActive());
+  Rng rng(157);
+  std::string letters;
+  for (int i = 0; i < 200; ++i) {
+    letters += static_cast<char>('a' + rng.Index(3));
+  }
+  const Wva spanner = CompileRegexSpanner(".*<0:a>.*<1:c>.*", 3, 2);
+  for (BoxEnumMode mode : {BoxEnumMode::kIndexed, BoxEnumMode::kNaive}) {
+    WordEnumerator e(ToWord(letters), spanner, mode);
+    const size_t answers = e.EnumerateAll().size();
+    ASSERT_GT(answers, 1u);
+    ExpectReadAllocationFree(
+        [&] { return e.MakeCursor(); }, answers,
+        mode == BoxEnumMode::kNaive ? "spanner naive" : "spanner indexed");
+  }
+}
+
+// The whole public read up to its first answer: pin, the unique_ptr cursor
+// DynamicDocument::MakeCursorAt returns, the cursor's first storage block,
+// and the fresh Assignment's singleton.
+TEST(FlatStorage, FreshPublicReadAllocatesAtMostThreeTimes) {
+  ASSERT_TRUE(AllocGaugeActive());
+  Rng rng(163);
+  UnrankedTree tree = RandomTree(300, 3, rng);
+  TreeEnumerator e(tree, QueryMarkedAncestor(3, 1, 2));
+  ASSERT_FALSE(e.EnumerateAll().empty());
+
+  uint64_t allocs = 0;
+  {
+    Assignment a;
+    AllocGaugeScope gauge;
+    std::unique_ptr<Engine::Cursor> cursor = e.MakeCursor();
+    ASSERT_TRUE(cursor->Next(&a));
+    allocs = gauge.allocs();
+  }
+  EXPECT_LE(allocs, 3u) << "allocations before the first answer";
+}
+
+// The Boolean answer tests the root box's state masks in place.
+TEST(FlatStorage, HasAnswerAtIsAllocationFree) {
+  ASSERT_TRUE(AllocGaugeActive());
+  Rng rng(167);
+  // The second tree has no label 2, so its query has no answer.
+  const std::pair<UnrankedTree, UnrankedTva> cases[] = {
+      {RandomTree(300, 3, rng), QueryMarkedAncestor(3, 1, 2)},
+      {RandomTree(300, 2, rng), QuerySelectLabel(3, 2)}};
+  for (const auto& [tree, q] : cases) {
+    TreeEnumerator e(tree, q);
+    const SnapshotRef snap = e.CurrentSnapshot();
+    const bool expected = !e.EnumerateAll().empty();
+    AllocGaugeScope gauge;
+    const bool has = e.HasAnswerAt(snap);
+    EXPECT_EQ(gauge.allocs(), 0u) << "HasAnswerAt must not allocate";
+    EXPECT_EQ(has, expected);
   }
 }
 

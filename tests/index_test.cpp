@@ -9,7 +9,6 @@
 #include "automata/homogenize.h"
 #include "automata/query_library.h"
 #include "automata/translate.h"
-#include "enumeration/box_enum.h"
 #include "falgebra/builder.h"
 #include "falgebra/update.h"
 #include "test_util.h"
@@ -31,6 +30,22 @@ std::map<TermNodeId, size_t> PreorderNumbers(const Term& term) {
   };
   walk(walk, term.root());
   return num;
+}
+
+// R(child, box) read off the circuit's ∪→∪ wires (side 0 = left): the
+// oracle for the index's wire relations.
+void WireRelationInto(const AssignmentCircuit& circuit, TermNodeId box,
+                      int side, BitMatrix* out) {
+  const Term& term = circuit.term();
+  const Box b = circuit.box(box);
+  const Box cb =
+      circuit.box(side == 0 ? term.node(box).left : term.node(box).right);
+  out->Assign(cb.num_unions(), b.num_unions());
+  for (size_t u = 0; u < b.num_unions(); ++u) {
+    for (const auto& [s, state] : b.child_union_inputs(u)) {
+      if (s == side) out->Set(static_cast<size_t>(cb.union_idx(state)), u);
+    }
+  }
 }
 
 TermNodeId NaiveLca(const Term& term, TermNodeId a, TermNodeId b) {
