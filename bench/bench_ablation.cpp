@@ -7,6 +7,9 @@
 //      different edit mixes).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "automata/homogenize.h"
 #include "automata/translate.h"
 #include "bench_util.h"
@@ -17,31 +20,41 @@ namespace {
 
 using bench::kSeed;
 
-void BM_Ablation_ComposeBitPacked(benchmark::State& state) {
+// A random w x w relation with about a quarter of its entries set, as
+// packed rows.
+std::vector<uint64_t> RandomRelation(size_t w, Rng& rng) {
+  const size_t wpr = (w + 63) / 64;
+  std::vector<uint64_t> words(w * wpr, 0);
+  for (size_t i = 0; i < w * w / 4 + 1; ++i) {
+    const size_t c = rng.Index(w);
+    words[rng.Index(w) * wpr + c / 64] |= uint64_t{1} << (c % 64);
+  }
+  return words;
+}
+
+template <void (*Compose)(const BitMatrixView&, const BitMatrixView&,
+                          uint64_t*)>
+void ComposeBench(benchmark::State& state) {
   size_t w = static_cast<size_t>(state.range(0));
   Rng rng(kSeed);
-  BitMatrix a(w, w), b(w, w);
-  for (size_t i = 0; i < w * w / 4 + 1; ++i) {
-    a.Set(rng.Index(w), rng.Index(w));
-    b.Set(rng.Index(w), rng.Index(w));
-  }
+  const std::vector<uint64_t> a = RandomRelation(w, rng);
+  const std::vector<uint64_t> b = RandomRelation(w, rng);
+  std::vector<uint64_t> out(a.size());
+  const BitMatrixView av(a.data(), w, w), bv(b.data(), w, w);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Compose(b));
+    Compose(av, bv, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
+}
+
+void BM_Ablation_ComposeBitPacked(benchmark::State& state) {
+  ComposeBench<&BitMatrixView::ComposeIntoWords>(state);
 }
 BENCHMARK(BM_Ablation_ComposeBitPacked)->RangeMultiplier(2)->Range(8, 256);
 
 void BM_Ablation_ComposeNaive(benchmark::State& state) {
-  size_t w = static_cast<size_t>(state.range(0));
-  Rng rng(kSeed);
-  BitMatrix a(w, w), b(w, w);
-  for (size_t i = 0; i < w * w / 4 + 1; ++i) {
-    a.Set(rng.Index(w), rng.Index(w));
-    b.Set(rng.Index(w), rng.Index(w));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComposeNaive(a, b));
-  }
+  ComposeBench<&BitMatrixView::ComposeNaiveIntoWords>(state);
 }
 BENCHMARK(BM_Ablation_ComposeNaive)->RangeMultiplier(2)->Range(8, 256);
 

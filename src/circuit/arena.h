@@ -62,8 +62,8 @@ struct SpanRef {
 };
 
 /// One flat pool of `T` with size-class span recycling. `Align` customizes
-/// the backing store's alignment (the index pool passes 64 so SIMD kernels
-/// see cache-line-aligned blocks).
+/// the backing store's alignment (the index pool passes 64 so each of its
+/// blocks starts on a cache line).
 template <typename T, size_t Align = alignof(T)>
 class SpanPool {
  public:
@@ -106,10 +106,13 @@ class SpanPool {
   T* at(uint32_t off) { return store_.data() + off; }
   const T* at(uint32_t off) const { return store_.data() + off; }
 
-  /// Pre-grows the pool tail by `extra` slots' worth of capacity so a batch
-  /// of refreshes does not re-grow the backing vector mid-transaction.
-  void ReserveAdditional(size_t extra) {
-    store_.reserve(store_.size() + extra);
+  /// Pre-grows the pool tail so a batch refreshing `boxes` of the `alive`
+  /// boxes that share this pool does not re-grow the backing store
+  /// mid-transaction: each refreshed box gets the pool's running per-box
+  /// average, rounded up.
+  void ReserveForBoxes(size_t boxes, size_t alive) {
+    if (alive == 0 || boxes == 0) return;
+    store_.reserve(store_.size() + boxes * (store_.size() / alive + 1));
   }
 
   size_t size() const { return store_.size(); }

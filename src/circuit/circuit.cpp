@@ -87,24 +87,7 @@ Box AssignmentCircuit::box(TermNodeId id) const {
 }
 
 void AssignmentCircuit::BuildAll() {
-  // Post-order over the term with an explicit stack.
-  struct F {
-    TermNodeId id;
-    bool expanded;
-  };
-  std::vector<F> stack{{term_->root(), false}};
-  while (!stack.empty()) {
-    F f = stack.back();
-    stack.pop_back();
-    const TermNode& t = term_->node(f.id);
-    if (!f.expanded && t.left != kNoTerm) {
-      stack.push_back({f.id, true});
-      stack.push_back({t.right, false});
-      stack.push_back({t.left, false});
-      continue;
-    }
-    RebuildBox(f.id);
-  }
+  term_->ForEachPostOrder([this](TermNodeId id) { RebuildBox(id); });
 }
 
 void AssignmentCircuit::RebuildBox(TermNodeId id) {
@@ -124,10 +107,7 @@ void AssignmentCircuit::FreeBox(TermNodeId id) {
 }
 
 void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
-  size_t alive = term_->num_alive();
-  if (alive == 0 || boxes == 0) return;
-  // The per-box running average (rounded up) scales the tail headroom.
-  pool_.ReserveAdditional(boxes * (pool_.size() / alive + 1));
+  pool_.ReserveForBoxes(boxes, term_->num_alive());
 }
 
 void AssignmentCircuit::BuildLeafBox(TermNodeId id) {

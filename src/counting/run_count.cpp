@@ -10,24 +10,8 @@ void RunCounter::EnsureSlot(TermNodeId id) {
 }
 
 void RunCounter::BuildAll() {
-  const Term& term = circuit_->term();
-  struct F {
-    TermNodeId id;
-    bool expanded;
-  };
-  std::vector<F> stack{{term.root(), false}};
-  while (!stack.empty()) {
-    F f = stack.back();
-    stack.pop_back();
-    const TermNode& t = term.node(f.id);
-    if (!f.expanded && t.left != kNoTerm) {
-      stack.push_back({f.id, true});
-      stack.push_back({t.right, false});
-      stack.push_back({t.left, false});
-      continue;
-    }
-    RebuildBoxCounts(f.id);
-  }
+  circuit_->term().ForEachPostOrder(
+      [this](TermNodeId id) { RebuildBoxCounts(id); });
 }
 
 void RunCounter::RebuildBoxCounts(TermNodeId id) {

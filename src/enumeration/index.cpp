@@ -57,24 +57,8 @@ void EnumIndex::EnsureSlot(TermNodeId id) {
 }
 
 void EnumIndex::BuildAll() {
-  const Term& term = circuit_->term();
-  struct F {
-    TermNodeId id;
-    bool expanded;
-  };
-  std::vector<F> stack{{term.root(), false}};
-  while (!stack.empty()) {
-    F f = stack.back();
-    stack.pop_back();
-    const TermNode& t = term.node(f.id);
-    if (!f.expanded && t.left != kNoTerm) {
-      stack.push_back({f.id, true});
-      stack.push_back({t.right, false});
-      stack.push_back({t.left, false});
-      continue;
-    }
-    RebuildBoxIndex(f.id);
-  }
+  circuit_->term().ForEachPostOrder(
+      [this](TermNodeId id) { RebuildBoxIndex(id); });
 }
 
 BoxIndex EnumIndex::at(TermNodeId id) const {
@@ -93,11 +77,7 @@ void EnumIndex::FreeBoxIndex(TermNodeId id) {
 }
 
 void EnumIndex::ReserveForRebuild(size_t boxes) {
-  size_t alive = circuit_->term().num_alive();
-  if (alive == 0 || boxes == 0) return;
-  // Per-box running average (rounded up) scales the tail headroom, exactly
-  // like AssignmentCircuit::ReserveForRebuild.
-  pool_.ReserveAdditional(boxes * (pool_.size() / alive + 1));
+  pool_.ReserveForBoxes(boxes, circuit_->term().num_alive());
 }
 
 void EnumIndex::RebuildBoxIndex(TermNodeId id) {

@@ -29,11 +29,11 @@
 // Offsets are relative to the block; a per-box directory entry keeps the
 // block's span and the four counts (nc, nu, lnu, rnu) that fix the section
 // offsets (BoxIndex::Layout). Lanes are read and written with memcpy, the
-// aliasing-safe way to view words as 32-bit values (one load each). Only
-// the block start is cache-line-aligned (blocks are at least 8 words, see
-// BlockWords); the SIMD kernels load unaligned and mask matrix tails, so no
-// kernel touches a word outside its matrix. `at(id)` returns a cheap
-// BoxIndex *view* — invalidated by the next rebuild.
+// aliasing-safe way to view words as 32-bit values (one load each). Every
+// block starts on a cache line (the pool is 64-byte aligned and blocks are
+// at least 8 words, see BlockWords); the matrices inside it start at
+// arbitrary words. `at(id)` returns a cheap BoxIndex *view* — invalidated
+// by the next rebuild.
 #ifndef TREENUM_ENUMERATION_INDEX_H_
 #define TREENUM_ENUMERATION_INDEX_H_
 
@@ -99,9 +99,9 @@ class BoxIndex {
   }
 
   /// lca{span(g) | g ∈ gates} as a candidate index. lca over a set folds
-  /// associatively, so one linear pass over the gates suffices (this was a
-  /// quadratic pairwise loop; Observation 6.2 equates the fold with the
-  /// preorder-minimal pairwise lca). `gates` must be non-empty.
+  /// associatively, so one linear pass over the gates suffices
+  /// (Observation 6.2 equates the fold with the preorder-minimal pairwise
+  /// lca). `gates` must be non-empty.
   int32_t SpanLocal(const std::vector<uint32_t>& gates) const {
     int32_t best = span(gates[0]);
     for (size_t i = 1; i < gates.size(); ++i) {

@@ -82,6 +82,13 @@ class Term {
   /// Upper bound over all ids ever allocated (for dense side arrays).
   size_t id_bound() const { return nodes_.size(); }
 
+  /// Calls `visit(id)` on every node of the current term, children before
+  /// their parent (left subterm first), over an explicit stack: the
+  /// bottom-up order in which every per-box structure (circuit, jump index,
+  /// run counts) is first built.
+  template <typename Visit>
+  void ForEachPostOrder(Visit visit) const;
+
   /// Creates a leaf symbol node (a_t or a_□) for tree node `n`.
   TermNodeId NewLeaf(Label symbol, NodeId n);
 
@@ -268,6 +275,27 @@ class Term {
   uint64_t path_copies_ = 0;
   uint64_t nodes_recycled_ = 0;
 };
+
+template <typename Visit>
+void Term::ForEachPostOrder(Visit visit) const {
+  struct F {
+    TermNodeId id;
+    bool expanded;
+  };
+  std::vector<F> stack{{root_, false}};
+  while (!stack.empty()) {
+    F f = stack.back();
+    stack.pop_back();
+    const TermNode& t = node(f.id);
+    if (!f.expanded && t.left != kNoTerm) {
+      stack.push_back({f.id, true});
+      stack.push_back({t.right, false});
+      stack.push_back({t.left, false});
+      continue;
+    }
+    visit(f.id);
+  }
+}
 
 }  // namespace treenum
 

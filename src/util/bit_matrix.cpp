@@ -1,20 +1,13 @@
 #include "util/bit_matrix.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "util/check.h"
-#include "util/simd_kernels.h"
 
 namespace treenum {
 
 namespace {
-
-// One guarded static lookup per call site; the table itself is resolved
-// once per process (cpuid + TREENUM_SIMD, see util/simd_kernels.h).
-const BitKernels& K() {
-  static const BitKernels& k = ActiveKernels();
-  return k;
-}
 
 #ifndef NDEBUG
 // Debug check for the ComposeIntoWords aliasing precondition: the blocked
@@ -27,28 +20,108 @@ bool WordRangesOverlap(const uint64_t* a, size_t a_words, const uint64_t* b,
 }
 #endif
 
-}  // namespace
-
-// ---------------------------------------------------------------- View
-
-bool BitMatrixView::RowAny(size_t r) const {
-  return K().any(Row(r), words_per_row_);
-}
-
-bool BitMatrixView::Any() const {
-  return K().any(words_, rows_ * words_per_row_);
-}
-
-size_t BitMatrixView::Count() const {
-  return K().popcount(words_, rows_ * words_per_row_);
-}
-
-void BitMatrixView::NonEmptyRowsInto(std::vector<uint32_t>* out) const {
-  out->clear();
-  for (size_t r = 0; r < rows_; ++r) {
-    if (RowAny(r)) out->push_back(static_cast<uint32_t>(r));
+/// Compose specialization for b_wpr == 1 (destination columns fit one
+/// word — the common case: relations over a box's ∪-gates with w ≤ 64).
+/// The whole destination row lives in one register, so b's single-word
+/// rows are gathered straight into it.
+void ComposeNarrow(const uint64_t* a, size_t a_rows, size_t a_wpr,
+                   const uint64_t* b, uint64_t* out) {
+  for (size_t r = 0; r < a_rows; ++r) {
+    const uint64_t* row = a + r * a_wpr;
+    uint64_t acc = 0;
+    for (size_t w = 0; w < a_wpr; ++w) {
+      uint64_t bits = row[w];
+      const uint64_t* brows = b + w * 64;
+      while (bits) {
+        acc |= brows[__builtin_ctzll(bits)];
+        bits &= bits - 1;
+      }
+    }
+    out[r] = acc;
   }
 }
+
+/// Register-blocked compose tile: kBlockRows destination rows by NT
+/// destination words, accumulated in registers so each touched b row is
+/// loaded once per row block instead of once per set bit. Rows past `nr`
+/// are padded duplicates of row 0 (their accumulators are computed and
+/// dropped), which keeps the inner loops at compile-time trip counts.
+constexpr size_t kBlockRows = 4;
+
+template <size_t NT>
+void ComposeTile(const uint64_t* const (&arow)[kBlockRows], size_t nr,
+                 size_t a_wpr, const uint64_t* b, size_t b_wpr, size_t t0,
+                 uint64_t* out, size_t r0) {
+  uint64_t acc[kBlockRows][NT] = {};
+  for (size_t w = 0; w < a_wpr; ++w) {
+    const uint64_t w0 = arow[0][w], w1 = arow[1][w];
+    const uint64_t w2 = arow[2][w], w3 = arow[3][w];
+    uint64_t live = w0 | w1 | w2 | w3;
+    const uint64_t* bbase = b + (w * 64) * b_wpr + t0;
+    while (live) {
+      const size_t j = static_cast<size_t>(__builtin_ctzll(live));
+      live &= live - 1;
+      const uint64_t* brow = bbase + j * b_wpr;
+      uint64_t bv[NT];
+      for (size_t t = 0; t < NT; ++t) bv[t] = brow[t];
+      const uint64_t m0 = -((w0 >> j) & 1);
+      const uint64_t m1 = -((w1 >> j) & 1);
+      const uint64_t m2 = -((w2 >> j) & 1);
+      const uint64_t m3 = -((w3 >> j) & 1);
+      for (size_t t = 0; t < NT; ++t) {
+        acc[0][t] |= bv[t] & m0;
+        acc[1][t] |= bv[t] & m1;
+        acc[2][t] |= bv[t] & m2;
+        acc[3][t] |= bv[t] & m3;
+      }
+    }
+  }
+  for (size_t k = 0; k < nr; ++k) {
+    for (size_t t = 0; t < NT; ++t) out[(r0 + k) * b_wpr + t0 + t] = acc[k][t];
+  }
+}
+
+/// `a` is a_rows rows of a_wpr words; `b` has one row of b_wpr words per
+/// column index of `a` that can be set; `out` is a_rows * b_wpr words.
+void Compose(const uint64_t* a, size_t a_rows, size_t a_wpr,
+             const uint64_t* b, size_t b_wpr, uint64_t* out) {
+  if (a_rows == 0 || b_wpr == 0) return;
+  if (a_wpr == 0) {
+    std::memset(out, 0, a_rows * b_wpr * sizeof(uint64_t));
+    return;
+  }
+  if (b_wpr == 1) {
+    ComposeNarrow(a, a_rows, a_wpr, b, out);
+    return;
+  }
+  constexpr size_t kTile = 4;
+  for (size_t r0 = 0; r0 < a_rows; r0 += kBlockRows) {
+    const size_t nr = a_rows - r0 < kBlockRows ? a_rows - r0 : kBlockRows;
+    const uint64_t* arow[kBlockRows];
+    for (size_t k = 0; k < kBlockRows; ++k) {
+      arow[k] = a + (r0 + (k < nr ? k : 0)) * a_wpr;
+    }
+    for (size_t t0 = 0; t0 < b_wpr; t0 += kTile) {
+      const size_t nt = b_wpr - t0 < kTile ? b_wpr - t0 : kTile;
+      switch (nt) {
+        case 1:
+          ComposeTile<1>(arow, nr, a_wpr, b, b_wpr, t0, out, r0);
+          break;
+        case 2:
+          ComposeTile<2>(arow, nr, a_wpr, b, b_wpr, t0, out, r0);
+          break;
+        case 3:
+          ComposeTile<3>(arow, nr, a_wpr, b, b_wpr, t0, out, r0);
+          break;
+        default:
+          ComposeTile<4>(arow, nr, a_wpr, b, b_wpr, t0, out, r0);
+          break;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 void BitMatrixView::ComposeIntoWords(const BitMatrixView& a,
                                      const BitMatrixView& b, uint64_t* out) {
@@ -63,101 +136,26 @@ void BitMatrixView::ComposeIntoWords(const BitMatrixView& a,
                          b.rows_ * b.words_per_row_),
       "ComposeIntoWords destination overlaps the right operand");
 #endif
-  K().compose(a.words_, a.rows_, a.words_per_row_, b.words_, b.words_per_row(),
-              out);
+  Compose(a.words_, a.rows_, a.words_per_row_, b.words_, b.words_per_row(),
+          out);
 }
 
-void BitMatrixView::ComposeInto(const BitMatrixView& other,
-                                BitMatrix* result) const {
-  // The kernel overwrites the whole destination block, so the reshape can
-  // skip the zero-fill the old code paid through Assign.
-  result->ReshapeUninit(rows_, other.cols());
-  if (rows_ == 0 || other.cols() == 0) return;
-  ComposeIntoWords(*this, other, result->MutableRow(0));
-}
-
-// -------------------------------------------------------------- Matrix
-
-BitMatrix BitMatrix::Identity(size_t n) {
-  BitMatrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.Set(i, i);
-  return m;
-}
-
-void BitMatrix::Assign(size_t rows, size_t cols) {
-  ReshapeUninit(rows, cols);
-  K().zero(bits_.data(), bits_.size());
-}
-
-void BitMatrix::ReshapeUninit(size_t rows, size_t cols) {
-  rows_ = rows;
-  cols_ = cols;
-  words_per_row_ = (cols + 63) / 64;
-  const size_t n = rows * words_per_row_;
-  // Exact-capacity growth (reserve, not resize's geometric policy): cursor
-  // buffers circulate between stack slots of different sizes, and the
-  // steady-state allocation-freeness tests rely on capacities converging to
-  // the per-slot maxima in a bounded number of passes. Retained words keep
-  // stale values — callers overwrite or zero every word.
-  if (n > bits_.capacity()) bits_.reserve(n);
-  bits_.resize(n);
-}
-
-bool BitMatrix::RowAny(size_t r) const {
-  return K().any(Row(r), words_per_row_);
-}
-
-bool BitMatrix::Any() const { return K().any(bits_.data(), bits_.size()); }
-
-size_t BitMatrix::Count() const {
-  return K().popcount(bits_.data(), bits_.size());
-}
-
-BitMatrix BitMatrix::Compose(const BitMatrixView& other) const {
-  BitMatrix result;
-  BitMatrixView(*this).ComposeInto(other, &result);
-  return result;
-}
-
-void BitMatrix::ComposeInto(const BitMatrixView& other,
-                            BitMatrix* result) const {
-  assert(result != this);
-  BitMatrixView(*this).ComposeInto(other, result);
-}
-
-std::vector<uint32_t> BitMatrix::NonEmptyRows() const {
-  std::vector<uint32_t> out;
-  for (size_t r = 0; r < rows_; ++r) {
-    if (RowAny(r)) out.push_back(static_cast<uint32_t>(r));
-  }
-  return out;
-}
-
-void BitMatrix::NonEmptyRowsInto(std::vector<uint32_t>* out) const {
-  BitMatrixView(*this).NonEmptyRowsInto(out);
-}
-
-std::string BitMatrix::ToString() const {
-  std::string s;
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) s += Get(r, c) ? '1' : '0';
-    s += '\n';
-  }
-  return s;
-}
-
-BitMatrix ComposeNaive(const BitMatrix& a, const BitMatrix& b) {
+void BitMatrixView::ComposeNaiveIntoWords(const BitMatrixView& a,
+                                          const BitMatrixView& b,
+                                          uint64_t* out) {
   assert(a.cols() == b.rows());
-  BitMatrix result(a.rows(), b.cols());
+  const size_t wpr = b.words_per_row();
+  if (a.rows() * wpr != 0) {
+    std::memset(out, 0, a.rows() * wpr * sizeof(uint64_t));
+  }
   for (size_t r = 0; r < a.rows(); ++r) {
     for (size_t m = 0; m < a.cols(); ++m) {
       if (!a.Get(r, m)) continue;
       for (size_t c = 0; c < b.cols(); ++c) {
-        if (b.Get(m, c)) result.Set(r, c);
+        if (b.Get(m, c)) out[r * wpr + c / 64] |= uint64_t{1} << (c % 64);
       }
     }
   }
-  return result;
 }
 
 }  // namespace treenum

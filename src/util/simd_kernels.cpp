@@ -1,63 +1,6 @@
-// Kernel dispatch: resolves the process-wide tier once, from cpuid plus the
-// TREENUM_SIMD override, and hands out per-tier tables for tests and
-// benchmarks. The per-tier implementations live in their own TUs so each
-// can be compiled with its own arch flags (see CMakeLists.txt).
 #include "util/simd_kernels.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace treenum {
-
-namespace {
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx512() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-SimdTier BestAvailableTier() {
-  if (KernelsForTier(SimdTier::kAvx512) != nullptr) return SimdTier::kAvx512;
-  if (KernelsForTier(SimdTier::kAvx2) != nullptr) return SimdTier::kAvx2;
-  return SimdTier::kScalar;
-}
-
-/// TREENUM_SIMD override + cpuid, with graceful step-down when the forced
-/// tier cannot run here (so a CI matrix can set avx512 on any runner).
-SimdTier ResolveActiveTier() {
-  const char* env = std::getenv("TREENUM_SIMD");
-  if (env != nullptr && *env != '\0') {
-    SimdTier want = BestAvailableTier();
-    if (std::strcmp(env, "scalar") == 0) {
-      want = SimdTier::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      want = SimdTier::kAvx2;
-    } else if (std::strcmp(env, "avx512") == 0) {
-      want = SimdTier::kAvx512;
-    }
-    while (KernelsForTier(want) == nullptr) {
-      want = static_cast<SimdTier>(static_cast<int>(want) - 1);
-    }
-    return want;
-  }
-  return BestAvailableTier();
-}
-
-}  // namespace
 
 const char* TierName(SimdTier tier) {
   switch (tier) {
@@ -71,26 +14,15 @@ const char* TierName(SimdTier tier) {
   return "unknown";
 }
 
-const BitKernels* KernelsForTier(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return &internal::ScalarKernels();
-    case SimdTier::kAvx2:
-      return CpuHasAvx2() ? internal::Avx2KernelsOrNull() : nullptr;
-    case SimdTier::kAvx512:
-      return CpuHasAvx512() ? internal::Avx512KernelsOrNull() : nullptr;
-  }
-  return nullptr;
-}
-
 SimdTier ActiveTier() {
-  static const SimdTier tier = ResolveActiveTier();
-  return tier;
-}
-
-const BitKernels& ActiveKernels() {
-  static const BitKernels& k = *KernelsForTier(ActiveTier());
-  return k;
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl")) {
+    return SimdTier::kAvx512;
+  }
+  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
+#endif
+  return SimdTier::kScalar;
 }
 
 }  // namespace treenum

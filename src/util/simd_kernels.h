@@ -1,82 +1,21 @@
-// Runtime-dispatched word-block kernels for the bit-matrix layer.
+// The widest SIMD tier this CPU offers, as a host fact.
 //
-// Every BitMatrix / BitMatrixView primitive that scans or combines packed
-// 64-bit rows (composition of ∪-reachability relations, row/whole-matrix
-// any, popcount, union, zero-fill) bottoms out in one of the function
-// pointers below. Three implementations exist — scalar, AVX2 and AVX-512 —
-// compiled in separate translation units with per-TU arch flags
-// (simd_kernels_{scalar,avx2,avx512}.cpp; see CMakeLists.txt), so the
-// library itself stays runnable on any x86-64 while still containing the
-// wide code paths. The running tier is picked once, at first use, from
-// cpuid (__builtin_cpu_supports) and can be forced with the environment
-// variable
-//
-//   TREENUM_SIMD=scalar|avx2|avx512
-//
-// for testing and benchmarking. A forced tier the machine (or the build)
-// cannot run falls back to the next lower available tier, so e.g.
-// TREENUM_SIMD=avx512 on an AVX2-only host degrades gracefully to avx2.
+// Benchmark records carry it so that results from hosts with different
+// vector units are never compared. No library code dispatches on it: the
+// bit-matrix layer has one scalar compose (util/bit_matrix.h).
 #ifndef TREENUM_UTIL_SIMD_KERNELS_H_
 #define TREENUM_UTIL_SIMD_KERNELS_H_
-
-#include <cstddef>
-#include <cstdint>
 
 namespace treenum {
 
 enum class SimdTier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// One dispatch table of word-block kernels. All pointers are non-null.
-struct BitKernels {
-  /// dst[i] |= src[i] for i in [0, n). dst and src must not overlap
-  /// (except dst == src, which is a no-op union).
-  void (*or_into)(uint64_t* dst, const uint64_t* src, size_t n);
-  /// dst[i] = 0 for i in [0, n).
-  void (*zero)(uint64_t* dst, size_t n);
-  /// True iff some word in [0, n) is non-zero.
-  bool (*any)(const uint64_t* words, size_t n);
-  /// Total number of set bits in [0, n). (Scalar popcnt reduction on every
-  /// tier: the deployment CPUs lack AVX-512 VPOPCNTDQ, and the hot paths
-  /// are any/compose, not count.)
-  size_t (*popcount)(const uint64_t* words, size_t n);
-  /// Boolean matrix product out = a ∘ b over packed rows:
-  ///   out(r, c) = ∃m a(r, m) && b(m, c).
-  /// `a` is a_rows rows of a_wpr words; `b` has one row of b_wpr words per
-  /// column index of `a` that can be set (i.e. at least 64 * a_wpr rows
-  /// never hold set bits past a's column count — the standard tail-bits
-  /// invariant); `out` is a_rows * b_wpr words.
-  ///
-  /// OVERWRITE semantics: every word of `out` is written (accumulators
-  /// start at zero inside the kernel), so callers need not pre-zero.
-  /// `out` must not alias `a` or `b`. Tail bits of `out` rows stay zero
-  /// because `b`'s tail bits are zero.
-  void (*compose)(const uint64_t* a, size_t a_rows, size_t a_wpr,
-                  const uint64_t* b, size_t b_wpr, uint64_t* out);
-  /// Tier name for logs/benchmarks ("scalar", "avx2", "avx512").
-  const char* name;
-};
-
-/// Printable name of a tier.
+/// Printable name of a tier ("scalar", "avx2", "avx512").
 const char* TierName(SimdTier tier);
 
-/// The kernel table for `tier`, or null when this build or this CPU cannot
-/// run it. kScalar is always available. Lets tests and benchmarks iterate
-/// every runnable tier in one process, independent of the active choice.
-const BitKernels* KernelsForTier(SimdTier tier);
-
-/// The tier the process-wide dispatch resolved to (cpuid + TREENUM_SIMD
-/// override, evaluated once at first use).
+/// The widest tier the running CPU offers (cpuid): kAvx512 with
+/// AVX-512 F+BW+DQ+VL, else kAvx2 with AVX2, else kScalar.
 SimdTier ActiveTier();
-
-/// The process-wide kernel table; what bit_matrix.cpp routes through.
-const BitKernels& ActiveKernels();
-
-namespace internal {
-// Per-TU entry points used by the dispatcher; not part of the public API.
-const BitKernels& ScalarKernels();
-const BitKernels* Avx2KernelsOrNull();    // null when built without AVX2
-const BitKernels* Avx512KernelsOrNull();  // null when built without AVX-512
-}  // namespace internal
 
 }  // namespace treenum
 

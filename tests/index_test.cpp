@@ -32,20 +32,34 @@ std::map<TermNodeId, size_t> PreorderNumbers(const Term& term) {
   return num;
 }
 
-// R(child, box) read off the circuit's ∪→∪ wires (side 0 = left): the
-// oracle for the index's wire relations.
-void WireRelationInto(const AssignmentCircuit& circuit, TermNodeId box,
-                      int side, BitMatrix* out) {
+// R(child, box) read off the circuit's ∪→∪ wires (side 0 = left) as packed
+// rows (child ∪-gates x box ∪-gates): the oracle for the index's wire
+// relations.
+struct WireRelation {
+  size_t rows = 0;
+  size_t cols = 0;
+  std::vector<uint64_t> words;
+};
+
+WireRelation WireRelationOf(const AssignmentCircuit& circuit, TermNodeId box,
+                            int side) {
   const Term& term = circuit.term();
   const Box b = circuit.box(box);
   const Box cb =
       circuit.box(side == 0 ? term.node(box).left : term.node(box).right);
-  out->Assign(cb.num_unions(), b.num_unions());
+  WireRelation rel;
+  rel.rows = cb.num_unions();
+  rel.cols = b.num_unions();
+  const size_t wpr = (rel.cols + 63) / 64;
+  rel.words.assign(rel.rows * wpr, 0);
   for (size_t u = 0; u < b.num_unions(); ++u) {
     for (const auto& [s, state] : b.child_union_inputs(u)) {
-      if (s == side) out->Set(static_cast<size_t>(cb.union_idx(state)), u);
+      if (s != side) continue;
+      const size_t r = static_cast<size_t>(cb.union_idx(state));
+      rel.words[r * wpr + u / 64] |= uint64_t{1} << (u % 64);
     }
   }
+  return rel;
 }
 
 TermNodeId NaiveLca(const Term& term, TermNodeId a, TermNodeId b) {
@@ -155,15 +169,15 @@ void CheckIndexAgainstNaive(const AssignmentCircuit& circuit,
       EXPECT_EQ(bi.wire_left().rows(), 0u) << "leaf box " << id;
       EXPECT_EQ(bi.wire_right().rows(), 0u) << "leaf box " << id;
     } else {
-      BitMatrix wire;
       for (int side : {0, 1}) {
-        WireRelationInto(circuit, id, side, &wire);
+        const WireRelation wire = WireRelationOf(circuit, id, side);
         const BitMatrixView got = side == 0 ? bi.wire_left() : bi.wire_right();
-        ASSERT_EQ(got.rows(), wire.rows()) << "box " << id << " side " << side;
-        ASSERT_EQ(got.cols(), wire.cols()) << "box " << id << " side " << side;
+        ASSERT_EQ(got.rows(), wire.rows) << "box " << id << " side " << side;
+        ASSERT_EQ(got.cols(), wire.cols) << "box " << id << " side " << side;
+        const BitMatrixView want(wire.words.data(), wire.rows, wire.cols);
         for (size_t r = 0; r < got.rows(); ++r) {
           for (size_t k = 0; k < got.words_per_row(); ++k) {
-            EXPECT_EQ(got.Row(r)[k], wire.Row(r)[k])
+            EXPECT_EQ(got.Row(r)[k], want.Row(r)[k])
                 << "box " << id << " side " << side << " row " << r;
           }
         }
