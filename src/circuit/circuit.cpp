@@ -281,11 +281,17 @@ std::string AssignmentCircuit::ValidateStorage() const {
       err << "box " << id << " block length exceeds capacity";
       return err.str();
     }
-    // Blocks of dead boxes not yet released still own their words.
+    // Every commit releases the ids it frees, so only alive boxes own blocks.
+    if (!term_->IsAlive(id)) {
+      if (e.block.cap != 0) {
+        err << "dead box " << id << " still owns a block";
+        return err.str();
+      }
+      continue;
+    }
     if (e.block.cap != 0) {
       live.push_back(LiveSpan{e.block.off, e.block.cap, id});
     }
-    if (!term_->IsAlive(id)) continue;
     const Layout& s = e.shape;
     if (e.block.cap == 0 || e.block.len != s.words(mask_words_)) {
       err << "box " << id << " block length does not match its layout";

@@ -191,10 +191,9 @@ class AssignmentCircuit {
   /// Validates the block invariants: every alive box owns one block whose
   /// length matches its layout, the ⊤ and ∪ masks are disjoint and clear at
   /// and above w, the ∪-state table lists exactly the ∪ mask's bits, the
-  /// CSR ends are monotone and cover their sections, and no two held
-  /// blocks overlap (dead boxes not yet released included). Returns an
-  /// empty string if consistent, else a description of the first
-  /// violation. (Test hook.)
+  /// CSR ends are monotone and cover their sections, no dead box owns a
+  /// block, and no two blocks overlap. Returns an empty string if
+  /// consistent, else a description of the first violation. (Test hook.)
   std::string ValidateStorage() const;
 
  private:

@@ -154,45 +154,45 @@ DocumentStats DynamicDocument::stats() const {
 
 void DynamicDocument::PreEdit() {
   if (in_batch_) return;  // drained once, at BeginBatch
-  drained_freed_.clear();
-  snapshots_->DrainRetired(&drained_freed_);
-  if (drained_freed_.empty()) return;
-  for (const std::unique_ptr<QueryEntry>& e : entries_) {
-    e->pipeline.ReleaseBoxes(drained_freed_);
-  }
+  snapshots_->DrainRetired(&freed_);
 }
 
 UpdateStats DynamicDocument::Dispatch(const UpdateResult& result) {
+  freed_.insert(freed_.end(), result.freed.begin(), result.freed.end());
+  changed_.insert(changed_.end(), result.changed_bottom_up.begin(),
+                  result.changed_bottom_up.end());
   UpdateStats stats;
   stats.edits_applied = 1;
   stats.rebuilt_size = result.rebuilt_size;
-  if (in_batch_) {
-    batch_freed_.insert(batch_freed_.end(), result.freed.begin(),
-                        result.freed.end());
-    batch_changed_.insert(batch_changed_.end(),
-                          result.changed_bottom_up.begin(),
-                          result.changed_bottom_up.end());
-    return stats;  // coalesced with the rest of the batch at CommitBatch
-  }
-  stats.boxes_recomputed = Refresh(result.freed, result.changed_bottom_up);
+  if (!in_batch_) stats.boxes_recomputed = Commit();
   return stats;
 }
 
-size_t DynamicDocument::Refresh(const std::vector<TermNodeId>& freed,
-                                const std::vector<TermNodeId>& ordered) {
-  // Only ids dead now release their spans: a slot freed mid-batch and
-  // re-allocated by a later edit is alive and is rebuilt from `ordered`.
-  dead_freed_.clear();
-  for (TermNodeId id : freed) {
-    if (!term_->IsAlive(id)) dead_freed_.push_back(id);
+size_t DynamicDocument::Commit() {
+  // Every alive changed id once, in ascending (height, id) order: a child's
+  // subterm is strictly lower than its parent's, so children come first.
+  order_.clear();
+  for (TermNodeId id : changed_) {
+    if (term_->IsAlive(id)) {
+      order_.push_back(uint64_t{term_->node(id).height} << 32 | id);
+    }
   }
+  std::sort(order_.begin(), order_.end());
+  order_.erase(std::unique(order_.begin(), order_.end()), order_.end());
+  changed_.clear();
+  for (uint64_t key : order_) changed_.push_back(static_cast<TermNodeId>(key));
+  // Every freed id is released, alive or not: one that a later edit
+  // re-allocated is in changed_ and is rebuilt from an empty block.
   for (const std::unique_ptr<QueryEntry>& e : entries_) {
-    e->pipeline.Apply(dead_freed_, ordered);
+    e->pipeline.Apply(freed_, changed_);
   }
   // Every box of the new version is current — publish it for readers, one
   // epoch per edit, transaction or batch.
   snapshots_->Publish();
-  return ordered.size() * entries_.size();
+  const size_t boxes = changed_.size() * entries_.size();
+  freed_.clear();
+  changed_.clear();
+  return boxes;
 }
 
 // ---- Tree edits ----
@@ -353,48 +353,9 @@ void DynamicDocument::BeginBatch() {
 UpdateStats DynamicDocument::CommitBatch() {
   assert(in_batch_);
   in_batch_ = false;
-
-  UpdateStats stats;
-
-  // Each freed slot once (Refresh keeps the ones that are dead now).
-  std::sort(batch_freed_.begin(), batch_freed_.end());
-  batch_freed_.erase(std::unique(batch_freed_.begin(), batch_freed_.end()),
-                     batch_freed_.end());
-
-  // Coalesce: every alive changed node once, deepest first. Each edit's
-  // changed_bottom_up conservatively includes the full path to the root,
-  // so the union covers every node whose box inputs may have changed;
-  // depth order guarantees children are rebuilt before their parents.
-  // Computed once here — it depends only on the shared term, not on any
-  // query — and consumed by every pipeline.
-  std::sort(batch_changed_.begin(), batch_changed_.end());
-  batch_changed_.erase(
-      std::unique(batch_changed_.begin(), batch_changed_.end()),
-      batch_changed_.end());
-  order_scratch_.clear();
-  order_scratch_.reserve(batch_changed_.size());
-  for (TermNodeId id : batch_changed_) {
-    if (!term_->IsAlive(id)) continue;
-    uint32_t depth = 0;
-    for (TermNodeId p = term_->node(id).parent; p != kNoTerm;
-         p = term_->node(p).parent) {
-      ++depth;
-    }
-    order_scratch_.emplace_back(depth, id);
-  }
-  std::sort(order_scratch_.begin(), order_scratch_.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  ordered_changed_.clear();
-  ordered_changed_.reserve(order_scratch_.size());
-  for (const auto& [depth, id] : order_scratch_) {
-    (void)depth;
-    ordered_changed_.push_back(id);
-  }
-
   // One publish per batch: readers never observe intermediate versions.
-  stats.boxes_recomputed = Refresh(batch_freed_, ordered_changed_);
-  batch_freed_.clear();
-  batch_changed_.clear();
+  UpdateStats stats;
+  stats.boxes_recomputed = Commit();
   return stats;
 }
 

@@ -9,17 +9,18 @@
 //   * The document owns exactly one encoding — the balanced tree term
 //     (`DynamicEncoding`) or the word AVL term (`WordEncoding`). Each edit
 //     or structural transaction mutates the term once and produces one
-//     `UpdateResult` whose changed list is already children-first.
+//     `UpdateResult`.
 //   * Every registered query owns one `EnumerationPipeline` (circuit, jump
-//     index, optional counts) over the shared term. Every UpdateResult goes
-//     through one dispatch: outside a batch it is broadcast to all
-//     pipelines (EnumerationPipeline::Apply) and published at once, so the
-//     encoding half of update maintenance is paid once regardless of Q.
-//   * Batch transactions (BeginBatch/CommitBatch/ApplyEdits) are coalesced
-//     at the document: the freed/changed term-node sets of the whole batch
-//     are merged, filtered against the term, and depth-ordered exactly
-//     once; each pipeline then consumes the same merged changed-box set
-//     through the same Apply.
+//     index, optional counts) over the shared term. The document keeps one
+//     record of the term ids freed and changed since the last commit: every
+//     edit and transaction, inside a batch or not, appends its
+//     UpdateResult, and the snapshot drain appends the node versions it
+//     reclaims. One Commit — after each edit outside a batch, at
+//     CommitBatch inside one — orders the alive changed ids once, children
+//     first by (term height, id), hands the record to every pipeline's
+//     Apply and publishes one snapshot, so the encoding half of update
+//     maintenance is paid once regardless of Q. Inside a batch a node
+//     touched by many edits is rebuilt once per pipeline.
 //   * Registered queries are *deduplicated* by compiled-plan identity:
 //     the shared QueryCache (automata/query_cache.h) keys every plan by
 //     the serialized bytes of its canonical form, so textually different
@@ -47,8 +48,9 @@
 //     between BeginBatch and CommitBatch answers at the last committed
 //     version. Old snapshots keep answering with their pre-edit results
 //     until released (time-travel). Retired snapshots are drained before
-//     the next edit, recycling their node versions and boxes through the
-//     arena free lists — steady state stays allocation-free.
+//     the next edit, which recycles their node versions; that edit's commit
+//     releases their boxes into the arena free lists — steady state stays
+//     allocation-free.
 //
 // TreeEnumerator and WordEnumerator are thin views over a private document
 // with one registered query; multi-query servers hold a DynamicDocument
@@ -378,21 +380,17 @@ class DynamicDocument {
   /// no translation or homogenization happens here.
   QueryHandle AdmitShared(std::shared_ptr<const HomogenizedTva> homog,
                           BoxEnumMode mode);
-  /// Runs before every edit (once per batch): drains retired snapshots,
-  /// reclaiming their node versions, and releases the freed boxes in every
-  /// pipeline — so the edit's path copies can recycle those ids and spans.
+  /// Runs before every edit (once per batch): drains retired snapshots into
+  /// the record's freed list, so the edit's path copies can recycle their
+  /// node versions.
   void PreEdit();
-  /// The one dispatch of every edit and transaction: inside a batch it
-  /// records the result for CommitBatch; outside, it refreshes the
-  /// result's changed list as is — the encoding already ordered it
-  /// children-first and deduplicated it.
+  /// The one dispatch of every edit and transaction: appends the result to
+  /// the record and, outside a batch, commits it.
   UpdateStats Dispatch(const UpdateResult& result);
-  /// The shared tail of Dispatch and CommitBatch: fans the ids of `freed`
-  /// that are dead now and `ordered` (children-first) out to every
-  /// pipeline and publishes the new version.
-  /// Returns the box refreshes summed over pipelines.
-  size_t Refresh(const std::vector<TermNodeId>& freed,
-                 const std::vector<TermNodeId>& ordered);
+  /// Releases every recorded freed id and rebuilds every alive changed id
+  /// once, children first, in every pipeline; publishes one snapshot and
+  /// clears the record. Returns the box refreshes summed over pipelines.
+  size_t Commit();
 
   // Exactly one encoding is non-null. unique_ptr keeps the Term address
   // stable for the pipelines.
@@ -402,8 +400,6 @@ class DynamicDocument {
   // Declared after the encodings: destroyed first, while the term it
   // unpins from still exists.
   std::unique_ptr<TermSnapshots> snapshots_;
-  // PreEdit drain scratch (clear() keeps capacity).
-  std::vector<TermNodeId> drained_freed_;
 
   // The query registry: entries in build order (the refresh order), each
   // heap-held so handle slots can point at it across erasures of others.
@@ -419,13 +415,13 @@ class DynamicDocument {
   QueryCache* cache_ = nullptr;  // never null after construction
 
   bool in_batch_ = false;
-  // Document-level transaction record and commit scratch. clear() keeps
-  // capacities, so steady-state batched relabels stay allocation-free.
-  std::vector<TermNodeId> batch_freed_;
-  std::vector<TermNodeId> batch_changed_;
-  std::vector<TermNodeId> dead_freed_;
-  std::vector<TermNodeId> ordered_changed_;
-  std::vector<std::pair<uint32_t, TermNodeId>> order_scratch_;
+  // The record of the next commit: term ids freed (by edits and by the
+  // snapshot drain) and changed since the last one, plus Commit's
+  // (height << 32 | id) sort keys. clear() keeps capacities, so steady-state
+  // edits stay allocation-free.
+  std::vector<TermNodeId> freed_;
+  std::vector<TermNodeId> changed_;
+  std::vector<uint64_t> order_;
 };
 
 }  // namespace treenum

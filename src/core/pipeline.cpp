@@ -49,31 +49,22 @@ uint64_t EnumerationPipeline::AcceptingRunsAt(const SnapshotRef& snap) const {
   return counter_ ? counter_->TotalAcceptingRuns(root) : 0;
 }
 
-void EnumerationPipeline::RefreshBox(TermNodeId id) {
-  circuit_.RebuildBox(id);
-  if (mode_ == BoxEnumMode::kIndexed) index_.RebuildBoxIndex(id);
-  if (counter_) counter_->RebuildBoxCounts(id);
-}
-
-void EnumerationPipeline::ReleaseBox(TermNodeId id) {
-  circuit_.FreeBox(id);
-  if (mode_ == BoxEnumMode::kIndexed) index_.FreeBoxIndex(id);
-  if (counter_) counter_->FreeBoxCounts(id);
-}
-
-void EnumerationPipeline::Apply(
-    const std::vector<TermNodeId>& dead_freed,
-    const std::vector<TermNodeId>& ordered_changed) {
-  for (TermNodeId id : dead_freed) ReleaseBox(id);
-  circuit_.ReserveForRebuild(ordered_changed.size());
+void EnumerationPipeline::Apply(const std::vector<TermNodeId>& freed,
+                                const std::vector<TermNodeId>& changed) {
+  // One pass per layer. The circuit boxes are final after the first pass;
+  // the index and the counts read them and their own children.
+  for (TermNodeId id : freed) circuit_.FreeBox(id);
+  circuit_.ReserveForRebuild(changed.size());
+  for (TermNodeId id : changed) circuit_.RebuildBox(id);
   if (mode_ == BoxEnumMode::kIndexed) {
-    index_.ReserveForRebuild(ordered_changed.size());
+    for (TermNodeId id : freed) index_.FreeBoxIndex(id);
+    index_.ReserveForRebuild(changed.size());
+    for (TermNodeId id : changed) index_.RebuildBoxIndex(id);
   }
-  for (TermNodeId id : ordered_changed) RefreshBox(id);
-}
-
-void EnumerationPipeline::ReleaseBoxes(const std::vector<TermNodeId>& freed) {
-  for (TermNodeId id : freed) ReleaseBox(id);
+  if (counter_) {
+    for (TermNodeId id : freed) counter_->FreeBoxCounts(id);
+    for (TermNodeId id : changed) counter_->RebuildBoxCounts(id);
+  }
 }
 
 // ---- Query surface ----

@@ -5,17 +5,18 @@
 // instantiated over different encodings: a balanced forest-algebra term
 // (tree `DynamicEncoding` or word AVL `WordEncoding`) feeds an assignment
 // circuit (Lemma 3.7), a jump index (Lemma 6.3), and optionally dynamic
-// run counts. Its one maintenance entry point, Apply(), releases the boxes
-// of freed term nodes and refreshes circuit boxes, index entries, and
-// count vectors along a children-first changed list (Lemma 7.3).
+// run counts. Its one maintenance entry point, Apply(), takes a commit's
+// freed and children-first changed term ids (Lemma 7.3) and runs one pass
+// per layer: it releases the freed boxes and rebuilds the changed ones in
+// the circuit, then in the index, then in the counts.
 //
 // A pipeline does not own its term: the `DynamicDocument` layer
-// (core/document.h) owns one encoding and applies every edit, transaction
-// or committed batch to each pipeline registered on it, one after the
-// other on the writer's thread; everything a refresh writes (circuit
-// arena, index pool, counts) is pipeline-private. Batch *coalescing* also
-// lives in the document (it depends only on the term, so it is computed
-// once per commit, not once per query).
+// (core/document.h) owns one encoding, records every edit, transaction and
+// snapshot drain, and hands each commit to every pipeline registered on it,
+// one after the other on the writer's thread; everything a refresh writes
+// (circuit arena, index pool, counts) is pipeline-private. The rebuild
+// order also lives in the document (it depends only on the term, so it is
+// computed once per commit, not once per query).
 //
 // Reads always go through a pinned snapshot (core/snapshot.h): a pinned
 // version is frozen — its node versions are never mutated or freed and its
@@ -120,20 +121,16 @@ class EnumerationPipeline {
 
   // ---- Incremental maintenance ----
 
-  /// Consumes one edit, transaction or committed batch: releases the boxes
-  /// of `dead_freed` (term ids dead now — a slot freed mid-batch and
-  /// re-allocated by a later edit is alive and appears in
-  /// `ordered_changed` instead), then refreshes every id of
-  /// `ordered_changed` once, children first. Pre-grows the circuit/index
-  /// pools for the whole list so the refresh loop never re-grows a pool
-  /// tail.
-  void Apply(const std::vector<TermNodeId>& dead_freed,
-             const std::vector<TermNodeId>& ordered_changed);
-
-  /// Releases the boxes of term-node versions reclaimed when a retired
-  /// snapshot was drained — the deferred counterpart of Apply's freed
-  /// list, broadcast by the document before the next edit.
-  void ReleaseBoxes(const std::vector<TermNodeId>& freed);
+  /// Consumes one commit, one layer at a time. Each layer releases the
+  /// boxes of every id of `freed` (releasing a box twice, or one never
+  /// built, does nothing; an id re-allocated since it was freed is alive,
+  /// appears in `changed`, and is rebuilt from an empty block), then
+  /// rebuilds every id of `changed` in its order, which must list each
+  /// alive id once, children first: every circuit box, then every index
+  /// entry (kIndexed mode), then every count row. Pre-grows the circuit and
+  /// index pools for the whole list, so a pass never re-grows a pool tail.
+  void Apply(const std::vector<TermNodeId>& freed,
+             const std::vector<TermNodeId>& changed);
 
   // ---- Query surface, at a pinned snapshot ----
   //
@@ -151,8 +148,6 @@ class EnumerationPipeline {
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const;
 
  private:
-  void RefreshBox(TermNodeId id);
-  void ReleaseBox(TermNodeId id);
   /// The pinned root of `snap`, after checking this pipeline can serve it.
   TermNodeId RootAt(const SnapshotRef& snap) const;
   /// True iff some final 0-state's gate at `root` is ⊤ (the empty

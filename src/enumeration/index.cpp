@@ -24,25 +24,18 @@ void FillIdentityWords(uint64_t* words, uint32_t n) {
 }
 
 // Closes `items` (candidate indices of a child box) under the child's
-// pairwise lca table. Candidate sets stay O(w), so the quadratic loop is
-// within the per-box poly(w) budget of Lemma 6.3.
+// pairwise lca table. Candidate indices follow preorder, so, as in a
+// virtual-tree construction, the closure of the sorted set adds exactly
+// the lcas of adjacent members.
 void LcaClose(const BoxIndex& child, std::vector<int32_t>& items) {
   std::sort(items.begin(), items.end());
   items.erase(std::unique(items.begin(), items.end()), items.end());
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    size_t n = items.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        int32_t l = child.Lca(items[i], items[j]);
-        if (!std::binary_search(items.begin(), items.end(), l)) {
-          items.insert(std::lower_bound(items.begin(), items.end(), l), l);
-          grew = true;
-        }
-      }
-    }
+  const size_t n = items.size();
+  for (size_t i = 0; i + 1 < n; ++i) {
+    items.push_back(child.Lca(items[i], items[i + 1]));
   }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
 }
 
 }  // namespace
@@ -297,11 +290,17 @@ std::string EnumIndex::ValidateStorage() const {
       err << "box " << id << " block length exceeds capacity";
       return err.str();
     }
-    // Blocks of dead boxes not yet released still own their words.
+    // Every commit releases the ids it frees, so only alive boxes own blocks.
+    if (!term.IsAlive(id)) {
+      if (e.block.cap != 0) {
+        err << "dead box " << id << " still owns a block";
+        return err.str();
+      }
+      continue;
+    }
     if (e.block.cap != 0) {
       live.push_back(LiveSpan{e.block.off, e.block.cap, id});
     }
-    if (!term.IsAlive(id)) continue;
     const uint32_t nu =
         static_cast<uint32_t>(circuit_->box(id).num_unions());
     const BoxIndex::Layout& s = e.shape;

@@ -177,10 +177,10 @@ class EnumIndex {
 
   /// Validates the block invariants: every alive box with ∪-gates owns one
   /// cache-line-aligned block whose length matches the layout of its
-  /// counts, a gate-free box owns none, candidates are alive boxes with the
-  /// relation shapes Definition 6.1 dictates, fib/span/lca values are
-  /// candidate indices, and no two blocks overlap. Returns an empty string
-  /// if consistent. (Test hook.)
+  /// counts, a gate-free or dead box owns none, candidates are alive boxes
+  /// with the relation shapes Definition 6.1 dictates, fib/span/lca values
+  /// are candidate indices, and no two blocks overlap. Returns an empty
+  /// string if consistent. (Test hook.)
   std::string ValidateStorage() const;
 
  private:

@@ -15,8 +15,8 @@
 //     scheduled document, takes its queued commands, and applies them in
 //     FIFO order with *group commit* — consecutive edit/structural
 //     commands (up to Options::max_group_commit) coalesce into one
-//     BeginBatch/CommitBatch, so a backlogged document pays the
-//     depth-ordering and refresh fan-out once per batch, and one snapshot
+//     BeginBatch/CommitBatch, so a backlogged document pays the commit's
+//     ordering and refresh fan-out once per batch, and one snapshot
 //     epoch is published per commit. Per-command latency (submit →
 //     commit) is recorded into a per-shard lock-free LatencyHistogram.
 //   * Idle shard workers *steal whole documents* from loaded neighbours:

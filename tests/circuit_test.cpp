@@ -162,14 +162,12 @@ TEST(Circuit, IncrementalRebuildMatchesFreshBuild) {
 }
 
 // Applies one scripted command to the encoding and refreshes the circuit the
-// way EnumerationPipeline::Apply does: release the boxes of ids that are dead
-// now, then rebuild the changed ids bottom-up.
+// way EnumerationPipeline::Apply does: release the boxes of the freed ids,
+// then rebuild the changed ids bottom-up.
 void ApplyAndRefresh(const serving::DocCommand& c, DynamicEncoding& dyn,
                      AssignmentCircuit& circuit) {
   const UpdateResult& r = ApplyToEncoding(c, dyn);
-  for (TermNodeId id : r.freed) {
-    if (!dyn.term().IsAlive(id)) circuit.FreeBox(id);
-  }
+  for (TermNodeId id : r.freed) circuit.FreeBox(id);
   circuit.ReserveForRebuild(r.changed_bottom_up.size());
   for (TermNodeId id : r.changed_bottom_up) circuit.RebuildBox(id);
 }

@@ -175,7 +175,8 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
 
   // The second run starts from a 2048-letter word and pins a snapshot
   // across each 16-step window, so the boxes a window's transactions free
-  // reach ReleaseBoxes only when the pin drops, as they do under a reader.
+  // are released only by the commit after the pin drops, as they are under
+  // a reader.
   // Erased and extracted factors are short (MoveRange factors stay
   // unbounded): unbounded cuts shrink a word to a few letters within a few
   // dozen steps, and the remaining steps would then edit tiny words. Each
