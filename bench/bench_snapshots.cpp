@@ -55,7 +55,7 @@ void SerializedBaseline(benchmark::State& state) {
     for (size_t i = 0; i < kEnumsPerReader; ++i) {
       batch.clear();
       for (size_t j = 0; j < kBatch; ++j) batch.push_back(script.NextRelabel());
-      doc.ApplyEdits(batch);
+      bench::ApplyBatch(doc, batch);
       answers += doc.EnumerateAt(doc.CurrentSnapshot(), h).size();
       ++enums;
     }
@@ -98,7 +98,7 @@ void ReaderThroughput(benchmark::State& state) {
         for (size_t j = 0; j < kBatch; ++j) {
           batch.push_back(script.NextRelabel());
         }
-        doc.ApplyEdits(batch);
+        bench::ApplyBatch(doc, batch);
       }
     });
     auto t0 = std::chrono::steady_clock::now();
@@ -156,7 +156,7 @@ void WriterUnderReaders(benchmark::State& state) {
   {
     std::vector<Edit> warm;
     for (size_t i = 0; i < k; ++i) warm.push_back(script.NextRelabel());
-    doc.ApplyEdits(warm);
+    bench::ApplyBatch(doc, warm);
   }
   std::atomic<bool> stop{false};
   std::vector<std::thread> pool;
@@ -173,7 +173,7 @@ void WriterUnderReaders(benchmark::State& state) {
   for (auto _ : state) {
     batch.clear();
     for (size_t i = 0; i < k; ++i) batch.push_back(script.NextRelabel());
-    doc.ApplyEdits(batch);
+    bench::ApplyBatch(doc, batch);
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : pool) t.join();

@@ -29,17 +29,18 @@ struct MoveSetup {
   explicit MoveSetup(size_t m) : doc(bench::MakeTree(kDocSize), 3) {
     h = doc.Register(bench::StandardQuery());
     NodeId root = doc.tree().root();
-    doc.InsertFirstChild(root, 0, &a);
-    doc.InsertFirstChild(root, 0, &b);
-    doc.InsertFirstChild(a, 1, &v);
+    bench::MustApply(doc, Command::InsertFirstChild(root, 0, &a));
+    bench::MustApply(doc, Command::InsertFirstChild(root, 0, &b));
+    bench::MustApply(doc, Command::InsertFirstChild(a, 1, &v));
     for (size_t i = 1; i < m; ++i) {
-      doc.InsertFirstChild(v, static_cast<Label>(2 - (i & 1)));
+      const Label l = static_cast<Label>(2 - (i & 1));
+      bench::MustApply(doc, Command::InsertFirstChild(v, l));
     }
   }
 
   // One transaction: ping-pong the subtree between the anchors.
   void MoveOnce(int parity) {
-    doc.SubtreeMove(v, parity ? b : a, AttachWhere::kFirstChild);
+    bench::MustApply(doc, Command::SubtreeMove(v, parity ? b : a));
   }
 
   // The same move replayed as leaf edits: delete the broom leaf by leaf,
@@ -50,13 +51,13 @@ struct MoveSetup {
     while (!doc.tree().children(v).empty()) {
       NodeId c = doc.tree().children(v).back();
       labels.push_back(doc.tree().label(c));
-      doc.DeleteLeaf(c);
+      bench::MustApply(doc, Command::DeleteLeaf(c));
     }
     Label lv = doc.tree().label(v);
-    doc.DeleteLeaf(v);
-    doc.InsertFirstChild(parity ? b : a, lv, &v);
+    bench::MustApply(doc, Command::DeleteLeaf(v));
+    bench::MustApply(doc, Command::InsertFirstChild(parity ? b : a, lv, &v));
     for (size_t i = labels.size(); i-- > 0;) {
-      doc.InsertFirstChild(v, labels[i]);
+      bench::MustApply(doc, Command::InsertFirstChild(v, labels[i]));
     }
   }
 
@@ -162,21 +163,24 @@ void BM_Structural_WordMoveVsReplay(benchmark::State& state) {
   size_t n = doc.word_encoding().size();
   auto move_once = [&](int parity) {
     if (parity) {
-      doc.MoveRange(0, m, n - m);  // front block to the back
+      // The front block to the back...
+      bench::MustApply(doc, Command::MoveRange(0, m, n - m));
     } else {
-      doc.MoveRange(n - m, n, 0);  // and back again
+      // ...and back again.
+      bench::MustApply(doc, Command::MoveRange(n - m, n, 0));
     }
   };
   auto replay_once = [&](int parity) {
     for (size_t i = 0; i < m; ++i) {
       if (parity) {
         Label l = doc.word_encoding().LetterAt(0);
-        doc.Erase(0);
-        doc.Insert(doc.word_encoding().size(), l);
+        bench::MustApply(doc, Command::Erase(0));
+        const size_t end = doc.word_encoding().size();
+        bench::MustApply(doc, Command::Insert(end, l));
       } else {
         Label l = doc.word_encoding().LetterAt(doc.word_encoding().size() - 1);
-        doc.Erase(doc.word_encoding().size() - 1);
-        doc.Insert(0, l);
+        bench::MustApply(doc, Command::Erase(doc.word_encoding().size() - 1));
+        bench::MustApply(doc, Command::Insert(0, l));
       }
     }
   };

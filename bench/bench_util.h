@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <utility>
+#include <vector>
 
 #include "automata/query_library.h"
 #include "core/tree_enumerator.h"
@@ -59,6 +60,24 @@ inline void EmitJson(
   }
   std::fprintf(f, "}\n");
   std::fclose(f);
+}
+
+/// Applies one command of a valid script; a rejection ends the bench run,
+/// since its numbers would no longer measure the script.
+inline UpdateStats MustApply(DynamicDocument& doc, const Command& c) {
+  const UpdateStats s = doc.Apply(c);
+  if (!s.ok()) {
+    std::fprintf(stderr, "bench command rejected: %s\n", StatusName(s.status));
+    std::abort();
+  }
+  return s;
+}
+
+/// Applies an edit script to `doc` as one batch.
+inline void ApplyBatch(DynamicDocument& doc, const std::vector<Edit>& edits) {
+  doc.BeginBatch();
+  for (const Edit& e : edits) MustApply(doc, Command::Of(e));
+  doc.CommitBatch();
 }
 
 /// Drains a cursor; returns the number of answers.

@@ -51,7 +51,7 @@ int main() {
   UpdateStats stats;
   for (int i = 0; i < 1000; ++i) {
     NodeId n = nodes[rng.Index(nodes.size())];
-    stats += doc.Relabel(n, static_cast<Label>(rng.Index(3)));
+    stats += doc.Apply(Command::Relabel(n, static_cast<Label>(rng.Index(3))));
   }
   std::printf(
       "after 1000 relabels: boxes_recomputed=%zu (summed over %zu queries)\n",
@@ -61,15 +61,23 @@ int main() {
   // Batched transaction: the changed-box set is merged once at the
   // document, then each query's pipeline refreshes it once.
   doc.BeginBatch();
+  UpdateStats inserts;
   for (int i = 0; i < 256; ++i) {
     NodeId n = nodes[rng.Index(nodes.size())];
-    doc.InsertFirstChild(n, static_cast<Label>(rng.Index(3)));
+    inserts += doc.Apply(
+        Command::InsertFirstChild(n, static_cast<Label>(rng.Index(3))));
   }
   UpdateStats commit = doc.CommitBatch();
   std::printf(
-      "batched 256 inserts, one commit: boxes_recomputed=%zu\n",
-      commit.boxes_recomputed);
+      "batched %zu inserts, one commit: boxes_recomputed=%zu\n",
+      inserts.edits_applied, commit.boxes_recomputed);
   report("after batched inserts:");
+
+  // A bad command is rejected before anything changes: the root is not a
+  // deletable leaf, and the answers stay as they were.
+  UpdateStats bad = doc.Apply(Command::DeleteLeaf(doc.tree().root()));
+  std::printf("delete the root: %s\n", StatusName(bad.status));
+  report("after the rejected delete:");
 
   // Query dedupe: re-registering an already-registered query (even under
   // a different construction of the same automaton) is admitted to the

@@ -40,32 +40,33 @@ size_t DynamicDocument::size() const {
   return tree_enc_ ? tree_enc_->tree().size() : word_enc_->size();
 }
 
-DynamicDocument::QueryHandle DynamicDocument::Register(const UnrankedTva& query,
-                                                   BoxEnumMode mode) {
-  TREENUM_CHECK(tree_enc_ != nullptr,
-                "tree queries require a tree document");
-  TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");
+Status DynamicDocument::CheckRegister(bool on_tree, size_t num_labels) const {
+  if (on_tree != (tree_enc_ != nullptr)) return Status::kWrongDocumentKind;
+  if (in_batch_) return Status::kInBatch;
   // Translation always builds TermAlphabet(query.num_labels()), so the
   // alphabet check needs no translation — which lets a cache hit skip
   // the whole compile pipeline.
-  TREENUM_CHECK(query.num_labels() == term_->alphabet().num_base_labels(),
-                "query alphabet must match the document alphabet");
-  return AdmitShared(cache_->CompileTree(query), mode);
+  return num_labels == term_->alphabet().num_base_labels()
+             ? Status::kOk
+             : Status::kWrongAlphabet;
 }
 
-DynamicDocument::QueryHandle DynamicDocument::Register(const Wva& query,
-                                                   BoxEnumMode mode) {
-  TREENUM_CHECK(word_enc_ != nullptr,
-                "word queries require a word document");
-  TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");
-  TREENUM_CHECK(query.num_labels() == term_->alphabet().num_base_labels(),
-                "query alphabet must match the document alphabet");
-  return AdmitShared(cache_->CompileWord(query), mode);
+DynamicDocument::Registration DynamicDocument::Register(
+    const UnrankedTva& query, BoxEnumMode mode) {
+  const Status s = CheckRegister(/*on_tree=*/true, query.num_labels());
+  if (s != Status::kOk) return {kNoHandle, s};
+  return {AdmitShared(cache_->CompileTree(query), mode), s};
+}
+
+DynamicDocument::Registration DynamicDocument::Register(const Wva& query,
+                                                        BoxEnumMode mode) {
+  const Status s = CheckRegister(/*on_tree=*/false, query.num_labels());
+  if (s != Status::kOk) return {kNoHandle, s};
+  return {AdmitShared(cache_->CompileWord(query), mode), s};
 }
 
 DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
     std::shared_ptr<const HomogenizedTva> homog, BoxEnumMode mode) {
-  TREENUM_CHECK(!in_batch_, "cannot register a query mid-batch");
   // The cache hash-conses plans, so plan identity is query identity.
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [&](const std::unique_ptr<QueryEntry>& e) {
@@ -99,9 +100,9 @@ DynamicDocument::QueryHandle DynamicDocument::AdmitShared(
   return MakeHandle(slot, handle_gen_[slot]);
 }
 
-void DynamicDocument::Unregister(QueryHandle handle) {
-  TREENUM_CHECK(!in_batch_, "cannot unregister a query mid-batch");
-  TREENUM_CHECK(IsRegistered(handle), "unknown or already-unregistered query");
+Status DynamicDocument::Unregister(QueryHandle handle) {
+  if (in_batch_) return Status::kInBatch;
+  if (!IsRegistered(handle)) return Status::kUnknownHandle;
   const uint32_t slot = HandleSlot(handle);
   QueryEntry& e = *handle_entry_[slot];
   handle_entry_[slot] = nullptr;
@@ -117,6 +118,7 @@ void DynamicDocument::Unregister(QueryHandle handle) {
                                   return p.get() == &e;
                                 }));
   }
+  return Status::kOk;
 }
 
 bool DynamicDocument::IsRegistered(QueryHandle handle) const {
@@ -152,20 +154,136 @@ DocumentStats DynamicDocument::stats() const {
   return s;
 }
 
+UpdateStats DynamicDocument::Apply(const Command& command) {
+  UpdateStats stats;
+  stats.status = Check(command);
+  if (stats.status != Status::kOk) return stats;  // nothing drained or changed
+  PreEdit();
+  const UpdateResult& result = Run(command);
+  freed_.insert(freed_.end(), result.freed.begin(), result.freed.end());
+  changed_.insert(changed_.end(), result.changed_bottom_up.begin(),
+                  result.changed_bottom_up.end());
+  stats.edits_applied = 1;
+  stats.rebuilt_size = result.rebuilt_size;
+  if (!in_batch_) stats.boxes_recomputed = Commit();
+  return stats;
+}
+
+Status DynamicDocument::Check(const Command& c) {
+  using Kind = Command::Kind;
+  const bool on_tree = c.kind <= Kind::kGraftSubtree;  // tree kinds first
+  if (on_tree != (tree_enc_ != nullptr)) return Status::kWrongDocumentKind;
+  const size_t num_labels = term_->alphabet().num_base_labels();
+  const Status label = c.label < num_labels ? Status::kOk
+                                            : Status::kUnknownLabel;
+  if (word_enc_ != nullptr) {
+    const size_t n = word_enc_->size();
+    const bool range = c.pos < c.end && c.end <= n;  // non-empty
+    switch (c.kind) {
+      case Kind::kReplace:
+        return c.pos < n ? label : Status::kOutOfRange;
+      case Kind::kInsert:
+        return c.pos <= n ? label : Status::kOutOfRange;
+      case Kind::kErase:
+        return c.pos < n && n > 1 ? Status::kOk : Status::kOutOfRange;
+      case Kind::kMoveRange:
+        return range && c.to <= n - (c.end - c.pos) ? Status::kOk
+                                                    : Status::kOutOfRange;
+      case Kind::kEraseRange:
+      case Kind::kExtractRange:  // a letter must remain
+        return range && c.end - c.pos < n ? Status::kOk
+                                          : Status::kOutOfRange;
+      default:  // kConcat
+        if (c.word == nullptr || c.word->empty()) return Status::kOutOfRange;
+        for (Label l : *c.word) {
+          if (l >= num_labels) return Status::kUnknownLabel;
+        }
+        return Status::kOk;
+    }
+  }
+
+  const UnrankedTree& tree = tree_enc_->tree();
+  const NodeId root = tree.root();
+  const bool root_sibling =
+      c.where == AttachWhere::kRightSibling && c.dst == root;
+  if (c.kind == Kind::kGraftSubtree) {
+    if (c.src == nullptr || !c.src->IsAlive(c.node) || !tree.IsAlive(c.dst)) {
+      return Status::kUnknownNode;
+    }
+    if (root_sibling) return Status::kIsRoot;
+    graft_walk_.assign(1, c.node);  // every grafted label, O(|subtree|)
+    while (!graft_walk_.empty()) {
+      const NodeId n = graft_walk_.back();
+      graft_walk_.pop_back();
+      if (c.src->label(n) >= num_labels) return Status::kUnknownLabel;
+      graft_walk_.insert(graft_walk_.end(), c.src->children(n).begin(),
+                         c.src->children(n).end());
+    }
+    return Status::kOk;
+  }
+  if (!tree.IsAlive(c.node)) return Status::kUnknownNode;
+  switch (c.kind) {
+    case Kind::kRelabel:
+    case Kind::kInsertFirstChild:
+      return label;
+    case Kind::kInsertRightSibling:
+      return c.node == root ? Status::kIsRoot : label;
+    case Kind::kDeleteLeaf:
+      if (c.node == root) return Status::kIsRoot;
+      return tree.IsLeaf(c.node) ? Status::kOk : Status::kNotALeaf;
+    case Kind::kSubtreeMove:
+      if (!tree.IsAlive(c.dst)) return Status::kUnknownNode;
+      if (c.node == root || root_sibling) return Status::kIsRoot;
+      // Marks subtree(node), O(|subtree|): no walk up from dst.
+      return tree_enc_->SubtreeContains(c.node, c.dst)
+                 ? Status::kInsideMovedSubtree
+                 : Status::kOk;
+    default:  // kSubtreeDelete, kSubtreeExtract
+      return c.node == root ? Status::kIsRoot : Status::kOk;
+  }
+}
+
 void DynamicDocument::PreEdit() {
   if (in_batch_) return;  // drained once, at BeginBatch
   snapshots_->DrainRetired(&freed_);
 }
 
-UpdateStats DynamicDocument::Dispatch(const UpdateResult& result) {
-  freed_.insert(freed_.end(), result.freed.begin(), result.freed.end());
-  changed_.insert(changed_.end(), result.changed_bottom_up.begin(),
-                  result.changed_bottom_up.end());
-  UpdateStats stats;
-  stats.edits_applied = 1;
-  stats.rebuilt_size = result.rebuilt_size;
-  if (!in_batch_) stats.boxes_recomputed = Commit();
-  return stats;
+const UpdateResult& DynamicDocument::Run(const Command& c) {
+  using Kind = Command::Kind;
+  const bool first = c.where == AttachWhere::kFirstChild;
+  switch (c.kind) {
+    case Kind::kRelabel:
+      return tree_enc_->Relabel(c.node, c.label);
+    case Kind::kInsertFirstChild:
+      return tree_enc_->InsertFirstChild(c.node, c.label, c.new_node);
+    case Kind::kInsertRightSibling:
+      return tree_enc_->InsertRightSibling(c.node, c.label, c.new_node);
+    case Kind::kDeleteLeaf:
+      return tree_enc_->DeleteLeaf(c.node);
+    case Kind::kSubtreeMove:
+      return tree_enc_->SubtreeMove(c.node, c.dst, first);
+    case Kind::kSubtreeDelete:
+      return tree_enc_->SubtreeDelete(c.node);
+    case Kind::kSubtreeExtract:
+      return tree_enc_->SubtreeExtract(c.node, c.tree_out);
+    case Kind::kGraftSubtree:
+      return tree_enc_->GraftSubtree(*c.src, c.node, c.dst, first,
+                                     c.new_node);
+    case Kind::kReplace:
+      return word_enc_->Replace(c.pos, c.label);
+    case Kind::kInsert:
+      return word_enc_->Insert(c.pos, c.label);
+    case Kind::kErase:
+      return word_enc_->Erase(c.pos);
+    case Kind::kMoveRange:
+      return word_enc_->MoveRange(c.pos, c.end, c.to);
+    case Kind::kEraseRange:  // word_out is null
+    case Kind::kExtractRange:
+      return word_enc_->ExtractRange(c.pos, c.end, c.word_out);
+    case Kind::kConcat:
+      break;
+  }
+  return word_enc_->Concat(*c.word);
 }
 
 size_t DynamicDocument::Commit() {
@@ -193,153 +311,6 @@ size_t DynamicDocument::Commit() {
   freed_.clear();
   changed_.clear();
   return boxes;
-}
-
-// ---- Tree edits ----
-
-UpdateStats DynamicDocument::Relabel(NodeId n, Label l) {
-  TREENUM_CHECK(tree_enc_ != nullptr, "Relabel requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
-  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  PreEdit();
-  return Dispatch(tree_enc_->Relabel(n, l));
-}
-
-UpdateStats DynamicDocument::InsertFirstChild(NodeId n, Label l,
-                                              NodeId* new_node) {
-  TREENUM_CHECK(tree_enc_ != nullptr,
-                "InsertFirstChild requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
-  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  PreEdit();
-  return Dispatch(tree_enc_->InsertFirstChild(n, l, new_node));
-}
-
-UpdateStats DynamicDocument::InsertRightSibling(NodeId n, Label l,
-                                                NodeId* new_node) {
-  TREENUM_CHECK(tree_enc_ != nullptr,
-                "InsertRightSibling requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
-  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  PreEdit();
-  return Dispatch(tree_enc_->InsertRightSibling(n, l, new_node));
-}
-
-UpdateStats DynamicDocument::DeleteLeaf(NodeId n) {
-  TREENUM_CHECK(tree_enc_ != nullptr, "DeleteLeaf requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(n), "unknown node");
-  PreEdit();
-  return Dispatch(tree_enc_->DeleteLeaf(n));
-}
-
-// ---- Word edits ----
-
-UpdateStats DynamicDocument::Replace(size_t pos, Label l) {
-  TREENUM_CHECK(word_enc_ != nullptr, "Replace requires a word document");
-  TREENUM_CHECK(pos < word_enc_->size(), "position out of range");
-  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  PreEdit();
-  return Dispatch(word_enc_->Replace(pos, l));
-}
-
-UpdateStats DynamicDocument::Insert(size_t pos, Label l) {
-  TREENUM_CHECK(word_enc_ != nullptr, "Insert requires a word document");
-  TREENUM_CHECK(pos <= word_enc_->size(), "position out of range");
-  TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  PreEdit();
-  return Dispatch(word_enc_->Insert(pos, l));
-}
-
-UpdateStats DynamicDocument::Erase(size_t pos) {
-  TREENUM_CHECK(word_enc_ != nullptr, "Erase requires a word document");
-  TREENUM_CHECK(pos < word_enc_->size(), "position out of range");
-  PreEdit();
-  return Dispatch(word_enc_->Erase(pos));
-}
-
-// ---- Tree structural transactions ----
-
-UpdateStats DynamicDocument::SubtreeMove(NodeId v, NodeId dst,
-                                         AttachWhere where) {
-  TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeMove requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(dst), "unknown node");
-  PreEdit();
-  return Dispatch(
-      tree_enc_->SubtreeMove(v, dst, where == AttachWhere::kFirstChild));
-}
-
-UpdateStats DynamicDocument::SubtreeDelete(NodeId v) {
-  TREENUM_CHECK(tree_enc_ != nullptr, "SubtreeDelete requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
-  PreEdit();
-  return Dispatch(tree_enc_->SubtreeDelete(v));
-}
-
-UpdateStats DynamicDocument::SubtreeExtract(NodeId v,
-                                            UnrankedTree* extracted) {
-  TREENUM_CHECK(tree_enc_ != nullptr,
-                "SubtreeExtract requires a tree document");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(v), "unknown node");
-  PreEdit();
-  return Dispatch(tree_enc_->SubtreeExtract(v, extracted));
-}
-
-UpdateStats DynamicDocument::GraftSubtree(const UnrankedTree& src,
-                                          NodeId src_root, NodeId dst,
-                                          AttachWhere where,
-                                          NodeId* new_root) {
-  TREENUM_CHECK(tree_enc_ != nullptr, "GraftSubtree requires a tree document");
-  TREENUM_CHECK(src.IsAlive(src_root), "unknown node");
-  TREENUM_CHECK(tree_enc_->tree().IsAlive(dst), "unknown node");
-  std::vector<NodeId> todo{src_root};  // the grafted subtree, walked in O(m)
-  while (!todo.empty()) {
-    const NodeId n = todo.back();
-    todo.pop_back();
-    TREENUM_CHECK(src.label(n) < term_->alphabet().num_base_labels(),
-                  "unknown label");
-    todo.insert(todo.end(), src.children(n).begin(), src.children(n).end());
-  }
-  PreEdit();
-  return Dispatch(tree_enc_->GraftSubtree(
-      src, src_root, dst, where == AttachWhere::kFirstChild, new_root));
-}
-
-// ---- Word structural transactions ----
-
-UpdateStats DynamicDocument::MoveRange(size_t begin, size_t end, size_t dst) {
-  TREENUM_CHECK(word_enc_ != nullptr, "MoveRange requires a word document");
-  TREENUM_CHECK(begin <= end && end <= word_enc_->size() &&
-                    dst <= word_enc_->size() - (end - begin),
-                "range out of bounds");
-  PreEdit();
-  return Dispatch(word_enc_->MoveRange(begin, end, dst));
-}
-
-UpdateStats DynamicDocument::EraseRange(size_t begin, size_t end) {
-  TREENUM_CHECK(word_enc_ != nullptr, "EraseRange requires a word document");
-  TREENUM_CHECK(begin <= end && end <= word_enc_->size(),
-                "range out of bounds");
-  PreEdit();
-  return Dispatch(word_enc_->EraseRange(begin, end));
-}
-
-UpdateStats DynamicDocument::ExtractRange(size_t begin, size_t end,
-                                          Word* extracted) {
-  TREENUM_CHECK(word_enc_ != nullptr, "ExtractRange requires a word document");
-  TREENUM_CHECK(begin <= end && end <= word_enc_->size(),
-                "range out of bounds");
-  PreEdit();
-  return Dispatch(word_enc_->ExtractRange(begin, end, extracted));
-}
-
-UpdateStats DynamicDocument::Concat(const Word& w) {
-  TREENUM_CHECK(word_enc_ != nullptr, "Concat requires a word document");
-  for (Label l : w) {
-    TREENUM_CHECK(l < term_->alphabet().num_base_labels(), "unknown label");
-  }
-  PreEdit();
-  return Dispatch(word_enc_->Concat(w));
 }
 
 // ---- Batched updates ----

@@ -1,60 +1,32 @@
-// DynamicDocument — one mutating document serving many registered queries.
+// DynamicDocument — one mutating document serving many registered queries
+// (docs/ARCHITECTURE.md §6). The paper keeps one circuit and index per
+// (document, query) pair; this layer splits the pair:
 //
-// The paper maintains one circuit+index per (document, query) pair, and so
-// did the engines: each TreeEnumerator/WordEnumerator privately owned its
-// encoding, so serving Q queries over one document paid the O(log n)
-// balanced-term maintenance (Lemma 7.3's encoding half) Q times per edit
-// and refreshed every query's boxes serially. This layer splits the pair:
-//
-//   * The document owns exactly one encoding — the balanced tree term
-//     (`DynamicEncoding`) or the word AVL term (`WordEncoding`). Each edit
-//     or structural transaction mutates the term once and produces one
-//     `UpdateResult`.
-//   * Every registered query owns one `EnumerationPipeline` (circuit, jump
-//     index, optional counts) over the shared term. The document keeps one
-//     record of the term ids freed and changed since the last commit: every
-//     edit and transaction, inside a batch or not, appends its
-//     UpdateResult, and the snapshot drain appends the node versions it
-//     reclaims. One Commit — after each edit outside a batch, at
-//     CommitBatch inside one — orders the alive changed ids once, children
-//     first by (term height, id), hands the record to every pipeline's
-//     Apply and publishes one snapshot, so the encoding half of update
-//     maintenance is paid once regardless of Q. Inside a batch a node
-//     touched by many edits is rebuilt once per pipeline.
-//   * Registered queries are *deduplicated* by compiled-plan identity:
-//     the shared QueryCache (automata/query_cache.h) keys every plan by
-//     the serialized bytes of its canonical form, so textually different
-//     but automaton-identical queries arrive as the same plan pointer,
-//     and the registry maps each (plan, mode) pair to one refcounted
-//     pipeline. A pipeline lives exactly as long
-//     as its registrations: the last Unregister destroys it, so the
-//     cache's LRU of compiled plans is the only thing kept between
-//     registrations. Re-registering a released query is a cache hit that
-//     compiles nothing and builds a fresh pipeline over the current term.
-//     Handle slots recycle through a free list under generation tags, so
-//     stale handles never validate. DocumentStats exposes the registry
-//     state.
-//   * A refresh is one loop over the *distinct* pipelines, in build order,
-//     on the writer's thread — per-edit refresh cost scales with the
-//     number of distinct live queries, not registrations, and the steady
-//     state stays allocation-free.
-//   * Every committed edit publishes the new term root as an immutable
-//     snapshot (core/snapshot.h) over the copy-on-write term, and every
-//     read goes through one: reader threads pin the current snapshot
-//     (CurrentSnapshot) and enumerate it (EnumerateAt / MakeCursorAt)
-//     concurrently with writer edits — the writer path-copies the
-//     O(log n) edit spine instead of mutating pinned versions in place,
-//     so readers never see a torn term or a box rebuilt under them. A read
-//     between BeginBatch and CommitBatch answers at the last committed
-//     version. Old snapshots keep answering with their pre-edit results
-//     until released (time-travel). Retired snapshots are drained before
-//     the next edit, which recycles their node versions; that edit's commit
-//     releases their boxes into the arena free lists — steady state stays
-//     allocation-free.
+//   * One encoding — the balanced tree term (`DynamicEncoding`) or the word
+//     AVL term (`WordEncoding`) — so the O(log n) encoding half of Lemma
+//     7.3 is paid once per edit regardless of the number of queries.
+//   * One mutation entry point: every change is a Command (core/command.h)
+//     through Apply, which checks it against the document first. A non-ok
+//     Status drains, mutates and records nothing, so a bad command is
+//     rejected instead of ending the process.
+//   * One record and one Commit: every accepted command appends its
+//     UpdateResult, and the snapshot drain the node versions it reclaims.
+//     Commit — after each command outside a batch, at CommitBatch inside
+//     one — orders the alive changed ids children first by (term height,
+//     id), hands the record to every pipeline's Apply in build order, and
+//     publishes one snapshot. The steady state allocates nothing.
+//   * Registrations are deduplicated by compiled-plan identity (the shared
+//     QueryCache hash-conses canonical plans), so each distinct (plan,
+//     mode) has one refcounted `EnumerationPipeline` that lives exactly as
+//     long as its registrations. Handles carry generation tags, so stale
+//     handles never validate.
+//   * Every read goes through an immutable snapshot (core/snapshot.h) of
+//     the copy-on-write term: readers pin and enumerate concurrently with
+//     the writer, a read inside a batch answers at the last commit, and
+//     old snapshots keep their answers until released.
 //
 // TreeEnumerator and WordEnumerator are thin views over a private document
-// with one registered query; multi-query servers hold a DynamicDocument
-// directly and read each registration at a pinned snapshot.
+// with one registered query.
 #ifndef TREENUM_CORE_DOCUMENT_H_
 #define TREENUM_CORE_DOCUMENT_H_
 
@@ -67,6 +39,7 @@
 #include "automata/query_cache.h"
 #include "automata/unranked_tva.h"
 #include "automata/wva.h"
+#include "core/command.h"
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "core/snapshot.h"
@@ -75,13 +48,6 @@
 #include "trees/unranked_tree.h"
 
 namespace treenum {
-
-/// Where a structural transaction attaches the moved/grafted subtree
-/// relative to its destination anchor.
-enum class AttachWhere {
-  kFirstChild,    ///< becomes the first child of the anchor
-  kRightSibling,  ///< becomes the right sibling of the anchor (non-root)
-};
 
 /// Registry observability snapshot (see DynamicDocument::stats()): how many
 /// queries and pipelines are live and how registrations were served.
@@ -108,6 +74,16 @@ class DynamicDocument {
   /// registrations and unregistrations; several live handles may resolve
   /// to the same deduplicated pipeline.
   using QueryHandle = size_t;
+  /// A handle no registration ever returns (that of a rejected one).
+  static constexpr QueryHandle kNoHandle = ~QueryHandle{0};
+
+  /// Register's result: the new handle, or kNoHandle and why not.
+  struct Registration {
+    QueryHandle handle = kNoHandle;
+    Status status = Status::kOk;
+    bool ok() const { return status == Status::kOk; }
+    operator QueryHandle() const { return handle; }  // NOLINT
+  };
 
   /// A tree document: encodes `tree` as a balanced term (linear time).
   /// Every registered query must use exactly `num_labels` base labels.
@@ -137,19 +113,17 @@ class DynamicDocument {
 
   // ---- Query registration (deduplicating registry) ----
 
-  /// Registers a query. Compilation (translation + homogenization +
-  /// canonicalization) is served by the shared QueryCache: a query any
-  /// document using the same cache has already compiled is admitted with
-  /// zero compilation work. The per-document registry then either admits
-  /// the compiled plan to an existing pipeline (same plan and mode — a
-  /// dedupe hit) or builds a new pipeline (circuit and, in kIndexed mode,
-  /// jump index) over the current term — O(size * poly(|Q|)). Not allowed
-  /// mid-batch.
-  QueryHandle Register(const UnrankedTva& query,
-                       BoxEnumMode mode = BoxEnumMode::kIndexed);
+  /// Registers a query. Compilation is served by the shared QueryCache (a
+  /// query already compiled there costs nothing); the registry then admits
+  /// the plan to the pipeline of the same plan and mode, or builds a new
+  /// pipeline over the current term — O(size * poly(|Q|)). Rejected, with
+  /// nothing changed, on a word document (kWrongDocumentKind), mid-batch
+  /// (kInBatch) or over another number of labels (kWrongAlphabet).
+  Registration Register(const UnrankedTva& query,
+                        BoxEnumMode mode = BoxEnumMode::kIndexed);
   /// Word-document overload of Register (queries are WVAs / spanners).
-  QueryHandle Register(const Wva& query,
-                       BoxEnumMode mode = BoxEnumMode::kIndexed);
+  Registration Register(const Wva& query,
+                        BoxEnumMode mode = BoxEnumMode::kIndexed);
   /// The compiled-query cache this document's registrations go through.
   QueryCache& query_cache() const { return *cache_; }
   /// Releases one registration; the handle becomes invalid. The shared
@@ -157,8 +131,9 @@ class DynamicDocument {
   /// destroys it, so every ReaderView and cursor resolved through the
   /// handle must be released first. Re-registering the query later
   /// compiles nothing (a cache hit) and builds a fresh pipeline over the
-  /// current term.
-  void Unregister(QueryHandle handle);
+  /// current term. A handle that is not registered (kUnknownHandle) or a
+  /// call mid-batch (kInBatch) is rejected and changes nothing.
+  Status Unregister(QueryHandle handle);
   /// True iff `handle` was returned by Register and not yet unregistered.
   bool IsRegistered(QueryHandle handle) const;
   /// Number of live registrations (handles), counting duplicates.
@@ -178,34 +153,23 @@ class DynamicDocument {
 
   // ---- Concurrent snapshot reads ----
   //
-  // The single-writer / multi-reader surface, and the only way to read a
-  // registration. Reader threads pin the current snapshot and evaluate
-  // registered queries against it while the writer thread keeps editing
-  // (including mid-batch — pinned versions are complete and frozen).
-  // Handles passed here must have been registered *before* the concurrent
-  // phase: Register/Unregister are writer-side and not synchronized against
-  // readers, and a query's pipeline can only serve snapshots published at
-  // or after its build (checked against the snapshot epoch). A SnapshotRef
-  // must be released before the document is destroyed.
+  // The only way to read a registration: reader threads pin the current
+  // snapshot and evaluate queries at it while the writer keeps editing.
+  // Register/Unregister are writer-side and not synchronized against
+  // readers, and a pipeline serves only snapshots published at or after
+  // its build (checked by epoch). Release every SnapshotRef before the
+  // document is destroyed.
 
-  /// Pre-resolved read surface for one registration, safe to use from
-  /// reader threads *even while the writer thread mutates the query
-  /// registry* (Register/Unregister). EnumerateAt &
-  /// friends resolve handle → pipeline through the registry tables on
-  /// every call, which is fine when registrations are quiesced during the
-  /// concurrent phase — but a shard server interleaves registrations with
-  /// reads, and the tables reallocate. A ReaderView captures the pipeline
-  /// pointer once, on the writer side, and afterwards touches only the
-  /// pipeline's frozen boxes at the pinned snapshot version.
+  /// Pre-resolved read surface for one registration, safe on reader
+  /// threads *even while the writer mutates the registry*: EnumerateAt &
+  /// friends resolve handle → pipeline through registry tables that a
+  /// Register may reallocate, while a ReaderView holds the pipeline pointer
+  /// captured once on the writer side.
   ///
-  /// Contract: create the view on the writer thread (no concurrent
-  /// registry mutation), and release the view and every cursor made from
-  /// it before the underlying registration is unregistered — the last
-  /// Unregister of a (plan, mode) destroys its pipeline, so a live handle
-  /// is exactly what keeps the view's pointer valid. The serving layer
-  /// (serving/shard_server.h) resolves views on the shard worker at
-  /// registration time; its callers stop using a view before submitting
-  /// the unregister command.
+  /// Contract: create the view on the writer thread, and release it and
+  /// every cursor made from it before the registration is unregistered —
+  /// the last Unregister of a (plan, mode) destroys its pipeline. The shard
+  /// server resolves views on its worker at registration time.
   class ReaderView {
    public:
     ReaderView() = default;
@@ -259,91 +223,39 @@ class DynamicDocument {
   /// Snapshots currently pinned (current + reader-held + not yet drained).
   size_t live_snapshots() const { return snapshots_->live_snapshots(); }
 
-  // ---- Tree edits (Definition 7.1), O(log n * poly(Q)) per pipeline ----
-  // Tree documents only; word documents edit by position (below). An
-  // unknown node or label aborts before anything changes.
-  // UpdateStats totals are summed across pipelines (one per distinct live
-  // query): boxes_recomputed counts every per-pipeline box refresh.
+  // ---- Mutations ----
 
-  /// Changes the label of node `n`.
-  UpdateStats Relabel(NodeId n, Label l);
-  /// Inserts a new first child under `n` (id reported via `new_node`).
-  UpdateStats InsertFirstChild(NodeId n, Label l, NodeId* new_node = nullptr);
-  /// Inserts a new right sibling of `n` (id reported via `new_node`).
-  UpdateStats InsertRightSibling(NodeId n, Label l,
-                                 NodeId* new_node = nullptr);
-  /// Deletes leaf `n`.
-  UpdateStats DeleteLeaf(NodeId n);
+  /// Applies one command (core/command.h), O(log n * poly(Q)) per pipeline
+  /// for a point edit. It is checked first — document kind, nodes, labels,
+  /// positions and ranges, root, leaf and move destination — in O(1), or
+  /// O(|subtree|) for a move or graft; a non-ok status means nothing was
+  /// drained, mutated or recorded. An accepted command re-encodes its term
+  /// region once and commits at once (one snapshot epoch), or joins the
+  /// open batch. boxes_recomputed sums the refreshes over pipelines.
+  [[nodiscard]] UpdateStats Apply(const Command& command);
 
-  // ---- Tree structural transactions ----
-  // Each call is ONE transaction: the term region covering the subtree is
-  // re-encoded once, every surviving box is rebuilt once per pipeline
-  // (arena spans recycle instead of free/realloc), and one snapshot epoch
-  // is published. Inside a batch the transaction coalesces with the other
-  // recorded edits as usual. An unknown node, or a grafted label outside
-  // the document alphabet, aborts before anything changes.
-
-  /// Moves the subtree at `v` to `dst` (which must be outside the subtree).
+  /// Apply(Command::Of(e, new_node)): one tree Edit.
+  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr) {
+    return Apply(Command::Of(e, new_node));
+  }
+  /// Apply(Command::SubtreeMove(v, dst, where)).
   UpdateStats SubtreeMove(NodeId v, NodeId dst,
-                          AttachWhere where = AttachWhere::kFirstChild);
-  /// Deletes the whole subtree at `v` (non-root).
-  UpdateStats SubtreeDelete(NodeId v);
-  /// Deletes the subtree at `v`, assigning a fresh-id copy to `*extracted`.
-  UpdateStats SubtreeExtract(NodeId v, UnrankedTree* extracted);
-  /// Inserts a copy of `src`'s subtree at `src_root` next to `dst`.
-  UpdateStats GraftSubtree(const UnrankedTree& src, NodeId src_root,
-                           NodeId dst,
-                           AttachWhere where = AttachWhere::kFirstChild,
-                           NodeId* new_root = nullptr);
-
-  // ---- Word edits by logical position, worst-case O(log |w|) ----
-  // A position out of range or an unknown label aborts before anything
-  // changes.
-
-  /// Replaces the letter at position `pos`.
-  UpdateStats Replace(size_t pos, Label l);
-  /// Inserts letter `l` so that it becomes position `pos`.
-  UpdateStats Insert(size_t pos, Label l);
-  /// Erases the letter at position `pos`.
-  UpdateStats Erase(size_t pos);
-  // ---- Word structural transactions (AVL split/join) ----
-  // A range out of bounds or an unknown concatenated letter aborts before
-  // anything changes.
-
-  /// Moves the factor [begin, end) so it starts at `dst` of the remaining
-  /// word (AVL split/join; position ids are preserved).
-  UpdateStats MoveRange(size_t begin, size_t end, size_t dst);
-  /// Erases the factor [begin, end); at least one letter must remain.
-  UpdateStats EraseRange(size_t begin, size_t end);
-  /// Erases the factor [begin, end), assigning it to `*extracted`.
-  UpdateStats ExtractRange(size_t begin, size_t end, Word* extracted);
-  /// Appends the non-empty word `w` (one balanced subterm, one join).
-  UpdateStats Concat(const Word& w);
+                          AttachWhere where = AttachWhere::kFirstChild) {
+    return Apply(Command::SubtreeMove(v, dst, where));
+  }
 
   // ---- Batched updates ----
 
-  /// Opens a transaction: edits mutate the term immediately but the
-  /// freed/changed sets are only recorded (once, at the document — the
-  /// pipelines see nothing until commit). Reads while the batch is open
-  /// answer at the last committed snapshot.
+  /// Opens a transaction: commands mutate the term at once, but the
+  /// pipelines see nothing until CommitBatch; reads meanwhile answer at the
+  /// last committed snapshot.
   void BeginBatch();
-  /// Merges everything recorded since BeginBatch — a node touched by many
-  /// edits is refreshed once per pipeline, a node created and deleted
-  /// within the batch never — and fans the merged set out to every
-  /// pipeline.
+  /// Commits everything recorded since BeginBatch: a node touched by many
+  /// edits is refreshed once per pipeline, one created and deleted within
+  /// the batch never.
   UpdateStats CommitBatch();
   /// True while a transaction is open.
   bool in_batch() const { return in_batch_; }
-
-  /// Applies one tree Edit (tree documents only).
-  UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr) {
-    return ApplyEditTo(*this, e, new_node);
-  }
-  /// Applies a whole edit script in one transaction; if a batch is already
-  /// open the edits join it and the commit stays with the caller.
-  UpdateStats ApplyEdits(const std::vector<Edit>& edits) {
-    return ApplyEditsTo(*this, edits);
-  }
 
  private:
   /// One deduplicated query: the refcounted pipeline, whose plan pointer
@@ -375,18 +287,22 @@ class DynamicDocument {
   Term& mutable_term() {
     return tree_enc_ ? tree_enc_->mutable_term() : word_enc_->mutable_term();
   }
+  /// Why a tree (`on_tree`) or word query over `num_labels` labels cannot
+  /// be registered now; kOk if it can.
+  Status CheckRegister(bool on_tree, size_t num_labels) const;
   /// Admits a cache-served compiled plan to the per-document registry:
   /// shares the pipeline of the same (plan, mode) or builds a new one —
   /// no translation or homogenization happens here.
   QueryHandle AdmitShared(std::shared_ptr<const HomogenizedTva> homog,
                           BoxEnumMode mode);
-  /// Runs before every edit (once per batch): drains retired snapshots into
-  /// the record's freed list, so the edit's path copies can recycle their
-  /// node versions.
+  /// Apply's validation, one case per kind; reads the document only (a
+  /// move marks the moved subtree in the encoding's scratch).
+  Status Check(const Command& c);
+  /// Runs before every accepted command (once per batch): drains retired
+  /// snapshots into the record, so path copies recycle their versions.
   void PreEdit();
-  /// The one dispatch of every edit and transaction: appends the result to
-  /// the record and, outside a batch, commits it.
-  UpdateStats Dispatch(const UpdateResult& result);
+  /// Runs a checked command on the encoding.
+  const UpdateResult& Run(const Command& c);
   /// Releases every recorded freed id and rebuilds every alive changed id
   /// once, children first, in every pipeline; publishes one snapshot and
   /// clears the record. Returns the box refreshes summed over pipelines.
@@ -422,6 +338,7 @@ class DynamicDocument {
   std::vector<TermNodeId> freed_;
   std::vector<TermNodeId> changed_;
   std::vector<uint64_t> order_;
+  std::vector<NodeId> graft_walk_;  // Check's walk over a grafted subtree
 };
 
 }  // namespace treenum

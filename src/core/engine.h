@@ -1,104 +1,24 @@
 // The shared surface of the tree engines: the paper's dynamic tree engine
 // (TreeEnumerator) and the two Table-1 baselines implement this interface,
 // so tests and benchmarks drive all of them through one API. The word
-// engine (WordEnumerator, Corollary 8.4) edits by position instead and is
-// not an Engine.
-//
+// engine (WordEnumerator) edits by position instead and is not an Engine.
 // The update vocabulary is the edit set of Definition 7.1, also available
-// as Edit values; ApplyEditTo/ApplyEditsTo are the one dispatch of an Edit,
-// shared by Engine and DynamicDocument (core/document.h).
+// as Edit values (core/command.h).
 //
 // Batched updates: BeginBatch()/CommitBatch() bracket a transaction in
-// which edits mutate the input immediately but derived structures
-// (circuit boxes, jump index, run counts — or, for the baselines, the
-// materialized result set) are refreshed once at commit instead of once
-// per edit. ApplyEdits() is the convenience wrapper: one transaction
-// around a whole edit script.
+// which edits mutate the input immediately but derived structures are
+// refreshed once at commit; ApplyEdits() wraps a whole edit script.
 #ifndef TREENUM_CORE_ENGINE_H_
 #define TREENUM_CORE_ENGINE_H_
 
 #include <memory>
 #include <vector>
 
+#include "core/command.h"
 #include "trees/assignment.h"
 #include "trees/unranked_tree.h"
 
 namespace treenum {
-
-/// Per-update cost report (for benchmarks). For a batched transaction,
-/// boxes_recomputed counts the *unique* boxes refreshed at commit.
-struct UpdateStats {
-  size_t boxes_recomputed = 0;
-  size_t rebuilt_size = 0;  ///< Term nodes rebuilt by rebalancing (0 = none).
-  size_t edits_applied = 0;  ///< Edits covered by this report (1 per edit op).
-
-  UpdateStats& operator+=(const UpdateStats& o) {
-    boxes_recomputed += o.boxes_recomputed;
-    rebuilt_size += o.rebuilt_size;
-    edits_applied += o.edits_applied;
-    return *this;
-  }
-};
-
-/// One edit of Definition 7.1, as a value (for edit scripts / batches).
-struct Edit {
-  enum class Kind : uint8_t {
-    kRelabel,
-    kInsertFirstChild,
-    kInsertRightSibling,
-    kDeleteLeaf,
-  };
-
-  Kind kind = Kind::kRelabel;      ///< Which of the four edit ops.
-  NodeId node = kNoNode;           ///< Target node.
-  Label label = 0;                 ///< Unused by kDeleteLeaf.
-
-  /// Value form of Engine::Relabel.
-  static Edit Relabel(NodeId n, Label l) { return {Kind::kRelabel, n, l}; }
-  /// Value form of Engine::InsertFirstChild.
-  static Edit InsertFirstChild(NodeId n, Label l) {
-    return {Kind::kInsertFirstChild, n, l};
-  }
-  /// Value form of Engine::InsertRightSibling.
-  static Edit InsertRightSibling(NodeId n, Label l) {
-    return {Kind::kInsertRightSibling, n, l};
-  }
-  /// Value form of Engine::DeleteLeaf.
-  static Edit DeleteLeaf(NodeId n) { return {Kind::kDeleteLeaf, n, 0}; }
-};
-
-/// Applies one Edit to `target` (an Engine or a DynamicDocument) by
-/// calling the matching edit operation.
-template <typename Target>
-UpdateStats ApplyEditTo(Target& target, const Edit& e,
-                        NodeId* new_node = nullptr) {
-  switch (e.kind) {
-    case Edit::Kind::kRelabel:
-      return target.Relabel(e.node, e.label);
-    case Edit::Kind::kInsertFirstChild:
-      return target.InsertFirstChild(e.node, e.label, new_node);
-    case Edit::Kind::kInsertRightSibling:
-      return target.InsertRightSibling(e.node, e.label, new_node);
-    case Edit::Kind::kDeleteLeaf:
-      return target.DeleteLeaf(e.node);
-  }
-  return UpdateStats{};
-}
-
-/// Applies a whole edit script to `target` in one transaction (BeginBatch,
-/// the edits, CommitBatch) and returns the combined stats. When `target`
-/// already has an open batch, the edits join it and the commit stays with
-/// the caller.
-template <typename Target>
-UpdateStats ApplyEditsTo(Target& target, const std::vector<Edit>& edits) {
-  const bool own_batch = !target.in_batch();
-  if (own_batch) target.BeginBatch();
-  UpdateStats total;
-  for (const Edit& e : edits) total += ApplyEditTo(target, e);
-  if (own_batch) total += target.CommitBatch();
-  total.edits_applied = edits.size();
-  return total;
-}
 
 /// The shared surface of the tree engines (dynamic tree engine, Table-1
 /// baselines): enumeration, Definition 7.1 updates, and transactional
@@ -155,11 +75,28 @@ class Engine {
 
   /// Applies one Edit by dispatching to the virtual ops above.
   UpdateStats ApplyEdit(const Edit& e, NodeId* new_node = nullptr) {
-    return ApplyEditTo(*this, e, new_node);
+    switch (e.kind) {
+      case Edit::Kind::kRelabel:
+        return Relabel(e.node, e.label);
+      case Edit::Kind::kInsertFirstChild:
+        return InsertFirstChild(e.node, e.label, new_node);
+      case Edit::Kind::kInsertRightSibling:
+        return InsertRightSibling(e.node, e.label, new_node);
+      case Edit::Kind::kDeleteLeaf:
+        break;
+    }
+    return DeleteLeaf(e.node);
   }
-  /// Applies a whole edit script in one transaction (see ApplyEditsTo).
+  /// Applies a whole edit script in one transaction and returns the
+  /// combined stats; in an open batch the commit stays with the caller.
   UpdateStats ApplyEdits(const std::vector<Edit>& edits) {
-    return ApplyEditsTo(*this, edits);
+    const bool own_batch = !in_batch();
+    if (own_batch) BeginBatch();
+    UpdateStats total;
+    for (const Edit& e : edits) total += ApplyEdit(e);
+    if (own_batch) total += CommitBatch();
+    total.edits_applied = edits.size();
+    return total;
   }
 };
 

@@ -109,17 +109,19 @@ class TreeEnumerator : public Engine {
   // ---- Updates (Definition 7.1), O(log |T| * poly(|Q|)) each ----
 
   UpdateStats Relabel(NodeId n, Label l) override {
-    return doc_.Relabel(n, l);
+    return doc_.Apply(Command::Relabel(n, l));
   }
   UpdateStats InsertFirstChild(NodeId n, Label l,
                                NodeId* new_node = nullptr) override {
-    return doc_.InsertFirstChild(n, l, new_node);
+    return doc_.Apply(Command::InsertFirstChild(n, l, new_node));
   }
   UpdateStats InsertRightSibling(NodeId n, Label l,
                                  NodeId* new_node = nullptr) override {
-    return doc_.InsertRightSibling(n, l, new_node);
+    return doc_.Apply(Command::InsertRightSibling(n, l, new_node));
   }
-  UpdateStats DeleteLeaf(NodeId n) override { return doc_.DeleteLeaf(n); }
+  UpdateStats DeleteLeaf(NodeId n) override {
+    return doc_.Apply(Command::DeleteLeaf(n));
+  }
 
   /// Batched updates: circuit/index/count maintenance is coalesced at the
   /// document and the changed boxes are refreshed once at CommitBatch

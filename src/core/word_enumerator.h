@@ -79,13 +79,17 @@ class WordEnumerator {
   }
 
   // ---- Word edits by logical position, worst-case O(log |w|) ----
-  UpdateStats Replace(size_t pos, Label l) { return doc_.Replace(pos, l); }
-  UpdateStats Insert(size_t pos, Label l) { return doc_.Insert(pos, l); }
-  UpdateStats Erase(size_t pos) { return doc_.Erase(pos); }
+  UpdateStats Replace(size_t pos, Label l) {
+    return doc_.Apply(Command::Replace(pos, l));
+  }
+  UpdateStats Insert(size_t pos, Label l) {
+    return doc_.Apply(Command::Insert(pos, l));
+  }
+  UpdateStats Erase(size_t pos) { return doc_.Apply(Command::Erase(pos)); }
   /// Bulk edit: move the factor [begin, end) so it starts at `dst` of the
   /// remaining word. Also O(log |w|) (AVL split/join).
   UpdateStats MoveRange(size_t begin, size_t end, size_t dst) {
-    return doc_.MoveRange(begin, end, dst);
+    return doc_.Apply(Command::MoveRange(begin, end, dst));
   }
 
   // ---- Batched updates (see core/document.h) ----

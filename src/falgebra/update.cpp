@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 namespace treenum {
 
@@ -184,6 +183,11 @@ const UpdateResult& DynamicEncoding::DeleteLeaf(NodeId n) {
   return result;
 }
 
+bool DynamicEncoding::SubtreeContains(NodeId v, NodeId u) {
+  MarkSubtree(v);
+  return InSubtree(u);
+}
+
 void DynamicEncoding::MarkSubtree(NodeId v) {
   assert(enc_.tree.IsAlive(v));
   if (tree_stamp_.size() < enc_.tree.id_bound()) {
@@ -316,17 +320,9 @@ const UpdateResult& DynamicEncoding::SubtreeMove(NodeId v, NodeId dst,
                                                  bool as_first_child) {
   UpdateResult& result = ResetResult();
   UnrankedTree& tree = enc_.tree;
-  if (v == tree.root()) {
-    throw std::invalid_argument("SubtreeMove: cannot move the root");
-  }
+  assert(v != tree.root() && (as_first_child || dst != tree.root()));
   MarkSubtree(v);
-  if (InSubtree(dst)) {
-    throw std::invalid_argument("SubtreeMove: dst inside the moved subtree");
-  }
-  if (!as_first_child && tree.parent(dst) == kNoNode) {
-    throw std::invalid_argument(
-        "SubtreeMove: cannot attach a sibling of the root");
-  }
+  assert(!InSubtree(dst) && "dst inside the moved subtree");
   Term& term = enc_.term;
   term.BeginEdit();
   CutRegion(v, result);
@@ -349,9 +345,7 @@ const UpdateResult& DynamicEncoding::SubtreeMove(NodeId v, NodeId dst,
 const UpdateResult& DynamicEncoding::SubtreeDelete(NodeId v) {
   UpdateResult& result = ResetResult();
   UnrankedTree& tree = enc_.tree;
-  if (v == tree.root()) {
-    throw std::invalid_argument("SubtreeDelete: cannot delete the root");
-  }
+  assert(v != tree.root());
   MarkSubtree(v);
   enc_.term.BeginEdit();
   CutRegion(v, result);
@@ -363,12 +357,7 @@ const UpdateResult& DynamicEncoding::SubtreeDelete(NodeId v) {
 
 const UpdateResult& DynamicEncoding::SubtreeExtract(NodeId v,
                                                     UnrankedTree* extracted) {
-  assert(extracted != nullptr);
-  UnrankedTree& tree = enc_.tree;
-  if (v == tree.root()) {
-    throw std::invalid_argument("SubtreeExtract: cannot extract the root");
-  }
-  *extracted = tree.CopySubtree(v);
+  if (extracted != nullptr) *extracted = enc_.tree.CopySubtree(v);
   return SubtreeDelete(v);
 }
 
@@ -378,10 +367,7 @@ const UpdateResult& DynamicEncoding::GraftSubtree(const UnrankedTree& src,
                                                   NodeId* new_root) {
   UpdateResult& result = ResetResult();
   UnrankedTree& tree = enc_.tree;
-  if (!as_first_child && tree.parent(dst) == kNoNode) {
-    throw std::invalid_argument(
-        "GraftSubtree: cannot attach a sibling of the root");
-  }
+  assert(as_first_child || dst != tree.root());
   NodeId v = tree.CopyDetachedFrom(src, src_root);
   if (new_root) *new_root = v;
   Term& term = enc_.term;

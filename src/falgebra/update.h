@@ -58,7 +58,8 @@ class DynamicEncoding {
   /// The returned reference aliases an internal scratch UpdateResult that
   /// is overwritten by the next edit (its vectors keep their capacity, so
   /// a steady-state relabel performs zero heap allocations). Copy it if it
-  /// must outlive the next call.
+  /// must outlive the next call. `n` must be alive, non-root for
+  /// InsertRightSibling and a non-root leaf for DeleteLeaf.
   const UpdateResult& Relabel(NodeId n, Label l);
   const UpdateResult& InsertFirstChild(NodeId n, Label l,
                                        NodeId* new_node = nullptr) {
@@ -78,7 +79,13 @@ class DynamicEncoding {
   // balanced subterm and spliced at its destination, and a single coalesced
   // UpdateResult reports the changed-box set for the whole operation.
   // Steady-state transactions reuse member scratch and perform no heap
-  // allocations.
+  // allocations. Every node argument must be alive; the other
+  // preconditions are stated per call and asserted (DynamicDocument::Apply
+  // checks them all before calling in).
+
+  /// True iff `u` lies in the subtree rooted at `v`, in O(|subtree(v)|)
+  /// (it marks the subtree the way SubtreeMove does; no walk up from `u`).
+  bool SubtreeContains(NodeId v, NodeId u);
 
   /// Moves the subtree rooted at `v` (which must not contain `dst` and must
   /// not be the root) so it becomes the first child of `dst`
@@ -89,12 +96,12 @@ class DynamicEncoding {
   const UpdateResult& SubtreeDelete(NodeId v);
 
   /// Deletes the subtree rooted at `v` (non-root) and assigns a copy of it
-  /// (fresh ids, preorder) to `*extracted`.
+  /// (fresh ids, preorder) to `*extracted` if non-null.
   const UpdateResult& SubtreeExtract(NodeId v, UnrankedTree* extracted);
 
   /// Inserts a copy of `src`'s subtree at `src_root` as the first child /
-  /// right sibling of `dst`. Reports the new subtree root through
-  /// `*new_root` if non-null.
+  /// right sibling of `dst` (`dst` non-root). Reports the new subtree root
+  /// through `*new_root` if non-null.
   const UpdateResult& GraftSubtree(const UnrankedTree& src, NodeId src_root,
                                    NodeId dst, bool as_first_child,
                                    NodeId* new_root = nullptr);

@@ -135,9 +135,7 @@ const UpdateResult& WordEncoding::Insert(size_t pos, Label l) {
 }
 
 const UpdateResult& WordEncoding::Erase(size_t pos) {
-  if (size_ <= 1) {
-    throw std::invalid_argument("Erase: word must keep at least one letter");
-  }
+  assert(pos < size_ && size_ > 1);
   UpdateResult& result = ResetResult();
   term_.BeginEdit();
   TermNodeId leaf = LeafAt(pos);
@@ -285,7 +283,7 @@ WordEncoding::SplitOut WordEncoding::SplitOutRange(size_t begin, size_t end,
 
 const UpdateResult& WordEncoding::MoveRange(size_t begin, size_t end,
                                             size_t dst) {
-  assert(dst <= size_ - (end - begin));
+  assert(begin < end && end <= size_ && dst <= size_ - (end - begin));
   UpdateResult& result = ResetResult();
   term_.BeginEdit();
   SplitOut s = SplitOutRange(begin, end, result);
@@ -319,16 +317,9 @@ void WordEncoding::FreePositions(TermNodeId t) {
   }
 }
 
-const UpdateResult& WordEncoding::EraseRange(size_t begin, size_t end) {
-  return ExtractRange(begin, end, nullptr);
-}
-
 const UpdateResult& WordEncoding::ExtractRange(size_t begin, size_t end,
                                                Word* extracted) {
-  if (end - begin >= size_) {
-    throw std::invalid_argument(
-        "ExtractRange: word must keep at least one letter");
-  }
+  assert(begin < end && end <= size_ && end - begin < size_);
   UpdateResult& result = ResetResult();
   term_.BeginEdit();
   if (extracted) {
@@ -365,9 +356,7 @@ TermNodeId WordEncoding::BuildDetached(const Word& w, size_t lo, size_t hi,
 }
 
 const UpdateResult& WordEncoding::Concat(const Word& w) {
-  if (w.empty()) {
-    throw std::invalid_argument("Concat: appended word must be non-empty");
-  }
+  assert(!w.empty());
   UpdateResult& result = ResetResult();
   term_.BeginEdit();
   TermNodeId fresh = BuildDetached(w, 0, w.size(), result);

@@ -34,7 +34,8 @@ class WordEncoding {
   /// The current word, in order (O(n); for tests).
   Word Current() const;
 
-  /// Replaces the letter at `pos`.
+  /// Replaces the letter at `pos`. Positions, ranges and labels are
+  /// preconditions (asserted; DynamicDocument::Apply checks them).
   ///
   /// Like the tree-side DynamicEncoding, every edit below returns a
   /// reference to an internal scratch UpdateResult that the next edit
@@ -51,16 +52,15 @@ class WordEncoding {
   // ---- Structural transactions (AVL split/join) ----
 
   /// Bulk update (the "move part of the text" operation from the paper's
-  /// conclusion, implemented via AVL split/join): removes the factor
-  /// [begin, end) and reinserts it so that it starts at position `dst` of
-  /// the remaining word (0 ≤ dst ≤ size() - (end - begin)). O(log n)
+  /// conclusion, implemented via AVL split/join): removes the non-empty
+  /// factor [begin, end) and reinserts it so that it starts at position
+  /// `dst` of the remaining word (0 ≤ dst ≤ size() - (end - begin)). O(log n)
   /// structural changes; position ids are preserved.
   const UpdateResult& MoveRange(size_t begin, size_t end, size_t dst);
 
-  /// Deletes the factor [begin, end); at least one letter must remain.
-  const UpdateResult& EraseRange(size_t begin, size_t end);
-
-  /// Deletes the factor [begin, end) and assigns it to `*extracted`.
+  /// Deletes the non-empty factor [begin, end) and assigns it to
+  /// `*extracted` if non-null (EraseRange passes null); at least one
+  /// letter must remain.
   const UpdateResult& ExtractRange(size_t begin, size_t end, Word* extracted);
 
   /// Appends the non-empty word `w`, encoded as one balanced detached
@@ -100,7 +100,7 @@ class WordEncoding {
                            UpdateResult& result);
   /// Splits out the detached factor [begin, end) of the whole (rootless)
   /// term and returns {prefix, factor, suffix} roots (sides may be kNoTerm).
-  /// Shared front half of MoveRange / EraseRange / ExtractRange.
+  /// Shared front half of MoveRange / ExtractRange.
   struct SplitOut {
     TermNodeId prefix, factor, suffix;
   };

@@ -33,9 +33,9 @@ class DocumentShardServer::Ticket {
     cv_.notify_all();
   }
 
-  // Filled by the shard worker before Complete() (register only).
-  DynamicDocument::QueryHandle handle = 0;
-  DynamicDocument::ReaderView view;
+  // Filled by the shard worker before Complete() (register only; empty if
+  // the registration was rejected).
+  QueryRef ref;
 
  private:
   std::mutex mu_;
@@ -45,19 +45,17 @@ class DocumentShardServer::Ticket {
 
 /// One queued unit of work for a document, applied in FIFO order by
 /// whichever shard worker drains the document.
-struct DocumentShardServer::Command {
+struct DocumentShardServer::Request {
   enum class Kind : uint8_t {
-    kEdit,        ///< One leaf edit.
-    kStructural,  ///< One subtree move/delete transaction.
+    kCommand,     ///< One document Command (group-committed).
     kRegister,    ///< Synchronous query registration (ticket != nullptr).
     kUnregister,  ///< Asynchronous query unregistration.
-    kRemoveDoc,   ///< Synchronous document destruction (last command).
+    kRemoveDoc,   ///< Synchronous document destruction (last request).
   };
 
-  Kind kind = Kind::kEdit;
-  Edit edit{};
-  StructuralOp structural{};
-  /// kRegister payload; shared_ptr so Command stays cheaply movable.
+  Kind kind = Kind::kCommand;
+  Command command;
+  /// kRegister payload; shared_ptr so Request stays cheaply movable.
   std::shared_ptr<const UnrankedTva> query;
   DynamicDocument::QueryHandle handle = 0;  ///< kUnregister target.
   uint64_t submit_ns = 0;                   ///< NowNs() at submission.
@@ -80,7 +78,7 @@ struct DocumentShardServer::DocRef::DocState {
   /// token: true while the document sits in some shard's run queue or is
   /// being drained, so at most one worker ever touches `doc`.
   std::mutex mu;
-  std::vector<Command> queue;
+  std::vector<Request> queue;
   bool scheduled = false;
 };
 
@@ -102,6 +100,7 @@ struct DocumentShardServer::Shard {
   std::atomic<uint64_t> registers{0};
   std::atomic<uint64_t> unregisters{0};
   std::atomic<uint64_t> removes{0};
+  std::atomic<uint64_t> rejected{0};
   std::atomic<uint64_t> commits{0};
   std::atomic<uint64_t> commands{0};
   std::atomic<uint64_t> steals{0};
@@ -163,13 +162,11 @@ size_t DocumentShardServer::shard_of(DocRef doc) const {
 }
 
 void DocumentShardServer::RemoveDocument(DocRef doc) {
-  TREENUM_CHECK(doc, "RemoveDocument: null DocRef");
   Ticket ticket;
-  Command c;
-  c.kind = Command::Kind::kRemoveDoc;
-  c.submit_ns = NowNs();
-  c.ticket = &ticket;
-  Enqueue(doc.doc_, std::move(c));
+  Request r;
+  r.kind = Request::Kind::kRemoveDoc;
+  r.ticket = &ticket;
+  Enqueue(doc, std::move(r));
   ticket.Wait();
 }
 
@@ -179,49 +176,32 @@ void DocumentShardServer::RemoveDocument(DocRef doc) {
 
 DocumentShardServer::QueryRef DocumentShardServer::RegisterQuery(
     DocRef doc, const UnrankedTva& query) {
-  TREENUM_CHECK(doc, "RegisterQuery: null DocRef");
   Ticket ticket;
-  Command c;
-  c.kind = Command::Kind::kRegister;
-  c.query = std::make_shared<const UnrankedTva>(query);
-  c.submit_ns = NowNs();
-  c.ticket = &ticket;
-  Enqueue(doc.doc_, std::move(c));
+  Request r;
+  r.kind = Request::Kind::kRegister;
+  r.query = std::make_shared<const UnrankedTva>(query);
+  r.ticket = &ticket;
+  Enqueue(doc, std::move(r));
   ticket.Wait();
-  return QueryRef{ticket.handle, ticket.view};
+  return ticket.ref;
 }
 
 void DocumentShardServer::UnregisterQuery(DocRef doc,
                                           DynamicDocument::QueryHandle handle) {
-  TREENUM_CHECK(doc, "UnregisterQuery: null DocRef");
-  Command c;
-  c.kind = Command::Kind::kUnregister;
-  c.handle = handle;
-  c.submit_ns = NowNs();
-  Enqueue(doc.doc_, std::move(c));
+  Request r;
+  r.kind = Request::Kind::kUnregister;
+  r.handle = handle;
+  Enqueue(doc, std::move(r));
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
-void DocumentShardServer::SubmitEdit(DocRef doc, const Edit& edit) {
-  TREENUM_CHECK(doc, "SubmitEdit: null DocRef");
-  Command c;
-  c.kind = Command::Kind::kEdit;
-  c.edit = edit;
-  c.submit_ns = NowNs();
-  Enqueue(doc.doc_, std::move(c));
-}
-
-void DocumentShardServer::SubmitStructural(DocRef doc,
-                                           const StructuralOp& op) {
-  TREENUM_CHECK(doc, "SubmitStructural: null DocRef");
-  Command c;
-  c.kind = Command::Kind::kStructural;
-  c.structural = op;
-  c.submit_ns = NowNs();
-  Enqueue(doc.doc_, std::move(c));
+void DocumentShardServer::Submit(DocRef doc, const Command& command) {
+  Request r;
+  r.command = command;
+  Enqueue(doc, std::move(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +241,7 @@ DocumentShardServer::Stats DocumentShardServer::stats() const {
     total.registers += s->registers.load(std::memory_order_relaxed);
     total.unregisters += s->unregisters.load(std::memory_order_relaxed);
     total.removes += s->removes.load(std::memory_order_relaxed);
+    total.rejected += s->rejected.load(std::memory_order_relaxed);
     total.commits += s->commits.load(std::memory_order_relaxed);
     total.commands += s->commands.load(std::memory_order_relaxed);
     total.steals += s->steals.load(std::memory_order_relaxed);
@@ -281,13 +262,16 @@ void DocumentShardServer::ResetEditLatency() {
 // Scheduling core
 // ---------------------------------------------------------------------------
 
-void DocumentShardServer::Enqueue(DocState* d, Command cmd) {
+void DocumentShardServer::Enqueue(DocRef doc, Request req) {
+  TREENUM_CHECK(doc, "request for a null DocRef");
+  DocState* d = doc.doc_;
+  req.submit_ns = NowNs();
   bool need_schedule = false;
   {
     std::lock_guard<std::mutex> lock(d->mu);
     TREENUM_CHECK(d->doc != nullptr || !d->queue.empty() || d->scheduled,
                   "Enqueue: command submitted after RemoveDocument");
-    d->queue.push_back(std::move(cmd));
+    d->queue.push_back(std::move(req));
     if (!d->scheduled) {
       d->scheduled = true;
       need_schedule = true;
@@ -315,7 +299,7 @@ void DocumentShardServer::NoteUnscheduled() {
 void DocumentShardServer::WorkerLoop(size_t shard_index) {
   Shard& self = *shards_[shard_index];
   const size_t num_shards = shards_.size();
-  std::vector<Command> scratch;
+  std::vector<Request> scratch;
   scratch.reserve(Options::max_commands_per_run);
 
   for (;;) {
@@ -359,7 +343,7 @@ void DocumentShardServer::WorkerLoop(size_t shard_index) {
 }
 
 void DocumentShardServer::RunDoc(Shard& self, DocState* d,
-                                 std::vector<Command>* scratch) {
+                                 std::vector<Request>* scratch) {
   self.doc_runs.fetch_add(1, std::memory_order_relaxed);
   size_t budget = Options::max_commands_per_run;
   for (;;) {
@@ -379,7 +363,7 @@ void DocumentShardServer::RunDoc(Shard& self, DocState* d,
         d->queue.erase(d->queue.begin(), split);
       }
     }
-    ApplyCommands(self, d, *scratch);
+    ApplyRequests(self, d, *scratch);
     budget -= std::min(budget, scratch->size());
     if (budget == 0) {
       // Fairness: this document used its slice. If it still has work,
@@ -402,79 +386,76 @@ void DocumentShardServer::RunDoc(Shard& self, DocState* d,
   NoteUnscheduled();
 }
 
-void DocumentShardServer::ApplyCommands(Shard& self, DocState* d,
-                                        std::vector<Command>& cmds) {
-  const size_t n = cmds.size();
+void DocumentShardServer::ApplyRequests(Shard& self, DocState* d,
+                                        std::vector<Request>& reqs) {
+  const size_t n = reqs.size();
   self.commands.fetch_add(n, std::memory_order_relaxed);
   size_t i = 0;
   while (i < n) {
     DynamicDocument* doc = d->doc.get();
     TREENUM_CHECK(doc != nullptr,
-                  "ApplyCommands: command after document removal");
-    Command& c = cmds[i];
-    switch (c.kind) {
-      case Command::Kind::kEdit:
-      case Command::Kind::kStructural: {
-        // Group commit: find the run of consecutive mutation commands
-        // (capped), apply them under one batch, publish one snapshot.
+                  "ApplyRequests: request after document removal");
+    Request& r = reqs[i];
+    switch (r.kind) {
+      case Request::Kind::kCommand: {
+        // Group commit: the run of consecutive commands (capped) under one
+        // batch and one snapshot; a rejected command changes nothing.
         size_t j = i + 1;
         const size_t limit = std::min(n, i + Options::max_group_commit);
-        while (j < limit && (cmds[j].kind == Command::Kind::kEdit ||
-                             cmds[j].kind == Command::Kind::kStructural)) {
-          ++j;
-        }
+        while (j < limit && reqs[j].kind == Request::Kind::kCommand) ++j;
         const bool batched = (j - i) > 1;
         if (batched) doc->BeginBatch();
-        uint64_t edits = 0, txns = 0;
+        uint64_t edits = 0, txns = 0, rejected = 0;
         for (size_t k = i; k < j; ++k) {
-          if (cmds[k].kind == Command::Kind::kEdit) {
-            doc->ApplyEdit(cmds[k].edit);
-            ++edits;
+          const Command& c = reqs[k].command;
+          if (!doc->Apply(c).ok()) {
+            ++rejected;
+          } else if (c.kind <= Command::Kind::kDeleteLeaf) {
+            ++edits;  // one of Definition 7.1's leaf edits
           } else {
-            const StructuralOp& op = cmds[k].structural;
-            if (op.kind == StructuralOp::Kind::kSubtreeMove) {
-              doc->SubtreeMove(op.v, op.dst, op.where);
-            } else {
-              doc->SubtreeDelete(op.v);
-            }
             ++txns;
           }
         }
         if (batched) doc->CommitBatch();
-        self.commits.fetch_add(1, std::memory_order_relaxed);
+        if (rejected < j - i) {
+          self.commits.fetch_add(1, std::memory_order_relaxed);
+        }
         self.edits.fetch_add(edits, std::memory_order_relaxed);
         self.structural.fetch_add(txns, std::memory_order_relaxed);
+        self.rejected.fetch_add(rejected, std::memory_order_relaxed);
         // Every command in the group becomes durable (snapshot published,
         // pipelines refreshed) at this commit: that is its served latency.
         const uint64_t now = NowNs();
         for (size_t k = i; k < j; ++k) {
-          self.edit_latency.Record(now - std::min(now, cmds[k].submit_ns));
+          self.edit_latency.Record(now - std::min(now, reqs[k].submit_ns));
         }
         i = j;
         break;
       }
-      case Command::Kind::kRegister: {
-        c.ticket->handle = doc->Register(*c.query);
+      case Request::Kind::kRegister: {
+        const DynamicDocument::Registration reg = doc->Register(*r.query);
         // Resolve the any-thread read surface here, on the worker: the
         // submitter must never touch registry internals itself (they may
         // reallocate under a later Register on this shard).
-        c.ticket->view = doc->reader_view(c.ticket->handle);
-        self.registers.fetch_add(1, std::memory_order_relaxed);
-        c.ticket->Complete();
+        if (reg.ok()) r.ticket->ref = {reg, doc->reader_view(reg)};
+        (reg.ok() ? self.registers : self.rejected)
+            .fetch_add(1, std::memory_order_relaxed);
+        r.ticket->Complete();
         ++i;
         break;
       }
-      case Command::Kind::kUnregister: {
-        doc->Unregister(c.handle);
-        self.unregisters.fetch_add(1, std::memory_order_relaxed);
+      case Request::Kind::kUnregister: {
+        (doc->Unregister(r.handle) == Status::kOk ? self.unregisters
+                                                   : self.rejected)
+            .fetch_add(1, std::memory_order_relaxed);
         ++i;
         break;
       }
-      case Command::Kind::kRemoveDoc: {
-        TREENUM_CHECK(i + 1 == n, "RemoveDocument must be the last command");
+      case Request::Kind::kRemoveDoc: {
+        TREENUM_CHECK(i + 1 == n, "RemoveDocument must be the last request");
         d->doc.reset();
         self.removes.fetch_add(1, std::memory_order_relaxed);
-        c.ticket->Complete();
+        r.ticket->Complete();
         ++i;
         break;
       }

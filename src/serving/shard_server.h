@@ -1,57 +1,46 @@
-// DocumentShardServer — sharded multi-document serving over DynamicDocument.
+// DocumentShardServer — sharded multi-document serving over DynamicDocument
+// (docs/ARCHITECTURE.md §9).
 //
-// Every bench before this layer was a closed-loop, single-document
-// microbench; this is the multi-tenant composition of the PR 4–7
-// ingredients into one served artifact:
+//   * S shards, each with a worker thread. A document lives on a home shard
+//     chosen by hash (splitmix64 of its id). Every mutating request — a
+//     document Command (core/command.h), a query register/unregister,
+//     document removal — is appended by any client thread to the
+//     document's FIFO queue, and an idle document is pushed onto its home
+//     shard's run queue.
+//   * A worker drains whole documents: it takes a document's queued
+//     requests and applies them in FIFO order with *group commit* — up to
+//     Options::max_group_commit consecutive Commands go through
+//     DynamicDocument::Apply under one BeginBatch/CommitBatch, publishing
+//     one snapshot. Per-command submit → commit latency goes into a
+//     per-shard lock-free LatencyHistogram.
+//   * A bad request is one tenant's problem: Apply checks every command
+//     before it changes anything, so a rejected command or (un)registration
+//     is counted in Stats::rejected, changes nothing, and the worker
+//     carries on with the rest of its group and with every other document.
+//   * Idle workers *steal whole documents*: each run queue is one
+//     mutex-guarded deque; the owner pops the newest document, thieves take
+//     the oldest. A `scheduled` flag under the document mutex keeps a
+//     document in at most one run queue and with at most one worker, so
+//     DynamicDocument's single-writer contract holds, and FIFO order per
+//     document makes answers bit-identical at S=1 and S=8.
+//   * Reads never queue: readers pin a snapshot (Pin) and enumerate on
+//     their own thread through the ReaderView captured at registration
+//     (QueryRef::view).
 //
-//   * The server owns S *shards*, each with a dedicated worker thread.
-//     Documents are placed on a home shard by hash (splitmix64 of the
-//     document id), and every mutating command — leaf edits, structural
-//     transactions, query register/unregister, document removal — is
-//     appended by any client thread to the document's FIFO command queue;
-//     a document that was idle is then pushed onto its home shard's run
-//     queue.
-//   * Each shard worker drains whole documents at a time: it pops a
-//     scheduled document, takes its queued commands, and applies them in
-//     FIFO order with *group commit* — consecutive edit/structural
-//     commands (up to Options::max_group_commit) coalesce into one
-//     BeginBatch/CommitBatch, so a backlogged document pays the commit's
-//     ordering and refresh fan-out once per batch, and one snapshot
-//     epoch is published per commit. Per-command latency (submit →
-//     commit) is recorded into a per-shard lock-free LatencyHistogram.
-//   * Idle shard workers *steal whole documents* from loaded neighbours:
-//     each shard's run queue is one mutex-guarded deque — the owner pops
-//     the newest document, thieves take the oldest. The queue sees one
-//     push/pop per document drain, not per command. A document is in at
-//     most one run queue and drained by at most one worker at a time (the
-//     `scheduled` flag under the document mutex), so the single-writer
-//     contract of DynamicDocument holds no matter which worker ends up
-//     applying the commands — and because the per-document command order
-//     is FIFO regardless of the executing worker, answers are
-//     bit-identical at S=1 and S=8 (asserted in serving_test).
-//   * Enumeration never enters the command queues: readers pin a snapshot
-//     (Pin) and enumerate on their own thread through the ReaderView
-//     captured at registration (QueryRef::view), so the read path scales
-//     independently of the write path and is never queued behind edits.
-//
-// Threading contract:
-//   * AddDocument / RegisterQuery / RemoveDocument are synchronous (the
-//     register/remove commands still flow through the queue, FIFO with
-//     the edits ahead of them; the call returns when the shard worker has
-//     applied them). Any thread.
-//   * SubmitEdit / SubmitStructural / UnregisterQuery are asynchronous
-//     fire-and-forget commands. Any thread. Commands to ONE document are
-//     applied in global submission FIFO order only if the callers
-//     externally order their submissions (one writer per document, the
-//     usual tenant model); commands from racing writers are applied in
-//     queue-push order.
-//   * A QueryRef's view (and any pinned snapshot) may be used from any
-//     thread while the registration is live; stop using it before
-//     submitting the unregister, and release pins before RemoveDocument.
-//   * Drain() blocks until every queued command has been applied and all
-//     workers are idle; call it after submissions quiesce (it is the
-//     barrier the tests/benches use before oracle checks and histogram
-//     reads). The destructor drains, then stops the workers.
+// Threading contract (every call: any thread):
+//   * AddDocument / RegisterQuery / RemoveDocument are synchronous; the
+//     register/remove requests still flow through the queue, FIFO with the
+//     commands ahead of them.
+//   * Submit / SubmitEdit / SubmitStructural / UnregisterQuery are
+//     fire-and-forget. Commands to one document apply in submission order
+//     if its callers order their submissions (one writer per document);
+//     racing writers' commands apply in queue-push order.
+//   * A QueryRef's view and pinned snapshots may be used while the
+//     registration is live; stop using the view before submitting the
+//     unregister, and release pins before RemoveDocument.
+//   * Drain() blocks until every queued request has been applied and all
+//     workers are idle — the barrier before oracle checks and histogram
+//     reads. The destructor drains, then stops the workers.
 #ifndef TREENUM_SERVING_SHARD_SERVER_H_
 #define TREENUM_SERVING_SHARD_SERVER_H_
 
@@ -70,20 +59,15 @@
 namespace treenum {
 namespace serving {
 
-/// A whole-subtree transaction command (the serving-layer vocabulary for
-/// DynamicDocument::SubtreeMove / SubtreeDelete).
+/// A subtree move as a value (the benchmark harness's); SubmitStructural
+/// submits its Command.
 struct StructuralOp {
-  enum class Kind : uint8_t { kSubtreeMove, kSubtreeDelete };
-  Kind kind = Kind::kSubtreeMove;
   NodeId v = kNoNode;    ///< Subtree root (non-root node).
-  NodeId dst = kNoNode;  ///< Move destination anchor (kSubtreeMove only).
+  NodeId dst = kNoNode;  ///< Destination anchor.
   AttachWhere where = AttachWhere::kFirstChild;
 
   static StructuralOp Move(NodeId v, NodeId dst, AttachWhere where) {
-    return {Kind::kSubtreeMove, v, dst, where};
-  }
-  static StructuralOp Delete(NodeId v) {
-    return {Kind::kSubtreeDelete, v, kNoNode, AttachWhere::kFirstChild};
+    return {v, dst, where};
   }
 };
 
@@ -116,8 +100,9 @@ class DocumentShardServer {
     uint64_t registers = 0;           ///< Query registrations applied.
     uint64_t unregisters = 0;         ///< Query unregistrations applied.
     uint64_t removes = 0;             ///< Documents removed.
+    uint64_t rejected = 0;            ///< Commands, (un)registrations rejected.
     uint64_t commits = 0;             ///< Group commits (single or batched).
-    uint64_t commands = 0;            ///< Commands consumed, all kinds.
+    uint64_t commands = 0;            ///< Requests consumed, all kinds.
     uint64_t steals = 0;              ///< Documents drained by a non-home worker.
     uint64_t doc_runs = 0;            ///< Document drain passes.
   };
@@ -137,9 +122,10 @@ class DocumentShardServer {
   };
 
   /// One live registration: the handle (for UnregisterQuery) and the
-  /// any-thread read surface captured on the shard worker.
+  /// any-thread read surface captured on the shard worker; empty if the
+  /// registration was rejected.
   struct QueryRef {
-    DynamicDocument::QueryHandle handle = 0;
+    DynamicDocument::QueryHandle handle = DynamicDocument::kNoHandle;
     DynamicDocument::ReaderView view;
   };
 
@@ -167,19 +153,29 @@ class DocumentShardServer {
   // ---- Queries ----
 
   /// Enqueues a registration and waits for the shard worker to apply it
-  /// (FIFO with the commands ahead of it). Served registrations are
-  /// always indexed (BoxEnumMode::kIndexed). Any thread.
+  /// (FIFO with the commands ahead of it); always BoxEnumMode::kIndexed.
+  /// A rejected one returns an empty QueryRef and counts in
+  /// Stats::rejected.
   QueryRef RegisterQuery(DocRef doc, const UnrankedTva& query);
   /// Enqueues an unregistration (asynchronous). The caller must stop
-  /// using the handle's views/pipelines before submitting this.
+  /// using the handle's views/pipelines before submitting this. A handle
+  /// that is not registered counts in Stats::rejected.
   void UnregisterQuery(DocRef doc, DynamicDocument::QueryHandle handle);
 
   // ---- Write path (asynchronous commands) ----
 
-  /// Enqueues one leaf edit, timestamped now for latency accounting.
-  void SubmitEdit(DocRef doc, const Edit& edit);
-  /// Enqueues one structural transaction, timestamped now.
-  void SubmitStructural(DocRef doc, const StructuralOp& op);
+  /// Enqueues one command, timestamped now, for DynamicDocument::Apply on
+  /// the shard worker; a rejection counts in Stats::rejected. Pointer
+  /// payloads must stay valid, and outputs unread, until Drain() returns.
+  void Submit(DocRef doc, const Command& command);
+  /// Submit(doc, Command::Of(edit)).
+  void SubmitEdit(DocRef doc, const Edit& edit) {
+    Submit(doc, Command::Of(edit));
+  }
+  /// Submit(doc, Command::SubtreeMove(op.v, op.dst, op.where)).
+  void SubmitStructural(DocRef doc, const StructuralOp& op) {
+    Submit(doc, Command::SubtreeMove(op.v, op.dst, op.where));
+  }
 
   // ---- Read path (caller threads; never queued) ----
 
@@ -216,18 +212,19 @@ class DocumentShardServer {
 
  private:
   class Ticket;
-  struct Command;
+  struct Request;
   struct Shard;
   using DocState = DocRef::DocState;
 
-  void Enqueue(DocState* d, Command cmd);
+  /// Stamps `req` with NowNs() and appends it to the document's queue.
+  void Enqueue(DocRef doc, Request req);
   void NoteUnscheduled();
   void WorkerLoop(size_t shard_index);
-  /// Drains up to max_commands_per_run commands of `d`, then either
+  /// Drains up to max_commands_per_run requests of `d`, then either
   /// unschedules it or requeues it on `self`'s own run queue.
-  void RunDoc(Shard& self, DocState* d, std::vector<Command>* scratch);
-  /// Applies one taken command slice in FIFO order with group commit.
-  void ApplyCommands(Shard& self, DocState* d, std::vector<Command>& cmds);
+  void RunDoc(Shard& self, DocState* d, std::vector<Request>* scratch);
+  /// Applies one taken request slice in FIFO order with group commit.
+  void ApplyRequests(Shard& self, DocState* d, std::vector<Request>& reqs);
 
   Options opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

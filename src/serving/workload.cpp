@@ -9,22 +9,13 @@ CommandScript::CommandScript(UnrankedTree mirror, uint64_t seed,
   pool_ = mirror_.PreorderNodes();
 }
 
-DocCommand CommandScript::Next() {
-  DocCommand c;
-  if (opts_.churn_fraction > 0 && rng_.Flip(opts_.churn_fraction)) {
-    c.kind = churn_live_ ? DocCommand::Kind::kUnregister
-                         : DocCommand::Kind::kRegister;
-    churn_live_ = !churn_live_;
-    return c;
-  }
+Command CommandScript::Next() {
+  Command c;
   if (opts_.structural_fraction > 0 && rng_.Flip(opts_.structural_fraction) &&
-      NextStructural(&c.structural)) {
-    c.kind = DocCommand::Kind::kStructural;
+      NextStructural(&c)) {
     return c;
   }
-  c.kind = DocCommand::Kind::kEdit;
-  c.edit = NextEdit();
-  return c;
+  return Command::Of(NextEdit());
 }
 
 Edit CommandScript::NextEdit() {
@@ -65,7 +56,7 @@ Edit CommandScript::NextRelabel() {
   return Edit::Relabel(n, l);
 }
 
-bool CommandScript::NextStructural(StructuralOp* op) {
+bool CommandScript::NextStructural(Command* c) {
   if (mirror_.size() < 2) return false;
   // A structural op needs a non-root subtree root.
   NodeId v = Pick();
@@ -76,7 +67,7 @@ bool CommandScript::NextStructural(StructuralOp* op) {
     // Subtree delete — unless it would shrink the document too far.
     size_t sub = mirror_.SubtreeSize(v);
     if (mirror_.size() - sub >= opts_.min_size) {
-      *op = StructuralOp::Delete(v);
+      *c = Command::SubtreeDelete(v);
       mirror_.DetachSubtree(v);
       mirror_.FreeDetached(v);
       return true;
@@ -99,7 +90,7 @@ bool CommandScript::NextStructural(StructuralOp* op) {
   if (dst != mirror_.root() && rng_.Flip(0.5)) {
     where = AttachWhere::kRightSibling;  // anchor must be non-root
   }
-  *op = StructuralOp::Move(v, dst, where);
+  *c = Command::SubtreeMove(v, dst, where);
   mirror_.DetachSubtree(v);
   if (where == AttachWhere::kFirstChild) {
     mirror_.AttachSubtreeFirstChild(v, dst);

@@ -1,13 +1,12 @@
 // Workload generation, shared by the test suite and the benches.
 //
 // CommandScript is the one mirror-tree edit generator: it owns a mirror
-// UnrankedTree per document and emits a reproducible stream of Definition
-// 7.1 edits (NextEdit, NextRelabel) or of mixed serving commands (Next):
-// leaf edits, structural subtree moves/deletes, and query
-// register/unregister churn markers. Each command is already validated
-// against the mirror, so the same seed drives any number of replica
-// documents or engines (S=1 vs S=8 determinism) or a document plus an
-// oracle in lockstep with identical NodeIds.
+// UnrankedTree per document and emits a reproducible stream of Commands
+// (core/command.h) — Definition 7.1 edits and subtree moves and deletes.
+// Each command is applied to the mirror as it is emitted, so it is valid
+// there, and the same seed drives any number of replica documents or
+// engines (S=1 vs S=8 determinism) or a document plus an oracle in
+// lockstep with identical NodeIds.
 //
 // PoissonArrivals is the open-loop clock: exponential inter-arrival gaps at
 // a fixed target rate, independent of service times, so queueing delay
@@ -20,7 +19,7 @@
 #include <random>
 #include <vector>
 
-#include "core/engine.h"
+#include "core/command.h"
 #include "serving/shard_server.h"
 #include "trees/unranked_tree.h"
 #include "util/random.h"
@@ -33,20 +32,14 @@ struct WorkloadOptions {
   size_t num_labels = 3;
   /// Fraction of commands that are whole-subtree transactions.
   double structural_fraction = 0.0;
-  /// Fraction of commands that are query churn (alternating register /
-  /// unregister markers; the submitter decides which query to register).
-  double churn_fraction = 0.0;
   /// Structural deletes are suppressed when they would shrink the
   /// document below this size.
   size_t min_size = 8;
 };
 
-/// One generated command. kRegister/kUnregister are churn *markers*: the
-/// submitter maps them to RegisterQuery/UnregisterQuery with a query and
-/// handle of its choosing (the script only sequences them, alternating so
-/// at most one churn registration is outstanding).
+/// A leaf edit or a subtree move (the benchmark harness's; see Command).
 struct DocCommand {
-  enum class Kind : uint8_t { kEdit, kStructural, kRegister, kUnregister };
+  enum class Kind : uint8_t { kEdit, kStructural };
   Kind kind = Kind::kEdit;
   Edit edit{};
   StructuralOp structural{};
@@ -58,9 +51,10 @@ class CommandScript {
   CommandScript(UnrankedTree mirror, uint64_t seed,
                 const WorkloadOptions& opts);
 
-  /// Generates the next command and applies it to the mirror, so emitted
+  /// Generates the next command — an edit or, at structural_fraction, a
+  /// subtree move or delete — and applies it to the mirror, so emitted
   /// NodeIds are valid on every document fed the same command sequence.
-  DocCommand Next();
+  Command Next();
 
   /// Like Next(), but one Definition 7.1 edit of a random alive node: a
   /// relabel, first-child insert, right-sibling insert or leaf delete (the
@@ -73,7 +67,7 @@ class CommandScript {
   const UnrankedTree& mirror() const { return mirror_; }
 
  private:
-  bool NextStructural(StructuralOp* op);
+  bool NextStructural(Command* c);
   NodeId Pick();
   /// True iff `u` lies in the subtree rooted at `v` (parent walk).
   bool InSubtree(NodeId u, NodeId v) const;
@@ -82,7 +76,6 @@ class CommandScript {
   Rng rng_;
   WorkloadOptions opts_;
   std::vector<NodeId> pool_;  ///< Alive-ish node pool, purged lazily.
-  bool churn_live_ = false;   ///< A churn registration is outstanding.
 };
 
 /// Open-loop arrival clock: exponential gaps at `rate_per_sec`.

@@ -164,7 +164,7 @@ TEST(Circuit, IncrementalRebuildMatchesFreshBuild) {
 // Applies one scripted command to the encoding and refreshes the circuit the
 // way EnumerationPipeline::Apply does: release the boxes of the freed ids,
 // then rebuild the changed ids bottom-up.
-void ApplyAndRefresh(const serving::DocCommand& c, DynamicEncoding& dyn,
+void ApplyAndRefresh(const Command& c, DynamicEncoding& dyn,
                      AssignmentCircuit& circuit) {
   const UpdateResult& r = ApplyToEncoding(c, dyn);
   for (TermNodeId id : r.freed) circuit.FreeBox(id);

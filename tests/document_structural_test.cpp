@@ -68,19 +68,22 @@ TEST(DocumentStructural, TreeTransactionsMatchFreshOracles) {
     NodeId pick = nodes[rng.Index(nodes.size())];
     switch (rng.Index(8)) {
       case 0:
-        doc.Relabel(pick, static_cast<Label>(rng.Index(3)));
+        ApplyOk(doc,
+                Command::Relabel(pick, static_cast<Label>(rng.Index(3))));
         break;
       case 1:
-        doc.InsertFirstChild(pick, static_cast<Label>(rng.Index(3)));
+        ApplyOk(doc, Command::InsertFirstChild(
+                         pick, static_cast<Label>(rng.Index(3))));
         break;
       case 2:
         if (pick != doc.tree().root()) {
-          doc.InsertRightSibling(pick, static_cast<Label>(rng.Index(3)));
+          ApplyOk(doc, Command::InsertRightSibling(
+                           pick, static_cast<Label>(rng.Index(3))));
         }
         break;
       case 3:
         if (pick != doc.tree().root() && doc.tree().IsLeaf(pick)) {
-          doc.DeleteLeaf(pick);
+          ApplyOk(doc, Command::DeleteLeaf(pick));
         }
         break;
       case 4:
@@ -91,24 +94,24 @@ TEST(DocumentStructural, TreeTransactionsMatchFreshOracles) {
         AttachWhere where = rng.Index(2) == 0 || dst == doc.tree().root()
                                 ? AttachWhere::kFirstChild
                                 : AttachWhere::kRightSibling;
-        doc.SubtreeMove(pick, dst, where);
+        ApplyOk(doc, Command::SubtreeMove(pick, dst, where));
         break;
       }
       case 6:
         if (pick != doc.tree().root() && doc.tree().size() > 20) {
-          doc.SubtreeDelete(pick);
+          ApplyOk(doc, Command::SubtreeDelete(pick));
         }
         break;
       case 7: {
         if (pick == doc.tree().root() || doc.tree().size() <= 20) break;
         UnrankedTree cut(0);
-        doc.SubtreeExtract(pick, &cut);
+        ApplyOk(doc, Command::SubtreeExtract(pick, &cut));
         std::vector<NodeId> rest = doc.tree().PreorderNodes();
         NodeId dst = rest[rng.Index(rest.size())];
         AttachWhere where = rng.Index(2) == 0 || dst == doc.tree().root()
                                 ? AttachWhere::kFirstChild
                                 : AttachWhere::kRightSibling;
-        doc.GraftSubtree(cut, cut.root(), dst, where);
+        ApplyOk(doc, Command::GraftSubtree(&cut, cut.root(), dst, where));
         break;
       }
     }
@@ -145,12 +148,13 @@ TEST(DocumentStructural, BatchedTransactionsCoalesceWithLeafEdits) {
     NodeId pick = nodes[rng.Index(nodes.size())];
     uint64_t epoch_before = doc.CurrentSnapshot().epoch();
     doc.BeginBatch();
-    doc.Relabel(nodes[rng.Index(nodes.size())],
-                static_cast<Label>(rng.Index(3)));
+    ApplyOk(doc, Command::Relabel(nodes[rng.Index(nodes.size())],
+                                  static_cast<Label>(rng.Index(3))));
     if (pick != doc.tree().root() && doc.tree().size() > 20) {
-      doc.SubtreeDelete(pick);
+      ApplyOk(doc, Command::SubtreeDelete(pick));
     }
-    doc.InsertFirstChild(doc.tree().root(), static_cast<Label>(rng.Index(3)));
+    ApplyOk(doc, Command::InsertFirstChild(
+                     doc.tree().root(), static_cast<Label>(rng.Index(3))));
     doc.CommitBatch();
     EXPECT_EQ(doc.CurrentSnapshot().epoch(), epoch_before + 1)
         << "a batch must publish exactly one epoch, round " << round;
@@ -226,21 +230,21 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
           size_t pos = rng.Index(ref.size() + 1);
           Label l = static_cast<Label>(rng.Index(2));
           ref.insert(ref.begin() + pos, l);
-          doc.Insert(pos, l);
+          ApplyOk(doc, Command::Insert(pos, l));
           break;
         }
         case 1: {
           if (ref.size() <= 1) break;
           size_t pos = rng.Index(ref.size());
           ref.erase(ref.begin() + pos);
-          doc.Erase(pos);
+          ApplyOk(doc, Command::Erase(pos));
           break;
         }
         case 2: {
           size_t pos = rng.Index(ref.size());
           Label l = static_cast<Label>(rng.Index(2));
           ref[pos] = l;
-          doc.Replace(pos, l);
+          ApplyOk(doc, Command::Replace(pos, l));
           break;
         }
         case 3: {  // MoveRange
@@ -252,7 +256,7 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
           ref.erase(ref.begin() + begin, ref.begin() + end);
           size_t dst = rng.Index(ref.size() + 1);
           ref.insert(ref.begin() + dst, factor.begin(), factor.end());
-          doc.MoveRange(begin, end, dst);
+          ApplyOk(doc, Command::MoveRange(begin, end, dst));
           break;
         }
         case 4: {  // EraseRange
@@ -262,7 +266,7 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
               begin + 1 + rng.Index(std::min(ref.size() - begin, run.max_cut));
           if (end - begin >= ref.size()) break;
           ref.erase(ref.begin() + begin, ref.begin() + end);
-          doc.EraseRange(begin, end);
+          ApplyOk(doc, Command::EraseRange(begin, end));
           break;
         }
         case 5: {  // ExtractRange: the extracted factor must match the mirror
@@ -274,7 +278,7 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
           Word expect_factor(ref.begin() + begin, ref.begin() + end);
           ref.erase(ref.begin() + begin, ref.begin() + end);
           Word got;
-          doc.ExtractRange(begin, end, &got);
+          ApplyOk(doc, Command::ExtractRange(begin, end, &got));
           ASSERT_EQ(got, expect_factor) << "step " << step;
           break;
         }
@@ -284,7 +288,7 @@ TEST(DocumentStructural, WordTransactionsMatchEnumerator) {
             tail.push_back(static_cast<Label>(rng.Index(2)));
           }
           ref.insert(ref.end(), tail.begin(), tail.end());
-          doc.Concat(tail);
+          ApplyOk(doc, Command::Concat(&tail));
           break;
         }
       }
@@ -383,11 +387,11 @@ TEST(DocumentStructural, SteadyStateSubtreeMovesAreAllocationFree) {
   // Two stable anchors under the root plus a movable subtree.
   NodeId root = doc.tree().root();
   NodeId a = kNoNode, b = kNoNode, v = kNoNode;
-  doc.InsertFirstChild(root, 0, &a);
-  doc.InsertFirstChild(root, 0, &b);
-  doc.InsertFirstChild(root, 1, &v);
-  doc.InsertFirstChild(v, 2);
-  doc.InsertFirstChild(v, 2);
+  ApplyOk(doc, Command::InsertFirstChild(root, 0, &a));
+  ApplyOk(doc, Command::InsertFirstChild(root, 0, &b));
+  ApplyOk(doc, Command::InsertFirstChild(root, 1, &v));
+  ApplyOk(doc, Command::InsertFirstChild(v, 2));
+  ApplyOk(doc, Command::InsertFirstChild(v, 2));
 
   auto run_pass = [&] {
     for (int i = 0; i < 16; ++i) {

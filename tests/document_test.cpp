@@ -93,7 +93,7 @@ TEST(DynamicDocument, BatchedCommitsMatchOracles) {
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;
     for (int i = 0; i < 24; ++i) edits.push_back(script.NextEdit());
-    doc.ApplyEdits(edits);
+    ApplyBatchOk(doc, edits);
     for (auto& oracle : oracles) oracle->ApplyEdits(edits);
 
     for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -134,7 +134,7 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
     } else {
       std::vector<Edit> edits;
       for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
-      doc.ApplyEdits(edits);
+      ApplyBatchOk(doc, edits);
       oracle_a.ApplyEdits(edits);
       oracle_b.ApplyEdits(edits);
     }
@@ -264,21 +264,21 @@ TEST(DynamicDocument, WordDocumentServesMultipleSpanners) {
         size_t pos = rng.Index(ref.size() + 1);
         Label l = static_cast<Label>(rng.Index(2));
         ref.insert(ref.begin() + pos, l);
-        doc.Insert(pos, l);
+        ApplyOk(doc, Command::Insert(pos, l));
         break;
       }
       case 1: {
         if (ref.size() <= 1) break;
         size_t pos = rng.Index(ref.size());
         ref.erase(ref.begin() + pos);
-        doc.Erase(pos);
+        ApplyOk(doc, Command::Erase(pos));
         break;
       }
       default: {
         size_t pos = rng.Index(ref.size());
         Label l = static_cast<Label>(rng.Index(2));
         ref[pos] = l;
-        doc.Replace(pos, l);
+        ApplyOk(doc, Command::Replace(pos, l));
         break;
       }
     }
@@ -322,7 +322,7 @@ TEST(DynamicDocument, SteadyStateRelabelsAreAllocationFree) {
     auto run_pass = [&](bool batched) {
       for (NodeId n : targets) {
         if (batched) doc.BeginBatch();
-        for (Label l = 0; l < 3; ++l) doc.Relabel(n, l);
+        for (Label l = 0; l < 3; ++l) ApplyOk(doc, Command::Relabel(n, l));
         if (batched) doc.CommitBatch();
       }
     };
@@ -366,7 +366,7 @@ TEST(DynamicDocument, DeduplicatedSteadyStateRelabelsAreAllocationFree) {
   std::vector<NodeId> targets = tree.PreorderNodes();
   auto run_pass = [&] {
     for (NodeId n : targets) {
-      for (Label l = 0; l < 3; ++l) doc.Relabel(n, l);
+      for (Label l = 0; l < 3; ++l) ApplyOk(doc, Command::Relabel(n, l));
     }
   };
   int pass = 0;
@@ -400,9 +400,9 @@ TEST(DynamicDocument, WordPointEditsWithPinsAreAllocationFree) {
   auto run_pass = [&] {
     for (size_t pos = 0; pos < w.size(); ++pos) {
       SnapshotRef pin = doc.CurrentSnapshot();
-      doc.Replace(pos, static_cast<Label>(pos % 2));
-      doc.Insert(pos, 1);
-      doc.Erase(pos + 1);
+      ApplyOk(doc, Command::Replace(pos, static_cast<Label>(pos % 2)));
+      ApplyOk(doc, Command::Insert(pos, 1));
+      ApplyOk(doc, Command::Erase(pos + 1));
       pin.Reset();
     }
   };
@@ -420,88 +420,219 @@ TEST(DynamicDocument, WordPointEditsWithPinsAreAllocationFree) {
   EXPECT_EQ(doc.size(), w.size());
 }
 
-// Word documents edit by position only: the tree edit surface, Edit values
-// included, trips its check instead of reading a position as a tree node.
-TEST(DocumentDeathTest, WordDocumentRejectsTreeEdits) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DynamicDocument doc(ToWord("abab"), 2);
-  doc.Register(SelectLetter(1));
-  EXPECT_DEATH(doc.Relabel(0, 1), "requires a tree document");
-  EXPECT_DEATH(doc.InsertRightSibling(0, 1), "requires a tree document");
-  EXPECT_DEATH(doc.ApplyEdit(Edit::Relabel(0, 1)),
-               "requires a tree document");
+// Every command is checked before anything changes. A rejected one returns
+// its status and leaves the tree or word, the term and every answer as
+// they were; the document keeps serving.
+void ExpectRejected(DynamicDocument& doc, DynamicDocument::QueryHandle h,
+                    const Command& c, Status want) {
+  const std::vector<Assignment> before =
+      doc.EnumerateAt(doc.CurrentSnapshot(), h);
+  const std::string term_before = doc.term().ToString(doc.term().root());
+  const uint64_t epoch = doc.snapshots_published();
+  const UpdateStats s = doc.Apply(c);
+  EXPECT_EQ(s.status, want);
+  EXPECT_EQ(s.edits_applied, 0u);
+  EXPECT_EQ(doc.snapshots_published(), epoch);
+  EXPECT_EQ(doc.term().ToString(doc.term().root()), term_before);
+  EXPECT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "");
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), before);
 }
 
-// Point edits are checked before anything changes: a node that is not
-// alive (never allocated, or deleted), a label outside the document
-// alphabet, or a word position out of range trips its check.
-TEST(DocumentDeathTest, EditsRejectUnknownNodesLabelsAndPositions) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// Word documents edit by position only: the tree commands, Edit values
+// included, are the wrong document kind, and the other way round.
+TEST(DocumentRejects, CommandsOfTheOtherDocumentKind) {
+  DynamicDocument word(ToWord("abab"), 2);
+  const DynamicDocument::QueryHandle hw = word.Register(SelectLetter(1));
+  ExpectRejected(word, hw, Command::Relabel(0, 1), Status::kWrongDocumentKind);
+  ExpectRejected(word, hw, Command::InsertRightSibling(0, 1),
+                 Status::kWrongDocumentKind);
+  EXPECT_EQ(word.ApplyEdit(Edit::Relabel(0, 1)).status,
+            Status::kWrongDocumentKind);
+
+  Rng rng(12345);
+  DynamicDocument tree(RandomTree(10, 3, rng), 3);
+  const DynamicDocument::QueryHandle ht = tree.Register(QuerySelectLabel(3, 1));
+  ExpectRejected(tree, ht, Command::Replace(0, 1), Status::kWrongDocumentKind);
+  ExpectRejected(tree, ht, Command::MoveRange(0, 1, 2),
+                 Status::kWrongDocumentKind);
+}
+
+// Point edits: a node that is not alive (never allocated, or deleted), a
+// label outside the document alphabet, the root where a non-root is
+// needed, an inner node for DeleteLeaf, or a word position out of range.
+TEST(DocumentRejects, PointEditsOfUnknownNodesLabelsAndPositions) {
   Rng rng(12345);
   DynamicDocument doc(RandomTree(10, 3, rng), 3);
-  doc.Register(QuerySelectLabel(3, 1));
+  const DynamicDocument::QueryHandle h = doc.Register(QuerySelectLabel(3, 1));
   const NodeId root = doc.tree().root();
   const NodeId child = doc.tree().children(root).front();
   NodeId deleted = kNoNode;
-  doc.InsertFirstChild(root, 0, &deleted);
-  doc.DeleteLeaf(deleted);
-  EXPECT_DEATH(doc.Relabel(12345, 1), "unknown node");
-  EXPECT_DEATH(doc.Relabel(deleted, 1), "unknown node");
-  EXPECT_DEATH(doc.InsertFirstChild(deleted, 1), "unknown node");
-  EXPECT_DEATH(doc.InsertRightSibling(12345, 1), "unknown node");
-  EXPECT_DEATH(doc.DeleteLeaf(deleted), "unknown node");
-  EXPECT_DEATH(doc.Relabel(root, 77), "unknown label");
-  EXPECT_DEATH(doc.InsertFirstChild(root, 3), "unknown label");
-  EXPECT_DEATH(doc.ApplyEdit(Edit::InsertRightSibling(child, 3)),
-               "unknown label");
+  ApplyOk(doc, Command::InsertFirstChild(root, 0, &deleted));
+  ApplyOk(doc, Command::DeleteLeaf(deleted));
+  ExpectRejected(doc, h, Command::Relabel(12345, 1), Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::Relabel(deleted, 1), Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::InsertFirstChild(deleted, 1),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::InsertRightSibling(12345, 1),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::DeleteLeaf(deleted), Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::Relabel(root, 77), Status::kUnknownLabel);
+  ExpectRejected(doc, h, Command::InsertFirstChild(root, 3),
+                 Status::kUnknownLabel);
+  EXPECT_EQ(doc.ApplyEdit(Edit::InsertRightSibling(child, 3)).status,
+            Status::kUnknownLabel);
+  ExpectRejected(doc, h, Command::InsertRightSibling(root, 1),
+                 Status::kIsRoot);
+  ExpectRejected(doc, h, Command::DeleteLeaf(root), Status::kIsRoot);
+  NodeId inner = child;
+  ApplyOk(doc, Command::InsertFirstChild(inner, 1));
+  ExpectRejected(doc, h, Command::DeleteLeaf(inner), Status::kNotALeaf);
 
   DynamicDocument word(ToWord("abc"), 3);
-  EXPECT_DEATH(word.Replace(3, 1), "position out of range");
-  EXPECT_DEATH(word.Insert(4, 1), "position out of range");
-  EXPECT_DEATH(word.Erase(3), "position out of range");
-  EXPECT_DEATH(word.Replace(0, 3), "unknown label");
-  EXPECT_DEATH(word.Insert(3, 77), "unknown label");
+  const DynamicDocument::QueryHandle hw =
+      word.Register(CompileRegexSpanner(".*<0:b>.*", 3, 1));
+  ExpectRejected(word, hw, Command::Replace(3, 1), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Insert(4, 1), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Erase(3), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Replace(0, 3), Status::kUnknownLabel);
+  ExpectRejected(word, hw, Command::Insert(3, 77), Status::kUnknownLabel);
+
+  // The last letter cannot be erased.
+  DynamicDocument one(ToWord("b"), 3);
+  const DynamicDocument::QueryHandle h1 =
+      one.Register(CompileRegexSpanner(".*<0:b>.*", 3, 1));
+  ExpectRejected(one, h1, Command::Erase(0), Status::kOutOfRange);
+  ExpectRejected(one, h1, Command::EraseRange(0, 1), Status::kOutOfRange);
 }
 
-// Structural transactions are checked before anything changes too: the
-// moved, deleted or extracted node and the destination must be alive, the
-// grafted subtree must exist in its source tree and use only document
-// labels, and a word range must lie inside the word (a move's destination
-// inside what remains once the range is cut out).
-TEST(DocumentDeathTest, TransactionsRejectUnknownNodesLabelsAndRanges) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// Transactions: the moved, deleted or extracted node and the destination
+// must be alive and the subtree root non-root; a move's destination lies
+// outside the moved subtree; the grafted subtree must exist in its source
+// tree and use only document labels; and a word range must lie inside the
+// word (a move's destination inside what remains once the range is cut
+// out), be non-empty and leave a letter, and a Concat must append some.
+TEST(DocumentRejects, TransactionsOfUnknownNodesLabelsAndRanges) {
   Rng rng(12345);
   DynamicDocument doc(RandomTree(10, 3, rng), 3);
-  doc.Register(QuerySelectLabel(3, 1));
+  const DynamicDocument::QueryHandle h = doc.Register(QuerySelectLabel(3, 1));
   const NodeId root = doc.tree().root();
   const NodeId child = doc.tree().children(root).front();
-  NodeId deleted = kNoNode;
-  doc.InsertFirstChild(root, 0, &deleted);
-  doc.DeleteLeaf(deleted);
+  NodeId deleted = kNoNode, grandchild = kNoNode;
+  ApplyOk(doc, Command::InsertFirstChild(child, 0, &grandchild));
+  ApplyOk(doc, Command::InsertFirstChild(root, 0, &deleted));
+  ApplyOk(doc, Command::DeleteLeaf(deleted));
   UnrankedTree src(0);
   src.AppendChild(src.root(), 1);
   UnrankedTree foreign(0);
   foreign.AppendChild(foreign.root(), 77);
   UnrankedTree extracted(0);
-  EXPECT_DEATH(doc.SubtreeMove(12345, root), "unknown node");
-  EXPECT_DEATH(doc.SubtreeMove(deleted, root), "unknown node");
-  EXPECT_DEATH(doc.SubtreeMove(child, 12345), "unknown node");
-  EXPECT_DEATH(doc.SubtreeDelete(12345), "unknown node");
-  EXPECT_DEATH(doc.SubtreeExtract(12345, &extracted), "unknown node");
-  EXPECT_DEATH(doc.GraftSubtree(src, 12345, root), "unknown node");
-  EXPECT_DEATH(doc.GraftSubtree(src, src.root(), 12345), "unknown node");
-  EXPECT_DEATH(doc.GraftSubtree(foreign, foreign.root(), root),
-               "unknown label");
+  ExpectRejected(doc, h, Command::SubtreeMove(12345, root),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::SubtreeMove(deleted, root),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::SubtreeMove(child, 12345),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::SubtreeMove(root, child), Status::kIsRoot);
+  ExpectRejected(doc, h,
+                 Command::SubtreeMove(child, root, AttachWhere::kRightSibling),
+                 Status::kIsRoot);
+  ExpectRejected(doc, h, Command::SubtreeMove(child, child),
+                 Status::kInsideMovedSubtree);
+  ExpectRejected(doc, h, Command::SubtreeMove(child, grandchild),
+                 Status::kInsideMovedSubtree);
+  ExpectRejected(doc, h, Command::SubtreeDelete(12345), Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::SubtreeDelete(root), Status::kIsRoot);
+  ExpectRejected(doc, h, Command::SubtreeExtract(12345, &extracted),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::SubtreeExtract(root, &extracted),
+                 Status::kIsRoot);
+  ExpectRejected(doc, h, Command::GraftSubtree(&src, 12345, root),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::GraftSubtree(&src, src.root(), 12345),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h, Command::GraftSubtree(nullptr, 0, root),
+                 Status::kUnknownNode);
+  ExpectRejected(doc, h,
+                 Command::GraftSubtree(&src, src.root(), root,
+                                       AttachWhere::kRightSibling),
+                 Status::kIsRoot);
+  ExpectRejected(doc, h, Command::GraftSubtree(&foreign, foreign.root(), root),
+                 Status::kUnknownLabel);
 
   DynamicDocument word(ToWord("ababa"), 2);
-  word.Register(SelectLetter(1));
+  const DynamicDocument::QueryHandle hw = word.Register(SelectLetter(1));
   Word cut;
-  EXPECT_DEATH(word.MoveRange(3, 1, 0), "range out of bounds");
-  EXPECT_DEATH(word.MoveRange(1, 3, 9), "range out of bounds");
-  EXPECT_DEATH(word.MoveRange(0, 2, 4), "range out of bounds");
-  EXPECT_DEATH(word.EraseRange(4, 8), "range out of bounds");
-  EXPECT_DEATH(word.ExtractRange(4, 8, &cut), "range out of bounds");
-  EXPECT_DEATH(word.Concat(Word{7}), "unknown label");
+  const Word empty, foreign_letters{7};
+  ExpectRejected(word, hw, Command::MoveRange(3, 1, 0), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::MoveRange(1, 3, 9), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::MoveRange(0, 2, 4), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::EraseRange(4, 8), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::EraseRange(0, 5), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::EraseRange(2, 2), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::MoveRange(1, 1, 0), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::ExtractRange(4, 8, &cut),
+                 Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Concat(&empty), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Concat(nullptr), Status::kOutOfRange);
+  ExpectRejected(word, hw, Command::Concat(&foreign_letters),
+                 Status::kUnknownLabel);
+}
+
+// Registration is checked the same way: the wrong document kind, the
+// wrong alphabet, a batch in progress, or an unknown, stale or twice
+// unregistered handle returns its status and changes nothing.
+TEST(DocumentRejects, RegistrationOfWrongQueriesAndHandles) {
+  Rng rng(12345);
+  DynamicDocument doc(RandomTree(10, 3, rng), 3);
+  const DynamicDocument::QueryHandle h = doc.Register(QuerySelectLabel(3, 1));
+  EXPECT_EQ(doc.Register(SelectLetter(1)).status, Status::kWrongDocumentKind);
+  const DynamicDocument::Registration wrong =
+      doc.Register(QuerySelectLabel(4, 1));
+  EXPECT_EQ(wrong.status, Status::kWrongAlphabet);
+  EXPECT_EQ(wrong.handle, DynamicDocument::kNoHandle);
+  EXPECT_FALSE(doc.IsRegistered(wrong));
+  doc.BeginBatch();
+  EXPECT_EQ(doc.Register(QueryMarkedAncestor(3, 1, 2)).status,
+            Status::kInBatch);
+  EXPECT_EQ(doc.Unregister(h), Status::kInBatch);
+  ApplyOk(doc, Command::Relabel(doc.tree().root(), 2));
+  doc.CommitBatch();
+  EXPECT_EQ(doc.num_queries(), 1u);
+  EXPECT_EQ(doc.num_pipelines(), 1u);
+
+  EXPECT_EQ(doc.Unregister(DynamicDocument::kNoHandle),
+            Status::kUnknownHandle);
+  EXPECT_EQ(doc.Unregister(h + 12345), Status::kUnknownHandle);
+  EXPECT_EQ(doc.Unregister(h), Status::kOk);
+  EXPECT_EQ(doc.Unregister(h), Status::kUnknownHandle);
+  // The recycled slot does not validate the stale handle.
+  const DynamicDocument::QueryHandle again =
+      doc.Register(QuerySelectLabel(3, 1));
+  EXPECT_EQ(doc.Unregister(h), Status::kUnknownHandle);
+  EXPECT_TRUE(doc.IsRegistered(again));
+
+  DynamicDocument word(ToWord("abab"), 2);
+  EXPECT_EQ(word.Register(QuerySelectLabel(2, 1)).status,
+            Status::kWrongDocumentKind);
+  EXPECT_EQ(word.Register(CompileRegexSpanner(".*<0:b>.*", 3, 1)).status,
+            Status::kWrongAlphabet);
+}
+
+// A rejected command drains nothing: after an inner-node DeleteLeaf between
+// two relabels, with a reader's snapshots retired, the storage audits read
+// clean at once, before any further commit.
+TEST(DocumentRejects, RejectionLeavesStorageAuditsCleanAtOnce) {
+  DynamicDocument doc(UnrankedTree::Parse("(a (b (a) (b)) (a))"), 2);
+  const DynamicDocument::QueryHandle h = doc.Register(QuerySelectLabel(2, 1));
+  const NodeId inner = doc.tree().children(doc.tree().root()).front();
+  ApplyOk(doc, Command::Relabel(inner, 0));
+  ApplyOk(doc, Command::Relabel(doc.tree().children(inner).front(), 1));
+  EXPECT_EQ(doc.Apply(Command::DeleteLeaf(inner)).status, Status::kNotALeaf);
+  EXPECT_EQ(doc.pipeline(h).circuit().ValidateStorage(), "");
+  EXPECT_EQ(doc.pipeline(h).index().ValidateStorage(), "");
+  EXPECT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "");
+  StaticEngine oracle(doc.tree(), QuerySelectLabel(2, 1));
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll());
 }
 
 // The alloc gauge counters are relaxed atomics: hammering them from several

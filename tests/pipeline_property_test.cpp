@@ -13,11 +13,13 @@
 #include <string>
 #include <utility>
 
+#include "automata/combinators.h"
 #include "automata/query_library.h"
 #include "automata/regex_spanner.h"
 #include "automata/wva.h"
 #include "baseline/naive_engine.h"
 #include "baseline/static_engine.h"
+#include "core/document.h"
 #include "core/engine.h"
 #include "core/tree_enumerator.h"
 #include "core/word_enumerator.h"
@@ -129,6 +131,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ScriptConfig>& info) {
       return "seed" + std::to_string(info.param.seed);
     });
+
+// A wide query: the union of two ancestor-at-distance automata compiles to
+// w = 879 states, so on a 128-node tree many boxes hold more than 64
+// ∪-gates and box composition runs the multi-word tile. Both box-enum
+// modes, fed scripted edits and subtree moves and deletes through Apply in
+// small batches, must match the materialized oracle after every commit.
+TEST(PipelineProperty, WideUnionQueryAgainstOracle) {
+  const UnrankedTva q = UnionTva(QueryAncestorAtDistance(3, 1, 6),
+                                 QueryAncestorAtDistance(3, 2, 9));
+  Rng rng(3);  // a tree with 29 answers and 99 boxes over 64 ∪-gates
+  UnrankedTree t = RandomTree(128, 3, rng);
+  DynamicDocument doc(t, 3);
+  const DynamicDocument::QueryHandle indexed =
+      doc.Register(q, BoxEnumMode::kIndexed);
+  const DynamicDocument::QueryHandle naive =
+      doc.Register(q, BoxEnumMode::kNaive);
+  ASSERT_GT(doc.pipeline(indexed).width(), 128u);
+  serving::WorkloadOptions wo;
+  wo.structural_fraction = 0.2;
+  serving::CommandScript script(std::move(t), 3, wo);
+  for (int commit = 0; commit < 12; ++commit) {
+    doc.BeginBatch();
+    for (int k = 0; k <= commit % 3; ++k) ApplyOk(doc, script.Next());
+    doc.CommitBatch();
+    const std::vector<Assignment> expected =
+        MaterializeAssignments(script.mirror(), q);
+    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), indexed), expected)
+        << "commit " << commit;
+    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), naive), expected)
+        << "commit " << commit;
+  }
+}
 
 // Deep path trees exercise the rebalancing and hole-closure paths harder:
 // grow a path node by node, then delete it back down, checking after every

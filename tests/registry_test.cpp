@@ -244,9 +244,10 @@ TEST(QueryRegistry, UnregisterToZeroDestroysThePipeline) {
 
   const NodeId n = tree.PreorderNodes()[tree.size() / 2];
   const Label l = static_cast<Label>((tree.label(n) + 1) % 3);
-  const UpdateStats want = only_a.Relabel(n, l);
+  const UpdateStats want = ApplyOk(only_a, Command::Relabel(n, l));
   ASSERT_GT(want.boxes_recomputed, 0u);
-  EXPECT_EQ(doc.Relabel(n, l).boxes_recomputed, want.boxes_recomputed);
+  EXPECT_EQ(ApplyOk(doc, Command::Relabel(n, l)).boxes_recomputed,
+            want.boxes_recomputed);
   StaticEngine oracle(doc.tree(), QueryMarkedAncestor(3, 1, 2));
   EXPECT_EQ(Answers(doc, ha), oracle.EnumerateAll());
 }
@@ -316,7 +317,7 @@ TEST(QueryRegistry, ReRegistrationAfterBatchedCommitsMatchesOracle) {
   auto commit_round = [&] {
     std::vector<Edit> edits;
     for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
-    doc.ApplyEdits(edits);
+    ApplyBatchOk(doc, edits);
     oracle.ApplyEdits(edits);
   };
   for (int round = 0; round < 6; ++round) commit_round();

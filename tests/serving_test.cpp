@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -21,39 +22,44 @@ namespace treenum {
 namespace {
 
 using serving::CommandScript;
-using serving::DocCommand;
 using serving::DocumentShardServer;
-using serving::StructuralOp;
 using serving::WorkloadOptions;
 
 UnrankedTva PersistentQuery() { return QueryMarkedAncestor(3, 1, 2); }
 UnrankedTva ChurnQuery() { return QuerySelectLabel(3, 1); }
 
-/// One served document plus its deterministic script and churn slot.
+/// One served document plus its deterministic script and its query churn:
+/// a `churn` share of its commands alternately register and unregister a
+/// second query, so at most one churn registration is outstanding.
 struct Tenant {
   DocumentShardServer::DocRef doc;
   DocumentShardServer::QueryRef query;
   CommandScript script;
-  DynamicDocument::QueryHandle churn = 0;
+  double churn;
+  Rng churn_rng;
+  DynamicDocument::QueryHandle churn_handle = 0;
   bool churn_live = false;
 
   Tenant(DocumentShardServer::DocRef d, DocumentShardServer::QueryRef q,
-         CommandScript s)
-      : doc(d), query(q), script(std::move(s)) {}
+         CommandScript s, double churn_fraction, uint64_t seed)
+      : doc(d), query(q), script(std::move(s)), churn(churn_fraction),
+        churn_rng(seed) {}
 };
+
+constexpr double kMixedChurn = 0.03;
 
 WorkloadOptions MixedWorkload() {
   WorkloadOptions wo;
   wo.num_labels = 3;
   wo.structural_fraction = 0.08;
-  wo.churn_fraction = 0.03;
   wo.min_size = 8;
   return wo;
 }
 
 std::vector<Tenant> MakeTenants(DocumentShardServer& server, size_t docs,
                                 size_t doc_size, uint64_t seed,
-                                const WorkloadOptions& wo) {
+                                const WorkloadOptions& wo,
+                                double churn = kMixedChurn) {
   const UnrankedTva query = PersistentQuery();
   std::vector<Tenant> tenants;
   tenants.reserve(docs);
@@ -63,33 +69,25 @@ std::vector<Tenant> MakeTenants(DocumentShardServer& server, size_t docs,
     auto doc = server.AddDocument(tree, 3);
     auto q = server.RegisterQuery(doc, query);
     tenants.emplace_back(doc, q,
-                         CommandScript(std::move(tree), seed ^ (i * 977), wo));
+                         CommandScript(std::move(tree), seed ^ (i * 977), wo),
+                         churn, seed + 31 * i);
   }
   return tenants;
 }
 
-/// Generates and submits the tenant's next scripted command.
+/// Submits the tenant's next churn step or scripted command.
 void SubmitNext(DocumentShardServer& server, Tenant& t,
                 const UnrankedTva& churn_query) {
-  const DocCommand c = t.script.Next();
-  switch (c.kind) {
-    case DocCommand::Kind::kEdit:
-      server.SubmitEdit(t.doc, c.edit);
-      break;
-    case DocCommand::Kind::kStructural:
-      server.SubmitStructural(t.doc, c.structural);
-      break;
-    case DocCommand::Kind::kRegister:
-      t.churn = server.RegisterQuery(t.doc, churn_query).handle;
-      t.churn_live = true;
-      break;
-    case DocCommand::Kind::kUnregister:
-      if (t.churn_live) {
-        server.UnregisterQuery(t.doc, t.churn);
-        t.churn_live = false;
-      }
-      break;
+  if (t.churn > 0 && t.churn_rng.Flip(t.churn)) {
+    if (t.churn_live) {
+      server.UnregisterQuery(t.doc, t.churn_handle);
+    } else {
+      t.churn_handle = server.RegisterQuery(t.doc, churn_query).handle;
+    }
+    t.churn_live = !t.churn_live;
+    return;
   }
+  server.Submit(t.doc, t.script.Next());
 }
 
 std::vector<Assignment> Sorted(std::vector<Assignment> v) {
@@ -208,9 +206,8 @@ void RunSnapshotReadersDuringServing(double churn_fraction) {
   DocumentShardServer::Options o;
   o.shards = 2;
   DocumentShardServer server(o);
-  WorkloadOptions wo = MixedWorkload();
-  wo.churn_fraction = churn_fraction;
-  std::vector<Tenant> tenants = MakeTenants(server, kDocs, kDocSize, 7, wo);
+  std::vector<Tenant> tenants =
+      MakeTenants(server, kDocs, kDocSize, 7, MixedWorkload(), churn_fraction);
   const UnrankedTva churn_query = ChurnQuery();
 
   std::atomic<bool> stop{false};
@@ -281,7 +278,8 @@ TEST(ShardServer, IdleShardsStealFromLoadedNeighbours) {
     if (home == SIZE_MAX) home = server.shard_of(doc);
     if (server.shard_of(doc) != home) continue;  // shell doc, never used
     auto q = server.RegisterQuery(doc, query);
-    tenants.emplace_back(doc, q, CommandScript(std::move(tree), 42 ^ i, wo));
+    tenants.emplace_back(doc, q, CommandScript(std::move(tree), 42 ^ i, wo),
+                         /*churn_fraction=*/0, i);
   }
   ASSERT_GE(tenants.size(), 4u);
 
@@ -364,7 +362,7 @@ TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
   const auto cold = server.AddDocument(cold_tree, 3);
   CommandScript cold_script(std::move(cold_tree), 22, wo);
   std::vector<Edit> backlog;
-  for (size_t k = 0; k < kBacklog; ++k) backlog.push_back(script.Next().edit);
+  for (size_t k = 0; k < kBacklog; ++k) backlog.push_back(script.NextEdit());
 
   std::thread registrar(
       [&] { server.RegisterQuery(hot, PersistentQuery()); });
@@ -373,7 +371,7 @@ TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
   // without rescheduling it, and cold goes onto the run queue.
   for (const Edit& e : backlog) server.SubmitEdit(hot, e);
   const uint64_t cold_epoch = server.Pin(cold).epoch();
-  server.SubmitEdit(cold, cold_script.Next().edit);
+  server.SubmitEdit(cold, cold_script.NextEdit());
   // No registration applied yet: the worker was busy the whole time, so it
   // found all of hot's edits queued when it reached them.
   const bool queued_while_busy = server.stats().registers == 0;
@@ -389,6 +387,78 @@ TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
   ASSERT_TRUE(server.document(hot).tree() == script.mirror());
 }
 
+// ---- Rejections ----
+
+// Every bad command one tenant can send is rejected on its own document:
+// the server keeps running, Stats::rejected counts the command, and the
+// other tenant's next edit commits and matches a fresh StaticEngine.
+TEST(ShardServer, BadCommandsAreRejectedPerTenant) {
+  DocumentShardServer::Options o;
+  o.shards = 2;
+  DocumentShardServer server(o);
+  std::vector<Tenant> tenants =
+      MakeTenants(server, 2, 24, 0xBAD, MixedWorkload(), /*churn=*/0);
+  Tenant& bad = tenants[0];
+  Tenant& good = tenants[1];
+  const UnrankedTree& tree = bad.script.mirror();
+  NodeId inner = kNoNode;
+  for (NodeId n : tree.PreorderNodes()) {
+    if (n != tree.root() && !tree.IsLeaf(n)) inner = n;
+  }
+  ASSERT_NE(inner, kNoNode);
+  const NodeId below = tree.children(inner).front();
+  const UnrankedTva churn = ChurnQuery();
+
+  const std::vector<std::pair<const char*, std::function<void()>>> probes = {
+      {"inner-node DeleteLeaf",
+       [&] { server.SubmitEdit(bad.doc, Edit::DeleteLeaf(inner)); }},
+      {"move into the moved subtree",
+       [&] {
+         server.SubmitStructural(
+             bad.doc,
+             serving::StructuralOp::Move(inner, below,
+                                         AttachWhere::kFirstChild));
+       }},
+      {"unknown node",
+       [&] { server.SubmitEdit(bad.doc, Edit::Relabel(12345, 1)); }},
+      {"wrong-alphabet query",
+       [&] {
+         const DocumentShardServer::QueryRef ref =
+             server.RegisterQuery(bad.doc, QuerySelectLabel(4, 1));
+         EXPECT_EQ(ref.handle, DynamicDocument::kNoHandle);
+         EXPECT_FALSE(ref.view);
+       }},
+      {"double unregister",
+       [&] {
+         const auto h = server.RegisterQuery(bad.doc, churn).handle;
+         server.UnregisterQuery(bad.doc, h);
+         server.UnregisterQuery(bad.doc, h);
+       }},
+      {"unknown handle", [&] { server.UnregisterQuery(bad.doc, 12345); }},
+      {"word command on a tree document",
+       [&] { server.Submit(bad.doc, Command::Erase(0)); }},
+  };
+  for (const auto& [name, probe] : probes) {
+    SCOPED_TRACE(name);
+    const uint64_t rejected = server.stats().rejected;
+    probe();
+    server.Submit(good.doc, good.script.Next());
+    server.Drain();
+    EXPECT_EQ(server.stats().rejected, rejected + 1);
+    ExpectMatchesOracles(server, tenants);
+  }
+
+  // Inside a group commit: bad commands interleaved with scripted ones are
+  // each rejected alone, and every scripted one still commits.
+  for (int k = 0; k < 30; ++k) {
+    server.Submit(bad.doc, bad.script.Next());
+    server.SubmitEdit(bad.doc, Edit::Relabel(12345, 1));
+  }
+  server.Drain();
+  EXPECT_EQ(server.stats().rejected, probes.size() + 30);
+  ExpectMatchesOracles(server, tenants);
+}
+
 // ---- Document lifecycle ----
 
 TEST(ShardServer, RemoveDocumentCompletesPendingWork) {
@@ -397,7 +467,8 @@ TEST(ShardServer, RemoveDocumentCompletesPendingWork) {
   DocumentShardServer server(o);
   WorkloadOptions wo;
   wo.num_labels = 3;
-  std::vector<Tenant> tenants = MakeTenants(server, 4, 32, 11, wo);
+  std::vector<Tenant> tenants =
+      MakeTenants(server, 4, 32, 11, wo, /*churn=*/0);
   const UnrankedTva churn_query = ChurnQuery();
 
   for (size_t k = 0; k < 400; ++k) {

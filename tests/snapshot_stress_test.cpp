@@ -115,7 +115,7 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
            static_cast<size_t>(j) / 2) {
       std::this_thread::yield();
     }
-    doc.ApplyEdits(batches[j]);
+    ApplyBatchOk(doc, batches[j]);
   }
   while (state.iterations.load(std::memory_order_relaxed) <
          kMinIterations * kReaders) {

@@ -164,30 +164,30 @@ TEST(Snapshot, PublishAndRetireCountsAreExact) {
   // publish and is drained at the *next* edit, so steady state holds the
   // current version plus the just-retired one.
   std::vector<NodeId> leaves = tree.PreorderNodes();
-  doc.Relabel(leaves[0], 1);
+  ApplyOk(doc, Command::Relabel(leaves[0], 1));
   EXPECT_EQ(doc.snapshots_published(), 2u);
   EXPECT_EQ(doc.live_snapshots(), 2u);
-  doc.Relabel(leaves[0], 2);
+  ApplyOk(doc, Command::Relabel(leaves[0], 2));
   EXPECT_EQ(doc.snapshots_published(), 3u);
   EXPECT_EQ(doc.live_snapshots(), 2u);
 
   // A held ref keeps its version alive across edits...
   {
     SnapshotRef held = doc.CurrentSnapshot();
-    doc.Relabel(leaves[0], 0);
-    doc.Relabel(leaves[0], 1);
+    ApplyOk(doc, Command::Relabel(leaves[0], 0));
+    ApplyOk(doc, Command::Relabel(leaves[0], 1));
     EXPECT_EQ(doc.live_snapshots(), 3u);  // current + just-retired + held
   }
   // ... and two more edits after release drain it (release retires; the
   // next edit drains; the edit itself retires its predecessor).
-  doc.Relabel(leaves[0], 2);
-  doc.Relabel(leaves[0], 0);
+  ApplyOk(doc, Command::Relabel(leaves[0], 2));
+  ApplyOk(doc, Command::Relabel(leaves[0], 0));
   EXPECT_EQ(doc.live_snapshots(), 2u);
 
   // A batch publishes once per commit, not once per edit.
   uint64_t published = doc.snapshots_published();
   doc.BeginBatch();
-  for (Label l = 0; l < 3; ++l) doc.Relabel(leaves[1], l);
+  for (Label l = 0; l < 3; ++l) ApplyOk(doc, Command::Relabel(leaves[1], l));
   doc.CommitBatch();
   EXPECT_EQ(doc.snapshots_published(), published + 1);
 }
@@ -206,8 +206,8 @@ TEST(SnapshotDeathTest, RejectsSnapshotsPredatingRegistration) {
 
   SnapshotRef old_snap = doc.CurrentSnapshot();
   std::vector<NodeId> nodes = tree.PreorderNodes();
-  doc.Relabel(nodes[0], 1);
-  doc.Relabel(nodes[0], 2);
+  ApplyOk(doc, Command::Relabel(nodes[0], 1));
+  ApplyOk(doc, Command::Relabel(nodes[0], 2));
 
   DynamicDocument::QueryHandle late = doc.Register(QueryMarkedAncestor(3, 1, 2));
   // The snapshot current at registration time (and later ones) work fine.
@@ -237,7 +237,7 @@ TEST(Snapshot, SteadyStatePathCopyingEditsAreAllocationFree) {
     for (NodeId n : targets) {
       for (Label l = 0; l < 3; ++l) {
         SnapshotRef pin = doc.CurrentSnapshot();
-        doc.Relabel(n, l);
+        ApplyOk(doc, Command::Relabel(n, l));
         pin.Reset();
       }
     }

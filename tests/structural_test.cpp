@@ -3,6 +3,7 @@
 // bijection in sync, balanced, and structurally valid).
 #include <gtest/gtest.h>
 
+#include "core/document.h"
 #include "falgebra/update.h"
 #include "util/random.h"
 
@@ -56,15 +57,28 @@ TEST(Structural, SubtreeMoveSoleChildClosesHole) {
   EXPECT_EQ(enc.tree().ToString(), "(a (c) (b))");
 }
 
+// A move into the moved subtree, or of the root, is the encoding's
+// precondition: SubtreeContains finds the first by marking the subtree, and
+// the document rejects both before the encoding is touched.
 TEST(Structural, SubtreeMoveRejectsDestinationInsideSubtree) {
   DynamicEncoding enc(UnrankedTree::Parse("(a (b (c)))"), 6);
   NodeId b = enc.tree().children(enc.tree().root())[0];
   NodeId c = enc.tree().children(b)[0];
-  EXPECT_THROW(enc.SubtreeMove(b, c, true), std::invalid_argument);
-  EXPECT_THROW(enc.SubtreeMove(b, b, true), std::invalid_argument);
-  EXPECT_THROW(enc.SubtreeMove(enc.tree().root(), b, true),
-               std::invalid_argument);
+  EXPECT_TRUE(enc.SubtreeContains(b, c));
+  EXPECT_TRUE(enc.SubtreeContains(b, b));
+  EXPECT_FALSE(enc.SubtreeContains(c, b));
   ExpectSync(enc);
+
+  DynamicDocument doc(UnrankedTree::Parse("(a (b (c)))"), 6);
+  const NodeId root = doc.tree().root();
+  EXPECT_EQ(doc.Apply(Command::SubtreeMove(b, c)).status,
+            Status::kInsideMovedSubtree);
+  EXPECT_EQ(doc.Apply(Command::SubtreeMove(b, b)).status,
+            Status::kInsideMovedSubtree);
+  EXPECT_EQ(doc.Apply(Command::SubtreeMove(root, b)).status, Status::kIsRoot);
+  EXPECT_EQ(doc.tree().ToString(), "(a (b (c)))");
+  EXPECT_EQ(doc.term().ValidateStructure(&MaxAllowedHeight), "");
+  EXPECT_TRUE(doc.term().Decode() == doc.tree());
 }
 
 TEST(Structural, SubtreeDeleteAndSoleChild) {

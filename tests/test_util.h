@@ -1,11 +1,15 @@
 // Shared helpers for the treenum test suite: random automata/tree/term
-// generators and independent brute-force oracles. Mirror-tree edit scripts
-// come from serving::CommandScript, included from serving/workload.h, and
-// ApplyToEncoding replays them on a bare DynamicEncoding.
+// generators and independent brute-force oracles. Mirror edit scripts come
+// from serving::CommandScript, included from serving/workload.h; ApplyOk
+// applies a command that must be accepted, and ApplyToEncoding replays a
+// tree command on a bare DynamicEncoding.
 #ifndef TREENUM_TESTS_TEST_UTIL_H_
 #define TREENUM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +18,8 @@
 #include "automata/homogenize.h"
 #include "automata/serialize.h"
 #include "automata/unranked_tva.h"
+#include "core/command.h"
+#include "core/document.h"
 #include "falgebra/term.h"
 #include "falgebra/update.h"
 #include "serving/workload.h"
@@ -182,29 +188,45 @@ inline std::vector<Assignment> TermBruteForceAssignments(const BinaryTva& a,
   return out;
 }
 
-/// Applies one scripted leaf edit or structural transaction to the encoding
-/// and returns its result; the caller refreshes the boxes it names.
-inline const UpdateResult& ApplyToEncoding(const serving::DocCommand& c,
+/// Prints a Status by name in gtest messages.
+inline void PrintTo(Status s, std::ostream* os) { *os << StatusName(s); }
+
+/// Applies `c` to `doc`, expecting it accepted; returns the stats.
+inline UpdateStats ApplyOk(DynamicDocument& doc, const Command& c) {
+  UpdateStats s = doc.Apply(c);
+  EXPECT_EQ(s.status, Status::kOk);
+  return s;
+}
+
+/// Applies an edit script to `doc` as one batch, expecting every edit
+/// accepted.
+inline void ApplyBatchOk(DynamicDocument& doc, const std::vector<Edit>& edits) {
+  doc.BeginBatch();
+  for (const Edit& e : edits) ApplyOk(doc, Command::Of(e));
+  doc.CommitBatch();
+}
+
+/// Applies a scripted tree command (a Definition 7.1 edit or a subtree
+/// move/delete) to the encoding and returns its result; the caller
+/// refreshes the boxes it names.
+inline const UpdateResult& ApplyToEncoding(const Command& c,
                                            DynamicEncoding& dyn) {
-  if (c.kind == serving::DocCommand::Kind::kStructural) {
-    const serving::StructuralOp& op = c.structural;
-    return op.kind == serving::StructuralOp::Kind::kSubtreeDelete
-               ? dyn.SubtreeDelete(op.v)
-               : dyn.SubtreeMove(op.v, op.dst,
-                                 op.where == AttachWhere::kFirstChild);
-  }
-  const Edit& e = c.edit;
-  switch (e.kind) {
-    case Edit::Kind::kRelabel:
-      return dyn.Relabel(e.node, e.label);
-    case Edit::Kind::kInsertFirstChild:
-      return dyn.InsertFirstChild(e.node, e.label);
-    case Edit::Kind::kInsertRightSibling:
-      return dyn.InsertRightSibling(e.node, e.label);
-    case Edit::Kind::kDeleteLeaf:
+  switch (c.kind) {
+    case Command::Kind::kRelabel:
+      return dyn.Relabel(c.node, c.label);
+    case Command::Kind::kInsertFirstChild:
+      return dyn.InsertFirstChild(c.node, c.label);
+    case Command::Kind::kInsertRightSibling:
+      return dyn.InsertRightSibling(c.node, c.label);
+    case Command::Kind::kDeleteLeaf:
+      return dyn.DeleteLeaf(c.node);
+    case Command::Kind::kSubtreeDelete:
+      return dyn.SubtreeDelete(c.node);
+    default:
       break;
   }
-  return dyn.DeleteLeaf(e.node);
+  EXPECT_EQ(c.kind, Command::Kind::kSubtreeMove);
+  return dyn.SubtreeMove(c.node, c.dst, c.where == AttachWhere::kFirstChild);
 }
 
 }  // namespace treenum

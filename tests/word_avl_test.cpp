@@ -1,3 +1,4 @@
+#include "core/document.h"
 #include "falgebra/word_avl.h"
 
 #include <gtest/gtest.h>
@@ -55,9 +56,13 @@ TEST(WordAvl, EraseEverywhere) {
   }
 }
 
-TEST(WordAvl, EraseLastLetterThrows) {
-  WordEncoding enc(MakeWord("a"), 2);
-  EXPECT_THROW(enc.Erase(0), std::invalid_argument);
+// The encoding asserts that a letter remains; the document rejects the
+// erase before calling in.
+TEST(WordAvl, EraseLastLetterIsRejected) {
+  DynamicDocument doc(MakeWord("a"), 2);
+  EXPECT_EQ(doc.Apply(Command::Erase(0)).status, Status::kOutOfRange);
+  EXPECT_EQ(doc.word_encoding().Current(), MakeWord("a"));
+  EXPECT_TRUE(doc.word_encoding().CheckBalanced());
 }
 
 TEST(WordAvl, SequentialAppendStaysBalanced) {
