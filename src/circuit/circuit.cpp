@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <sstream>
 
 #include "util/check.h"
 
 namespace treenum {
 
 namespace {
-
-/// Calls f(q) for every state q set in a `words`-word state mask, in
-/// ascending order.
-template <typename F>
-void ForEachState(const uint64_t* mask, uint32_t words, F f) {
-  for (uint32_t wi = 0; wi < words; ++wi) {
-    for (uint64_t m = mask[wi]; m != 0; m &= m - 1) {
-      f(static_cast<State>(wi * 64 + __builtin_ctzll(m)));
-    }
-  }
-}
 
 // A box's lane sections hold 32-bit values and pairs of them.
 static_assert(sizeof(State) == 4 && sizeof(VarMask) == 4 &&
@@ -61,15 +49,11 @@ AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
   tva->EnsureDeltaGroups();
 }
 
-void AssignmentCircuit::EnsureSlot(TermNodeId id) {
-  if (spans_.size() <= id) spans_.resize(static_cast<size_t>(id) + 1);
-}
-
 Box AssignmentCircuit::box(TermNodeId id) const {
-  assert(id < spans_.size());
-  const Entry& e = spans_[id];
+  assert(id < store_.id_bound());
+  const Entry& e = store_.entry(id);
   const Layout& s = e.shape;
-  const uint64_t* block = pool_.at(e.block.off);
+  const uint64_t* block = store_.block(e);
   const char* lanes = reinterpret_cast<const char*>(block + 2 * mask_words_);
   Box b;
   b.top_mask_ = block;
@@ -88,26 +72,16 @@ Box AssignmentCircuit::box(TermNodeId id) const {
 
 void AssignmentCircuit::BuildAll() {
   term_->ForEachPostOrder([this](TermNodeId id) { RebuildBox(id); });
+  store_.ReleaseRetired();
 }
 
 void AssignmentCircuit::RebuildBox(TermNodeId id) {
-  EnsureSlot(id);
   if (term_->IsLeaf(id)) {
     BuildLeafBox(id);
   } else {
     BuildInternalBox(id);
   }
   CommitBox(id);
-}
-
-void AssignmentCircuit::FreeBox(TermNodeId id) {
-  if (id >= spans_.size()) return;
-  pool_.Release(spans_[id].block);
-  spans_[id].shape = Layout{};
-}
-
-void AssignmentCircuit::ReserveForRebuild(size_t boxes) {
-  pool_.ReserveForBoxes(boxes, term_->num_alive());
 }
 
 void AssignmentCircuit::BuildLeafBox(TermNodeId id) {
@@ -143,9 +117,9 @@ void AssignmentCircuit::BuildInternalBox(TermNodeId id) {
   // The children's masks open their blocks. Staging writes only scratch;
   // the pool moves no earlier than CommitBox's Ensure, so raw child
   // pointers are safe to hold until then.
-  const uint64_t* lt = pool_.at(spans_[t.left].block.off);
+  const uint64_t* lt = store_.block(store_.entry(t.left));
   const uint64_t* lu = lt + mw;
-  const uint64_t* rt = pool_.at(spans_[t.right].block.off);
+  const uint64_t* rt = store_.block(store_.entry(t.right));
   const uint64_t* ru = rt + mw;
   Label l = t.label;
 
@@ -226,10 +200,9 @@ void AssignmentCircuit::CommitBox(TermNodeId id) {
 
   // The block is reused in place when its capacity suffices (Ensure), so
   // steady-state refreshes stay allocation-free.
-  Entry& e = spans_[id];
+  Entry& e = store_.Ensure(id, static_cast<uint32_t>(words));
   e.shape = s;
-  pool_.Ensure(e.block, static_cast<uint32_t>(words));
-  uint64_t* block = pool_.at(e.block.off);
+  uint64_t* block = store_.block(e);
   std::copy_n(top, mw, block);
   std::copy_n(uni, mw, block + mw);
   char* lanes = reinterpret_cast<char*>(block + 2 * mw);
@@ -259,9 +232,9 @@ void AssignmentCircuit::CommitBox(TermNodeId id) {
 
 size_t AssignmentCircuit::CountGates() const {
   size_t n = 0;
-  for (TermNodeId id = 0; id < spans_.size(); ++id) {
+  for (TermNodeId id = 0; id < store_.id_bound(); ++id) {
     if (!term_->IsAlive(id)) continue;
-    const Layout& s = spans_[id].shape;
+    const Layout& s = store_.entry(id).shape;
     n += w_;  // γ gates (⊤/⊥/∪)
     n += s.ncross;
     n += s.nvar;
@@ -270,36 +243,18 @@ size_t AssignmentCircuit::CountGates() const {
 }
 
 std::string AssignmentCircuit::ValidateStorage() const {
-  std::ostringstream err;
-  std::vector<LiveSpan> live;
   // Bits at or above w in the last mask word must stay clear.
   const uint64_t tail_mask =
       w_ % 64 == 0 ? 0 : ~((uint64_t{1} << (w_ % 64)) - 1);
-  for (TermNodeId id = 0; id < spans_.size(); ++id) {
-    const Entry& e = spans_[id];
-    if (e.block.len > e.block.cap) {
-      err << "box " << id << " block length exceeds capacity";
-      return err.str();
-    }
-    // Every commit releases the ids it frees, so only alive boxes own blocks.
-    if (!term_->IsAlive(id)) {
-      if (e.block.cap != 0) {
-        err << "dead box " << id << " still owns a block";
-        return err.str();
-      }
-      continue;
-    }
-    if (e.block.cap != 0) {
-      live.push_back(LiveSpan{e.block.off, e.block.cap, id});
-    }
+  return store_.Validate("circuit", *term_, [&](TermNodeId id,
+                                                const Entry& e)
+                                                -> const char* {
     const Layout& s = e.shape;
     if (e.block.cap == 0 || e.block.len != s.words(mask_words_)) {
-      err << "box " << id << " block length does not match its layout";
-      return err.str();
+      return "block length does not match its layout";
     }
     if (term_->IsLeaf(id) ? s.ncross != 0 || s.nchild != 0 : s.nvar != 0) {
-      err << "box " << id << " owns gates of the other box kind";
-      return err.str();
+      return "owns gates of the other box kind";
     }
     const Box b = box(id);
     // The ⊤ and ∪ masks are disjoint, clear at and above w, and the ∪-state
@@ -307,13 +262,9 @@ std::string AssignmentCircuit::ValidateStorage() const {
     for (uint32_t wi = 0; wi < mask_words_; ++wi) {
       const uint64_t top = b.top_mask_[wi];
       const uint64_t uni = b.union_mask_[wi];
-      if ((top & uni) != 0) {
-        err << "box " << id << " has a state that is both top and union";
-        return err.str();
-      }
+      if ((top & uni) != 0) return "has a state that is both top and union";
       if (wi + 1 == mask_words_ && ((top | uni) & tail_mask) != 0) {
-        err << "box " << id << " has a mask bit at or above the width";
-        return err.str();
+        return "has a mask bit at or above the width";
       }
     }
     uint32_t seen = 0;
@@ -323,8 +274,7 @@ std::string AssignmentCircuit::ValidateStorage() const {
       ++seen;
     });
     if (!table_ok || seen != s.nu) {
-      err << "box " << id << " union state table does not list its union mask";
-      return err.str();
+      return "union state table does not list its union mask";
     }
     // CSR ends are monotone and end exactly at their sections' ends.
     GateEnds prev{0, 0};
@@ -332,17 +282,15 @@ std::string AssignmentCircuit::ValidateStorage() const {
       const GateEnds& end = b.ends_[u];
       if (end.local_end < prev.local_end || end.child_end < prev.child_end ||
           end.local_end > s.nlocal || end.child_end > s.nchild) {
-        err << "box " << id << " CSR offsets broken at gate " << u;
-        return err.str();
+        return "has broken CSR offsets";
       }
       prev = end;
     }
     if (prev.local_end != s.nlocal || prev.child_end != s.nchild) {
-      err << "box " << id << " CSR tail does not cover its sections";
-      return err.str();
+      return "CSR tail does not cover its sections";
     }
-  }
-  return CheckPoolSpans("circuit", pool_.size(), live);
+    return nullptr;
+  });
 }
 
 }  // namespace treenum

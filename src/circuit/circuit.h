@@ -14,8 +14,8 @@
 // that the jump index of §6 exists to skip.
 //
 // Storage layout: boxes own no heap memory. A box's whole content is one
-// span of one uint64 SpanPool (circuit/arena.h), so a refresh makes one
-// Ensure and a free one Release. The block holds, back to back:
+// block of the circuit's BoxStore (circuit/arena.h), so a refresh makes one
+// Ensure and a free one Free. The block holds, back to back:
 //   * the ⊤ and ∪ state bitmasks, ⌈w/64⌉ words each: γ(n, q) is two bit
 //     tests, and the dense index of γ(n, q) among the box's ∪-gates is the
 //     rank of q in the ∪ mask, so dense indices follow ascending state order;
@@ -57,6 +57,31 @@ struct ChildUnionInput {
 
 inline constexpr int32_t kNoGate = -1;
 
+/// True iff state q is set in a state mask.
+inline bool HasState(const uint64_t* mask, State q) {
+  return (mask[q >> 6] >> (q & 63)) & 1;
+}
+
+/// The number of states set in a state mask below q: q's dense index among
+/// them when q is set.
+inline uint32_t RankBelow(const uint64_t* mask, State q) {
+  const uint64_t below = (uint64_t{1} << (q & 63)) - 1;
+  uint32_t rank = __builtin_popcountll(mask[q >> 6] & below);
+  for (uint32_t i = 0; i < (q >> 6); ++i) rank += __builtin_popcountll(mask[i]);
+  return rank;
+}
+
+/// Calls f(q) for every state q set in a `words`-word state mask, in
+/// ascending order.
+template <typename F>
+void ForEachState(const uint64_t* mask, uint32_t words, F f) {
+  for (uint32_t wi = 0; wi < words; ++wi) {
+    for (uint64_t m = mask[wi]; m != 0; m &= m - 1) {
+      f(static_cast<State>(wi * 64 + __builtin_ctzll(m)));
+    }
+  }
+}
+
 /// Widest automaton the 32-bit arena offsets support: w² ×-gate ids per box
 /// must fit in uint32_t. Enforced by TREENUM_CHECK at circuit construction
 /// (the old int16_t/uint16_t layout overflowed silently long before this).
@@ -83,14 +108,9 @@ class Box {
   /// Dense index of γ(n, q) among this box's ∪-gates, or kNoGate: the
   /// number of ∪-states below q.
   int32_t union_idx(State q) const {
-    const uint32_t word = q >> 6;
-    const uint64_t bit = uint64_t{1} << (q & 63);
-    if (!(union_mask_[word] & bit)) return kNoGate;
-    int32_t rank = __builtin_popcountll(union_mask_[word] & (bit - 1));
-    for (uint32_t i = 0; i < word; ++i) {
-      rank += __builtin_popcountll(union_mask_[i]);
-    }
-    return rank;
+    return HasState(union_mask_, q)
+               ? static_cast<int32_t>(RankBelow(union_mask_, q))
+               : kNoGate;
   }
   /// The ⊤ and ∪ state bitmasks: ⌈w/64⌉ words each, bit q = state q.
   const uint64_t* top_mask() const { return top_mask_; }
@@ -167,7 +187,8 @@ class AssignmentCircuit {
   /// Width bound w: the automaton's state count.
   size_t width() const { return w_; }
 
-  /// Builds all boxes bottom-up (preprocessing, O(|T| * |A|)).
+  /// Builds all boxes bottom-up (preprocessing, O(|T| * |A|)), then frees
+  /// the buffers its growth retired (no reader can reach it yet).
   void BuildAll();
 
   /// Recomputes the box of `id` from its children's boxes (Lemma 7.3 step).
@@ -175,18 +196,24 @@ class AssignmentCircuit {
   void RebuildBox(TermNodeId id);
 
   /// Drops the box of a freed term node, recycling its block.
-  void FreeBox(TermNodeId id);
+  void FreeBox(TermNodeId id) { store_.Free(id); }
 
   /// Batch hint: pre-grows the pool for ~`boxes` upcoming rebuilds (sized
   /// from the running per-box average), so one transaction's refresh loop
   /// does not re-grow the pool tail repeatedly.
-  void ReserveForRebuild(size_t boxes);
+  void ReserveForRebuild(size_t boxes) {
+    store_.ReserveForBoxes(boxes, term_->num_alive());
+  }
 
   /// Cheap view of a box; invalidated by the next RebuildBox/FreeBox.
   Box box(TermNodeId id) const;
 
   /// Total number of gates (for accounting tests/benches).
   size_t CountGates() const;
+
+  /// BoxStore::ReleaseRetired and retired_bytes.
+  void ReleaseRetired() { store_.ReleaseRetired(); }
+  size_t retired_bytes() const { return store_.retired_bytes(); }
 
   /// Validates the block invariants: every alive box owns one block whose
   /// length matches its layout, the ⊤ and ∪ masks are disjoint and clear at
@@ -219,16 +246,10 @@ class AssignmentCircuit {
     }
   };
 
-  /// Per-box directory entry: the block's span and the counts that fix its
-  /// layout.
-  struct Entry {
-    SpanRef block;
-    Layout shape;
-  };
+  using Entry = BoxEntry<Layout>;
 
   void BuildLeafBox(TermNodeId id);
   void BuildInternalBox(TermNodeId id);
-  void EnsureSlot(TermNodeId id);
   /// Sizes the box's block from the staged scratch, (re)acquires it with
   /// one Ensure, and fills it, emptying the scratch lists it consumed.
   void CommitBox(TermNodeId id);
@@ -239,10 +260,7 @@ class AssignmentCircuit {
   uint32_t w_;
   uint32_t mask_words_;  ///< ⌈w/64⌉: words per state bitmask.
 
-  // CowStore-backed so concurrent snapshot readers survive writer growth
-  // (util/cow_store.h).
-  CowStore<Entry> spans_;
-  SpanPool<uint64_t> pool_;
+  BoxStore<Entry> store_;
 
   // Pooled build scratch, reused across rebuilds (clear() keeps capacity),
   // so steady-state refreshes never touch the heap. local_in holds ×-gate

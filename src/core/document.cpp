@@ -145,11 +145,13 @@ DocumentStats DynamicDocument::stats() const {
   s.live_pipelines = entries_.size();
   s.shared_hits = shared_hits_;
   s.handle_slots = handle_entry_.size();
+  s.retired_bytes = term_->retired_bytes();
   for (const std::unique_ptr<QueryEntry>& e : entries_) {
     DocumentStats::PipelineStats ps;
     ps.queries = e->refcount;
     ps.width = e->pipeline.width();
     s.pipelines.push_back(ps);
+    s.retired_bytes += e->pipeline.retired_bytes();
   }
   return s;
 }
@@ -246,6 +248,15 @@ Status DynamicDocument::Check(const Command& c) {
 void DynamicDocument::PreEdit() {
   if (in_batch_) return;  // drained once, at BeginBatch
   snapshots_->DrainRetired(&freed_);
+  // Every buffer was retired before the current snapshot's publish, and
+  // only a reader pinned before that publish can hold one: with no such pin
+  // left, free them all.
+  if (snapshots_->live_snapshots() == 1) {
+    mutable_term().ReleaseRetired();
+    for (const std::unique_ptr<QueryEntry>& e : entries_) {
+      e->pipeline.ReleaseRetired();
+    }
+  }
 }
 
 const UpdateResult& DynamicDocument::Run(const Command& c) {

@@ -62,6 +62,10 @@ struct DocumentStats {
   size_t live_pipelines = 0;   ///< Pipelines (distinct live queries).
   size_t shared_hits = 0;      ///< Registrations served by a live pipeline.
   size_t handle_slots = 0;     ///< Handle-table slots (recycled, ~peak live).
+  /// Bytes of superseded storage buffers (term and every pipeline) still
+  /// held for readers that may be reading them; 0 after a commit's drain
+  /// with no snapshot older than the current one pinned.
+  size_t retired_bytes = 0;
   std::vector<PipelineStats> pipelines;  ///< One entry per pipeline.
 };
 
@@ -299,7 +303,9 @@ class DynamicDocument {
   /// move marks the moved subtree in the encoding's scratch).
   Status Check(const Command& c);
   /// Runs before every accepted command (once per batch): drains retired
-  /// snapshots into the record, so path copies recycle their versions.
+  /// snapshots into the record, so path copies recycle their versions, and
+  /// frees the retired storage buffers of the term and every pipeline when
+  /// no snapshot older than the current one is left (core/snapshot.h).
   void PreEdit();
   /// Runs a checked command on the encoding.
   const UpdateResult& Run(const Command& c);

@@ -40,8 +40,9 @@ EnumerationPipeline::EnumerationPipeline(
 
 void EnumerationPipeline::EnableCounting() {
   if (counter_) return;
-  counter_ = std::make_unique<RunCounter>(&circuit_);
-  counter_->BuildAll();
+  auto counter = std::make_unique<RunCounter>(&circuit_);
+  counter->BuildAll();
+  counter_ = std::move(counter);
 }
 
 uint64_t EnumerationPipeline::AcceptingRunsAt(const SnapshotRef& snap) const {
@@ -65,6 +66,26 @@ void EnumerationPipeline::Apply(const std::vector<TermNodeId>& freed,
     for (TermNodeId id : freed) counter_->FreeBoxCounts(id);
     for (TermNodeId id : changed) counter_->RebuildBoxCounts(id);
   }
+}
+
+void EnumerationPipeline::ReleaseRetired() {
+  circuit_.ReleaseRetired();
+  index_.ReleaseRetired();
+  if (counter_) counter_->ReleaseRetired();
+}
+
+size_t EnumerationPipeline::retired_bytes() const {
+  return circuit_.retired_bytes() + index_.retired_bytes() +
+         (counter_ ? counter_->retired_bytes() : 0);
+}
+
+std::string EnumerationPipeline::ValidateStorage() const {
+  std::string err = circuit_.ValidateStorage();
+  if (err.empty() && mode_ == BoxEnumMode::kIndexed) {
+    err = index_.ValidateStorage();
+  }
+  if (err.empty() && counter_) err = counter_->ValidateStorage();
+  return err;
 }
 
 // ---- Query surface ----

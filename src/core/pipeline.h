@@ -28,6 +28,7 @@
 #define TREENUM_CORE_PIPELINE_H_
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -109,14 +110,15 @@ class EnumerationPipeline {
 
   // ---- Dynamic counting (optional; see counting/run_count.h) ----
 
-  /// Builds the run-count vectors (O(size * poly(w)) once); afterwards
-  /// every refresh also maintains them along the changed path.
+  /// Builds the run counts (O(size * poly(w)) once); afterwards every
+  /// refresh also maintains them along the changed path. Writer thread;
+  /// it must happen before any reader's AcceptingRunsAt.
   void EnableCounting();
   /// True once EnableCounting() has run.
   bool counting_enabled() const { return counter_ != nullptr; }
-  /// Accepting (valuation, run) pairs at `snap`, mod 2^64; requires
-  /// EnableCounting(). Writer thread only: the run-count rows are
-  /// overwritten in place by refreshes and are not published to readers.
+  /// Accepting (valuation, run) pairs at `snap`, mod 2^64 (0 unless
+  /// EnableCounting() has run). Any thread, like the reads below: a pinned
+  /// version's count rows are never rewritten.
   uint64_t AcceptingRunsAt(const SnapshotRef& snap) const;
 
   // ---- Incremental maintenance ----
@@ -131,6 +133,15 @@ class EnumerationPipeline {
   /// index pools for the whole list, so a pass never re-grows a pool tail.
   void Apply(const std::vector<TermNodeId>& freed,
              const std::vector<TermNodeId>& changed);
+
+  /// Frees every layer's retired storage buffers. Writer thread, only when
+  /// no reader can hold one (core/snapshot.h's release step).
+  void ReleaseRetired();
+  /// Bytes of retired storage buffers the layers still hold.
+  size_t retired_bytes() const;
+  /// Every layer's storage audit (circuit, index in kIndexed mode, run
+  /// counts once enabled); the first violation, or "". Test hook.
+  std::string ValidateStorage() const;
 
   // ---- Query surface, at a pinned snapshot ----
   //

@@ -22,11 +22,17 @@
 //                      each retired root — SweepZeros reclaims the node
 //                      versions only that snapshot kept alive — and
 //                      recycles the Snapshot object into the pool.
+//   Release  (writer)  right after the drain, if live_snapshots() == 1,
+//                      the document frees the storage buffers that
+//                      CowStore growth retired (term and every pipeline,
+//                      ReleaseRetired): each was retired before the
+//                      current snapshot's Publish, and only a reader
+//                      pinned before that publish can still hold one.
 //
 // The retire → drain mutex hand-off is the happens-before edge that makes
-// span recycling safe: a freed node's circuit/index spans are only released
-// (and thus reusable by the writer) after the last reader of that version
-// has provably finished.
+// span recycling and buffer release safe: a freed node's blocks are only
+// released (and thus reusable by the writer), and a retired buffer only
+// freed, after the last reader of an older version has provably finished.
 //
 // Steady state is allocation-free: Snapshot objects recycle through a pool
 // (slab-backed), the retired/drain vectors keep their capacity, and the

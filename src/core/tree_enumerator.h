@@ -101,7 +101,7 @@ class TreeEnumerator : public Engine {
   /// Number of accepting (valuation, run) pairs mod 2^64 at the current
   /// snapshot. Equals the number of satisfying assignments when the
   /// automaton is unambiguous (all query_library queries are). Requires
-  /// EnableCounting(); writer thread only.
+  /// EnableCounting().
   uint64_t AcceptingRuns() const {
     return pipe_->AcceptingRunsAt(CurrentSnapshot());
   }

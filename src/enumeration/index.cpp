@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace treenum {
 
@@ -45,36 +44,22 @@ uint32_t EnumIndex::BlockWords(size_t words) {
   return static_cast<uint32_t>(std::max<size_t>(words, 8));
 }
 
-void EnumIndex::EnsureSlot(TermNodeId id) {
-  if (spans_.size() <= id) spans_.resize(id + 1);
-}
-
 void EnumIndex::BuildAll() {
   circuit_->term().ForEachPostOrder(
       [this](TermNodeId id) { RebuildBoxIndex(id); });
+  store_.ReleaseRetired();
 }
 
 BoxIndex EnumIndex::at(TermNodeId id) const {
   BoxIndex v;
-  if (id >= spans_.size()) return v;
-  const Entry& e = spans_[id];
-  v.block_ = pool_.at(e.block.off);
+  if (id >= store_.id_bound()) return v;
+  const Entry& e = store_.entry(id);
+  v.block_ = store_.block(e);
   v.shape_ = e.shape;
   return v;
 }
 
-void EnumIndex::FreeBoxIndex(TermNodeId id) {
-  if (id >= spans_.size()) return;
-  pool_.Release(spans_[id].block);
-  spans_[id].shape = BoxIndex::Layout{};
-}
-
-void EnumIndex::ReserveForRebuild(size_t boxes) {
-  pool_.ReserveForBoxes(boxes, circuit_->term().num_alive());
-}
-
 void EnumIndex::RebuildBoxIndex(TermNodeId id) {
-  EnsureSlot(id);
   const Box box = circuit_->box(id);
   const uint32_t nu = static_cast<uint32_t>(box.num_unions());
   if (nu == 0) {
@@ -194,21 +179,20 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
   // ---- Phase 2: size this box's block from the staged shapes and
   // (re)acquire it. Child views from phase 1 are dead past this point;
   // phase 3 re-resolves them.
-  Entry& e = spans_[id];
-  e.shape = BoxIndex::Layout{
-      nc, nu, static_cast<uint32_t>(lbox.num_unions()),
-      static_cast<uint32_t>(rbox.num_unions())};
-  const BoxIndex::Layout& shape = e.shape;
+  const BoxIndex::Layout shape{nc, nu,
+                               static_cast<uint32_t>(lbox.num_unions()),
+                               static_cast<uint32_t>(rbox.num_unions())};
   const size_t wpr = shape.wpr();
   size_t words = shape.rels_word();
   for (const CandMeta& m : cand_meta_scratch_) words += m.rows * wpr;
-  pool_.Ensure(e.block, BlockWords(words));
+  Entry& e = store_.Ensure(id, BlockWords(words));
+  e.shape = shape;
 
   // ---- Phase 3: fill. Reads child blocks, writes this box's block; no pool
   // mutation, so every view resolved below stays valid.
   const BoxIndex lidx = at(lid);
   const BoxIndex ridx = at(rid);
-  uint64_t* block = pool_.at(e.block.off);
+  uint64_t* block = store_.block(e);
 
   // Wire relations R(child, B) over the ∪→∪ (⊤-collapse) wires.
   uint64_t* wl = block + shape.wire_left_word();
@@ -282,91 +266,57 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
 
 std::string EnumIndex::ValidateStorage() const {
   const Term& term = circuit_->term();
-  std::ostringstream err;
-  std::vector<LiveSpan> live;
-  for (TermNodeId id = 0; id < spans_.size(); ++id) {
-    const Entry& e = spans_[id];
-    if (e.block.len > e.block.cap) {
-      err << "box " << id << " block length exceeds capacity";
-      return err.str();
-    }
-    // Every commit releases the ids it frees, so only alive boxes own blocks.
-    if (!term.IsAlive(id)) {
-      if (e.block.cap != 0) {
-        err << "dead box " << id << " still owns a block";
-        return err.str();
-      }
-      continue;
-    }
-    if (e.block.cap != 0) {
-      live.push_back(LiveSpan{e.block.off, e.block.cap, id});
-    }
+  return store_.Validate("index", term, [&](TermNodeId id,
+                                            const Entry& e) -> const char* {
     const uint32_t nu =
         static_cast<uint32_t>(circuit_->box(id).num_unions());
     const BoxIndex::Layout& s = e.shape;
     if (nu == 0) {
-      if (e.block.cap != 0 || s.nc != 0) {
-        err << "gate-free box " << id << " owns an index block";
-        return err.str();
-      }
-      continue;
+      return e.block.cap != 0 || s.nc != 0 ? "is gate-free but owns a block"
+                                           : nullptr;
     }
-    if (e.block.off % 8 != 0) {
-      err << "box " << id << " block is not cache-line-aligned";
-      return err.str();
-    }
+    if (e.block.off % 8 != 0) return "block is not cache-line-aligned";
     if (s.nu != nu || s.nc == 0 || s.rels_word() > e.block.len) {
-      err << "box " << id << " has gates but a wrong gate or candidate count";
-      return err.str();
+      return "has gates but a wrong gate or candidate count";
     }
     const bool leaf = term.IsLeaf(id);
     if (s.lnu != (leaf ? 0 : circuit_->box(term.node(id).left).num_unions()) ||
         s.rnu != (leaf ? 0 : circuit_->box(term.node(id).right).num_unions())) {
-      err << "box " << id << " wire shape mismatch";
-      return err.str();
+      return "wire shape mismatch";
     }
     const BoxIndex bi = at(id);
     size_t words = s.rels_word();
     for (uint32_t c = 0; c < s.nc; ++c) {
       const int32_t ci = static_cast<int32_t>(c);
       const TermNodeId cbox = bi.cand_box(ci);
-      if (!term.IsAlive(cbox)) {
-        err << "box " << id << " candidate " << c << " names a dead box";
-        return err.str();
-      }
+      if (!term.IsAlive(cbox)) return "has a candidate naming a dead box";
       // Relations tile the section after the wires in candidate order.
       const BitMatrixView rel = bi.cand_rel(ci);
       if (rel.rows() != circuit_->box(cbox).num_unions() ||
           rel.Row(0) != bi.block_ + words) {
-        err << "box " << id << " candidate " << c
-            << " rel shape or offset mismatch";
-        return err.str();
+        return "has a candidate rel shape or offset mismatch";
       }
       words += rel.rows() * s.wpr();
     }
     if (e.block.len != BlockWords(words)) {
-      err << "box " << id << " block length does not match its layout";
-      return err.str();
+      return "block length does not match its layout";
     }
     for (uint32_t u = 0; u < nu; ++u) {
       if (static_cast<uint32_t>(bi.fib(u)) >= s.nc ||
           static_cast<uint32_t>(bi.span(u)) >= s.nc) {
-        err << "box " << id << " fib/span out of candidate range at gate "
-            << u;
-        return err.str();
+        return "has fib/span out of candidate range";
       }
     }
     for (uint32_t a = 0; a < s.nc; ++a) {
       for (uint32_t b = 0; b < s.nc; ++b) {
         if (static_cast<uint32_t>(bi.Lca(static_cast<int32_t>(a),
                                          static_cast<int32_t>(b))) >= s.nc) {
-          err << "box " << id << " lca table out of candidate range";
-          return err.str();
+          return "has its lca table out of candidate range";
         }
       }
     }
-  }
-  return CheckPoolSpans("index", pool_.size(), live);
+    return nullptr;
+  });
 }
 
 }  // namespace treenum

@@ -18,10 +18,10 @@
 // even for boxed sets that are only *jointly* bidirectional (each gate's own
 // closure is a chain, but the chains split at a common box).
 //
-// Storage layout: a box's whole index is one span of one uint64 SpanPool
-// (circuit/arena.h), so a refresh makes one Ensure and a free one Release,
-// with power-of-two span recycling across RebuildBoxIndex/FreeBoxIndex. The
-// block holds, back to back:
+// Storage layout: a box's whole index is one block of the index's BoxStore
+// (circuit/arena.h), so a refresh makes one Ensure and a free one Free,
+// with power-of-two block recycling across RebuildBoxIndex/FreeBoxIndex.
+// The block holds, back to back:
 //   * 32-bit lanes, two per word: per candidate (box, relation word offset,
 //     rows), then fib and span per ∪-gate, then the nc x nc lca table;
 //   * whole-word bit matrices: wire_left (lnu x nu), wire_right (rnu x nu),
@@ -156,7 +156,8 @@ class EnumIndex {
 
   const AssignmentCircuit& circuit() const { return *circuit_; }
 
-  /// Builds the index for every box, bottom-up (O(|T| * poly(w))).
+  /// Builds the index for every box, bottom-up (O(|T| * poly(w))), then
+  /// frees the buffers its growth retired (no reader can reach it yet).
   void BuildAll();
 
   /// Recomputes one box's index from its children's (which must be current).
@@ -164,16 +165,19 @@ class EnumIndex {
   void RebuildBoxIndex(TermNodeId id);
 
   /// Drops the index of a freed term node, recycling its block.
-  void FreeBoxIndex(TermNodeId id);
+  void FreeBoxIndex(TermNodeId id) { store_.Free(id); }
 
   /// Cheap view of a box's index; invalidated by the next rebuild.
   BoxIndex at(TermNodeId id) const;
 
-  /// Batch hint mirroring AssignmentCircuit::ReserveForRebuild: pre-grows
-  /// the index pool for ~`boxes` upcoming rebuilds (sized from the running
-  /// per-box average), so one transaction's refresh loop does not re-grow
-  /// the pool tail repeatedly.
-  void ReserveForRebuild(size_t boxes);
+  /// Batch hint, as AssignmentCircuit::ReserveForRebuild.
+  void ReserveForRebuild(size_t boxes) {
+    store_.ReserveForBoxes(boxes, circuit_->term().num_alive());
+  }
+
+  /// BoxStore::ReleaseRetired and retired_bytes.
+  void ReleaseRetired() { store_.ReleaseRetired(); }
+  size_t retired_bytes() const { return store_.retired_bytes(); }
 
   /// Validates the block invariants: every alive box with ∪-gates owns one
   /// cache-line-aligned block whose length matches the layout of its
@@ -184,12 +188,7 @@ class EnumIndex {
   std::string ValidateStorage() const;
 
  private:
-  /// Per-box directory entry: the block's span and the counts that fix its
-  /// layout.
-  struct Entry {
-    SpanRef block;
-    BoxIndex::Layout shape;
-  };
+  using Entry = BoxEntry<BoxIndex::Layout>;
 
   /// Raw fib/span of one gate before candidate assembly.
   struct Pre {
@@ -211,12 +210,8 @@ class EnumIndex {
   /// lines and every block starts on one.
   static uint32_t BlockWords(size_t words);
 
-  void EnsureSlot(TermNodeId id);
-
   const AssignmentCircuit* circuit_;
-  // CowStore-backed so concurrent snapshot readers survive writer growth.
-  CowStore<Entry> spans_;
-  SpanPool<uint64_t, 64> pool_;
+  BoxStore<Entry, 64> store_;
 
   // Rebuild scratch reused across RebuildBoxIndex calls (clear() keeps
   // capacity — the update path's counterpart of the circuit arena scratch).

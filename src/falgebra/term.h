@@ -205,6 +205,11 @@ class Term {
   void UnpinRoot(TermNodeId r, std::vector<TermNodeId>* freed = nullptr);
   /// Number of currently pinned snapshot roots.
   size_t live_pins() const { return live_pins_; }
+  /// Frees the node store's retired buffers (CowStore::ReleaseRetired);
+  /// writer thread, once no reader can hold one (core/snapshot.h).
+  void ReleaseRetired() { nodes_.ReleaseRetired(); }
+  /// Bytes of retired node-store buffers still allocated.
+  size_t retired_bytes() const { return nodes_.retired_bytes(); }
 
   uint64_t epoch() const { return cur_epoch_; }
   /// Advances the edit epoch — called by the snapshot layer right after

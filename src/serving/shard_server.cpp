@@ -1,6 +1,7 @@
 #include "serving/shard_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <iterator>
 
@@ -74,12 +75,15 @@ struct DocumentShardServer::DocRef::DocState {
   uint64_t id = 0;
   size_t home = 0;
 
-  /// Guards `queue` and `scheduled`. `scheduled` is the single-drainer
-  /// token: true while the document sits in some shard's run queue or is
-  /// being drained, so at most one worker ever touches `doc`.
+  /// Guards `queue`, `scheduled` and `closed`. `scheduled` is the
+  /// single-drainer token: true while the document sits in some shard's run
+  /// queue or is being drained, so at most one worker ever touches `doc`.
+  /// `closed` is set when RemoveDocument enqueues; every later request is
+  /// rejected without being queued.
   std::mutex mu;
   std::vector<Request> queue;
   bool scheduled = false;
+  bool closed = false;
 };
 
 /// One shard: a worker thread, its run queue of scheduled documents, and
@@ -166,8 +170,7 @@ void DocumentShardServer::RemoveDocument(DocRef doc) {
   Request r;
   r.kind = Request::Kind::kRemoveDoc;
   r.ticket = &ticket;
-  Enqueue(doc, std::move(r));
-  ticket.Wait();
+  if (Enqueue(doc, std::move(r))) ticket.Wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ DocumentShardServer::QueryRef DocumentShardServer::RegisterQuery(
   r.kind = Request::Kind::kRegister;
   r.query = std::make_shared<const UnrankedTva>(query);
   r.ticket = &ticket;
-  Enqueue(doc, std::move(r));
+  if (!Enqueue(doc, std::move(r))) return QueryRef();
   ticket.Wait();
   return ticket.ref;
 }
@@ -262,22 +265,25 @@ void DocumentShardServer::ResetEditLatency() {
 // Scheduling core
 // ---------------------------------------------------------------------------
 
-void DocumentShardServer::Enqueue(DocRef doc, Request req) {
+bool DocumentShardServer::Enqueue(DocRef doc, Request req) {
   TREENUM_CHECK(doc, "request for a null DocRef");
   DocState* d = doc.doc_;
   req.submit_ns = NowNs();
   bool need_schedule = false;
   {
     std::lock_guard<std::mutex> lock(d->mu);
-    TREENUM_CHECK(d->doc != nullptr || !d->queue.empty() || d->scheduled,
-                  "Enqueue: command submitted after RemoveDocument");
+    if (d->closed) {
+      shards_[d->home]->rejected.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    d->closed = req.kind == Request::Kind::kRemoveDoc;
     d->queue.push_back(std::move(req));
     if (!d->scheduled) {
       d->scheduled = true;
       need_schedule = true;
     }
   }
-  if (!need_schedule) return;  // already queued/draining; FIFO picks it up
+  if (!need_schedule) return true;  // already queued/draining; FIFO takes it
   pending_docs_.fetch_add(1, std::memory_order_acq_rel);
   Shard& home = *shards_[d->home];
   {
@@ -285,6 +291,7 @@ void DocumentShardServer::Enqueue(DocRef doc, Request req) {
     home.run_queue.push_back(d);
   }
   home.cv.notify_one();
+  return true;
 }
 
 void DocumentShardServer::NoteUnscheduled() {
@@ -392,9 +399,9 @@ void DocumentShardServer::ApplyRequests(Shard& self, DocState* d,
   self.commands.fetch_add(n, std::memory_order_relaxed);
   size_t i = 0;
   while (i < n) {
+    // Nothing is queued after a removal (Enqueue rejects it), so the
+    // document is alive here.
     DynamicDocument* doc = d->doc.get();
-    TREENUM_CHECK(doc != nullptr,
-                  "ApplyRequests: request after document removal");
     Request& r = reqs[i];
     switch (r.kind) {
       case Request::Kind::kCommand: {
@@ -452,7 +459,7 @@ void DocumentShardServer::ApplyRequests(Shard& self, DocState* d,
         break;
       }
       case Request::Kind::kRemoveDoc: {
-        TREENUM_CHECK(i + 1 == n, "RemoveDocument must be the last request");
+        assert(i + 1 == n && "the removal is the document's last request");
         d->doc.reset();
         self.removes.fetch_add(1, std::memory_order_relaxed);
         r.ticket->Complete();

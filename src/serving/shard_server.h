@@ -100,7 +100,8 @@ class DocumentShardServer {
     uint64_t registers = 0;           ///< Query registrations applied.
     uint64_t unregisters = 0;         ///< Query unregistrations applied.
     uint64_t removes = 0;             ///< Documents removed.
-    uint64_t rejected = 0;            ///< Commands, (un)registrations rejected.
+    uint64_t rejected = 0;  ///< Rejected commands, (un)registrations and
+                            ///< requests for a removed document.
     uint64_t commits = 0;             ///< Group commits (single or batched).
     uint64_t commands = 0;            ///< Requests consumed, all kinds.
     uint64_t steals = 0;              ///< Documents drained by a non-home worker.
@@ -146,8 +147,10 @@ class DocumentShardServer {
   DocRef AddDocument(UnrankedTree tree, size_t num_labels);
   /// The home shard `doc` was placed on.
   size_t shard_of(DocRef doc) const;
-  /// Enqueues document destruction and waits for it. Must be the last
-  /// command for `doc`; all pins, views and cursors must be released.
+  /// Enqueues document destruction and waits for it; all pins, views and
+  /// cursors must be released. It closes the document: every later request
+  /// for it (a second RemoveDocument returns at once) is rejected and
+  /// counted in Stats::rejected.
   void RemoveDocument(DocRef doc);
 
   // ---- Queries ----
@@ -216,8 +219,10 @@ class DocumentShardServer {
   struct Shard;
   using DocState = DocRef::DocState;
 
-  /// Stamps `req` with NowNs() and appends it to the document's queue.
-  void Enqueue(DocRef doc, Request req);
+  /// Stamps `req` with NowNs() and appends it to the document's queue;
+  /// false, counted in Stats::rejected, if the document is being or has
+  /// been removed.
+  bool Enqueue(DocRef doc, Request req);
   void NoteUnscheduled();
   void WorkerLoop(size_t shard_index);
   /// Drains up to max_commands_per_run requests of `d`, then either

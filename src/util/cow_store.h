@@ -6,10 +6,17 @@
 //
 //  - The writer grows the store geometrically. On growth the old buffer is
 //    NOT freed: its contents are memcpy'd into the new buffer, the base
-//    pointer is store-released, and the old buffer is retired (kept alive
-//    until the store is destroyed). A reader that loaded the base pointer
-//    just before a growth keeps reading the old buffer — which still holds
-//    the bit-identical data for every element that existed at load time.
+//    pointer is store-released, and the old buffer is retired. A reader
+//    that loaded the base pointer just before a growth keeps reading the
+//    old buffer — which still holds the bit-identical data for every
+//    element that existed at load time.
+//  - Retired buffers stay allocated until the writer calls ReleaseRetired,
+//    which it may do only once no reader can still hold one. The snapshot
+//    layer decides when (core/snapshot.h): at the drain before an edit, when
+//    no snapshot older than the current one is pinned — a reader of the
+//    current snapshot loaded its base pointers after that snapshot's
+//    publish, so it never sees a buffer retired before it — and at the end
+//    of a layer's first build, before any reader can reach it.
 //  - Element *mutation* safety is the caller's contract: readers may only
 //    touch elements that were fully written before the pointer (or a
 //    higher-level snapshot handle) was published to them, and the writer
@@ -17,9 +24,9 @@
 //    snapshot layer (core/snapshot.h) enforces this with per-node refcounts
 //    and epoch-based copy-on-write.
 //
-// Retired buffers form a geometric series, so total retained memory is at
-// most ~2x the live buffer — the price of lock-free readers without hazard
-// pointers. T must be trivially copyable (elements move by memcpy).
+// Between two releases the retired buffers form a geometric series, so
+// they hold less memory than the live buffer. T must be trivially copyable
+// (elements move by memcpy).
 #ifndef TREENUM_UTIL_COW_STORE_H_
 #define TREENUM_UTIL_COW_STORE_H_
 
@@ -50,13 +57,15 @@ class CowStore {
       : buf_(o.buf_),
         cap_(o.cap_),
         size_(o.size_.load(std::memory_order_relaxed)),
-        retired_(std::move(o.retired_)) {
+        retired_(std::move(o.retired_)),
+        retired_bytes_(o.retired_bytes_) {
     base_.store(buf_, std::memory_order_relaxed);
     o.buf_ = nullptr;
     o.base_.store(nullptr, std::memory_order_relaxed);
     o.cap_ = 0;
     o.size_.store(0, std::memory_order_relaxed);
     o.retired_.clear();
+    o.retired_bytes_ = 0;
   }
   CowStore& operator=(CowStore&& o) noexcept {
     if (this != &o) {
@@ -66,12 +75,14 @@ class CowStore {
       size_.store(o.size_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
       retired_ = std::move(o.retired_);
+      retired_bytes_ = o.retired_bytes_;
       base_.store(buf_, std::memory_order_relaxed);
       o.buf_ = nullptr;
       o.base_.store(nullptr, std::memory_order_relaxed);
       o.cap_ = 0;
       o.size_.store(0, std::memory_order_relaxed);
       o.retired_.clear();
+      o.retired_bytes_ = 0;
     }
     return *this;
   }
@@ -118,6 +129,16 @@ class CowStore {
 
   void clear() { size_.store(0, std::memory_order_relaxed); }
 
+  /// Frees every retired buffer (writer thread only). The caller
+  /// guarantees that no reader still holds one; see the file comment.
+  void ReleaseRetired() {
+    for (T* p : retired_) FreeBuffer(p);
+    retired_.clear();
+    retired_bytes_ = 0;
+  }
+  /// Bytes of retired buffers still allocated (writer thread).
+  size_t retired_bytes() const { return retired_bytes_; }
+
  private:
   static T* AllocBuffer(size_t cap) {
     void* p = ::operator new(cap * sizeof(T), std::align_val_t(Align));
@@ -134,7 +155,10 @@ class CowStore {
     T* nb = AllocBuffer(newcap);
     size_t sz = size();
     if (sz > 0) std::memcpy(nb, buf_, sz * sizeof(T));
-    if (buf_ != nullptr) retired_.push_back(buf_);
+    if (buf_ != nullptr) {
+      retired_.push_back(buf_);
+      retired_bytes_ += cap_ * sizeof(T);
+    }
     buf_ = nb;
     cap_ = newcap;
     // Release: the memcpy above happens-before any reader's acquire load.
@@ -142,8 +166,7 @@ class CowStore {
   }
 
   void Deallocate() {
-    for (T* p : retired_) FreeBuffer(p);
-    retired_.clear();
+    ReleaseRetired();
     if (buf_ != nullptr) FreeBuffer(buf_);
     buf_ = nullptr;
     base_.store(nullptr, std::memory_order_relaxed);
@@ -156,6 +179,7 @@ class CowStore {
   size_t cap_ = 0;
   std::atomic<size_t> size_{0};
   std::vector<T*> retired_;           ///< Old buffers kept for stale readers.
+  size_t retired_bytes_ = 0;          ///< Their total capacity in bytes.
 };
 
 }  // namespace treenum

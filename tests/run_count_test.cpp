@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "automata/homogenize.h"
 #include "automata/query_library.h"
 #include "automata/translate.h"
+#include "baseline/static_engine.h"
 #include "falgebra/builder.h"
 #include "core/tree_enumerator.h"
 #include "falgebra/update.h"
@@ -183,6 +188,64 @@ TEST(RunCount, CountsGrowWithAnswers) {
   TreeEnumerator e(t, q);
   EXPECT_EQ(counter.TotalAcceptingRuns(enc.term.root()),
             e.EnumerateAll().size());
+}
+
+TEST(RunCount, ReaderThreadsReadPinnedCounts) {
+  // Reader threads read the run counts at pinned snapshots while the writer
+  // edits, the stores grow and retired buffers are freed; every value must
+  // be the one recorded for its epoch (for this unambiguous query, the
+  // number of answers of that version).
+  Rng rng(521);
+  UnrankedTree tree = RandomTree(20, 3, rng);
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+  constexpr int kEdits = 120;
+  serving::CommandScript script(tree, 523, serving::WorkloadOptions{3});
+  std::vector<Edit> edits;
+  std::vector<uint64_t> expected;  // by epoch
+  {
+    StaticEngine oracle(tree, q);
+    expected.push_back(oracle.EnumerateAll().size());
+    for (int j = 0; j < kEdits; ++j) {
+      edits.push_back(script.NextEdit());
+      oracle.ApplyEdits({edits.back()});
+      expected.push_back(oracle.EnumerateAll().size());
+    }
+  }
+
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(q);
+  doc.pipeline(h).EnableCounting();
+  const EnumerationPipeline& p = doc.pipeline(h);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0}, mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      SnapshotRef held;  // reader 0 keeps an older pin for a while
+      while (!done.load(std::memory_order_acquire)) {
+        SnapshotRef snap = doc.CurrentSnapshot();
+        if (r == 0 && reads.load(std::memory_order_relaxed) % 16 == 0) {
+          held = snap;
+        }
+        for (const SnapshotRef* s : {&snap, &held}) {
+          if (*s && p.AcceptingRunsAt(*s) != expected[s->epoch()]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int j = 0; j < kEdits; ++j) {
+    while (reads.load(std::memory_order_relaxed) < static_cast<size_t>(j)) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(doc.Apply(Command::Of(edits[j])).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(p.AcceptingRunsAt(doc.CurrentSnapshot()), expected[kEdits]);
 }
 
 }  // namespace

@@ -492,5 +492,60 @@ TEST(ShardServer, RemoveDocumentCompletesPendingWork) {
   }
 }
 
+// A removed document is closed, not a crash: a command, a registration, an
+// unregistration and a second removal sent after it are each rejected and
+// counted, so is whatever a thread submits while the removal runs, and
+// the other tenant carries on.
+TEST(ShardServer, RequestsForARemovedDocumentAreRejected) {
+  DocumentShardServer::Options o;
+  o.shards = 2;
+  DocumentShardServer server(o);
+  std::vector<Tenant> tenants =
+      MakeTenants(server, 2, 24, 0xD0C, MixedWorkload(), /*churn=*/0);
+  Tenant& a = tenants[0];
+  Tenant& b = tenants[1];
+  const NodeId root = a.script.mirror().root();
+
+  // Relabels submitted before the removal apply; the rest are rejected.
+  std::atomic<bool> removed{false};
+  std::atomic<uint64_t> submitted{0};
+  std::thread submitter([&] {
+    while (!removed.load(std::memory_order_acquire)) {
+      server.SubmitEdit(a.doc, Edit::Relabel(root, 1));
+      submitted.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (submitted.load(std::memory_order_relaxed) < 64) {
+    std::this_thread::yield();
+  }
+  server.RemoveDocument(a.doc);
+  removed.store(true, std::memory_order_release);
+  submitter.join();
+  server.Drain();
+  const DocumentShardServer::Stats raced = server.stats();
+  EXPECT_EQ(raced.removes, 1u);
+  EXPECT_EQ(raced.edits_applied + raced.rejected, submitted.load());
+
+  server.Submit(a.doc, Command::Relabel(root, 2));
+  const DocumentShardServer::QueryRef ref =
+      server.RegisterQuery(a.doc, ChurnQuery());
+  EXPECT_EQ(ref.handle, DynamicDocument::kNoHandle);
+  EXPECT_FALSE(ref.view);
+  server.UnregisterQuery(a.doc, b.query.handle);
+  server.RemoveDocument(a.doc);  // returns at once
+  EXPECT_EQ(server.stats().rejected, raced.rejected + 4);
+  EXPECT_EQ(server.stats().removes, 1u);
+
+  // Tenant B's next command commits and answers like a fresh oracle.
+  server.Submit(b.doc, b.script.Next());
+  server.Drain();
+  EXPECT_EQ(server.stats().commits, raced.commits + 1);
+  const UnrankedTree& tree = server.document(b.doc).tree();
+  ASSERT_TRUE(tree == b.script.mirror());
+  StaticEngine oracle(tree, PersistentQuery());
+  EXPECT_EQ(Sorted(b.query.view.EnumerateAt(server.Pin(b.doc))),
+            Sorted(oracle.EnumerateAll()));
+}
+
 }  // namespace
 }  // namespace treenum

@@ -132,6 +132,78 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
   EXPECT_EQ(doc.snapshots_published(), static_cast<uint64_t>(kBatches) + 1);
 }
 
+// Readers race the writer's store growth and its reclamation. Every edit
+// inserts, so every store — term, circuit, index and run counts, directory
+// and pool — keeps outgrowing its buffer while readers read it, and the
+// writer waits before each edit until every reader holds the current
+// snapshot, so the edit's drain frees the buffers the last growth retired.
+// Readers enumerate and count at each pin against the per-version oracle;
+// a read of a freed buffer is a sanitizer report.
+TEST(SnapshotStress, ReadersRaceStoreGrowthAndReclamation) {
+  Rng rng(223);
+  UnrankedTree tree = RandomTree(16, 3, rng);
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+
+  constexpr int kEdits = 160;
+  std::vector<Edit> edits;
+  std::vector<std::vector<Assignment>> expected;
+  {
+    StaticEngine oracle(tree, q);
+    expected.push_back(oracle.EnumerateAll());
+    for (int j = 0; j < kEdits; ++j) {
+      const std::vector<NodeId> nodes = oracle.tree().PreorderNodes();
+      edits.push_back(Edit::InsertFirstChild(nodes[rng.Index(nodes.size())],
+                                             static_cast<Label>(rng.Index(3))));
+      oracle.ApplyEdits({edits.back()});
+      expected.push_back(oracle.EnumerateAll());
+    }
+  }
+
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(q);
+  doc.pipeline(h).EnableCounting();
+  const EnumerationPipeline& p = doc.pipeline(h);
+
+  ReaderState state;
+  std::atomic<uint64_t> pinned[kReaders] = {};  // each reader's last epoch
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!state.done.load(std::memory_order_acquire)) {
+        SnapshotRef snap = doc.CurrentSnapshot();
+        const size_t v = static_cast<size_t>(snap.epoch());
+        pinned[r].store(v, std::memory_order_release);
+        if (doc.EnumerateAt(snap, h) != expected[v] ||
+            p.AcceptingRunsAt(snap) != expected[v].size()) {
+          state.mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        state.iterations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  size_t frees = 0;  // commits whose drain freed retired buffers
+  for (int j = 0; j < kEdits; ++j) {
+    for (int r = 0; r < kReaders; ++r) {
+      while (pinned[r].load(std::memory_order_acquire) !=
+             static_cast<uint64_t>(j)) {
+        std::this_thread::yield();
+      }
+    }
+    const size_t before = doc.stats().retired_bytes;
+    ApplyOk(doc, Command::Of(edits[j]));
+    frees += doc.stats().retired_bytes < before;
+  }
+  state.done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(state.mismatches.load(), 0u);
+  EXPECT_GT(frees, 0u);
+  EXPECT_GE(doc.term().id_bound(), 8 * tree.size())
+      << "the stores did not grow";
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), expected[kEdits]);
+}
+
 TEST(SnapshotStress, WordReadersRaceBatchedWriter) {
   const Word w = ToWord("abababababab");
   const Wva q = SomeBPosition();

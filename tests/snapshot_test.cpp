@@ -217,6 +217,69 @@ TEST(SnapshotDeathTest, RejectsSnapshotsPredatingRegistration) {
   EXPECT_DEATH(doc.EnumerateAt(old_snap, late), "predates");
 }
 
+// ---- Reclamation of retired storage buffers ----
+
+// Growth retires a store's old buffer instead of freeing it, since a reader
+// of an older snapshot may still be reading it. The document frees retired
+// buffers at the drain before a commit, and only while no snapshot older
+// than the current one is pinned; a fresh build frees its own at once.
+TEST(Snapshot, RetiredBuffersWaitForOlderPins) {
+  Rng rng(131);
+  UnrankedTree tree = RandomTree(40, 3, rng);
+  const UnrankedTva query = QueryMarkedAncestor(3, 1, 2);
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(query);
+  doc.pipeline(h).EnableCounting();
+  const EnumerationPipeline& p = doc.pipeline(h);
+  EXPECT_EQ(p.retired_bytes(), 0u) << "a build frees what it retired";
+
+  SnapshotRef old = doc.CurrentSnapshot();
+  const std::vector<Assignment> old_answers = doc.EnumerateAt(old, h);
+  const uint64_t old_runs = p.AcceptingRunsAt(old);
+  // Inserts until the term has grown eightfold, so every store — term,
+  // circuit, index and counts, directory and pool — has outgrown its
+  // buffer; once anything is retired the gauge must hold while `old` is
+  // pinned.
+  const size_t grown = 8 * doc.term().id_bound();
+  bool retired = false;
+  while (doc.term().id_bound() < grown) {
+    const std::vector<NodeId> nodes = doc.tree().PreorderNodes();
+    ApplyOk(doc, Command::InsertFirstChild(nodes[rng.Index(nodes.size())],
+                                           static_cast<Label>(rng.Index(3))));
+    retired = retired || doc.stats().retired_bytes > 0;
+    ASSERT_TRUE(!retired || doc.stats().retired_bytes > 0)
+        << "retired buffers freed while an older snapshot is pinned";
+  }
+  EXPECT_GT(doc.term().retired_bytes(), 0u);
+  EXPECT_GT(p.circuit().retired_bytes(), 0u);
+  EXPECT_GT(p.index().retired_bytes(), 0u);
+  EXPECT_GT(p.retired_bytes(),
+            p.circuit().retired_bytes() + p.index().retired_bytes())
+      << "the run counts retired nothing";
+  EXPECT_EQ(doc.stats().retired_bytes,
+            doc.term().retired_bytes() + p.retired_bytes());
+  EXPECT_EQ(doc.EnumerateAt(old, h), old_answers);
+  EXPECT_EQ(p.AcceptingRunsAt(old), old_runs);
+
+  // A pipeline registered now holds nothing retired, pin or not.
+  const DynamicDocument::QueryHandle fresh =
+      doc.Register(QuerySelectLabel(3, 1));
+  EXPECT_EQ(doc.pipeline(fresh).retired_bytes(), 0u);
+
+  // Releasing the pin frees nothing by itself; the next commit's drain
+  // (here the one BeginBatch runs) frees everything.
+  old.Reset();
+  EXPECT_GT(doc.stats().retired_bytes, 0u);
+  doc.BeginBatch();
+  EXPECT_EQ(doc.stats().retired_bytes, 0u);
+  ApplyOk(doc, Command::Relabel(doc.tree().root(), 1));
+  doc.CommitBatch();
+  StaticEngine oracle(doc.tree(), query);
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), oracle.EnumerateAll());
+  EXPECT_EQ(p.AcceptingRunsAt(doc.CurrentSnapshot()),
+            oracle.EnumerateAll().size());
+}
+
 // ---- Steady-state allocation-freeness ----
 
 // Path-copying must not cost the edit path its zero-allocation steady
