@@ -8,6 +8,8 @@
 #include <string>
 
 #include "bench_util.h"
+#include "core/document.h"
+#include "core/engine.h"
 #include "util/latency_histogram.h"
 
 namespace treenum {
@@ -147,21 +149,23 @@ BENCHMARK(BM_Delay_DeepProbe_NoIndex)
 
 // (e) restart probe, the read perfbench's tree_edits workload times: one
 // relabel, then a fresh cursor from the public DynamicDocument::MakeCursorAt
-// (through the engine) and up to 8 answers. restart = cursor request to
-// first answer; delay = the gap before each later answer.
+// at a fresh pin and up to 8 answers. restart = cursor request to first
+// answer; delay = the gap before each later answer.
 void BM_Delay_RestartProbe(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const UnrankedTree t = bench::MakeTree(n);
-  TreeEnumerator e(t, bench::StandardQuery());
+  DynamicDocument doc(t, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(bench::StandardQuery());
   serving::CommandScript script(t, kSeed, serving::WorkloadOptions{3});
   LatencyHistogram restart;
   LatencyHistogram delay;
   Assignment a;
   size_t reads = 0;
   for (auto _ : state) {
-    e.ApplyEdit(script.NextRelabel());
+    doc.ApplyEdit(script.NextRelabel());
     const uint64_t t0 = NowNs();
-    std::unique_ptr<Engine::Cursor> cursor = e.MakeCursor();
+    std::unique_ptr<Engine::Cursor> cursor =
+        doc.MakeCursorAt(doc.CurrentSnapshot(), h);
     uint64_t prev = t0;
     size_t got = 0;
     while (got < 8 && cursor->Next(&a)) {
@@ -173,7 +177,7 @@ void BM_Delay_RestartProbe(benchmark::State& state) {
     // A short read must have drained the document (checked untimed).
     if (got < 8) {
       state.PauseTiming();
-      const size_t all = e.EnumerateAll().size();
+      const size_t all = doc.EnumerateAt(doc.CurrentSnapshot(), h).size();
       state.ResumeTiming();
       if (got < all) {
         state.SkipWithError(("probe read " + std::to_string(got) + " of " +

@@ -76,7 +76,7 @@ void BM_MultiQuery_IndependentEngines(benchmark::State& state) {
   for (auto _ : state) {
     Edit e = script.NextEdit();
     auto t0 = std::chrono::steady_clock::now();
-    for (auto& engine : engines) engine->ApplyEdit(e);
+    for (auto& engine : engines) engine->document().ApplyEdit(e);
     total_us += std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

@@ -76,7 +76,7 @@ void BM_Update_MixedStream(benchmark::State& state) {
   serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   size_t boxes = 0;
   for (auto _ : state) {
-    UpdateStats s = e.ApplyEdit(script.NextEdit());
+    UpdateStats s = e.document().ApplyEdit(script.NextEdit());
     boxes += s.boxes_recomputed;
   }
   state.counters["boxes_per_update"] =
@@ -86,7 +86,7 @@ BENCHMARK(BM_Update_MixedStream)
     ->Range(1024, 131072)
     ->Unit(benchmark::kMicrosecond);
 
-// ---- Batched updates: ApplyEdits(k edits) vs the same k edits applied
+// ---- Batched updates: k edits in one batch vs the same k edits applied
 // one-by-one. The batch coalesces the changed_bottom_up sets, so shared
 // root-path boxes are refreshed once per batch instead of once per edit;
 // the win grows with k (until the batch covers the whole tree).
@@ -101,7 +101,7 @@ void UpdateScriptBench(benchmark::State& state) {
   for (auto _ : state) {
     if (kBatched) e.BeginBatch();
     for (size_t i = 0; i < k; ++i) {
-      boxes += e.ApplyEdit(script.NextEdit()).boxes_recomputed;
+      boxes += e.document().ApplyEdit(script.NextEdit()).boxes_recomputed;
     }
     if (kBatched) boxes += e.CommitBatch().boxes_recomputed;
   }
@@ -151,7 +151,7 @@ void RelabelScriptBench(benchmark::State& state, BoxEnumMode mode) {
   TreeEnumerator e(tree, bench::StandardQuery(), mode);
   serving::CommandScript script(tree, kSeed, serving::WorkloadOptions{3});
   // Untimed warmup pass: sizes the arena spans touched by the script.
-  for (size_t i = 0; i < k; ++i) e.ApplyEdit(script.NextRelabel());
+  for (size_t i = 0; i < k; ++i) e.document().ApplyEdit(script.NextRelabel());
   size_t boxes = 0;
   AllocGaugeScope gauge;
   // Snapshot-layer cost: spine nodes path-copied per edit (the published
@@ -162,7 +162,7 @@ void RelabelScriptBench(benchmark::State& state, BoxEnumMode mode) {
   for (auto _ : state) {
     if (kBatched) e.BeginBatch();
     for (size_t i = 0; i < k; ++i) {
-      boxes += e.ApplyEdit(script.NextRelabel()).boxes_recomputed;
+      boxes += e.document().ApplyEdit(script.NextRelabel()).boxes_recomputed;
     }
     if (kBatched) boxes += e.CommitBatch().boxes_recomputed;
   }

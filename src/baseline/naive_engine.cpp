@@ -1,7 +1,5 @@
 #include "baseline/naive_engine.h"
 
-#include <algorithm>
-#include <memory>
 #include <set>
 
 namespace treenum {
@@ -83,37 +81,6 @@ std::vector<Assignment> MaterializeAssignments(const UnrankedTree& tree,
     all.insert(done[q].begin(), done[q].end());
   }
   return {all.begin(), all.end()};
-}
-
-NaiveEngine::NaiveEngine(UnrankedTree tree, UnrankedTva query)
-    : RecomputeEngineBase(std::move(tree)), query_(std::move(query)) {
-  Refresh();
-}
-
-UpdateStats NaiveEngine::Refresh() {
-  results_ = MaterializeAssignments(tree_, query_);
-  UpdateStats stats;
-  stats.rebuilt_size = tree_.size();
-  return stats;
-}
-
-std::unique_ptr<Engine::Cursor> NaiveEngine::MakeCursor() const {
-  // Snapshot so the cursor survives subsequent recomputes.
-  class Snapshot : public Engine::Cursor {
-   public:
-    explicit Snapshot(std::vector<Assignment> results)
-        : results_(std::move(results)) {}
-    bool Next(Assignment* out) override {
-      if (pos_ >= results_.size()) return false;
-      *out = results_[pos_++];
-      return true;
-    }
-
-   private:
-    std::vector<Assignment> results_;
-    size_t pos_ = 0;
-  };
-  return std::make_unique<Snapshot>(results_);
 }
 
 }  // namespace treenum

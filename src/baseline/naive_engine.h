@@ -1,17 +1,15 @@
-// Naive materializing engine: computes the full set of satisfying
-// assignments bottom-up on the unranked tree, with explicit per-(node,
-// state) assignment sets and no factorization. Exponential in the worst
-// case; serves as (a) the independent correctness oracle for the whole
-// pipeline and (b) the "recompute everything on every update" baseline of
-// the benchmarks.
+// Naive materialization: computes the full set of satisfying assignments
+// bottom-up on the unranked tree, with explicit per-(node, state)
+// assignment sets and no factorization. Exponential in the worst case;
+// serves as (a) the independent correctness oracle for the whole pipeline
+// and (b) the "recompute everything on every update" baseline of the
+// benchmarks, called again on the edited tree after each edit.
 #ifndef TREENUM_BASELINE_NAIVE_ENGINE_H_
 #define TREENUM_BASELINE_NAIVE_ENGINE_H_
 
-#include <memory>
 #include <vector>
 
 #include "automata/unranked_tva.h"
-#include "baseline/recompute_engine.h"
 #include "trees/assignment.h"
 #include "trees/unranked_tree.h"
 
@@ -21,27 +19,6 @@ namespace treenum {
 /// materialization (sorted, duplicate-free).
 std::vector<Assignment> MaterializeAssignments(const UnrankedTree& tree,
                                                const UnrankedTva& query);
-
-/// The recompute-per-update engine. Batched updates (BeginBatch/
-/// CommitBatch) skip the per-edit recompute and materialize once at
-/// commit.
-class NaiveEngine : public RecomputeEngineBase {
- public:
-  NaiveEngine(UnrankedTree tree, UnrankedTva query);
-
-  const std::vector<Assignment>& results() const { return results_; }
-
-  std::vector<Assignment> EnumerateAll() const override { return results_; }
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override;
-  bool HasAnswer() const override { return !results_.empty(); }
-
- protected:
-  UpdateStats Refresh() override;
-
- private:
-  UnrankedTva query_;
-  std::vector<Assignment> results_;
-};
 
 }  // namespace treenum
 

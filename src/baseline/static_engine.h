@@ -1,41 +1,31 @@
 // Static-engine baseline (the Bagan'06 / Kazana-Segoufin row of Table 1):
 // linear-time preprocessing and constant-delay enumeration, but no update
-// support — every edit triggers a full preprocessing run. Batched updates
-// (BeginBatch/CommitBatch) re-preprocess once at commit.
+// support. An edit is paid by preprocessing the edited tree again, so a
+// test or bench edits its own mirror tree and builds a fresh StaticEngine
+// over it; the oracle never shares the incremental path it checks.
 #ifndef TREENUM_BASELINE_STATIC_ENGINE_H_
 #define TREENUM_BASELINE_STATIC_ENGINE_H_
 
-#include <memory>
+#include <utility>
+#include <vector>
 
-#include "baseline/recompute_engine.h"
 #include "core/tree_enumerator.h"
 
 namespace treenum {
 
-class StaticEngine : public RecomputeEngineBase {
+class StaticEngine {
  public:
-  /// Preprocesses `tree` for `query` (both copied; edits re-preprocess —
-  /// O(|T|) each, the update cost Table 1 attributes to the static state
-  /// of the art).
-  StaticEngine(UnrankedTree tree, UnrankedTva query);
+  /// Preprocesses `tree` for `query`, O(|T| * poly(|Q|)).
+  StaticEngine(UnrankedTree tree, const UnrankedTva& query)
+      : inner_(std::move(tree), query) {}
 
   /// All satisfying assignments (sorted, duplicate-free).
-  std::vector<Assignment> EnumerateAll() const override {
-    return inner_->EnumerateAll();
+  std::vector<Assignment> EnumerateAll() const {
+    return inner_.EnumerateAll();
   }
-  /// Constant-delay cursor over the satisfying assignments.
-  TreeEnumerator::Cursor Enumerate() const { return inner_->Enumerate(); }
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override {
-    return inner_->MakeCursor();
-  }
-  bool HasAnswer() const override { return inner_->HasAnswer(); }
-
- protected:
-  UpdateStats Refresh() override;
 
  private:
-  UnrankedTva query_;
-  std::unique_ptr<TreeEnumerator> inner_;
+  TreeEnumerator inner_;
 };
 
 }  // namespace treenum

@@ -74,8 +74,8 @@ struct UpdateStats {
   }
 };
 
-/// One edit of Definition 7.1 as a value: the tree engines' edit script
-/// vocabulary (Engine::ApplyEdit). Command::Of turns it into a Command.
+/// One edit of Definition 7.1 as a value: the edit-script vocabulary of
+/// DynamicDocument::ApplyEdit. Command::Of turns it into a Command.
 struct Edit {
   enum class Kind : uint8_t {
     kRelabel, kInsertFirstChild, kInsertRightSibling, kDeleteLeaf
@@ -85,7 +85,7 @@ struct Edit {
   NodeId node = kNoNode;           ///< Target node.
   Label label = 0;                 ///< Unused by kDeleteLeaf.
 
-  // Value forms of the Engine edit ops.
+  // Value forms of TreeEnumerator's named edits.
   static Edit Relabel(NodeId n, Label l) { return {Kind::kRelabel, n, l}; }
   static Edit InsertFirstChild(NodeId n, Label l) {
     return {Kind::kInsertFirstChild, n, l};

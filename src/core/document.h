@@ -148,7 +148,8 @@ class DynamicDocument {
 
   /// The pipeline serving a registration (counting, introspection; reads
   /// go through the snapshot surface below). Duplicate registrations
-  /// return the same pipeline object.
+  /// return the same pipeline object. `handle` must be registered
+  /// (checked): a writer-side precondition, unlike the reads below.
   EnumerationPipeline& pipeline(QueryHandle handle);
   /// Const overload of pipeline().
   const EnumerationPipeline& pipeline(QueryHandle handle) const;
@@ -174,6 +175,9 @@ class DynamicDocument {
   /// every cursor made from it before the registration is unregistered —
   /// the last Unregister of a (plan, mode) destroys its pipeline. The shard
   /// server resolves views on its worker at registration time.
+  ///
+  /// An empty view (default-made, or resolved from a handle that is not
+  /// registered) reads as a query with no answers: false, {} and nullptr.
   class ReaderView {
    public:
     ReaderView() = default;
@@ -181,15 +185,17 @@ class DynamicDocument {
     explicit operator bool() const { return pipeline_ != nullptr; }
     /// HasAnswer at `snap`. Any thread (see the class contract).
     bool HasAnswerAt(const SnapshotRef& snap) const {
-      return pipeline_->HasAnswerAt(snap);
+      return pipeline_ != nullptr && pipeline_->HasAnswerAt(snap);
     }
     /// All satisfying assignments at `snap`, sorted. Any thread.
     std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const {
+      if (pipeline_ == nullptr) return {};
       return pipeline_->EnumerateAt(snap);
     }
     /// Cursor at `snap`; the cursor co-owns the pin, so the version
     /// outlives it even after `snap` is released. Any thread.
     std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const {
+      if (pipeline_ == nullptr) return nullptr;
       return std::make_unique<SnapshotCursor>(
           pipeline_->MakeCursorAt(std::move(snap)));
     }
@@ -201,13 +207,18 @@ class DynamicDocument {
   };
 
   /// Resolves `handle` into a ReaderView (writer thread only; see the
-  /// ReaderView contract above).
+  /// ReaderView contract above); an empty one if it is not registered.
   ReaderView reader_view(QueryHandle handle) const {
-    return ReaderView(&pipeline(handle));
+    return ReaderView(IsRegistered(handle)
+                          ? &handle_entry_[HandleSlot(handle)]->pipeline
+                          : nullptr);
   }
 
   /// Pins the most recently published snapshot. Any thread.
   SnapshotRef CurrentSnapshot() const { return snapshots_->Current(); }
+  // The three reads below go through reader_view(handle), so a handle that
+  // is not registered reads as no answers.
+
   /// HasAnswer for `handle`'s query evaluated at `snap`. Any thread.
   bool HasAnswerAt(const SnapshotRef& snap, QueryHandle handle) const {
     return reader_view(handle).HasAnswerAt(snap);

@@ -35,7 +35,6 @@
 #include "automata/homogenize.h"
 #include "circuit/circuit.h"
 #include "counting/run_count.h"
-#include "core/engine.h"
 #include "core/snapshot.h"
 #include "enumeration/enumerate.h"
 #include "enumeration/index.h"
@@ -51,15 +50,16 @@ namespace treenum {
 /// snapshot.
 ///
 /// A read allocates the AssignmentCursor's first storage block when the
-/// cursor is made (the public DynamicDocument::MakeCursorAt adds the
-/// unique_ptr that holds the cursor), and Next refills the caller's
-/// Assignment in place; past the first answer, a read allocates only if
-/// its enumeration outgrows that block (enumeration/enumerate.h).
-class SnapshotCursor : public Engine::Cursor {
+/// cursor is made (DynamicDocument::MakeCursorAt adds the unique_ptr that
+/// holds the cursor; TreeEnumerator and WordEnumerator return it by
+/// value), and Next refills the caller's Assignment in place; past the
+/// first answer, a read allocates only if its enumeration outgrows that
+/// block (enumeration/enumerate.h).
+class SnapshotCursor {
  public:
   /// Produces the next satisfying assignment into `out`, reusing its
   /// capacity; false when exhausted.
-  bool Next(Assignment* out) override;
+  bool Next(Assignment* out);
   /// Elementary steps so far (delay accounting).
   size_t steps() const { return inner_.steps(); }
 

@@ -7,8 +7,7 @@ namespace treenum {
 TreeEnumerator::TreeEnumerator(UnrankedTree tree, const UnrankedTva& query,
                                BoxEnumMode mode)
     : doc_(std::move(tree), query.num_labels()),
-      handle_(doc_.Register(query, mode)),
-      pipe_(&doc_.pipeline(handle_)) {}
+      pipe_(&doc_.pipeline(doc_.Register(query, mode))) {}
 
 std::vector<std::vector<NodeId>> AssignmentsToTuples(
     const std::vector<Assignment>& assignments, size_t num_vars) {

@@ -22,13 +22,11 @@
 #ifndef TREENUM_CORE_TREE_ENUMERATOR_H_
 #define TREENUM_CORE_TREE_ENUMERATOR_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "automata/unranked_tva.h"
 #include "core/document.h"
-#include "core/engine.h"
 #include "core/pipeline.h"
 #include "falgebra/update.h"
 #include "trees/assignment.h"
@@ -36,7 +34,7 @@
 
 namespace treenum {
 
-class TreeEnumerator : public Engine {
+class TreeEnumerator {
  public:
   /// Preprocessing. `mode` selects the indexed (paper) or naive
   /// (depth-dependent-delay baseline) box enumeration.
@@ -47,12 +45,13 @@ class TreeEnumerator : public Engine {
   const Term& term() const { return doc_.term(); }
   /// Width of the circuit (= trimmed, homogenized |Q'|).
   size_t width() const { return pipe_->width(); }
-  size_t size() const override { return doc_.tree().size(); }
+  size_t size() const { return doc_.tree().size(); }
 
   // ---- Enumeration, at the last committed version ----
   //
   // Every read pins CurrentSnapshot(), so between BeginBatch and
-  // CommitBatch it answers as before the batch.
+  // CommitBatch it answers as before the batch. Reads go straight to the
+  // pipeline and hand the cursor back by value.
 
   /// Pull-style cursor over the satisfying assignments (no duplicates,
   /// with steps() for delay accounting). It co-owns its snapshot pin, so
@@ -60,18 +59,14 @@ class TreeEnumerator : public Engine {
   using Cursor = SnapshotCursor;
 
   /// Cursor at the current snapshot.
-  Cursor Enumerate() const { return pipe_->MakeCursorAt(CurrentSnapshot()); }
+  Cursor Enumerate() const { return MakeCursorAt(CurrentSnapshot()); }
   /// All satisfying assignments at the current snapshot (sorted).
-  std::vector<Assignment> EnumerateAll() const override {
+  std::vector<Assignment> EnumerateAll() const {
     return EnumerateAt(CurrentSnapshot());
-  }
-  /// Type-erased Enumerate().
-  std::unique_ptr<Engine::Cursor> MakeCursor() const override {
-    return MakeCursorAt(CurrentSnapshot());
   }
   /// O(w) Boolean answer: does the query have at least one satisfying
   /// assignment on the current tree?
-  bool HasAnswer() const override { return HasAnswerAt(CurrentSnapshot()); }
+  bool HasAnswer() const { return HasAnswerAt(CurrentSnapshot()); }
 
   // ---- Concurrent snapshot reads (see core/document.h) ----
 
@@ -81,15 +76,15 @@ class TreeEnumerator : public Engine {
   /// threads concurrently with writer edits; old snapshots keep answering
   /// with their pre-edit results (time-travel).
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const {
-    return doc_.EnumerateAt(snap, handle_);
+    return pipe_->EnumerateAt(snap);
   }
   /// HasAnswer at a pinned snapshot. Any thread.
   bool HasAnswerAt(const SnapshotRef& snap) const {
-    return doc_.HasAnswerAt(snap, handle_);
+    return pipe_->HasAnswerAt(snap);
   }
   /// Cursor at a pinned snapshot; the cursor co-owns the pin.
-  std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const {
-    return doc_.MakeCursorAt(std::move(snap), handle_);
+  Cursor MakeCursorAt(SnapshotRef snap) const {
+    return pipe_->MakeCursorAt(std::move(snap));
   }
 
   // ---- Dynamic counting (optional; see counting/run_count.h) ----
@@ -107,28 +102,31 @@ class TreeEnumerator : public Engine {
   }
 
   // ---- Updates (Definition 7.1), O(log |T| * poly(|Q|)) each ----
+  //
+  // Each forwards one Command to the document, which checks it first: a
+  // rejected edit returns its status and changes nothing. An insert
+  // reports the new node's id through `new_node`.
 
-  UpdateStats Relabel(NodeId n, Label l) override {
+  UpdateStats Relabel(NodeId n, Label l) {
     return doc_.Apply(Command::Relabel(n, l));
   }
-  UpdateStats InsertFirstChild(NodeId n, Label l,
-                               NodeId* new_node = nullptr) override {
+  UpdateStats InsertFirstChild(NodeId n, Label l, NodeId* new_node = nullptr) {
     return doc_.Apply(Command::InsertFirstChild(n, l, new_node));
   }
   UpdateStats InsertRightSibling(NodeId n, Label l,
-                                 NodeId* new_node = nullptr) override {
+                                 NodeId* new_node = nullptr) {
     return doc_.Apply(Command::InsertRightSibling(n, l, new_node));
   }
-  UpdateStats DeleteLeaf(NodeId n) override {
+  UpdateStats DeleteLeaf(NodeId n) {
     return doc_.Apply(Command::DeleteLeaf(n));
   }
 
   /// Batched updates: circuit/index/count maintenance is coalesced at the
   /// document and the changed boxes are refreshed once at CommitBatch
   /// (see core/document.h).
-  void BeginBatch() override { doc_.BeginBatch(); }
-  UpdateStats CommitBatch() override { return doc_.CommitBatch(); }
-  bool in_batch() const override { return doc_.in_batch(); }
+  void BeginBatch() { doc_.BeginBatch(); }
+  UpdateStats CommitBatch() { return doc_.CommitBatch(); }
+  bool in_batch() const { return doc_.in_batch(); }
 
   // ---- Introspection (tests / benches) ----
   DynamicDocument& document() { return doc_; }
@@ -139,8 +137,7 @@ class TreeEnumerator : public Engine {
 
  private:
   DynamicDocument doc_;
-  DynamicDocument::QueryHandle handle_;
-  EnumerationPipeline* pipe_;
+  EnumerationPipeline* pipe_;  // of the one registration
 };
 
 /// Corollary 8.3 convenience: converts assignments of a first-order query

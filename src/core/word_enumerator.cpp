@@ -7,8 +7,7 @@ namespace treenum {
 WordEnumerator::WordEnumerator(const Word& w, const Wva& query,
                                BoxEnumMode mode)
     : doc_(w, query.num_labels()),
-      handle_(doc_.Register(query, mode)),
-      pipe_(&doc_.pipeline(handle_)) {}
+      pipe_(&doc_.pipeline(doc_.Register(query, mode))) {}
 
 std::vector<Assignment> WordEnumerator::EnumerateAllByPosition() const {
   const WordEncoding& enc = doc_.word_encoding();

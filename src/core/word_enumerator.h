@@ -7,20 +7,18 @@
 // DynamicDocument (the word-backed variant); all derived-state maintenance
 // is shared with the tree engine through the document layer and
 // EnumerationPipeline. It edits by logical position (Replace / Insert /
-// Erase / MoveRange), so it is not a tree Engine; it offers the same read
-// and batching members. Answers name stable position ids (PositionOf maps
-// them back). Multi-spanner serving over one shared word goes through
+// Erase / MoveRange) where TreeEnumerator edits by node; it offers the same
+// read and batching members. Answers name stable position ids (PositionOf
+// maps them back). Multi-spanner serving over one shared word goes through
 // DynamicDocument directly.
 #ifndef TREENUM_CORE_WORD_ENUMERATOR_H_
 #define TREENUM_CORE_WORD_ENUMERATOR_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "automata/wva.h"
 #include "core/document.h"
-#include "core/engine.h"
 #include "core/pipeline.h"
 #include "falgebra/word_avl.h"
 #include "trees/assignment.h"
@@ -38,17 +36,19 @@ class WordEnumerator {
   const WordEncoding& encoding() const { return doc_.word_encoding(); }
 
   // Reads pin CurrentSnapshot(), so between BeginBatch and CommitBatch
-  // they answer as before the batch.
+  // they answer as before the batch. They go straight to the pipeline and
+  // hand the cursor back by value.
+
+  /// Pull-style cursor over the satisfying assignments (co-owns its pin).
+  using Cursor = SnapshotCursor;
 
   /// Satisfying assignments; singleton NodeIds are *stable position ids* —
   /// translate to current positions with PositionOf.
   std::vector<Assignment> EnumerateAll() const {
     return EnumerateAt(CurrentSnapshot());
   }
-  /// Cursor at the current snapshot (co-owns the pin).
-  std::unique_ptr<Engine::Cursor> MakeCursor() const {
-    return MakeCursorAt(CurrentSnapshot());
-  }
+  /// Cursor at the current snapshot.
+  Cursor Enumerate() const { return MakeCursorAt(CurrentSnapshot()); }
   /// Boolean answer at the current snapshot.
   bool HasAnswer() const { return HasAnswerAt(CurrentSnapshot()); }
   /// Current logical position of a stable position id.
@@ -67,15 +67,15 @@ class WordEnumerator {
   /// — runs on reader threads concurrently with writer edits; old
   /// snapshots keep answering with their pre-edit results (time-travel).
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const {
-    return doc_.EnumerateAt(snap, handle_);
+    return pipe_->EnumerateAt(snap);
   }
   /// HasAnswer at a pinned snapshot. Any thread.
   bool HasAnswerAt(const SnapshotRef& snap) const {
-    return doc_.HasAnswerAt(snap, handle_);
+    return pipe_->HasAnswerAt(snap);
   }
   /// Cursor at a pinned snapshot; the cursor co-owns the pin.
-  std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const {
-    return doc_.MakeCursorAt(std::move(snap), handle_);
+  Cursor MakeCursorAt(SnapshotRef snap) const {
+    return pipe_->MakeCursorAt(std::move(snap));
   }
 
   // ---- Word edits by logical position, worst-case O(log |w|) ----
@@ -104,8 +104,7 @@ class WordEnumerator {
 
  private:
   DynamicDocument doc_;
-  DynamicDocument::QueryHandle handle_;
-  EnumerationPipeline* pipe_;
+  EnumerationPipeline* pipe_;  // of the one registration
 };
 
 }  // namespace treenum

@@ -1,8 +1,9 @@
 // Tests for the shared-document multi-query layer: N queries registered on
 // one DynamicDocument, driven by mixed edit scripts (relabels + structural
 // inserts/deletes, sequential and batched), every pipeline cross-checked
-// against a per-query recompute-from-scratch oracle; and the allocation
-// and threading guarantees the refresh loop relies on.
+// against a per-query StaticEngine built afresh over the script's mirror
+// tree; and the allocation and threading guarantees the refresh loop
+// relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 #include "automata/regex_spanner.h"
 #include "baseline/static_engine.h"
 #include "core/document.h"
-#include "core/engine.h"
 #include "core/tree_enumerator.h"
 #include "core/word_enumerator.h"
 #include "test_util.h"
@@ -43,21 +43,17 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
 
   DynamicDocument doc(tree, 3);
   std::vector<DynamicDocument::QueryHandle> ids;
-  std::vector<std::unique_ptr<StaticEngine>> oracles;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     // Mix box-enum modes across the registered queries.
     BoxEnumMode mode =
         qi % 2 == 0 ? BoxEnumMode::kIndexed : BoxEnumMode::kNaive;
     ids.push_back(doc.Register(queries[qi], mode));
-    oracles.push_back(std::make_unique<StaticEngine>(tree, queries[qi]));
   }
   ASSERT_EQ(doc.num_queries(), queries.size());
 
   serving::CommandScript script(tree, 733, serving::WorkloadOptions{3});
   for (int step = 0; step < 200; ++step) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    for (auto& oracle : oracles) oracle->ApplyEdit(e);
+    ApplyOk(doc, Command::Of(script.NextEdit()));
     if (step % 10 == 9) {
       for (size_t qi = 0; qi < ids.size(); ++qi) {
         const EnumerationPipeline& p = doc.pipeline(ids[qi]);
@@ -68,7 +64,7 @@ TEST(DynamicDocument, SequentialMixedScriptMatchesPerQueryOracles) {
               << "query " << qi << " step " << step;
         }
         ASSERT_EQ(p.EnumerateAt(doc.CurrentSnapshot()),
-                  oracles[qi]->EnumerateAll())
+                  StaticEngine(script.mirror(), queries[qi]).EnumerateAll())
             << "query " << qi << " step " << step;
       }
     }
@@ -83,22 +79,17 @@ TEST(DynamicDocument, BatchedCommitsMatchOracles) {
 
   DynamicDocument doc(tree, 3);
   std::vector<DynamicDocument::QueryHandle> ids;
-  std::vector<std::unique_ptr<StaticEngine>> oracles;
-  for (const UnrankedTva& q : queries) {
-    ids.push_back(doc.Register(q));
-    oracles.push_back(std::make_unique<StaticEngine>(tree, q));
-  }
+  for (const UnrankedTva& q : queries) ids.push_back(doc.Register(q));
 
   serving::CommandScript script(tree, 4242, serving::WorkloadOptions{3});
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;
     for (int i = 0; i < 24; ++i) edits.push_back(script.NextEdit());
     ApplyBatchOk(doc, edits);
-    for (auto& oracle : oracles) oracle->ApplyEdits(edits);
 
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), ids[qi]),
-                oracles[qi]->EnumerateAll())
+                StaticEngine(script.mirror(), queries[qi]).EnumerateAll())
           << "query " << qi << " round " << round;
       ASSERT_EQ(doc.pipeline(ids[qi]).circuit().ValidateStorage(), "")
           << "query " << qi << " round " << round;
@@ -119,29 +110,22 @@ TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
   DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 0));
   doc.pipeline(qa).EnableCounting();
 
-  StaticEngine oracle_a(tree, QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle_b(tree, QuerySelectLabel(3, 0));
-
   serving::CommandScript script(tree, 929, serving::WorkloadOptions{3});
   for (int round = 0; round < 10; ++round) {
     if (round % 2 == 0) {
-      for (int i = 0; i < 8; ++i) {
-        Edit e = script.NextEdit();
-        doc.ApplyEdit(e);
-        oracle_a.ApplyEdit(e);
-        oracle_b.ApplyEdit(e);
-      }
+      for (int i = 0; i < 8; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
     } else {
       std::vector<Edit> edits;
       for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
       ApplyBatchOk(doc, edits);
-      oracle_a.ApplyEdits(edits);
-      oracle_b.ApplyEdits(edits);
     }
-    std::vector<Assignment> expected_a = oracle_a.EnumerateAll();
+    std::vector<Assignment> expected_a =
+        StaticEngine(script.mirror(), QueryMarkedAncestor(3, 1, 2))
+            .EnumerateAll();
     ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qa), expected_a) << round;
     ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb),
-              oracle_b.EnumerateAll())
+              StaticEngine(script.mirror(), QuerySelectLabel(3, 0))
+                  .EnumerateAll())
         << round;
     // Query-library automata are unambiguous: runs == assignments.
     ASSERT_EQ(doc.pipeline(qa).AcceptingRunsAt(doc.CurrentSnapshot()),
@@ -160,26 +144,19 @@ TEST(DynamicDocument, UnregisterKeepsSurvivorsCorrect) {
   DynamicDocument doc(tree, 3);
   DynamicDocument::QueryHandle qa = doc.Register(QueryMarkedAncestor(3, 1, 2));
   DynamicDocument::QueryHandle qb = doc.Register(QuerySelectLabel(3, 1));
-  StaticEngine oracle(tree, QuerySelectLabel(3, 1));
 
   serving::CommandScript script(tree, 311, serving::WorkloadOptions{3});
-  for (int i = 0; i < 20; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle.ApplyEdit(e);
-  }
+  for (int i = 0; i < 20; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
   EXPECT_EQ(doc.num_queries(), 2u);
   doc.Unregister(qa);
   EXPECT_EQ(doc.num_queries(), 1u);
   EXPECT_FALSE(doc.IsRegistered(qa));
   EXPECT_TRUE(doc.IsRegistered(qb));
 
-  for (int i = 0; i < 40; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle.ApplyEdit(e);
-  }
-  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb), oracle.EnumerateAll());
+  for (int i = 0; i < 40; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), qb),
+            StaticEngine(script.mirror(), QuerySelectLabel(3, 1))
+                .EnumerateAll());
 
   // Registering after the edits serves the *current* tree: a fresh
   // pipeline built from the plan the query cache kept.
@@ -206,7 +183,7 @@ TEST(DynamicDocument, AgreesWithSingleQueryEngines) {
   for (int step = 0; step < 120; ++step) {
     Edit e = script.NextEdit();
     doc.ApplyEdit(e);
-    for (auto& engine : engines) engine->ApplyEdit(e);
+    for (auto& engine : engines) engine->document().ApplyEdit(e);
     if (step % 15 == 14) {
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), ids[qi]),
@@ -580,7 +557,8 @@ TEST(DocumentRejects, TransactionsOfUnknownNodesLabelsAndRanges) {
 
 // Registration is checked the same way: the wrong document kind, the
 // wrong alphabet, a batch in progress, or an unknown, stale or twice
-// unregistered handle returns its status and changes nothing.
+// unregistered handle returns its status and changes nothing. A read
+// through a handle that is not registered answers nothing.
 TEST(DocumentRejects, RegistrationOfWrongQueriesAndHandles) {
   Rng rng(12345);
   DynamicDocument doc(RandomTree(10, 3, rng), 3);
@@ -610,6 +588,22 @@ TEST(DocumentRejects, RegistrationOfWrongQueriesAndHandles) {
       doc.Register(QuerySelectLabel(3, 1));
   EXPECT_EQ(doc.Unregister(h), Status::kUnknownHandle);
   EXPECT_TRUE(doc.IsRegistered(again));
+
+  // `again` answers; the stale `h` in its slot, an unknown handle and
+  // kNoHandle read as no answers, through the document and an empty view.
+  const SnapshotRef snap = doc.CurrentSnapshot();
+  ASSERT_TRUE(doc.HasAnswerAt(snap, again));
+  for (const DynamicDocument::QueryHandle gone :
+       {h, h + 12345, DynamicDocument::kNoHandle}) {
+    EXPECT_FALSE(doc.HasAnswerAt(snap, gone));
+    EXPECT_TRUE(doc.EnumerateAt(snap, gone).empty());
+    EXPECT_EQ(doc.MakeCursorAt(snap, gone), nullptr);
+    const DynamicDocument::ReaderView view = doc.reader_view(gone);
+    EXPECT_FALSE(view);
+    EXPECT_FALSE(view.HasAnswerAt(snap));
+    EXPECT_TRUE(view.EnumerateAt(snap).empty());
+    EXPECT_EQ(view.MakeCursorAt(snap), nullptr);
+  }
 
   DynamicDocument word(ToWord("abab"), 2);
   EXPECT_EQ(word.Register(QuerySelectLabel(2, 1)).status,

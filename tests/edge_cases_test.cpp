@@ -142,7 +142,7 @@ TEST(EdgeCases, RepeatedInsertDeleteAtSamePosition) {
   }
 }
 
-TEST(EdgeCases, NaiveEngineMatchesOnDegenerateShapes) {
+TEST(EdgeCases, MaterializationMatchesOnDegenerateShapes) {
   Rng rng(811);
   UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
   // Star.

@@ -1,5 +1,6 @@
 // Property tests for the arena/CSR circuit storage: long mixed edit
-// scripts cross-checked against the recompute-from-scratch oracle, arena
+// scripts cross-checked against a StaticEngine built afresh over the
+// script's mirror tree, arena
 // invariant validation along the way, the steady-state allocation-freedom
 // guarantee (via the alloc gauge hooks linked into this binary), and the
 // TREENUM_CHECK width limit.
@@ -13,6 +14,7 @@
 #include "automata/query_library.h"
 #include "automata/regex_spanner.h"
 #include "baseline/static_engine.h"
+#include "core/document.h"
 #include "core/engine.h"
 #include "core/tree_enumerator.h"
 #include "core/word_enumerator.h"
@@ -33,19 +35,18 @@ TEST(FlatStorage, LongMixedScriptMatchesRecomputeOracle) {
     UnrankedTree tree = RandomTree(30 + rng.Index(30), 3, rng);
     TreeEnumerator indexed(tree, q, BoxEnumMode::kIndexed);
     TreeEnumerator naive(tree, q, BoxEnumMode::kNaive);
-    StaticEngine oracle(tree, q);
     serving::CommandScript script(tree, 997 + rng.Index(1000),
                                   serving::WorkloadOptions{3});
 
     for (int step = 0; step < 220; ++step) {
-      Edit e = script.NextEdit();
-      indexed.ApplyEdit(e);
-      naive.ApplyEdit(e);
-      oracle.ApplyEdit(e);
+      const Command c = Command::Of(script.NextEdit());
+      ApplyOk(indexed.document(), c);
+      ApplyOk(naive.document(), c);
       ASSERT_EQ(indexed.circuit().ValidateStorage(), "") << "step " << step;
       ASSERT_EQ(indexed.index().ValidateStorage(), "") << "step " << step;
       if (step % 10 == 9) {
-        std::vector<Assignment> expected = oracle.EnumerateAll();
+        std::vector<Assignment> expected =
+            StaticEngine(script.mirror(), q).EnumerateAll();
         ASSERT_EQ(indexed.EnumerateAll(), expected) << "step " << step;
         ASSERT_EQ(naive.EnumerateAll(), expected) << "step " << step;
       }
@@ -58,17 +59,16 @@ TEST(FlatStorage, BatchedScriptMatchesRecomputeOracle) {
   UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
   UnrankedTree tree = RandomTree(60, 3, rng);
   TreeEnumerator indexed(tree, q, BoxEnumMode::kIndexed);
-  StaticEngine oracle(tree, q);
   serving::CommandScript script(tree, 4242, serving::WorkloadOptions{3});
 
   for (int round = 0; round < 12; ++round) {
     std::vector<Edit> edits;
     for (int i = 0; i < 24; ++i) edits.push_back(script.NextEdit());
-    indexed.ApplyEdits(edits);
-    oracle.ApplyEdits(edits);
+    ApplyBatchOk(indexed.document(), edits);
     ASSERT_EQ(indexed.circuit().ValidateStorage(), "") << "round " << round;
     ASSERT_EQ(indexed.index().ValidateStorage(), "") << "round " << round;
-    ASSERT_EQ(indexed.EnumerateAll(), oracle.EnumerateAll())
+    ASSERT_EQ(indexed.EnumerateAll(),
+              StaticEngine(script.mirror(), q).EnumerateAll())
         << "round " << round;
   }
 }
@@ -193,16 +193,15 @@ TEST(FlatStorage, BoxEnumDelayIsAllocationFreeAfterWarmup) {
 // Reads through the public snapshot cursor: the cursor's levels, frames and
 // agendas live on its own word stack and SnapshotCursor::Next refills the
 // caller's Assignment in place, so past the first answer no answer touches
-// the heap. `make` opens a fresh public read.
-template <typename MakeCursor>
-void ExpectReadAllocationFree(MakeCursor make, size_t expected_answers,
+// the heap. `cursor` is a fresh read of any cursor type.
+template <typename Cursor>
+void ExpectReadAllocationFree(Cursor& cursor, size_t expected_answers,
                               const std::string& what) {
-  std::unique_ptr<Engine::Cursor> cursor = make();
   Assignment a;
-  ASSERT_TRUE(cursor->Next(&a)) << what;
+  ASSERT_TRUE(cursor.Next(&a)) << what;
   size_t answers = 1;
   AllocGaugeScope gauge;
-  while (cursor->Next(&a)) ++answers;
+  while (cursor.Next(&a)) ++answers;
   EXPECT_EQ(gauge.allocs(), 0u)
       << what << ": allocations after the first of " << answers << " answers";
   EXPECT_EQ(answers, expected_answers) << what;
@@ -220,7 +219,8 @@ TEST(FlatStorage, TreeReadsAreAllocationFreeAfterFirstAnswer) {
       TreeEnumerator e(tree, q, mode);
       const size_t answers = e.EnumerateAll().size();
       ASSERT_GT(answers, 1u) << name;
-      ExpectReadAllocationFree([&] { return e.MakeCursor(); }, answers,
+      TreeEnumerator::Cursor cursor = e.Enumerate();
+      ExpectReadAllocationFree(cursor, answers,
                                std::string(name) + (mode == BoxEnumMode::kNaive
                                                         ? " naive"
                                                         : " indexed"));
@@ -240,16 +240,16 @@ TEST(FlatStorage, WordReadsAreAllocationFreeAfterFirstAnswer) {
     WordEnumerator e(ToWord(letters), spanner, mode);
     const size_t answers = e.EnumerateAll().size();
     ASSERT_GT(answers, 1u);
+    WordEnumerator::Cursor cursor = e.Enumerate();
     ExpectReadAllocationFree(
-        [&] { return e.MakeCursor(); }, answers,
+        cursor, answers,
         mode == BoxEnumMode::kNaive ? "spanner naive" : "spanner indexed");
   }
 }
 
-// The whole public read up to its first answer: pin, the unique_ptr cursor
-// DynamicDocument::MakeCursorAt returns, the cursor's first storage block,
-// and the fresh Assignment's singleton.
-TEST(FlatStorage, FreshPublicReadAllocatesAtMostThreeTimes) {
+// A whole by-value read up to its first answer: the pin (no allocation),
+// the cursor's first storage block, and the fresh Assignment's singleton.
+TEST(FlatStorage, FreshEnumerateReadAllocatesAtMostTwice) {
   ASSERT_TRUE(AllocGaugeActive());
   Rng rng(163);
   UnrankedTree tree = RandomTree(300, 3, rng);
@@ -260,7 +260,29 @@ TEST(FlatStorage, FreshPublicReadAllocatesAtMostThreeTimes) {
   {
     Assignment a;
     AllocGaugeScope gauge;
-    std::unique_ptr<Engine::Cursor> cursor = e.MakeCursor();
+    TreeEnumerator::Cursor cursor = e.Enumerate();
+    ASSERT_TRUE(cursor.Next(&a));
+    allocs = gauge.allocs();
+  }
+  EXPECT_LE(allocs, 2u) << "allocations before the first answer";
+}
+
+// The same read through DynamicDocument::MakeCursorAt, which adds the
+// unique_ptr that holds the cursor.
+TEST(FlatStorage, FreshPublicReadAllocatesAtMostThreeTimes) {
+  ASSERT_TRUE(AllocGaugeActive());
+  Rng rng(163);
+  DynamicDocument doc(RandomTree(300, 3, rng), 3);
+  const DynamicDocument::QueryHandle h =
+      doc.Register(QueryMarkedAncestor(3, 1, 2));
+  ASSERT_FALSE(doc.EnumerateAt(doc.CurrentSnapshot(), h).empty());
+
+  uint64_t allocs = 0;
+  {
+    Assignment a;
+    AllocGaugeScope gauge;
+    std::unique_ptr<Engine::Cursor> cursor =
+        doc.MakeCursorAt(doc.CurrentSnapshot(), h);
     ASSERT_TRUE(cursor->Next(&a));
     allocs = gauge.allocs();
   }

@@ -8,7 +8,6 @@
 // result sets exceed the cap still check structural invariants.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "baseline/naive_engine.h"
 #include "baseline/static_engine.h"
 #include "core/document.h"
-#include "core/engine.h"
 #include "core/tree_enumerator.h"
 #include "core/word_enumerator.h"
 #include "test_util.h"
@@ -170,39 +168,37 @@ TEST(PipelineProperty, WideUnionQueryAgainstOracle) {
 TEST(PipelineProperty, PathGrowShrinkAgainstOracle) {
   Rng rng(307);
   UnrankedTva q = QueryMarkedAncestor(2, 0, 1);
-  UnrankedTree t(0);
-  TreeEnumerator e(t, q);
-  NaiveEngine oracle(t, q);
-  std::vector<NodeId> path{oracle.tree().root()};
+  UnrankedTree mirror(0);
+  TreeEnumerator e(mirror, q);
+  std::vector<NodeId> path{mirror.root()};
   for (int i = 0; i < 40; ++i) {
     Label l = static_cast<Label>(rng.Index(2));
     NodeId u;
     e.InsertFirstChild(path.back(), l, &u);
-    NodeId v;
-    oracle.InsertFirstChild(path.back(), l, &v);
-    ASSERT_EQ(u, v);
+    ASSERT_EQ(u, mirror.InsertFirstChild(path.back(), l));
     path.push_back(u);
-    ASSERT_EQ(e.EnumerateAll(), oracle.results()) << "grow " << i;
+    ASSERT_EQ(e.EnumerateAll(), MaterializeAssignments(mirror, q))
+        << "grow " << i;
   }
   while (path.size() > 1) {
     NodeId leaf = path.back();
     path.pop_back();
     e.DeleteLeaf(leaf);
-    oracle.DeleteLeaf(leaf);
-    ASSERT_EQ(e.EnumerateAll(), oracle.results())
+    mirror.DeleteLeaf(leaf);
+    ASSERT_EQ(e.EnumerateAll(), MaterializeAssignments(mirror, q))
         << "shrink at " << path.size();
   }
 }
 
 // ---- Batched updates --------------------------------------------------------
 //
-// Property: ApplyEdits(batch) ≡ the same edits applied one-by-one ≡ the
-// NaiveEngine oracle, on randomized edit scripts. All engines are driven
-// through the shared Engine interface.
+// Property: one batch of edits ≡ the same edits applied one-by-one ≡ the
+// materialized answers over the mirror tree (and a StaticEngine rebuilt
+// over it), on randomized edit scripts.
 
 // Generates a batch of `k` edits that is valid when applied sequentially,
 // advancing `mirror` as the ground truth. Edits may target nodes created
-// earlier in the same batch (node ids are deterministic across engines).
+// earlier in the same batch (node ids are deterministic across documents).
 std::vector<Edit> RandomTreeBatch(UnrankedTree& mirror, Rng& rng, size_t k,
                                   size_t labels, size_t max_size) {
   std::vector<Edit> edits;
@@ -245,27 +241,32 @@ TEST(BatchedUpdates, BatchEqualsSequentialEqualsOracleOnTrees) {
     TreeEnumerator sequential(t, q);
     TreeEnumerator batched(t, q);
     batched.EnableCounting();  // cover counter maintenance at commit
-    NaiveEngine oracle(t, q);
-    StaticEngine rebuilt(t, q);
     UnrankedTree mirror = t;
     for (int round = 0; round < 12; ++round) {
       size_t k = 1 + rng.Index(12);
       std::vector<Edit> batch = RandomTreeBatch(mirror, rng, k, 3, 60);
       UpdateStats seq_stats;
-      for (const Edit& e : batch) seq_stats += sequential.ApplyEdit(e);
-      UpdateStats batch_stats = batched.ApplyEdits(batch);
-      oracle.ApplyEdits(batch);
-      rebuilt.ApplyEdits(batch);
+      for (const Edit& e : batch) {
+        seq_stats += sequential.document().ApplyEdit(e);
+      }
+      batched.BeginBatch();
+      UpdateStats batch_stats;
+      for (const Edit& e : batch) {
+        batch_stats += batched.document().ApplyEdit(e);
+      }
+      batch_stats += batched.CommitBatch();
       ASSERT_TRUE(sequential.tree() == mirror) << "round " << round;
       ASSERT_TRUE(batched.tree() == mirror) << "round " << round;
+      EXPECT_TRUE(batch_stats.ok()) << "round " << round;
       EXPECT_EQ(batch_stats.edits_applied, batch.size());
       // Coalescing must never refresh more boxes than the per-edit path.
       EXPECT_LE(batch_stats.boxes_recomputed, seq_stats.boxes_recomputed)
           << "round " << round;
-      std::vector<Assignment> expected = oracle.EnumerateAll();
+      std::vector<Assignment> expected = MaterializeAssignments(mirror, q);
       ASSERT_EQ(sequential.EnumerateAll(), expected) << "round " << round;
       ASSERT_EQ(batched.EnumerateAll(), expected) << "round " << round;
-      ASSERT_EQ(rebuilt.EnumerateAll(), expected) << "round " << round;
+      ASSERT_EQ(StaticEngine(mirror, q).EnumerateAll(), expected)
+          << "round " << round;
       ASSERT_EQ(batched.AcceptingRuns(), expected.size())
           << "round " << round;
     }
@@ -283,8 +284,10 @@ TEST(BatchedUpdates, RandomAutomatonBatchesAgainstMaterialization) {
     for (int round = 0; round < 10; ++round) {
       std::vector<Edit> batch =
           RandomTreeBatch(mirror, rng, 1 + rng.Index(8), 2, 14);
-      for (const Edit& e : batch) sequential.ApplyEdit(e);
-      batched.ApplyEdits(batch);
+      for (const Edit& e : batch) {
+        ApplyOk(sequential.document(), Command::Of(e));
+      }
+      ApplyBatchOk(batched.document(), batch);
       std::optional<std::vector<Assignment>> got = CollectCapped(batched);
       if (!got.has_value()) continue;
       ASSERT_EQ(*got, MaterializeAssignments(mirror, q))
@@ -325,25 +328,6 @@ Wva SelectBWva() {
   q.AddTransition(1, 1, 0, 1);
   q.AddFinal(1);
   return q;
-}
-
-TEST(BatchedUpdates, ApplyEditsJoinsAnOpenBatch) {
-  // ApplyEdits inside an explicit BeginBatch/CommitBatch must not commit
-  // the caller's transaction early.
-  UnrankedTree t = UnrankedTree::Parse("(a (b) (b))");
-  UnrankedTva q = QuerySelectLabel(2, 1);
-  TreeEnumerator e(t, q);
-  NodeId root = e.tree().root();
-  e.BeginBatch();
-  e.InsertFirstChild(root, 1);
-  UpdateStats inner = e.ApplyEdits({Edit::InsertFirstChild(root, 1)});
-  EXPECT_TRUE(e.in_batch());  // still our transaction
-  EXPECT_EQ(inner.boxes_recomputed, 0u);  // nothing refreshed yet
-  e.InsertFirstChild(root, 1);
-  UpdateStats commit = e.CommitBatch();
-  EXPECT_FALSE(e.in_batch());
-  EXPECT_GT(commit.boxes_recomputed, 0u);
-  EXPECT_EQ(e.EnumerateAll().size(), 5u);  // 2 old + 3 new b-nodes
 }
 
 TEST(BatchedUpdates, WordBatchEqualsSequentialEqualsFreshRebuild) {
@@ -408,11 +392,11 @@ TEST(BatchedUpdates, WordBatchEqualsSequentialEqualsFreshRebuild) {
 
 // ---- Reads inside an open batch --------------------------------------------
 //
-// Between BeginBatch and CommitBatch every engine answers as before the
-// batch: the dynamic engines read their last committed snapshot, the
-// recompute baselines their last refreshed state.
+// Between BeginBatch and CommitBatch the tree and word engines answer as
+// before the batch: they read their last committed snapshot.
 
-// Everything the read surface of an Engine (or a WordEnumerator) returns.
+// Everything the read surface of a TreeEnumerator or WordEnumerator
+// returns.
 struct EngineReads {
   std::vector<Assignment> all;
   std::vector<Assignment> via_cursor;
@@ -428,9 +412,9 @@ template <typename E>
 EngineReads ReadEngine(const E& e) {
   EngineReads r;
   r.all = e.EnumerateAll();
-  std::unique_ptr<Engine::Cursor> c = e.MakeCursor();
+  typename E::Cursor c = e.Enumerate();
   Assignment a;
-  while (c->Next(&a)) r.via_cursor.push_back(a);
+  while (c.Next(&a)) r.via_cursor.push_back(a);
   std::sort(r.via_cursor.begin(), r.via_cursor.end());
   r.has_answer = e.HasAnswer();
   return r;
@@ -447,24 +431,19 @@ TEST(BatchedUpdates, MidBatchReadsReturnPreBatchAnswers) {
     for (int i = 0; i < 64; ++i) w.push_back(static_cast<Label>(rng.Index(2)));
     TreeEnumerator dynamic(t, q);
     dynamic.EnableCounting();
-    NaiveEngine naive(t, q);
-    StaticEngine rebuilt(t, q);
     WordEnumerator word(w, wq);
 
     UnrankedTree mirror = t;
     std::vector<Edit> tree_batch = RandomTreeBatch(mirror, rng, 12, 3, 200);
-    Engine* const engines[] = {&dynamic, &naive, &rebuilt};
-    for (Engine* engine : engines) {
-      const EngineReads before = ReadEngine(*engine);
-      const uint64_t accepting = dynamic.AcceptingRuns();
-      engine->BeginBatch();
-      for (size_t i = 0; i < tree_batch.size(); ++i) {
-        engine->ApplyEdit(tree_batch[i]);
-        ASSERT_TRUE(ReadEngine(*engine) == before) << "after edit " << i;
-        ASSERT_EQ(dynamic.AcceptingRuns(), accepting) << "after edit " << i;
-      }
-      engine->CommitBatch();
+    const EngineReads before = ReadEngine(dynamic);
+    const uint64_t accepting = dynamic.AcceptingRuns();
+    dynamic.BeginBatch();
+    for (size_t i = 0; i < tree_batch.size(); ++i) {
+      ApplyOk(dynamic.document(), Command::Of(tree_batch[i]));
+      ASSERT_TRUE(ReadEngine(dynamic) == before) << "after edit " << i;
+      ASSERT_EQ(dynamic.AcceptingRuns(), accepting) << "after edit " << i;
     }
+    dynamic.CommitBatch();
 
     // The word engine, edited by position; `after` is the ground truth.
     Word after = w;
@@ -494,44 +473,9 @@ TEST(BatchedUpdates, MidBatchReadsReturnPreBatchAnswers) {
     // Each batch took effect at its commit.
     std::vector<Assignment> expected = MaterializeAssignments(mirror, q);
     EXPECT_EQ(dynamic.EnumerateAll(), expected);
-    EXPECT_EQ(naive.EnumerateAll(), expected);
-    EXPECT_EQ(rebuilt.EnumerateAll(), expected);
     EXPECT_EQ(dynamic.AcceptingRuns(), expected.size());
     EXPECT_EQ(word.EnumerateAllByPosition(),
               WordEnumerator(after, wq).EnumerateAllByPosition());
-  }
-}
-
-TEST(BatchedUpdates, EngineInterfaceDrivesAllFourBackends) {
-  // The same polymorphic loop exercises every tree backend.
-  Rng rng(449);
-  UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
-  UnrankedTree t = RandomTree(15, 3, rng);
-  std::vector<std::unique_ptr<Engine>> tree_engines;
-  tree_engines.push_back(std::make_unique<TreeEnumerator>(t, q));
-  tree_engines.push_back(
-      std::make_unique<TreeEnumerator>(t, q, BoxEnumMode::kNaive));
-  tree_engines.push_back(std::make_unique<NaiveEngine>(t, q));
-  tree_engines.push_back(std::make_unique<StaticEngine>(t, q));
-  UnrankedTree mirror = t;
-  for (int round = 0; round < 6; ++round) {
-    std::vector<Edit> batch = RandomTreeBatch(mirror, rng, 5, 3, 40);
-    std::vector<std::vector<Assignment>> all;
-    for (auto& engine : tree_engines) {
-      engine->ApplyEdits(batch);
-      EXPECT_EQ(engine->size(), mirror.size());
-      std::vector<Assignment> via_cursor;
-      std::unique_ptr<Engine::Cursor> c = engine->MakeCursor();
-      Assignment a;
-      while (c->Next(&a)) via_cursor.push_back(a);
-      std::sort(via_cursor.begin(), via_cursor.end());
-      EXPECT_EQ(via_cursor, engine->EnumerateAll());
-      EXPECT_EQ(engine->HasAnswer(), !via_cursor.empty());
-      all.push_back(std::move(via_cursor));
-    }
-    for (size_t i = 1; i < all.size(); ++i) {
-      ASSERT_EQ(all[i], all[0]) << "engine " << i << " round " << round;
-    }
   }
 }
 

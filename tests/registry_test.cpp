@@ -205,8 +205,6 @@ TEST(QueryRegistry, UnregisterToZeroKeepsSurvivorsCorrect) {
   QueryHandle dup1 = doc.Register(QueryMarkedAncestor(3, 1, 2));
   QueryHandle dup2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
   QueryHandle other = doc.Register(QuerySelectLabel(3, 1));
-  StaticEngine oracle_ma(tree, QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle_sel(tree, QuerySelectLabel(3, 1));
 
   // Dropping one duplicate keeps the shared pipeline alive and correct.
   doc.Unregister(dup1);
@@ -216,14 +214,13 @@ TEST(QueryRegistry, UnregisterToZeroKeepsSurvivorsCorrect) {
   EXPECT_EQ(doc.num_pipelines(), 2u);
 
   serving::CommandScript script(tree, 4711, serving::WorkloadOptions{3});
-  for (int i = 0; i < 60; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle_ma.ApplyEdit(e);
-    oracle_sel.ApplyEdit(e);
-  }
-  EXPECT_EQ(Answers(doc, dup2), oracle_ma.EnumerateAll());
-  EXPECT_EQ(Answers(doc, other), oracle_sel.EnumerateAll());
+  for (int i = 0; i < 60; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
+  EXPECT_EQ(Answers(doc, dup2),
+            StaticEngine(script.mirror(), QueryMarkedAncestor(3, 1, 2))
+                .EnumerateAll());
+  EXPECT_EQ(Answers(doc, other),
+            StaticEngine(script.mirror(), QuerySelectLabel(3, 1))
+                .EnumerateAll());
 }
 
 // The last Unregister destroys the pipeline at once: later edits refresh
@@ -264,9 +261,6 @@ TEST(QueryRegistry, ReRegistrationAfterUnregisterMatchesOracle) {
   QueryHandle drop = doc.Register(QuerySelectLabel(3, 1));
   EXPECT_EQ(doc.num_pipelines(), 2u);
 
-  StaticEngine oracle_keep(tree, QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle_drop(tree, QuerySelectLabel(3, 1));
-
   // Releasing the second query destroys its pipeline, leaving no registry
   // entry behind.
   doc.Unregister(drop);
@@ -274,13 +268,10 @@ TEST(QueryRegistry, ReRegistrationAfterUnregisterMatchesOracle) {
   EXPECT_EQ(doc.stats().pipelines.size(), 1u);
 
   serving::CommandScript script(tree, 6007, serving::WorkloadOptions{3});
-  for (int i = 0; i < 60; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle_keep.ApplyEdit(e);
-    oracle_drop.ApplyEdit(e);
-  }
-  EXPECT_EQ(Answers(doc, keep), oracle_keep.EnumerateAll());
+  for (int i = 0; i < 60; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
+  EXPECT_EQ(Answers(doc, keep),
+            StaticEngine(script.mirror(), QueryMarkedAncestor(3, 1, 2))
+                .EnumerateAll());
 
   // Re-registration builds a fresh pipeline over the *current* tree from
   // the plan the cache kept: a source hit with no compile work.
@@ -290,15 +281,15 @@ TEST(QueryRegistry, ReRegistrationAfterUnregisterMatchesOracle) {
   EXPECT_EQ(after.translations, before.translations);
   EXPECT_EQ(after.source_hits, before.source_hits + 1);
   EXPECT_EQ(doc.stats().shared_hits, 0u);
-  EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
+  EXPECT_EQ(Answers(doc, again),
+            StaticEngine(script.mirror(), QuerySelectLabel(3, 1))
+                .EnumerateAll());
 
   // ... and stays correct under further edits.
-  for (int i = 0; i < 30; ++i) {
-    Edit e = script.NextEdit();
-    doc.ApplyEdit(e);
-    oracle_drop.ApplyEdit(e);
-  }
-  EXPECT_EQ(Answers(doc, again), oracle_drop.EnumerateAll());
+  for (int i = 0; i < 30; ++i) ApplyOk(doc, Command::Of(script.NextEdit()));
+  EXPECT_EQ(Answers(doc, again),
+            StaticEngine(script.mirror(), QuerySelectLabel(3, 1))
+                .EnumerateAll());
 }
 
 // A query released before batched commits and registered again after them
@@ -309,7 +300,6 @@ TEST(QueryRegistry, ReRegistrationAfterBatchedCommitsMatchesOracle) {
   UnrankedTree tree = RandomTree(50, 3, rng);
   DynamicDocument doc(tree, 3);
   QueryHandle h = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
   doc.Unregister(h);
   EXPECT_EQ(doc.num_pipelines(), 0u);
 
@@ -318,13 +308,16 @@ TEST(QueryRegistry, ReRegistrationAfterBatchedCommitsMatchesOracle) {
     std::vector<Edit> edits;
     for (int i = 0; i < 16; ++i) edits.push_back(script.NextEdit());
     ApplyBatchOk(doc, edits);
-    oracle.ApplyEdits(edits);
+  };
+  auto oracle = [&] {
+    return StaticEngine(script.mirror(), QueryMarkedAncestor(3, 1, 2))
+        .EnumerateAll();
   };
   for (int round = 0; round < 6; ++round) commit_round();
   QueryHandle h2 = doc.Register(QueryMarkedAncestor(3, 1, 2));
-  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h2), oracle());
   commit_round();
-  EXPECT_EQ(Answers(doc, h2), oracle.EnumerateAll());
+  EXPECT_EQ(Answers(doc, h2), oracle());
 }
 
 TEST(QueryRegistry, HandlesStayStableAcrossUnregister) {

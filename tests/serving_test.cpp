@@ -427,6 +427,11 @@ TEST(ShardServer, BadCommandsAreRejectedPerTenant) {
              server.RegisterQuery(bad.doc, QuerySelectLabel(4, 1));
          EXPECT_EQ(ref.handle, DynamicDocument::kNoHandle);
          EXPECT_FALSE(ref.view);
+         // Its empty view reads as a query with no answers.
+         const SnapshotRef snap = server.Pin(bad.doc);
+         EXPECT_FALSE(ref.view.HasAnswerAt(snap));
+         EXPECT_TRUE(ref.view.EnumerateAt(snap).empty());
+         EXPECT_EQ(ref.view.MakeCursorAt(snap), nullptr);
        }},
       {"double unregister",
        [&] {

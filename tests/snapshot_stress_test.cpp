@@ -64,19 +64,14 @@ TEST(SnapshotStress, TreeReadersRaceBatchedWriter) {
   serving::CommandScript script(tree, 3001, serving::WorkloadOptions{3});
   std::vector<std::vector<Edit>> batches;
   std::vector<std::vector<Assignment>> expected1, expected2;
-  {
-    StaticEngine oracle1(tree, q1), oracle2(tree, q2);
-    expected1.push_back(oracle1.EnumerateAll());
-    expected2.push_back(oracle2.EnumerateAll());
-    for (int j = 0; j < kBatches; ++j) {
-      std::vector<Edit> batch;
-      for (int i = 0; i < kBatchSize; ++i) batch.push_back(script.NextEdit());
-      oracle1.ApplyEdits(batch);
-      oracle2.ApplyEdits(batch);
-      expected1.push_back(oracle1.EnumerateAll());
-      expected2.push_back(oracle2.EnumerateAll());
-      batches.push_back(std::move(batch));
-    }
+  expected1.push_back(StaticEngine(tree, q1).EnumerateAll());
+  expected2.push_back(StaticEngine(tree, q2).EnumerateAll());
+  for (int j = 0; j < kBatches; ++j) {
+    std::vector<Edit> batch;
+    for (int i = 0; i < kBatchSize; ++i) batch.push_back(script.NextEdit());
+    expected1.push_back(StaticEngine(script.mirror(), q1).EnumerateAll());
+    expected2.push_back(StaticEngine(script.mirror(), q2).EnumerateAll());
+    batches.push_back(std::move(batch));
   }
 
   DynamicDocument doc(tree, 3);
@@ -147,16 +142,14 @@ TEST(SnapshotStress, ReadersRaceStoreGrowthAndReclamation) {
   constexpr int kEdits = 160;
   std::vector<Edit> edits;
   std::vector<std::vector<Assignment>> expected;
-  {
-    StaticEngine oracle(tree, q);
-    expected.push_back(oracle.EnumerateAll());
-    for (int j = 0; j < kEdits; ++j) {
-      const std::vector<NodeId> nodes = oracle.tree().PreorderNodes();
-      edits.push_back(Edit::InsertFirstChild(nodes[rng.Index(nodes.size())],
-                                             static_cast<Label>(rng.Index(3))));
-      oracle.ApplyEdits({edits.back()});
-      expected.push_back(oracle.EnumerateAll());
-    }
+  UnrankedTree mirror = tree;
+  expected.push_back(StaticEngine(mirror, q).EnumerateAll());
+  for (int j = 0; j < kEdits; ++j) {
+    const std::vector<NodeId> nodes = mirror.PreorderNodes();
+    edits.push_back(Edit::InsertFirstChild(nodes[rng.Index(nodes.size())],
+                                           static_cast<Label>(rng.Index(3))));
+    ApplyToTree(edits.back(), mirror);
+    expected.push_back(StaticEngine(mirror, q).EnumerateAll());
   }
 
   DynamicDocument doc(tree, 3);

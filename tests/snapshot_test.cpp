@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,13 +52,8 @@ TEST(Snapshot, TreeTimeTravelKeepsPreEditAnswers) {
   EXPECT_EQ(e.EnumerateAt(s0), before) << "current snapshot == current root";
   EXPECT_EQ(e.HasAnswerAt(s0), !before.empty());
 
-  StaticEngine oracle(tree, QuerySelectLabel(3, 1));
   serving::CommandScript script(tree, 7, serving::WorkloadOptions{3});
-  for (int i = 0; i < 60; ++i) {
-    Edit ed = script.NextEdit();
-    e.document().ApplyEdit(ed);
-    oracle.ApplyEdit(ed);
-  }
+  for (int i = 0; i < 60; ++i) e.document().ApplyEdit(script.NextEdit());
 
   // The old snapshot still answers with the pre-edit assignment set and
   // still decodes to the pre-edit tree; the new snapshot tracks the head.
@@ -68,7 +62,9 @@ TEST(Snapshot, TreeTimeTravelKeepsPreEditAnswers) {
   SnapshotRef s1 = e.CurrentSnapshot();
   EXPECT_GT(s1.epoch(), s0.epoch());
   EXPECT_EQ(e.EnumerateAt(s1), e.EnumerateAll());
-  EXPECT_EQ(e.EnumerateAt(s1), oracle.EnumerateAll());
+  EXPECT_EQ(e.EnumerateAt(s1),
+            StaticEngine(script.mirror(), QuerySelectLabel(3, 1))
+                .EnumerateAll());
 }
 
 TEST(Snapshot, WordTimeTravelKeepsPreEditAnswers) {
@@ -89,26 +85,24 @@ TEST(Snapshot, WordTimeTravelKeepsPreEditAnswers) {
 }
 
 // Every committed version can be pinned and all pins stay simultaneously
-// readable; a version's answers match a StaticEngine replayed to the same
-// edit (snapshot epochs count publishes: the constructor publishes epoch 0,
-// edit k publishes epoch k).
+// readable; a version's answers match a StaticEngine built over the mirror
+// after the same edit (snapshot epochs count publishes: the constructor
+// publishes epoch 0, edit k publishes epoch k).
 TEST(Snapshot, EveryVersionRemainsReadableAgainstOracle) {
   Rng rng(103);
   UnrankedTree tree = RandomTree(40, 3, rng);
-  TreeEnumerator e(tree, QueryMarkedAncestor(3, 1, 2));
-  StaticEngine oracle(tree, QueryMarkedAncestor(3, 1, 2));
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+  TreeEnumerator e(tree, q);
   serving::CommandScript script(tree, 17, serving::WorkloadOptions{3});
 
   std::vector<SnapshotRef> pins;
   std::vector<std::vector<Assignment>> expected;
   pins.push_back(e.CurrentSnapshot());
-  expected.push_back(oracle.EnumerateAll());
+  expected.push_back(StaticEngine(tree, q).EnumerateAll());
   for (int k = 1; k <= 25; ++k) {
-    Edit ed = script.NextEdit();
-    e.document().ApplyEdit(ed);
-    oracle.ApplyEdit(ed);
+    e.document().ApplyEdit(script.NextEdit());
     pins.push_back(e.CurrentSnapshot());
-    expected.push_back(oracle.EnumerateAll());
+    expected.push_back(StaticEngine(script.mirror(), q).EnumerateAll());
     EXPECT_EQ(pins.back().epoch(), static_cast<uint64_t>(k));
   }
   // All 26 versions are pinned at once; check them newest-first so stale
@@ -127,8 +121,7 @@ TEST(Snapshot, CursorCoOwnsThePin) {
   std::vector<Assignment> before = e.EnumerateAll();
 
   SnapshotRef s0 = e.CurrentSnapshot();
-  std::unique_ptr<Engine::Cursor> cur = e.MakeCursorAt(std::move(s0));
-  ASSERT_NE(cur, nullptr);
+  TreeEnumerator::Cursor cur = e.MakeCursorAt(std::move(s0));
 
   // Consume half, then edit: the cursor's snapshot is pinned by the cursor
   // alone (the ref was moved in), so the remaining answers are still the
@@ -136,12 +129,12 @@ TEST(Snapshot, CursorCoOwnsThePin) {
   std::vector<Assignment> got;
   Assignment a;
   for (size_t i = 0; i < before.size() / 2; ++i) {
-    ASSERT_TRUE(cur->Next(&a));
+    ASSERT_TRUE(cur.Next(&a));
     got.push_back(a);
   }
   serving::CommandScript script(tree, 23, serving::WorkloadOptions{3});
   for (int i = 0; i < 30; ++i) e.document().ApplyEdit(script.NextEdit());
-  while (cur->Next(&a)) got.push_back(a);
+  while (cur.Next(&a)) got.push_back(a);
   // Cursor emission order differs from EnumerateAll's; compare as sets.
   std::sort(got.begin(), got.end());
   std::sort(before.begin(), before.end());

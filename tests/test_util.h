@@ -1,8 +1,9 @@
 // Shared helpers for the treenum test suite: random automata/tree/term
 // generators and independent brute-force oracles. Mirror edit scripts come
 // from serving::CommandScript, included from serving/workload.h; ApplyOk
-// applies a command that must be accepted, and ApplyToEncoding replays a
-// tree command on a bare DynamicEncoding.
+// applies a command that must be accepted, ApplyToTree replays an edit on
+// an oracle's mirror tree, and ApplyToEncoding replays a tree command on a
+// bare DynamicEncoding.
 #ifndef TREENUM_TESTS_TEST_UTIL_H_
 #define TREENUM_TESTS_TEST_UTIL_H_
 
@@ -204,6 +205,25 @@ inline void ApplyBatchOk(DynamicDocument& doc, const std::vector<Edit>& edits) {
   doc.BeginBatch();
   for (const Edit& e : edits) ApplyOk(doc, Command::Of(e));
   doc.CommitBatch();
+}
+
+/// Applies a Definition 7.1 edit to a plain tree: the mirror a test edits
+/// beside the documents under test, to build its oracle from afresh.
+/// Returns the inserted node's id, or kNoNode.
+inline NodeId ApplyToTree(const Edit& e, UnrankedTree& tree) {
+  switch (e.kind) {
+    case Edit::Kind::kRelabel:
+      tree.Relabel(e.node, e.label);
+      break;
+    case Edit::Kind::kInsertFirstChild:
+      return tree.InsertFirstChild(e.node, e.label);
+    case Edit::Kind::kInsertRightSibling:
+      return tree.InsertRightSibling(e.node, e.label);
+    case Edit::Kind::kDeleteLeaf:
+      tree.DeleteLeaf(e.node);
+      break;
+  }
+  return kNoNode;
 }
 
 /// Applies a scripted tree command (a Definition 7.1 edit or a subtree
