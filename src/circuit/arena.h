@@ -1,16 +1,18 @@
 // Arena-backed flat storage for per-box blocks: circuit boxes, jump-index
 // entries and run-count rows.
 //
-// Each of those layers keeps one BoxStore: a directory entry per term id and
-// one contiguous word pool that gives a box one block (a box with nothing to
+// Each of those layers keeps one BoxStore: a directory entry per id and one
+// contiguous word pool that gives an id one block (an id with nothing to
 // store has none) holding its whole content, the sections placed by a
-// per-box layout whose counts sit in the directory entry beside the block's
-// (offset, length, capacity) triple. A refresh during updates (Lemma 7.3)
-// reuses the old block in place whenever its capacity suffices, and
-// otherwise recycles it through a power-of-two free list. In steady state —
-// e.g. a stream of relabel edits — a refresh therefore performs zero heap
-// allocations; the pools only grow while they discover new worst-case box
-// shapes.
+// per-block layout whose counts sit in the directory entry beside the
+// block's (offset, length, capacity) triple. The index and the counts key
+// their stores by term id; the circuit keys its store by block id, one
+// block per distinct box shared by every term id whose box it is
+// (circuit/circuit.h). A refresh during updates (Lemma 7.3) reuses the old
+// block in place whenever its capacity suffices, and otherwise recycles it
+// through a power-of-two free list. In steady state — e.g. a stream of
+// relabel edits — a refresh therefore performs zero heap allocations; the
+// pools only grow while they discover new worst-case box shapes.
 //
 // Pointers into a pool are invalidated whenever some block in that pool is
 // (re)allocated: consumers must re-fetch views (AssignmentCircuit::box,
@@ -73,7 +75,7 @@ struct BoxEntry {
 };
 
 /// One layer's per-box storage (see the file comment): a directory entry
-/// per term id and one word pool, aligned to `Align` bytes, holding every
+/// per id and one word pool, aligned to `Align` bytes, holding every
 /// block (the index passes 64 so each of its blocks starts on a cache
 /// line). `Entry` holds a SpanRef `block` (usually a BoxEntry); a default
 /// Entry owns nothing. Reads of a pinned snapshot's boxes are safe on any
@@ -148,21 +150,21 @@ class BoxStore {
   }
 
   /// The audit every layer shares: no block is longer than its capacity,
-  /// no dead id owns one, and no two overlap or leave the pool.
-  /// `check(id, entry)` audits each alive id's layout and returns what is
-  /// wrong, or nullptr. Returns the first violation, or "" when consistent.
-  template <typename Check>
-  std::string Validate(const char* name, const Term& term,
-                       Check check) const {
+  /// no dead id owns one, and no two overlap or leave the pool. `alive(id)`
+  /// says which ids may own blocks; `check(id, entry)` audits each alive
+  /// id's layout and returns what is wrong, or nullptr. Returns the first
+  /// violation, prefixed with `name` and the id, or "" when consistent.
+  template <typename Alive, typename Check>
+  std::string Validate(const char* name, Alive alive, Check check) const {
     std::vector<std::pair<uint32_t, TermNodeId>> live;  // (off, id)
     for (TermNodeId id = 0; id < dir_.size(); ++id) {
       const SpanRef& b = dir_[id].block;
       const char* bad = nullptr;
-      // Every commit releases the ids it frees, so only alive boxes own
+      // Every commit releases the ids it frees, so only alive ids own
       // blocks.
       if (b.len > b.cap) {
         bad = "block exceeds its capacity";
-      } else if (!term.IsAlive(id)) {
+      } else if (!alive(id)) {
         if (b.cap != 0) bad = "is dead but owns a block";
       } else {
         if (b.cap != 0) live.emplace_back(b.off, id);
@@ -185,7 +187,7 @@ class BoxStore {
 
   static std::string Describe(const char* name, TermNodeId id,
                               const char* what) {
-    return std::string(name) + " box " + std::to_string(id) + " " + what;
+    return std::string(name) + " " + std::to_string(id) + " " + what;
   }
 
   CowStore<Entry> dir_;

@@ -13,9 +13,19 @@
 // inputs — child-box ∪-gate → ∪-gate. The last kind forms the long ∪-chains
 // that the jump index of §6 exists to skip.
 //
-// Storage layout: boxes own no heap memory. A box's whole content is one
-// block of the circuit's BoxStore (circuit/arena.h), so a refresh makes one
-// Ensure and a free one Free. The block holds, back to back:
+// Sharing: a box's content is a pure function of its *key* — leaf or not,
+// the label, and for an internal node both children's ⊤ and ∪ masks (δ and
+// the state kinds are fixed per circuit). Boxes repeat, so equal keys share
+// one *block*: a per-term-id 32-bit reference in a CowStore names the id's
+// block, and a refresh builds its key from the children's (shared, hot)
+// blocks and builds a block only on a miss. The writer alone keeps each
+// block's use count, key and hash-chain link; a block is freed with its
+// last use, never changed while an id names it, and a frozen id is never
+// rebuilt or freed, so no pinned reader can reach a freed or reused block.
+//
+// Storage layout: blocks own no heap memory. A block is one span of the
+// circuit's BoxStore (circuit/arena.h), keyed by block id, holding back to
+// back:
 //   * the ⊤ and ∪ state bitmasks, ⌈w/64⌉ words each: γ(n, q) is two bit
 //     tests, and the dense index of γ(n, q) among the box's ∪-gates is the
 //     rank of q in the ∪ mask, so dense indices follow ascending state order;
@@ -23,10 +33,10 @@
 //     state table, two CSR end offsets per ∪-gate, the ×-gates, the var
 //     masks, the local inputs (×-gate ids in an internal box, var-mask
 //     indices in a leaf — never both) and the child-∪ inputs.
-// A per-box directory entry keeps the block's span and the five counts that
-// fix the section offsets (AssignmentCircuit::Layout). The lane sections are
-// written with memcpy and read as the types they were written as. A refresh
-// thus costs O(|δ_l| + ∪-gates + w/64), not Θ(w).
+// A per-block directory entry keeps the block's span and the five counts
+// that fix the section offsets (AssignmentCircuit::Layout). The lane
+// sections are written with memcpy and read as the types they were written
+// as. A miss thus costs O(|δ_l| + ∪-gates + w/64), not Θ(w); a hit O(w/64).
 // `box(id)` returns a cheap Box *view* — invalidated by the next rebuild.
 #ifndef TREENUM_CIRCUIT_CIRCUIT_H_
 #define TREENUM_CIRCUIT_CIRCUIT_H_
@@ -50,8 +60,9 @@ struct CrossGate {
 };
 
 /// A ∪→∪ wire created by ⊤-collapse: side 0 = left child box, 1 = right.
+/// No padding, so a block's words are a function of its key.
 struct ChildUnionInput {
-  uint8_t side;
+  uint32_t side;
   State state;
 };
 
@@ -174,7 +185,7 @@ class Box {
 
 /// The assignment circuit of a homogenized binary TVA on a term, maintained
 /// incrementally: boxes are (re)computed per term node, bottom-up, into
-/// arena-backed flat storage.
+/// hash-consed blocks of arena-backed flat storage (see the file comment).
 class AssignmentCircuit {
  public:
   /// `term`, `tva` and `kind` must outlive the circuit. `kind[q]` says
@@ -191,18 +202,19 @@ class AssignmentCircuit {
   /// the buffers its growth retired (no reader can reach it yet).
   void BuildAll();
 
-  /// Recomputes the box of `id` from its children's boxes (Lemma 7.3 step).
-  /// Steady-state refreshes reuse the box's block in place.
+  /// Recomputes the box of `id` from its children's boxes (Lemma 7.3 step):
+  /// points `id` at its key's block, building that block on a miss.
   void RebuildBox(TermNodeId id);
 
-  /// Drops the box of a freed term node, recycling its block.
-  void FreeBox(TermNodeId id) { store_.Free(id); }
+  /// Drops a freed term node's use of its block, freeing the block with its
+  /// last use. Nothing happens for an id never built or already freed.
+  void FreeBox(TermNodeId id);
 
-  /// Batch hint: pre-grows the pool for ~`boxes` upcoming rebuilds (sized
-  /// from the running per-box average), so one transaction's refresh loop
-  /// does not re-grow the pool tail repeatedly.
-  void ReserveForRebuild(size_t boxes) {
-    store_.ReserveForBoxes(boxes, term_->num_alive());
+  /// Batch hint: grows the reference store to the term's id bound, so a
+  /// refresh loop does not re-grow it. Most refreshes find their block, so
+  /// the pool is not reserved for `boxes` new ones.
+  void ReserveForRebuild(size_t /*boxes*/) {
+    refs_.reserve(term_->id_bound());
   }
 
   /// Cheap view of a box; invalidated by the next RebuildBox/FreeBox.
@@ -211,16 +223,25 @@ class AssignmentCircuit {
   /// Total number of gates (for accounting tests/benches).
   size_t CountGates() const;
 
-  /// BoxStore::ReleaseRetired and retired_bytes.
-  void ReleaseRetired() { store_.ReleaseRetired(); }
-  size_t retired_bytes() const { return store_.retired_bytes(); }
+  /// Distinct blocks alive: one per distinct key among the alive ids.
+  size_t num_blocks() const { return meta_.size() - free_blocks_.size(); }
+  /// The number of alive ids sharing `id`'s block. Writer thread.
+  uint32_t block_uses(TermNodeId id) const { return meta_[refs_[id]].uses; }
 
-  /// Validates the block invariants: every alive box owns one block whose
-  /// length matches its layout, the ⊤ and ∪ masks are disjoint and clear at
-  /// and above w, the ∪-state table lists exactly the ∪ mask's bits, the
-  /// CSR ends are monotone and cover their sections, no dead box owns a
-  /// block, and no two blocks overlap. Returns an empty string if
-  /// consistent, else a description of the first violation. (Test hook.)
+  /// ReleaseRetired and retired_bytes of the reference and block stores.
+  void ReleaseRetired() {
+    refs_.ReleaseRetired();
+    store_.ReleaseRetired();
+  }
+  size_t retired_bytes() const {
+    return refs_.retired_bytes() + store_.retired_bytes();
+  }
+
+  /// Validates sharing — alive ids name live blocks and dead ids none, use
+  /// counts count the naming ids, each derives its block's key, the hash
+  /// chains hold each live block once under its key, and a block built
+  /// afresh from its key matches — and every block's layout invariants.
+  /// Returns "" if consistent, else the first violation. (Test hook.)
   std::string ValidateStorage() const;
 
  private:
@@ -248,19 +269,50 @@ class AssignmentCircuit {
 
   using Entry = BoxEntry<Layout>;
 
-  void BuildLeafBox(TermNodeId id);
-  void BuildInternalBox(TermNodeId id);
-  /// Sizes the box's block from the staged scratch, (re)acquires it with
-  /// one Ensure, and fills it, emptying the scratch lists it consumed.
-  void CommitBox(TermNodeId id);
+  static constexpr uint32_t kNoBlock = UINT32_MAX;
+
+  /// Writer-only bookkeeping of one block id; uses == 0 marks it free.
+  struct BlockMeta {
+    uint64_t hash = 0;
+    uint32_t uses = 0;
+    uint32_t next = kNoBlock;  ///< Next block on its hash chain.
+  };
+
+  Box BlockView(uint32_t block_id) const;
+  /// Writes the key of `id` (key_words_ words): label << 1 | leaf bit, then
+  /// the left child's ⊤ and ∪ masks and the right child's (zeros for a leaf).
+  void KeyOf(TermNodeId id, uint64_t* key) const;
+  const uint64_t* KeyAt(uint32_t b) const {
+    return keys_.data() + size_t{b} * key_words_;
+  }
+  /// The live block filed under `key`, or kNoBlock.
+  uint32_t Lookup(const uint64_t* key, uint64_t hash) const;
+  /// Builds and files a block with one use for the key in key_scratch_.
+  uint32_t AddBlock(uint64_t hash);
+  /// Drops one use of block `b`, freeing it with its last use.
+  void Release(uint32_t b);
+
+  /// Stages the box of `key` into the scratch.
+  void StageBox(const uint64_t* key);
+  /// Sizes block `b` from the staged scratch, (re)acquires it with one
+  /// Ensure, and fills it, emptying the scratch lists it consumed.
+  void CommitBox(uint32_t b);
 
   const Term* term_;
   const BinaryTva* tva_;
   const std::vector<uint8_t>* kind_;
   uint32_t w_;
   uint32_t mask_words_;  ///< ⌈w/64⌉: words per state bitmask.
+  uint32_t key_words_;   ///< 1 + 4 mask_words_: words per key.
 
-  BoxStore<Entry> store_;
+  CowStore<uint32_t> refs_;  ///< Per term id: its block, or kNoBlock.
+  BoxStore<Entry> store_;    ///< Per block id: its span and layout.
+  // Writer-only, per block id: bookkeeping and key; then the free block
+  // ids and the hash-chain heads (a power of two ≥ num_blocks()).
+  std::vector<BlockMeta> meta_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> free_blocks_;
+  std::vector<uint32_t> buckets_;
 
   // Pooled build scratch, reused across rebuilds (clear() keeps capacity),
   // so steady-state refreshes never touch the heap. local_in holds ×-gate
@@ -273,6 +325,7 @@ class AssignmentCircuit {
   std::vector<uint64_t> union_scratch_;  // ∪ mask being built
   std::vector<CrossGate> cross_gates_scratch_;
   std::vector<VarMask> var_masks_scratch_;
+  std::vector<uint64_t> key_scratch_;  // key of the box being rebuilt
 };
 
 }  // namespace treenum

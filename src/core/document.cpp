@@ -150,6 +150,7 @@ DocumentStats DynamicDocument::stats() const {
     DocumentStats::PipelineStats ps;
     ps.queries = e->refcount;
     ps.width = e->pipeline.width();
+    ps.circuit_blocks = e->pipeline.circuit().num_blocks();
     s.pipelines.push_back(ps);
     s.retired_bytes += e->pipeline.retired_bytes();
   }

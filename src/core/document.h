@@ -56,6 +56,7 @@ struct DocumentStats {
   struct PipelineStats {
     size_t queries = 0;         ///< Live registrations sharing this pipeline.
     size_t width = 0;           ///< Automaton width (circuit state count).
+    size_t circuit_blocks = 0;  ///< Distinct circuit blocks alive.
   };
 
   size_t live_queries = 0;     ///< Live handles (registrations).
@@ -162,8 +163,8 @@ class DynamicDocument {
   // snapshot and evaluate queries at it while the writer keeps editing.
   // Register/Unregister are writer-side and not synchronized against
   // readers, and a pipeline serves only snapshots published at or after
-  // its build (checked by epoch). Release every SnapshotRef before the
-  // document is destroyed.
+  // its build (checked by epoch; an older one reads as no answers).
+  // Release every SnapshotRef before the document is destroyed.
 
   /// Pre-resolved read surface for one registration, safe on reader
   /// threads *even while the writer mutates the registry*: EnumerateAt &
@@ -177,7 +178,9 @@ class DynamicDocument {
   /// server resolves views on its worker at registration time.
   ///
   /// An empty view (default-made, or resolved from a handle that is not
-  /// registered) reads as a query with no answers: false, {} and nullptr.
+  /// registered) reads as a query with no answers: false, {} and nullptr;
+  /// so does a snapshot its pipeline does not serve (an empty SnapshotRef,
+  /// or a pin taken before the registration's pipeline was built).
   class ReaderView {
    public:
     ReaderView() = default;
@@ -195,7 +198,7 @@ class DynamicDocument {
     /// Cursor at `snap`; the cursor co-owns the pin, so the version
     /// outlives it even after `snap` is released. Any thread.
     std::unique_ptr<Engine::Cursor> MakeCursorAt(SnapshotRef snap) const {
-      if (pipeline_ == nullptr) return nullptr;
+      if (pipeline_ == nullptr || !pipeline_->Serves(snap)) return nullptr;
       return std::make_unique<SnapshotCursor>(
           pipeline_->MakeCursorAt(std::move(snap)));
     }

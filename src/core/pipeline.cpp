@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace treenum {
 
 bool SnapshotCursor::Next(Assignment* out) {
@@ -47,7 +45,7 @@ void EnumerationPipeline::EnableCounting() {
 
 uint64_t EnumerationPipeline::AcceptingRunsAt(const SnapshotRef& snap) const {
   const TermNodeId root = RootAt(snap);
-  return counter_ ? counter_->TotalAcceptingRuns(root) : 0;
+  return counter_ && root != kNoTerm ? counter_->TotalAcceptingRuns(root) : 0;
 }
 
 void EnumerationPipeline::Apply(const std::vector<TermNodeId>& freed,
@@ -90,10 +88,12 @@ std::string EnumerationPipeline::ValidateStorage() const {
 
 // ---- Query surface ----
 
+bool EnumerationPipeline::Serves(const SnapshotRef& snap) const {
+  return snap && snap.epoch() >= min_snapshot_epoch_;
+}
+
 TermNodeId EnumerationPipeline::RootAt(const SnapshotRef& snap) const {
-  TREENUM_CHECK(snap && snap.epoch() >= min_snapshot_epoch_,
-                "snapshot predates this query's pipeline");
-  return snap.root();
+  return Serves(snap) ? snap.root() : kNoTerm;
 }
 
 namespace {
@@ -117,12 +117,14 @@ bool EnumerationPipeline::NonEmptyAssignmentAt(TermNodeId root) const {
 
 bool EnumerationPipeline::HasAnswerAt(const SnapshotRef& snap) const {
   const TermNodeId root = RootAt(snap);
-  return EmptyAssignmentSatisfiesAt(root) || NonEmptyAssignmentAt(root);
+  return root != kNoTerm &&
+         (EmptyAssignmentSatisfiesAt(root) || NonEmptyAssignmentAt(root));
 }
 
 SnapshotCursor EnumerationPipeline::MakeCursorAt(SnapshotRef snap) const {
   const TermNodeId root = RootAt(snap);
   SnapshotCursor c(&circuit_, &index_, mode_);
+  if (root == kNoTerm) return c;  // exhausted
   c.emit_empty_ = EmptyAssignmentSatisfiesAt(root);
   if (NonEmptyAssignmentAt(root)) {
     c.inner_.ResetToStates(root, final_nonempty_.data());

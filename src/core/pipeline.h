@@ -145,9 +145,13 @@ class EnumerationPipeline {
 
   // ---- Query surface, at a pinned snapshot ----
   //
-  // `snap` must have been published by the document owning the term, no
-  // earlier than this pipeline was built (older versions contain node ids
-  // it never built boxes for; checked). Any thread.
+  // `snap` must have been published by the document owning the term. A
+  // snapshot this pipeline does not serve (see Serves) reads as no answers:
+  // false, {}, an exhausted cursor and 0 runs. Any thread.
+
+  /// True iff `snap` is non-empty and published no earlier than this
+  /// pipeline was built (older versions hold node ids it never built).
+  bool Serves(const SnapshotRef& snap) const;
 
   /// O(w/64) Boolean answer: is there at least one satisfying assignment?
   /// Tests the root box's state masks; allocates nothing.
@@ -159,7 +163,8 @@ class EnumerationPipeline {
   std::vector<Assignment> EnumerateAt(const SnapshotRef& snap) const;
 
  private:
-  /// The pinned root of `snap`, after checking this pipeline can serve it.
+  /// The pinned root of `snap`, or kNoTerm if this pipeline does not
+  /// serve it.
   TermNodeId RootAt(const SnapshotRef& snap) const;
   /// True iff some final 0-state's gate at `root` is ⊤ (the empty
   /// assignment satisfies the query).

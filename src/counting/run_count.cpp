@@ -81,9 +81,11 @@ uint64_t RunCounter::TotalAcceptingRuns(TermNodeId root) const {
 }
 
 std::string RunCounter::ValidateStorage() const {
-  return store_.Validate("counts", circuit_->term(), [&](TermNodeId id,
-                                                         const Entry& e)
-                                                         -> const char* {
+  const Term& term = circuit_->term();
+  auto alive = [&](TermNodeId id) { return term.IsAlive(id); };
+  return store_.Validate("counts box", alive, [&](TermNodeId id,
+                                                  const Entry& e)
+                                                  -> const char* {
     if (e.block.cap == 0) return "has no count block";
     const uint64_t* mask = store_.block(e);
     const Box b = circuit_->box(id);

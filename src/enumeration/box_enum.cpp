@@ -237,7 +237,7 @@ bool BoxEnum::NextNaive(EnumStack* st) {
     const uint32_t rel = Unpack(st, f, wpr);
     // Each child's relation follows the ∪→∪ wires into it: child gate d
     // collects the rows of the gates u it feeds.
-    for (int side : {1, 0}) {
+    for (uint32_t side : {1u, 0u}) {
       if (term.IsLeaf(f.box)) break;
       const TermNodeId child =
           side == 0 ? term.node(f.box).left : term.node(f.box).right;

@@ -266,8 +266,10 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
 
 std::string EnumIndex::ValidateStorage() const {
   const Term& term = circuit_->term();
-  return store_.Validate("index", term, [&](TermNodeId id,
-                                            const Entry& e) -> const char* {
+  auto alive = [&](TermNodeId id) { return term.IsAlive(id); };
+  return store_.Validate("index box", alive, [&](TermNodeId id,
+                                                 const Entry& e)
+                                                 -> const char* {
     const uint32_t nu =
         static_cast<uint32_t>(circuit_->box(id).num_unions());
     const BoxIndex::Layout& s = e.shape;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "automata/combinators.h"
 #include "automata/homogenize.h"
@@ -278,6 +280,70 @@ TEST(Circuit, PerStateViewsAcrossMaskWords) {
               MaterializeSatisfying(fresh, h.kind))
         << "w " << w;
   }
+}
+
+// A tree of `copies` identical subtrees under one root.
+UnrankedTree RepeatedSubtrees(size_t copies) {
+  std::string s = "(a";
+  for (size_t i = 0; i < copies; ++i) s += " (b (c (a) (b)) (a (c) (c)))";
+  return UnrankedTree::Parse(s + ")");
+}
+
+// Equal keys share one block: as many blocks as brute-force distinct keys,
+// a count that stays flat as copies are added, and far fewer than boxes.
+TEST(Circuit, RepeatedSubtreesShareOneBlockPerKey) {
+  for (const UnrankedTva& q :
+       {QuerySelectLabel(3, 1), QueryMarkedAncestor(3, 1, 2)}) {
+    HomogenizedTva h = HomogenizeBinaryTva(TranslateUnrankedTva(q).tva);
+    std::vector<size_t> blocks;
+    for (size_t copies : {64u, 128u, 256u, 512u}) {
+      Encoding enc = EncodeTree(RepeatedSubtrees(copies), 3);
+      AssignmentCircuit c(&enc.term, &h.tva, &h.kind);
+      c.BuildAll();
+      ASSERT_EQ(c.ValidateStorage(), "") << copies;
+      EXPECT_EQ(c.num_blocks(), DistinctBoxKeys(c)) << copies;
+      EXPECT_LT(20 * c.num_blocks(), enc.term.num_alive()) << copies;
+      blocks.push_back(c.num_blocks());
+    }
+    EXPECT_EQ(blocks.front(), blocks.back());
+    EXPECT_EQ(std::set<size_t>(blocks.begin(), blocks.end()).size(), 1u);
+  }
+}
+
+// Use counts per block: a relabel moves one copy's path onto new blocks,
+// and its inverse moves it back, freeing them; every use count, the block
+// count and the audit return to their starting values.
+TEST(Circuit, RelabelAndInverseRestoreUseCounts) {
+  HomogenizedTva h = HomogenizeBinaryTva(
+      TranslateUnrankedTva(QueryMarkedAncestor(3, 1, 2)).tva);
+  UnrankedTree tree = RepeatedSubtrees(32);
+  DynamicEncoding dyn(tree, 3);
+  AssignmentCircuit circuit(&dyn.term(), &h.tva, &h.kind);
+  circuit.BuildAll();
+  auto uses = [&] {
+    std::vector<std::pair<TermNodeId, uint32_t>> out;
+    for (TermNodeId id = 0; id < dyn.term().id_bound(); ++id) {
+      if (dyn.term().IsAlive(id)) out.emplace_back(id, circuit.block_uses(id));
+    }
+    return out;
+  };
+  const auto start = uses();
+  const size_t blocks = circuit.num_blocks();
+  auto apply = [&](const Command& c) {
+    ApplyAndRefresh(c, dyn, circuit);
+    ASSERT_EQ(circuit.ValidateStorage(), "");
+    EXPECT_EQ(circuit.num_blocks(), DistinctBoxKeys(circuit));
+  };
+  size_t moved = 0;  // relabels that changed some use count
+  for (NodeId n : tree.PreorderNodes()) {
+    const Label l = tree.label(n);
+    apply(Command::Relabel(n, (l + 1) % 3));
+    moved += uses() != start;
+    apply(Command::Relabel(n, l));
+    EXPECT_EQ(uses(), start) << "node " << n;
+    EXPECT_EQ(circuit.num_blocks(), blocks) << "node " << n;
+  }
+  EXPECT_EQ(moved, tree.size());
 }
 
 TEST(Circuit, GateCountLinearInTree) {

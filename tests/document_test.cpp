@@ -99,6 +99,29 @@ TEST(DynamicDocument, BatchedCommitsMatchOracles) {
   }
 }
 
+// DocumentStats::PipelineStats::circuit_blocks counts the distinct circuit
+// blocks alive: one per distinct box key over the alive term ids, pinned
+// older versions included.
+TEST(DynamicDocument, StatsCountDistinctCircuitBlocks) {
+  Rng rng(331);
+  const UnrankedTree tree = RandomTree(200, 3, rng);
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h =
+      doc.Register(QueryMarkedAncestor(3, 1, 2));
+  serving::CommandScript script(tree, 332, serving::WorkloadOptions{3});
+  SnapshotRef held;
+  for (int step = 0; step < 40; ++step) {
+    if (step % 8 == 0) held = doc.CurrentSnapshot();
+    ApplyOk(doc, Command::Of(script.NextEdit()));
+    const DocumentStats s = doc.stats();
+    ASSERT_EQ(s.pipelines.size(), 1u);
+    const AssignmentCircuit& c = doc.pipeline(h).circuit();
+    ASSERT_EQ(s.pipelines[0].circuit_blocks, DistinctBoxKeys(c)) << step;
+    ASSERT_LT(s.pipelines[0].circuit_blocks, doc.term().num_alive()) << step;
+    ASSERT_EQ(c.ValidateStorage(), "") << step;
+  }
+}
+
 // Interleaves sequential edits and batches, with counting enabled on one
 // pipeline — the refresh must update counts too.
 TEST(DynamicDocument, MixedSequentialAndBatchedWithCounting) {
@@ -610,6 +633,54 @@ TEST(DocumentRejects, RegistrationOfWrongQueriesAndHandles) {
             Status::kWrongDocumentKind);
   EXPECT_EQ(word.Register(CompileRegexSpanner(".*<0:b>.*", 3, 1)).status,
             Status::kWrongAlphabet);
+}
+
+// Reads at a snapshot a pipeline does not serve answer nothing on every
+// read path: an empty SnapshotRef, a pin taken before the query's Register,
+// and a pin taken before a re-registration after Unregister.
+TEST(DocumentRejects, ReadsAtUnservedSnapshotsAnswerNothing) {
+  Rng rng(4242);
+  const UnrankedTree tree = RandomTree(20, 3, rng);
+  DynamicDocument doc(tree, 3);
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+  const SnapshotRef before_register = doc.CurrentSnapshot();
+  ApplyOk(doc, Command::Relabel(doc.tree().root(), 1));
+  const DynamicDocument::QueryHandle first = doc.Register(q);
+  const SnapshotRef before_reregister = doc.CurrentSnapshot();
+  ASSERT_TRUE(doc.HasAnswerAt(before_reregister, first));
+  ASSERT_EQ(doc.Unregister(first), Status::kOk);
+  ApplyOk(doc, Command::Relabel(doc.tree().root(), 2));
+  const DynamicDocument::QueryHandle h = doc.Register(q);
+  doc.pipeline(h).EnableCounting();
+  const EnumerationPipeline& p = doc.pipeline(h);
+
+  const SnapshotRef now = doc.CurrentSnapshot();
+  const std::vector<Assignment> answers = StaticEngine(doc.tree(), q)
+                                              .EnumerateAll();
+  ASSERT_FALSE(answers.empty());
+  ASSERT_EQ(doc.EnumerateAt(now, h), answers);
+  ASSERT_EQ(p.AcceptingRunsAt(now), answers.size());
+
+  const char* names[] = {"empty", "before register", "before re-register"};
+  const SnapshotRef* unserved[] = {nullptr, &before_register,
+                                   &before_reregister};
+  for (int i = 0; i < 3; ++i) {
+    const SnapshotRef snap = unserved[i] ? *unserved[i] : SnapshotRef();
+    EXPECT_FALSE(p.Serves(snap)) << names[i];
+    EXPECT_FALSE(doc.HasAnswerAt(snap, h)) << names[i];
+    EXPECT_TRUE(doc.EnumerateAt(snap, h).empty()) << names[i];
+    EXPECT_EQ(doc.MakeCursorAt(snap, h), nullptr) << names[i];
+    const DynamicDocument::ReaderView view = doc.reader_view(h);
+    EXPECT_FALSE(view.HasAnswerAt(snap)) << names[i];
+    EXPECT_TRUE(view.EnumerateAt(snap).empty()) << names[i];
+    EXPECT_EQ(view.MakeCursorAt(snap), nullptr) << names[i];
+    SnapshotCursor cursor = p.MakeCursorAt(snap);  // by value: exhausted
+    Assignment a;
+    EXPECT_FALSE(cursor.Next(&a)) << names[i];
+    EXPECT_EQ(p.AcceptingRunsAt(snap), 0u) << names[i];
+  }
+  // The served snapshot still answers after the unserved reads.
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), answers);
 }
 
 // A rejected command drains nothing: after an inner-node DeleteLeaf between

@@ -345,7 +345,10 @@ TEST(ShardServer, ConcurrentSubmittersMatchMirrors) {
 // test queues two run budgets (Options::max_commands_per_run) of edits
 // behind that registration and one edit on `cold`. After its first slice
 // `hot` must be rescheduled behind `cold`, so `cold` commits while hot's
-// second slice is still queued.
+// second slice is still queued. `hot` has 65,536 nodes so that the build
+// outlasts the queueing by a wide margin, however fast a build gets: at
+// 4,096 nodes a faster circuit build made the precondition fail under
+// parallel test load.
 TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
   constexpr size_t kBacklog =
       2 * DocumentShardServer::Options::max_commands_per_run;
@@ -355,7 +358,7 @@ TEST(ShardServer, BackloggedDocumentYieldsAfterItsSlice) {
   WorkloadOptions wo;  // pure leaf edits
   wo.num_labels = 3;
   Rng rng(21);
-  UnrankedTree tree = RandomTree(4096, 3, rng);
+  UnrankedTree tree = RandomTree(65536, 3, rng);
   const auto hot = server.AddDocument(tree, 3);
   CommandScript script(std::move(tree), 21, wo);
   UnrankedTree cold_tree = RandomTree(32, 3, rng);

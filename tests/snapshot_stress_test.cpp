@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -194,6 +195,79 @@ TEST(SnapshotStress, ReadersRaceStoreGrowthAndReclamation) {
   EXPECT_GT(frees, 0u);
   EXPECT_GE(doc.term().id_bound(), 8 * tree.size())
       << "the stores did not grow";
+  EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), expected[kEdits]);
+}
+
+// Readers race the writer's frees and reuses of shared circuit blocks. The
+// tree repeats one subtree, so its boxes share few blocks; each relabel
+// moves one copy's path onto other blocks, freeing a block with its last
+// use once no pin reaches it, and the next new key reuses that block id and
+// its pool span. Readers hold pins across several commits and enumerate
+// both the held and the current version against the per-version oracle; a
+// read of a freed or rewritten block is a mismatch or a sanitizer report.
+TEST(SnapshotStress, ReadersRaceSharedBlockFreeAndReuse) {
+  std::string sexpr = "(a";
+  for (int i = 0; i < 12; ++i) sexpr += " (b (c (a) (b)) (a (c)))";
+  const UnrankedTree tree = UnrankedTree::Parse(sexpr + ")");
+  const UnrankedTva q = QueryMarkedAncestor(3, 1, 2);
+
+  constexpr int kEdits = 120;
+  Rng rng(227);
+  std::vector<Edit> edits;
+  std::vector<std::vector<Assignment>> expected;
+  UnrankedTree mirror = tree;
+  expected.push_back(StaticEngine(mirror, q).EnumerateAll());
+  const std::vector<NodeId> nodes = tree.PreorderNodes();
+  for (int j = 0; j < kEdits; ++j) {
+    edits.push_back(Edit::Relabel(nodes[rng.Index(nodes.size())],
+                                  static_cast<Label>(rng.Index(3))));
+    ApplyToTree(edits.back(), mirror);
+    expected.push_back(StaticEngine(mirror, q).EnumerateAll());
+  }
+
+  DynamicDocument doc(tree, 3);
+  const DynamicDocument::QueryHandle h = doc.Register(q);
+  const AssignmentCircuit& circuit = doc.pipeline(h).circuit();
+
+  ReaderState state;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      SnapshotRef held;
+      for (size_t i = 0; !state.done.load(std::memory_order_acquire); ++i) {
+        if (i % static_cast<size_t>(2 + r) == 0) held = doc.CurrentSnapshot();
+        SnapshotRef now = doc.CurrentSnapshot();
+        for (const SnapshotRef* snap : {&held, &now}) {
+          const size_t v = static_cast<size_t>(snap->epoch());
+          if (doc.EnumerateAt(*snap, h) != expected[v]) {
+            state.mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        state.iterations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  size_t freed = 0;   // commits after which fewer blocks were alive
+  size_t reused = 0;  // commits that added blocks after some were freed
+  for (int j = 0; j < kEdits; ++j) {
+    while (state.iterations.load(std::memory_order_relaxed) <
+           static_cast<size_t>(j)) {
+      std::this_thread::yield();
+    }
+    const size_t before = circuit.num_blocks();
+    ApplyOk(doc, Command::Of(edits[j]));
+    freed += circuit.num_blocks() < before;
+    reused += freed != 0 && circuit.num_blocks() > before;
+  }
+  state.done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(state.mismatches.load(), 0u);
+  EXPECT_GT(freed, 0u);
+  EXPECT_GT(reused, 0u);
+  EXPECT_LT(4 * circuit.num_blocks(), doc.term().num_alive());
+  EXPECT_EQ(circuit.ValidateStorage(), "");
   EXPECT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), expected[kEdits]);
 }
 

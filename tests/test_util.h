@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "automata/homogenize.h"
 #include "automata/serialize.h"
 #include "automata/unranked_tva.h"
+#include "circuit/circuit.h"
 #include "core/command.h"
 #include "core/document.h"
 #include "falgebra/term.h"
@@ -247,6 +249,30 @@ inline const UpdateResult& ApplyToEncoding(const Command& c,
   }
   EXPECT_EQ(c.kind, Command::Kind::kSubtreeMove);
   return dyn.SubtreeMove(c.node, c.dst, c.where == AttachWhere::kFirstChild);
+}
+
+/// The number of distinct box keys among the circuit's alive term ids,
+/// counted by brute force over box views: (label, leaf, and an internal
+/// node's children's ⊤ and ∪ masks). A hash-consed circuit keeps exactly
+/// one block per distinct key.
+inline size_t DistinctBoxKeys(const AssignmentCircuit& c) {
+  const Term& term = c.term();
+  const size_t words = (c.width() + 63) / 64;
+  std::set<std::vector<uint64_t>> keys;
+  for (TermNodeId id = 0; id < term.id_bound(); ++id) {
+    if (!term.IsAlive(id)) continue;
+    const TermNode& t = term.node(id);
+    std::vector<uint64_t> key{t.label, term.IsLeaf(id) ? 1u : 0u};
+    if (!term.IsLeaf(id)) {
+      for (TermNodeId child : {t.left, t.right}) {
+        const Box b = c.box(child);
+        key.insert(key.end(), b.top_mask(), b.top_mask() + words);
+        key.insert(key.end(), b.union_mask(), b.union_mask() + words);
+      }
+    }
+    keys.insert(std::move(key));
+  }
+  return keys.size();
 }
 
 }  // namespace treenum
