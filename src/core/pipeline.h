@@ -129,8 +129,9 @@ class EnumerationPipeline {
   /// appears in `changed`, and is rebuilt from an empty block), then
   /// rebuilds every id of `changed` in its order, which must list each
   /// alive id once, children first: every circuit box, then every index
-  /// entry (kIndexed mode), then every count row. Pre-grows the circuit and
-  /// index pools for the whole list, so a pass never re-grows a pool tail.
+  /// entry (kIndexed mode), then every count row. Pre-grows the circuit's
+  /// reference store and the index pool for the whole list, so a pass
+  /// never re-grows them.
   void Apply(const std::vector<TermNodeId>& freed,
              const std::vector<TermNodeId>& changed);
 

@@ -170,7 +170,9 @@ class EnumIndex {
   /// Cheap view of a box's index; invalidated by the next rebuild.
   BoxIndex at(TermNodeId id) const;
 
-  /// Batch hint, as AssignmentCircuit::ReserveForRebuild.
+  /// Batch hint: pre-grows the pool for ~`boxes` upcoming rebuilds (sized
+  /// from the running per-box average), so one transaction's refresh loop
+  /// does not re-grow the pool tail repeatedly.
   void ReserveForRebuild(size_t boxes) {
     store_.ReserveForBoxes(boxes, circuit_->term().num_alive());
   }
