@@ -305,7 +305,6 @@ TEST(Circuit, RepeatedSubtreesShareOneBlockPerKey) {
       EXPECT_LT(20 * c.num_blocks(), enc.term.num_alive()) << copies;
       blocks.push_back(c.num_blocks());
     }
-    EXPECT_EQ(blocks.front(), blocks.back());
     EXPECT_EQ(std::set<size_t>(blocks.begin(), blocks.end()).size(), 1u);
   }
 }
