@@ -51,10 +51,16 @@ class Materializer {
           }
         }
       }
-      // Child ∪-gate inputs (⊤-collapse).
-      for (const auto& [side, state] : box.child_union_inputs(u)) {
-        const AssignmentSet& s = Gamma(side == 0 ? lc : rc, state);
-        out.insert(s.begin(), s.end());
+      // Child ∪-gate inputs (⊤-collapse): the wire rows with bit u.
+      const std::pair<TermNodeId, BitMatrixView> wires[] = {
+          {lc, box.wire_left()}, {rc, box.wire_right()}};
+      for (const auto& [child, wire] : wires) {
+        for (size_t d = 0; d < wire.rows(); ++d) {
+          if (!wire.Get(d, u)) continue;
+          const State cq = circuit_.box(child).union_state(d);
+          const AssignmentSet& s = Gamma(child, cq);
+          out.insert(s.begin(), s.end());
+        }
       }
     }
     return memo_.emplace(key, std::move(out)).first->second;

@@ -13,8 +13,7 @@ namespace {
 
 // A box's lane sections hold 32-bit values and pairs of them.
 static_assert(sizeof(State) == 4 && sizeof(VarMask) == 4 &&
-                  sizeof(GateEnds) == 8 && sizeof(CrossGate) == 8 &&
-                  sizeof(ChildUnionInput) == 8,
+                  sizeof(CrossGate) == 8,
               "Layout counts 32-bit lanes");
 
 /// Copies n values of T to `lane` of a block's lane section. memcpy
@@ -48,7 +47,7 @@ AssignmentCircuit::AssignmentCircuit(const Term* term, const BinaryTva* tva,
   TREENUM_CHECK(tva->num_states() <= kMaxCircuitWidth,
                 "automaton too wide for 32-bit gate ids (w^2 must fit)");
   local_in_scratch_.resize(w_);
-  child_in_scratch_.resize(w_);
+  wire_in_scratch_.resize(w_);
   top_scratch_.resize(mask_words_, 0);
   union_scratch_.resize(mask_words_, 0);
   key_scratch_.resize(key_words_);
@@ -68,17 +67,20 @@ Box AssignmentCircuit::BlockView(uint32_t block_id) const {
   const Entry& e = store_.entry(block_id);
   const Layout& s = e.shape;
   const uint64_t* block = store_.block(e);
-  const char* lanes = reinterpret_cast<const char*>(block + 2 * mask_words_);
+  const uint64_t* wires = block + 2 * mask_words_;
+  const char* lanes = reinterpret_cast<const char*>(wires + s.wire_words());
   Box b;
   b.top_mask_ = block;
   b.union_mask_ = block + mask_words_;
+  b.wires_ = wires;
   b.union_states_ = LanesAs<State>(lanes, Layout::states_lane());
-  b.ends_ = LanesAs<GateEnds>(lanes, s.ends_lane());
+  b.ends_ = LanesAs<uint32_t>(lanes, s.ends_lane());
   b.cross_gates_ = LanesAs<CrossGate>(lanes, s.cross_lane());
   b.var_masks_ = LanesAs<VarMask>(lanes, s.var_lane());
   b.local_in_ = LanesAs<uint32_t>(lanes, s.local_lane());
-  b.child_in_ = LanesAs<ChildUnionInput>(lanes, s.child_lane());
   b.num_unions_ = s.nu;
+  b.num_left_unions_ = s.lnu;
+  b.num_right_unions_ = s.rnu;
   b.num_cross_gates_ = s.ncross;
   b.num_var_masks_ = s.nvar;
   return b;
@@ -182,6 +184,7 @@ void AssignmentCircuit::StageBox(const uint64_t* key) {
   uint64_t* top = top_scratch_.data();
   uint64_t* uni = union_scratch_.data();
   const Label l = static_cast<Label>(key[0] >> 1);
+  lnu_scratch_ = rnu_scratch_ = 0;
   if (key[0] & 1) {  // a leaf
     for (const auto& [vars, q] : tva_->LeafInitsFor(l)) {
       const uint64_t bit = uint64_t{1} << (q & 63);
@@ -209,6 +212,10 @@ void AssignmentCircuit::StageBox(const uint64_t* key) {
   const uint64_t* lu = lt + mw;
   const uint64_t* rt = lu + mw;
   const uint64_t* ru = rt + mw;
+  for (uint32_t i = 0; i < mw; ++i) {
+    lnu_scratch_ += __builtin_popcountll(lu[i]);
+    rnu_scratch_ += __builtin_popcountll(ru[i]);
+  }
 
   // Iterate the grouped-CSR form of δ|l: one group per live (q1, q2) pair
   // instead of a w x w scan with a hash probe per pair — sparse automata
@@ -236,10 +243,10 @@ void AssignmentCircuit::StageBox(const uint64_t* key) {
       }
       uni[q >> 6] |= bit;
       if (l_top) {
-        // д^{q1,q2} collapses to γ(right, q2).
-        child_in_scratch_[q].push_back(ChildUnionInput{1, g.right});
+        // д^{q1,q2} collapses to γ(right, q2): a row of the right wires.
+        wire_in_scratch_[q].push_back(lnu_scratch_ + RankBelow(ru, g.right));
       } else if (r_top) {
-        child_in_scratch_[q].push_back(ChildUnionInput{0, g.left});
+        wire_in_scratch_[q].push_back(RankBelow(lu, g.left));
       } else {
         if (cross_id < 0) {
           cross_id = static_cast<int32_t>(cross_gates_scratch_.size());
@@ -257,24 +264,23 @@ void AssignmentCircuit::CommitBox(uint32_t b) {
   const uint64_t* uni = union_scratch_.data();
 
   Layout s;
+  s.lnu = lnu_scratch_;
+  s.rnu = rnu_scratch_;
   s.ncross = static_cast<uint32_t>(cross_gates_scratch_.size());
   s.nvar = static_cast<uint32_t>(var_masks_scratch_.size());
-  // 64-bit accumulators: a box can hold up to w^3 input entries (one per
+  // A 64-bit accumulator: a box can hold up to w^3 local inputs (one per
   // (q1, q2, result) triple), which overflows uint32_t long before the
   // kMaxCircuitWidth bound does — check loudly instead of wrapping.
   uint64_t nlocal = 0;
-  uint64_t nchild = 0;
   ForEachState(uni, mw, [&](State q) {
     assert(!(top[q >> 6] & (uint64_t{1} << (q & 63))) &&
            "homogenization violated");
     nlocal += local_in_scratch_[q].size();
-    nchild += child_in_scratch_[q].size();
     ++s.nu;
   });
-  TREENUM_CHECK(nlocal <= (uint64_t{1} << 31) && nchild <= (uint64_t{1} << 31),
-                "box wire lists exceed 32-bit CSR offsets");
+  TREENUM_CHECK(nlocal <= (uint64_t{1} << 31),
+                "box input lists exceed 32-bit CSR offsets");
   s.nlocal = static_cast<uint32_t>(nlocal);
-  s.nchild = static_cast<uint32_t>(nchild);
   const size_t words = s.words(mw);
   TREENUM_CHECK(words <= (size_t{1} << 31), "circuit box exceeds 2^31 words");
 
@@ -287,27 +293,28 @@ void AssignmentCircuit::CommitBox(uint32_t b) {
   if (words != 0) block[words - 1] = 0;
   std::copy_n(top, mw, block);
   std::copy_n(uni, mw, block + mw);
-  char* lanes = reinterpret_cast<char*>(block + 2 * mw);
+  uint64_t* wires = block + 2 * mw;
+  std::fill_n(wires, s.wire_words(), uint64_t{0});
+  char* lanes = reinterpret_cast<char*>(wires + s.wire_words());
   PutLanes(lanes, s.cross_lane(), cross_gates_scratch_.data(), s.ncross);
   PutLanes(lanes, s.var_lane(), var_masks_scratch_.data(), s.nvar);
 
   // ∪-gates in ascending state order, so a gate's dense index is the rank
-  // of its state in the ∪ mask (Box::union_idx).
+  // of its state in the ∪ mask (Box::union_idx). Gate u sets bit u in the
+  // row of each of its wire inputs; a repeated input sets it once.
   uint32_t u = 0;
-  GateEnds end{0, 0};
+  uint32_t end = 0;
   ForEachState(uni, mw, [&](State q) {
     std::vector<uint32_t>& local = local_in_scratch_[q];
-    std::vector<ChildUnionInput>& child = child_in_scratch_[q];
+    std::vector<uint32_t>& wired = wire_in_scratch_[q];
     PutLanes(lanes, Layout::states_lane() + u, &q, 1);
-    PutLanes(lanes, s.local_lane() + end.local_end, local.data(),
-             local.size());
-    PutLanes(lanes, s.child_lane() + 2 * size_t{end.child_end}, child.data(),
-             child.size());
-    end.local_end += static_cast<uint32_t>(local.size());
-    end.child_end += static_cast<uint32_t>(child.size());
-    PutLanes(lanes, s.ends_lane() + 2 * size_t{u}, &end, 1);
+    PutLanes(lanes, s.local_lane() + end, local.data(), local.size());
+    end += static_cast<uint32_t>(local.size());
+    PutLanes(lanes, s.ends_lane() + u, &end, 1);
+    const uint64_t bit = uint64_t{1} << (u % 64);
+    for (uint32_t row : wired) wires[row * s.wire_wpr() + u / 64] |= bit;
     local.clear();
-    child.clear();
+    wired.clear();
     ++u;
   });
 }
@@ -375,7 +382,7 @@ std::string AssignmentCircuit::ValidateStorage() const {
     if (e.block.cap == 0 || e.block.len != s.words(mask_words_)) {
       return "block length does not match its layout";
     }
-    if (key[0] & 1 ? s.ncross != 0 || s.nchild != 0 : s.nvar != 0) {
+    if (key[0] & 1 ? s.ncross != 0 : s.nvar != 0) {
       return "owns gates of the other box kind";
     }
     const Box b = BlockView(id);
@@ -398,18 +405,27 @@ std::string AssignmentCircuit::ValidateStorage() const {
     if (!table_ok || seen != s.nu) {
       return "union state table does not list its union mask";
     }
-    // CSR ends are monotone and end exactly at their sections' ends.
-    GateEnds prev{0, 0};
+    // CSR ends are monotone and end exactly at their section's end.
+    uint32_t prev = 0;
     for (uint32_t u = 0; u < s.nu; ++u) {
-      const GateEnds& end = b.ends_[u];
-      if (end.local_end < prev.local_end || end.child_end < prev.child_end ||
-          end.local_end > s.nlocal || end.child_end > s.nchild) {
+      if (b.ends_[u] < prev || b.ends_[u] > s.nlocal) {
         return "has broken CSR offsets";
       }
-      prev = end;
+      prev = b.ends_[u];
     }
-    if (prev.local_end != s.nlocal || prev.child_end != s.nchild) {
-      return "CSR tail does not cover its sections";
+    if (prev != s.nlocal) return "CSR tail does not cover its section";
+    // Every ∪-gate has an input, local or wired, and no wire row has a bit
+    // at or above the box's ∪-gate count.
+    const size_t wpr = s.wire_wpr();
+    std::vector<uint64_t> wired(wpr, 0);
+    for (size_t i = 0; i < s.wire_words(); ++i) wired[i % wpr] |= b.wires_[i];
+    for (uint32_t u = 0; u < s.nu; ++u) {
+      if (!b.HasNonUnionInput(u) && !HasState(wired.data(), u)) {
+        return "has a union gate without inputs";
+      }
+    }
+    if (s.nu % 64 != 0 && (wired[wpr - 1] >> (s.nu % 64)) != 0) {
+      return "has a wire bit at or above its union gate count";
     }
     // A block is a pure function of its key.
     fresh.StageBox(key);

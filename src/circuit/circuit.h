@@ -29,15 +29,21 @@
 //   * the ⊤ and ∪ state bitmasks, ⌈w/64⌉ words each: γ(n, q) is two bit
 //     tests, and the dense index of γ(n, q) among the box's ∪-gates is the
 //     rank of q in the ∪ mask, so dense indices follow ascending state order;
+//   * the ⊤-collapse wires as two bit matrices, R(left child, B) then
+//     R(right child, B): one row per ∪-gate of the child, ⌈nu/64⌉ words
+//     each, bit u set when that child gate feeds the box's ∪-gate u. They
+//     are the one copy the jump index and both box-enum modes compose with;
 //   * 32-bit lanes sized by the box's gates rather than by w: the ∪-gate →
-//     state table, two CSR end offsets per ∪-gate, the ×-gates, the var
-//     masks, the local inputs (×-gate ids in an internal box, var-mask
-//     indices in a leaf — never both) and the child-∪ inputs.
-// A per-block directory entry keeps the block's span and the five counts
-// that fix the section offsets (AssignmentCircuit::Layout). The lane
-// sections are written with memcpy and read as the types they were written
-// as. A miss thus costs O(|δ_l| + ∪-gates + w/64), not Θ(w); a hit O(w/64).
-// `box(id)` returns a cheap Box *view* — invalidated by the next rebuild.
+//     state table, one CSR end offset per ∪-gate, the ×-gates, the var
+//     masks and the local inputs (×-gate ids in an internal box, var-mask
+//     indices in a leaf — never both).
+// A per-block directory entry keeps the block's span and the six counts
+// that fix the section offsets (AssignmentCircuit::Layout); the children's
+// ∪-gate counts are popcounts of their ∪ masks, which are in the key. The
+// lane sections are written with memcpy and read as the types they were
+// written as. A miss thus costs O(|δ_l| + wire words + w/64), not Θ(w); a
+// hit O(w/64). `box(id)` returns a cheap Box *view* — invalidated by the
+// next rebuild.
 #ifndef TREENUM_CIRCUIT_CIRCUIT_H_
 #define TREENUM_CIRCUIT_CIRCUIT_H_
 
@@ -47,6 +53,7 @@
 #include "automata/binary_tva.h"
 #include "circuit/arena.h"
 #include "falgebra/term.h"
+#include "util/bit_matrix.h"
 
 namespace treenum {
 
@@ -57,13 +64,6 @@ enum class GateKind : uint8_t { kBot = 0, kTop = 1, kUnion = 2 };
 struct CrossGate {
   State left_state;
   State right_state;
-};
-
-/// A ∪→∪ wire created by ⊤-collapse: side 0 = left child box, 1 = right.
-/// No padding, so a block's words are a function of its key.
-struct ChildUnionInput {
-  uint32_t side;
-  State state;
 };
 
 inline constexpr int32_t kNoGate = -1;
@@ -97,14 +97,6 @@ void ForEachState(const uint64_t* mask, uint32_t words, F f) {
 /// must fit in uint32_t. Enforced by TREENUM_CHECK at circuit construction
 /// (the old int16_t/uint16_t layout overflowed silently long before this).
 inline constexpr size_t kMaxCircuitWidth = 65535;
-
-/// Per-∪-gate CSR end offsets into the owning box's local-input and child-∪
-/// input sections; gate u's inputs occupy [ends[u-1].x_end, ends[u].x_end)
-/// with gate -1 ending at 0.
-struct GateEnds {
-  uint32_t local_end;
-  uint32_t child_end;
-};
 
 /// A read-only view of one box (= one term node), resolving its block's
 /// sections to raw pointers once. Invalidated by the next RebuildBox/FreeBox.
@@ -141,11 +133,6 @@ class Box {
   Span<uint32_t> cross_inputs(size_t u) const {
     return num_var_masks_ == 0 ? LocalInputs(u) : Span<uint32_t>();
   }
-  /// Per ∪-gate: child-box ∪-gate inputs created by ⊤-collapse.
-  Span<ChildUnionInput> child_union_inputs(size_t u) const {
-    uint32_t b = u == 0 ? 0 : ends_[u - 1].child_end;
-    return Span<ChildUnionInput>(child_in_ + b, ends_[u].child_end - b);
-  }
   /// Per ∪-gate: indices into var_masks().
   Span<uint32_t> var_inputs(size_t u) const {
     return num_var_masks_ != 0 ? LocalInputs(u) : Span<uint32_t>();
@@ -160,25 +147,40 @@ class Box {
 
   bool HasNonUnionInput(size_t u) const { return !LocalInputs(u).empty(); }
 
+  /// The ∪→∪ wires that ⊤-collapse creates, as R(child box, B): rows = the
+  /// left (right) child's ∪-gates, cols = this box's ∪-gates, bit (d, u)
+  /// set iff child gate d is an input of gate u. No rows in a leaf box.
+  BitMatrixView wire_left() const {
+    return BitMatrixView(wires_, num_left_unions_, num_unions_);
+  }
+  BitMatrixView wire_right() const {
+    return BitMatrixView(
+        wires_ + size_t{num_left_unions_} * ((num_unions_ + 63) / 64),
+        num_right_unions_, num_unions_);
+  }
+
  private:
   friend class AssignmentCircuit;
 
-  /// Gate u's local inputs. They are var-mask indices exactly when the box
-  /// has var masks (a leaf whose ∪-gates have inputs), else ×-gate ids.
+  /// Gate u's local inputs, the CSR slice ending at ends_[u] (gate -1
+  /// ends at 0). They are var-mask indices exactly when the box has var
+  /// masks (a leaf whose ∪-gates have inputs), else ×-gate ids.
   Span<uint32_t> LocalInputs(size_t u) const {
-    uint32_t b = u == 0 ? 0 : ends_[u - 1].local_end;
-    return Span<uint32_t>(local_in_ + b, ends_[u].local_end - b);
+    uint32_t b = u == 0 ? 0 : ends_[u - 1];
+    return Span<uint32_t>(local_in_ + b, ends_[u] - b);
   }
 
   const uint64_t* top_mask_ = nullptr;
   const uint64_t* union_mask_ = nullptr;
+  const uint64_t* wires_ = nullptr;
   const State* union_states_ = nullptr;
-  const GateEnds* ends_ = nullptr;
+  const uint32_t* ends_ = nullptr;
   const CrossGate* cross_gates_ = nullptr;
   const VarMask* var_masks_ = nullptr;
   const uint32_t* local_in_ = nullptr;
-  const ChildUnionInput* child_in_ = nullptr;
   uint32_t num_unions_ = 0;
+  uint32_t num_left_unions_ = 0;
+  uint32_t num_right_unions_ = 0;
   uint32_t num_cross_gates_ = 0;
   uint32_t num_var_masks_ = 0;
 };
@@ -245,25 +247,30 @@ class AssignmentCircuit {
   std::string ValidateStorage() const;
 
  private:
-  /// Counts that fix the section offsets of one box's block. Lane offsets
-  /// count 32-bit lanes from the end of the two masks.
+  /// Counts that fix the section offsets of one box's block. Wire rows
+  /// count from the end of the two masks, lanes (32 bits each) from the
+  /// end of the wires.
   struct Layout {
     uint32_t nu = 0;      ///< ∪-gates
+    uint32_t lnu = 0;     ///< left child's ∪-gates (0 for a leaf)
+    uint32_t rnu = 0;     ///< right child's ∪-gates (0 for a leaf)
     uint32_t ncross = 0;  ///< ×-gates (internal boxes)
     uint32_t nvar = 0;    ///< var masks (leaf boxes)
     uint32_t nlocal = 0;  ///< local inputs over all ∪-gates
-    uint32_t nchild = 0;  ///< child-∪ inputs over all ∪-gates
 
+    /// Words per wire row: one bit per ∪-gate of the box.
+    size_t wire_wpr() const { return (size_t{nu} + 63) / 64; }
+    size_t wire_words() const { return (size_t{lnu} + rnu) * wire_wpr(); }
     static size_t states_lane() { return 0; }
     size_t ends_lane() const { return nu; }
-    size_t cross_lane() const { return 3 * size_t{nu}; }
+    size_t cross_lane() const { return 2 * size_t{nu}; }
     size_t var_lane() const { return cross_lane() + 2 * size_t{ncross}; }
     size_t local_lane() const { return var_lane() + nvar; }
-    size_t child_lane() const { return local_lane() + nlocal; }
-    /// Block length: the two masks, then the lanes rounded up to words.
+    /// Block length: the two masks, the wires, then the lanes rounded up
+    /// to words.
     size_t words(uint32_t mask_words) const {
-      const size_t lanes = child_lane() + 2 * size_t{nchild};
-      return 2 * size_t{mask_words} + (lanes + 1) / 2;
+      const size_t lanes = local_lane() + nlocal;
+      return 2 * size_t{mask_words} + wire_words() + (lanes + 1) / 2;
     }
   };
 
@@ -316,16 +323,20 @@ class AssignmentCircuit {
 
   // Pooled build scratch, reused across rebuilds (clear() keeps capacity),
   // so steady-state refreshes never touch the heap. local_in holds ×-gate
-  // ids (internal boxes) or var-mask indices (leaf boxes) per result state.
-  // A state's lists are non-empty only while its bit is set in
+  // ids (internal boxes) or var-mask indices (leaf boxes) per result state;
+  // wire_in holds its ⊤-collapse inputs as wire rows: the input's rank in
+  // the left child's ∪ mask, or lnu plus its rank in the right child's. A
+  // state's lists are non-empty only while its bit is set in
   // union_scratch_, and CommitBox empties exactly those lists.
-  std::vector<std::vector<uint32_t>> local_in_scratch_;         // per state
-  std::vector<std::vector<ChildUnionInput>> child_in_scratch_;  // per state
+  std::vector<std::vector<uint32_t>> local_in_scratch_;  // per state
+  std::vector<std::vector<uint32_t>> wire_in_scratch_;   // per state
   std::vector<uint64_t> top_scratch_;    // ⊤ mask being built
   std::vector<uint64_t> union_scratch_;  // ∪ mask being built
   std::vector<CrossGate> cross_gates_scratch_;
   std::vector<VarMask> var_masks_scratch_;
   std::vector<uint64_t> key_scratch_;  // key of the box being rebuilt
+  uint32_t lnu_scratch_ = 0;  // the staged box's children's ∪-gates
+  uint32_t rnu_scratch_ = 0;
 };
 
 }  // namespace treenum

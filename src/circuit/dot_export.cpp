@@ -1,6 +1,7 @@
 #include "circuit/dot_export.h"
 
 #include <sstream>
+#include <utility>
 
 namespace treenum {
 
@@ -73,10 +74,15 @@ std::string CircuitToDot(const AssignmentCircuit& circuit) {
         out << "  " << gate_name(id, "v", vi) << " -> "
             << gate_name(id, "g", q) << ";\n";
       }
-      for (const auto& [side, state] : b.child_union_inputs(u)) {
-        TermNodeId child = side == 0 ? t.left : t.right;
-        out << "  " << gate_name(child, "g", state) << " -> "
-            << gate_name(id, "g", q) << " [style=dashed];\n";
+      const std::pair<TermNodeId, BitMatrixView> wires[] = {
+          {t.left, b.wire_left()}, {t.right, b.wire_right()}};
+      for (const auto& [child, wire] : wires) {
+        for (size_t d = 0; d < wire.rows(); ++d) {
+          if (!wire.Get(d, u)) continue;
+          const State cq = circuit.box(child).union_state(d);
+          out << "  " << gate_name(child, "g", cq) << " -> "
+              << gate_name(id, "g", q) << " [style=dashed];\n";
+        }
       }
     }
     for (size_t c = 0; c < b.num_cross_gates(); ++c) {

@@ -89,7 +89,8 @@ std::string EnumerationPipeline::ValidateStorage() const {
 // ---- Query surface ----
 
 bool EnumerationPipeline::Serves(const SnapshotRef& snap) const {
-  return snap && snap.epoch() >= min_snapshot_epoch_;
+  return snap && snap.term() == &circuit_.term() &&
+         snap.epoch() >= min_snapshot_epoch_;
 }
 
 TermNodeId EnumerationPipeline::RootAt(const SnapshotRef& snap) const {

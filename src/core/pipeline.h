@@ -146,11 +146,11 @@ class EnumerationPipeline {
 
   // ---- Query surface, at a pinned snapshot ----
   //
-  // `snap` must have been published by the document owning the term. A
-  // snapshot this pipeline does not serve (see Serves) reads as no answers:
-  // false, {}, an exhausted cursor and 0 runs. Any thread.
+  // A snapshot this pipeline does not serve (see Serves) reads as no
+  // answers: false, {}, an exhausted cursor and 0 runs. Any thread.
 
-  /// True iff `snap` is non-empty and published no earlier than this
+  /// True iff `snap` is non-empty, was published over this pipeline's term
+  /// (another document's ids name nothing here), and no earlier than this
   /// pipeline was built (older versions hold node ids it never built).
   bool Serves(const SnapshotRef& snap) const;
 

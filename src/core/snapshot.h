@@ -96,6 +96,8 @@ class SnapshotRef {
   const Snapshot* get() const { return snap_; }
   TermNodeId root() const { return snap_->root(); }
   uint64_t epoch() const { return snap_->epoch(); }
+  /// The term the snapshot was published over.
+  const Term* term() const;
 
   /// Releases the pin; on the last release the snapshot is queued for the
   /// writer to drain. Safe to call from any thread.
@@ -217,6 +219,8 @@ class TermSnapshots {
   std::vector<Snapshot*> pool_;          // writer-only
   std::vector<std::unique_ptr<Snapshot>> slabs_;  // writer-only
 };
+
+inline const Term* SnapshotRef::term() const { return snap_->owner_->term_; }
 
 inline void SnapshotRef::Reset() {
   if (snap_ && snap_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -126,6 +126,16 @@ void PushChild(EnumStack* st, FrameKind kind, TermNodeId box,
   Pack(st, off, wire.rows(), wpr, box, kind, jump.span);
 }
 
+// The child step of both modes: pushes the Enter frames of `box`'s children
+// for R(box, Γ) at `rel`, right first so left pops first; a leaf has none.
+void PushChildren(EnumStack* st, TermNodeId box, uint32_t rel, size_t cols) {
+  const Term& term = st->circuit().term();
+  if (term.IsLeaf(box)) return;
+  const Box b = st->circuit().box(box);
+  PushChild(st, kEnter, term.node(box).right, b.wire_right(), rel, cols);
+  PushChild(st, kEnter, term.node(box).left, b.wire_left(), rel, cols);
+}
+
 }  // namespace
 
 void BoxEnum::Start(EnumStack* st, TermNodeId box, uint32_t pos,
@@ -187,8 +197,6 @@ bool BoxEnum::NextIndexed(EnumStack* st) {
     const uint32_t rel = st->Push(crel.rows() * wpr);
     BitMatrixView::ComposeIntoWords(
         crel, BitMatrixView(st->at(src), f.rows, cols_), st->at(rel));
-    const bool leaf = term.IsLeaf(target);
-    const BoxIndex ti = leaf ? BoxIndex() : index.at(target);
 
     if (f.kind == kEnter) {
       // The loop continuation for this frame (Lines 11-17) stays on the
@@ -199,14 +207,8 @@ bool BoxEnum::NextIndexed(EnumStack* st) {
         SetMeta(st->at(top - kMetaWords), f.box, kWalk, jump.span);
         frames_top = top;
       }
-      // Recurse below B1 (Lines 7-10); right pushed first so left pops
-      // first.
-      if (!leaf) {
-        PushChild(st, kEnter, term.node(target).right, ti.wire_right(), rel,
-                  cols_);
-        PushChild(st, kEnter, term.node(target).left, ti.wire_left(), rel,
-                  cols_);
-      }
+      // Recurse below B1 (Lines 7-10).
+      PushChildren(st, target, rel, cols_);
       cur_box_ = target;
       cur_rows_ = static_cast<uint32_t>(crel.rows());
       Settle(st, frames_top, rel, crel.rows() * wpr);
@@ -215,9 +217,10 @@ bool BoxEnum::NextIndexed(EnumStack* st) {
 
     // kWalk: one iteration of the jump loop. The loop continues at the left
     // child (pushed first → popped after the right subtree's Enter).
-    assert(!leaf);
-    PushChild(st, kWalk, term.node(target).left, ti.wire_left(), rel, cols_);
-    PushChild(st, kEnter, term.node(target).right, ti.wire_right(), rel,
+    assert(!term.IsLeaf(target));
+    const Box tb = st->circuit().box(target);
+    PushChild(st, kWalk, term.node(target).left, tb.wire_left(), rel, cols_);
+    PushChild(st, kEnter, term.node(target).right, tb.wire_right(), rel,
               cols_);
     Settle(st, f.start, rel, crel.rows() * wpr);
     st->Rewind(top_);
@@ -227,34 +230,13 @@ bool BoxEnum::NextIndexed(EnumStack* st) {
 }
 
 bool BoxEnum::NextNaive(EnumStack* st) {
-  const AssignmentCircuit& circuit = st->circuit();
-  const Term& term = circuit.term();
   const size_t wpr = (cols_ + 63) / 64;
   while (st->top() > base_) {
-    const Box b = circuit.box(TopBox(*st));
+    const Box b = st->circuit().box(TopBox(*st));
     const Frame f = TopFrame(*st, b.num_unions(), wpr);
     st->Step();
     const uint32_t rel = Unpack(st, f, wpr);
-    // Each child's relation follows the ∪→∪ wires into it: child gate d
-    // collects the rows of the gates u it feeds.
-    for (uint32_t side : {1u, 0u}) {
-      if (term.IsLeaf(f.box)) break;
-      const TermNodeId child =
-          side == 0 ? term.node(f.box).left : term.node(f.box).right;
-      const Box cb = circuit.box(child);
-      const uint32_t off = st->Push(cb.num_unions() * wpr);
-      uint64_t* out = st->at(off);
-      std::fill_n(out, cb.num_unions() * wpr, uint64_t{0});
-      for (size_t u = 0; u < f.rows; ++u) {
-        const uint64_t* row = st->at(rel) + u * wpr;
-        for (const auto& [s, state] : b.child_union_inputs(u)) {
-          if (s != side) continue;
-          uint64_t* dst = out + cb.union_idx(state) * wpr;
-          for (size_t k = 0; k < wpr; ++k) dst[k] |= row[k];
-        }
-      }
-      Pack(st, off, cb.num_unions(), wpr, child, kEnter, 0);
-    }
+    PushChildren(st, f.box, rel, cols_);
     cur_box_ = f.box;
     cur_rows_ = f.rows;
     Settle(st, f.start, rel, f.rows * wpr);

@@ -3,7 +3,10 @@
 // complete ∪-reachability relation R(B', Γ), each box exactly once, either
 // by Algorithm 3 (kIndexed: jumps via the fib/span index, delay O(poly(w))
 // independent of the circuit depth, Lemma 6.4) or by plain descent
-// (kNaive: delay O(depth × poly(w)), the correctness oracle).
+// (kNaive: delay O(depth × poly(w)), the correctness oracle). Both descend
+// into a box B's children by one shared step, R(child, Γ) = R(child, B) ∘
+// R(B, Γ), reading B's ⊤-collapse wires R(child, B) from the circuit's
+// shared block (Box::wire_left/wire_right).
 //
 // A BoxEnum owns no memory: its frames live in the EnumStack of the cursor
 // running it, shared by the box-enums of all the cursor's levels

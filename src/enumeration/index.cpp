@@ -8,6 +8,7 @@ namespace treenum {
 namespace {
 
 constexpr int32_t kNoCand = -1;
+constexpr uint8_t kNoSource = 3;  // a Pre before the gate's first input
 
 /// Writes 32-bit lane i of a block (see BoxIndex::Lane).
 void SetLane(uint64_t* block, size_t i, uint32_t v) {
@@ -67,14 +68,12 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
     return;
   }
 
-  // A leaf box has no children: every ∪-gate has var-gate inputs, so the
-  // phases below give fib = span = self and no wire relations.
-  const Term& term = circuit_->term();
-  const bool leaf = term.IsLeaf(id);
-  const TermNodeId lid = leaf ? kNoTerm : term.node(id).left;
-  const TermNodeId rid = leaf ? kNoTerm : term.node(id).right;
-  const Box lbox = leaf ? Box() : circuit_->box(lid);
-  const Box rbox = leaf ? Box() : circuit_->box(rid);
+  // A leaf's children are kNoTerm (empty index views) and its wires have no
+  // rows: every ∪-gate has var-gate inputs, so fib = span = self.
+  const TermNodeId lid = circuit_->term().node(id).left;
+  const TermNodeId rid = circuit_->term().node(id).right;
+  const BitMatrixView wl = box.wire_left();
+  const BitMatrixView wr = box.wire_right();
 
   // ---- Phase 1: read the children into scratch and stage the candidates.
   // No pool mutation here, so the child views stay valid throughout.
@@ -82,62 +81,46 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
     const BoxIndex lidx = at(lid);
     const BoxIndex ridx = at(rid);
 
-    // Per-gate child input lists as dense child ∪-gate indices.
-    if (in_left_scratch_.size() < nu) {
-      in_left_scratch_.resize(nu);
-      in_right_scratch_.resize(nu);
-    }
-    for (uint32_t u = 0; u < nu; ++u) {
-      in_left_scratch_[u].clear();
-      in_right_scratch_[u].clear();
-    }
-    for (uint32_t u = 0; u < nu; ++u) {
-      for (const auto& [side, state] : box.child_union_inputs(u)) {
-        if (side == 0) {
-          int32_t d = lbox.union_idx(state);
-          assert(d != kNoGate);
-          in_left_scratch_[u].push_back(static_cast<uint32_t>(d));
-        } else {
-          int32_t d = rbox.union_idx(state);
-          assert(d != kNoGate);
-          in_right_scratch_[u].push_back(static_cast<uint32_t>(d));
-        }
+    // Raw fib/span per gate, (source, child candidate index), in one pass
+    // over the rows of the wires: a gate's fib is its first side's minimum
+    // input fib (Equation (3): the left subtree precedes the right in
+    // preorder), and its span the lca fold of its inputs' spans, or self
+    // when it has inputs on both sides. lca over a set folds associatively
+    // (Observation 6.2).
+    fib_pre_scratch_.assign(nu, Pre{kNoSource, kNoCand});
+    span_pre_scratch_.assign(nu, Pre{kNoSource, kNoCand});
+    auto fold = [&](const BoxIndex& child, const BitMatrixView& wire,
+                    uint8_t side) {
+      const uint32_t words = static_cast<uint32_t>(wire.words_per_row());
+      for (uint32_t d = 0; d < wire.rows(); ++d) {
+        ForEachState(wire.Row(d), words, [&](uint32_t u) {
+          Pre& f = fib_pre_scratch_[u];
+          Pre& s = span_pre_scratch_[u];
+          if (f.source == kNoSource) f = {side, child.fib(d)};
+          if (f.source == side) f.cc = std::min(f.cc, child.fib(d));
+          if (s.source == kNoSource) {
+            s = {side, child.span(d)};
+          } else if (s.source == side) {
+            s.cc = child.Lca(s.cc, child.span(d));
+          } else {
+            s = {0, kNoCand};
+          }
+        });
       }
-    }
+    };
+    fold(lidx, wl, 1);
+    fold(ridx, wr, 2);
 
-    // Raw fib/span per gate: (source, child candidate index).
-    fib_pre_scratch_.assign(nu, Pre{0, kNoCand});
-    span_pre_scratch_.assign(nu, Pre{0, kNoCand});
-    for (uint32_t u = 0; u < nu; ++u) {
-      const std::vector<uint32_t>& inl = in_left_scratch_[u];
-      const std::vector<uint32_t>& inr = in_right_scratch_[u];
-      bool local = box.HasNonUnionInput(u);
-      bool has_l = !inl.empty();
-      bool has_r = !inr.empty();
-      assert(local || has_l || has_r);
-      // fib: Equation (3).
-      if (local) {
-        fib_pre_scratch_[u] = {0, kNoCand};
-      } else if (has_l) {
-        fib_pre_scratch_[u] = {1, lidx.FibLocal(inl)};
-      } else {
-        fib_pre_scratch_[u] = {2, ridx.FibLocal(inr)};
-      }
-      // span: lca of the gate's interesting boxes.
-      if (local || (has_l && has_r)) {
-        span_pre_scratch_[u] = {0, kNoCand};
-      } else if (has_l) {
-        span_pre_scratch_[u] = {1, lidx.SpanLocal(inl)};
-      } else {
-        span_pre_scratch_[u] = {2, ridx.SpanLocal(inr)};
-      }
-    }
-
-    // Candidate collection + lca closure per side.
+    // A gate with a local input is its own fib and span. Candidate
+    // collection + lca closure per side.
     used_l_scratch_.clear();
     used_r_scratch_.clear();
     bool use_self = false;
     for (uint32_t u = 0; u < nu; ++u) {
+      if (box.HasNonUnionInput(u)) {
+        fib_pre_scratch_[u] = span_pre_scratch_[u] = {0, kNoCand};
+      }
+      assert(fib_pre_scratch_[u].source != kNoSource);
       for (const Pre& p : {fib_pre_scratch_[u], span_pre_scratch_[u]}) {
         if (p.source == 0) {
           use_self = true;
@@ -179,9 +162,7 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
   // ---- Phase 2: size this box's block from the staged shapes and
   // (re)acquire it. Child views from phase 1 are dead past this point;
   // phase 3 re-resolves them.
-  const BoxIndex::Layout shape{nc, nu,
-                               static_cast<uint32_t>(lbox.num_unions()),
-                               static_cast<uint32_t>(rbox.num_unions())};
+  const BoxIndex::Layout shape{nc, nu};
   const size_t wpr = shape.wpr();
   size_t words = shape.rels_word();
   for (const CandMeta& m : cand_meta_scratch_) words += m.rows * wpr;
@@ -194,21 +175,10 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
   const BoxIndex ridx = at(rid);
   uint64_t* block = store_.block(e);
 
-  // Wire relations R(child, B) over the ∪→∪ (⊤-collapse) wires.
-  uint64_t* wl = block + shape.wire_left_word();
-  uint64_t* wr = block + shape.wire_right_word();
-  std::fill(wl, block + shape.rels_word(), uint64_t{0});
-  for (uint32_t u = 0; u < nu; ++u) {
-    const uint64_t bit = uint64_t{1} << (u % 64);
-    for (uint32_t d : in_left_scratch_[u]) wl[d * wpr + u / 64] |= bit;
-    for (uint32_t d : in_right_scratch_[u]) wr[d * wpr + u / 64] |= bit;
-  }
-
   // Candidate records and relations: self = identity, inherited = child rel
-  // composed with the wire relation of that side (written wholesale by the
-  // overwrite-semantics compose kernel, so only the identity is zeroed).
-  const BitMatrixView wlv(wl, shape.lnu, nu);
-  const BitMatrixView wrv(wr, shape.rnu, nu);
+  // composed with the circuit's wires of that side (written wholesale by
+  // the overwrite-semantics compose kernel, so only the identity is
+  // zeroed).
   size_t rel_word = shape.rels_word();
   for (uint32_t c = 0; c < nc; ++c) {
     const CandMeta& m = cand_meta_scratch_[c];
@@ -221,9 +191,9 @@ void EnumIndex::RebuildBoxIndex(TermNodeId id) {
       std::fill(dst, dst + m.rows * wpr, uint64_t{0});
       FillIdentityWords(dst, nu);
     } else if (m.source == 1) {
-      BitMatrixView::ComposeIntoWords(lidx.cand_rel(m.cc), wlv, dst);
+      BitMatrixView::ComposeIntoWords(lidx.cand_rel(m.cc), wl, dst);
     } else {
-      BitMatrixView::ComposeIntoWords(ridx.cand_rel(m.cc), wrv, dst);
+      BitMatrixView::ComposeIntoWords(ridx.cand_rel(m.cc), wr, dst);
     }
     rel_word += m.rows * wpr;
   }
@@ -281,18 +251,13 @@ std::string EnumIndex::ValidateStorage() const {
     if (s.nu != nu || s.nc == 0 || s.rels_word() > e.block.len) {
       return "has gates but a wrong gate or candidate count";
     }
-    const bool leaf = term.IsLeaf(id);
-    if (s.lnu != (leaf ? 0 : circuit_->box(term.node(id).left).num_unions()) ||
-        s.rnu != (leaf ? 0 : circuit_->box(term.node(id).right).num_unions())) {
-      return "wire shape mismatch";
-    }
     const BoxIndex bi = at(id);
     size_t words = s.rels_word();
     for (uint32_t c = 0; c < s.nc; ++c) {
       const int32_t ci = static_cast<int32_t>(c);
       const TermNodeId cbox = bi.cand_box(ci);
       if (!term.IsAlive(cbox)) return "has a candidate naming a dead box";
-      // Relations tile the section after the wires in candidate order.
+      // Relations tile the section after the lanes in candidate order.
       const BitMatrixView rel = bi.cand_rel(ci);
       if (rel.rows() != circuit_->box(cbox).num_unions() ||
           rel.Row(0) != bi.block_ + words) {

@@ -18,17 +18,21 @@
 // even for boxed sets that are only *jointly* bidirectional (each gate's own
 // closure is a chain, but the chains split at a common box).
 //
+// An inherited candidate's relation is the child's R(candidate, child)
+// composed with R(child, B), B's ⊤-collapse wires, which the index reads
+// from the circuit block (Box::wire_left/wire_right) and does not copy.
+//
 // Storage layout: a box's whole index is one block of the index's BoxStore
 // (circuit/arena.h), so a refresh makes one Ensure and a free one Free,
 // with power-of-two block recycling across RebuildBoxIndex/FreeBoxIndex.
 // The block holds, back to back:
 //   * 32-bit lanes, two per word: per candidate (box, relation word offset,
 //     rows), then fib and span per ∪-gate, then the nc x nc lca table;
-//   * whole-word bit matrices: wire_left (lnu x nu), wire_right (rnu x nu),
-//     then each candidate's R(candidate, B) (rows x nu).
+//   * whole-word bit matrices: each candidate's R(candidate, B)
+//     (rows x nu).
 // Offsets are relative to the block; a per-box directory entry keeps the
-// block's span and the four counts (nc, nu, lnu, rnu) that fix the section
-// offsets (BoxIndex::Layout). Lanes are read and written with memcpy, the
+// block's span and the two counts (nc, nu) that fix the section offsets
+// (BoxIndex::Layout). Lanes are read and written with memcpy, the
 // aliasing-safe way to view words as 32-bit values (one load each). Every
 // block starts on a cache line (the pool is 64-byte aligned and blocks are
 // at least 8 words, see BlockWords); the matrices inside it start at
@@ -37,7 +41,6 @@
 #ifndef TREENUM_ENUMERATION_INDEX_H_
 #define TREENUM_ENUMERATION_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -74,53 +77,20 @@ class BoxIndex {
     return static_cast<int32_t>(Lane(shape_.span_lane() + u));
   }
 
-  /// Wire relations to the children: R(child box, B) over the ∪→∪ wires
-  /// (⊤-collapse inputs). Empty views for leaf boxes.
-  BitMatrixView wire_left() const {
-    return BitMatrixView(block_ + shape_.wire_left_word(), shape_.lnu,
-                         shape_.nu);
-  }
-  BitMatrixView wire_right() const {
-    return BitMatrixView(block_ + shape_.wire_right_word(), shape_.rnu,
-                         shape_.nu);
-  }
-
   int32_t Lca(int32_t a, int32_t b) const {
     return static_cast<int32_t>(Lane(
         shape_.lca_lane() + static_cast<size_t>(a) * shape_.nc + b));
   }
 
-  /// fib(Γ) as a candidate index: min over the gates' fib values (minimum
-  /// candidate index = first in preorder). `gates` must be non-empty.
-  int32_t FibLocal(const std::vector<uint32_t>& gates) const {
-    int32_t best = fib(gates[0]);
-    for (uint32_t g : gates) best = std::min(best, fib(g));
-    return best;
-  }
-
-  /// lca{span(g) | g ∈ gates} as a candidate index. lca over a set folds
-  /// associatively, so one linear pass over the gates suffices
-  /// (Observation 6.2 equates the fold with the preorder-minimal pairwise
-  /// lca). `gates` must be non-empty.
-  int32_t SpanLocal(const std::vector<uint32_t>& gates) const {
-    int32_t best = span(gates[0]);
-    for (size_t i = 1; i < gates.size(); ++i) {
-      best = Lca(best, span(gates[i]));
-    }
-    return best;
-  }
-
  private:
   friend class EnumIndex;
 
-  /// Section offsets of one box's index block, fixed by its four counts.
+  /// Section offsets of one box's index block, fixed by its two counts.
   /// Lane offsets count 32-bit lanes, word offsets count 64-bit words, both
   /// from the block start.
   struct Layout {
-    uint32_t nc = 0;   ///< candidates
-    uint32_t nu = 0;   ///< ∪-gates of the box
-    uint32_t lnu = 0;  ///< ∪-gates of the left child (0 for a leaf)
-    uint32_t rnu = 0;  ///< ∪-gates of the right child (0 for a leaf)
+    uint32_t nc = 0;  ///< candidates
+    uint32_t nu = 0;  ///< ∪-gates of the box
 
     /// Words per relation row: every relation has nu columns.
     size_t wpr() const { return (nu + 63) / 64; }
@@ -129,13 +99,7 @@ class BoxIndex {
     size_t fib_lane() const { return 3 * size_t{nc}; }
     size_t span_lane() const { return fib_lane() + nu; }
     size_t lca_lane() const { return span_lane() + nu; }
-    size_t wire_left_word() const {
-      return (lca_lane() + size_t{nc} * nc + 1) / 2;
-    }
-    size_t wire_right_word() const {
-      return wire_left_word() + size_t{lnu} * wpr();
-    }
-    size_t rels_word() const { return wire_right_word() + size_t{rnu} * wpr(); }
+    size_t rels_word() const { return (lca_lane() + size_t{nc} * nc + 1) / 2; }
   };
 
   uint32_t Lane(size_t i) const {
@@ -217,8 +181,6 @@ class EnumIndex {
 
   // Rebuild scratch reused across RebuildBoxIndex calls (clear() keeps
   // capacity — the update path's counterpart of the circuit arena scratch).
-  std::vector<std::vector<uint32_t>> in_left_scratch_;
-  std::vector<std::vector<uint32_t>> in_right_scratch_;
   std::vector<Pre> fib_pre_scratch_;
   std::vector<Pre> span_pre_scratch_;
   std::vector<int32_t> used_l_scratch_;

@@ -213,10 +213,11 @@ void DocumentShardServer::Submit(DocRef doc, const Command& command) {
 
 SnapshotRef DocumentShardServer::Pin(DocRef doc) const {
   TREENUM_CHECK(doc, "Pin: null DocRef");
-  // CurrentSnapshot() is the lock-free publication point TermSnapshots
-  // maintains for exactly this cross-thread pin (PR 7); safe concurrent
-  // with the shard worker committing.
-  return doc.doc_->doc->CurrentSnapshot();
+  // RemoveDocument closes the document under this mutex before it queues
+  // its destruction, so an open document lives while the mutex is held.
+  DocState* d = doc.doc_;
+  std::lock_guard<std::mutex> lock(d->mu);
+  return d->closed ? SnapshotRef() : d->doc->CurrentSnapshot();
 }
 
 const DynamicDocument& DocumentShardServer::document(DocRef doc) const {

@@ -182,8 +182,9 @@ class DocumentShardServer {
 
   // ---- Read path (caller threads; never queued) ----
 
-  /// Pins the document's current snapshot. Any thread, concurrent with
-  /// the write path.
+  /// Pins the document's current snapshot; an empty SnapshotRef, which
+  /// every read answers with nothing, once RemoveDocument has closed the
+  /// document. Any thread, concurrent with the write path.
   SnapshotRef Pin(DocRef doc) const;
 
   // ---- Quiesce / observability ----

@@ -21,6 +21,25 @@
 namespace treenum {
 namespace {
 
+// The ⊤-collapse inputs of ∪-gate u of id's box as its wires hold them: one
+// per set bit (d, u), naming child ∪-gate d by its state.
+std::vector<CollapseInput> WiredInputs(const AssignmentCircuit& c,
+                                       TermNodeId id, size_t u) {
+  const Term& term = c.term();
+  const Box b = c.box(id);
+  std::vector<CollapseInput> out;
+  for (int side : {0, 1}) {
+    const BitMatrixView wire = side == 0 ? b.wire_left() : b.wire_right();
+    for (size_t d = 0; d < wire.rows(); ++d) {
+      if (!wire.Get(d, u)) continue;
+      const TermNode& t = term.node(id);
+      out.emplace_back(side,
+                       c.box(side == 0 ? t.left : t.right).union_state(d));
+    }
+  }
+  return out;
+}
+
 // Structural invariants of Lemma 3.7 / Definition 3.4 on every box.
 void CheckStructure(const AssignmentCircuit& c) {
   const Term& term = c.term();
@@ -34,10 +53,14 @@ void CheckStructure(const AssignmentCircuit& c) {
     // Width bound: at most w ∪-gates, at most w² ×-gates.
     EXPECT_LE(b.num_unions(), w);
     EXPECT_LE(b.num_cross_gates(), w * w);
+    const std::vector<std::vector<CollapseInput>> collapse =
+        CollapseInputs(c, id);
     for (size_t u = 0; u < b.num_unions(); ++u) {
+      // The wires hold exactly the ⊤-collapse inputs δ dictates.
+      const std::vector<CollapseInput> wired = WiredInputs(c, id, u);
+      EXPECT_EQ(wired, collapse[b.union_state(u)]) << "box " << id;
       // Every ∪-gate has at least one input.
-      EXPECT_TRUE(!b.cross_inputs(u).empty() ||
-                  !b.child_union_inputs(u).empty() ||
+      EXPECT_TRUE(!b.cross_inputs(u).empty() || !wired.empty() ||
                   !b.var_inputs(u).empty());
       // Dense index consistency.
       State q = b.union_state(u);
@@ -46,22 +69,20 @@ void CheckStructure(const AssignmentCircuit& c) {
     }
     if (term.IsLeaf(id)) {
       EXPECT_TRUE(b.cross_gates().empty());
+      EXPECT_EQ(b.wire_left().rows() + b.wire_right().rows(), 0u);
     } else {
       EXPECT_TRUE(b.var_masks().empty());
-      // ×-gates and child-union inputs reference ∪-gates (never ⊤/⊥) in the
-      // child boxes — the ⊤/⊥-collapse rule of the appendix construction.
+      // ×-gates reference ∪-gates (never ⊤/⊥) in the child boxes — the
+      // ⊤/⊥-collapse rule of the appendix construction — and the wires
+      // have one row per child ∪-gate.
       const Box lb = c.box(term.node(id).left);
       const Box rb = c.box(term.node(id).right);
       for (const CrossGate& cg : b.cross_gates()) {
         EXPECT_EQ(lb.gamma(cg.left_state), GateKind::kUnion);
         EXPECT_EQ(rb.gamma(cg.right_state), GateKind::kUnion);
       }
-      for (size_t u = 0; u < b.num_unions(); ++u) {
-        for (const auto& [side, state] : b.child_union_inputs(u)) {
-          const Box& cb = side == 0 ? lb : rb;
-          EXPECT_EQ(cb.gamma(state), GateKind::kUnion);
-        }
-      }
+      EXPECT_EQ(b.wire_left().rows(), lb.num_unions());
+      EXPECT_EQ(b.wire_right().rows(), rb.num_unions());
     }
   }
 }
@@ -179,14 +200,19 @@ bool SameSpan(Span<T> a, Span<T> b, Eq eq) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(), eq);
 }
 
+// True iff two bit matrices have the same shape and words, tail bits
+// included.
+bool SameRows(const BitMatrixView& a, const BitMatrixView& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.Row(0), a.Row(a.rows()), b.Row(0));
+}
+
 // Names the first gate list on which two boxes differ, or returns an empty
-// string when their ×-gates, var masks and every ∪-gate's inputs agree.
+// string when their ×-gates, var masks, wire rows and every ∪-gate's local
+// inputs agree.
 std::string DiffBoxContents(const Box& a, const Box& b) {
   auto same_cross = [](const CrossGate& x, const CrossGate& y) {
     return x.left_state == y.left_state && x.right_state == y.right_state;
-  };
-  auto same_child = [](const ChildUnionInput& x, const ChildUnionInput& y) {
-    return x.side == y.side && x.state == y.state;
   };
   const std::equal_to<uint32_t> same;
   if (!SameSpan(a.cross_gates(), b.cross_gates(), same_cross)) {
@@ -194,6 +220,8 @@ std::string DiffBoxContents(const Box& a, const Box& b) {
   }
   if (!SameSpan(a.var_masks(), b.var_masks(), same)) return "var masks";
   if (a.num_unions() != b.num_unions()) return "union count";
+  if (!SameRows(a.wire_left(), b.wire_left())) return "left wire rows";
+  if (!SameRows(a.wire_right(), b.wire_right())) return "right wire rows";
   for (size_t u = 0; u < a.num_unions(); ++u) {
     const std::string gate = " of union gate " + std::to_string(u);
     if (!SameSpan(a.cross_inputs(u), b.cross_inputs(u), same)) {
@@ -201,10 +229,6 @@ std::string DiffBoxContents(const Box& a, const Box& b) {
     }
     if (!SameSpan(a.var_inputs(u), b.var_inputs(u), same)) {
       return "var inputs" + gate;
-    }
-    if (!SameSpan(a.child_union_inputs(u), b.child_union_inputs(u),
-                  same_child)) {
-      return "child union inputs" + gate;
     }
   }
   return "";
@@ -215,8 +239,9 @@ TEST(Circuit, PerStateViewsAcrossMaskWords) {
   // ⌈w/64⌉ words; these automata span 1, 2, 3 and 5 words, so states on
   // both sides of every word boundary go through relabels, inserts, leaf
   // deletes and subtree moves/deletes with incremental box refreshes. Each
-  // alive box's whole block — masks, ×-gates, var masks and every ∪-gate's
-  // inputs — must match a fresh build's after every step.
+  // alive box's whole block — masks, ×-gates, var masks, wire rows and
+  // every ∪-gate's local inputs — must match a fresh build's after every
+  // step.
   struct Case {
     UnrankedTva query;
     size_t words;

@@ -661,10 +661,30 @@ TEST(DocumentRejects, ReadsAtUnservedSnapshotsAnswerNothing) {
   ASSERT_EQ(doc.EnumerateAt(now, h), answers);
   ASSERT_EQ(p.AcceptingRunsAt(now), answers.size());
 
-  const char* names[] = {"empty", "before register", "before re-register"};
+  // Pins of two other documents with the query registered, published no
+  // earlier than `now`: a twin of `doc`'s tree, whose root id is also an id
+  // of `doc`, and a larger tree, whose root id lies past every id of `doc`.
+  // Both name nodes of another term.
+  DynamicDocument twin(tree, 3);
+  DynamicDocument large(RandomTree(300, 3, rng), 3);
+  SnapshotRef foreign[2];
+  for (DynamicDocument* other : {&twin, &large}) {
+    const DynamicDocument::QueryHandle other_h = other->Register(q);
+    while (other->CurrentSnapshot().epoch() < now.epoch()) {
+      ApplyOk(*other, Command::Relabel(other->tree().root(), 2));
+    }
+    foreign[other == &large] = other->CurrentSnapshot();
+    ASSERT_TRUE(other->HasAnswerAt(foreign[other == &large], other_h));
+  }
+  ASSERT_LT(foreign[0].root(), doc.term().id_bound());
+  ASSERT_GE(foreign[1].root(), doc.term().id_bound());
+
+  const char* names[] = {"empty", "before register", "before re-register",
+                         "a twin document's", "a larger document's"};
   const SnapshotRef* unserved[] = {nullptr, &before_register,
-                                   &before_reregister};
-  for (int i = 0; i < 3; ++i) {
+                                   &before_reregister, &foreign[0],
+                                   &foreign[1]};
+  for (int i = 0; i < 5; ++i) {
     const SnapshotRef snap = unserved[i] ? *unserved[i] : SnapshotRef();
     EXPECT_FALSE(p.Serves(snap)) << names[i];
     EXPECT_FALSE(doc.HasAnswerAt(snap, h)) << names[i];

@@ -32,34 +32,31 @@ std::map<TermNodeId, size_t> PreorderNumbers(const Term& term) {
   return num;
 }
 
-// R(child, box) read off the circuit's ∪→∪ wires (side 0 = left) as packed
-// rows (child ∪-gates x box ∪-gates): the oracle for the index's wire
-// relations.
-struct WireRelation {
-  size_t rows = 0;
-  size_t cols = 0;
-  std::vector<uint64_t> words;
-};
+// Per alive box, its ⊤-collapse inputs derived from δ (CollapseInputs).
+using CollapseMap =
+    std::map<TermNodeId, std::vector<std::vector<CollapseInput>>>;
 
-WireRelation WireRelationOf(const AssignmentCircuit& circuit, TermNodeId box,
-                            int side) {
-  const Term& term = circuit.term();
-  const Box b = circuit.box(box);
-  const Box cb =
-      circuit.box(side == 0 ? term.node(box).left : term.node(box).right);
-  WireRelation rel;
-  rel.rows = cb.num_unions();
-  rel.cols = b.num_unions();
-  const size_t wpr = (rel.cols + 63) / 64;
-  rel.words.assign(rel.rows * wpr, 0);
-  for (size_t u = 0; u < b.num_unions(); ++u) {
-    for (const auto& [s, state] : b.child_union_inputs(u)) {
-      if (s != side) continue;
-      const size_t r = static_cast<size_t>(cb.union_idx(state));
-      rel.words[r * wpr + u / 64] |= uint64_t{1} << (u % 64);
-    }
+CollapseMap AllCollapseInputs(const AssignmentCircuit& c) {
+  CollapseMap out;
+  for (TermNodeId id = 0; id < c.term().id_bound(); ++id) {
+    if (c.term().IsAlive(id)) out.emplace(id, CollapseInputs(c, id));
   }
-  return rel;
+  return out;
+}
+
+// The child ∪-gates, as (box, dense gate), that feed ∪-gate u of `box`.
+std::vector<std::pair<TermNodeId, uint32_t>> ChildGatesFeeding(
+    const AssignmentCircuit& c, const CollapseMap& collapse, TermNodeId box,
+    uint32_t u) {
+  const TermNode& t = c.term().node(box);
+  std::vector<std::pair<TermNodeId, uint32_t>> out;
+  for (const auto& [side, state] :
+       collapse.at(box)[c.box(box).union_state(u)]) {
+    const TermNodeId child = side == 0 ? t.left : t.right;
+    out.emplace_back(child,
+                     static_cast<uint32_t>(c.box(child).union_idx(state)));
+  }
+  return out;
 }
 
 TermNodeId NaiveLca(const Term& term, TermNodeId a, TermNodeId b) {
@@ -78,22 +75,18 @@ TermNodeId NaiveLca(const Term& term, TermNodeId a, TermNodeId b) {
 // Boxes containing var/×-gates ∪-reachable from gate `u` of `box`
 // (the interesting boxes of {u}).
 std::vector<TermNodeId> NaiveInteresting(const AssignmentCircuit& c,
+                                         const CollapseMap& collapse,
                                          TermNodeId box, uint32_t u) {
   std::vector<TermNodeId> out;
   std::vector<std::pair<TermNodeId, uint32_t>> stack{{box, u}};
   std::set<std::pair<TermNodeId, uint32_t>> seen;
-  const Term& term = c.term();
   while (!stack.empty()) {
     auto [b, g] = stack.back();
     stack.pop_back();
     if (!seen.emplace(b, g).second) continue;
-    const Box bx = c.box(b);
-    if (bx.HasNonUnionInput(g)) out.push_back(b);
-    for (const auto& [side, state] : bx.child_union_inputs(g)) {
-      TermNodeId child = side == 0 ? term.node(b).left : term.node(b).right;
-      stack.push_back(
-          {child,
-           static_cast<uint32_t>(c.box(child).union_idx(state))});
+    if (c.box(b).HasNonUnionInput(g)) out.push_back(b);
+    for (const auto& input : ChildGatesFeeding(c, collapse, b, g)) {
+      stack.push_back(input);
     }
   }
   std::sort(out.begin(), out.end());
@@ -122,6 +115,7 @@ void CheckIndexAgainstNaive(const AssignmentCircuit& circuit,
   const Term& term = circuit.term();
   ASSERT_EQ(index.ValidateStorage(), "");
   std::map<TermNodeId, size_t> pre = PreorderNumbers(term);
+  const CollapseMap collapse = AllCollapseInputs(circuit);
   for (TermNodeId id = 0; id < term.id_bound(); ++id) {
     if (!term.IsAlive(id)) continue;
     const Box box = circuit.box(id);
@@ -136,7 +130,8 @@ void CheckIndexAgainstNaive(const AssignmentCircuit& circuit,
     }
 
     for (uint32_t u = 0; u < box.num_unions(); ++u) {
-      std::vector<TermNodeId> interesting = NaiveInteresting(circuit, id, u);
+      std::vector<TermNodeId> interesting =
+          NaiveInteresting(circuit, collapse, id, u);
       ASSERT_FALSE(interesting.empty());
       // fib = preorder-first interesting box.
       TermNodeId first = interesting[0];
@@ -163,27 +158,6 @@ void CheckIndexAgainstNaive(const AssignmentCircuit& circuit,
       }
     }
 
-    // Wire relations: word for word the circuit's ∪→∪ wires, tail bits
-    // included; empty for leaf boxes.
-    if (term.IsLeaf(id)) {
-      EXPECT_EQ(bi.wire_left().rows(), 0u) << "leaf box " << id;
-      EXPECT_EQ(bi.wire_right().rows(), 0u) << "leaf box " << id;
-    } else {
-      for (int side : {0, 1}) {
-        const WireRelation wire = WireRelationOf(circuit, id, side);
-        const BitMatrixView got = side == 0 ? bi.wire_left() : bi.wire_right();
-        ASSERT_EQ(got.rows(), wire.rows) << "box " << id << " side " << side;
-        ASSERT_EQ(got.cols(), wire.cols) << "box " << id << " side " << side;
-        const BitMatrixView want(wire.words.data(), wire.rows, wire.cols);
-        for (size_t r = 0; r < got.rows(); ++r) {
-          for (size_t k = 0; k < got.words_per_row(); ++k) {
-            EXPECT_EQ(got.Row(r)[k], want.Row(r)[k])
-                << "box " << id << " side " << side << " row " << r;
-          }
-        }
-      }
-    }
-
     // Reachability relations: R(cand, B)[g', u] iff g' ∪⇝ u. Verify via
     // the naive closure from each gate u.
     for (uint32_t u = 0; u < box.num_unions(); ++u) {
@@ -194,13 +168,8 @@ void CheckIndexAgainstNaive(const AssignmentCircuit& circuit,
         auto [b, g] = stack.back();
         stack.pop_back();
         if (!reach[b].insert(g).second) continue;
-        const Box bx = circuit.box(b);
-        for (const auto& [side, state] : bx.child_union_inputs(g)) {
-          TermNodeId child =
-              side == 0 ? term.node(b).left : term.node(b).right;
-          stack.push_back(
-              {child,
-               static_cast<uint32_t>(circuit.box(child).union_idx(state))});
+        for (const auto& input : ChildGatesFeeding(circuit, collapse, b, g)) {
+          stack.push_back(input);
         }
       }
       for (int32_t c = 0; c < static_cast<int32_t>(bi.num_cands()); ++c) {
@@ -247,10 +216,10 @@ TEST(Index, MatchesNaiveReferenceOnRandomAutomata) {
   }
 }
 
-// Oracle for the satellite bugfix: SpanLocal's linear Lca fold must equal
-// the old quadratic implementation — the minimum candidate index over all
-// pairwise lcas Lca(span[g_i], span[g_j]), i <= j (self-pairs included, as
-// the old loop had them) — on randomized indexes and random gate subsets.
+// The one-pass lca fold that RebuildBoxIndex and the jump step apply to a
+// set of gates' spans must equal the quadratic oracle — the minimum
+// candidate index over all pairwise lcas Lca(span[g_i], span[g_j]), i <= j
+// (self-pairs included) — on randomized indexes and random gate subsets.
 int32_t SpanLocalPairwiseOracle(const BoxIndex& bi,
                                 const std::vector<uint32_t>& gates) {
   int32_t best = bi.span(gates[0]);
@@ -280,8 +249,11 @@ TEST(Index, SpanLocalFoldMatchesPairwiseOracle) {
           if (rng.Index(2)) gates.push_back(u);
         }
         if (gates.empty()) gates.push_back(static_cast<uint32_t>(rng.Index(nu)));
-        EXPECT_EQ(bi.SpanLocal(gates), SpanLocalPairwiseOracle(bi, gates))
-            << "box " << id;
+        int32_t fold = bi.span(gates[0]);
+        for (size_t i = 1; i < gates.size(); ++i) {
+          fold = bi.Lca(fold, bi.span(gates[i]));
+        }
+        EXPECT_EQ(fold, SpanLocalPairwiseOracle(bi, gates)) << "box " << id;
       }
     }
   }

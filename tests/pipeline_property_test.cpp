@@ -8,6 +8,7 @@
 // result sets exceed the cap still check structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -131,34 +132,50 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // A wide query: the union of two ancestor-at-distance automata compiles to
-// w = 879 states, so on a 128-node tree many boxes hold more than 64
-// ∪-gates and box composition runs the multi-word tile. Both box-enum
-// modes, fed scripted edits and subtree moves and deletes through Apply in
-// small batches, must match the materialized oracle after every commit.
+// w = 879 states, so on trees of 128 and 512 nodes many boxes hold more
+// than 64 ∪-gates, and some more than 128: wire rows, relations and state
+// masks span two or three words, and box composition runs the multi-word
+// tile. Both box-enum modes, fed scripted edits and subtree moves and
+// deletes through Apply in small batches, must match the materialized
+// oracle after every commit, with every storage audit clean.
 TEST(PipelineProperty, WideUnionQueryAgainstOracle) {
   const UnrankedTva q = UnionTva(QueryAncestorAtDistance(3, 1, 6),
                                  QueryAncestorAtDistance(3, 2, 9));
-  Rng rng(3);  // a tree with 29 answers and 99 boxes over 64 ∪-gates
-  UnrankedTree t = RandomTree(128, 3, rng);
-  DynamicDocument doc(t, 3);
-  const DynamicDocument::QueryHandle indexed =
-      doc.Register(q, BoxEnumMode::kIndexed);
-  const DynamicDocument::QueryHandle naive =
-      doc.Register(q, BoxEnumMode::kNaive);
-  ASSERT_GT(doc.pipeline(indexed).width(), 128u);
-  serving::WorkloadOptions wo;
-  wo.structural_fraction = 0.2;
-  serving::CommandScript script(std::move(t), 3, wo);
-  for (int commit = 0; commit < 12; ++commit) {
-    doc.BeginBatch();
-    for (int k = 0; k <= commit % 3; ++k) ApplyOk(doc, script.Next());
-    doc.CommitBatch();
-    const std::vector<Assignment> expected =
-        MaterializeAssignments(script.mirror(), q);
-    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), indexed), expected)
-        << "commit " << commit;
-    ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), naive), expected)
-        << "commit " << commit;
+  for (size_t n : {128u, 512u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    Rng rng(3);
+    UnrankedTree t = RandomTree(n, 3, rng);
+    DynamicDocument doc(t, 3);
+    const DynamicDocument::QueryHandle modes[] = {
+        doc.Register(q, BoxEnumMode::kIndexed),
+        doc.Register(q, BoxEnumMode::kNaive)};
+    const AssignmentCircuit& circuit = doc.pipeline(modes[0]).circuit();
+    ASSERT_GT(circuit.width(), 128u);
+    size_t wide = 0;  // boxes with more than 64 ∪-gates
+    size_t widest = 0;
+    for (TermNodeId id = 0; id < doc.term().id_bound(); ++id) {
+      if (!doc.term().IsAlive(id)) continue;
+      const size_t nu = circuit.box(id).num_unions();
+      wide += nu > 64;
+      widest = std::max(widest, nu);
+    }
+    ASSERT_GT(wide, n / 2);
+    ASSERT_GT(widest, 128u);
+    serving::WorkloadOptions wo;
+    wo.structural_fraction = 0.2;
+    serving::CommandScript script(std::move(t), 3, wo);
+    for (int commit = 0; commit < 12; ++commit) {
+      doc.BeginBatch();
+      for (int k = 0; k <= commit % 3; ++k) ApplyOk(doc, script.Next());
+      doc.CommitBatch();
+      const std::vector<Assignment> expected =
+          MaterializeAssignments(script.mirror(), q);
+      for (DynamicDocument::QueryHandle h : modes) {
+        ASSERT_EQ(doc.pipeline(h).ValidateStorage(), "") << "commit " << commit;
+        ASSERT_EQ(doc.EnumerateAt(doc.CurrentSnapshot(), h), expected)
+            << "commit " << commit;
+      }
+    }
   }
 }
 

@@ -3,8 +3,9 @@
 // recompute-from-scratch StaticEngine oracles, bit-identical answers across
 // shard counts (S=1 vs S=8), concurrent snapshot readers during load and
 // during query churn (run under TSan in CI), work-stealing liveness with
-// exactly-once delivery, several client threads submitting at once, and
-// the per-document run budget.
+// exactly-once delivery, several client threads submitting at once, the
+// per-document run budget, and reads at pins of other or removed
+// documents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -553,6 +554,48 @@ TEST(ShardServer, RequestsForARemovedDocumentAreRejected) {
   StaticEngine oracle(tree, PersistentQuery());
   EXPECT_EQ(Sorted(b.query.view.EnumerateAt(server.Pin(b.doc))),
             Sorted(oracle.EnumerateAll()));
+}
+
+// Reads that name the wrong document answer nothing: a tenant's view read
+// at another tenant's pin (whose root id lies past every id of the first
+// document), and any read at a Pin taken after RemoveDocument, which is
+// empty instead of a pin of the destroyed document.
+TEST(ShardServer, PinsOfOtherOrRemovedDocumentsAnswerNothing) {
+  DocumentShardServer::Options o;
+  o.shards = 2;
+  DocumentShardServer server(o);
+  Rng rng(0x919);
+  const UnrankedTree small = RandomTree(24, 3, rng);
+  const UnrankedTree large = RandomTree(300, 3, rng);
+  const DocumentShardServer::DocRef a = server.AddDocument(small, 3);
+  const DocumentShardServer::DocRef b = server.AddDocument(large, 3);
+  const DocumentShardServer::QueryRef qa =
+      server.RegisterQuery(a, PersistentQuery());
+  const DocumentShardServer::QueryRef qb =
+      server.RegisterQuery(b, PersistentQuery());
+  const std::vector<Assignment> answers_a =
+      Sorted(StaticEngine(small, PersistentQuery()).EnumerateAll());
+  ASSERT_FALSE(answers_a.empty());
+  EXPECT_EQ(Sorted(qa.view.EnumerateAt(server.Pin(a))), answers_a);
+
+  {
+    const SnapshotRef pin_b = server.Pin(b);
+    ASSERT_TRUE(qb.view.HasAnswerAt(pin_b));
+    ASSERT_GE(pin_b.root(), server.document(a).term().id_bound());
+    EXPECT_FALSE(qa.view.HasAnswerAt(pin_b));
+    EXPECT_TRUE(qa.view.EnumerateAt(pin_b).empty());
+    EXPECT_EQ(qa.view.MakeCursorAt(pin_b), nullptr);
+  }
+
+  server.RemoveDocument(a);
+  const SnapshotRef removed = server.Pin(a);
+  EXPECT_FALSE(removed);
+  EXPECT_FALSE(qb.view.HasAnswerAt(removed));
+  EXPECT_TRUE(qb.view.EnumerateAt(removed).empty());
+  EXPECT_EQ(qb.view.MakeCursorAt(removed), nullptr);
+  // The other tenant still answers like a fresh oracle.
+  EXPECT_EQ(Sorted(qb.view.EnumerateAt(server.Pin(b))),
+            Sorted(StaticEngine(large, PersistentQuery()).EnumerateAll()));
 }
 
 }  // namespace

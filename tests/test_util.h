@@ -3,7 +3,8 @@
 // from serving::CommandScript, included from serving/workload.h; ApplyOk
 // applies a command that must be accepted, ApplyToTree replays an edit on
 // an oracle's mirror tree, and ApplyToEncoding replays a tree command on a
-// bare DynamicEncoding.
+// bare DynamicEncoding. CollapseInputs and DistinctBoxKeys are circuit
+// oracles.
 #ifndef TREENUM_TESTS_TEST_UTIL_H_
 #define TREENUM_TESTS_TEST_UTIL_H_
 
@@ -249,6 +250,38 @@ inline const UpdateResult& ApplyToEncoding(const Command& c,
   }
   EXPECT_EQ(c.kind, Command::Kind::kSubtreeMove);
   return dyn.SubtreeMove(c.node, c.dst, c.where == AttachWhere::kFirstChild);
+}
+
+/// A ⊤-collapse input of a ∪-gate: (side, child state), side 0 = left.
+using CollapseInput = std::pair<int, State>;
+
+/// Per state q, the ⊤-collapse inputs of γ(id, q), derived from δ and the
+/// children's gate kinds alone (Lemma 3.7): a transition (q1, q2) → q at
+/// id's label whose left gate γ(left, q1) is a ∪-gate and right gate
+/// γ(right, q2) is ⊤ gives (0, q1), and the mirror case (1, q2). Sorted,
+/// without repeats; all empty for a leaf.
+inline std::vector<std::vector<CollapseInput>> CollapseInputs(
+    const AssignmentCircuit& c, TermNodeId id) {
+  const Term& term = c.term();
+  std::vector<std::set<CollapseInput>> in(c.width());
+  if (!term.IsLeaf(id)) {
+    const TermNode& t = term.node(id);
+    const Box lb = c.box(t.left);
+    const Box rb = c.box(t.right);
+    for (const Transition& tr : c.tva().transitions()) {
+      if (tr.label != t.label) continue;
+      const GateKind l = lb.gamma(tr.left);
+      const GateKind r = rb.gamma(tr.right);
+      if (l == GateKind::kUnion && r == GateKind::kTop) {
+        in[tr.state].emplace(0, tr.left);
+      } else if (l == GateKind::kTop && r == GateKind::kUnion) {
+        in[tr.state].emplace(1, tr.right);
+      }
+    }
+  }
+  std::vector<std::vector<CollapseInput>> out;
+  for (const auto& inputs : in) out.emplace_back(inputs.begin(), inputs.end());
+  return out;
 }
 
 /// The number of distinct box keys among the circuit's alive term ids,
